@@ -115,19 +115,25 @@ impl Node {
     }
 }
 
-/// Everything nodes share within one round: the tangle snapshot analysis,
-/// the confidence estimate, and the consensus reference model.
+/// Everything a node acts on within one round: the tangle snapshot
+/// analysis, the confidence estimate, and the consensus reference model.
 ///
 /// The paper's training is round-based, with "published transactions from a
 /// given round ... only visible to the nodes participating in the next
-/// round" — so one context serves all nodes of a round.
+/// round" — so on an ideal network one context serves all nodes of a
+/// round. Under a [`crate::config::NetworkModel`] every node gets a
+/// context of its own (own view, own confidence walks) built by
+/// [`Self::from_analysis`] over the *shared* analysis of its prefix: the
+/// weight/rating/depth tables are a pure function of the prefix, so they
+/// are held by `Arc` and never copied per node.
 pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelParams>> {
     /// The tangle as of the start of the round — either the full ledger or
     /// a zero-copy [`tangle_ledger::TangleView`] prefix of it (the
     /// delayed-network path).
     pub tangle: &'a T,
-    /// Cumulative weights and ratings of the snapshot.
-    pub analysis: TangleAnalysis,
+    /// Cumulative weights and ratings of the snapshot (shared, see the
+    /// type docs).
+    pub analysis: Arc<TangleAnalysis>,
     /// Per-transaction walk confidence.
     pub confidence: Vec<f32>,
     /// The top `reference_avg` transactions by `confidence × rating`.
@@ -138,8 +144,9 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
     pub round: u64,
     /// Walk configuration used for all tip selection this round.
     pub walk: RandomWalk,
-    /// Per-transaction depths, present when windowed tip selection is on.
-    pub depths: Option<Vec<u32>>,
+    /// Per-transaction depths, present when windowed tip selection is on
+    /// (shared like `analysis`).
+    pub depths: Option<Arc<Vec<u32>>>,
     /// The configured window (mirrors `hyper.window`).
     pub window: Option<u32>,
     /// Observability handle shared by every node this round (disabled by
@@ -168,11 +175,11 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         seed: u64,
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
-        let analysis = TangleAnalysis::compute_observed(tangle, &telemetry);
+        let analysis = Arc::new(TangleAnalysis::compute_observed(tangle, &telemetry));
         let depths = cfg
             .hyper
             .window
-            .map(|_| tangle_ledger::analysis::depths(tangle));
+            .map(|_| Arc::new(tangle_ledger::analysis::depths(tangle)));
         Self::from_analysis(tangle, analysis, depths, cfg, round, seed, telemetry)
     }
 
@@ -191,22 +198,34 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
         cache.refresh_observed(tangle, &telemetry);
-        let analysis = cache.analysis();
-        let depths = cfg.hyper.window.map(|_| cache.depths().to_vec());
+        let analysis = Arc::new(cache.analysis());
+        let depths = cfg.hyper.window.map(|_| Arc::new(cache.depths().to_vec()));
         Self::from_analysis(tangle, analysis, depths, cfg, round, seed, telemetry)
     }
 
-    /// Algorithm 1 over an already-computed analysis: confidence sampling,
-    /// reference selection, and reference-model averaging.
-    fn from_analysis(
+    /// Algorithm 1 over an already-computed analysis of `tangle`:
+    /// confidence sampling (seeded by `seed`), reference selection, and
+    /// reference-model averaging. `analysis` — and `depths`, required when
+    /// `cfg.hyper.window` is set — must describe exactly `tangle`; callers
+    /// that analyse a snapshot once and hand it to many contexts (the
+    /// delayed-network round) clone the `Arc`s, not the tables.
+    ///
+    /// # Panics
+    /// Panics if `analysis` covers a different number of transactions than
+    /// `tangle`, or if `cfg.hyper.window` is set and `depths` is `None`.
+    pub fn from_analysis(
         tangle: &'a T,
-        analysis: TangleAnalysis,
-        depths: Option<Vec<u32>>,
+        analysis: Arc<TangleAnalysis>,
+        depths: Option<Arc<Vec<u32>>>,
         cfg: &SimConfig,
         round: u64,
         seed: u64,
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
+        assert!(
+            cfg.hyper.window.is_none() || depths.is_some(),
+            "windowed tip selection needs the snapshot's depths"
+        );
         let walk = RandomWalk::new(cfg.hyper.alpha);
         let samples = cfg.hyper.confidence_samples.max(1);
         let confidence = match cfg.hyper.confidence_mode {

@@ -10,14 +10,15 @@
 use crate::config::SimConfig;
 use crate::dp::DpConfig;
 use crate::eval_cache::{EvalCache, ScratchPool, DEFAULT_EVAL_CACHE_CAPACITY};
-use crate::node::{node_step_pooled, ModelParams, Node, RoundContext};
+use crate::node::{node_step_pooled, ModelParams, Node, RoundContext, StepOutcome};
 use feddata::{ClientData, FederatedDataset};
-use lt_telemetry::{Event, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
+use lt_telemetry::{Event, PhaseRecorder, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
 use parking_lot::Mutex;
 use rand::RngExt;
 use rayon::prelude::*;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use tangle_ledger::{AnalysisCache, Tangle, TangleView};
+use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TangleView};
 use tinynn::loss::predictions;
 use tinynn::rng::{derive, seeded};
 use tinynn::{ParamVec, Sequential};
@@ -49,6 +50,37 @@ pub struct EvalResult {
     pub reference_poisoned_fraction: f32,
 }
 
+/// The analysis of one round-end ledger prefix. Weights, ratings and depths
+/// are a pure function of the prefix, so under a
+/// [`crate::config::NetworkModel`] they are computed once and shared by
+/// every node whose delayed view is that prefix.
+struct PrefixAnalysis {
+    /// Ledger size at the end of the analysed round.
+    len: usize,
+    analysis: Arc<TangleAnalysis>,
+    /// Present when windowed tip selection is configured.
+    depths: Option<Arc<Vec<u32>>>,
+}
+
+impl PrefixAnalysis {
+    /// Run the full DPs over the first `len` transactions of `tangle` —
+    /// deliberately not the incremental [`AnalysisCache`], which follows
+    /// the ledger head and cannot serve an older prefix.
+    fn compute(
+        tangle: &Tangle<ModelParams>,
+        len: usize,
+        window: Option<u32>,
+        telemetry: &Telemetry,
+    ) -> Self {
+        let view = TangleView::new(tangle, len);
+        Self {
+            len,
+            analysis: Arc::new(TangleAnalysis::compute_observed(&view, telemetry)),
+            depths: window.map(|_| Arc::new(tangle_ledger::analysis::depths(&view))),
+        }
+    }
+}
+
 /// A complete learning-tangle run: population, ledger, and configuration.
 pub struct Simulation<'a> {
     nodes: Vec<Node>,
@@ -59,15 +91,19 @@ pub struct Simulation<'a> {
     cfg: SimConfig,
     dp: Option<DpConfig>,
     round: u64,
-    /// `round_end_len[r]` = ledger size at the end of round `r`
-    /// (`[0]` = 1, the genesis). Used to reconstruct stale views under the
-    /// [`crate::config::NetworkModel`].
-    round_end_len: Vec<usize>,
+    /// Under a [`crate::config::NetworkModel`]: the analyses of the last
+    /// `max_delay_rounds + 1` round-end prefixes, newest (the end of the
+    /// previous round) last — every ledger state a delayed node can still
+    /// be acting on. One entry is computed per round and shared by all of
+    /// the round's nodes. Empty on the ideal network.
+    prefixes: VecDeque<PrefixAnalysis>,
     /// Publications dropped by the lossy network so far.
     lost_publications: u64,
-    /// Incremental analysis cache for the shared round context (`None` =
-    /// recompute the batch DPs every round). Produces bit-identical runs
-    /// either way; only the cost differs.
+    /// Incremental analysis cache for the shared round context of the
+    /// ideal network (`None` = recompute the batch DPs every round, and
+    /// always `None` under a `NetworkModel`, which analyses `prefixes`
+    /// instead). Produces bit-identical runs either way; only the cost
+    /// differs.
     cache: Option<AnalysisCache>,
     /// Per-node evaluation memoization (`None` = re-run every forward
     /// pass). Like the analysis cache this is a pure optimization: entries
@@ -95,23 +131,34 @@ impl<'a> Simulation<'a> {
         build: impl Fn() -> Sequential + Sync + 'a,
     ) -> Self {
         let genesis = Arc::new(ParamVec::from_model(&build()));
+        Self::from_ledger(data, cfg, build, Tangle::new(genesis), 0)
+    }
+
+    /// A simulation whose ledger is `tangle` after `round` completed
+    /// rounds.
+    fn from_ledger(
+        data: FederatedDataset,
+        cfg: SimConfig,
+        build: impl Fn() -> Sequential + Sync + 'a,
+        tangle: Tangle<ModelParams>,
+        round: u64,
+    ) -> Self {
         let nodes: Vec<Node> = data
             .clients
             .into_iter()
             .enumerate()
             .map(|(i, c)| Node::honest(i, c))
             .collect();
-        let tangle = Tangle::new(genesis);
         Self {
             eval: Some(fresh_eval_caches(nodes.len())),
             nodes,
-            cache: Some(AnalysisCache::new(&tangle)),
+            cache: cfg.network.is_none().then(|| AnalysisCache::new(&tangle)),
             tangle,
             scratch: ScratchPool::new(Box::new(build)),
             cfg,
             dp: None,
-            round: 0,
-            round_end_len: vec![1],
+            round,
+            prefixes: VecDeque::new(),
             lost_publications: 0,
             telemetry: Telemetry::disabled(),
         }
@@ -146,12 +193,15 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Enable or disable the incremental analysis cache (on by default).
-    /// Runs are bit-identical either way — the differential property tests
-    /// pin cached weights/ratings/depths to the from-scratch DPs — so the
-    /// only reason to disable it is to measure or test the fresh path.
+    /// Enable or disable the incremental analysis cache (on by default on
+    /// the ideal network; a `NetworkModel` run analyses stale prefixes and
+    /// never has one). Runs are bit-identical either way — the
+    /// differential property tests pin cached weights/ratings/depths to
+    /// the from-scratch DPs — so the only reason to disable it is to
+    /// measure or test the fresh path.
     pub fn with_analysis_cache(mut self, enabled: bool) -> Self {
-        self.cache = enabled.then(|| AnalysisCache::new(&self.tangle));
+        self.cache =
+            (enabled && self.cfg.network.is_none()).then(|| AnalysisCache::new(&self.tangle));
         self
     }
 
@@ -167,7 +217,8 @@ impl<'a> Simulation<'a> {
     /// Resume from a persisted ledger (see [`crate::persist`]): the
     /// network keeps its full history; training continues from whatever
     /// consensus the saved tangle encodes. The restored transactions are
-    /// attributed to one synthetic pre-resume round.
+    /// attributed to one synthetic pre-resume round (before which a
+    /// delayed node sees only the genesis).
     ///
     /// # Panics
     /// Panics if the ledger's parameter dimension does not match the model
@@ -186,26 +237,17 @@ impl<'a> Simulation<'a> {
                 "persisted ledger does not match the model architecture"
             );
         }
-        let nodes: Vec<Node> = data
-            .clients
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| Node::honest(i, c))
-            .collect();
-        let len = tangle.len();
-        Self {
-            eval: Some(fresh_eval_caches(nodes.len())),
-            nodes,
-            cache: Some(AnalysisCache::new(&tangle)),
-            tangle,
-            scratch: ScratchPool::new(Box::new(build)),
-            cfg,
-            dp: None,
-            round: 1,
-            round_end_len: vec![1, len],
-            lost_publications: 0,
-            telemetry: Telemetry::disabled(),
+        let mut sim = Self::from_ledger(data, cfg, build, tangle, 1);
+        if sim.cfg.network.is_some() {
+            // Round 0 of the synthetic history: the genesis alone.
+            sim.prefixes.push_back(PrefixAnalysis::compute(
+                &sim.tangle,
+                1,
+                sim.cfg.hyper.window,
+                &sim.telemetry,
+            ));
         }
+        sim
     }
 
     /// The node population (e.g. for attack assignment).
@@ -236,9 +278,13 @@ impl<'a> Simulation<'a> {
     /// Run one round.
     pub fn round(&mut self) -> RoundStats {
         self.round += 1;
-        let round = self.round;
+        let idx = self.sample_nodes(self.round);
+        self.run_round(self.round, idx)
+    }
+
+    /// The seeded sample of nodes active in `round`.
+    fn sample_nodes(&self, round: u64) -> Vec<usize> {
         let mut rng = seeded(derive(self.cfg.seed, round));
-        // Sample active nodes.
         let n = self.nodes.len();
         let k = self.cfg.nodes_per_round.clamp(1, n);
         let mut idx: Vec<usize> = (0..n).collect();
@@ -247,7 +293,7 @@ impl<'a> Simulation<'a> {
             idx.swap(i, j);
         }
         idx.truncate(k);
-        self.run_round(round, idx)
+        idx
     }
 
     /// Scriptable activation-order hook: run the next round activating
@@ -274,14 +320,14 @@ impl<'a> Simulation<'a> {
     /// The body shared by [`Self::round`] and [`Self::round_with_nodes`]:
     /// one full round over an already-chosen activation list.
     fn run_round(&mut self, round: u64, idx: Vec<usize>) -> RoundStats {
-        let k = idx.len();
         // All sampled nodes run Algorithm 2. On an ideal network they share
         // one round context (everyone sees the end of the previous round);
-        // under a NetworkModel each node reconstructs its own stale view.
+        // under a NetworkModel each node acts on its own stale prefix, with
+        // its own confidence walks over that prefix's shared analysis.
         let tel = self.telemetry.clone();
         let mut phases = tel.phases();
         let mut reference_entries: Vec<ReferenceEntry> = Vec::new();
-        let outcomes: Vec<(usize, crate::node::StepOutcome)> = match self.cfg.network {
+        let outcomes: Vec<(usize, StepOutcome)> = match self.cfg.network {
             None => {
                 // Split the borrows so the cache can be refreshed while the
                 // context keeps a shared reference to the tangle.
@@ -315,57 +361,96 @@ impl<'a> Simulation<'a> {
                         })
                         .collect();
                 }
-                let eval = &self.eval;
                 phases.measure("step", || {
                     idx.par_iter()
                         .map(|&ni| {
                             let mut node_rng =
                                 seeded(derive(self.cfg.seed, (round << 24) ^ ni as u64));
-                            let mut guard = eval.as_ref().map(|caches| caches[ni].lock());
-                            let out = node_step_pooled(
-                                &self.nodes[ni],
-                                &ctx,
-                                &self.scratch,
-                                &self.cfg,
-                                &mut node_rng,
-                                guard.as_deref_mut(),
-                            );
-                            (ni, out)
+                            self.step_node(ni, &ctx, &mut node_rng)
                         })
                         .collect()
                 })
             }
-            Some(net) => phases.measure("step", || {
-                let eval = &self.eval;
-                idx.par_iter()
-                    .map(|&ni| {
-                        let mut node_rng = seeded(derive(self.cfg.seed, (round << 24) ^ ni as u64));
-                        let delay = node_rng.random_range(0..=net.max_delay_rounds);
-                        let view_round = (round - 1).saturating_sub(delay) as usize;
-                        // Zero-copy stale view: O(1), no payload clones.
-                        let view = TangleView::new(&self.tangle, self.round_end_len[view_round]);
-                        let ctx = RoundContext::build_observed(
-                            &view,
-                            &self.cfg,
-                            round,
-                            derive(self.cfg.seed, (round ^ 0xC0FF_EE00) ^ (ni as u64) << 32),
-                            tel.clone(),
-                        );
-                        let mut guard = eval.as_ref().map(|caches| caches[ni].lock());
-                        let out = node_step_pooled(
-                            &self.nodes[ni],
-                            &ctx,
-                            &self.scratch,
-                            &self.cfg,
-                            &mut node_rng,
-                            guard.as_deref_mut(),
-                        );
-                        (ni, out)
-                    })
-                    .collect()
-            }),
+            Some(net) => {
+                // The ledger as it stands is the end of the previous round:
+                // analyse it once, and forget the prefix no delay reaches
+                // any more.
+                let (tangle, prefixes) = (&self.tangle, &mut self.prefixes);
+                phases.measure("analysis", || {
+                    if prefixes.len() as u64 > net.max_delay_rounds {
+                        prefixes.pop_front();
+                    }
+                    prefixes.push_back(PrefixAnalysis::compute(
+                        tangle,
+                        tangle.len(),
+                        self.cfg.hyper.window,
+                        &tel,
+                    ));
+                });
+                let prefixes = &self.prefixes;
+                phases.measure("step", || {
+                    idx.par_iter()
+                        .map(|&ni| {
+                            let mut node_rng =
+                                seeded(derive(self.cfg.seed, (round << 24) ^ ni as u64));
+                            let delay = node_rng.random_range(0..=net.max_delay_rounds);
+                            // Rounds back from the newest prefix, stopping
+                            // at the genesis (round 0).
+                            let age = delay.min(round - 1) as usize;
+                            let prefix = &prefixes[prefixes.len() - 1 - age];
+                            // Zero-copy stale view: O(1), no payload clones.
+                            let view = TangleView::new(&self.tangle, prefix.len);
+                            let ctx_seed =
+                                derive(self.cfg.seed, (round ^ 0xC0FF_EE00) ^ (ni as u64) << 32);
+                            let ctx = RoundContext::from_analysis(
+                                &view,
+                                Arc::clone(&prefix.analysis),
+                                prefix.depths.clone(),
+                                &self.cfg,
+                                round,
+                                ctx_seed,
+                                tel.clone(),
+                            );
+                            self.step_node(ni, &ctx, &mut node_rng)
+                        })
+                        .collect()
+                })
+            }
         };
-        // Round barrier: publish everything at once.
+        self.publish_round(round, outcomes, reference_entries, &tel, phases)
+    }
+
+    /// Algorithm 2 for node `ni` on `ctx`, through the node's eval cache
+    /// and the shared scratch models.
+    fn step_node<T: TangleRead<Payload = ModelParams> + Sync>(
+        &self,
+        ni: usize,
+        ctx: &RoundContext<'_, T>,
+        node_rng: &mut impl RngExt,
+    ) -> (usize, StepOutcome) {
+        let mut guard = self.eval.as_ref().map(|caches| caches[ni].lock());
+        let out = node_step_pooled(
+            &self.nodes[ni],
+            ctx,
+            &self.scratch,
+            &self.cfg,
+            node_rng,
+            guard.as_deref_mut(),
+        );
+        (ni, out)
+    }
+
+    /// The round barrier: publish every node's outcome at once, then emit
+    /// the round's events and statistics.
+    fn publish_round(
+        &mut self,
+        round: u64,
+        outcomes: Vec<(usize, StepOutcome)>,
+        reference_entries: Vec<ReferenceEntry>,
+        tel: &Telemetry,
+        mut phases: PhaseRecorder<'_>,
+    ) -> RoundStats {
+        let k = outcomes.len();
         let mut published = 0;
         let mut malicious_published = 0;
         let mut rejected = 0u64;
@@ -420,7 +505,6 @@ impl<'a> Simulation<'a> {
                 });
             }
         });
-        self.round_end_len.push(self.tangle.len());
         let tips = self.tangle.tip_count();
         tel.count("sim.published", published as u64);
         tel.count("sim.rejected", rejected);
@@ -456,26 +540,38 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// Algorithm 1 over the whole current ledger, as the next round's
+    /// shared context would run it — unobserved, so telemetry counts
+    /// training work only. With an analysis cache the weights and ratings
+    /// come from a caught-up copy of it (the cache itself lags the ledger
+    /// by the last round's publications until the next round refreshes
+    /// it) instead of from the `O(V²/64)` bitset DPs.
+    fn consensus(&self) -> RoundContext<'_> {
+        let round = self.round + 1;
+        let seed = derive(self.cfg.seed, round ^ 0xC0FF_EE00);
+        match &self.cache {
+            Some(cache) => RoundContext::build_with_cache(
+                &self.tangle,
+                &mut cache.clone(),
+                &self.cfg,
+                round,
+                seed,
+                Telemetry::disabled(),
+            ),
+            None => RoundContext::build(&self.tangle, &self.cfg, round, seed),
+        }
+    }
+
     /// Compute the current consensus parameters (Algorithm 1 over the
     /// latest snapshot, averaging `reference_avg` transactions).
     pub fn consensus_params(&self) -> ParamVec {
-        let ctx = RoundContext::build(
-            &self.tangle,
-            &self.cfg,
-            self.round + 1,
-            derive(self.cfg.seed, (self.round + 1) ^ 0xC0FF_EE00),
-        );
-        ctx.reference
+        self.consensus().reference
     }
 
-    /// Ids and poisoned-issuer fraction of the current reference set.
+    /// Parameters and poisoned-issuer fraction of the current reference
+    /// set.
     fn reference_info(&self) -> (ParamVec, f32) {
-        let ctx = RoundContext::build(
-            &self.tangle,
-            &self.cfg,
-            self.round + 1,
-            derive(self.cfg.seed, (self.round + 1) ^ 0xC0FF_EE00),
-        );
+        let ctx = self.consensus();
         let mut poisoned = 0usize;
         for id in &ctx.reference_ids {
             let tx = self.tangle.get(*id);
@@ -707,6 +803,32 @@ mod tests {
     /// accuracy, and the raw telemetry JSONL bytes.
     type RunFingerprint = (Vec<RoundStats>, Vec<(u64, Vec<u32>)>, f32, Vec<u8>);
 
+    /// Issuer and parent indices of every transaction.
+    fn structure(sim: &Simulation<'_>) -> Vec<(u64, Vec<u32>)> {
+        sim.tangle()
+            .transactions()
+            .iter()
+            .map(|tx| {
+                (
+                    tx.issuer,
+                    tx.parents.iter().map(|p| p.index() as u32).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Close a run observed through the JSONL file at `path`.
+    fn finish_fingerprint(
+        sim: &Simulation<'_>,
+        stats: Vec<RoundStats>,
+        path: &std::path::Path,
+    ) -> RunFingerprint {
+        let accuracy = sim.evaluate(0).accuracy;
+        let bytes = std::fs::read(path).expect("read jsonl");
+        let _ = std::fs::remove_file(path);
+        (stats, structure(sim), accuracy, bytes)
+    }
+
     fn fingerprint(cfg: SimConfig, cache: bool, path: &std::path::Path) -> RunFingerprint {
         let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
         let mut sim = Simulation::new(dataset(10), cfg, build)
@@ -721,21 +843,7 @@ mod tests {
             );
             assert_eq!(sim.telemetry().counter_value("tangle.cache_rebuilds"), 0);
         }
-        let structure = sim
-            .tangle()
-            .transactions()
-            .iter()
-            .map(|tx| {
-                (
-                    tx.issuer,
-                    tx.parents.iter().map(|p| p.index() as u32).collect(),
-                )
-            })
-            .collect();
-        let accuracy = sim.evaluate(0).accuracy;
-        let bytes = std::fs::read(path).expect("read jsonl");
-        let _ = std::fs::remove_file(path);
-        (stats, structure, accuracy, bytes)
+        finish_fingerprint(&sim, stats, path)
     }
 
     #[test]
@@ -771,21 +879,7 @@ mod tests {
             assert_eq!(sim.telemetry().counter_value("eval_cache.hits"), 0);
             assert_eq!(sim.telemetry().counter_value("eval_cache.misses"), 0);
         }
-        let structure = sim
-            .tangle()
-            .transactions()
-            .iter()
-            .map(|tx| {
-                (
-                    tx.issuer,
-                    tx.parents.iter().map(|p| p.index() as u32).collect(),
-                )
-            })
-            .collect();
-        let accuracy = sim.evaluate(0).accuracy;
-        let bytes = std::fs::read(path).expect("read jsonl");
-        let _ = std::fs::remove_file(path);
-        (stats, structure, accuracy, bytes)
+        finish_fingerprint(&sim, stats, path)
     }
 
     #[test]
@@ -865,24 +959,233 @@ mod tests {
         assert_eq!(on.3, off.3, "telemetry JSONL must be byte-identical");
     }
 
-    #[test]
-    fn delayed_views_match_prefix_clone_semantics() {
-        // The zero-copy view replaced an owned `prefix()` clone on this
-        // path; the observable run must be exactly what the clone produced
-        // (pinned by the structure fingerprint against the cache-off run,
-        // which shares the view code — this guards determinism per seed).
-        let mut cfg = quick_cfg();
-        cfg.network = Some(crate::config::NetworkModel {
-            max_delay_rounds: 5,
+    fn delayed(max_delay_rounds: u64) -> crate::config::NetworkModel {
+        crate::config::NetworkModel {
+            max_delay_rounds,
             publish_loss: 0.0,
+        }
+    }
+
+    /// Oracle for the delayed-network round, as it ran before prefix
+    /// analyses were shared: every node clones its own prefix of the
+    /// ledger (`round_end_len[r]` = ledger size at the end of round `r`)
+    /// and runs the full analysis on it. Only node sampling, the step on
+    /// an already-built context, and the publish barrier are shared with
+    /// [`Simulation::round`].
+    fn per_node_round(sim: &mut Simulation<'_>, round_end_len: &mut Vec<usize>) -> RoundStats {
+        sim.round += 1;
+        let round = sim.round;
+        let idx = sim.sample_nodes(round);
+        let net = sim.cfg.network.expect("the oracle is the delayed path");
+        let tel = sim.telemetry.clone();
+        let mut phases = tel.phases();
+        let outcomes = phases.measure("step", || {
+            idx.par_iter()
+                .map(|&ni| {
+                    let mut node_rng = seeded(derive(sim.cfg.seed, (round << 24) ^ ni as u64));
+                    let delay = node_rng.random_range(0..=net.max_delay_rounds);
+                    let view_round = (round - 1).saturating_sub(delay) as usize;
+                    let stale = sim.tangle.prefix(round_end_len[view_round]);
+                    let ctx = RoundContext::build_observed(
+                        &stale,
+                        &sim.cfg,
+                        round,
+                        derive(sim.cfg.seed, (round ^ 0xC0FF_EE00) ^ (ni as u64) << 32),
+                        tel.clone(),
+                    );
+                    sim.step_node(ni, &ctx, &mut node_rng)
+                })
+                .collect()
         });
+        let stats = sim.publish_round(round, outcomes, Vec::new(), &tel, phases);
+        round_end_len.push(sim.tangle.len());
+        stats
+    }
+
+    /// `rounds` rounds of the production path, or of the oracle over a
+    /// ledger history that so far reads `round_end_len`.
+    fn run_delayed(
+        sim: &mut Simulation<'_>,
+        rounds: usize,
+        oracle: Option<Vec<usize>>,
+    ) -> Vec<RoundStats> {
+        match oracle {
+            None => (0..rounds).map(|_| sim.round()).collect(),
+            Some(mut round_end_len) => (0..rounds)
+                .map(|_| per_node_round(sim, &mut round_end_len))
+                .collect(),
+        }
+    }
+
+    /// Like [`fingerprint`] under a `NetworkModel`, run either by the
+    /// production path (shared prefix analyses) or by [`per_node_round`].
+    fn fingerprint_delayed(cfg: SimConfig, oracle: bool, path: &std::path::Path) -> RunFingerprint {
+        let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
+        let mut sim = Simulation::new(dataset(10), cfg, build).with_telemetry(Telemetry::new(sink));
+        let stats = run_delayed(&mut sim, 8, oracle.then(|| vec![1]));
+        finish_fingerprint(&sim, stats, path)
+    }
+
+    #[test]
+    fn delayed_shared_analysis_matches_per_node_analysis() {
+        // One analysis per round-end prefix, shared by every node viewing
+        // that prefix, must be indistinguishable from each node analysing
+        // its own view: same rounds, ledger, accuracy bits, and telemetry
+        // bytes — with no delay, with delays shorter and longer than the
+        // run's first rounds, and with the shared depths in play.
         let dir = std::env::temp_dir();
-        let a = fingerprint_eval(cfg.clone(), true, &dir.join("lt_view_a.jsonl"));
-        let b = fingerprint_eval(cfg, true, &dir.join("lt_view_b.jsonl"));
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1);
-        assert_eq!(a.2.to_bits(), b.2.to_bits());
-        assert_eq!(a.3, b.3);
+        for (tag, max_delay, window) in [
+            ("d0", 0, None),
+            ("d2", 2, None),
+            ("d5", 5, None),
+            ("d2w", 2, Some(3)),
+        ] {
+            let mut cfg = quick_cfg();
+            cfg.hyper.tip_validation = true;
+            cfg.hyper.sample_size = 6;
+            cfg.hyper.window = window;
+            cfg.network = Some(delayed(max_delay));
+            let shared = fingerprint_delayed(
+                cfg.clone(),
+                false,
+                &dir.join(format!("lt_delayed_shared_{tag}.jsonl")),
+            );
+            let oracle = fingerprint_delayed(
+                cfg,
+                true,
+                &dir.join(format!("lt_delayed_oracle_{tag}.jsonl")),
+            );
+            assert_eq!(shared.0, oracle.0, "{tag}: RoundStats must match");
+            assert_eq!(shared.1, oracle.1, "{tag}: ledger structure must match");
+            assert_eq!(
+                shared.2.to_bits(),
+                oracle.2.to_bits(),
+                "{tag}: accuracy must match"
+            );
+            assert!(shared.1.len() > 8, "{tag}: the run must publish");
+            assert!(!shared.3.is_empty(), "{tag}: telemetry must produce output");
+            assert_eq!(shared.3, oracle.3, "{tag}: telemetry JSONL must match");
+        }
+    }
+
+    /// `(analysis spans, cache appends, confidence walks, tip walks)` of a
+    /// delayed run with span timings on.
+    fn delayed_counters(sim: &Simulation<'_>) -> (u64, u64, u64, u64) {
+        let tel = sim.telemetry();
+        (
+            tel.histogram_totals("tangle.analysis_us").0,
+            tel.counter_value("tangle.cache_appends"),
+            tel.counter_value("tangle.confidence_walks"),
+            tel.counter_value("tangle.walks"),
+        )
+    }
+
+    #[test]
+    fn delayed_rounds_analyse_once_and_keep_a_bounded_ring() {
+        let mut cfg = quick_cfg();
+        cfg.network = Some(delayed(2));
+        let rounds = 7u64;
+        let observed = || {
+            let tel = Telemetry::with_timings(lt_telemetry::NoopSink, true);
+            Simulation::new(dataset(10), cfg.clone(), build).with_telemetry(tel)
+        };
+        let (spans, appends, confidence_walks, walks) = {
+            let mut sim = observed();
+            assert!(
+                sim.cache.is_none(),
+                "nobody reads a cache under a NetworkModel"
+            );
+            for r in 1..=rounds {
+                let seen = sim.tangle().len();
+                sim.round();
+                // Rounds 1..=2 reach back to the genesis; from round 3 on
+                // the ring is full and stays at `max_delay_rounds + 1`.
+                assert_eq!(sim.prefixes.len() as u64, r.min(3));
+                // The newest entry is the ledger the round started on.
+                let newest = sim.prefixes.back().expect("one entry per round");
+                assert_eq!(newest.len, seen);
+                assert_eq!(newest.analysis.rating.len(), seen);
+            }
+            delayed_counters(&sim)
+        };
+        let nodes = cfg.nodes_per_round as u64;
+        assert_eq!(spans, rounds, "one full analysis per round");
+        assert_eq!(appends, 0, "stale views never touch the incremental cache");
+        // The per-node path ran one analysis per node-step; everything
+        // downstream of the analysis is untouched.
+        let mut sim = observed();
+        run_delayed(&mut sim, rounds as usize, Some(vec![1]));
+        let parent = delayed_counters(&sim);
+        assert_eq!(parent.0, rounds * nodes);
+        assert_eq!(
+            (appends, confidence_walks, walks),
+            (parent.1, parent.2, parent.3)
+        );
+        assert_eq!(
+            confidence_walks,
+            rounds * nodes * cfg.hyper.confidence_samples as u64
+        );
+    }
+
+    #[test]
+    fn delayed_resume_finds_the_synthetic_round() {
+        // A resumed ledger is one synthetic round on top of the genesis:
+        // in the first resumed round a delayed node sees either all of it
+        // or the genesis alone, and both prefixes must be analysed.
+        let mut sim = Simulation::new(dataset(10), quick_cfg(), build);
+        for _ in 0..4 {
+            sim.round();
+        }
+        let bytes = crate::persist::to_bytes(sim.tangle());
+        let resume = |max_delay: u64, oracle: bool| {
+            let mut cfg = quick_cfg();
+            cfg.network = Some(delayed(max_delay));
+            let restored = crate::persist::from_bytes(&bytes).unwrap();
+            let restored_len = restored.len();
+            let mut sim = Simulation::resume(dataset(10), cfg, build, restored);
+            assert!(sim.cache.is_none());
+            let stats = run_delayed(&mut sim, 4, oracle.then(|| vec![1, restored_len]));
+            assert!(sim.prefixes.len() as u64 <= max_delay + 1);
+            assert!(sim.tangle().len() > restored_len, "resume must publish");
+            (stats, structure(&sim), sim.evaluate(0).accuracy.to_bits())
+        };
+        for max_delay in [0, 1, 3] {
+            assert_eq!(resume(max_delay, false), resume(max_delay, true));
+        }
+    }
+
+    #[test]
+    fn evaluate_from_the_cache_matches_the_batch_analysis() {
+        // `evaluate` serves weights and ratings from a caught-up copy of
+        // the analysis cache; it must agree bit-for-bit with the batch DPs
+        // (cache off), leave the cache itself alone, and stay unobserved.
+        let mut cfg = quick_cfg();
+        cfg.hyper.window = Some(3);
+        cfg.hyper.reference_avg = 3;
+        let run = |cache: bool| {
+            let tel = Telemetry::with_timings(lt_telemetry::NoopSink, true);
+            let mut sim = Simulation::new(dataset(10), cfg.clone(), build)
+                .with_analysis_cache(cache)
+                .with_telemetry(tel);
+            let mut out = Vec::new();
+            for _ in 0..5 {
+                sim.round();
+                let before = sim.telemetry().metrics_snapshot();
+                let cached_len = sim.cache.as_ref().map(AnalysisCache::len);
+                let eval = sim.evaluate(0);
+                assert_eq!(sim.cache.as_ref().map(AnalysisCache::len), cached_len);
+                assert_eq!(sim.telemetry().metrics_snapshot(), before);
+                let params: Vec<u32> = sim
+                    .consensus_params()
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                out.push((eval.accuracy.to_bits(), eval.loss.to_bits(), params));
+            }
+            out
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
