@@ -458,7 +458,7 @@ impl GossipChecker {
     /// Start tracking `net` (snapshots the current counters), enforcing
     /// `orphan_cap` as the per-peer orphan-buffer bound.
     pub fn new(net: &Network, orphan_cap: usize) -> Self {
-        let n = net.peers().len();
+        let n = net.len();
         Self {
             orphan_cap,
             prev: stats_array(net),

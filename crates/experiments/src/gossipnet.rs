@@ -60,7 +60,9 @@ pub fn run(opts: &Opts) {
             gl.run(chunk.min(activations - done));
             done += chunk;
             let (l, acc) = gl.evaluate_peer(0);
-            let lens: Vec<usize> = gl.network().peers().iter().map(|p| p.len()).collect();
+            let lens: Vec<usize> = (0..gl.network().len())
+                .map(|p| gl.network().peer(p).len())
+                .collect();
             let (min, max) = (
                 *lens.iter().min().expect("peers"),
                 *lens.iter().max().expect("peers"),

@@ -12,11 +12,15 @@
 //!
 //! Recovery is protocol-driven, not harness-driven: [`RepairConfig`]
 //! parameterizes the pull-based repair protocol (see
-//! [`crate::network::Network`]) through which peers re-solidify after
-//! losses and restarts — bounded re-requests with exponential backoff,
-//! plus head advertisement rounds.
+//! [`crate::protocol::NodeProtocol`]) through which peers re-solidify
+//! after losses and restarts — bounded re-requests with exponential
+//! backoff, plus head advertisement rounds.
 
+use crate::transport::ProtocolMsg;
+use rand::RngExt;
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
+use tinynn::rng::Rng;
 
 /// How a crashed peer comes back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,6 +100,52 @@ impl FaultPlan {
     /// Does the plan perturb links (as opposed to only crashing peers)?
     pub fn perturbs_links(&self) -> bool {
         self.drop > 0.0 || self.duplicate > 0.0 || self.corrupt > 0.0 || self.reorder_jitter > 0
+    }
+
+    /// Perturb one hop — the only implementation of the link faults, used
+    /// by the simulator's link layer and `lt_net::MockTransport` alike.
+    /// `rng` is the fault RNG (seeded from [`FaultPlan::seed`]) and is
+    /// consulted only for non-zero rates; `base_delay` is the hop's
+    /// latency as the transport already drew it from `latency`. Returns
+    /// `None` when the hop is dropped, otherwise the delivery delay and,
+    /// when the hop is duplicated, the copy's independently drawn delay;
+    /// `pkt`'s payload may have had one bit flipped.
+    ///
+    /// The order of draws is frozen (tests pin whole runs to it): drop,
+    /// duplicate, corrupt (+ byte and bit), jitter, then for a copy one
+    /// unused jitter draw, its latency and its jitter.
+    pub fn perturb_hop(
+        &self,
+        rng: &mut Rng,
+        pkt: &mut ProtocolMsg,
+        base_delay: u64,
+        latency: RangeInclusive<u64>,
+    ) -> Option<(u64, Option<u64>)> {
+        if self.drop > 0.0 && rng.random_range(0.0..1.0) < self.drop {
+            return None;
+        }
+        let duplicated = self.duplicate > 0.0 && rng.random_range(0.0..1.0) < self.duplicate;
+        if self.corrupt > 0.0 {
+            if let ProtocolMsg::Publish(msg) | ProtocolMsg::Delta(msg) = pkt {
+                if rng.random_range(0.0..1.0) < self.corrupt && !msg.payload.is_empty() {
+                    let idx = rng.random_range(0..msg.payload.len());
+                    let bit = 1u8 << rng.random_range(0..8u32);
+                    let mut bytes = msg.payload.to_vec();
+                    bytes[idx] ^= bit;
+                    msg.payload = bytes.into();
+                }
+            }
+        }
+        let jitter = |rng: &mut Rng| match self.reorder_jitter {
+            0 => 0,
+            j => rng.random_range(0..=j),
+        };
+        let delay = base_delay + jitter(rng);
+        let copy = duplicated.then(|| {
+            jitter(rng); // the frozen order's unused draw
+            rng.random_range(latency) + jitter(rng)
+        });
+        Some((delay, copy))
     }
 
     /// Build a churn schedule: `cycles` crash/restart events spread

@@ -17,16 +17,20 @@
 //! * [`transport`] — the protocol vocabulary ([`ProtocolMsg`]:
 //!   publish / advertise / request / delta) and the [`Transport`]
 //!   abstraction over how those messages move between peers.
-//! * [`network`] — a discrete-event message simulator: configurable
-//!   topology (full mesh / ring / random regular), per-link latency,
-//!   message loss, and partitions. Losses and restarts heal through a
-//!   pull-based repair protocol (head advertisement + bounded
-//!   re-requests with exponential backoff); the omniscient anti-entropy
+//! * [`protocol`] — [`NodeProtocol`], the one protocol engine: flooding
+//!   plus the pull-based repair protocol (head advertisement + bounded
+//!   re-requests with exponential backoff and rotating neighbours),
+//!   written against [`Transport`]. The simulator below and the `lt-net`
+//!   daemon both run it.
+//! * [`network`] — a discrete-event message simulator: one engine per
+//!   peer over an in-memory link layer with configurable topology (full
+//!   mesh / ring / random regular), per-link latency, message loss, and
+//!   partitions, plus peer crash/restart; the omniscient anti-entropy
 //!   oracle survives only as a test ground truth.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   schedules peer crash/restart cycles (recovering empty or from a
-//!   `learning_tangle::persist` checkpoint) and per-link
-//!   drop/duplicate/corrupt/reorder perturbations.
+//!   `learning_tangle::persist` checkpoint) and perturbs hops
+//!   (drop/duplicate/corrupt/reorder) for every in-memory transport.
 //! * [`learn`] — decentralized training over the gossip network: peers run
 //!   the paper's Algorithm 2 against their *own replica* and publish the
 //!   result as a gossip broadcast; replicas converge to a common consensus
@@ -37,10 +41,12 @@ pub mod learn;
 pub mod message;
 pub mod network;
 pub mod peer;
+pub mod protocol;
 pub mod transport;
 
 pub use fault::{CrashEvent, FaultPlan, Recovery, RepairConfig};
 pub use message::{ContentId, TxMessage};
 pub use network::{Latency, NetStats, Network, NetworkConfig, Topology};
 pub use peer::{Peer, ReceiveOutcome};
-pub use transport::{ProtocolMsg, Transport};
+pub use protocol::NodeProtocol;
+pub use transport::{LinkState, ProtocolMsg, Transport};

@@ -1,13 +1,17 @@
-//! Discrete-event gossip network simulator with deterministic fault
-//! injection, peer crash/recovery, and a pull-based repair protocol.
+//! Discrete-event gossip network simulator: a link layer with
+//! deterministic fault injection — the in-memory [`Transport`] — that
+//! drives one [`NodeProtocol`] per peer from its event queue, plus what
+//! only a simulator has: peer crash/recovery, checkpoint cadence,
+//! partitions, and omniscient consistency checks.
 
 use crate::fault::{FaultPlan, Recovery, RepairConfig};
-use crate::message::{ContentId, TxMessage};
+use crate::message::TxMessage;
 use crate::peer::{Peer, ReceiveOutcome};
-use crate::transport::{ProtocolMsg, Transport};
+use crate::protocol::NodeProtocol;
+use crate::transport::{LinkState, ProtocolMsg, Transport};
 use rand::RngExt;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
 use tangle_ledger::TxId;
 use tinynn::rng::{derive, seeded};
@@ -113,29 +117,103 @@ pub struct NetStats {
     pub evicted: u64,
 }
 
-/// Per-peer state of the pull-based repair protocol.
-#[derive(Default)]
-struct PeerRepair {
-    /// Missing content id → (re-requests issued, next re-request tick).
-    attempts: BTreeMap<ContentId, (u32, u64)>,
-    /// Earliest scheduled repair tick, if any (suppresses duplicates).
-    next_tick: Option<u64>,
-    /// Restart time, until the peer is observed fully re-solidified.
-    recovering_since: Option<u64>,
-}
-
 struct FaultState {
     plan: FaultPlan,
     rng: tinynn::rng::Rng,
 }
 
+/// The simulator below the protocol: simulated clock, the one event
+/// queue (deliveries, repair wake-ups and lifecycle events share its
+/// `(at, seq)` order, which decides the order of latency draws), the
+/// base and fault RNGs, partition groups and up/down flags. This is the
+/// in-memory [`Transport`] the engines send through.
+struct Links {
+    queue: BinaryHeap<Reverse<(u64, u64)>>,
+    events: HashMap<u64, Scheduled>,
+    now: u64,
+    seq: u64,
+    rng: tinynn::rng::Rng,
+    loss: f64,
+    latency: Latency,
+    faults: Option<FaultState>,
+    /// Partition group per peer; messages crossing groups are dropped.
+    groups: Vec<usize>,
+    /// Lifecycle per peer: `false` while crashed.
+    up: Vec<bool>,
+    /// Hops lost at send time, until [`Network::drive`] moves them into
+    /// [`NetStats::dropped`].
+    dropped: u64,
+}
+
+impl Links {
+    fn push_event(&mut self, at: u64, payload: Payload) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.queue.push(Reverse((at, seq)));
+        self.events.insert(seq, Scheduled { at, seq, payload });
+    }
+
+    /// The fate of one hop: the partition, the base loss/latency model,
+    /// and — when a fault plan is armed — its drop / duplicate / corrupt /
+    /// reorder perturbations. The fault RNG is only consulted for
+    /// non-zero rates, so a benign plan leaves the base randomness stream
+    /// untouched. `None` = lost; otherwise the delay and a duplicate's.
+    fn draw_hop(
+        &mut self,
+        from: usize,
+        to: usize,
+        pkt: &mut ProtocolMsg,
+    ) -> Option<(u64, Option<u64>)> {
+        if self.groups[from] != self.groups[to] {
+            return None;
+        }
+        if self.loss > 0.0 && self.rng.random_range(0.0..1.0) < self.loss {
+            return None;
+        }
+        let latency = self.latency.min..=self.latency.max.max(self.latency.min);
+        let base_delay = self.rng.random_range(latency.clone());
+        match &mut self.faults {
+            Some(f) => f.plan.perturb_hop(&mut f.rng, pkt, base_delay, latency),
+            None => Some((base_delay, None)),
+        }
+    }
+}
+
+impl Transport for Links {
+    fn send(&mut self, from: usize, to: usize, mut pkt: ProtocolMsg) -> bool {
+        let Some((mut delay, copy)) = self.draw_hop(from, to, &mut pkt) else {
+            self.dropped += 1;
+            return false;
+        };
+        if let Some(copy_delay) = copy {
+            let pkt = pkt.clone();
+            self.push_event(self.now + delay, Payload::Deliver { from, to, pkt });
+            delay = copy_delay;
+        }
+        self.push_event(self.now + delay, Payload::Deliver { from, to, pkt });
+        true
+    }
+
+    fn link_state(&self, from: usize, to: usize) -> LinkState {
+        if !self.up[to] {
+            LinkState::Down
+        } else if self.groups[from] != self.groups[to] {
+            LinkState::Cut
+        } else {
+            LinkState::Open
+        }
+    }
+}
+
 /// A gossip network of peers, each holding its own tangle replica.
 ///
-/// Messages published by a peer flood the topology: every peer forwards a
+/// Every peer is a [`NodeProtocol`] — the same engine the `lt-node`
+/// daemon runs — and the network is the transport under them: messages
+/// published by a peer flood the topology (every peer forwards a
 /// first-seen valid message to all neighbours except the link it arrived
-/// on. Delivery order is randomized by per-hop latency, so replicas see
-/// different insertion orders (and rely on orphan buffering), yet converge
-/// to the same transaction set.
+/// on), delivery order is randomized by per-hop latency, so replicas see
+/// different insertion orders (and rely on orphan buffering), yet
+/// converge to the same transaction set.
 ///
 /// # Faults and repair
 ///
@@ -144,23 +222,15 @@ struct FaultState {
 /// rejoining empty or from a [`Network::set_checkpointing`] checkpoint),
 /// and links additionally drop, duplicate, corrupt, or reorder traffic,
 /// all driven by a dedicated fault RNG so runs reproduce per fault seed.
-/// Losses are healed by protocol, not by fiat: peers re-request missing
-/// orphan ancestors from neighbours with bounded retries and exponential
-/// backoff, and advertise their heads so neighbours push back the delta
-/// (see [`Network::repair_to_quiescence`]). The omniscient
+/// Losses are healed by protocol, not by fiat: the engines re-request
+/// missing orphan ancestors from neighbours with bounded retries and
+/// exponential backoff, and advertise their heads so neighbours push
+/// back the delta (see [`Network::repair_to_quiescence`]). The omniscient
 /// [`Network::anti_entropy`] survives only as a test ground truth.
 pub struct Network {
-    peers: Vec<Peer>,
-    /// Lifecycle per peer: `false` while crashed.
-    up: Vec<bool>,
-    adj: Vec<Vec<usize>>,
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    events: HashMap<u64, Scheduled>,
-    now: u64,
-    seq: u64,
-    rng: tinynn::rng::Rng,
-    /// Partition group per peer; messages crossing groups are dropped.
-    groups: Vec<usize>,
+    /// One engine per peer; each owns its replica and its adjacency.
+    protos: Vec<NodeProtocol>,
+    links: Links,
     cfg: NetworkConfig,
     /// The shared genesis message (for empty rejoins and checkpoint
     /// validation).
@@ -168,9 +238,9 @@ pub struct Network {
     /// Statistics.
     pub stats: NetStats,
     telemetry: lt_telemetry::Telemetry,
-    faults: Option<FaultState>,
     repair_cfg: RepairConfig,
-    repair: Vec<PeerRepair>,
+    /// Restart time per peer, until it is observed fully re-solidified.
+    recovering_since: Vec<Option<u64>>,
     /// Eviction counts already mirrored into `stats.evicted`.
     evicted_synced: Vec<u64>,
     /// Restart count per peer. A restart replaces the replica wholesale
@@ -188,28 +258,37 @@ impl Network {
     /// Build a network of `n` peers sharing the same `genesis` message.
     pub fn new(n: usize, genesis: &TxMessage, cfg: NetworkConfig) -> Self {
         assert!(n >= 2, "need at least two peers");
-        let peers: Vec<Peer> = (0..n)
-            .map(|i| Peer::new(i, genesis, cfg.pow_difficulty).with_orphan_cap(cfg.orphan_cap))
-            .collect();
         let mut rng = seeded(derive(cfg.seed, 0x6055));
-        let adj = build_topology(n, cfg.topology, &mut rng);
+        let protos = build_topology(n, cfg.topology, &mut rng)
+            .into_iter()
+            .enumerate()
+            .map(|(i, nbrs)| {
+                let mut e = NodeProtocol::new(i, genesis, cfg.pow_difficulty, cfg.orphan_cap);
+                e.set_neighbours(nbrs);
+                e
+            })
+            .collect();
         Self {
-            peers,
-            up: vec![true; n],
-            adj,
-            queue: BinaryHeap::new(),
-            events: HashMap::new(),
-            now: 0,
-            seq: 0,
-            rng,
-            groups: vec![0; n],
+            protos,
+            links: Links {
+                queue: BinaryHeap::new(),
+                events: HashMap::new(),
+                now: 0,
+                seq: 0,
+                rng,
+                loss: cfg.loss,
+                latency: cfg.latency,
+                faults: None,
+                groups: vec![0; n],
+                up: vec![true; n],
+                dropped: 0,
+            },
             cfg,
             genesis: genesis.clone(),
             stats: NetStats::default(),
             telemetry: lt_telemetry::Telemetry::disabled(),
-            faults: None,
             repair_cfg: RepairConfig::default(),
-            repair: (0..n).map(|_| PeerRepair::default()).collect(),
+            recovering_since: vec![None; n],
             evicted_synced: vec![0; n],
             restarts: vec![0; n],
             checkpoint_every: 0,
@@ -228,7 +307,8 @@ impl Network {
     /// `fault.restart`, `fault.recovered`, `fault.discarded`, and
     /// `fault.checkpoint`, emits a structured `Fault` event per
     /// transition, and fills the `fault.recovery_ticks` histogram with
-    /// restart-to-resolidified latencies.
+    /// restart-to-resolidified latencies. The engines' own `net.*`
+    /// counters stay off: they are the daemon's names for the same points.
     pub fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
         self.telemetry = telemetry;
     }
@@ -239,11 +319,11 @@ impl Network {
     /// the network seed, so a benign plan changes nothing).
     pub fn install_faults(&mut self, plan: FaultPlan) {
         for c in &plan.crashes {
-            assert!(c.peer < self.peers.len(), "crash peer out of range");
-            self.push_event(c.at, Payload::Crash { peer: c.peer });
+            assert!(c.peer < self.len(), "crash peer out of range");
+            self.links.push_event(c.at, Payload::Crash { peer: c.peer });
             if let Some(r) = c.restart_at {
                 assert!(r > c.at, "restart must follow its crash");
-                self.push_event(
+                self.links.push_event(
                     r,
                     Payload::Restart {
                         peer: c.peer,
@@ -253,12 +333,15 @@ impl Network {
             }
         }
         let rng = seeded(derive(plan.seed, 0xFA017));
-        self.faults = Some(FaultState { plan, rng });
+        self.links.faults = Some(FaultState { plan, rng });
     }
 
     /// Override the repair-protocol parameters (on by default).
     pub fn set_repair(&mut self, cfg: RepairConfig) {
         self.repair_cfg = cfg;
+        for e in &mut self.protos {
+            e.set_repair(cfg);
+        }
     }
 
     /// Periodically snapshot every live peer's replica (every `every`
@@ -270,7 +353,7 @@ impl Network {
     pub fn set_checkpointing(&mut self, every: u64, dir: Option<PathBuf>) {
         self.checkpoint_every = every;
         self.next_checkpoint_at = if every > 0 {
-            self.now + every
+            self.links.now + every
         } else {
             u64::MAX
         };
@@ -282,22 +365,27 @@ impl Network {
 
     /// Current simulated time (ticks).
     pub fn now(&self) -> u64 {
-        self.now
+        self.links.now
     }
 
-    /// The peers (and their replicas).
-    pub fn peers(&self) -> &[Peer] {
-        &self.peers
+    /// Number of peers (fixed at construction, at least two).
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.protos.len()
     }
 
-    /// One peer.
+    /// One peer (and its replica).
     pub fn peer(&self, i: usize) -> &Peer {
-        &self.peers[i]
+        self.protos[i].peer()
+    }
+
+    fn peers(&self) -> impl Iterator<Item = &Peer> {
+        self.protos.iter().map(NodeProtocol::peer)
     }
 
     /// Is peer `i` currently up?
     pub fn is_up(&self, i: usize) -> bool {
-        self.up[i]
+        self.links.up[i]
     }
 
     /// How many times peer `i` has restarted after a crash. Each restart
@@ -310,130 +398,56 @@ impl Network {
 
     /// Neighbours of peer `i`.
     pub fn neighbours(&self, i: usize) -> &[usize] {
-        &self.adj[i]
+        self.protos[i].neighbours()
     }
 
     /// Publish a message from `origin`: the origin inserts it immediately
     /// and gossips it to its neighbours. A crashed origin publishes
     /// nothing.
     pub fn publish(&mut self, origin: usize, msg: TxMessage) {
-        if !self.up[origin] {
-            return;
-        }
-        let outcome = self.peers[origin].receive(&msg);
-        if outcome == ReceiveOutcome::Accepted || outcome == ReceiveOutcome::OrphanBuffered {
-            self.forward(origin, usize::MAX, msg);
+        if self.links.up[origin] {
+            self.drive(origin, |e, links| e.publish(msg, links));
         }
     }
 
-    fn push_event(&mut self, at: u64, payload: Payload) {
-        self.seq += 1;
-        let seq = self.seq;
-        self.queue.push(Reverse((at, seq)));
-        self.events.insert(seq, Scheduled { at, seq, payload });
-    }
-
-    fn forward(&mut self, from: usize, came_from: usize, msg: TxMessage) {
-        let neighbours = self.adj[from].clone();
-        for to in neighbours {
-            if to == came_from {
-                continue;
-            }
-            self.enqueue_hop(from, to, ProtocolMsg::Publish(msg.clone()));
+    /// Every call into an engine goes through here: bring its clock up
+    /// to date, hand it the links, then push a `RepairTick` event if the
+    /// call moved the engine's wake-up (after the hops the call enqueued,
+    /// as event order decides the order of latency draws) and account for
+    /// the hops lost at send time.
+    fn drive<R>(&mut self, p: usize, call: impl FnOnce(&mut NodeProtocol, &mut Links) -> R) -> R {
+        let e = &mut self.protos[p];
+        e.set_now(self.links.now);
+        let wake = e.next_wake();
+        let out = call(e, &mut self.links);
+        if let Some(at) = e.next_wake().filter(|&at| Some(at) != wake) {
+            self.links.push_event(at, Payload::RepairTick { peer: p });
         }
-    }
-
-    /// Send one packet over the `from → to` link, applying the partition,
-    /// the base loss/latency model, and — when a fault plan is armed —
-    /// the extra drop/duplicate/corrupt/reorder perturbations. The fault
-    /// RNG is only consulted for non-zero rates, so a benign plan leaves
-    /// the base randomness stream untouched. Returns whether at least one
-    /// copy was scheduled for delivery.
-    fn enqueue_hop(&mut self, from: usize, to: usize, pkt: ProtocolMsg) -> bool {
-        if self.groups[from] != self.groups[to] {
-            self.stats.dropped += 1;
-            self.telemetry.count("gossip.dropped", 1);
-            return false;
+        let dropped = std::mem::take(&mut self.links.dropped);
+        if dropped > 0 {
+            self.stats.dropped += dropped;
+            self.telemetry.count("gossip.dropped", dropped);
         }
-        if self.cfg.loss > 0.0 && self.rng.random_range(0.0..1.0) < self.cfg.loss {
-            self.stats.dropped += 1;
-            self.telemetry.count("gossip.dropped", 1);
-            return false;
-        }
-        let base_delay = self
-            .rng
-            .random_range(self.cfg.latency.min..=self.cfg.latency.max.max(self.cfg.latency.min));
-        let mut pkt = pkt;
-        let mut delays = vec![base_delay];
-        if let Some(f) = &mut self.faults {
-            if f.plan.drop > 0.0 && f.rng.random_range(0.0..1.0) < f.plan.drop {
-                self.stats.dropped += 1;
-                self.telemetry.count("gossip.dropped", 1);
-                return false;
-            }
-            if f.plan.duplicate > 0.0 && f.rng.random_range(0.0..1.0) < f.plan.duplicate {
-                // the copy takes its own latency draw (below)
-                delays.push(base_delay);
-            }
-            if f.plan.corrupt > 0.0 {
-                if let ProtocolMsg::Publish(msg) | ProtocolMsg::Delta(msg) = &mut pkt {
-                    if f.rng.random_range(0.0..1.0) < f.plan.corrupt && !msg.payload.is_empty() {
-                        let idx = f.rng.random_range(0..msg.payload.len());
-                        let bit = 1u8 << f.rng.random_range(0..8u32);
-                        let mut bytes = msg.payload.to_vec();
-                        bytes[idx] ^= bit;
-                        msg.payload = bytes.into();
-                    }
-                }
-            }
-            if f.plan.reorder_jitter > 0 || delays.len() > 1 {
-                for d in delays.iter_mut() {
-                    if f.plan.reorder_jitter > 0 {
-                        *d += f.rng.random_range(0..=f.plan.reorder_jitter);
-                    }
-                }
-                if delays.len() > 1 {
-                    // independent latency for the duplicate copy
-                    delays[1] = f.rng.random_range(
-                        self.cfg.latency.min..=self.cfg.latency.max.max(self.cfg.latency.min),
-                    ) + if f.plan.reorder_jitter > 0 {
-                        f.rng.random_range(0..=f.plan.reorder_jitter)
-                    } else {
-                        0
-                    };
-                }
-            }
-        }
-        let last = delays.len() - 1;
-        for (i, delay) in delays.iter().enumerate() {
-            let p = if i == last {
-                // move the original on the final copy
-                std::mem::replace(&mut pkt, ProtocolMsg::Request { wants: Vec::new() })
-            } else {
-                pkt.clone()
-            };
-            self.push_event(self.now + delay, Payload::Deliver { from, to, pkt: p });
-        }
-        true
+        out
     }
 
     /// Deliver the next scheduled event. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse((at, key))) = self.queue.pop() else {
+        let Some(Reverse((at, key))) = self.links.queue.pop() else {
             return false;
         };
-        let ev = self.events.remove(&key).expect("event recorded");
+        let ev = self.links.events.remove(&key).expect("event recorded");
         debug_assert_eq!(ev.at, at);
         debug_assert_eq!(ev.seq, key);
         self.take_due_checkpoints(at);
         let tel = self.telemetry.clone();
         let _span = tel.span("gossip.deliver_us");
-        self.now = self.now.max(at);
+        self.links.now = self.links.now.max(at);
         match ev.payload {
             Payload::Deliver { from, to, pkt } => self.deliver(from, to, pkt),
             Payload::Crash { peer } => self.crash(peer),
             Payload::Restart { peer, recovery } => self.restart(peer, recovery),
-            Payload::RepairTick { peer } => self.repair_tick(peer),
+            Payload::RepairTick { peer } => self.wake(peer),
         }
         true
     }
@@ -446,11 +460,11 @@ impl Network {
         if self.checkpoint_every == 0 || upto < self.next_checkpoint_at {
             return;
         }
-        for i in 0..self.peers.len() {
-            if !self.up[i] {
+        for i in 0..self.len() {
+            if !self.links.up[i] {
                 continue;
             }
-            let bytes = self.peers[i].checkpoint_bytes();
+            let bytes = self.peer(i).checkpoint_bytes();
             if let Some(dir) = &self.checkpoint_dir {
                 let _ = std::fs::write(dir.join(format!("peer{i}.ckpt")), &bytes);
             }
@@ -461,74 +475,46 @@ impl Network {
         self.telemetry.count("fault.checkpoint", 1);
     }
 
+    /// A repair wake-up came due: one round of the engine's pull protocol.
+    fn wake(&mut self, p: usize) {
+        if !self.links.up[p] {
+            return;
+        }
+        let now = self.links.now;
+        let rerequests = self.drive(p, |e, links| e.tick(now, links));
+        if rerequests > 0 {
+            self.stats.rerequests += rerequests;
+            self.telemetry.count("gossip.rerequests", rerequests);
+        }
+    }
+
+    /// Hand one arrived packet to its destination's engine and count
+    /// what the engine made of it.
     fn deliver(&mut self, from: usize, to: usize, pkt: ProtocolMsg) {
-        if !self.up[to] {
+        if !self.links.up[to] {
             self.stats.discarded += 1;
             self.telemetry.count("fault.discarded", 1);
             return;
         }
-        match pkt {
-            // Publish and Delta carry the same payload and are handled
-            // identically; only the wire-level intent differs.
-            ProtocolMsg::Publish(msg) | ProtocolMsg::Delta(msg) => {
-                self.stats.delivered += 1;
-                self.telemetry.count("gossip.delivered", 1);
-                match self.peers[to].receive(&msg) {
-                    ReceiveOutcome::Accepted => {
-                        self.forward(to, from, msg);
-                        self.after_receive(to);
-                    }
-                    ReceiveOutcome::OrphanBuffered => {
-                        self.stats.orphaned += 1;
-                        self.telemetry.count("gossip.orphaned", 1);
-                        self.forward(to, from, msg);
-                        self.after_receive(to);
-                        if self.repair_cfg.enabled {
-                            let at = self.now + self.repair_cfg.delay;
-                            self.schedule_repair(to, at);
-                        }
-                    }
-                    ReceiveOutcome::Duplicate => {
-                        self.stats.duplicates += 1;
-                        self.telemetry.count("gossip.duplicates", 1);
-                    }
-                    ReceiveOutcome::InvalidPow | ReceiveOutcome::Corrupt => {
-                        self.stats.rejected += 1;
-                        self.telemetry.count("gossip.rejected", 1);
-                    }
-                }
+        let Some(outcome) = self.drive(to, |e, links| e.on_message(from, pkt, links)) else {
+            return; // advertise / request: nothing entered the replica
+        };
+        self.stats.delivered += 1;
+        self.telemetry.count("gossip.delivered", 1);
+        match outcome {
+            ReceiveOutcome::Accepted => self.after_receive(to),
+            ReceiveOutcome::OrphanBuffered => {
+                self.stats.orphaned += 1;
+                self.telemetry.count("gossip.orphaned", 1);
+                self.after_receive(to);
             }
-            ProtocolMsg::Advertise { heads } => {
-                let unknown: Vec<ContentId> = heads
-                    .iter()
-                    .copied()
-                    .filter(|h| !self.peers[to].has_seen(*h))
-                    .collect();
-                let delta = self.peers[to].delta_for(&heads);
-                for m in delta {
-                    self.enqueue_hop(to, from, ProtocolMsg::Delta(m));
-                }
-                if !unknown.is_empty() && self.repair_cfg.enabled {
-                    let first_due = self.now + self.repair_cfg.delay;
-                    let st = &mut self.repair[to];
-                    for cid in unknown {
-                        let entry = st.attempts.entry(cid).or_insert((0, first_due));
-                        if entry.0 >= self.repair_cfg.max_retries {
-                            // fresh evidence the tx exists: retry anew
-                            *entry = (0, first_due);
-                        }
-                    }
-                    self.schedule_repair(to, first_due);
-                }
+            ReceiveOutcome::Duplicate => {
+                self.stats.duplicates += 1;
+                self.telemetry.count("gossip.duplicates", 1);
             }
-            ProtocolMsg::Request { wants } => {
-                let msgs: Vec<TxMessage> = wants
-                    .iter()
-                    .filter_map(|w| self.peers[to].message_for(*w).cloned())
-                    .collect();
-                for m in msgs {
-                    self.enqueue_hop(to, from, ProtocolMsg::Delta(m));
-                }
+            ReceiveOutcome::InvalidPow | ReceiveOutcome::Corrupt => {
+                self.stats.rejected += 1;
+                self.telemetry.count("gossip.rejected", 1);
             }
         }
     }
@@ -537,91 +523,74 @@ impl Network {
     /// into the stats and close out crash recovery once the peer is
     /// fully re-solidified (no orphans, nothing missing).
     fn after_receive(&mut self, p: usize) {
-        let e = self.peers[p].evictions();
+        let peer = self.protos[p].peer();
+        let e = peer.evictions();
         if e > self.evicted_synced[p] {
             let d = e - self.evicted_synced[p];
             self.stats.evicted += d;
             self.telemetry.count("gossip.orphan_evictions", d);
             self.evicted_synced[p] = e;
         }
-        if self.repair[p].recovering_since.is_some()
-            && self.peers[p].orphan_count() == 0
-            && self.peers[p].missing().is_empty()
+        if self.recovering_since[p].is_some()
+            && peer.orphan_count() == 0
+            && peer.missing().is_empty()
         {
-            let t0 = self.repair[p].recovering_since.take().expect("checked");
-            let now = self.now;
+            let t0 = self.recovering_since[p].take().expect("checked");
+            let now = self.links.now;
             self.telemetry.record("fault.recovery_ticks", now - t0);
             self.telemetry.count("fault.recovered", 1);
-            self.telemetry.emit(|| {
-                lt_telemetry::Event::Fault(lt_telemetry::FaultEvent {
-                    at: now,
-                    peer: p as u64,
-                    kind: "recovered".to_string(),
-                })
-            });
+            self.emit_fault(p, "recovered");
         }
     }
 
-    fn crash(&mut self, p: usize) {
-        if !self.up[p] {
-            return;
-        }
-        self.up[p] = false;
-        self.repair[p] = PeerRepair::default();
-        self.telemetry.count("fault.crash", 1);
-        let now = self.now;
+    fn emit_fault(&self, p: usize, kind: &str) {
+        let at = self.links.now;
         self.telemetry.emit(|| {
             lt_telemetry::Event::Fault(lt_telemetry::FaultEvent {
-                at: now,
+                at,
                 peer: p as u64,
-                kind: "crash".to_string(),
+                kind: kind.to_string(),
             })
         });
     }
 
+    /// A crashed peer's engine is never called again — deliveries are
+    /// discarded, wake-ups skipped — so its repair state is dead from
+    /// here on; [`Network::restart`] replaces the engine wholesale.
+    fn crash(&mut self, p: usize) {
+        if !self.links.up[p] {
+            return;
+        }
+        self.links.up[p] = false;
+        self.recovering_since[p] = None;
+        self.telemetry.count("fault.crash", 1);
+        self.emit_fault(p, "crash");
+    }
+
     fn restart(&mut self, p: usize, recovery: Recovery) {
-        if self.up[p] {
+        if self.links.up[p] {
             return;
         }
         let restored = match recovery {
             Recovery::FromCheckpoint => self.restore_from_checkpoint(p),
             Recovery::Empty => None,
         };
-        self.peers[p] = restored.unwrap_or_else(|| {
+        let mut engine = NodeProtocol::from_peer(restored.unwrap_or_else(|| {
             Peer::new(p, &self.genesis, self.cfg.pow_difficulty)
                 .with_orphan_cap(self.cfg.orphan_cap)
-        });
+        }));
+        engine.set_repair(self.repair_cfg);
+        engine.set_neighbours(self.protos[p].neighbours().to_vec());
+        self.protos[p] = engine;
         self.evicted_synced[p] = 0;
         self.restarts[p] += 1;
-        self.up[p] = true;
-        self.repair[p] = PeerRepair {
-            recovering_since: Some(self.now),
-            ..PeerRepair::default()
-        };
+        self.links.up[p] = true;
+        self.recovering_since[p] = Some(self.links.now);
         self.telemetry.count("fault.restart", 1);
-        let now = self.now;
-        self.telemetry.emit(|| {
-            lt_telemetry::Event::Fault(lt_telemetry::FaultEvent {
-                at: now,
-                peer: p as u64,
-                kind: "restart".to_string(),
-            })
-        });
+        self.emit_fault(p, "restart");
         // Pull-based re-solidification: advertise our (possibly stale)
         // heads so each neighbour pushes back the delta we are missing.
-        let heads = self.peers[p].heads();
-        let nbrs = self.adj[p].clone();
-        for nb in nbrs {
-            if self.up[nb] {
-                self.enqueue_hop(
-                    p,
-                    nb,
-                    ProtocolMsg::Advertise {
-                        heads: heads.clone(),
-                    },
-                );
-            }
-        }
+        self.drive(p, |e, links| e.advertise_heads(links));
     }
 
     /// Latest checkpoint for `p`, from memory or the checkpoint
@@ -638,80 +607,6 @@ impl Network {
         (peer.content_id_of(TxId(0)) == self.genesis.content_id()).then_some(peer)
     }
 
-    /// Schedule a repair tick for peer `p` unless one is already due no
-    /// later than `at`.
-    fn schedule_repair(&mut self, p: usize, at: u64) {
-        if !self.repair_cfg.enabled {
-            return;
-        }
-        if self.repair[p].next_tick.is_some_and(|t| t <= at) {
-            return;
-        }
-        self.repair[p].next_tick = Some(at);
-        self.push_event(at, Payload::RepairTick { peer: p });
-    }
-
-    /// One round of the pull protocol for peer `p`: re-request every due
-    /// missing transaction from a (rotating) live neighbour, back off
-    /// exponentially per transaction, and reschedule for the earliest
-    /// future retry.
-    fn repair_tick(&mut self, p: usize) {
-        if self.repair[p].next_tick.is_some_and(|t| t <= self.now) {
-            self.repair[p].next_tick = None;
-        }
-        if !self.up[p] || !self.repair_cfg.enabled {
-            return;
-        }
-        let now = self.now;
-        let cfg = self.repair_cfg;
-        let missing: Vec<ContentId> = self.peers[p].missing().iter().copied().collect();
-        let nbrs: Vec<usize> = self.adj[p]
-            .iter()
-            .copied()
-            .filter(|&q| self.up[q] && self.groups[p] == self.groups[q])
-            .collect();
-        let mut sends: BTreeMap<usize, Vec<ContentId>> = BTreeMap::new();
-        let mut next_due: Option<u64> = None;
-        {
-            let st = &mut self.repair[p];
-            st.attempts
-                .retain(|cid, _| missing.binary_search(cid).is_ok());
-            for cid in &missing {
-                st.attempts.entry(*cid).or_insert((0, now));
-            }
-            if nbrs.is_empty() {
-                return;
-            }
-            for (cid, (attempt, next_at)) in st.attempts.iter_mut() {
-                if *attempt >= cfg.max_retries {
-                    continue;
-                }
-                if *next_at > now {
-                    next_due = Some(next_due.map_or(*next_at, |d| d.min(*next_at)));
-                    continue;
-                }
-                let nb = nbrs[(*attempt as usize + cid.0 as usize) % nbrs.len()];
-                sends.entry(nb).or_default().push(*cid);
-                *attempt += 1;
-                *next_at = now + (cfg.backoff_base << (*attempt).min(16));
-                if *attempt < cfg.max_retries {
-                    next_due = Some(next_due.map_or(*next_at, |d| d.min(*next_at)));
-                }
-            }
-        }
-        let total: u64 = sends.values().map(|v| v.len() as u64).sum();
-        if total > 0 {
-            self.stats.rerequests += total;
-            self.telemetry.count("gossip.rerequests", total);
-        }
-        for (nb, wants) in sends {
-            self.enqueue_hop(p, nb, ProtocolMsg::Request { wants });
-        }
-        if let Some(t) = next_due {
-            self.schedule_repair(p, t);
-        }
-    }
-
     /// Deliver everything currently in flight (and whatever it triggers,
     /// including scheduled faults and repair retries).
     pub fn run_to_quiescence(&mut self) -> u64 {
@@ -726,16 +621,16 @@ impl Network {
     /// in that window (later messages stay in flight — this is what makes
     /// peer views genuinely stale during learning).
     pub fn advance(&mut self, ticks: u64) -> u64 {
-        let horizon = self.now + ticks;
+        let horizon = self.links.now + ticks;
         let mut steps = 0;
-        while let Some(Reverse((at, _))) = self.queue.peek() {
+        while let Some(Reverse((at, _))) = self.links.queue.peek() {
             if *at > horizon {
                 break;
             }
             self.step();
             steps += 1;
         }
-        self.now = horizon;
+        self.links.now = horizon;
         steps
     }
 
@@ -754,31 +649,18 @@ impl Network {
         self.run_to_quiescence();
         let mut stable = 0;
         for _ in 0..max_rounds {
-            let before: Vec<usize> = self.peers.iter().map(|p| p.len()).collect();
-            for p in 0..self.peers.len() {
-                if !self.up[p] {
-                    continue;
-                }
-                let heads = self.peers[p].heads();
-                let nbrs = self.adj[p].clone();
-                for nb in nbrs {
-                    if self.up[nb] {
-                        self.enqueue_hop(
-                            p,
-                            nb,
-                            ProtocolMsg::Advertise {
-                                heads: heads.clone(),
-                            },
-                        );
-                    }
+            let before: Vec<usize> = self.peers().map(Peer::len).collect();
+            for p in 0..self.len() {
+                if self.links.up[p] {
+                    self.drive(p, |e, links| e.advertise_heads(links));
                 }
             }
             self.run_to_quiescence();
-            let unchanged = self.peers.iter().zip(&before).all(|(p, &b)| p.len() == b);
-            let clean = (0..self.peers.len()).all(|i| {
-                !self.up[i]
-                    || (self.peers[i].orphan_count() == 0 && self.peers[i].missing().is_empty())
-            });
+            let unchanged = self.peers().zip(&before).all(|(p, &b)| p.len() == b);
+            let clean = self
+                .peers()
+                .zip(&self.links.up)
+                .all(|(p, &up)| !up || (p.orphan_count() == 0 && p.missing().is_empty()));
             if unchanged && clean {
                 stable += 1;
                 if stable >= 2 {
@@ -794,15 +676,15 @@ impl Network {
     /// Split the network: peers keep talking only within their group.
     /// `group_of[i]` assigns peer `i` to a group.
     pub fn partition(&mut self, group_of: Vec<usize>) {
-        assert_eq!(group_of.len(), self.peers.len());
-        self.groups = group_of;
+        assert_eq!(group_of.len(), self.len());
+        self.links.groups = group_of;
     }
 
     /// Remove the partition. Does *not* synchronize by itself — run
     /// [`Self::repair_to_quiescence`] to reconcile via the repair
     /// protocol (or [`Self::anti_entropy`] in tests).
     pub fn heal(&mut self) {
-        self.groups = vec![0; self.peers.len()];
+        self.links.groups = vec![0; self.len()];
     }
 
     /// Pairwise anti-entropy: every peer offers every neighbour all
@@ -810,27 +692,29 @@ impl Network {
     /// transaction moves (handles multi-hop repair on sparse topologies).
     ///
     /// This is an *omniscient oracle* — it teleports state without using
-    /// the simulated links — kept only as a ground truth for tests.
-    /// Protocol-faithful reconciliation is [`Self::repair_to_quiescence`].
+    /// the simulated links or the protocol engines — kept only as a
+    /// ground truth for tests. Protocol-faithful reconciliation is
+    /// [`Self::repair_to_quiescence`].
     pub fn anti_entropy(&mut self) {
         loop {
             let mut moved = false;
-            for a in 0..self.peers.len() {
-                if !self.up[a] {
+            for a in 0..self.len() {
+                if !self.links.up[a] {
                     continue;
                 }
-                for bi in 0..self.adj[a].len() {
-                    let b = self.adj[a][bi];
-                    if self.groups[a] != self.groups[b] || !self.up[b] {
+                for bi in 0..self.neighbours(a).len() {
+                    let b = self.neighbours(a)[bi];
+                    if self.links.link_state(a, b) != LinkState::Open {
                         continue;
                     }
-                    let to_send: Vec<TxMessage> = self.peers[a]
+                    let to_send: Vec<TxMessage> = self
+                        .peer(a)
                         .export_messages()
                         .into_iter()
-                        .filter(|m| !self.peers[b].has_seen(m.content_id()))
+                        .filter(|m| !self.peer(b).has_seen(m.content_id()))
                         .collect();
                     for m in to_send {
-                        if self.peers[b].receive(&m) == ReceiveOutcome::Accepted {
+                        if self.protos[b].peer_mut().receive(&m) == ReceiveOutcome::Accepted {
                             moved = true;
                         }
                     }
@@ -844,25 +728,17 @@ impl Network {
 
     /// Are all replicas identical as transaction sets?
     pub fn replicas_consistent(&self) -> bool {
-        let n0 = self.peers[0].len();
-        if self.peers.iter().any(|p| p.len() != n0) {
+        let n0 = self.peer(0).len();
+        if self.peers().any(|p| p.len() != n0) {
             return false;
         }
         for i in 0..n0 {
-            let cid = self.peers[0].content_id_of(tangle_ledger::TxId(i as u32));
-            if self.peers.iter().any(|p| p.lookup(cid).is_none()) {
+            let cid = self.peer(0).content_id_of(tangle_ledger::TxId(i as u32));
+            if self.peers().any(|p| p.lookup(cid).is_none()) {
                 return false;
             }
         }
         true
-    }
-}
-
-/// The discrete-event simulator is the in-memory [`Transport`]: a send
-/// becomes one hop through the partition/loss/latency/fault pipeline.
-impl Transport for Network {
-    fn send(&mut self, from: usize, to: usize, msg: ProtocolMsg) -> bool {
-        self.enqueue_hop(from, to, msg)
     }
 }
 
@@ -1101,7 +977,7 @@ mod tests {
         publish_chain(&mut plain, 5);
         publish_chain(&mut armed, 5);
         assert_eq!(plain.stats, armed.stats, "benign plan must be invisible");
-        for (a, b) in plain.peers().iter().zip(armed.peers()) {
+        for (a, b) in plain.peers().zip(armed.peers()) {
             assert_eq!(a.len(), b.len());
         }
     }
@@ -1244,5 +1120,96 @@ mod tests {
         // 4 peers × ≤3 retries each; bounded even though the tx is gone
         assert!(net.stats.rerequests <= 12, "{}", net.stats.rerequests);
         assert!(net.peer(1).orphan_count() > 0);
+    }
+
+    /// The one scenario where flooding (whole adjacency), advertising (up
+    /// neighbours) and re-requesting (up *and* reachable neighbours) pick
+    /// three different neighbour sets: a peer restarting inside a
+    /// partition. The exact counters were recorded before the simulator
+    /// was rebuilt on the shared protocol engine.
+    #[test]
+    fn restart_inside_a_partition_repairs_over_reachable_neighbours_only() {
+        let g = genesis();
+        let mut net = Network::new(
+            6,
+            &g,
+            NetworkConfig {
+                seed: 21,
+                ..NetworkConfig::default()
+            },
+        );
+        net.set_checkpointing(5, None);
+        net.install_faults(FaultPlan {
+            crashes: vec![CrashEvent {
+                peer: 1,
+                at: 12,
+                restart_at: Some(30),
+                recovery: Recovery::FromCheckpoint,
+            }],
+            ..FaultPlan::default()
+        });
+        let a = msg(vec![g.content_id()], 0, 1.0);
+        net.publish(0, a.clone());
+        net.advance(15); // a everywhere and checkpointed; peer 1 down since t=12
+        assert!(!net.is_up(1));
+        net.partition(vec![0, 0, 0, 1, 1, 1]);
+        let b = msg(vec![a.content_id()], 0, 2.0);
+        net.publish(0, b.clone());
+        // Restart at t=30 from the checkpoint, still partitioned: the head
+        // advertisement goes to all five (up) neighbours, three copies die
+        // at the cut, peers 0 and 2 push b back.
+        net.advance(25);
+        assert!(net.is_up(1));
+        assert!(net.peer(1).lookup(a.content_id()).is_some());
+        assert!(net.peer(1).lookup(b.content_id()).is_some());
+        // `mid` exists only on the far side, its child only on the near
+        // side: peers 0, 1 and 2 orphan the child and re-request `mid`
+        // until their retries run out. A request sent across the cut
+        // would show up as an extra drop.
+        let mid = msg(vec![a.content_id()], 3, 3.0);
+        let child = msg(vec![mid.content_id()], 0, 4.0);
+        net.publish(3, mid.clone());
+        net.publish(0, child);
+        net.run_to_quiescence();
+        assert_eq!(net.peer(1).orphan_count(), 1);
+        assert!(net.peer(1).missing().contains(&mid.content_id()));
+        // 30 drops = 3 cut-crossing copies × (b flooded by 0, 2 and 1, the
+        // advertisement, mid flooded by 3, 4 and 5, the child flooded by
+        // 0, 1 and 2); 12 re-requests = peers 1 and 2 × 6 retries, none of
+        // them dropped; the last retry's backoff ends at t=548.
+        assert_eq!(net.now(), 548);
+        assert_eq!(
+            net.stats,
+            NetStats {
+                delivered: 37,
+                dropped: 30,
+                duplicates: 26,
+                orphaned: 2,
+                rejected: 0,
+                discarded: 2,
+                rerequests: 12,
+                evicted: 0,
+            }
+        );
+        // Healed, the near side advertises heads that do not cover `mid`,
+        // so the far side pushes it back and the orphaned child resolves.
+        net.heal();
+        assert!(net.repair_to_quiescence(32));
+        assert!(net.replicas_consistent());
+        assert_eq!(net.peer(1).len(), 5);
+        assert_eq!(net.now(), 573);
+        assert_eq!(
+            net.stats,
+            NetStats {
+                delivered: 127,
+                dropped: 30,
+                duplicates: 107,
+                orphaned: 2,
+                rejected: 0,
+                discarded: 2,
+                rerequests: 12,
+                evicted: 0,
+            }
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! The gossip wire-protocol vocabulary and the transport abstraction.
 //!
 //! The pull-based repair protocol (PR 2) speaks exactly four messages,
-//! captured here as [`ProtocolMsg`]. How those messages move between
-//! peers is a [`Transport`] concern: the in-memory discrete-event
+//! captured here as [`ProtocolMsg`]. What a peer does with them is
+//! [`NodeProtocol`](crate::protocol::NodeProtocol); how they move between
+//! peers is a [`Transport`] concern: the link layer of the discrete-event
 //! [`Network`](crate::network::Network) is one implementation (latency,
 //! loss, partitions, fault injection on a simulated clock); `lt-net`
 //! provides a deterministic mock hub and a real length-framed TCP
@@ -48,6 +49,19 @@ impl ProtocolMsg {
     }
 }
 
+/// What a transport knows about one link at send time (see
+/// [`Transport::link_state`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LinkState {
+    /// Nothing known against the link.
+    Open,
+    /// The far end is up but traffic on the link is being lost (a
+    /// partition): a send is attempted and counted as dropped.
+    Cut,
+    /// The far end is down.
+    Down,
+}
+
 /// How protocol messages travel between peers.
 ///
 /// `from`/`to` are peer indices in a fixed population. A transport is
@@ -59,4 +73,15 @@ pub trait Transport {
     /// Queue `msg` for delivery from `from` to `to`. Returns whether
     /// the transport accepted the message.
     fn send(&mut self, from: usize, to: usize, msg: ProtocolMsg) -> bool;
+
+    /// What this transport knows about the `from → to` link. The engine
+    /// floods over every neighbour regardless (the transport accounts for
+    /// what it loses), advertises heads to every neighbour not
+    /// [`LinkState::Down`], and spends re-request retries only on
+    /// [`LinkState::Open`] ones. A transport that cannot tell — a socket
+    /// whose neighbour list already is "whoever is connected" — keeps the
+    /// default.
+    fn link_state(&self, _from: usize, _to: usize) -> LinkState {
+        LinkState::Open
+    }
 }

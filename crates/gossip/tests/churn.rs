@@ -52,6 +52,8 @@ struct ChurnOutcome {
     quiesced: bool,
     consistent: bool,
     replica_len: usize,
+    /// Simulated time when the run ended.
+    now: u64,
     crashes: u64,
     restarts: u64,
     recovered: u64,
@@ -123,6 +125,7 @@ fn run_churn(fault_seed: u64) -> ChurnOutcome {
         quiesced,
         consistent,
         replica_len,
+        now: gl.network().now(),
         crashes: tel.counter_value("fault.crash"),
         restarts: tel.counter_value("fault.restart"),
         recovered: tel.counter_value("fault.recovered"),
@@ -177,6 +180,51 @@ fn churn_reconverges_via_pull_repair_alone() {
     assert!(faults.iter().any(|l| l.contains("\"restart\"")));
 }
 
+/// `(NetStats, replica_len, final now(), fnv64(telemetry_lines))` of
+/// [`run_churn`] for the two fault seeds this file uses.
+type Golden = (NetStats, usize, u64, u64);
+
+const GOLDEN_SEED_7: Golden = (
+    NetStats {
+        delivered: 1175,
+        dropped: 141,
+        duplicates: 751,
+        orphaned: 110,
+        rejected: 49,
+        discarded: 97,
+        rerequests: 5,
+        evicted: 0,
+    },
+    67,
+    108,
+    0x190f_2804_ce0d_27a4,
+);
+
+const GOLDEN_SEED_8: Golden = (
+    NetStats {
+        delivered: 1240,
+        dropped: 145,
+        duplicates: 801,
+        orphaned: 99,
+        rejected: 63,
+        discarded: 99,
+        rerequests: 5,
+        evicted: 0,
+    },
+    68,
+    104,
+    0x7058_a4ac_4d92_eaf7,
+);
+
+/// FNV-1a over the newline-terminated telemetry lines.
+fn fnv64(lines: &[String]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in lines.iter().flat_map(|l| l.bytes().chain([b'\n'])) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[test]
 fn same_fault_seed_reproduces_bytes_exactly() {
     let a = run_churn(7);
@@ -187,6 +235,21 @@ fn same_fault_seed_reproduces_bytes_exactly() {
         a.telemetry_lines, b.telemetry_lines,
         "telemetry JSONL must be byte-identical per fault seed"
     );
+    // ...and across commits: recorded at the commit before the simulator
+    // was rebuilt on the shared protocol engine. One changed RNG draw,
+    // event order or counter point in the engine, the link layer or the
+    // fault perturbation moves at least one of these.
+    for (out, golden) in [(a, GOLDEN_SEED_7), (run_churn(8), GOLDEN_SEED_8)] {
+        assert_eq!(
+            (
+                out.stats,
+                out.replica_len,
+                out.now,
+                fnv64(&out.telemetry_lines)
+            ),
+            golden
+        );
+    }
 }
 
 #[test]
@@ -252,7 +315,7 @@ fn every_intermediate_churn_state_satisfies_conformance_invariants() {
         });
     }
 
-    let n = gl.network().peers().len();
+    let n = gl.network().len();
     let mut checker = GossipChecker::new(gl.network(), DEFAULT_ORPHAN_CAP);
     let mut shadows: Vec<ShadowCache> = (0..n).map(|_| ShadowCache::new()).collect();
     let mut caches: Vec<AnalysisCache> = (0..n)

@@ -1,10 +1,11 @@
 //! # lt-net — the learning tangle over real sockets
 //!
-//! Everything below [`tangle_gossip`]'s protocol layer so far ran inside
-//! one process: the discrete-event [`Network`](tangle_gossip::Network) is
-//! the in-memory [`Transport`](tangle_gossip::Transport). This crate is
-//! the other implementation of that boundary — a length-framed TCP wire
-//! protocol and the `lt-node` daemon, one gossip peer per process:
+//! [`tangle_gossip`] holds the protocol engine
+//! ([`NodeProtocol`]) and one [`Transport`](tangle_gossip::Transport)
+//! under it: the link layer of the discrete-event
+//! [`Network`](tangle_gossip::Network), all peers in one process. This
+//! crate is the other implementation of that boundary — a length-framed
+//! TCP wire protocol and the `lt-node` daemon, one engine per process:
 //!
 //! * [`frame`] — the versioned `LTNT` frame format: header, payload,
 //!   FNV-1a trailer; total decoding (malformed input is an error, never a
@@ -12,15 +13,12 @@
 //!   [`frame::WireMsg`] maps 1:1 onto the four
 //!   [`ProtocolMsg`](tangle_gossip::ProtocolMsg) variants plus liveness
 //!   probes and the control plane the scale harness drives daemons with.
-//! * [`protocol`] — [`NodeProtocol`]: one peer's protocol engine
-//!   (receive/forward flooding, head advertisement, pull-based repair
-//!   with rotating neighbours and exponential backoff), written against
-//!   the [`Transport`](tangle_gossip::Transport) trait so the same state
-//!   machine runs over TCP, over the in-memory simulator, and over the
-//!   deterministic mock.
+//! * [`protocol`] — re-export of [`tangle_gossip::protocol`], where
+//!   [`NodeProtocol`] lives: the same state machine runs over TCP here,
+//!   under the in-memory simulator, and over the deterministic mock.
 //! * [`mock`] — [`MockTransport`]: a seeded, clock-explicit transport
-//!   with [`FaultPlan`](tangle_gossip::FaultPlan)-style drop / duplicate
-//!   / reorder perturbations, for socket-free protocol tests.
+//!   perturbed by [`FaultPlan::perturb_hop`](tangle_gossip::FaultPlan::perturb_hop)
+//!   like the simulator's links, for socket-free protocol tests.
 //! * [`queue`] — bounded per-connection send queues; overflow is counted
 //!   (`net.dropped`), never silently swallowed.
 //! * [`preset`] — the shared conformance experiment (dataset, model,
@@ -48,7 +46,6 @@ pub mod driver;
 pub mod frame;
 pub mod mock;
 pub mod preset;
-pub mod protocol;
 pub mod queue;
 pub mod soak;
 
@@ -65,6 +62,6 @@ pub use frame::{
 };
 pub use mock::MockTransport;
 pub use preset::{Preset, ORPHAN_CAP};
-pub use protocol::NodeProtocol;
 pub use queue::SendQueue;
 pub use soak::{run_soak, SoakConfig, SoakReport};
+pub use tangle_gossip::protocol::{self, NodeProtocol};

@@ -2,11 +2,11 @@
 //!
 //! [`MockTransport`] implements [`Transport`] as a seeded discrete-event
 //! queue with an explicit clock: sends are scheduled with drawn latency
-//! and — when a [`FaultPlan`] is armed — perturbed by its drop /
-//! duplicate / corrupt / reorder rates, exactly the fault model of the
-//! in-process simulator. Tests pop due deliveries and feed them into
-//! [`crate::NodeProtocol`]s by hand, so every interleaving is replayable
-//! from the seed alone.
+//! and — when a [`FaultPlan`] is armed — perturbed by
+//! [`FaultPlan::perturb_hop`], the same function the in-process
+//! simulator's link layer calls. Tests pop due deliveries and feed them
+//! into [`crate::NodeProtocol`]s by hand, so every interleaving is
+//! replayable from the seed alone.
 
 use rand::RngExt;
 use std::cmp::Reverse;
@@ -103,70 +103,32 @@ impl MockTransport {
         self.now = self.now.max(at);
     }
 
-    fn schedule(&mut self, at: u64, d: Delivery) {
+    fn schedule(&mut self, from: usize, to: usize, delay: u64, msg: ProtocolMsg) {
+        let at = self.now + delay;
         self.seq += 1;
         self.queue.push(Reverse((at, self.seq)));
-        self.pending.insert(self.seq, d);
+        self.pending
+            .insert(self.seq, Delivery { at, from, to, msg });
     }
 }
 
 impl Transport for MockTransport {
-    fn send(&mut self, from: usize, to: usize, msg: ProtocolMsg) -> bool {
+    fn send(&mut self, from: usize, to: usize, mut msg: ProtocolMsg) -> bool {
         self.sent += 1;
-        let base_delay = self.rng.random_range(self.latency.0..=self.latency.1);
-        let mut msg = msg;
-        let mut delays = vec![base_delay];
-        let f = &self.plan;
-        if f.drop > 0.0 && self.fault_rng.random_range(0.0..1.0) < f.drop {
+        let latency = self.latency.0..=self.latency.1;
+        let base_delay = self.rng.random_range(latency.clone());
+        let Some((mut delay, copy)) =
+            self.plan
+                .perturb_hop(&mut self.fault_rng, &mut msg, base_delay, latency)
+        else {
             self.dropped += 1;
             return false;
+        };
+        if let Some(copy_delay) = copy {
+            self.schedule(from, to, delay, msg.clone());
+            delay = copy_delay;
         }
-        if f.duplicate > 0.0 && self.fault_rng.random_range(0.0..1.0) < f.duplicate {
-            delays.push(base_delay);
-        }
-        if f.corrupt > 0.0 {
-            if let ProtocolMsg::Publish(m) | ProtocolMsg::Delta(m) = &mut msg {
-                if self.fault_rng.random_range(0.0..1.0) < f.corrupt && !m.payload.is_empty() {
-                    let idx = self.fault_rng.random_range(0..m.payload.len());
-                    let bit = 1u8 << self.fault_rng.random_range(0..8u32);
-                    let mut bytes = m.payload.to_vec();
-                    bytes[idx] ^= bit;
-                    m.payload = bytes.into();
-                }
-            }
-        }
-        if f.reorder_jitter > 0 {
-            for d in delays.iter_mut() {
-                *d += self.fault_rng.random_range(0..=f.reorder_jitter);
-            }
-        }
-        if delays.len() > 1 {
-            // independent latency for the duplicate copy
-            delays[1] = self.rng.random_range(self.latency.0..=self.latency.1)
-                + if f.reorder_jitter > 0 {
-                    self.fault_rng.random_range(0..=f.reorder_jitter)
-                } else {
-                    0
-                };
-        }
-        let last = delays.len() - 1;
-        let now = self.now;
-        for (i, delay) in delays.clone().into_iter().enumerate() {
-            let m = if i == last {
-                std::mem::replace(&mut msg, ProtocolMsg::Request { wants: Vec::new() })
-            } else {
-                msg.clone()
-            };
-            self.schedule(
-                now + delay,
-                Delivery {
-                    at: now + delay,
-                    from,
-                    to,
-                    msg: m,
-                },
-            );
-        }
+        self.schedule(from, to, delay, msg);
         true
     }
 }
