@@ -19,16 +19,12 @@ fn bench_defense_cost(c: &mut Criterion) {
         ("round_defended_sample12", true, 12),
     ] {
         let h = TangleHyperParams {
-            num_tips: 2,
             sample_size: sample,
             reference_avg: 5,
             confidence_samples: 6,
             alpha: 0.5,
-            confidence_mode: learning_tangle::ConfidenceMode::WalkHit,
             tip_validation: validation,
-            window: None,
-            accuracy_bias: 0.0,
-            parallel_walks: true,
+            ..TangleHyperParams::basic()
         };
         g.bench_function(name, |b| {
             b.iter_batched(

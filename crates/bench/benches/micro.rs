@@ -205,10 +205,7 @@ fn eval_workload_cfg() -> learning_tangle::SimConfig {
     learning_tangle::SimConfig {
         nodes_per_round: 5,
         lr: 0.15,
-        local_epochs: 1,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.2,
         seed: 9,
         hyper: learning_tangle::TangleHyperParams {
@@ -218,7 +215,7 @@ fn eval_workload_cfg() -> learning_tangle::SimConfig {
             accuracy_bias: 0.5,
             ..learning_tangle::TangleHyperParams::basic()
         },
-        network: None,
+        ..learning_tangle::SimConfig::default()
     }
 }
 
@@ -257,18 +254,29 @@ fn bench_node_step(c: &mut Criterion) {
         .enumerate()
         .map(|(i, c)| learning_tangle::Node::honest(i, c))
         .collect();
-    let ctx = RoundContext::build(sim.tangle(), &cfg, 31, 0xBEEF);
+    let ctx = RoundContext::build(
+        sim.tangle(),
+        &cfg,
+        31,
+        0xBEEF,
+        lt_telemetry::Telemetry::disabled(),
+    );
+    let scratch = learning_tangle::ScratchPool::new(Box::new(build));
     g.bench_function("honest_step_tip_validation", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
             let mut rng = seeded(i);
+            // A cold cache per step: every evaluation is computed.
+            let mut cache =
+                learning_tangle::EvalCache::new(learning_tangle::DEFAULT_EVAL_CACHE_CAPACITY);
             black_box(node_step(
                 &nodes[(i % 50) as usize],
                 &ctx,
-                &build,
+                &scratch,
                 &cfg,
                 &mut rng,
+                &mut cache,
             ))
         })
     });
@@ -282,60 +290,26 @@ fn bench_eval_cache(c: &mut Criterion) {
     let cfg = eval_workload_cfg();
     let build = || tinynn::zoo::mlp(8, &[12], 4, &mut seeded(5));
     const ROUNDS: usize = 100;
-    let run = |cached: bool| {
+    let run = || {
         let tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
         let mut sim = learning_tangle::Simulation::new(data.clone(), cfg.clone(), build)
-            .with_eval_cache(cached)
             .with_telemetry(tel.clone());
-        let stats: Vec<learning_tangle::RoundStats> = (0..ROUNDS).map(|_| sim.round()).collect();
-        (stats, sim.evaluate(0).accuracy, tel)
+        for _ in 0..ROUNDS {
+            sim.round();
+        }
+        (sim.evaluate(0).accuracy, tel)
     };
-    // Equivalence: the memoized run must be byte-identical to the plain
-    // one — same RoundStats, same consensus accuracy — while actually
-    // serving from the cache.
-    let (stats_on, acc_on, tel_on) = run(true);
-    let (stats_off, acc_off, tel_off) = run(false);
-    assert_eq!(stats_on, stats_off, "RoundStats must match cache on/off");
-    assert_eq!(
-        acc_on.to_bits(),
-        acc_off.to_bits(),
-        "accuracy must be bit-identical cache on/off"
-    );
+    // This workload re-evaluates the whole ledger every step
+    // (`accuracy_bias`), so nearly every probe after a node's first
+    // activation must be served from its cache.
+    let (_, tel) = run();
     assert!(
-        tel_on.counter_value("eval_cache.hits") > 0,
-        "the cached run must hit"
+        tel.counter_value("eval_cache.hits") > tel.counter_value("eval_cache.misses"),
+        "the accuracy-bias workload must mostly hit"
     );
-    assert_eq!(tel_off.counter_value("eval_cache.hits"), 0);
     g.bench_function(format!("sim_{ROUNDS}r_50n_cached"), |b| {
-        b.iter(|| black_box(run(true).1))
+        b.iter(|| black_box(run().0))
     });
-    g.bench_function(format!("sim_{ROUNDS}r_50n_uncached"), |b| {
-        b.iter(|| black_box(run(false).1))
-    });
-    // Pin the speedup: median of 3 full runs each way must show the
-    // memoized path >=3x faster on this 50-node / 100-round workload.
-    let median = |f: &mut dyn FnMut()| {
-        let mut samples: Vec<_> = (0..3)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                f();
-                start.elapsed()
-            })
-            .collect();
-        samples.sort();
-        samples[1]
-    };
-    let cached = median(&mut || {
-        black_box(run(true).1);
-    });
-    let uncached = median(&mut || {
-        black_box(run(false).1);
-    });
-    assert!(
-        cached * 3 <= uncached,
-        "eval cache must be >=3x faster on the 50-node/{ROUNDS}-round \
-         tip-validation workload: cached {cached:?} vs uncached {uncached:?}"
-    );
     g.finish();
 }
 
@@ -499,17 +473,14 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let cfg = learning_tangle::SimConfig {
         nodes_per_round: 4,
         lr: 0.15,
-        local_epochs: 1,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.5,
         seed: 3,
         hyper: learning_tangle::TangleHyperParams {
             confidence_samples: 8,
             ..learning_tangle::TangleHyperParams::basic()
         },
-        network: None,
+        ..learning_tangle::SimConfig::default()
     };
     g.bench_function("sim_round_disabled", |b| {
         b.iter_batched(

@@ -155,11 +155,8 @@ fn bench_table2(c: &mut Criterion) {
                         reference_avg: 10,
                         confidence_samples: 6,
                         alpha: 0.5,
-                        confidence_mode: learning_tangle::ConfidenceMode::WalkHit,
                         tip_validation: true,
-                        window: None,
-                        accuracy_bias: 0.0,
-                        parallel_walks: true,
+                        ..TangleHyperParams::basic()
                     },
                 )
             },

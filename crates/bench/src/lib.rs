@@ -40,8 +40,6 @@ pub fn bench_sim_config(nodes: usize, hyper: TangleHyperParams) -> SimConfig {
         nodes_per_round: nodes,
         lr: 0.15,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.5,
         seed: 9,
         hyper,

@@ -91,10 +91,7 @@ fn sim_cfg(seed: u64) -> SimConfig {
     SimConfig {
         nodes_per_round: 3,
         lr: 0.2,
-        local_epochs: 1,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.5,
         seed,
         hyper: TangleHyperParams {
@@ -102,7 +99,7 @@ fn sim_cfg(seed: u64) -> SimConfig {
             sample_size: 4,
             ..TangleHyperParams::basic()
         },
-        network: None,
+        ..SimConfig::default()
     }
 }
 

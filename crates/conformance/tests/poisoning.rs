@@ -41,10 +41,7 @@ fn cfg() -> SimConfig {
     SimConfig {
         nodes_per_round: 4,
         lr: 0.2,
-        local_epochs: 1,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.5,
         seed: 13,
         hyper: TangleHyperParams {
@@ -53,7 +50,7 @@ fn cfg() -> SimConfig {
             tip_validation: true, // the §III-E defense under test
             ..TangleHyperParams::basic()
         },
-        network: None,
+        ..SimConfig::default()
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::config::SimConfig;
 use crate::eval_cache::{EvalCache, ScratchPool, DEFAULT_EVAL_CACHE_CAPACITY};
 use crate::node::RoundContext;
-use crate::node::{node_step_pooled, ModelParams, Node};
+use crate::node::{node_step, ModelParams, Node};
 use crossbeam::channel;
 use parking_lot::RwLock;
 use rand::RngExt;
@@ -61,23 +61,16 @@ pub struct WorkerFaultPlan {
     pub kills: Vec<(usize, u64)>,
 }
 
-/// Performance knobs for the asynchronous executor. Every setting is a
-/// pure optimization: toggling it changes cost, never observable results.
-#[derive(Clone, Copy, Debug)]
-pub struct AsyncTuning {
-    /// Memoize node evaluations (per worker, per node) across steps.
-    pub eval_cache: bool,
-    /// Capacity of each evaluation cache.
-    pub eval_cache_cap: usize,
-}
-
-impl Default for AsyncTuning {
-    fn default() -> Self {
-        Self {
-            eval_cache: true,
-            eval_cache_cap: DEFAULT_EVAL_CACHE_CAPACITY,
-        }
-    }
+/// What [`run_async`] takes beyond the population and the stopping rule;
+/// the default is an unobserved, fault-free run.
+#[derive(Clone, Debug, Default)]
+pub struct AsyncOptions {
+    /// Receives per-publication [`lt_telemetry::AsyncPublishEvent`]s, the
+    /// `async.published` / `async.discarded` counters, and `Fault` events
+    /// with the `fault.worker_kill` / `fault.worker_respawn` counters.
+    pub telemetry: lt_telemetry::Telemetry,
+    /// Scheduled worker kills; empty by default.
+    pub faults: WorkerFaultPlan,
 }
 
 /// Run `workers` concurrent participants until the ledger holds at least
@@ -92,80 +85,9 @@ pub fn run_async(
     build: impl Fn() -> Sequential + Sync,
     workers: usize,
     target_transactions: usize,
+    opts: &AsyncOptions,
 ) -> AsyncRun {
-    run_async_observed(
-        nodes,
-        cfg,
-        build,
-        workers,
-        target_transactions,
-        lt_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// Like [`run_async`], additionally recording per-publication
-/// [`lt_telemetry::AsyncPublishEvent`]s plus `async.published` /
-/// `async.discarded` counters into `telemetry`.
-pub fn run_async_observed(
-    nodes: &[Node],
-    cfg: &SimConfig,
-    build: impl Fn() -> Sequential + Sync,
-    workers: usize,
-    target_transactions: usize,
-    telemetry: lt_telemetry::Telemetry,
-) -> AsyncRun {
-    run_async_faulty(
-        nodes,
-        cfg,
-        build,
-        workers,
-        target_transactions,
-        telemetry,
-        &WorkerFaultPlan::default(),
-    )
-}
-
-/// Like [`run_async_observed`], with scheduled worker kills: a killed
-/// worker's completed step is discarded as lost work (`fault.worker_kill`,
-/// [`AsyncRun::killed`]) and the worker immediately respawns on a fresh,
-/// deterministically derived RNG stream (`fault.worker_respawn`). An
-/// empty plan behaves exactly like [`run_async_observed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_async_faulty(
-    nodes: &[Node],
-    cfg: &SimConfig,
-    build: impl Fn() -> Sequential + Sync,
-    workers: usize,
-    target_transactions: usize,
-    telemetry: lt_telemetry::Telemetry,
-    faults: &WorkerFaultPlan,
-) -> AsyncRun {
-    run_async_faulty_tuned(
-        nodes,
-        cfg,
-        build,
-        workers,
-        target_transactions,
-        telemetry,
-        faults,
-        &AsyncTuning::default(),
-    )
-}
-
-/// Like [`run_async_faulty`], with explicit [`AsyncTuning`]. With
-/// `workers == 1` the run is bit-identical for any tuning — the
-/// differential tests pin this.
-#[allow(clippy::too_many_arguments)]
-pub fn run_async_faulty_tuned(
-    nodes: &[Node],
-    cfg: &SimConfig,
-    build: impl Fn() -> Sequential + Sync,
-    workers: usize,
-    target_transactions: usize,
-    telemetry: lt_telemetry::Telemetry,
-    faults: &WorkerFaultPlan,
-    tuning: &AsyncTuning,
-) -> AsyncRun {
+    let AsyncOptions { telemetry, faults } = opts;
     assert!(workers >= 1, "need at least one worker");
     let genesis = Arc::new(ParamVec::from_model(&build()));
     // One scratch-model pool shared by all workers; params are fully
@@ -197,11 +119,9 @@ pub fn run_async_faulty_tuned(
                 // caches can never be shared across nodes). Snapshots of
                 // the append-only ledger share one signature chain, so
                 // entries stay valid across snapshots and worker kills.
-                let mut eval: Option<Vec<EvalCache>> = tuning.eval_cache.then(|| {
-                    (0..nodes.len())
-                        .map(|_| EvalCache::new(tuning.eval_cache_cap))
-                        .collect()
-                });
+                let mut eval: Vec<EvalCache> = (0..nodes.len())
+                    .map(|_| EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY))
+                    .collect();
                 let mut generation = 0u64;
                 let mut step = 0u64;
                 while !done.load(Ordering::Relaxed) {
@@ -223,14 +143,8 @@ pub fn run_async_faulty_tuned(
                         cfg.seed,
                         ((w as u64) << 48) ^ (step << 8) ^ ni as u64,
                     ));
-                    let out = node_step_pooled(
-                        &nodes[ni],
-                        &ctx,
-                        scratch,
-                        cfg,
-                        &mut node_rng,
-                        eval.as_mut().map(|caches| &mut caches[ni]),
-                    );
+                    let out =
+                        node_step(&nodes[ni], &ctx, scratch, cfg, &mut node_rng, &mut eval[ni]);
                     if faults.kills.iter().any(|&(kw, ks)| kw == w && ks == step) {
                         // The worker dies with its finished step in hand:
                         // the work is lost, the worker respawns on a new
@@ -356,27 +270,19 @@ pub fn run_async_scripted(
             RoundContext::build_with_cache(&snapshot, &mut cache, cfg, round, ctx_seed, tel.clone())
         });
         if tel.enabled() {
-            reference_entries = ctx
-                .reference_ids
-                .iter()
-                .map(|id| ReferenceEntry {
-                    tx: id.index() as u32,
-                    confidence: ctx.confidence[id.index()],
-                    rating: ctx.analysis.rating[id.index()],
-                })
-                .collect();
+            reference_entries = ctx.reference_entries();
         }
         let outcomes: Vec<(usize, crate::node::StepOutcome)> = phases.measure("step", || {
             idx.iter()
                 .map(|&ni| {
                     let mut node_rng = seeded(derive(cfg.seed, (round << 24) ^ ni as u64));
-                    let out = node_step_pooled(
+                    let out = node_step(
                         &nodes[ni],
                         &ctx,
                         &scratch,
                         cfg,
                         &mut node_rng,
-                        Some(&mut eval[ni]),
+                        &mut eval[ni],
                     );
                     (ni, out)
                 })
@@ -509,8 +415,6 @@ mod tests {
             nodes_per_round: 4,
             lr: 0.15,
             batch_size: 8,
-            train_chunks: 1,
-            train_parallel: true,
             seed: 21,
             hyper: TangleHyperParams {
                 confidence_samples: 6,
@@ -523,8 +427,8 @@ mod tests {
     #[test]
     fn single_worker_reaches_target_deterministically() {
         let ns = nodes();
-        let a = run_async(&ns, &cfg(), build, 1, 12);
-        let b = run_async(&ns, &cfg(), build, 1, 12);
+        let a = run_async(&ns, &cfg(), build, 1, 12, &AsyncOptions::default());
+        let b = run_async(&ns, &cfg(), build, 1, 12, &AsyncOptions::default());
         assert!(a.tangle.len() >= 12);
         assert_eq!(a.tangle.len(), b.tangle.len());
         assert_eq!(a.events.len(), b.events.len());
@@ -538,7 +442,7 @@ mod tests {
     #[test]
     fn multi_worker_reaches_target() {
         let ns = nodes();
-        let run = run_async(&ns, &cfg(), build, 3, 15);
+        let run = run_async(&ns, &cfg(), build, 3, 15, &AsyncOptions::default());
         assert!(run.tangle.len() >= 15);
         // every event recorded a consistent snapshot
         for e in &run.events {
@@ -549,17 +453,94 @@ mod tests {
     #[test]
     fn events_track_all_publications() {
         let ns = nodes();
-        let run = run_async(&ns, &cfg(), build, 2, 10);
+        let run = run_async(&ns, &cfg(), build, 2, 10, &AsyncOptions::default());
         // genesis + events = ledger size (no other writer exists)
         assert_eq!(run.events.len() + 1, run.tangle.len());
     }
 
+    /// Everything a single-worker run decides: per transaction its issuer,
+    /// parents and parameter bits; per publication `(node, tangle_len,
+    /// snapshot_len)` in commit order; steps discarded; steps killed.
+    type RunTrace = (
+        Vec<(u64, Vec<u32>, Vec<u32>)>,
+        Vec<(usize, usize, usize)>,
+        usize,
+        usize,
+    );
+
+    fn ledger_bits(tangle: &Tangle<ModelParams>) -> Vec<(u64, Vec<u32>, Vec<u32>)> {
+        tangle
+            .transactions()
+            .iter()
+            .map(|tx| {
+                (
+                    tx.issuer,
+                    tx.parents.iter().map(|p| p.index() as u32).collect(),
+                    tx.payload.as_slice().iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Oracle for a one-worker run: worker 0's loop replayed on the
+    /// calling thread, with the full DPs per step instead of the worker's
+    /// `AnalysisCache`, and one eval cache per node in plain sight — kept
+    /// across steps and kills when `warm`, emptied before every step
+    /// otherwise. Shares only the step on an already-built context with
+    /// [`run_async`].
+    fn replay_single_worker(
+        ns: &[Node],
+        cfg: &SimConfig,
+        target: usize,
+        faults: &WorkerFaultPlan,
+        warm: bool,
+        tel: &lt_telemetry::Telemetry,
+    ) -> RunTrace {
+        let scratch = ScratchPool::new(Box::new(build));
+        let mut tangle = Tangle::new(Arc::new(ParamVec::from_model(&build())));
+        let mut eval: Vec<EvalCache> = (0..ns.len())
+            .map(|_| EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY))
+            .collect();
+        let mut rng = seeded(derive(cfg.seed, 0xA11C));
+        let (mut generation, mut step) = (0u64, 0u64);
+        let (mut events, mut discarded, mut killed) = (Vec::new(), 0, 0);
+        while tangle.len() < target {
+            step += 1;
+            let ni = rng.random_range(0..ns.len());
+            if !warm {
+                eval[ni].invalidate_all(&lt_telemetry::Telemetry::disabled());
+            }
+            let snapshot_len = tangle.len();
+            let vround = snapshot_len as u64;
+            let ctx =
+                RoundContext::build(&tangle, cfg, vround, derive(cfg.seed, step), tel.clone());
+            let mut node_rng = seeded(derive(cfg.seed, (step << 8) ^ ni as u64));
+            let out = node_step(&ns[ni], &ctx, &scratch, cfg, &mut node_rng, &mut eval[ni]);
+            if faults.kills.contains(&(0, step)) {
+                killed += 1;
+                generation += 1;
+                rng = seeded(derive(cfg.seed, 0xA11C ^ (generation << 32)));
+                continue;
+            }
+            match out.publish {
+                Some(p) => {
+                    tangle
+                        .add_meta(Arc::new(p.params), p.parents, ni as u64, vround)
+                        .expect("parents come from this ledger");
+                    events.push((ni, tangle.len(), snapshot_len));
+                }
+                None => discarded += 1,
+            }
+        }
+        (ledger_bits(&tangle), events, discarded, killed)
+    }
+
     #[test]
-    fn eval_cache_on_and_off_are_bit_identical_single_worker() {
+    fn eval_cache_single_worker_matches_serial_replay() {
         // With one worker the async run is fully deterministic, so the
-        // eval cache must be invisible: same ledger structure, same commit
-        // order, byte-identical telemetry JSONL (eval_cache.* counters
-        // never reach the event stream).
+        // worker's analysis cache and per-node eval caches must be
+        // invisible — with and without kills, which must not cost the
+        // worker its memo either.
         let ns = nodes();
         let mut c = cfg();
         c.hyper.tip_validation = true;
@@ -567,87 +548,46 @@ mod tests {
         // The bias path probes every transaction per step, so a node's
         // second activation is guaranteed to hit its cache.
         c.hyper.accuracy_bias = 0.5;
-        let dir = std::env::temp_dir();
-        let run = |eval: bool, path: &std::path::Path| {
-            let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
-            let tel = lt_telemetry::Telemetry::new(sink);
-            let out = run_async_faulty_tuned(
-                &ns,
-                &c,
-                build,
-                1,
-                14,
-                tel.clone(),
-                &WorkerFaultPlan::default(),
-                &AsyncTuning {
-                    eval_cache: eval,
-                    ..AsyncTuning::default()
-                },
+        let probes = |tel: &lt_telemetry::Telemetry| {
+            (
+                tel.counter_value("eval_cache.hits"),
+                tel.counter_value("eval_cache.misses"),
+            )
+        };
+        for kills in [vec![], vec![(0, 2), (0, 5)]] {
+            let faults = WorkerFaultPlan { kills };
+            let tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
+            let opts = AsyncOptions {
+                telemetry: tel.clone(),
+                faults: faults.clone(),
+            };
+            let run = run_async(&ns, &c, build, 1, 40, &opts);
+            let trace: RunTrace = (
+                ledger_bits(&run.tangle),
+                run.events
+                    .iter()
+                    .map(|e| (e.node, e.tangle_len, e.snapshot_len))
+                    .collect(),
+                run.discarded,
+                run.killed,
             );
-            if eval {
-                assert!(
-                    tel.counter_value("eval_cache.hits") > 0,
-                    "the memoized run must serve hits"
-                );
-            } else {
-                assert_eq!(tel.counter_value("eval_cache.hits"), 0);
-            }
-            let structure: Vec<(u64, Vec<u32>)> = out
-                .tangle
-                .transactions()
-                .iter()
-                .map(|tx| {
-                    (
-                        tx.issuer,
-                        tx.parents.iter().map(|p| p.index() as u32).collect(),
-                    )
-                })
-                .collect();
-            let order: Vec<(usize, usize)> =
-                out.events.iter().map(|e| (e.node, e.tangle_len)).collect();
-            let bytes = std::fs::read(path).expect("read jsonl");
-            let _ = std::fs::remove_file(path);
-            (structure, order, bytes)
-        };
-        let on = run(true, &dir.join("lt_async_eval_on.jsonl"));
-        let off = run(false, &dir.join("lt_async_eval_off.jsonl"));
-        assert_eq!(on.0, off.0, "ledger structure must match");
-        assert_eq!(on.1, off.1, "commit order must match");
-        assert!(!on.2.is_empty());
-        assert_eq!(on.2, off.2, "telemetry JSONL must be byte-identical");
-    }
-
-    #[test]
-    fn parallel_training_on_and_off_are_bit_identical_single_worker() {
-        // Same guarantee as the sync sim: pooled gradient chunks are a
-        // pure execution strategy, so a single-worker async run lands on
-        // the same ledger and commit order with `train_parallel` on or off.
-        let ns = nodes();
-        let mut c = cfg();
-        c.train_chunks = 4;
-        let run = |parallel: bool| {
-            let mut c = c.clone();
-            c.train_parallel = parallel;
-            let out = run_async(&ns, &c, build, 1, 14);
-            let structure: Vec<(u64, Vec<u32>)> = out
-                .tangle
-                .transactions()
-                .iter()
-                .map(|tx| {
-                    (
-                        tx.issuer,
-                        tx.parents.iter().map(|p| p.index() as u32).collect(),
-                    )
-                })
-                .collect();
-            let order: Vec<(usize, usize)> =
-                out.events.iter().map(|e| (e.node, e.tangle_len)).collect();
-            (structure, order)
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.0, off.0, "ledger structure must match");
-        assert_eq!(on.1, off.1, "commit order must match");
+            assert_eq!(trace.3, faults.kills.len(), "every scheduled kill fires");
+            let warm_tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
+            let warm = replay_single_worker(&ns, &c, 40, &faults, true, &warm_tel);
+            let cold_tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
+            let cold = replay_single_worker(&ns, &c, 40, &faults, false, &cold_tel);
+            assert_eq!(trace, cold, "memoization must be invisible");
+            assert_eq!(trace, warm);
+            assert_eq!(
+                probes(&tel),
+                probes(&warm_tel),
+                "the worker must probe like one cache per node kept for the whole run"
+            );
+            assert!(
+                probes(&tel).0 > probes(&cold_tel).0,
+                "the memoized run must serve hits across steps"
+            );
+        }
     }
 
     #[test]
@@ -657,15 +597,11 @@ mod tests {
             kills: vec![(0, 2), (0, 5)],
         };
         let run = |plan: &WorkerFaultPlan| {
-            run_async_faulty(
-                &ns,
-                &cfg(),
-                build,
-                1,
-                10,
-                lt_telemetry::Telemetry::disabled(),
-                plan,
-            )
+            let opts = AsyncOptions {
+                faults: plan.clone(),
+                ..AsyncOptions::default()
+            };
+            run_async(&ns, &cfg(), build, 1, 10, &opts)
         };
         let a = run(&plan);
         assert_eq!(a.killed, 2, "both scheduled kills must fire");
@@ -683,41 +619,16 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_matches_unfaulted_run() {
-        let ns = nodes();
-        let plain = run_async(&ns, &cfg(), build, 1, 10);
-        let faulty = run_async_faulty(
-            &ns,
-            &cfg(),
-            build,
-            1,
-            10,
-            lt_telemetry::Telemetry::disabled(),
-            &WorkerFaultPlan::default(),
-        );
-        assert_eq!(faulty.killed, 0);
-        assert_eq!(plain.tangle.len(), faulty.tangle.len());
-        for (x, y) in plain.events.iter().zip(&faulty.events) {
-            assert_eq!(x.node, y.node);
-            assert_eq!(x.tangle_len, y.tangle_len);
-        }
-    }
-
-    #[test]
     fn kills_are_observable_in_telemetry() {
         let ns = nodes();
         let tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
-        let run = run_async_faulty(
-            &ns,
-            &cfg(),
-            build,
-            1,
-            8,
-            tel.clone(),
-            &WorkerFaultPlan {
+        let opts = AsyncOptions {
+            telemetry: tel.clone(),
+            faults: WorkerFaultPlan {
                 kills: vec![(0, 3)],
             },
-        );
+        };
+        let run = run_async(&ns, &cfg(), build, 1, 8, &opts);
         assert_eq!(run.killed, 1);
         assert_eq!(tel.counter_value("fault.worker_kill"), 1);
         assert_eq!(tel.counter_value("fault.worker_respawn"), 1);

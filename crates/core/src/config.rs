@@ -51,12 +51,6 @@ pub struct TangleHyperParams {
     /// cumulative-weight units) to the walk weights. Expensive — intended
     /// for small networks / the sub-tangle clustering study.
     pub accuracy_bias: f64,
-    /// Run each node's `sample_size` tip-selection walks as a rayon batch
-    /// instead of a serial loop. Every walk draws from its own RNG stream
-    /// derived from the node RNG, so the result is bit-identical either
-    /// way (pinned by the determinism tests) — the flag only chooses the
-    /// execution strategy.
-    pub parallel_walks: bool,
 }
 
 impl TangleHyperParams {
@@ -73,7 +67,6 @@ impl TangleHyperParams {
             tip_validation: false,
             window: None,
             accuracy_bias: 0.0,
-            parallel_walks: true,
         }
     }
 
@@ -90,7 +83,6 @@ impl TangleHyperParams {
             tip_validation: false,
             window: None,
             accuracy_bias: 0.0,
-            parallel_walks: true,
         }
     }
 
@@ -108,7 +100,6 @@ impl TangleHyperParams {
             tip_validation: true,
             window: None,
             accuracy_bias: 0.0,
-            parallel_walks: true,
         }
     }
 }
@@ -142,10 +133,6 @@ pub struct SimConfig {
     /// result is a function of the chunk count alone — never of how the
     /// chunks are executed.
     pub train_chunks: usize,
-    /// Run gradient chunks on the worker pool. Guaranteed bit-identical to
-    /// serial execution (fixed-order tree reduction), so this is purely a
-    /// wall-clock knob.
-    pub train_parallel: bool,
     /// Fraction of nodes whose held-out data is pooled for evaluation
     /// (paper: 10%).
     pub eval_fraction: f32,
@@ -162,10 +149,6 @@ fn default_train_chunks() -> usize {
     1
 }
 
-fn default_train_parallel() -> bool {
-    true
-}
-
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
@@ -174,7 +157,6 @@ impl Default for SimConfig {
             lr: 0.06,
             batch_size: 16,
             train_chunks: default_train_chunks(),
-            train_parallel: default_train_parallel(),
             eval_fraction: 0.1,
             seed: 0,
             hyper: TangleHyperParams::basic(),

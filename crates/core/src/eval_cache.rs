@@ -29,8 +29,8 @@
 //! Cache behaviour is observable through the `eval_cache.hits` /
 //! `eval_cache.misses` / `eval_cache.evictions` /
 //! `eval_cache.invalidations` counters — metrics registry only, never the
-//! JSONL event stream, which stays byte-deterministic with the cache on
-//! or off.
+//! JSONL event stream, which stays byte-deterministic whatever the caches
+//! hold.
 
 use std::collections::HashMap;
 use tangle_ledger::TxId;

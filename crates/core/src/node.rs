@@ -155,20 +155,11 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
 }
 
 impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
-    /// Build the shared context for `round` (Algorithm 1 happens here).
-    pub fn build(tangle: &'a T, cfg: &SimConfig, round: u64, seed: u64) -> Self {
-        Self::build_observed(
-            tangle,
-            cfg,
-            round,
-            seed,
-            lt_telemetry::Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`Self::build`], threading an observability handle through the
-    /// analysis, confidence sampling, and all later tip selection.
-    pub fn build_observed(
+    /// Build the context for `round` from the full weight/rating/depth DPs
+    /// over `tangle` (Algorithm 1 happens here), threading `telemetry`
+    /// through the analysis, confidence sampling, and all later tip
+    /// selection.
+    pub fn build(
         tangle: &'a T,
         cfg: &SimConfig,
         round: u64,
@@ -183,7 +174,7 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         Self::from_analysis(tangle, analysis, depths, cfg, round, seed, telemetry)
     }
 
-    /// Like [`Self::build_observed`], serving the weight/rating/depth DPs
+    /// Like [`Self::build`], serving the weight/rating/depth DPs
     /// from `cache` instead of recomputing them. The cache is refreshed
     /// against `tangle` first (incremental catch-up, or a counted rebuild
     /// when it is stale — see [`AnalysisCache::refresh_observed`]), so the
@@ -258,6 +249,18 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         }
     }
 
+    /// The reference set as a `Round` telemetry event reports it.
+    pub(crate) fn reference_entries(&self) -> Vec<lt_telemetry::ReferenceEntry> {
+        self.reference_ids
+            .iter()
+            .map(|id| lt_telemetry::ReferenceEntry {
+                tx: id.index() as u32,
+                confidence: self.confidence[id.index()],
+                rating: self.analysis.rating[id.index()],
+            })
+            .collect()
+    }
+
     /// Sample one tip by weighted random walk using the cached weights.
     /// Starts from the genesis, or from a depth-window particle when
     /// windowed selection is configured (§IV).
@@ -280,19 +283,16 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         }
     }
 
-    /// Sample `k` tips as a batch of independent walks. One draw from
-    /// `rng` seeds the batch; walk `i` then runs on its own RNG stream
-    /// derived from that seed, so the output is identical whether the
-    /// walks run serially or as a rayon batch — `parallel` (usually
-    /// `hyper.parallel_walks`) only picks the execution strategy.
-    pub fn sample_tips(&self, k: usize, rng: &mut dyn rand::Rng, parallel: bool) -> Vec<TxId> {
+    /// Sample `k` tips as a rayon batch of independent walks. One draw
+    /// from `rng` seeds the batch; walk `i` then runs on its own RNG stream
+    /// derived from that seed, so the output does not depend on how the
+    /// batch is scheduled.
+    pub fn sample_tips(&self, k: usize, rng: &mut dyn rand::Rng) -> Vec<TxId> {
         let base = rng.random::<u64>();
-        let one = |i: usize| self.sample_tip(&mut seeded(derive(base, i as u64)));
-        if parallel {
-            (0..k).into_par_iter().map(one).collect()
-        } else {
-            (0..k).map(one).collect()
-        }
+        (0..k)
+            .into_par_iter()
+            .map(|i| self.sample_tip(&mut seeded(derive(base, i as u64))))
+            .collect()
     }
 }
 
@@ -319,11 +319,6 @@ pub struct StepOutcome {
     pub reference_loss: Option<f32>,
 }
 
-/// Evaluate `params` on a client's held-out data, returning the loss.
-fn validation_loss(model: &mut Sequential, params: &ParamVec, data: &ClientData) -> f32 {
-    eval_params(model, params, data).0
-}
-
 /// Evaluate `params` on a client's held-out data, returning `(loss,
 /// accuracy)` — the pair an [`EvalCache`] memoizes.
 fn eval_params(model: &mut Sequential, params: &ParamVec, data: &ClientData) -> (f32, f32) {
@@ -334,34 +329,19 @@ fn eval_params(model: &mut Sequential, params: &ParamVec, data: &ClientData) -> 
 /// Execute one node-round (the paper's Algorithm 2, §III-E variant when
 /// `tip_validation` is on).
 ///
-/// `build` constructs scratch models of the shared architecture; `rng`
-/// drives this node's walks and batch shuffles. This is the uncached,
-/// unpooled convenience entry point; the simulators call
-/// [`node_step_pooled`] with a shared [`ScratchPool`] and an optional
-/// per-node [`EvalCache`].
+/// `scratch` lends models of the shared architecture; `rng` drives this
+/// node's walks and batch shuffles; `cache` memoizes this node's
+/// evaluations across steps. The cache only changes what is *recomputed*,
+/// never what is computed: evaluations are pure in the parameters and the
+/// node's data, scratch models are fully overwritten before use, and cache
+/// probes consume no randomness.
 pub fn node_step<T: TangleRead<Payload = ModelParams> + Sync>(
-    node: &Node,
-    ctx: &RoundContext<'_, T>,
-    build: &(dyn Fn() -> Sequential + Sync),
-    cfg: &SimConfig,
-    rng: &mut impl RngExt,
-) -> StepOutcome {
-    let scratch = ScratchPool::new(Box::new(build));
-    node_step_pooled(node, ctx, &scratch, cfg, rng, None)
-}
-
-/// [`node_step`] with shared scratch models and optional evaluation
-/// memoization. Bit-identical to the plain path: evaluations are pure in
-/// the parameters and the node's data, scratch models are fully
-/// overwritten before use, and cache probes consume no randomness — the
-/// cache only changes what is *recomputed*, never what is computed.
-pub fn node_step_pooled<T: TangleRead<Payload = ModelParams> + Sync>(
     node: &Node,
     ctx: &RoundContext<'_, T>,
     scratch: &ScratchPool<'_>,
     cfg: &SimConfig,
     rng: &mut impl RngExt,
-    cache: Option<&mut EvalCache>,
+    cache: &mut EvalCache,
 ) -> StepOutcome {
     match node.behaviour(ctx.round) {
         Behaviour::RandomNoise => random_poison_step(node, ctx, cfg, rng),
@@ -376,6 +356,44 @@ pub fn node_step_pooled<T: TangleRead<Payload = ModelParams> + Sync>(
     }
 }
 
+/// `(loss, accuracy)` of the models carried by `ids` on `data`, in the
+/// order of `ids`: probe the cache for every id, evaluate the misses in
+/// parallel over pooled scratch models (evaluation draws no randomness, so
+/// the split cannot perturb the run), and memoize them.
+fn eval_transactions<T: TangleRead<Payload = ModelParams> + Sync>(
+    ids: &[TxId],
+    data: &ClientData,
+    data_tag: u64,
+    ctx: &RoundContext<'_, T>,
+    scratch: &ScratchPool<'_>,
+    cache: &mut EvalCache,
+) -> Vec<(f32, f32)> {
+    let sig = |id: TxId| ctx.tangle.history_sig(id.index() + 1);
+    let mut evals = vec![(0.0f32, 0.0f32); ids.len()];
+    let mut misses: Vec<usize> = Vec::new();
+    for (slot, &id) in ids.iter().enumerate() {
+        match cache.get(tx_key(id, data_tag), sig(id), &ctx.telemetry) {
+            Some(eval) => evals[slot] = eval,
+            None => misses.push(slot),
+        }
+    }
+    let computed: Vec<(f32, f32)> = misses
+        .par_iter()
+        .map(|&slot| {
+            let mut m = scratch.take();
+            let eval = eval_params(&mut m, &ctx.tangle.get(ids[slot]).payload, data);
+            scratch.put(m);
+            eval
+        })
+        .collect();
+    for (&slot, &(loss, acc)) in misses.iter().zip(&computed) {
+        let id = ids[slot];
+        cache.insert(tx_key(id, data_tag), sig(id), loss, acc, &ctx.telemetry);
+        evals[slot] = (loss, acc);
+    }
+    evals
+}
+
 #[allow(clippy::too_many_arguments)]
 fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     node: &Node,
@@ -385,33 +403,30 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     scratch: &ScratchPool<'_>,
     cfg: &SimConfig,
     rng: &mut impl RngExt,
-    mut cache: Option<&mut EvalCache>,
+    cache: &mut EvalCache,
 ) -> StepOutcome {
     let hyper = &cfg.hyper;
     let mut model = scratch.take();
 
     // Reference loss, memoized on (ranked reference id set, history
     // signature up to the newest reference transaction).
-    let reference_loss = match cache.as_deref_mut() {
-        Some(c) => {
-            let max_id = ctx
-                .reference_ids
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or_else(|| ctx.tangle.genesis());
-            let sig = ctx.tangle.history_sig(max_id.index() + 1);
-            let key = reference_key(&ctx.reference_ids, data_tag);
-            match c.get(key, sig, &ctx.telemetry) {
-                Some((loss, _)) => loss,
-                None => {
-                    let (loss, acc) = eval_params(&mut model, &ctx.reference, data);
-                    c.insert(key, sig, loss, acc, &ctx.telemetry);
-                    loss
-                }
+    let reference_loss = {
+        let max_id = ctx
+            .reference_ids
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or_else(|| ctx.tangle.genesis());
+        let sig = ctx.tangle.history_sig(max_id.index() + 1);
+        let key = reference_key(&ctx.reference_ids, data_tag);
+        match cache.get(key, sig, &ctx.telemetry) {
+            Some((loss, _)) => loss,
+            None => {
+                let (loss, acc) = eval_params(&mut model, &ctx.reference, data);
+                cache.insert(key, sig, loss, acc, &ctx.telemetry);
+                loss
             }
         }
-        None => validation_loss(&mut model, &ctx.reference, data),
     };
 
     // Tip selection: `sample_size` walks; with validation on, keep the
@@ -419,57 +434,15 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     // With `accuracy_bias` enabled (§VI outlook) the walk is additionally
     // biased by each model's accuracy on this node's local data.
     let bias: Option<Vec<f64>> = (hyper.accuracy_bias > 0.0).then(|| {
-        match cache.as_deref_mut() {
-            None => ctx
-                .tangle
-                .transactions()
-                .iter()
-                .map(|tx| {
-                    tx.payload.assign_to(&mut model);
-                    let (_, acc) = model.evaluate(&data.test_x, &data.test_y);
-                    hyper.accuracy_bias * acc as f64
-                })
-                .collect(),
-            Some(c) => {
-                // Probe every transaction; evaluate only the misses, in
-                // parallel over pooled scratch models (evaluation draws no
-                // randomness, so the split cannot perturb the run).
-                let n = ctx.tangle.len();
-                let mut accs = vec![0.0f64; n];
-                let mut misses: Vec<TxId> = Vec::new();
-                for i in 0..n as u32 {
-                    let id = TxId(i);
-                    let sig = ctx.tangle.history_sig(i as usize + 1);
-                    match c.get(tx_key(id, data_tag), sig, &ctx.telemetry) {
-                        Some((_, acc)) => accs[i as usize] = acc as f64,
-                        None => misses.push(id),
-                    }
-                }
-                let evals: Vec<(TxId, f32, f32)> = misses
-                    .par_iter()
-                    .map(|&id| {
-                        let mut m = scratch.take();
-                        let (loss, acc) = eval_params(&mut m, &ctx.tangle.get(id).payload, data);
-                        scratch.put(m);
-                        (id, loss, acc)
-                    })
-                    .collect();
-                for &(id, loss, acc) in &evals {
-                    let sig = ctx.tangle.history_sig(id.index() + 1);
-                    c.insert(tx_key(id, data_tag), sig, loss, acc, &ctx.telemetry);
-                    accs[id.index()] = acc as f64;
-                }
-                accs.into_iter().map(|a| hyper.accuracy_bias * a).collect()
-            }
-        }
+        let all: Vec<TxId> = (0..ctx.tangle.len() as u32).map(TxId).collect();
+        eval_transactions(&all, data, data_tag, ctx, scratch, cache)
+            .into_iter()
+            .map(|(_, acc)| hyper.accuracy_bias * acc as f64)
+            .collect()
     });
     let samples: Vec<TxId> =
         match &bias {
-            None => ctx.sample_tips(
-                hyper.sample_size.max(hyper.num_tips),
-                rng,
-                hyper.parallel_walks,
-            ),
+            None => ctx.sample_tips(hyper.sample_size.max(hyper.num_tips), rng),
             // The biased walk is a small-network research mode; its per-walk
             // weight table makes batching pointless, so it stays serial.
             Some(b) => (0..hyper.sample_size.max(hyper.num_tips))
@@ -483,48 +456,14 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
         let mut distinct = samples.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        let mut scored: Vec<(f32, TxId)> = match cache {
-            None => distinct
+        // Scored in `distinct` order, so the stable sort breaks loss ties
+        // towards the lower transaction id.
+        let mut scored: Vec<(f32, TxId)> =
+            eval_transactions(&distinct, data, data_tag, ctx, scratch, cache)
                 .into_iter()
-                .map(|tip| {
-                    let loss = validation_loss(&mut model, &ctx.tangle.get(tip).payload, data);
-                    (loss, tip)
-                })
-                .collect(),
-            Some(c) => {
-                // Probe first, evaluate the unique misses in parallel, and
-                // reassemble in `distinct` order so the stable sort below
-                // breaks loss ties exactly as the uncached path does.
-                let mut losses: Vec<Option<f32>> = vec![None; distinct.len()];
-                let mut misses: Vec<(usize, TxId)> = Vec::new();
-                for (slot, &tip) in distinct.iter().enumerate() {
-                    let sig = ctx.tangle.history_sig(tip.index() + 1);
-                    match c.get(tx_key(tip, data_tag), sig, &ctx.telemetry) {
-                        Some((loss, _)) => losses[slot] = Some(loss),
-                        None => misses.push((slot, tip)),
-                    }
-                }
-                let evals: Vec<(usize, TxId, f32, f32)> = misses
-                    .par_iter()
-                    .map(|&(slot, tip)| {
-                        let mut m = scratch.take();
-                        let (loss, acc) = eval_params(&mut m, &ctx.tangle.get(tip).payload, data);
-                        scratch.put(m);
-                        (slot, tip, loss, acc)
-                    })
-                    .collect();
-                for &(slot, tip, loss, acc) in &evals {
-                    let sig = ctx.tangle.history_sig(tip.index() + 1);
-                    c.insert(tx_key(tip, data_tag), sig, loss, acc, &ctx.telemetry);
-                    losses[slot] = Some(loss);
-                }
-                distinct
-                    .into_iter()
-                    .zip(losses)
-                    .map(|(tip, loss)| (loss.expect("every candidate scored"), tip))
-                    .collect()
-            }
-        };
+                .zip(distinct)
+                .map(|((loss, _), tip)| (loss, tip))
+                .collect();
         scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite losses"));
         scored
             .into_iter()
@@ -555,7 +494,7 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
                 lr: cfg.lr,
                 batch_size: cfg.batch_size,
                 chunks: cfg.train_chunks,
-                parallel: cfg.train_parallel,
+                parallel: true,
             },
             rng,
         );
@@ -589,8 +528,7 @@ fn random_poison_step<T: TangleRead<Payload = ModelParams> + Sync>(
     let normal = Normal::new(0.0f32, 1.0).expect("valid normal");
     let dim = ctx.reference.len();
     let params = ParamVec((0..dim).map(|_| normal.sample(rng)).collect());
-    let parents: Vec<TxId> =
-        ctx.sample_tips(cfg.hyper.num_tips.max(1), rng, cfg.hyper.parallel_walks);
+    let parents: Vec<TxId> = ctx.sample_tips(cfg.hyper.num_tips.max(1), rng);
     StepOutcome {
         publish: Some(Publish {
             node: node.id,
@@ -605,11 +543,24 @@ fn random_poison_step<T: TangleRead<Payload = ModelParams> + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval_cache::DEFAULT_EVAL_CACHE_CAPACITY;
     use feddata::blobs::{self, BlobsConfig};
-    use tinynn::rng::seeded;
+    use lt_telemetry::Telemetry;
 
     fn build() -> Sequential {
         tinynn::zoo::mlp(8, &[12], 4, &mut seeded(7))
+    }
+
+    /// One node step on a cold cache and a fresh scratch pool.
+    fn step<T: TangleRead<Payload = ModelParams> + Sync>(
+        node: &Node,
+        ctx: &RoundContext<'_, T>,
+        cfg: &SimConfig,
+        rng: &mut impl RngExt,
+    ) -> StepOutcome {
+        let scratch = ScratchPool::new(Box::new(build));
+        let mut cache = EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY);
+        node_step(node, ctx, &scratch, cfg, rng, &mut cache)
     }
 
     fn dataset() -> feddata::FederatedDataset {
@@ -644,7 +595,7 @@ mod tests {
     fn round_context_reference_is_genesis_initially() {
         let tangle = genesis_tangle();
         let cfg = SimConfig::default();
-        let ctx = RoundContext::build(&tangle, &cfg, 1, 1);
+        let ctx = RoundContext::build(&tangle, &cfg, 1, 1, Telemetry::disabled());
         assert_eq!(ctx.reference_ids, vec![tangle.genesis()]);
         assert_eq!(
             &ctx.reference,
@@ -663,10 +614,10 @@ mod tests {
             local_epochs: 3,
             ..SimConfig::default()
         };
-        let ctx = RoundContext::build(&tangle, &cfg, 1, 2);
+        let ctx = RoundContext::build(&tangle, &cfg, 1, 2, Telemetry::disabled());
         let node = Node::honest(0, ds.clients[0].clone());
         let mut rng = seeded(11);
-        let out = node_step(&node, &ctx, &build, &cfg, &mut rng);
+        let out = step(&node, &ctx, &cfg, &mut rng);
         let publish = out
             .publish
             .expect("training from random init should improve");
@@ -682,7 +633,7 @@ mod tests {
         let ds = dataset();
         let tangle = genesis_tangle();
         let cfg = SimConfig::default();
-        let ctx = RoundContext::build(&tangle, &cfg, 5, 3);
+        let ctx = RoundContext::build(&tangle, &cfg, 5, 3, Telemetry::disabled());
         let node = Node {
             id: 1,
             data: ds.clients[1].clone(),
@@ -690,7 +641,7 @@ mod tests {
             kind: NodeKind::RandomPoisoner { from_round: 0 },
         };
         let mut rng = seeded(12);
-        let out = node_step(&node, &ctx, &build, &cfg, &mut rng);
+        let out = step(&node, &ctx, &cfg, &mut rng);
         let p = out.publish.expect("poisoner always publishes");
         assert_eq!(p.params.len(), ctx.reference.len());
         assert!(out.new_loss.is_none());
@@ -730,10 +681,10 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let ctx = RoundContext::build(&tangle, &cfg, 1, 4);
+        let ctx = RoundContext::build(&tangle, &cfg, 1, 4, Telemetry::disabled());
         let node = Node::honest(3, ds.clients[3].clone());
         let mut rng = seeded(21);
-        let out = node_step(&node, &ctx, &build, &cfg, &mut rng);
+        let out = step(&node, &ctx, &cfg, &mut rng);
         // Selected parents must be ranked best-first: good before noise if
         // both sampled; the top choice must never be the noise tip.
         if let Some(p) = out.publish {
@@ -780,7 +731,7 @@ mod tests {
             local_epochs: 2,
             ..SimConfig::default()
         };
-        let ctx = RoundContext::build(&tangle, &cfg, 1, 6);
+        let ctx = RoundContext::build(&tangle, &cfg, 1, 6, Telemetry::disabled());
         let node = Node::honest(4, ds.clients[4].clone());
         // Which tip is better *on this node's local data*? The biased walk
         // should favour that one (this is the point of the §VI bias: local
@@ -796,7 +747,7 @@ mod tests {
         let mut total = 0;
         for s in 0..10 {
             let mut rng = seeded(100 + s);
-            let out = node_step(&node, &ctx, &build, &cfg, &mut rng);
+            let out = step(&node, &ctx, &cfg, &mut rng);
             if let Some(p) = out.publish {
                 total += 1;
                 if p.parents[0] == winner {
@@ -810,5 +761,214 @@ mod tests {
             "biased walk should mostly pick the locally better tip \
              (good {acc_good:.2} vs noise {acc_noise:.2}): {winner_hits}/{total}"
         );
+    }
+
+    /// Evaluate `params` on a client's held-out data, returning the loss.
+    fn validation_loss(model: &mut Sequential, params: &ParamVec, data: &ClientData) -> f32 {
+        eval_params(model, params, data).0
+    }
+
+    /// Oracle for [`node_step`] on an honest node: Algorithm 2 as the paper
+    /// states it — one model, every evaluation and every walk in a serial
+    /// loop, serial gradient chunks, nothing memoized.
+    fn naive_step(
+        node: &Node,
+        ctx: &RoundContext<'_>,
+        cfg: &SimConfig,
+        rng: &mut impl RngExt,
+    ) -> StepOutcome {
+        let hyper = &cfg.hyper;
+        let data = &node.data;
+        let mut model = build();
+        let reference_loss = validation_loss(&mut model, &ctx.reference, data);
+        let bias: Option<Vec<f64>> = (hyper.accuracy_bias > 0.0).then(|| {
+            ctx.tangle
+                .transactions()
+                .iter()
+                .map(|tx| {
+                    tx.payload.assign_to(&mut model);
+                    let (_, acc) = model.evaluate(&data.test_x, &data.test_y);
+                    hyper.accuracy_bias * acc as f64
+                })
+                .collect()
+        });
+        let k = hyper.sample_size.max(hyper.num_tips);
+        let samples: Vec<TxId> = match &bias {
+            None => {
+                let base = rng.random::<u64>();
+                (0..k)
+                    .map(|i| ctx.sample_tip(&mut seeded(derive(base, i as u64))))
+                    .collect()
+            }
+            Some(b) => (0..k)
+                .map(|_| {
+                    tangle_ledger::walk::BiasedRandomWalk::new(hyper.alpha, b)
+                        .select_tip_with_weights(ctx.tangle, &ctx.analysis.cumulative_weight, rng)
+                })
+                .collect(),
+        };
+        let parents: Vec<TxId> = if hyper.tip_validation {
+            let mut distinct = samples.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let mut scored: Vec<(f32, TxId)> = distinct
+                .into_iter()
+                .map(|tip| {
+                    let loss = validation_loss(&mut model, &ctx.tangle.get(tip).payload, data);
+                    (loss, tip)
+                })
+                .collect();
+            scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite losses"));
+            scored
+                .into_iter()
+                .take(hyper.num_tips.max(1))
+                .map(|(_, t)| t)
+                .collect()
+        } else {
+            samples.into_iter().take(hyper.num_tips.max(1)).collect()
+        };
+        let payloads: Vec<&ParamVec> = parents
+            .iter()
+            .map(|id| ctx.tangle.get(*id).payload.as_ref())
+            .collect();
+        ParamVec::average(&payloads).assign_to(&mut model);
+        local_train_with(
+            &mut model,
+            data,
+            TrainOpts {
+                epochs: cfg.local_epochs,
+                lr: cfg.lr,
+                batch_size: cfg.batch_size,
+                chunks: cfg.train_chunks,
+                parallel: false,
+            },
+            rng,
+        );
+        let new_params = ParamVec::from_model(&model);
+        let (new_loss, _) = model.evaluate(&data.test_x, &data.test_y);
+        StepOutcome {
+            publish: (new_loss < reference_loss).then_some(Publish {
+                node: node.id,
+                params: new_params,
+                parents,
+            }),
+            new_loss: Some(new_loss),
+            reference_loss: Some(reference_loss),
+        }
+    }
+
+    /// Ten transactions of lightly trained models over a branching DAG
+    /// with five tips.
+    fn grown_tangle(ds: &feddata::FederatedDataset) -> Tangle<ModelParams> {
+        let mut tangle = genesis_tangle();
+        for i in 1..=9u32 {
+            let mut model = build();
+            let mut rng = seeded(40 + u64::from(i));
+            fedavg::local_train(&mut model, &ds.clients[i as usize % 6], 1, 0.1, 8, &mut rng);
+            let parents = vec![TxId(i / 2), TxId(i / 3)];
+            tangle
+                .add(Arc::new(ParamVec::from_model(&model)), parents)
+                .unwrap();
+        }
+        tangle
+    }
+
+    #[test]
+    fn sample_tips_match_a_serial_loop() {
+        // Each walk runs on its own derived RNG stream, so batching the
+        // walks through rayon cannot change what they select.
+        let tangle = grown_tangle(&dataset());
+        for window in [None, Some(2)] {
+            let mut cfg = SimConfig::default();
+            cfg.hyper.window = window;
+            let ctx = RoundContext::build(&tangle, &cfg, 1, 8, Telemetry::disabled());
+            let batch = ctx.sample_tips(24, &mut seeded(3));
+            let base = seeded(3).random::<u64>();
+            let serial: Vec<TxId> = (0..24)
+                .map(|i| ctx.sample_tip(&mut seeded(derive(base, i))))
+                .collect();
+            assert_eq!(batch, serial);
+        }
+    }
+
+    /// A step outcome down to the bit.
+    type OutcomeBits = (Option<(Vec<u32>, Vec<TxId>)>, Option<u32>, Option<u32>);
+
+    fn outcome_bits(out: &StepOutcome) -> OutcomeBits {
+        (
+            out.publish.as_ref().map(|p| {
+                let params = p.params.as_slice().iter().map(|v| v.to_bits()).collect();
+                (params, p.parents.clone())
+            }),
+            out.new_loss.map(f32::to_bits),
+            out.reference_loss.map(f32::to_bits),
+        )
+    }
+
+    #[test]
+    fn node_step_matches_the_naive_algorithm() {
+        // The production step — memoized, candidates and walks evaluated as
+        // rayon batches, pooled scratch models and gradient chunks — must
+        // agree to the bit with the serial uncached statement of
+        // Algorithm 2, on a cold cache and on a warm one.
+        let ds = dataset();
+        let tangle = grown_tangle(&ds);
+        let validated = crate::TangleHyperParams {
+            sample_size: 8,
+            tip_validation: true,
+            ..crate::TangleHyperParams::basic()
+        };
+        let variants = [
+            ("basic", crate::TangleHyperParams::basic(), 1),
+            ("validated", validated, 1),
+            (
+                "biased",
+                crate::TangleHyperParams {
+                    accuracy_bias: 0.5,
+                    ..validated
+                },
+                1,
+            ),
+            (
+                "windowed",
+                crate::TangleHyperParams {
+                    window: Some(2),
+                    ..validated
+                },
+                1,
+            ),
+            ("chunked", validated, 4),
+        ];
+        for (tag, hyper, train_chunks) in variants {
+            let cfg = SimConfig {
+                lr: 0.2,
+                batch_size: 8,
+                train_chunks,
+                hyper,
+                ..SimConfig::default()
+            };
+            let tel = Telemetry::new(lt_telemetry::NoopSink);
+            let ctx = RoundContext::build(&tangle, &cfg, 1, 5, tel.clone());
+            let scratch = ScratchPool::new(Box::new(build));
+            for ni in 0..3 {
+                let node = Node::honest(ni, ds.clients[ni].clone());
+                let naive = naive_step(&node, &ctx, &cfg, &mut seeded(60 + ni as u64));
+                let mut cache = EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY);
+                let hits_before = tel.counter_value("eval_cache.hits");
+                for pass in ["cold", "warm"] {
+                    let mut rng = seeded(60 + ni as u64);
+                    let out = node_step(&node, &ctx, &scratch, &cfg, &mut rng, &mut cache);
+                    assert_eq!(
+                        outcome_bits(&out),
+                        outcome_bits(&naive),
+                        "{tag}, node {ni}, {pass} cache"
+                    );
+                }
+                assert!(
+                    tel.counter_value("eval_cache.hits") > hits_before,
+                    "{tag}: the warm step must be served from the cache"
+                );
+            }
+        }
     }
 }

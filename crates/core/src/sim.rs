@@ -10,7 +10,7 @@
 use crate::config::SimConfig;
 use crate::dp::DpConfig;
 use crate::eval_cache::{EvalCache, ScratchPool, DEFAULT_EVAL_CACHE_CAPACITY};
-use crate::node::{node_step_pooled, ModelParams, Node, RoundContext, StepOutcome};
+use crate::node::{node_step, ModelParams, Node, RoundContext, StepOutcome};
 use feddata::{ClientData, FederatedDataset};
 use lt_telemetry::{Event, PhaseRecorder, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
 use parking_lot::Mutex;
@@ -100,16 +100,14 @@ pub struct Simulation<'a> {
     /// Publications dropped by the lossy network so far.
     lost_publications: u64,
     /// Incremental analysis cache for the shared round context of the
-    /// ideal network (`None` = recompute the batch DPs every round, and
-    /// always `None` under a `NetworkModel`, which analyses `prefixes`
-    /// instead). Produces bit-identical runs either way; only the cost
-    /// differs.
+    /// ideal network; `None` exactly under a `NetworkModel`, which
+    /// analyses `prefixes` instead. A pure optimization: the cached
+    /// weights, ratings and depths equal the batch DPs bit for bit.
     cache: Option<AnalysisCache>,
-    /// Per-node evaluation memoization (`None` = re-run every forward
-    /// pass). Like the analysis cache this is a pure optimization: entries
-    /// are keyed by the chained history signature, probes consume no
-    /// randomness, and runs are bit-identical with it on or off.
-    eval: Option<Vec<Mutex<EvalCache>>>,
+    /// Per-node evaluation memoization. Like the analysis cache this is a
+    /// pure optimization: entries are keyed by the chained history
+    /// signature and probes consume no randomness.
+    eval: Vec<Mutex<EvalCache>>,
     /// Observability handle; disabled (no-op) unless attached.
     telemetry: Telemetry,
 }
@@ -150,7 +148,7 @@ impl<'a> Simulation<'a> {
             .map(|(i, c)| Node::honest(i, c))
             .collect();
         Self {
-            eval: Some(fresh_eval_caches(nodes.len())),
+            eval: fresh_eval_caches(nodes.len()),
             nodes,
             cache: cfg.network.is_none().then(|| AnalysisCache::new(&tangle)),
             tangle,
@@ -190,27 +188,6 @@ impl<'a> Simulation<'a> {
     /// Enable differential-privacy noise on all published parameters.
     pub fn with_dp(mut self, dp: DpConfig) -> Self {
         self.dp = Some(dp);
-        self
-    }
-
-    /// Enable or disable the incremental analysis cache (on by default on
-    /// the ideal network; a `NetworkModel` run analyses stale prefixes and
-    /// never has one). Runs are bit-identical either way — the
-    /// differential property tests pin cached weights/ratings/depths to
-    /// the from-scratch DPs — so the only reason to disable it is to
-    /// measure or test the fresh path.
-    pub fn with_analysis_cache(mut self, enabled: bool) -> Self {
-        self.cache =
-            (enabled && self.cfg.network.is_none()).then(|| AnalysisCache::new(&self.tangle));
-        self
-    }
-
-    /// Enable or disable per-node evaluation memoization (on by default).
-    /// Runs are bit-identical either way — evaluations are pure in the
-    /// parameters and data, and probes consume no randomness — so the only
-    /// reason to disable it is to measure or test the uncached path.
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        self.eval = enabled.then(|| fresh_eval_caches(self.nodes.len()));
         self
     }
 
@@ -331,35 +308,24 @@ impl<'a> Simulation<'a> {
             None => {
                 // Split the borrows so the cache can be refreshed while the
                 // context keeps a shared reference to the tangle.
-                let (tangle, cache) = (&self.tangle, &mut self.cache);
+                let tangle = &self.tangle;
+                let cache = self
+                    .cache
+                    .as_mut()
+                    .expect("an ideal-network simulation holds an analysis cache");
                 let ctx_seed = derive(self.cfg.seed, round ^ 0xC0FF_EE00);
-                let ctx = phases.measure("analysis", || match cache {
-                    Some(cache) => RoundContext::build_with_cache(
+                let ctx = phases.measure("analysis", || {
+                    RoundContext::build_with_cache(
                         tangle,
                         cache,
                         &self.cfg,
                         round,
                         ctx_seed,
                         tel.clone(),
-                    ),
-                    None => RoundContext::build_observed(
-                        tangle,
-                        &self.cfg,
-                        round,
-                        ctx_seed,
-                        tel.clone(),
-                    ),
+                    )
                 });
                 if tel.enabled() {
-                    reference_entries = ctx
-                        .reference_ids
-                        .iter()
-                        .map(|id| ReferenceEntry {
-                            tx: id.index() as u32,
-                            confidence: ctx.confidence[id.index()],
-                            rating: ctx.analysis.rating[id.index()],
-                        })
-                        .collect();
+                    reference_entries = ctx.reference_entries();
                 }
                 phases.measure("step", || {
                     idx.par_iter()
@@ -428,14 +394,13 @@ impl<'a> Simulation<'a> {
         ctx: &RoundContext<'_, T>,
         node_rng: &mut impl RngExt,
     ) -> (usize, StepOutcome) {
-        let mut guard = self.eval.as_ref().map(|caches| caches[ni].lock());
-        let out = node_step_pooled(
+        let out = node_step(
             &self.nodes[ni],
             ctx,
             &self.scratch,
             &self.cfg,
             node_rng,
-            guard.as_deref_mut(),
+            &mut self.eval[ni].lock(),
         );
         (ni, out)
     }
@@ -542,10 +507,10 @@ impl<'a> Simulation<'a> {
 
     /// Algorithm 1 over the whole current ledger, as the next round's
     /// shared context would run it — unobserved, so telemetry counts
-    /// training work only. With an analysis cache the weights and ratings
-    /// come from a caught-up copy of it (the cache itself lags the ledger
-    /// by the last round's publications until the next round refreshes
-    /// it) instead of from the `O(V²/64)` bitset DPs.
+    /// training work only. On the ideal network the weights and ratings
+    /// come from a caught-up copy of the analysis cache (the cache itself
+    /// lags the ledger by the last round's publications until the next
+    /// round refreshes it) instead of from the `O(V²/64)` bitset DPs.
     fn consensus(&self) -> RoundContext<'_> {
         let round = self.round + 1;
         let seed = derive(self.cfg.seed, round ^ 0xC0FF_EE00);
@@ -558,7 +523,9 @@ impl<'a> Simulation<'a> {
                 seed,
                 Telemetry::disabled(),
             ),
-            None => RoundContext::build(&self.tangle, &self.cfg, round, seed),
+            None => {
+                RoundContext::build(&self.tangle, &self.cfg, round, seed, Telemetry::disabled())
+            }
         }
     }
 
@@ -728,17 +695,14 @@ mod tests {
         SimConfig {
             nodes_per_round: 5,
             lr: 0.15,
-            local_epochs: 1,
             batch_size: 8,
-            train_chunks: 1,
-            train_parallel: true,
             eval_fraction: 0.5,
             seed: 3,
             hyper: TangleHyperParams {
                 confidence_samples: 8,
                 ..TangleHyperParams::basic()
             },
-            network: None,
+            ..SimConfig::default()
         }
     }
 
@@ -786,16 +750,20 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let run = |seed: u64| {
+        // `train_chunks = 4` sends local training through the chunked,
+        // pooled gradient path.
+        let run = |seed: u64, train_chunks: usize| {
             let mut cfg = quick_cfg();
             cfg.seed = seed;
+            cfg.train_chunks = train_chunks;
             let mut sim = Simulation::new(dataset(8), cfg, build);
             for _ in 0..5 {
                 sim.round();
             }
             (sim.tangle().len(), sim.evaluate(0).accuracy)
         };
-        assert_eq!(run(9), run(9));
+        assert_eq!(run(9, 1), run(9, 1));
+        assert_eq!(run(9, 4), run(9, 4));
     }
 
     /// Full fingerprint of a short observed run: per-round stats, the
@@ -829,134 +797,160 @@ mod tests {
         (stats, structure(sim), accuracy, bytes)
     }
 
-    fn fingerprint(cfg: SimConfig, cache: bool, path: &std::path::Path) -> RunFingerprint {
+    /// Oracle for the ideal-network round: the shared context comes from
+    /// the full DPs over the ledger ([`RoundContext::build`]), never from
+    /// the [`AnalysisCache`]. Only node sampling, the step on an
+    /// already-built context, and the publish barrier are shared with
+    /// [`Simulation::round`].
+    fn fresh_round(sim: &mut Simulation<'_>) -> RoundStats {
+        sim.round += 1;
+        let round = sim.round;
+        let idx = sim.sample_nodes(round);
+        let tel = sim.telemetry.clone();
+        let mut phases = tel.phases();
+        let ctx = phases.measure("analysis", || {
+            RoundContext::build(
+                &sim.tangle,
+                &sim.cfg,
+                round,
+                derive(sim.cfg.seed, round ^ 0xC0FF_EE00),
+                tel.clone(),
+            )
+        });
+        let reference_entries = ctx.reference_entries();
+        let outcomes = phases.measure("step", || {
+            idx.par_iter()
+                .map(|&ni| {
+                    let mut node_rng = seeded(derive(sim.cfg.seed, (round << 24) ^ ni as u64));
+                    sim.step_node(ni, &ctx, &mut node_rng)
+                })
+                .collect()
+        });
+        sim.publish_round(round, outcomes, reference_entries, &tel, phases)
+    }
+
+    /// Six observed rounds of the production path (analysis cache), or of
+    /// the [`fresh_round`] oracle.
+    fn fingerprint(cfg: SimConfig, oracle: bool, path: &std::path::Path) -> RunFingerprint {
         let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
-        let mut sim = Simulation::new(dataset(10), cfg, build)
-            .with_analysis_cache(cache)
-            .with_telemetry(Telemetry::new(sink));
-        let stats: Vec<RoundStats> = (0..6).map(|_| sim.round()).collect();
-        if cache {
+        let mut sim = Simulation::new(dataset(10), cfg, build).with_telemetry(Telemetry::new(sink));
+        let stats: Vec<RoundStats> = if oracle {
+            (0..6).map(|_| fresh_round(&mut sim)).collect()
+        } else {
+            (0..6).map(|_| sim.round()).collect()
+        };
+        let tel = sim.telemetry();
+        if oracle {
+            assert_eq!(tel.counter_value("tangle.cache_hits"), 0);
+            assert_eq!(tel.counter_value("tangle.cache_appends"), 0);
+        } else {
             assert_eq!(
-                sim.telemetry().counter_value("tangle.cache_hits"),
+                tel.counter_value("tangle.cache_hits"),
                 6,
                 "every round context must be served from the cache"
             );
-            assert_eq!(sim.telemetry().counter_value("tangle.cache_rebuilds"), 0);
+            assert_eq!(tel.counter_value("tangle.cache_rebuilds"), 0);
         }
         finish_fingerprint(&sim, stats, path)
     }
 
+    fn assert_same_run(a: &RunFingerprint, b: &RunFingerprint) {
+        assert_eq!(a.0, b.0, "RoundStats must match");
+        assert_eq!(a.1, b.1, "ledger structure must match");
+        assert_eq!(a.2.to_bits(), b.2.to_bits(), "accuracy must match");
+        assert!(!a.3.is_empty(), "telemetry must produce output");
+        assert_eq!(a.3, b.3, "telemetry JSONL must be byte-identical");
+    }
+
     #[test]
-    fn cache_on_and_off_are_bit_identical() {
-        // The cache must be a pure optimization: same seed with the cache
-        // enabled and disabled yields the same rounds, ledger, accuracy,
-        // and telemetry bytes — only `tangle.cache_*` metrics may differ
-        // (they never reach the JSONL event stream).
+    fn analysis_cache_matches_fresh_analysis() {
+        // The cache must be a pure optimization: the same seed run through
+        // the incremental cache and through the full DPs yields the same
+        // rounds, ledger, accuracy, and telemetry bytes — only
+        // `tangle.cache_*` metrics differ (they never reach the JSONL event
+        // stream).
         let dir = std::env::temp_dir();
-        let on = fingerprint(quick_cfg(), true, &dir.join("lt_cache_on.jsonl"));
-        let off = fingerprint(quick_cfg(), false, &dir.join("lt_cache_off.jsonl"));
-        assert_eq!(on.0, off.0, "RoundStats must match");
-        assert_eq!(on.1, off.1, "ledger structure must match");
-        assert_eq!(on.2, off.2, "accuracy must match");
-        assert!(!on.3.is_empty(), "telemetry must produce output");
-        assert_eq!(on.3, off.3, "telemetry JSONL must be byte-identical");
+        let cached = fingerprint(quick_cfg(), false, &dir.join("lt_cache_on.jsonl"));
+        let fresh = fingerprint(quick_cfg(), true, &dir.join("lt_cache_off.jsonl"));
+        assert_same_run(&cached, &fresh);
     }
 
-    /// Like [`fingerprint`], toggling the *eval* cache instead of the
-    /// analysis cache, and asserting the cached run actually memoizes.
-    fn fingerprint_eval(cfg: SimConfig, eval: bool, path: &std::path::Path) -> RunFingerprint {
+    /// Six observed rounds with the per-node eval caches left to warm up,
+    /// or (`cold`) emptied before every round so that nothing evaluated in
+    /// one round is served in a later one. Also returns the hits served.
+    fn fingerprint_eval(
+        cfg: SimConfig,
+        cold: bool,
+        path: &std::path::Path,
+    ) -> (RunFingerprint, u64) {
         let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
-        let mut sim = Simulation::new(dataset(10), cfg, build)
-            .with_eval_cache(eval)
-            .with_telemetry(Telemetry::new(sink));
-        let stats: Vec<RoundStats> = (0..6).map(|_| sim.round()).collect();
-        if eval {
-            assert!(
-                sim.telemetry().counter_value("eval_cache.hits") > 0,
-                "the memoized run must serve hits"
-            );
-        } else {
-            assert_eq!(sim.telemetry().counter_value("eval_cache.hits"), 0);
-            assert_eq!(sim.telemetry().counter_value("eval_cache.misses"), 0);
-        }
-        finish_fingerprint(&sim, stats, path)
+        let mut sim = Simulation::new(dataset(10), cfg, build).with_telemetry(Telemetry::new(sink));
+        let stats: Vec<RoundStats> = (0..6)
+            .map(|_| {
+                if cold {
+                    for cache in &sim.eval {
+                        cache.lock().invalidate_all(&Telemetry::disabled());
+                    }
+                }
+                sim.round()
+            })
+            .collect();
+        let hits = sim.telemetry().counter_value("eval_cache.hits");
+        (finish_fingerprint(&sim, stats, path), hits)
+    }
+
+    /// A warm and a cold run of `cfg` must be the same run, and the warm
+    /// one must actually have reused evaluations across rounds.
+    fn assert_eval_cache_is_invisible(cfg: SimConfig, tag: &str) {
+        let dir = std::env::temp_dir();
+        let (warm, warm_hits) = fingerprint_eval(
+            cfg.clone(),
+            false,
+            &dir.join(format!("lt_eval_warm_{tag}.jsonl")),
+        );
+        let (cold, cold_hits) =
+            fingerprint_eval(cfg, true, &dir.join(format!("lt_eval_cold_{tag}.jsonl")));
+        assert_same_run(&warm, &cold);
+        assert!(
+            warm_hits > cold_hits,
+            "the warm run must serve hits across rounds ({warm_hits} vs {cold_hits})"
+        );
     }
 
     #[test]
-    fn eval_cache_on_and_off_are_bit_identical() {
+    fn eval_cache_warm_and_cold_are_bit_identical() {
         // Memoized evaluation must be a pure optimization: evaluations are
         // pure in (params, data) and probes consume no randomness, so the
         // same seed yields the same rounds, ledger, accuracy, and telemetry
-        // bytes — only `eval_cache.*` metrics may differ (they never reach
-        // the JSONL event stream).
+        // bytes whether or not a node finds its earlier evaluations — only
+        // `eval_cache.*` metrics differ (they never reach the JSONL event
+        // stream).
         let mut cfg = quick_cfg();
         cfg.hyper.tip_validation = true;
         cfg.hyper.sample_size = 6;
-        let dir = std::env::temp_dir();
-        let on = fingerprint_eval(cfg.clone(), true, &dir.join("lt_eval_on.jsonl"));
-        let off = fingerprint_eval(cfg, false, &dir.join("lt_eval_off.jsonl"));
-        assert_eq!(on.0, off.0, "RoundStats must match");
-        assert_eq!(on.1, off.1, "ledger structure must match");
-        assert_eq!(on.2.to_bits(), off.2.to_bits(), "accuracy must match");
-        assert!(!on.3.is_empty(), "telemetry must produce output");
-        assert_eq!(on.3, off.3, "telemetry JSONL must be byte-identical");
+        assert_eval_cache_is_invisible(cfg, "v");
     }
 
     #[test]
-    fn eval_cache_on_and_off_are_bit_identical_accuracy_bias() {
+    fn eval_cache_warm_and_cold_are_bit_identical_accuracy_bias() {
         // The accuracy-bias path evaluates every transaction per step —
         // the heaviest cached surface.
         let mut cfg = quick_cfg();
         cfg.hyper.tip_validation = true;
         cfg.hyper.accuracy_bias = 0.5;
-        let dir = std::env::temp_dir();
-        let on = fingerprint_eval(cfg.clone(), true, &dir.join("lt_eval_on_b.jsonl"));
-        let off = fingerprint_eval(cfg, false, &dir.join("lt_eval_off_b.jsonl"));
-        assert_eq!(on.0, off.0);
-        assert_eq!(on.1, off.1);
-        assert_eq!(on.2.to_bits(), off.2.to_bits());
-        assert_eq!(on.3, off.3);
+        assert_eval_cache_is_invisible(cfg, "b");
     }
 
     #[test]
-    fn parallel_training_on_and_off_are_bit_identical() {
-        // `train_parallel` selects the execution strategy for gradient
-        // chunks, nothing else: the fixed-order tree reduction makes the
-        // pooled run land on the same rounds, ledger, accuracy, and
-        // telemetry bytes as the serial one.
-        let mut cfg = quick_cfg();
-        cfg.train_chunks = 4;
-        let dir = std::env::temp_dir();
-        cfg.train_parallel = true;
-        let on = fingerprint(cfg.clone(), false, &dir.join("lt_par_on.jsonl"));
-        cfg.train_parallel = false;
-        let off = fingerprint(cfg, false, &dir.join("lt_par_off.jsonl"));
-        assert_eq!(on.0, off.0, "RoundStats must match");
-        assert_eq!(on.1, off.1, "ledger structure must match");
-        assert_eq!(on.2.to_bits(), off.2.to_bits(), "accuracy must match");
-        assert!(!on.3.is_empty(), "telemetry must produce output");
-        assert_eq!(on.3, off.3, "telemetry JSONL must be byte-identical");
-    }
-
-    #[test]
-    fn eval_cache_on_and_off_are_bit_identical_delayed_network() {
+    fn eval_cache_warm_and_cold_are_bit_identical_delayed_network() {
         // Delayed-network mode runs nodes on zero-copy `TangleView`
         // prefixes; the view shares the base signature chain, so entries
         // written under a stale view serve under fresher ones — without
         // ever changing results.
         let mut cfg = quick_cfg();
         cfg.hyper.tip_validation = true;
-        cfg.network = Some(crate::config::NetworkModel {
-            max_delay_rounds: 3,
-            publish_loss: 0.0,
-        });
-        let dir = std::env::temp_dir();
-        let on = fingerprint_eval(cfg.clone(), true, &dir.join("lt_eval_on_d.jsonl"));
-        let off = fingerprint_eval(cfg, false, &dir.join("lt_eval_off_d.jsonl"));
-        assert_eq!(on.0, off.0, "RoundStats must match under delay");
-        assert_eq!(on.1, off.1, "ledger structure must match under delay");
-        assert_eq!(on.2.to_bits(), off.2.to_bits());
-        assert_eq!(on.3, off.3, "telemetry JSONL must be byte-identical");
+        cfg.network = Some(delayed(3));
+        assert_eval_cache_is_invisible(cfg, "d");
     }
 
     fn delayed(max_delay_rounds: u64) -> crate::config::NetworkModel {
@@ -986,7 +980,7 @@ mod tests {
                     let delay = node_rng.random_range(0..=net.max_delay_rounds);
                     let view_round = (round - 1).saturating_sub(delay) as usize;
                     let stale = sim.tangle.prefix(round_end_len[view_round]);
-                    let ctx = RoundContext::build_observed(
+                    let ctx = RoundContext::build(
                         &stale,
                         &sim.cfg,
                         round,
@@ -1157,69 +1151,51 @@ mod tests {
     #[test]
     fn evaluate_from_the_cache_matches_the_batch_analysis() {
         // `evaluate` serves weights and ratings from a caught-up copy of
-        // the analysis cache; it must agree bit-for-bit with the batch DPs
-        // (cache off), leave the cache itself alone, and stay unobserved.
+        // the analysis cache; it must agree bit-for-bit with Algorithm 1
+        // over the batch DPs, leave the cache itself alone, and stay
+        // unobserved.
         let mut cfg = quick_cfg();
         cfg.hyper.window = Some(3);
         cfg.hyper.reference_avg = 3;
-        let run = |cache: bool| {
-            let tel = Telemetry::with_timings(lt_telemetry::NoopSink, true);
-            let mut sim = Simulation::new(dataset(10), cfg.clone(), build)
-                .with_analysis_cache(cache)
-                .with_telemetry(tel);
-            let mut out = Vec::new();
-            for _ in 0..5 {
-                sim.round();
-                let before = sim.telemetry().metrics_snapshot();
-                let cached_len = sim.cache.as_ref().map(AnalysisCache::len);
-                let eval = sim.evaluate(0);
-                assert_eq!(sim.cache.as_ref().map(AnalysisCache::len), cached_len);
-                assert_eq!(sim.telemetry().metrics_snapshot(), before);
-                let params: Vec<u32> = sim
-                    .consensus_params()
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                out.push((eval.accuracy.to_bits(), eval.loss.to_bits(), params));
-            }
-            out
-        };
-        assert_eq!(run(true), run(false));
+        let tel = Telemetry::with_timings(lt_telemetry::NoopSink, true);
+        let mut sim = Simulation::new(dataset(10), cfg.clone(), build).with_telemetry(tel);
+        for _ in 0..5 {
+            sim.round();
+            let before = sim.telemetry().metrics_snapshot();
+            let cached_len = sim.cache.as_ref().map(AnalysisCache::len);
+            let eval = sim.evaluate(0);
+            let params = sim.consensus_params();
+            assert_eq!(sim.cache.as_ref().map(AnalysisCache::len), cached_len);
+            assert_eq!(sim.telemetry().metrics_snapshot(), before);
+            let round = sim.round + 1;
+            let batch = RoundContext::build(
+                sim.tangle(),
+                &cfg,
+                round,
+                derive(cfg.seed, round ^ 0xC0FF_EE00),
+                Telemetry::disabled(),
+            );
+            let bits =
+                |p: &ParamVec| -> Vec<u32> { p.as_slice().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(&params), bits(&batch.reference));
+            let (loss, accuracy) =
+                fedavg::evaluate_params(&mut build(), &batch.reference, &sim.eval_pool(0));
+            assert_eq!(
+                (eval.loss.to_bits(), eval.accuracy.to_bits()),
+                (loss.to_bits(), accuracy.to_bits())
+            );
+        }
     }
 
     #[test]
-    fn cache_on_and_off_are_bit_identical_windowed() {
+    fn analysis_cache_matches_fresh_analysis_windowed() {
         // Windowed tip selection additionally consumes the cached depths.
         let mut cfg = quick_cfg();
         cfg.hyper.window = Some(3);
         let dir = std::env::temp_dir();
-        let on = fingerprint(cfg.clone(), true, &dir.join("lt_cache_on_w.jsonl"));
-        let off = fingerprint(cfg, false, &dir.join("lt_cache_off_w.jsonl"));
-        assert_eq!(on.0, off.0);
-        assert_eq!(on.1, off.1);
-        assert_eq!(on.2, off.2);
-        assert_eq!(on.3, off.3);
-    }
-
-    #[test]
-    fn parallel_and_serial_walks_are_bit_identical() {
-        // Each walk runs on its own derived RNG stream, so batching the
-        // walks through rayon cannot change what they select.
-        let mut cfg = quick_cfg();
-        cfg.hyper.sample_size = 6;
-        cfg.hyper.tip_validation = true;
-        let dir = std::env::temp_dir();
-        let mut par = cfg.clone();
-        par.hyper.parallel_walks = true;
-        let mut ser = cfg;
-        ser.hyper.parallel_walks = false;
-        let a = fingerprint(par, true, &dir.join("lt_walks_par.jsonl"));
-        let b = fingerprint(ser, true, &dir.join("lt_walks_ser.jsonl"));
-        assert_eq!(a.0, b.0, "RoundStats must match");
-        assert_eq!(a.1, b.1, "ledger structure must match");
-        assert_eq!(a.2, b.2, "accuracy must match");
-        assert_eq!(a.3, b.3, "telemetry JSONL must be byte-identical");
+        let cached = fingerprint(cfg.clone(), false, &dir.join("lt_cache_on_w.jsonl"));
+        let fresh = fingerprint(cfg, true, &dir.join("lt_cache_off_w.jsonl"));
+        assert_same_run(&cached, &fresh);
     }
 
     #[test]

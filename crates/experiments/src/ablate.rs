@@ -107,16 +107,12 @@ fn defense(opts: &Opts) {
     let mut logs = Vec::new();
     for (label, validation) in [("defense-on", true), ("defense-off", false)] {
         let hyper = TangleHyperParams {
-            num_tips: 2,
             sample_size: if validation { nodes } else { 2 },
             reference_avg: 5,
             confidence_samples: nodes,
             alpha: 0.5,
-            confidence_mode: learning_tangle::ConfidenceMode::WalkHit,
             tip_validation: validation,
-            window: None,
-            accuracy_bias: 0.0,
-            parallel_walks: true,
+            ..TangleHyperParams::basic()
         };
         let mut sim = Simulation::new(
             data.clone(),

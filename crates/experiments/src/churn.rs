@@ -51,8 +51,6 @@ pub fn run(opts: &Opts) {
         let cfg = SimConfig {
             lr: 0.15,
             batch_size: 8,
-            train_chunks: 1,
-            train_parallel: true,
             eval_fraction: 1.0,
             seed: opts.seed,
             hyper: TangleHyperParams {

@@ -302,14 +302,9 @@ pub fn sim_config(
 ) -> SimConfig {
     SimConfig {
         nodes_per_round,
-        local_epochs: 1,
         lr,
-        batch_size: 16,
-        train_chunks: 1,
-        train_parallel: true,
-        eval_fraction: 0.1,
         seed,
         hyper,
-        network: None,
+        ..SimConfig::default()
     }
 }

@@ -65,11 +65,8 @@ pub fn run(opts: &Opts) {
                     reference_avg: r,
                     confidence_samples: nodes,
                     alpha: 0.5,
-                    confidence_mode: learning_tangle::ConfidenceMode::WalkHit,
                     tip_validation: m > 1,
-                    window: None,
-                    accuracy_bias: 0.0,
-                    parallel_walks: true,
+                    ..TangleHyperParams::basic()
                 };
                 let label = format!("tips{n}-sample{}-ref{r}", n * m);
                 let (log, _) = run_tangle(

@@ -9,7 +9,7 @@
 use crate::message::TxMessage;
 use crate::network::{Network, NetworkConfig};
 use feddata::FederatedDataset;
-use learning_tangle::node::{node_step_pooled, ModelParams, Node, RoundContext, StepOutcome};
+use learning_tangle::node::{node_step, ModelParams, Node, RoundContext, StepOutcome};
 use learning_tangle::{
     eval_pool_indices, EvalCache, ScratchPool, SimConfig, DEFAULT_EVAL_CACHE_CAPACITY,
 };
@@ -35,7 +35,7 @@ pub fn train_step(
     slot: u64,
     scratch: &ScratchPool<'_>,
     cfg: &SimConfig,
-    eval: Option<&mut EvalCache>,
+    eval: &mut EvalCache,
     telemetry: &lt_telemetry::Telemetry,
 ) -> StepOutcome {
     let ctx = RoundContext::build_with_cache(
@@ -47,7 +47,7 @@ pub fn train_step(
         telemetry.clone(),
     );
     let mut node_rng = seeded(derive(cfg.seed, (slot << 24) ^ peer as u64));
-    node_step_pooled(node, &ctx, scratch, cfg, &mut node_rng, eval)
+    node_step(node, &ctx, scratch, cfg, &mut node_rng, eval)
 }
 
 /// Evaluate the consensus model held in `replica` exactly as
@@ -69,6 +69,7 @@ pub fn consensus_eval(
         cfg,
         slot + 1,
         derive(cfg.seed, (slot + 1) ^ 0xC0FF_EE00),
+        lt_telemetry::Telemetry::disabled(),
     );
     let pool = eval_pool_indices(cfg.seed, eval_seed, nodes.len(), cfg.eval_fraction);
     let clients: Vec<&feddata::ClientData> = pool.iter().map(|&i| &nodes[i].data).collect();
@@ -87,6 +88,9 @@ pub struct GossipLearning<'a> {
     /// Ticks the network advances per node activation.
     pub ticks_per_activation: u64,
     slot: u64,
+    /// The admission difficulty the network's peers enforce; every
+    /// publication is mined at it.
+    pow_difficulty: u32,
     published: u64,
     discarded: u64,
     rng: tinynn::rng::Rng,
@@ -95,13 +99,12 @@ pub struct GossipLearning<'a> {
     /// checkpoint-restore replaces the replica wholesale, which the cache
     /// detects and answers with a counted rebuild.
     caches: Vec<AnalysisCache>,
-    /// Per-peer evaluation memoization (`None` = re-run every forward
-    /// pass). Replica-local tx ids are only meaningful within one replica
-    /// incarnation, so a restart drops the peer's cache wholesale
-    /// (`eval_cache.invalidations`) — the history signature alone cannot
-    /// see a regrown replica that swapped payloads under unchanged
-    /// structure.
-    eval: Option<Vec<EvalCache>>,
+    /// Per-peer evaluation memoization. Replica-local tx ids are only
+    /// meaningful within one replica incarnation, so a restart drops the
+    /// peer's cache wholesale (`eval_cache.invalidations`) — the history
+    /// signature alone cannot see a regrown replica that swapped payloads
+    /// under unchanged structure.
+    eval: Vec<EvalCache>,
     /// Restart counts already reflected in `eval` (see
     /// [`Network::restart_count`]).
     restarts_seen: Vec<u64>,
@@ -121,6 +124,7 @@ impl<'a> GossipLearning<'a> {
         let genesis =
             TxMessage::create(&genesis_params, vec![], u64::MAX, 0, net_cfg.pow_difficulty);
         let n = data.num_clients();
+        let pow_difficulty = net_cfg.pow_difficulty;
         let network = Network::new(n, &genesis, net_cfg);
         let nodes = data
             .clients
@@ -135,34 +139,21 @@ impl<'a> GossipLearning<'a> {
         Self {
             network,
             caches,
-            eval: Some(
-                (0..n)
-                    .map(|_| EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY))
-                    .collect(),
-            ),
+            eval: (0..n)
+                .map(|_| EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY))
+                .collect(),
             restarts_seen: vec![0; n],
             nodes,
             scratch: ScratchPool::new(Box::new(build)),
             cfg,
             ticks_per_activation: 1,
             slot: 0,
+            pow_difficulty,
             published: 0,
             discarded: 0,
             rng,
             telemetry: lt_telemetry::Telemetry::disabled(),
         }
-    }
-
-    /// Enable or disable per-peer evaluation memoization (on by default).
-    /// Pure optimization: runs are bit-identical either way.
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        let n = self.nodes.len();
-        self.eval = enabled.then(|| {
-            (0..n)
-                .map(|_| EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY))
-                .collect()
-        });
-        self
     }
 
     /// Attach an observability handle to the learner *and* its network
@@ -216,9 +207,7 @@ impl<'a> GossipLearning<'a> {
         let restarts = self.network.restart_count(peer);
         if restarts != self.restarts_seen[peer] {
             self.restarts_seen[peer] = restarts;
-            if let Some(eval) = &mut self.eval {
-                eval[peer].invalidate_all(&self.telemetry);
-            }
+            self.eval[peer].invalidate_all(&self.telemetry);
         }
         let replica_len;
         let (publish, new_loss, reference_loss) = {
@@ -232,7 +221,7 @@ impl<'a> GossipLearning<'a> {
                 slot,
                 &self.scratch,
                 &self.cfg,
-                self.eval.as_mut().map(|caches| &mut caches[peer]),
+                &mut self.eval[peer],
                 &self.telemetry,
             );
             (out.publish, out.new_loss, out.reference_loss)
@@ -252,7 +241,7 @@ impl<'a> GossipLearning<'a> {
                     .collect();
                 let msg = {
                     let _span = self.telemetry.span("wire.encode_us");
-                    TxMessage::create(&p.params, parents, peer as u64, slot, self.network_pow())
+                    TxMessage::create(&p.params, parents, peer as u64, slot, self.pow_difficulty)
                 };
                 self.network.publish(peer, msg);
                 self.published += 1;
@@ -279,14 +268,6 @@ impl<'a> GossipLearning<'a> {
         });
         self.network.advance(self.ticks_per_activation);
         did_publish
-    }
-
-    fn network_pow(&self) -> u32 {
-        // Peers must publish at the admission difficulty they enforce.
-        // (The network config is not publicly readable; peers reject what
-        // they cannot verify, so use difficulty 0 consistently unless the
-        // network was built with PoW — reconstructed from peer behaviour.)
-        0
     }
 
     /// Activate `count` uniformly random peers.
@@ -323,6 +304,7 @@ impl<'a> GossipLearning<'a> {
             &self.cfg,
             self.slot + 1,
             derive(self.cfg.seed, 0xE7A1),
+            lt_telemetry::Telemetry::disabled(),
         );
         let mut model = self.scratch.take();
         let clients: Vec<&feddata::ClientData> = self.nodes.iter().map(|n| &n.data).collect();
@@ -359,8 +341,6 @@ mod tests {
         SimConfig {
             lr: 0.15,
             batch_size: 8,
-            train_chunks: 1,
-            train_parallel: true,
             seed: 31,
             hyper: TangleHyperParams {
                 confidence_samples: 6,
@@ -427,29 +407,29 @@ mod tests {
     }
 
     #[test]
-    fn eval_cache_on_and_off_are_bit_identical() {
+    fn eval_cache_warm_and_cold_are_bit_identical() {
         // The learner's per-peer memoization must be invisible: same
         // publish/discard counts, same replica structure, same consensus
-        // accuracy, byte-identical telemetry JSONL per seed.
-        let run = |eval: bool, path: &std::path::Path| {
+        // accuracy, byte-identical telemetry JSONL per seed — whether a
+        // peer finds its earlier evaluations or (`cold`) every cache is
+        // emptied before every activation.
+        let run = |cold: bool, path: &std::path::Path| {
             let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
             let tel = lt_telemetry::Telemetry::new(sink);
             let mut c = cfg();
             c.hyper.tip_validation = true;
             c.hyper.accuracy_bias = 0.5;
-            let mut gl = GossipLearning::new(data(6), c, NetworkConfig::default(), build)
-                .with_eval_cache(eval);
+            let mut gl = GossipLearning::new(data(6), c, NetworkConfig::default(), build);
             gl.set_telemetry(tel.clone());
-            gl.run(40);
-            gl.network_mut().run_to_quiescence();
-            if eval {
-                assert!(
-                    tel.counter_value("eval_cache.hits") > 0,
-                    "the memoized run must serve hits"
-                );
-            } else {
-                assert_eq!(tel.counter_value("eval_cache.hits"), 0);
+            for _ in 0..40 {
+                if cold {
+                    for cache in &mut gl.eval {
+                        cache.invalidate_all(&lt_telemetry::Telemetry::disabled());
+                    }
+                }
+                gl.run(1);
             }
+            gl.network_mut().run_to_quiescence();
             let structure: Vec<(u64, Vec<u32>)> = gl
                 .network()
                 .peer(0)
@@ -475,61 +455,50 @@ mod tests {
                 published,
                 discarded,
                 bytes,
+                tel.counter_value("eval_cache.hits"),
             )
         };
         let dir = std::env::temp_dir();
-        let on = run(true, &dir.join("lt_gossip_eval_on.jsonl"));
-        let off = run(false, &dir.join("lt_gossip_eval_off.jsonl"));
-        assert_eq!(on.0, off.0, "replica structure must match");
-        assert_eq!(on.1, off.1, "consensus loss must be bit-identical");
-        assert_eq!(on.2, off.2, "consensus accuracy must be bit-identical");
-        assert_eq!(on.3, off.3, "published count must match");
-        assert_eq!(on.4, off.4, "discarded count must match");
-        assert!(!on.5.is_empty());
-        assert_eq!(on.5, off.5, "telemetry JSONL must be byte-identical");
+        let warm = run(false, &dir.join("lt_gossip_eval_warm.jsonl"));
+        let cold = run(true, &dir.join("lt_gossip_eval_cold.jsonl"));
+        assert_eq!(warm.0, cold.0, "replica structure must match");
+        assert_eq!(warm.1, cold.1, "consensus loss must be bit-identical");
+        assert_eq!(warm.2, cold.2, "consensus accuracy must be bit-identical");
+        assert_eq!(warm.3, cold.3, "published count must match");
+        assert_eq!(warm.4, cold.4, "discarded count must match");
+        assert!(!warm.5.is_empty());
+        assert_eq!(warm.5, cold.5, "telemetry JSONL must be byte-identical");
+        assert!(
+            warm.6 > cold.6,
+            "the warm run must serve hits across activations"
+        );
     }
 
     #[test]
-    fn parallel_training_on_and_off_are_bit_identical() {
-        // Pooled gradient chunks must be invisible to gossip learning:
-        // the same replica structure, consensus metrics, and publish
-        // counts per seed whether chunks run on the worker pool or inline.
-        let run = |parallel: bool| {
-            let mut c = cfg();
-            c.train_chunks = 4;
-            c.train_parallel = parallel;
-            let mut gl = GossipLearning::new(data(6), c, NetworkConfig::default(), build);
-            gl.run(40);
-            gl.network_mut().run_to_quiescence();
-            let structure: Vec<(u64, Vec<u32>)> = gl
-                .network()
-                .peer(0)
-                .replica()
-                .transactions()
-                .iter()
-                .map(|tx| {
-                    (
-                        tx.issuer,
-                        tx.parents.iter().map(|p| p.index() as u32).collect(),
-                    )
-                })
-                .collect();
-            let (loss, acc) = gl.evaluate_peer(0);
-            (
-                structure,
-                loss.to_bits(),
-                acc.to_bits(),
-                gl.published(),
-                gl.discarded(),
-            )
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.0, off.0, "replica structure must match");
-        assert_eq!(on.1, off.1, "consensus loss must be bit-identical");
-        assert_eq!(on.2, off.2, "consensus accuracy must be bit-identical");
-        assert_eq!(on.3, off.3, "published count must match");
-        assert_eq!(on.4, off.4, "discarded count must match");
+    fn publications_are_mined_at_the_network_difficulty() {
+        // Peers reject what does not meet their admission difficulty, the
+        // publisher's own replica first: a learner that under-mines never
+        // grows a ledger.
+        let mut gl = GossipLearning::new(
+            data(6),
+            cfg(),
+            NetworkConfig {
+                pow_difficulty: 8,
+                ..NetworkConfig::default()
+            },
+            build,
+        );
+        gl.run(12);
+        gl.network_mut().run_to_quiescence();
+        assert!(gl.published() > 0);
+        assert_eq!(gl.network().stats.rejected, 0);
+        for peer in 0..6 {
+            assert!(
+                gl.network().peer(peer).replica().len() > 1,
+                "peer {peer} is still at the genesis"
+            );
+        }
+        assert!(gl.network().replicas_consistent());
     }
 
     #[test]

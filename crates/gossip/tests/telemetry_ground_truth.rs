@@ -29,8 +29,6 @@ fn cfg() -> SimConfig {
     SimConfig {
         lr: 0.15,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         seed: 31,
         hyper: TangleHyperParams {
             confidence_samples: 6,

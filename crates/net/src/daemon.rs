@@ -794,7 +794,7 @@ fn handle_control(
                     *slot,
                     &learner.scratch,
                     &learner.cfg,
-                    Some(&mut learner.eval),
+                    &mut learner.eval,
                     telemetry,
                 )
             };

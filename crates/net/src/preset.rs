@@ -52,10 +52,7 @@ impl Preset {
         SimConfig {
             nodes_per_round: 3,
             lr: 0.2,
-            local_epochs: 1,
             batch_size: 8,
-            train_chunks: 1,
-            train_parallel: true,
             eval_fraction: 0.5,
             seed: self.seed,
             hyper: TangleHyperParams {
@@ -63,7 +60,7 @@ impl Preset {
                 sample_size: 4,
                 ..TangleHyperParams::basic()
             },
-            network: None,
+            ..SimConfig::default()
         }
     }
 

@@ -100,157 +100,6 @@ pub fn decode(mut payload: &[u8]) -> Result<ParamVec, WireError> {
     Ok(ParamVec(values))
 }
 
-/// 8-bit linear quantization of a parameter payload: 4× smaller on the
-/// wire at a bounded precision cost.
-///
-/// The paper notes (§III-C) that shipping full parameters is costlier than
-/// shipping gradients because "compression is more effective on gradients";
-/// this gives full-parameter transactions a compressed representation:
-///
-/// ```text
-/// magic  b"LTQ1"    version u8 (1)    count u32 LE
-/// min    f32 LE     scale f32 LE      values u8 × count
-/// checksum u64 LE   (FNV-1a over the value bytes)
-/// ```
-pub mod quantized {
-    use super::{fnv1a, WireError};
-    use crate::params::ParamVec;
-    use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-    const MAGIC: &[u8; 4] = b"LTQ1";
-    const VERSION: u8 = 1;
-
-    /// Encode with 8-bit linear quantization over `[min, max]` of the
-    /// payload. The maximum absolute reconstruction error is
-    /// `(max − min) / 510` (half a quantization step).
-    pub fn encode(params: &ParamVec) -> Bytes {
-        let n = params.len();
-        let (min, max) = params
-            .as_slice()
-            .iter()
-            .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            });
-        let (min, scale) = if n == 0 || max <= min {
-            (if n == 0 { 0.0 } else { min }, 0.0)
-        } else {
-            (min, (max - min) / 255.0)
-        };
-        let mut buf = BytesMut::with_capacity(4 + 1 + 4 + 8 + n + 8);
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u32_le(n as u32);
-        buf.put_f32_le(min);
-        buf.put_f32_le(scale);
-        let start = buf.len();
-        for &v in params.as_slice() {
-            let q = if scale == 0.0 {
-                0u8
-            } else {
-                (((v - min) / scale).round().clamp(0.0, 255.0)) as u8
-            };
-            buf.put_u8(q);
-        }
-        let checksum = fnv1a(&buf[start..]);
-        buf.put_u64_le(checksum);
-        buf.freeze()
-    }
-
-    /// Decode a quantized payload back to (approximate) parameters.
-    pub fn decode(mut payload: &[u8]) -> Result<ParamVec, WireError> {
-        if payload.len() < 4 + 1 + 4 + 8 + 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut magic = [0u8; 4];
-        payload.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = payload.get_u8();
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let count = payload.get_u32_le() as usize;
-        let min = payload.get_f32_le();
-        let scale = payload.get_f32_le();
-        if payload.len() != count + 8 {
-            return Err(WireError::Truncated);
-        }
-        let expect = fnv1a(&payload[..count]);
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            let q = payload.get_u8();
-            values.push(min + q as f32 * scale);
-        }
-        if payload.get_u64_le() != expect {
-            return Err(WireError::BadChecksum);
-        }
-        Ok(ParamVec(values))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn roundtrip_error_bounded() {
-            let p = ParamVec((0..1000).map(|i| (i as f32 * 0.37).sin() * 2.0).collect());
-            let enc = encode(&p);
-            let dec = decode(&enc).unwrap();
-            let bound = 4.0 / 510.0 + 1e-5; // range is [-2, 2]
-            for (a, b) in p.as_slice().iter().zip(dec.as_slice()) {
-                assert!((a - b).abs() <= bound, "{a} vs {b}");
-            }
-        }
-
-        #[test]
-        fn four_times_smaller_than_full_precision() {
-            let p = ParamVec(vec![1.0; 10_000]);
-            let full = super::super::encode(&p).len();
-            let quant = encode(&p).len();
-            assert!(quant * 3 < full, "quantized {quant} vs full {full}");
-        }
-
-        #[test]
-        fn constant_payload_is_exact() {
-            let p = ParamVec(vec![3.25; 64]);
-            let dec = decode(&encode(&p)).unwrap();
-            assert_eq!(dec.as_slice(), p.as_slice());
-        }
-
-        #[test]
-        fn empty_roundtrip() {
-            let p = ParamVec(Vec::new());
-            assert_eq!(decode(&encode(&p)).unwrap(), p);
-        }
-
-        #[test]
-        fn corruption_detected() {
-            let p = ParamVec(vec![1.0, -1.0, 0.5]);
-            let mut enc = encode(&p).to_vec();
-            let idx = enc.len() - 10; // inside the value region
-            enc[idx] ^= 0xFF;
-            assert_eq!(decode(&enc), Err(WireError::BadChecksum));
-        }
-
-        #[test]
-        fn wrong_magic_rejected() {
-            let p = ParamVec(vec![1.0]);
-            let mut enc = encode(&p).to_vec();
-            enc[0] = b'X';
-            assert_eq!(decode(&enc), Err(WireError::BadMagic));
-        }
-
-        #[test]
-        fn extremes_map_to_end_points() {
-            let p = ParamVec(vec![-5.0, 5.0, 0.0]);
-            let dec = decode(&encode(&p)).unwrap();
-            assert_eq!(dec.as_slice()[0], -5.0);
-            assert_eq!(dec.as_slice()[1], 5.0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -216,19 +216,6 @@ proptest! {
         prop_assert_eq!(tinynn::wire::decode(&tinynn::wire::encode(&p)).unwrap(), p);
     }
 
-    /// Quantized codec: error bounded by half a step of the value range.
-    #[test]
-    fn quantized_error_bound(v in prop::collection::vec(-50f32..50.0, 1..300)) {
-        let p = ParamVec(v.clone());
-        let dec = tinynn::wire::quantized::decode(&tinynn::wire::quantized::encode(&p)).unwrap();
-        let lo = v.iter().cloned().fold(f32::INFINITY, f32::min);
-        let hi = v.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let bound = (hi - lo) / 510.0 + 1e-4;
-        for (a, b) in p.as_slice().iter().zip(dec.as_slice()) {
-            prop_assert!((a - b).abs() <= bound, "{a} vs {b} (bound {bound})");
-        }
-    }
-
     /// weighted_average with equal weights equals average.
     #[test]
     fn weighted_equals_plain_for_equal_weights(

@@ -10,7 +10,7 @@
 //! ```
 
 use tangle_learning::data::blobs::{self, BlobsConfig};
-use tangle_learning::learning::async_sim::run_async;
+use tangle_learning::learning::async_sim::{run_async, AsyncOptions};
 use tangle_learning::learning::node::Node;
 use tangle_learning::learning::{SimConfig, TangleHyperParams};
 use tangle_learning::nn::rng::seeded;
@@ -51,7 +51,14 @@ fn main() {
     println!(
         "running {workers} concurrent workers until the ledger holds {target} transactions..."
     );
-    let run = run_async(&nodes, &cfg, build, workers, target);
+    let run = run_async(
+        &nodes,
+        &cfg,
+        build,
+        workers,
+        target,
+        &AsyncOptions::default(),
+    );
 
     println!(
         "\nledger: {} transactions, {} tips, {} gate-rejected attempts",

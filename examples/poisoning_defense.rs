@@ -32,16 +32,12 @@ fn run(label: &str, defended: bool) {
     );
     let nodes = 10;
     let hyper = TangleHyperParams {
-        num_tips: 2,
         sample_size: if defended { nodes } else { 2 },
         tip_validation: defended,
-        window: None,
         reference_avg: 5,
         confidence_samples: nodes,
         alpha: 0.5,
-        confidence_mode: tangle_learning::learning::ConfidenceMode::WalkHit,
-        accuracy_bias: 0.0,
-        parallel_walks: true,
+        ..TangleHyperParams::basic()
     };
     let cfg = SimConfig {
         nodes_per_round: nodes,

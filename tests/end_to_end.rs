@@ -3,7 +3,7 @@
 
 use tangle_learning::baseline::{FedAvg, FedAvgConfig};
 use tangle_learning::data::blobs::{self, BlobsConfig};
-use tangle_learning::learning::async_sim::run_async;
+use tangle_learning::learning::async_sim::{run_async, AsyncOptions};
 use tangle_learning::learning::node::Node;
 use tangle_learning::learning::{SimConfig, Simulation, TangleHyperParams};
 use tangle_learning::nn::rng::seeded;
@@ -31,8 +31,6 @@ fn quick_cfg(nodes: usize, seed: u64) -> SimConfig {
         nodes_per_round: nodes,
         lr: 0.15,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.5,
         seed,
         hyper: TangleHyperParams {
@@ -117,7 +115,7 @@ fn async_ledger_supports_consensus_extraction() {
         .map(|(i, c)| Node::honest(i, c))
         .collect();
     let cfg = quick_cfg(5, 13);
-    let run = run_async(&nodes, &cfg, build, 2, 30);
+    let run = run_async(&nodes, &cfg, build, 2, 30, &AsyncOptions::default());
     assert!(run.tangle.len() >= 30);
 
     // Extract consensus by confidence × rating, as in the round-based path.
@@ -160,7 +158,14 @@ fn sync_and_async_agree_qualitatively() {
         .map(|(i, c)| Node::honest(i, c))
         .collect();
     let target = sim.tangle().len();
-    let run = run_async(&nodes, &quick_cfg(5, 17), build, 1, target);
+    let run = run_async(
+        &nodes,
+        &quick_cfg(5, 17),
+        build,
+        1,
+        target,
+        &AsyncOptions::default(),
+    );
     let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
     let walk = tangle_learning::ledger::walk::RandomWalk::new(0.5);
     let conf = analysis.walk_confidence(&run.tangle, &walk, 16, 2);

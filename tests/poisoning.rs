@@ -34,21 +34,15 @@ fn cfg(defended: bool, seed: u64) -> SimConfig {
         nodes_per_round: nodes,
         lr: 0.15,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.5,
         seed,
         hyper: TangleHyperParams {
-            num_tips: 2,
             sample_size: if defended { nodes } else { 2 },
             reference_avg: 5,
             confidence_samples: nodes,
             alpha: 0.5,
-            confidence_mode: learning_tangle::ConfidenceMode::WalkHit,
             tip_validation: defended,
-            window: None,
-            accuracy_bias: 0.0,
-            parallel_walks: true,
+            ..TangleHyperParams::basic()
         },
         ..SimConfig::default()
     }
@@ -174,8 +168,6 @@ fn backdoor_attack_installs_and_is_measured() {
         nodes_per_round: 5,
         lr: 0.15,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.5,
         seed: 21,
         hyper: TangleHyperParams {

@@ -29,17 +29,14 @@ fn cfg(seed: u64) -> SimConfig {
     SimConfig {
         nodes_per_round: 4,
         lr: 0.15,
-        local_epochs: 1,
         batch_size: 8,
-        train_chunks: 1,
-        train_parallel: true,
         eval_fraction: 0.5,
         seed,
         hyper: TangleHyperParams {
             confidence_samples: 8,
             ..TangleHyperParams::basic()
         },
-        network: None,
+        ..SimConfig::default()
     }
 }
 
