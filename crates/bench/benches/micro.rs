@@ -67,27 +67,34 @@ fn bench_analysis_cache(c: &mut Criterion) {
         assert_eq!(cache.weights(), fresh.cumulative_weight.as_slice());
         assert_eq!(cache.ratings(), fresh.rating.as_slice());
         assert_eq!(cache.depths().to_vec(), tangle_ledger::analysis::depths(&t));
-        // A cache synced one simulator round (10 publishers) ago: refresh
-        // must extend incrementally, never rebuild.
-        let lag = 10;
-        let stale = AnalysisCache::new(&t.prefix(n - lag));
-        {
-            let mut probe = stale.clone();
-            assert!(matches!(
-                probe.refresh(&t),
-                RefreshOutcome::Extended(k) if k == lag
-            ));
+        // Caches synced one small round (10 publishers), one `sim_ledger`
+        // round (47 appends, a single sweep chunk) and one gossip restart
+        // catch-up (130 appends, three chunks) ago: refresh must extend
+        // incrementally, never rebuild.
+        let stales = [10usize, 47, 130].map(|lag| (lag, AnalysisCache::new(&t.prefix(n - lag))));
+        for &(lag, ref stale) in &stales {
+            {
+                let mut probe = stale.clone();
+                assert!(matches!(
+                    probe.refresh(&t),
+                    RefreshOutcome::Extended(k) if k == lag
+                ));
+                assert_eq!(probe.weights(), cache.weights());
+                assert_eq!(probe.ratings(), cache.ratings());
+                assert_eq!(probe.depths(), cache.depths());
+            }
+            g.bench_function(format!("incremental_refresh_{lag}new_{n}tx"), |b| {
+                b.iter_batched(
+                    || stale.clone(),
+                    |mut c2| {
+                        c2.refresh(&t);
+                        black_box(c2.len())
+                    },
+                    BatchSize::SmallInput,
+                )
+            });
         }
-        g.bench_function(format!("incremental_refresh_{lag}new_{n}tx"), |b| {
-            b.iter_batched(
-                || stale.clone(),
-                |mut c2| {
-                    c2.refresh(&t);
-                    black_box(c2.len())
-                },
-                BatchSize::SmallInput,
-            )
-        });
+        let (_, stale) = &stales[0];
         g.bench_function(format!("full_rebuild_{n}tx"), |b| {
             b.iter(|| black_box(AnalysisCache::new(&t).len()))
         });

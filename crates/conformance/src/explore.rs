@@ -427,11 +427,14 @@ pub fn check_replica_caches(
         ));
     }
     real.refresh(replica);
-    let cached = real.analysis();
-    if cached.cumulative_weight != truth_w || cached.rating != truth_r {
+    if real.weights() != truth_w
+        || real.ratings() != truth_r
+        || real.depths() != analysis::depths(replica)
+        || real.tips() != replica.tips()
+    {
         return Err(Violation::new(
             "stale-analysis-cache",
-            format!("peer {peer}: AnalysisCache serves stale weights after refresh"),
+            format!("peer {peer}: AnalysisCache serves stale tables after refresh"),
         ));
     }
     Ok(())

@@ -64,70 +64,6 @@ pub fn ratings<T: TangleRead>(tangle: &T) -> Vec<u32> {
     out
 }
 
-/// Incrementally maintained cumulative weights.
-///
-/// The batch DP in [`cumulative_weights`] costs `O(V²/64)` per snapshot;
-/// rebuilding it every round makes long-lived networks quadratic overall.
-/// This tracker exploits the identity that appending transaction `t`
-/// increases the cumulative weight of *exactly* the members of `t`'s past
-/// cone by one (each gains one new distinct approver), which costs only
-/// `O(|past cone|)` per append.
-///
-/// Call [`IncrementalWeights::on_add`] after every `Tangle::add`; the
-/// weights are equal to [`cumulative_weights`] at all times (verified by
-/// property tests).
-///
-/// For the full set of derived quantities (weights, ratings, depths, and
-/// tips) maintained under the same identity — plus stale-cache detection
-/// instead of panics — see [`AnalysisCache`].
-pub struct IncrementalWeights {
-    weights: Vec<u32>,
-}
-
-impl IncrementalWeights {
-    /// Start tracking an existing tangle (runs the batch DP once).
-    pub fn new<T: TangleRead>(tangle: &T) -> Self {
-        Self {
-            weights: cumulative_weights(tangle),
-        }
-    }
-
-    /// Record the transaction just appended (must be the latest id).
-    ///
-    /// # Panics
-    /// Panics if `id` is not exactly the next transaction after the ones
-    /// already tracked.
-    pub fn on_add<T: TangleRead>(&mut self, tangle: &T, id: TxId) {
-        assert_eq!(
-            id.index(),
-            self.weights.len(),
-            "on_add must be called once per append, in order"
-        );
-        self.weights.push(1); // own weight
-        for ancestor in tangle.past_cone(id) {
-            self.weights[ancestor.index()] += 1;
-        }
-    }
-
-    /// Like [`Self::on_add`], also counting the append under the
-    /// `tangle.cache_appends` telemetry counter (no-op when the handle is
-    /// disabled).
-    pub fn on_add_observed<T: TangleRead>(
-        &mut self,
-        tangle: &T,
-        id: TxId,
-        telemetry: &lt_telemetry::Telemetry,
-    ) {
-        self.on_add(tangle, id);
-        telemetry.count("tangle.cache_appends", 1);
-    }
-
-    /// The current weights (aligned with transaction ids).
-    pub fn weights(&self) -> &[u32] {
-        &self.weights
-    }
-}
-
 /// Why an [`AnalysisCache`] refused to advance against a tangle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheError {
@@ -184,7 +120,7 @@ pub enum RefreshOutcome {
     /// incrementally (`.0` = transactions appended).
     Extended(usize),
     /// Validation failed (shorter or diverged history); the cache was
-    /// rebuilt from scratch with the batch DPs.
+    /// rebuilt from the genesis.
     Rebuilt,
 }
 
@@ -198,20 +134,27 @@ pub enum RefreshOutcome {
 ///   (weights `+1` over the cone, `t` itself starts at its own weight 1);
 /// * gives `t` a rating equal to its past-cone size and changes nobody
 ///   else's rating (past cones of existing transactions are immutable);
-/// * can only *deepen* ancestors: depth is relaxed upward from `t` (depth
-///   0) and the propagation stops as soon as it no longer increases;
+/// * can only *deepen* ancestors, and only along paths where the longest
+///   approval path actually grows;
 /// * removes `t`'s parents from the tip set and inserts `t`.
 ///
-/// One append therefore costs `O(|past cone|)` instead of the `O(V²/64)`
-/// batch DPs — the difference between quadratic and linear total work for
-/// a long-lived ledger (see the `analysis_cache` bench group).
+/// The tables advance in chunks of up to 64 appended transactions, one
+/// bit lane of a `u64` each: a single descending-id pass per chunk pushes
+/// "which chunk members have me in their past cone" masks and depth
+/// offers from children to parents (ids are topological, so every node
+/// is visited once, after all its chunk-side descendants). A chunk
+/// therefore costs `O(V + E)` whatever its size — not one `O(|past
+/// cone|)` walk per append, which in a steady-state tangle is `O(V)`
+/// each — and a build from scratch is the same sweep from the genesis
+/// row, with `O(V)` scratch instead of the batch DPs' `O(V²/64)` bitsets
+/// (see the `analysis_cache` bench group).
 ///
-/// Unlike [`IncrementalWeights`] the cache *validates* instead of
-/// trusting: [`AnalysisCache::on_add`] returns [`CacheError`] on skipped
-/// or out-of-order ids, and [`AnalysisCache::refresh`] checks the chained
-/// whole-history signature so a shorter or diverged tangle (checkpoint
-/// restore, repair regrowth in a different order) triggers a counted
-/// rebuild rather than silently stale values.
+/// The cache *validates* instead of trusting: [`AnalysisCache::on_add`]
+/// returns [`CacheError`] on skipped or out-of-order ids, and
+/// [`AnalysisCache::refresh`] checks the chained whole-history signature
+/// so a shorter or diverged tangle (checkpoint restore, repair regrowth
+/// in a different order) triggers a counted rebuild rather than silently
+/// stale values.
 #[derive(Clone)]
 pub struct AnalysisCache {
     weights: Vec<u32>,
@@ -225,29 +168,31 @@ pub struct AnalysisCache {
     /// order after an empty restart — slip through validation; the
     /// conformance harness's schedule exploration found exactly that.
     hist_sig: u64,
-    /// Stamped visited scratch for cone traversals (no per-append alloc).
-    visited: Vec<u32>,
-    stamp: u32,
-    /// Reusable DFS stacks.
-    cone_stack: Vec<TxId>,
-    depth_stack: Vec<(TxId, u32)>,
+    /// Sweep scratch, all zero between sweeps (no per-refresh alloc):
+    /// per node, the lanes of the current chunk that approve it …
+    mask: Vec<u64>,
+    /// … and the deepest `depth + 1` offered by its chunk-side children.
+    offer: Vec<u32>,
 }
 
+/// Appended transactions per sweep: one bit lane of a `u64` mask each.
+const LANES: usize = u64::BITS as usize;
+
 impl AnalysisCache {
-    /// Build a cache over an existing tangle (runs the batch DPs once).
+    /// Build a cache over an existing tangle: the genesis row, swept
+    /// forward over the whole history.
     pub fn new<T: TangleRead>(tangle: &T) -> Self {
-        let n = tangle.len();
-        Self {
-            weights: cumulative_weights(tangle),
-            ratings: ratings(tangle),
-            depths: depths(tangle),
-            tips: tangle.tips().into_iter().collect(),
-            hist_sig: tangle.history_sig(n),
-            visited: vec![0; n],
-            stamp: 0,
-            cone_stack: Vec::new(),
-            depth_stack: Vec::new(),
-        }
+        let mut cache = Self {
+            weights: vec![1],
+            ratings: vec![0],
+            depths: vec![0],
+            tips: BTreeSet::from([tangle.genesis()]),
+            hist_sig: tangle.history_sig(1),
+            mask: vec![0],
+            offer: vec![0],
+        };
+        cache.sweep(tangle, tangle.len());
+        cache
     }
 
     /// Transactions tracked by the cache.
@@ -328,68 +273,86 @@ impl AnalysisCache {
                 tangle: tangle.len(),
             });
         }
-        let tx = tangle.get(id);
-        // Past-cone traversal: every member gains one distinct approver
-        // (`id`), and the cone size is the new transaction's rating.
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // Stamp wrapped: clear the scratch so stale marks cannot match.
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.stamp = 1;
-        }
-        let stamp = self.stamp;
-        self.visited.resize(n, 0);
-        let mut cone = 0u32;
-        self.cone_stack.extend_from_slice(&tx.parents);
-        while let Some(t) = self.cone_stack.pop() {
-            let i = t.index();
-            if self.visited[i] == stamp {
-                continue;
-            }
-            self.visited[i] = stamp;
-            cone += 1;
-            self.weights[i] += 1;
-            self.cone_stack.extend_from_slice(&tangle.get(t).parents);
-        }
-        self.weights.push(1); // own weight
-        self.ratings.push(cone);
-        self.depths.push(0); // a fresh transaction is a tip
-                             // Depth relaxation: the new tip can only deepen its ancestry, and
-                             // only along paths where the maximum actually increases.
-        for &p in &tx.parents {
-            self.depth_stack.push((p, 1));
-        }
-        while let Some((t, d)) = self.depth_stack.pop() {
-            let i = t.index();
-            if self.depths[i] >= d {
-                continue;
-            }
-            self.depths[i] = d;
-            for &q in &tangle.get(t).parents {
-                self.depth_stack.push((q, d + 1));
-            }
-        }
-        for &p in &tx.parents {
-            self.tips.remove(&p);
-        }
-        self.tips.insert(id);
-        self.hist_sig = crate::graph::chain_sig(self.hist_sig, id.0, &tx.parents);
+        self.sweep(tangle, n + 1);
         Ok(())
     }
 
-    /// Bring the cache up to date with `tangle`: validate, then apply the
-    /// appended suffix incrementally — or rebuild from scratch when the
-    /// tangle is shorter than, or diverged from, the cached history.
+    /// Advance every table from `self.len()` to the first `upto`
+    /// transactions of `tangle`, which the caller has validated to extend
+    /// the tracked history. The only writer of `weights` / `ratings` /
+    /// `depths`.
+    fn sweep<T: TangleRead>(&mut self, tangle: &T, upto: usize) {
+        let txs = &tangle.transactions()[..upto];
+        while self.len() < upto {
+            let lo = self.len();
+            let hi = upto.min(lo + LANES);
+            let all_lanes = u64::MAX >> (LANES - (hi - lo));
+            self.weights.resize(hi, 1); // own weight
+            self.depths.resize(hi, 0); // deepened below if approved in-chunk
+            self.mask.resize(hi, 0);
+            self.offer.resize(hi, 0);
+            // Past-cone sizes per lane; ancestors of the whole chunk (the
+            // deep ledger, in steady state) are counted once in `shared`.
+            let mut cone = [0u32; LANES];
+            let mut shared = 0u32;
+            for i in (0..hi).rev() {
+                let approving = std::mem::take(&mut self.mask[i]);
+                let offered = std::mem::take(&mut self.offer[i]);
+                let own_lane = if i >= lo { 1u64 << (i - lo) } else { 0 };
+                let pushed = approving | own_lane;
+                if pushed == 0 {
+                    continue; // outside every chunk member's past cone
+                }
+                self.weights[i] += approving.count_ones();
+                if approving == all_lanes {
+                    shared += 1;
+                } else {
+                    let mut lanes = approving;
+                    while lanes != 0 {
+                        cone[lanes.trailing_zeros() as usize] += 1;
+                        lanes &= lanes - 1;
+                    }
+                }
+                // A node passes a depth on only if it is new or got deeper:
+                // elsewhere its parents already account for it.
+                let deepened = offered > self.depths[i];
+                if deepened {
+                    self.depths[i] = offered;
+                }
+                let pass_depth = deepened || own_lane != 0;
+                for p in &txs[i].parents {
+                    self.mask[p.index()] |= pushed;
+                    if pass_depth {
+                        let o = &mut self.offer[p.index()];
+                        *o = (*o).max(self.depths[i] + 1);
+                    }
+                }
+            }
+            for (tx, own) in txs[lo..hi].iter().zip(cone) {
+                self.ratings.push(own + shared);
+                for p in &tx.parents {
+                    self.tips.remove(p);
+                }
+                self.tips.insert(tx.id);
+                self.hist_sig = crate::graph::chain_sig(self.hist_sig, tx.id.0, &tx.parents);
+            }
+        }
+        debug_assert!(
+            self.mask.iter().all(|&m| m == 0) && self.offer.iter().all(|&o| o == 0),
+            "sweep scratch must be consumed"
+        );
+    }
+
+    /// Bring the cache up to date with `tangle`: validate, then sweep the
+    /// appended suffix in — or rebuild from the genesis when the tangle is
+    /// shorter than, or diverged from, the cached history.
     pub fn refresh<T: TangleRead>(&mut self, tangle: &T) -> RefreshOutcome {
         if self.validate(tangle).is_err() {
             *self = Self::new(tangle);
             return RefreshOutcome::Rebuilt;
         }
         let missing = tangle.len() - self.len();
-        for i in self.len()..tangle.len() {
-            self.on_add(tangle, TxId(i as u32))
-                .expect("a validated extension appends in order");
-        }
+        self.sweep(tangle, tangle.len());
         if missing == 0 {
             RefreshOutcome::Fresh
         } else {
@@ -505,31 +468,9 @@ impl TangleAnalysis {
     where
         T: TangleRead + Sync,
     {
-        assert!(samples > 0, "need at least one confidence sample");
-        let n = tangle.len();
-        let hits: Vec<u32> = (0..samples)
-            .into_par_iter()
-            .map(|s| {
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(
-                    seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let mut local = vec![0u32; n];
-                for id in walk.walk_path_with_weights(tangle, &self.cumulative_weight, &mut rng) {
-                    local[id.index()] = 1;
-                }
-                local
-            })
-            .reduce(
-                || vec![0u32; n],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
-        hits.iter().map(|&h| h as f32 / samples as f32).collect()
+        hit_fractions(tangle.len(), samples, seed, |rng| {
+            walk.walk_path_with_weights(tangle, &self.cumulative_weight, rng)
+        })
     }
 
     /// Like [`Self::walk_confidence`], additionally recording the sampling
@@ -565,33 +506,12 @@ impl TangleAnalysis {
     where
         T: TangleRead + Sync,
     {
-        assert!(samples > 0, "need at least one confidence sample");
-        let n = tangle.len();
-        let hits: Vec<u32> = (0..samples)
-            .into_par_iter()
-            .map(|s| {
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(
-                    seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let tip = walk.select_tip_with_weights(tangle, &self.cumulative_weight, &mut rng);
-                let mut local = vec![0u32; n];
-                local[tip.index()] = 1;
-                for a in tangle.past_cone(tip) {
-                    local[a.index()] = 1;
-                }
-                local
-            })
-            .reduce(
-                || vec![0u32; n],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
-        hits.iter().map(|&h| h as f32 / samples as f32).collect()
+        hit_fractions(tangle.len(), samples, seed, |rng| {
+            let tip = walk.select_tip_with_weights(tangle, &self.cumulative_weight, rng);
+            let mut hit = tangle.past_cone(tip);
+            hit.push(tip);
+            hit
+        })
     }
 
     /// Algorithm 1 (generalized to the top `n`): rank transactions by
@@ -613,6 +533,34 @@ impl TangleAnalysis {
         });
         scored.into_iter().take(n).map(|(_, i)| TxId(i)).collect()
     }
+}
+
+/// Monte-Carlo hit fractions over `n` transactions: draw `samples` id
+/// sets in parallel, sample `s` from its own generator derived from
+/// `seed`, and count serially how many sets contain each id. A set lists
+/// an id at most once (a walk path never revisits, a past cone is a set),
+/// so the pass costs the sets' total length, not `samples × n`.
+fn hit_fractions(
+    n: usize,
+    samples: usize,
+    seed: u64,
+    sample: impl Fn(&mut rand::rngs::SmallRng) -> Vec<TxId> + Sync,
+) -> Vec<f32> {
+    use rand::SeedableRng;
+    assert!(samples > 0, "need at least one confidence sample");
+    let sets: Vec<Vec<TxId>> = (0..samples)
+        .into_par_iter()
+        .map(|s| {
+            sample(&mut rand::rngs::SmallRng::seed_from_u64(
+                seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ))
+        })
+        .collect();
+    let mut hits = vec![0u32; n];
+    for id in sets.iter().flatten() {
+        hits[id.index()] += 1;
+    }
+    hits.iter().map(|&h| h as f32 / samples as f32).collect()
 }
 
 /// Fig. 2 view: classify every transaction relative to the current tips.
@@ -777,42 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_weights_track_batch_dp() {
-        let mut t = Tangle::new(0u8);
-        let mut inc = IncrementalWeights::new(&t);
-        let g = t.genesis();
-        let a = t.add(1, vec![g]).unwrap();
-        inc.on_add(&t, a);
-        let b = t.add(2, vec![g]).unwrap();
-        inc.on_add(&t, b);
-        let c = t.add(3, vec![a, b]).unwrap();
-        inc.on_add(&t, c);
-        let d = t.add(4, vec![c, b]).unwrap();
-        inc.on_add(&t, d);
-        assert_eq!(inc.weights(), cumulative_weights(&t).as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "in order")]
-    fn incremental_weights_reject_skipped_adds() {
-        let mut t = Tangle::new(0u8);
-        let mut inc = IncrementalWeights::new(&t);
-        let a = t.add(1, vec![t.genesis()]).unwrap();
-        let b = t.add(2, vec![a]).unwrap();
-        inc.on_add(&t, b); // skipped a
-    }
-
-    #[test]
-    fn incremental_weights_start_from_existing_tangle() {
-        let (mut t, _) = sample();
-        let mut inc = IncrementalWeights::new(&t);
-        let tips = t.tips();
-        let e = t.add(9, vec![tips[0], tips[1]]).unwrap();
-        inc.on_add(&t, e);
-        assert_eq!(inc.weights(), cumulative_weights(&t).as_slice());
-    }
-
-    #[test]
     fn analysis_cache_tracks_all_batch_dps() {
         let mut t = Tangle::new(0u8);
         let mut cache = AnalysisCache::new(&t);
@@ -886,6 +798,110 @@ mod tests {
         assert_eq!(cache.ratings(), ratings(&t).as_slice());
         assert_eq!(cache.depths(), depths(&t).as_slice());
         assert_eq!(cache.tips(), t.tips());
+    }
+
+    /// Append `k` transactions, each approving two draws from the *whole*
+    /// history so far — members of one chunk approve each other, and every
+    /// fifth draws a duplicate pair `[a, a]`.
+    fn grow(t: &mut Tangle<u32>, rng: &mut rand::rngs::SmallRng, k: usize) {
+        use rand::RngExt as _;
+        for _ in 0..k {
+            let n = t.len() as u32;
+            let a = TxId(rng.random_range(0..n));
+            let b = if n.is_multiple_of(5) {
+                a
+            } else {
+                TxId(rng.random_range(0..n))
+            };
+            t.add(n, vec![a, b]).unwrap();
+        }
+    }
+
+    fn assert_matches_batch<T: TangleRead>(cache: &AnalysisCache, t: &T, what: &str) {
+        assert_eq!(cache.weights(), cumulative_weights(t).as_slice(), "{what}");
+        assert_eq!(cache.ratings(), ratings(t).as_slice(), "{what}");
+        assert_eq!(cache.depths(), depths(t).as_slice(), "{what}");
+        assert_eq!(cache.tips(), t.tips(), "{what}");
+        assert_eq!(cache.validate(t), Ok(()), "{what}");
+    }
+
+    #[test]
+    fn analysis_cache_sweeps_exact_lane_boundaries() {
+        use rand::SeedableRng;
+        for k in [63usize, 64, 65, 128, 129] {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(k as u64);
+            let mut t = Tangle::new(0u32);
+            grow(&mut t, &mut rng, 40);
+            let mut cache = AnalysisCache::new(&t);
+            grow(&mut t, &mut rng, k);
+            assert_eq!(cache.refresh(&t), RefreshOutcome::Extended(k));
+            assert_matches_batch(&cache, &t, &format!("{k} appended"));
+        }
+    }
+
+    #[test]
+    fn analysis_cache_sweeps_a_chain_and_a_star_across_lanes() {
+        // The two extremes of lane sharing: in a chain every chunk member
+        // approves all earlier ones (depth grows by one per lane), in a
+        // star none approves another (only the genesis is shared).
+        let mut chain = Tangle::new(0u32);
+        let mut star = Tangle::new(0u32);
+        let mut chain_cache = AnalysisCache::new(&chain);
+        let mut star_cache = AnalysisCache::new(&star);
+        for i in 1..=130u32 {
+            chain.add(i, vec![TxId(i - 1)]).unwrap();
+            star.add(i, vec![TxId(0)]).unwrap();
+        }
+        chain_cache.refresh(&chain);
+        star_cache.refresh(&star);
+        assert_matches_batch(&chain_cache, &chain, "chain");
+        assert_matches_batch(&star_cache, &star, "star");
+        assert_eq!(chain_cache.depths()[0], 130);
+        assert_eq!(star_cache.depths()[0], 1);
+    }
+
+    #[test]
+    fn analysis_cache_refreshes_against_a_view_prefix() {
+        use crate::view::TangleView;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
+        let mut t = Tangle::new(0u32);
+        grow(&mut t, &mut rng, 299);
+        let mut cache = AnalysisCache::new(&TangleView::new(&t, 30));
+        for len in [30usize, 100, 101, 230, 300] {
+            let view = TangleView::new(&t, len);
+            let appended = len - cache.len();
+            let expected = if appended == 0 {
+                RefreshOutcome::Fresh
+            } else {
+                RefreshOutcome::Extended(appended)
+            };
+            assert_eq!(cache.refresh(&view), expected);
+            assert_matches_batch(&cache, &view, &format!("view of {len}"));
+        }
+        // A view shorter than the cache is a rebuild, like any stale history.
+        assert_eq!(
+            cache.refresh(&TangleView::new(&t, 70)),
+            RefreshOutcome::Rebuilt
+        );
+        assert_matches_batch(&cache, &TangleView::new(&t, 70), "rebuilt at 70");
+    }
+
+    #[test]
+    fn analysis_cache_new_equals_a_genesis_cache_refreshed() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(29);
+        let mut t = Tangle::new(0u32);
+        let mut grown = AnalysisCache::new(&t);
+        grow(&mut t, &mut rng, 200);
+        grown.refresh(&t);
+        let built = AnalysisCache::new(&t);
+        assert_eq!(built.weights, grown.weights);
+        assert_eq!(built.ratings, grown.ratings);
+        assert_eq!(built.depths, grown.depths);
+        assert_eq!(built.tips, grown.tips);
+        assert_eq!(built.hist_sig, grown.hist_sig);
+        assert_matches_batch(&built, &t, "built");
     }
 
     #[test]

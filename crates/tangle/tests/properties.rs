@@ -123,22 +123,6 @@ proptest! {
         }
     }
 
-    /// Incremental cumulative weights equal the batch DP on any history.
-    #[test]
-    fn incremental_weights_equal_batch(script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..40)) {
-        let mut t = Tangle::new(0u32);
-        let mut inc = tangle_ledger::analysis::IncrementalWeights::new(&t);
-        for (i, &(a, b)) in script.iter().enumerate() {
-            let n = t.len() as u32;
-            let id = t
-                .add(i as u32 + 1, vec![TxId(a as u32 % n), TxId(b as u32 % n)])
-                .unwrap();
-            inc.on_add(&t, id);
-        }
-        let batch = cumulative_weights(&t);
-        prop_assert_eq!(inc.weights(), batch.as_slice());
-    }
-
     /// Differential test of the tentpole cache: grow a random DAG one tx
     /// at a time and, after *every* insertion, the cache's weights,
     /// ratings, depths, and tips must equal the from-scratch batch DPs.
@@ -166,40 +150,50 @@ proptest! {
         prop_assert_eq!(cached.rating, fresh.rating);
     }
 
-    /// Refreshing in random-sized batches (the simulators' usage pattern:
-    /// several transactions land between two context builds) is equivalent
-    /// to per-add maintenance.
+    /// Refreshing in batches (every executor's usage pattern: several
+    /// transactions land between two context builds) is equivalent to
+    /// per-add maintenance, for lags on both sides of the cache's 64-lane
+    /// chunk: a short lag is one partial chunk, a long one (gossip
+    /// catch-up) spans several. Parents come from the whole history, so
+    /// members of one chunk approve each other, and `[a, a]` collapses to
+    /// a single parent.
     #[test]
     fn analysis_cache_refresh_equals_batch(
-        script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..40),
-        refresh_every in 1usize..7,
+        script in prop::collection::vec((any::<u16>(), any::<u16>()), 0..300),
+        lags in prop::collection::vec((any::<bool>(), 1usize..200), 1..6),
     ) {
         let mut t = Tangle::new(0u32);
         let mut cache = tangle_ledger::AnalysisCache::new(&t);
+        let mut lags = lags
+            .iter()
+            .map(|&(short, lag)| if short { 1 + lag % 6 } else { lag })
+            .cycle();
+        let mut due = lags.next().unwrap();
         for (i, &(a, b)) in script.iter().enumerate() {
             let n = t.len() as u32;
-            t.add(i as u32 + 1, vec![TxId(a as u32 % n), TxId(b as u32 % n)])
-                .unwrap();
-            if i % refresh_every == 0 {
-                let appended = t.len() - cache.len();
-                let outcome = cache.refresh(&t);
-                if appended == 0 {
-                    prop_assert_eq!(outcome, tangle_ledger::RefreshOutcome::Fresh);
-                } else {
-                    prop_assert_eq!(outcome, tangle_ledger::RefreshOutcome::Extended(appended));
-                }
+            let a = TxId(a as u32 % n);
+            let b = if b % 8 == 0 { a } else { TxId(b as u32 % n) };
+            t.add(i as u32 + 1, vec![a, b]).unwrap();
+            let appended = t.len() - cache.len();
+            if appended == due || i + 1 == script.len() {
+                due = lags.next().unwrap();
+                prop_assert_eq!(
+                    cache.refresh(&t),
+                    tangle_ledger::RefreshOutcome::Extended(appended)
+                );
+                prop_assert_eq!(cache.weights().to_vec(), cumulative_weights(&t));
+                prop_assert_eq!(cache.ratings().to_vec(), ratings(&t));
+                prop_assert_eq!(cache.depths().to_vec(), depths(&t));
+                prop_assert_eq!(cache.tips(), t.tips());
+                prop_assert!(cache.validate(&t).is_ok());
             }
         }
-        cache.refresh(&t);
-        prop_assert_eq!(cache.weights().to_vec(), cumulative_weights(&t));
-        prop_assert_eq!(cache.ratings().to_vec(), ratings(&t));
-        prop_assert_eq!(cache.depths().to_vec(), depths(&t));
-        prop_assert_eq!(cache.tips(), t.tips());
+        prop_assert_eq!(cache.refresh(&t), tangle_ledger::RefreshOutcome::Fresh);
+        prop_assert_eq!(cache.len(), t.len());
     }
 
     /// Cache invalidation: skipped or out-of-order ids are rejected with an
-    /// error (mirror of `incremental_weights_reject_skipped_adds`), leaving
-    /// the cache bit-identical to before the attempt.
+    /// error, leaving the cache bit-identical to before the attempt.
     #[test]
     fn analysis_cache_rejects_skips_and_out_of_order(
         script in prop::collection::vec((any::<u8>(), any::<u8>()), 2..40),
