@@ -146,8 +146,12 @@ fn bench_windowed_walk(c: &mut Criterion) {
     });
     g.bench_function("windowed_w16", |b| {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(8);
-        let ww = WindowedWalk::new(walk, 16);
-        b.iter(|| black_box(ww.select_tip_with_weights(&t, &w, &d, &mut rng)))
+        // As a round context walks it: entries collected once per snapshot.
+        let table = WindowedWalk::new(walk, 16).table(&t, &w, &d);
+        b.iter(|| {
+            let start = table.entry(&mut rng).expect("a windowed table");
+            black_box(table.walk(&t, start, &mut rng, |_| {}))
+        })
     });
     g.finish();
 }

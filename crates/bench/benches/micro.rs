@@ -39,15 +39,33 @@ fn bench_tangle_analysis(c: &mut Criterion) {
             b.iter(|| black_box(ratings(&t)))
         });
         let analysis = TangleAnalysis::compute(&t);
+        let weights = &analysis.cumulative_weight;
         let walk = RandomWalk::default();
+        // What a round context pays once per snapshot ...
+        g.bench_function(format!("walk_table_build_{n}tx"), |b| {
+            b.iter(|| black_box(walk.table(&t, weights)))
+        });
+        // ... so that its walks read stored rows. Table walks and
+        // context-free walks must agree draw for draw.
+        let table = walk.table(&t, weights);
+        for seed in 0..64 {
+            let rng = || rand::rngs::SmallRng::seed_from_u64(seed);
+            assert_eq!(
+                table.walk(&t, t.genesis(), &mut rng(), |_| {}),
+                walk.select_tip_with_weights(&t, weights, &mut rng()),
+                "seed {seed}: the table walk and the context-free walk diverge"
+            );
+        }
         g.bench_function(format!("walk_confidence_35samples_{n}tx"), |b| {
-            b.iter(|| black_box(analysis.walk_confidence(&t, &walk, 35, 7)))
+            b.iter(|| black_box(analysis.walk_confidence(&t, &table, 35, 7)))
         });
         g.bench_function(format!("tip_selection_walk_{n}tx"), |b| {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-            b.iter(|| {
-                black_box(walk.select_tip_with_weights(&t, &analysis.cumulative_weight, &mut rng))
-            })
+            b.iter(|| black_box(walk.select_tip_with_weights(&t, weights, &mut rng)))
+        });
+        g.bench_function(format!("tip_selection_table_walk_{n}tx"), |b| {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+            b.iter(|| black_box(table.walk(&t, t.genesis(), &mut rng, |_| {})))
         });
     }
     g.finish();
@@ -418,29 +436,48 @@ fn bench_training(c: &mut Criterion) {
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("telemetry_overhead");
-    // Hot-path probe: the observed tip-selection walk with a disabled
-    // handle must cost the same as the raw walk (one Option check).
+    let data = feddata::blobs::generate(
+        &feddata::blobs::BlobsConfig {
+            users: 8,
+            samples_per_user: (24, 32),
+            noise_std: 0.6,
+            ..feddata::blobs::BlobsConfig::default()
+        },
+        7,
+    );
+    let build = || tinynn::zoo::mlp(8, &[12], 4, &mut seeded(5));
+    let cfg = learning_tangle::SimConfig {
+        nodes_per_round: 4,
+        lr: 0.15,
+        batch_size: 8,
+        eval_fraction: 0.5,
+        seed: 3,
+        hyper: learning_tangle::TangleHyperParams {
+            confidence_samples: 8,
+            ..learning_tangle::TangleHyperParams::basic()
+        },
+        ..learning_tangle::SimConfig::default()
+    };
+    // Hot-path probe: a context's tip-selection walk with an attached
+    // no-op sink against the same walk with the default (disabled) handle
+    // (one Option check per span, counter and histogram).
+    let mut sim = learning_tangle::Simulation::new(data.clone(), cfg.clone(), build);
+    for _ in 0..20 {
+        sim.round();
+    }
+    let noop = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
+    for (name, handle) in [
+        ("disabled", lt_telemetry::Telemetry::disabled()),
+        ("noop_telemetry", noop),
+    ] {
+        let ctx = learning_tangle::node::RoundContext::build(sim.tangle(), &cfg, 21, 5, handle);
+        g.bench_function(format!("tip_selection_{name}"), |b| {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+            b.iter(|| black_box(ctx.sample_tip(&mut rng)))
+        });
+    }
     let t = synthetic_tangle(30, 10);
-    let analysis = TangleAnalysis::compute(&t);
-    let walk = RandomWalk::default();
     let disabled = lt_telemetry::Telemetry::disabled();
-    g.bench_function("tip_selection_raw", |b| {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        b.iter(|| {
-            black_box(walk.select_tip_with_weights(&t, &analysis.cumulative_weight, &mut rng))
-        })
-    });
-    g.bench_function("tip_selection_noop_telemetry", |b| {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        b.iter(|| {
-            black_box(walk.select_tip_observed(
-                &t,
-                &analysis.cumulative_weight,
-                &mut rng,
-                &disabled,
-            ))
-        })
-    });
     // Cache-refresh probe: `refresh_observed` with a disabled handle must
     // cost the same as the raw `refresh` (the counters are never touched).
     let stale = tangle_ledger::AnalysisCache::new(&t.prefix(t.len() - 10));
@@ -467,28 +504,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     // Whole-round probe: Simulation::round with the default (disabled)
     // handle vs. an attached no-op sink.
     g.sample_size(10);
-    let data = feddata::blobs::generate(
-        &feddata::blobs::BlobsConfig {
-            users: 8,
-            samples_per_user: (24, 32),
-            noise_std: 0.6,
-            ..feddata::blobs::BlobsConfig::default()
-        },
-        7,
-    );
-    let build = || tinynn::zoo::mlp(8, &[12], 4, &mut seeded(5));
-    let cfg = learning_tangle::SimConfig {
-        nodes_per_round: 4,
-        lr: 0.15,
-        batch_size: 8,
-        eval_fraction: 0.5,
-        seed: 3,
-        hyper: learning_tangle::TangleHyperParams {
-            confidence_samples: 8,
-            ..learning_tangle::TangleHyperParams::basic()
-        },
-        ..learning_tangle::SimConfig::default()
-    };
     g.bench_function("sim_round_disabled", |b| {
         b.iter_batched(
             || learning_tangle::Simulation::new(data.clone(), cfg.clone(), build),

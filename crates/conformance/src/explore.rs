@@ -250,9 +250,7 @@ pub fn check_ledger_invariants(
         }
     }
     // Confidence invariants under both estimators.
-    let walk = RandomWalk {
-        alpha: cfg.hyper.alpha,
-    };
+    let walk = RandomWalk::new(cfg.hyper.alpha).table(tangle, &real.cumulative_weight);
     let samples = cfg.hyper.confidence_samples;
     let conf = real.walk_confidence(tangle, &walk, samples, derive(seed, 0xC0F1));
     let approval = real.approval_confidence(tangle, &walk, samples, derive(seed, 0xAC0F));

@@ -126,12 +126,8 @@ fn label_flip_attackers_are_starved_in_model_and_simulation() {
     // confidence the consensus layer actually uses must agree that no
     // malicious transaction approaches confirmation.
     let analysis = TangleAnalysis::compute(sim.tangle());
-    let conf = analysis.approval_confidence(
-        sim.tangle(),
-        &RandomWalk::new(cfg().hyper.alpha),
-        64,
-        0xF00D,
-    );
+    let walk = RandomWalk::new(cfg().hyper.alpha).table(sim.tangle(), &analysis.cumulative_weight);
+    let conf = analysis.approval_confidence(sim.tangle(), &walk, 64, 0xF00D);
     let sampled_max = views
         .iter()
         .zip(&conf)
@@ -167,7 +163,8 @@ fn honest_transactions_do_get_confirmed() {
     // checking finality) does push honest transactions past the threshold
     // the attackers never reach.
     let analysis = TangleAnalysis::compute(sim.tangle());
-    let conf = analysis.approval_confidence(sim.tangle(), &RandomWalk::new(0.5), 64, 0xF00D);
+    let walk = RandomWalk::new(0.5).table(sim.tangle(), &analysis.cumulative_weight);
+    let conf = analysis.approval_confidence(sim.tangle(), &walk, 64, 0xF00D);
     let max_conf = views
         .iter()
         .zip(&conf)

@@ -9,8 +9,9 @@ use feddata::ClientData;
 use rand::RngExt;
 use rand_distr::{Distribution, Normal};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::sync::Arc;
-use tangle_ledger::walk::RandomWalk;
+use tangle_ledger::walk::{BiasedRandomWalk, RandomWalk, WalkTable, WindowedWalk};
 use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TxId};
 use tinynn::rng::{derive, seeded};
 use tinynn::{ParamVec, Sequential};
@@ -124,8 +125,9 @@ impl Node {
 /// round. Under a [`crate::config::NetworkModel`] every node gets a
 /// context of its own (own view, own confidence walks) built by
 /// [`Self::from_analysis`] over the *shared* analysis of its prefix: the
-/// weight/rating/depth tables are a pure function of the prefix, so they
-/// are held by `Arc` and never copied per node.
+/// weight/rating tables and the walk's transition table are a pure
+/// function of the prefix, so they are held by `Arc` and never copied or
+/// recomputed per node.
 pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelParams>> {
     /// The tangle as of the start of the round — either the full ledger or
     /// a zero-copy [`tangle_ledger::TangleView`] prefix of it (the
@@ -142,13 +144,12 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
     pub reference: ParamVec,
     /// The round being played.
     pub round: u64,
-    /// Walk configuration used for all tip selection this round.
-    pub walk: RandomWalk,
-    /// Per-transaction depths, present when windowed tip selection is on
-    /// (shared like `analysis`).
-    pub depths: Option<Arc<Vec<u32>>>,
-    /// The configured window (mirrors `hyper.window`).
-    pub window: Option<u32>,
+    /// The snapshot's transition table under `hyper.alpha` (shared like
+    /// `analysis`): every confidence walk and every tip-selection walk of
+    /// the context reads it, so `exp(α·Δw)` is computed once per approval
+    /// edge. With `hyper.window` set it also holds the window's entry
+    /// particles.
+    pub walk: Arc<WalkTable>,
     /// Observability handle shared by every node this round (disabled by
     /// default, see [`lt_telemetry::Telemetry`]).
     pub telemetry: lt_telemetry::Telemetry,
@@ -167,11 +168,8 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
         let analysis = Arc::new(TangleAnalysis::compute_observed(tangle, &telemetry));
-        let depths = cfg
-            .hyper
-            .window
-            .map(|_| Arc::new(tangle_ledger::analysis::depths(tangle)));
-        Self::from_analysis(tangle, analysis, depths, cfg, round, seed, telemetry)
+        let walk = walk_table(tangle, &analysis, None, &cfg.hyper);
+        Self::from_analysis(tangle, analysis, walk, cfg, round, seed, telemetry)
     }
 
     /// Like [`Self::build`], serving the weight/rating/depth DPs
@@ -190,34 +188,37 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
     ) -> Self {
         cache.refresh_observed(tangle, &telemetry);
         let analysis = Arc::new(cache.analysis());
-        let depths = cfg.hyper.window.map(|_| Arc::new(cache.depths().to_vec()));
-        Self::from_analysis(tangle, analysis, depths, cfg, round, seed, telemetry)
+        let walk = walk_table(tangle, &analysis, Some(cache.depths()), &cfg.hyper);
+        Self::from_analysis(tangle, analysis, walk, cfg, round, seed, telemetry)
     }
 
     /// Algorithm 1 over an already-computed analysis of `tangle`:
     /// confidence sampling (seeded by `seed`), reference selection, and
-    /// reference-model averaging. `analysis` — and `depths`, required when
-    /// `cfg.hyper.window` is set — must describe exactly `tangle`; callers
-    /// that analyse a snapshot once and hand it to many contexts (the
-    /// delayed-network round) clone the `Arc`s, not the tables.
+    /// reference-model averaging. `analysis` and `walk` (the
+    /// [`RandomWalk::table`] of `cfg.hyper.alpha`, or the
+    /// [`WindowedWalk::table`] when `cfg.hyper.window` is set) must
+    /// describe exactly `tangle`; callers that analyse a snapshot once and
+    /// hand it to many contexts (the delayed-network round) clone the
+    /// `Arc`s, not the tables.
     ///
     /// # Panics
-    /// Panics if `analysis` covers a different number of transactions than
-    /// `tangle`, or if `cfg.hyper.window` is set and `depths` is `None`.
+    /// Panics if `analysis` or `walk` covers a different number of
+    /// transactions than `tangle`, or if `walk` is a windowed table and
+    /// `cfg.hyper.window` is unset or the reverse.
     pub fn from_analysis(
         tangle: &'a T,
         analysis: Arc<TangleAnalysis>,
-        depths: Option<Arc<Vec<u32>>>,
+        walk: Arc<WalkTable>,
         cfg: &SimConfig,
         round: u64,
         seed: u64,
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
-        assert!(
-            cfg.hyper.window.is_none() || depths.is_some(),
-            "windowed tip selection needs the snapshot's depths"
+        assert_eq!(
+            walk.is_windowed(),
+            cfg.hyper.window.is_some(),
+            "the walk table must be windowed exactly when tip selection is"
         );
-        let walk = RandomWalk::new(cfg.hyper.alpha);
         let samples = cfg.hyper.confidence_samples.max(1);
         let confidence = match cfg.hyper.confidence_mode {
             crate::config::ConfidenceMode::WalkHit => {
@@ -243,8 +244,6 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
             reference,
             round,
             walk,
-            depths,
-            window: cfg.hyper.window,
             telemetry,
         }
     }
@@ -261,26 +260,21 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
             .collect()
     }
 
-    /// Sample one tip by weighted random walk using the cached weights.
-    /// Starts from the genesis, or from a depth-window particle when
-    /// windowed selection is configured (§IV).
+    /// Sample one tip by weighted random walk over the shared transition
+    /// table. Starts from the genesis, or from a depth-window particle
+    /// when windowed selection is configured (§IV); only a walk from the
+    /// genesis records its length.
     pub fn sample_tip(&self, rng: &mut dyn rand::Rng) -> TxId {
-        match (self.window, &self.depths) {
-            (Some(w), Some(depths)) => tangle_ledger::walk::WindowedWalk::new(self.walk, w)
-                .select_tip_observed(
-                    self.tangle,
-                    &self.analysis.cumulative_weight,
-                    depths,
-                    rng,
-                    &self.telemetry,
-                ),
-            _ => self.walk.select_tip_observed(
-                self.tangle,
-                &self.analysis.cumulative_weight,
-                rng,
-                &self.telemetry,
-            ),
+        let _span = self.telemetry.span("tangle.tip_selection_us");
+        self.telemetry.count("tangle.walks", 1);
+        let entry = self.walk.entry(rng);
+        let start = entry.unwrap_or_else(|| self.tangle.genesis());
+        let mut hops = 0u64;
+        let tip = self.walk.walk(self.tangle, start, rng, |_| hops += 1);
+        if entry.is_none() {
+            self.telemetry.record("tangle.walk_len", hops);
         }
+        tip
     }
 
     /// Sample `k` tips as a rayon batch of independent walks. One draw
@@ -294,6 +288,33 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
             .map(|i| self.sample_tip(&mut seeded(derive(base, i as u64))))
             .collect()
     }
+}
+
+/// The transition table every walk of a context over `tangle` reads: the
+/// weighted walk under `hyper.alpha`, entered through the depth window
+/// when `hyper.window` is set — over `depths` when the caller already has
+/// them (an [`AnalysisCache`]), else over a fresh depth DP. Built once per
+/// analysed snapshot.
+///
+/// # Panics
+/// Panics if `analysis` or `depths` do not describe `tangle`.
+pub(crate) fn walk_table<T: TangleRead>(
+    tangle: &T,
+    analysis: &TangleAnalysis,
+    depths: Option<&[u32]>,
+    hyper: &crate::config::TangleHyperParams,
+) -> Arc<WalkTable> {
+    let (walk, weights) = (RandomWalk::new(hyper.alpha), &analysis.cumulative_weight);
+    Arc::new(match hyper.window {
+        Some(w) => {
+            let depths = depths.map_or_else(
+                || Cow::Owned(tangle_ledger::analysis::depths(tangle)),
+                Cow::Borrowed,
+            );
+            WindowedWalk::new(walk, w).table(tangle, weights, &depths)
+        }
+        None => walk.table(tangle, weights),
+    })
 }
 
 /// A transaction a node wants to publish at the end of the round.
@@ -440,18 +461,23 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
             .map(|(_, acc)| hyper.accuracy_bias * acc as f64)
             .collect()
     });
-    let samples: Vec<TxId> =
-        match &bias {
-            None => ctx.sample_tips(hyper.sample_size.max(hyper.num_tips), rng),
-            // The biased walk is a small-network research mode; its per-walk
-            // weight table makes batching pointless, so it stays serial.
-            Some(b) => (0..hyper.sample_size.max(hyper.num_tips))
-                .map(|_| {
-                    tangle_ledger::walk::BiasedRandomWalk::new(hyper.alpha, b)
-                        .select_tip_with_weights(ctx.tangle, &ctx.analysis.cumulative_weight, rng)
-                })
-                .collect(),
-        };
+    let samples: Vec<TxId> = match &bias {
+        None => ctx.sample_tips(hyper.sample_size.max(hyper.num_tips), rng),
+        // The biased walk is a small-network research mode: its bias belongs
+        // to this node step alone and `sample_size` walks do not pay for a
+        // transition table of it (an `exp` per approval edge), so each
+        // walk computes the rows it visits, serially on the node's own
+        // generator and from the genesis also under a window.
+        Some(b) => (0..hyper.sample_size.max(hyper.num_tips))
+            .map(|_| {
+                BiasedRandomWalk::new(hyper.alpha, b).select_tip_with_weights(
+                    ctx.tangle,
+                    &ctx.analysis.cumulative_weight,
+                    rng,
+                )
+            })
+            .collect(),
+    };
     let parents: Vec<TxId> = if hyper.tip_validation {
         let mut distinct = samples.clone();
         distinct.sort_unstable();
@@ -601,6 +627,19 @@ mod tests {
             &ctx.reference,
             tangle.get(tangle.genesis()).payload.as_ref()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "windowed exactly when tip selection is")]
+    fn from_analysis_rejects_a_table_without_the_configured_window() {
+        let tangle = genesis_tangle();
+        let mut cfg = SimConfig::default();
+        let analysis = Arc::new(TangleAnalysis::compute(&tangle));
+        // Built before the window was set: every walk would silently start
+        // at the genesis.
+        let walk = walk_table(&tangle, &analysis, None, &cfg.hyper);
+        cfg.hyper.window = Some(2);
+        RoundContext::from_analysis(&tangle, analysis, walk, &cfg, 1, 1, Telemetry::disabled());
     }
 
     #[test]
@@ -793,17 +832,30 @@ mod tests {
                 .collect()
         });
         let k = hyper.sample_size.max(hyper.num_tips);
+        let weights = &ctx.analysis.cumulative_weight;
         let samples: Vec<TxId> = match &bias {
+            // Context-free selectors only: every step recomputes its row,
+            // every windowed walk rescans the depths — never the context's
+            // `WalkTable`, which is what this oracle checks.
             None => {
                 let base = rng.random::<u64>();
+                let walk = RandomWalk::new(hyper.alpha);
+                let depths = tangle_ledger::analysis::depths(ctx.tangle);
                 (0..k)
-                    .map(|i| ctx.sample_tip(&mut seeded(derive(base, i as u64))))
+                    .map(|i| {
+                        let rng = &mut seeded(derive(base, i as u64));
+                        match hyper.window {
+                            Some(w) => WindowedWalk::new(walk, w)
+                                .select_tip_with_weights(ctx.tangle, weights, &depths, rng),
+                            None => walk.select_tip_with_weights(ctx.tangle, weights, rng),
+                        }
+                    })
                     .collect()
             }
             Some(b) => (0..k)
                 .map(|_| {
-                    tangle_ledger::walk::BiasedRandomWalk::new(hyper.alpha, b)
-                        .select_tip_with_weights(ctx.tangle, &ctx.analysis.cumulative_weight, rng)
+                    BiasedRandomWalk::new(hyper.alpha, b)
+                        .select_tip_with_weights(ctx.tangle, weights, rng)
                 })
                 .collect(),
         };
@@ -932,6 +984,15 @@ mod tests {
             (
                 "windowed",
                 crate::TangleHyperParams {
+                    window: Some(2),
+                    ..validated
+                },
+                1,
+            ),
+            (
+                "biased+windowed",
+                crate::TangleHyperParams {
+                    accuracy_bias: 0.5,
                     window: Some(2),
                     ..validated
                 },

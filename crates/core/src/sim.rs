@@ -7,10 +7,10 @@
 //! concurrently, and their publications are appended together at the round
 //! barrier.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, TangleHyperParams};
 use crate::dp::DpConfig;
 use crate::eval_cache::{EvalCache, ScratchPool, DEFAULT_EVAL_CACHE_CAPACITY};
-use crate::node::{node_step, ModelParams, Node, RoundContext, StepOutcome};
+use crate::node::{node_step, walk_table, ModelParams, Node, RoundContext, StepOutcome};
 use feddata::{ClientData, FederatedDataset};
 use lt_telemetry::{Event, PhaseRecorder, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
 use parking_lot::Mutex;
@@ -18,6 +18,7 @@ use rand::RngExt;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use tangle_ledger::walk::WalkTable;
 use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TangleView};
 use tinynn::loss::predictions;
 use tinynn::rng::{derive, seeded};
@@ -50,16 +51,16 @@ pub struct EvalResult {
     pub reference_poisoned_fraction: f32,
 }
 
-/// The analysis of one round-end ledger prefix. Weights, ratings and depths
-/// are a pure function of the prefix, so under a
-/// [`crate::config::NetworkModel`] they are computed once and shared by
-/// every node whose delayed view is that prefix.
+/// The analysis of one round-end ledger prefix. Weights, ratings and the
+/// walk's transition table are a pure function of the prefix (and the
+/// hyper-parameters), so under a [`crate::config::NetworkModel`] they are
+/// computed once and shared by every node whose delayed view is that
+/// prefix.
 struct PrefixAnalysis {
     /// Ledger size at the end of the analysed round.
     len: usize,
     analysis: Arc<TangleAnalysis>,
-    /// Present when windowed tip selection is configured.
-    depths: Option<Arc<Vec<u32>>>,
+    walk: Arc<WalkTable>,
 }
 
 impl PrefixAnalysis {
@@ -69,14 +70,16 @@ impl PrefixAnalysis {
     fn compute(
         tangle: &Tangle<ModelParams>,
         len: usize,
-        window: Option<u32>,
+        hyper: &TangleHyperParams,
         telemetry: &Telemetry,
     ) -> Self {
         let view = TangleView::new(tangle, len);
+        let analysis = Arc::new(TangleAnalysis::compute_observed(&view, telemetry));
+        let walk = walk_table(&view, &analysis, None, hyper);
         Self {
             len,
-            analysis: Arc::new(TangleAnalysis::compute_observed(&view, telemetry)),
-            depths: window.map(|_| Arc::new(tangle_ledger::analysis::depths(&view))),
+            analysis,
+            walk,
         }
     }
 }
@@ -220,7 +223,7 @@ impl<'a> Simulation<'a> {
             sim.prefixes.push_back(PrefixAnalysis::compute(
                 &sim.tangle,
                 1,
-                sim.cfg.hyper.window,
+                &sim.cfg.hyper,
                 &sim.telemetry,
             ));
         }
@@ -349,7 +352,7 @@ impl<'a> Simulation<'a> {
                     prefixes.push_back(PrefixAnalysis::compute(
                         tangle,
                         tangle.len(),
-                        self.cfg.hyper.window,
+                        &self.cfg.hyper,
                         &tel,
                     ));
                 });
@@ -371,7 +374,7 @@ impl<'a> Simulation<'a> {
                             let ctx = RoundContext::from_analysis(
                                 &view,
                                 Arc::clone(&prefix.analysis),
-                                prefix.depths.clone(),
+                                Arc::clone(&prefix.walk),
                                 &self.cfg,
                                 round,
                                 ctx_seed,

@@ -16,7 +16,7 @@
 use crate::bitset::BitSet;
 use crate::graph::{Tangle, TxId};
 use crate::view::TangleRead;
-use crate::walk::RandomWalk;
+use crate::walk::WalkTable;
 use rayon::prelude::*;
 use std::collections::BTreeSet;
 
@@ -456,12 +456,14 @@ impl TangleAnalysis {
     /// walks and count, for each transaction, the fraction of walks whose
     /// particle path passed through it. The genesis always has confidence 1.
     ///
-    /// Walks run in parallel with per-walk derived seeds, so the result is
-    /// deterministic for a given `(tangle, walk, samples, seed)`.
+    /// Walks run in parallel with per-walk derived seeds over `walk`, the
+    /// transition table of this snapshot (see
+    /// [`crate::walk::RandomWalk::table`]), so the result is deterministic
+    /// for a given `(tangle, walk, samples, seed)`.
     pub fn walk_confidence<T>(
         &self,
         tangle: &T,
-        walk: &RandomWalk,
+        walk: &WalkTable,
         samples: usize,
         seed: u64,
     ) -> Vec<f32>
@@ -469,7 +471,9 @@ impl TangleAnalysis {
         T: TangleRead + Sync,
     {
         hit_fractions(tangle.len(), samples, seed, |rng| {
-            walk.walk_path_with_weights(tangle, &self.cumulative_weight, rng)
+            let mut path = vec![tangle.genesis()];
+            walk.walk(tangle, tangle.genesis(), rng, |x| path.push(x));
+            path
         })
     }
 
@@ -480,7 +484,7 @@ impl TangleAnalysis {
     pub fn walk_confidence_observed<T>(
         &self,
         tangle: &T,
-        walk: &RandomWalk,
+        walk: &WalkTable,
         samples: usize,
         seed: u64,
         telemetry: &lt_telemetry::Telemetry,
@@ -493,13 +497,13 @@ impl TangleAnalysis {
         self.walk_confidence(tangle, walk, samples, seed)
     }
 
-    /// IOTA-style approval confidence: sample `samples` tips via the walk
-    /// and report, per transaction, the fraction of sampled tips whose past
-    /// cone contains it.
+    /// IOTA-style approval confidence: sample `samples` tips by walks from
+    /// the genesis over `walk` and report, per transaction, the fraction
+    /// of sampled tips whose past cone contains it.
     pub fn approval_confidence<T>(
         &self,
         tangle: &T,
-        walk: &RandomWalk,
+        walk: &WalkTable,
         samples: usize,
         seed: u64,
     ) -> Vec<f32>
@@ -507,7 +511,7 @@ impl TangleAnalysis {
         T: TangleRead + Sync,
     {
         hit_fractions(tangle.len(), samples, seed, |rng| {
-            let tip = walk.select_tip_with_weights(tangle, &self.cumulative_weight, rng);
+            let tip = walk.walk(tangle, tangle.genesis(), rng, |_| {});
             let mut hit = tangle.past_cone(tip);
             hit.push(tip);
             hit
@@ -617,6 +621,7 @@ impl ConsensusView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::RandomWalk;
 
     /// genesis -> a, b; c -> (a,b); d -> (c); e -> (b)   tips: d, e
     fn sample() -> (Tangle<u8>, [TxId; 5]) {
@@ -672,7 +677,8 @@ mod tests {
     fn walk_confidence_bounds_and_genesis() {
         let (t, _) = sample();
         let analysis = TangleAnalysis::compute(&t);
-        let conf = analysis.walk_confidence(&t, &RandomWalk::default(), 64, 42);
+        let walk = RandomWalk::default().table(&t, &analysis.cumulative_weight);
+        let conf = analysis.walk_confidence(&t, &walk, 64, 42);
         assert_eq!(conf.len(), t.len());
         assert!((conf[t.genesis().index()] - 1.0).abs() < 1e-6);
         assert!(conf.iter().all(|&c| (0.0..=1.0).contains(&c)));
@@ -682,10 +688,11 @@ mod tests {
     fn walk_confidence_is_deterministic_per_seed() {
         let (t, _) = sample();
         let analysis = TangleAnalysis::compute(&t);
-        let c1 = analysis.walk_confidence(&t, &RandomWalk::default(), 32, 7);
-        let c2 = analysis.walk_confidence(&t, &RandomWalk::default(), 32, 7);
+        let walk = RandomWalk::default().table(&t, &analysis.cumulative_weight);
+        let c1 = analysis.walk_confidence(&t, &walk, 32, 7);
+        let c2 = analysis.walk_confidence(&t, &walk, 32, 7);
         assert_eq!(c1, c2);
-        let c3 = analysis.walk_confidence(&t, &RandomWalk::default(), 32, 8);
+        let c3 = analysis.walk_confidence(&t, &walk, 32, 8);
         assert_ne!(c1, c3);
     }
 
@@ -695,7 +702,7 @@ mod tests {
         // approval confidence >= walk confidence for matching seeds/samples.
         let (t, _) = sample();
         let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::default();
+        let walk = RandomWalk::default().table(&t, &analysis.cumulative_weight);
         let wc = analysis.walk_confidence(&t, &walk, 64, 9);
         let ac = analysis.approval_confidence(&t, &walk, 64, 9);
         for (w, a) in wc.iter().zip(&ac) {

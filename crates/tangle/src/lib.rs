@@ -9,7 +9,8 @@
 //! * [`walk`] — tip-selection algorithms: uniform tips, the weighted random
 //!   walk from the genesis used by IOTA (with a configurable randomness
 //!   parameter α), and a biased walk accepting an external per-transaction
-//!   score (the paper §VI outlook: model accuracy as walk bias).
+//!   score (the paper §VI outlook: model accuracy as walk bias); many walks
+//!   over one snapshot share its [`walk::WalkTable`].
 //! * [`analysis`] — consensus machinery: exact past-cone *ratings* and
 //!   future-cone *cumulative weights* via bitset dynamic programming,
 //!   Monte-Carlo walk *confidence*, and the confidence × rating reference

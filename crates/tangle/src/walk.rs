@@ -8,6 +8,30 @@
 //! current particle `x`, where `w` is the cumulative weight and `α` the
 //! randomness parameter of Gal's "alpha" article cited by the paper (\[32\]).
 //! `α = 0` is the unbiased walk; large `α` is greedy.
+//!
+//! # Rows and the transition table
+//!
+//! A *row* is what one step at `x` needs: the unnormalised weights
+//! `exp(α · (eff(y) − max))` of `x`'s approvers, in approver order, followed
+//! by their left-to-right sum (`eff` is the cumulative weight, plus the
+//! caller's bias in a [`BiasedRandomWalk`]). A step draws `r` uniformly in
+//! `[0, sum)` and scans the row subtracting each weight until `r` falls
+//! inside one. It is a subtraction scan on purpose: a prefix-sum search or
+//! an alias table rounds differently and would map some draws to another
+//! approver, and every golden digest in the repository pins which tip each
+//! draw selects. Transactions with a single approver are followed without a
+//! draw and have no row.
+//!
+//! Every walk over one ledger snapshot sees the same rows, so a
+//! [`WalkTable`] computes them once — one `exp` per approval edge — and all
+//! walks of a round (tip sampling and confidence estimation alike) read
+//! them. The context-free selectors ([`RandomWalk::select_tip_with_weights`]
+//! and friends) have no snapshot to amortise over: they fill a one-row
+//! scratch per step with the same row function and draw with the same
+//! draw function. A table is valid only for the snapshot and α it was
+//! built from; approver lists are still read from the tangle. A
+//! [`BiasedRandomWalk`] has no table: its bias lives for a handful of walks
+//! of one node step, fewer than a build (an `exp` per edge) pays for.
 
 use crate::analysis::cumulative_weights;
 use crate::graph::{Tangle, TxId};
@@ -34,11 +58,189 @@ impl<P> TipSelector<P> for UniformTips {
     }
 }
 
+/// Where a step finds the row of the particle it stands on.
+trait RowSource {
+    /// The row of `at`, which `approvers` (at least two) approve — stored,
+    /// or computed into `scratch`.
+    fn row<'a>(&'a self, at: TxId, approvers: &[TxId], scratch: &'a mut Vec<f64>) -> &'a [f64];
+}
+
+/// The row arithmetic of one walk configuration: α and the effective
+/// weight of a transaction. As a [`RowSource`] it computes on demand.
+struct Rows<F> {
+    alpha: f64,
+    eff: F,
+}
+
+impl<F: Fn(TxId) -> f64> Rows<F> {
+    /// # Panics
+    /// Panics unless `alpha` is finite and non-negative: anything else
+    /// makes some row sum NaN or infinite (`∞ · 0`, `exp` overflow).
+    fn new(alpha: f64, eff: F) -> Self {
+        assert!(
+            alpha.is_finite() && alpha >= 0.0,
+            "walk alpha must be finite and non-negative, got {alpha}"
+        );
+        Self { alpha, eff }
+    }
+}
+
+impl<F: Fn(TxId) -> f64> RowSource for Rows<F> {
+    fn row<'a>(&'a self, _: TxId, approvers: &[TxId], row: &'a mut Vec<f64>) -> &'a [f64] {
+        row.clear();
+        let max = approvers
+            .iter()
+            .map(|&a| (self.eff)(a))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut total = 0.0f64;
+        for &a in approvers {
+            let p = (self.alpha * ((self.eff)(a) - max)).exp();
+            row.push(p);
+            total += p;
+        }
+        // The heaviest approver contributes exp(0) = 1.
+        debug_assert!(total.is_finite() && total >= 1.0, "row sum {total}");
+        row.push(total);
+        row
+    }
+}
+
+/// The walk: follow approvers from `start` until a tip, with one weighted
+/// draw by the particle's row wherever it has several approvers and none
+/// elsewhere, reporting every particle moved to (not `start`) to `visit`.
+fn walk<T: TangleRead>(
+    tangle: &T,
+    start: TxId,
+    rows: &impl RowSource,
+    rng: &mut dyn rand::Rng,
+    mut visit: impl FnMut(TxId),
+) -> TxId {
+    let mut scratch = Vec::new();
+    let mut cur = start;
+    loop {
+        let approvers = tangle.approvers(cur);
+        cur = match approvers.len() {
+            0 => return cur,
+            1 => approvers[0],
+            _ => draw(approvers, rows.row(cur, approvers, &mut scratch), rng),
+        };
+        visit(cur);
+    }
+}
+
+/// One weighted draw among `approvers` by their `row`.
+fn draw(approvers: &[TxId], row: &[f64], rng: &mut dyn rand::Rng) -> TxId {
+    let (total, probs) = row.split_last().expect("a row ends with its sum");
+    debug_assert_eq!(probs.len(), approvers.len(), "row of another snapshot");
+    let mut r = rng.random_range(0.0..*total);
+    for (a, &p) in approvers.iter().zip(probs) {
+        if r < p {
+            return *a;
+        }
+        r -= p;
+    }
+    approvers[approvers.len() - 1]
+}
+
+/// Transactions whose depth lies in `[window, 2·window]`, ascending — the
+/// entry particles of a windowed walk.
+fn window_entries(depths: &[u32], window: u32) -> Vec<TxId> {
+    let range = window..=window.saturating_mul(2);
+    (0..depths.len())
+        .filter(|&i| range.contains(&depths[i]))
+        .map(|i| TxId(i as u32))
+        .collect()
+}
+
+/// A uniformly drawn entry, or the genesis (and no draw) when there is none.
+fn draw_entry(entries: &[TxId], rng: &mut dyn rand::Rng) -> TxId {
+    match entries.len() {
+        0 => TxId(0),
+        n => entries[rng.random_range(0..n)],
+    }
+}
+
+/// The transition rows of every transaction of one ledger snapshot (see
+/// the module docs), plus the entry list of a windowed walk. Built by
+/// [`RandomWalk::table`] or [`WindowedWalk::table`]; valid only for that
+/// snapshot.
+#[derive(Debug)]
+pub struct WalkTable {
+    /// `rows[offsets[i]..offsets[i + 1]]` is the row of transaction `i`,
+    /// empty when it has fewer than two approvers.
+    offsets: Vec<u32>,
+    rows: Vec<f64>,
+    /// Entry particles, when the table was built by a [`WindowedWalk`].
+    entries: Option<Vec<TxId>>,
+}
+
+impl RowSource for WalkTable {
+    fn row<'a>(&'a self, at: TxId, _: &[TxId], _: &'a mut Vec<f64>) -> &'a [f64] {
+        &self.rows[self.offsets[at.index()] as usize..self.offsets[at.index() + 1] as usize]
+    }
+}
+
+impl WalkTable {
+    /// One ascending pass over `tangle`, one row per transaction with at
+    /// least two approvers.
+    fn build<T: TangleRead>(
+        tangle: &T,
+        source: &impl RowSource,
+        entries: Option<Vec<TxId>>,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(tangle.len() + 1);
+        let (mut rows, mut scratch) = (Vec::new(), Vec::new());
+        for i in 0..tangle.len() as u32 {
+            offsets.push(rows.len() as u32); // range-checked once, below
+            let approvers = tangle.approvers(TxId(i));
+            if approvers.len() >= 2 {
+                rows.extend_from_slice(source.row(TxId(i), approvers, &mut scratch));
+            }
+        }
+        offsets.push(u32::try_from(rows.len()).expect("walk table fits u32 offsets"));
+        Self {
+            offsets,
+            rows,
+            entries,
+        }
+    }
+
+    /// Whether the table was built by a [`WindowedWalk`].
+    pub fn is_windowed(&self) -> bool {
+        self.entries.is_some()
+    }
+
+    /// The start of a windowed tip-selection walk — a uniformly drawn
+    /// window entry, or the genesis (without a draw) while the snapshot is
+    /// shallower than the window — and `None` when the table was not built
+    /// by a [`WindowedWalk`].
+    pub fn entry(&self, rng: &mut dyn rand::Rng) -> Option<TxId> {
+        self.entries.as_deref().map(|e| draw_entry(e, rng))
+    }
+
+    /// Walk over `tangle` from `start` to a tip, which is returned;
+    /// `visit` sees every particle moved to (not `start`), in order.
+    ///
+    /// # Panics
+    /// Panics if `tangle` has another length than the table's snapshot.
+    pub fn walk<T: TangleRead>(
+        &self,
+        tangle: &T,
+        start: TxId,
+        rng: &mut dyn rand::Rng,
+        visit: impl FnMut(TxId),
+    ) -> TxId {
+        let len = self.offsets.len() - 1;
+        assert_eq!(len, tangle.len(), "walk table of another snapshot");
+        walk(tangle, start, self, rng, visit)
+    }
+}
+
 /// The weighted MCMC random walk from the genesis.
 #[derive(Clone, Copy, Debug)]
 pub struct RandomWalk {
     /// Randomness parameter: 0 = unbiased, larger = greedier toward heavy
-    /// subtangles.
+    /// subtangles. Must be finite and non-negative.
     pub alpha: f64,
 }
 
@@ -57,91 +259,51 @@ impl RandomWalk {
         Self { alpha }
     }
 
-    /// Walk once with precomputed cumulative weights, returning the full
-    /// particle path (genesis first, reached tip last).
+    fn rows<'w>(&self, len: usize, weights: &'w [u32]) -> Rows<impl Fn(TxId) -> f64 + 'w> {
+        assert_eq!(weights.len(), len, "weights/tangle length mismatch");
+        Rows::new(self.alpha, move |a: TxId| weights[a.index()] as f64)
+    }
+
+    /// The transition table of `tangle` under its cumulative `weights`:
+    /// build it once per snapshot and run every walk of that snapshot over
+    /// it (confidence sampling, per-node tip sampling).
     ///
-    /// Using precomputed weights lets callers run many walks per tangle
-    /// snapshot (confidence sampling, per-node tip sampling) without paying
-    /// the DP each time.
+    /// # Panics
+    /// Panics if α is not finite and non-negative.
+    pub fn table<T: TangleRead>(&self, tangle: &T, weights: &[u32]) -> WalkTable {
+        WalkTable::build(tangle, &self.rows(tangle.len(), weights), None)
+    }
+
+    /// Walk once with precomputed cumulative weights, returning the full
+    /// particle path (genesis first, reached tip last). One-off walks
+    /// only: many walks over one snapshot share a [`Self::table`].
+    ///
+    /// # Panics
+    /// Panics if α is not finite and non-negative.
     pub fn walk_path_with_weights<T: TangleRead>(
         &self,
         tangle: &T,
         weights: &[u32],
         rng: &mut dyn rand::Rng,
     ) -> Vec<TxId> {
-        assert_eq!(
-            weights.len(),
-            tangle.len(),
-            "weights/tangle length mismatch"
-        );
         let mut path = vec![tangle.genesis()];
-        let mut cur = tangle.genesis();
-        let mut probs: Vec<f64> = Vec::new();
-        loop {
-            let approvers = tangle.approvers(cur);
-            match approvers.len() {
-                0 => return path,
-                1 => {
-                    cur = approvers[0];
-                }
-                _ => {
-                    probs.clear();
-                    let max_w = approvers
-                        .iter()
-                        .map(|a| weights[a.index()])
-                        .max()
-                        .expect("non-empty approvers");
-                    let mut total = 0.0f64;
-                    for a in approvers {
-                        let d = weights[a.index()] as f64 - max_w as f64;
-                        let p = (self.alpha * d).exp();
-                        probs.push(p);
-                        total += p;
-                    }
-                    let mut r = rng.random_range(0.0..total);
-                    let mut chosen = approvers[approvers.len() - 1];
-                    for (a, &p) in approvers.iter().zip(&probs) {
-                        if r < p {
-                            chosen = *a;
-                            break;
-                        }
-                        r -= p;
-                    }
-                    cur = chosen;
-                }
-            }
-            path.push(cur);
-        }
+        let rows = self.rows(tangle.len(), weights);
+        walk(tangle, tangle.genesis(), &rows, rng, |x| path.push(x));
+        path
     }
 
     /// Select a tip with precomputed cumulative weights.
+    ///
+    /// # Panics
+    /// Panics if α is not finite and non-negative.
     pub fn select_tip_with_weights<T: TangleRead>(
         &self,
         tangle: &T,
         weights: &[u32],
         rng: &mut dyn rand::Rng,
     ) -> TxId {
-        *self
-            .walk_path_with_weights(tangle, weights, rng)
-            .last()
-            .expect("walk path is never empty")
-    }
-
-    /// Like [`Self::select_tip_with_weights`], additionally recording the
-    /// walk length (hops from the genesis) into the `tangle.walk_len`
-    /// histogram and the `tangle.walks` counter of `telemetry`.
-    pub fn select_tip_observed<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        rng: &mut dyn rand::Rng,
-        telemetry: &lt_telemetry::Telemetry,
-    ) -> TxId {
-        let _span = telemetry.span("tangle.tip_selection_us");
-        let path = self.walk_path_with_weights(tangle, weights, rng);
-        telemetry.count("tangle.walks", 1);
-        telemetry.record("tangle.walk_len", (path.len() - 1) as u64);
-        *path.last().expect("walk path is never empty")
+        let rows = self.rows(tangle.len(), weights);
+        walk(tangle, tangle.genesis(), &rows, rng, |_| {})
     }
 }
 
@@ -175,8 +337,19 @@ impl WindowedWalk {
         Self { walk, window }
     }
 
-    /// Select a tip with precomputed cumulative weights and depths
+    /// The transition table of `tangle` (see [`RandomWalk::table`]) with
+    /// the entry particles of this window, collected once from `depths`
     /// (see [`crate::analysis::depths`]).
+    pub fn table<T: TangleRead>(&self, tangle: &T, weights: &[u32], depths: &[u32]) -> WalkTable {
+        assert_eq!(depths.len(), tangle.len(), "depths/tangle length mismatch");
+        let entries = Some(window_entries(depths, self.window));
+        WalkTable::build(tangle, &self.walk.rows(tangle.len(), weights), entries)
+    }
+
+    /// Select a tip with precomputed cumulative weights and depths
+    /// (see [`crate::analysis::depths`]). Scans `depths` for the entry
+    /// particles on every call; many walks over one snapshot share a
+    /// [`Self::table`].
     pub fn select_tip_with_weights<T: TangleRead>(
         &self,
         tangle: &T,
@@ -185,79 +358,9 @@ impl WindowedWalk {
         rng: &mut dyn rand::Rng,
     ) -> TxId {
         assert_eq!(depths.len(), tangle.len(), "depths/tangle length mismatch");
-        let lo = self.window;
-        let hi = 2 * self.window;
-        let candidates: Vec<TxId> = (0..tangle.len())
-            .filter(|&i| (lo..=hi).contains(&depths[i]))
-            .map(|i| TxId(i as u32))
-            .collect();
-        let start = if candidates.is_empty() {
-            tangle.genesis()
-        } else {
-            candidates[rng.random_range(0..candidates.len())]
-        };
-        self.walk_to_tip_from(tangle, weights, start, rng)
-    }
-
-    /// Like [`Self::select_tip_with_weights`], additionally recording the
-    /// walk into `telemetry` (counter `tangle.walks`; the windowed walk
-    /// does not retrace its path, so only the count is recorded, not a
-    /// length).
-    pub fn select_tip_observed<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        depths: &[u32],
-        rng: &mut dyn rand::Rng,
-        telemetry: &lt_telemetry::Telemetry,
-    ) -> TxId {
-        let _span = telemetry.span("tangle.tip_selection_us");
-        telemetry.count("tangle.walks", 1);
-        self.select_tip_with_weights(tangle, weights, depths, rng)
-    }
-
-    /// Run the weighted walk from an explicit start particle.
-    pub fn walk_to_tip_from<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        start: TxId,
-        rng: &mut dyn rand::Rng,
-    ) -> TxId {
-        let mut cur = start;
-        let mut probs: Vec<f64> = Vec::new();
-        loop {
-            let approvers = tangle.approvers(cur);
-            match approvers.len() {
-                0 => return cur,
-                1 => cur = approvers[0],
-                _ => {
-                    probs.clear();
-                    let max_w = approvers
-                        .iter()
-                        .map(|a| weights[a.index()])
-                        .max()
-                        .expect("non-empty approvers");
-                    let mut total = 0.0f64;
-                    for a in approvers {
-                        let d = weights[a.index()] as f64 - max_w as f64;
-                        let p = (self.walk.alpha * d).exp();
-                        probs.push(p);
-                        total += p;
-                    }
-                    let mut r = rng.random_range(0.0..total);
-                    let mut chosen = approvers[approvers.len() - 1];
-                    for (a, &p) in approvers.iter().zip(&probs) {
-                        if r < p {
-                            chosen = *a;
-                            break;
-                        }
-                        r -= p;
-                    }
-                    cur = chosen;
-                }
-            }
-        }
+        let start = draw_entry(&window_entries(depths, self.window), rng);
+        let rows = self.walk.rows(tangle.len(), weights);
+        walk(tangle, start, &rows, rng, |_| {})
     }
 }
 
@@ -277,7 +380,7 @@ pub struct BiasedRandomWalk<'a> {
     /// Randomness parameter, as in [`RandomWalk`].
     pub alpha: f64,
     /// Per-transaction additive bias on the walk weight, in cumulative-
-    /// weight units.
+    /// weight units. Must be finite.
     pub bias: &'a [f64],
 }
 
@@ -287,6 +390,14 @@ impl<'a> BiasedRandomWalk<'a> {
         Self { alpha, bias }
     }
 
+    fn rows<'w>(&'w self, len: usize, weights: &'w [u32]) -> Rows<impl Fn(TxId) -> f64 + 'w> {
+        assert_eq!(weights.len(), len, "weights/tangle length mismatch");
+        assert_eq!(self.bias.len(), len, "bias/tangle length mismatch");
+        Rows::new(self.alpha, move |a: TxId| {
+            weights[a.index()] as f64 + self.bias[a.index()]
+        })
+    }
+
     /// Select one tip using precomputed cumulative weights plus the bias.
     pub fn select_tip_with_weights<T: TangleRead>(
         &self,
@@ -294,24 +405,58 @@ impl<'a> BiasedRandomWalk<'a> {
         weights: &[u32],
         rng: &mut dyn rand::Rng,
     ) -> TxId {
-        assert_eq!(self.bias.len(), tangle.len(), "bias/tangle length mismatch");
-        let mut cur = tangle.genesis();
+        let rows = self.rows(tangle.len(), weights);
+        walk(tangle, tangle.genesis(), &rows, rng, |_| {})
+    }
+}
+
+impl<'a, P> TipSelector<P> for BiasedRandomWalk<'a> {
+    fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
+        let weights = cumulative_weights(tangle);
+        self.select_tip_with_weights(tangle, &weights, rng)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::depths;
+    use crate::view::TangleView;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    fn rng(seed: u64) -> rand::rngs::SmallRng {
+        rand::rngs::SmallRng::seed_from_u64(seed)
+    }
+
+    /// The walk as it stood before [`WalkTable`] — max, `exp` and sum
+    /// recomputed at every step, draw and scan inline — kept verbatim as
+    /// the oracle every table walk and context-free walk must match draw
+    /// for draw. Returns the particle path, `start` first.
+    fn reference_walk<T: TangleRead>(
+        tangle: &T,
+        start: TxId,
+        alpha: f64,
+        eff: impl Fn(TxId) -> f64,
+        rng: &mut dyn rand::Rng,
+    ) -> Vec<TxId> {
+        let mut path = vec![start];
+        let mut cur = start;
         let mut probs: Vec<f64> = Vec::new();
         loop {
             let approvers = tangle.approvers(cur);
             match approvers.len() {
-                0 => return cur,
+                0 => return path,
                 1 => cur = approvers[0],
                 _ => {
                     probs.clear();
-                    let eff = |a: TxId| weights[a.index()] as f64 + self.bias[a.index()];
                     let max_w = approvers
                         .iter()
                         .map(|&a| eff(a))
                         .fold(f64::NEG_INFINITY, f64::max);
                     let mut total = 0.0f64;
                     for &a in approvers {
-                        let p = (self.alpha * (eff(a) - max_w)).exp();
+                        let p = (alpha * (eff(a) - max_w)).exp();
                         probs.push(p);
                         total += p;
                     }
@@ -327,24 +472,228 @@ impl<'a> BiasedRandomWalk<'a> {
                     cur = chosen;
                 }
             }
+            path.push(cur);
         }
     }
-}
 
-impl<'a, P> TipSelector<P> for BiasedRandomWalk<'a> {
-    fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
-        let weights = cumulative_weights(tangle);
-        self.select_tip_with_weights(tangle, &weights, rng)
+    /// Entry `i` appends transaction `i + 1` approving `a` and `b` modulo
+    /// the current length; equal parents (`[a, a]`) collapse to one.
+    fn scripted(script: &[(u8, u8)]) -> Tangle<u32> {
+        let mut t = Tangle::new(0);
+        for (i, &(a, b)) in script.iter().enumerate() {
+            let n = t.len() as u32;
+            t.add(i as u32 + 1, vec![TxId(a as u32 % n), TxId(b as u32 % n)])
+                .unwrap();
+        }
+        t
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
+    const ALPHAS: [f64; 5] = [0.0, 0.05, 0.5, 8.0, 1000.0];
 
-    fn rng(seed: u64) -> rand::rngs::SmallRng {
-        rand::rngs::SmallRng::seed_from_u64(seed)
+    /// A table walk's path from `start` and the generator's next output
+    /// (which pins the number of draws the walk consumed).
+    fn table_path<T: TangleRead>(
+        table: &WalkTable,
+        tangle: &T,
+        start: TxId,
+        seed: u64,
+    ) -> (Vec<TxId>, u64) {
+        let mut r = rng(seed);
+        let mut path = vec![start];
+        table.walk(tangle, start, &mut r, |x| path.push(x));
+        (path, r.random())
+    }
+
+    /// One walk over `tangle` from the genesis, three ways on equal
+    /// generators: reference loop, table, context-free selector.
+    fn check_draw_for_draw<T: TangleRead>(tangle: &T, alpha: f64, seed: u64) {
+        let w = cumulative_weights(tangle);
+        let g = tangle.genesis();
+        let mut r = rng(seed);
+        let want = reference_walk(tangle, g, alpha, |a| w[a.index()] as f64, &mut r);
+        let want = (want, r.random::<u64>());
+        let walk = RandomWalk::new(alpha);
+        let mut r = rng(seed);
+        let free = walk.walk_path_with_weights(tangle, &w, &mut r);
+        assert_eq!((free, r.random::<u64>()), want);
+        assert_eq!(table_path(&walk.table(tangle, &w), tangle, g, seed), want);
+    }
+
+    /// The context-free biased walk against the reference loop.
+    fn check_biased<T: TangleRead>(tangle: &T, alpha: f64, bias: &[f64], seed: u64) {
+        let w = cumulative_weights(tangle);
+        let eff = |a: TxId| w[a.index()] as f64 + bias[a.index()];
+        let mut r = rng(seed);
+        let want = reference_walk(tangle, tangle.genesis(), alpha, eff, &mut r);
+        let want = (*want.last().unwrap(), r.random::<u64>());
+        let mut r = rng(seed);
+        let tip = BiasedRandomWalk::new(alpha, bias).select_tip_with_weights(tangle, &w, &mut r);
+        assert_eq!((tip, r.random::<u64>()), want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn walk_table_matches_reference_draw_for_draw(
+            script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
+            alpha in 0usize..5,
+            cut in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let t = scripted(&script);
+            check_draw_for_draw(&t, ALPHAS[alpha], seed);
+            let view = TangleView::new(&t, 1 + cut % t.len());
+            check_draw_for_draw(&view, ALPHAS[alpha], seed);
+        }
+
+        #[test]
+        fn walk_table_biased_matches_reference(
+            script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
+            bias in prop::collection::vec(-40.0f64..40.0, 121),
+            alpha in 0usize..5,
+            cut in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let t = scripted(&script);
+            check_biased(&t, ALPHAS[alpha], &bias[..t.len()], seed);
+            let view = TangleView::new(&t, 1 + cut % t.len());
+            check_biased(&view, ALPHAS[alpha], &bias[..view.len()], seed);
+        }
+
+        #[test]
+        fn walk_table_windowed_entries_match_scan(
+            script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
+            window in 1u32..6,
+            seed in any::<u64>(),
+        ) {
+            let t = scripted(&script);
+            let (w, d) = (cumulative_weights(&t), depths(&t));
+            let ww = WindowedWalk::new(RandomWalk::new(0.5), window);
+            let table = ww.table(&t, &w, &d);
+            let scan: Vec<TxId> = (0..t.len())
+                .filter(|&i| (window..=2 * window).contains(&d[i]))
+                .map(|i| TxId(i as u32))
+                .collect();
+            prop_assert_eq!(table.entries.as_ref(), Some(&scan));
+            // Same start for the same seed, then the reference walk.
+            let mut r = rng(seed);
+            let start = match scan.len() {
+                0 => t.genesis(),
+                n => scan[r.random_range(0..n)],
+            };
+            let want = reference_walk(&t, start, 0.5, |a| w[a.index()] as f64, &mut r);
+            let want = (*want.last().unwrap(), r.random::<u64>());
+            let mut r = rng(seed);
+            let entry = table.entry(&mut r).expect("a windowed table");
+            prop_assert_eq!(entry, start);
+            let tip = table.walk(&t, entry, &mut r, |_| {});
+            prop_assert_eq!((tip, r.random::<u64>()), want);
+            let mut r = rng(seed);
+            let tip = ww.select_tip_with_weights(&t, &w, &d, &mut r);
+            prop_assert_eq!((tip, r.random::<u64>()), want);
+        }
+    }
+
+    #[test]
+    fn walk_table_single_approver_chain_consumes_no_draw() {
+        let mut t = Tangle::new(0u8);
+        let mut prev = t.genesis();
+        for i in 0..10 {
+            prev = t.add(i, vec![prev]).unwrap();
+        }
+        let table = RandomWalk::default().table(&t, &cumulative_weights(&t));
+        assert!(table.rows.is_empty(), "no transaction has two approvers");
+        let (path, next) = table_path(&table, &t, t.genesis(), 5);
+        assert_eq!(path, (0..=10).map(TxId).collect::<Vec<_>>());
+        assert_eq!(
+            next,
+            rng(5).random::<u64>(),
+            "the walk drew from its generator"
+        );
+        assert_eq!(table.entry(&mut rng(5)), None, "not a windowed table");
+    }
+
+    #[test]
+    fn walk_table_tip_only_genesis() {
+        let t = Tangle::new(0u8);
+        let table = RandomWalk::default().table(&t, &cumulative_weights(&t));
+        assert_eq!(table.offsets, vec![0, 0]);
+        let (path, next) = table_path(&table, &t, t.genesis(), 6);
+        assert_eq!(path, vec![t.genesis()]);
+        assert_eq!(next, rng(6).random::<u64>());
+    }
+
+    #[test]
+    fn walk_table_all_equal_weights() {
+        // A star: every approver of the genesis weighs 1, at any α.
+        let mut t = Tangle::new(0u8);
+        for i in 0..5 {
+            t.add(i, vec![t.genesis()]).unwrap();
+        }
+        for alpha in ALPHAS {
+            let table = RandomWalk::new(alpha).table(&t, &cumulative_weights(&t));
+            assert_eq!(table.offsets, vec![0, 6, 6, 6, 6, 6, 6]);
+            assert_eq!(table.rows, vec![1.0, 1.0, 1.0, 1.0, 1.0, 5.0]);
+        }
+    }
+
+    #[test]
+    fn walk_table_alpha_1000_underflows_to_exact_zero() {
+        let (t, a, _, c) = forked();
+        let table = RandomWalk::new(1000.0).table(&t, &cumulative_weights(&t));
+        // The genesis row: a (weight 2) is the max, b (weight 1) is
+        // exp(-1000) = 0 exactly; stored unnormalised, summed left to right.
+        assert_eq!(table.rows, vec![1.0, 0.0, 1.0]);
+        for seed in 0..50 {
+            // A zero weight is skipped: `r < 0.0` never holds.
+            let (path, _) = table_path(&table, &t, t.genesis(), seed);
+            assert_eq!(path, vec![t.genesis(), a, c]);
+        }
+    }
+
+    #[test]
+    fn walk_table_row_is_unnormalised_and_summed_left_to_right() {
+        let eff = [3.0, 0.3, 1.7, 2.9, 0.1, 2.2];
+        let approvers: Vec<TxId> = (0..6).map(TxId).collect();
+        let mut row = Vec::new();
+        Rows::new(0.7, |a: TxId| eff[a.index()]).row(TxId(0), &approvers, &mut row);
+        let p: Vec<f64> = eff.iter().map(|e| (0.7 * (e - 3.0)).exp()).collect();
+        let forward = p.iter().fold(0.0, |s, x| s + x);
+        let backward = p.iter().rev().fold(0.0, |s, x| s + x);
+        assert_ne!(forward, backward, "the sum must be order-sensitive");
+        assert_eq!(row[..6], p[..]);
+        assert_eq!(row[6], forward);
+    }
+
+    #[test]
+    #[should_panic(expected = "walk alpha must be finite and non-negative")]
+    fn walk_rejects_non_finite_alpha() {
+        let (t, _, _, _) = forked();
+        // A literal bypasses `new`: the check sits where rows are made.
+        RandomWalk { alpha: f64::NAN }.select_tip(&t, &mut rng(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "walk alpha must be finite and non-negative")]
+    fn walk_table_rejects_negative_alpha() {
+        let (t, _, _, _) = forked();
+        RandomWalk::new(-0.5).table(&t, &cumulative_weights(&t));
+    }
+
+    #[test]
+    fn windowed_walk_huge_window_starts_at_the_genesis() {
+        // `2 * window` used to overflow for window > u32::MAX / 2.
+        let (t, _, b, c) = forked();
+        let (w, d) = (cumulative_weights(&t), depths(&t));
+        let ww = WindowedWalk::new(RandomWalk::default(), u32::MAX);
+        let table = ww.table(&t, &w, &d);
+        assert_eq!(table.entries.as_deref(), Some(&[][..]));
+        let mut r = rng(4);
+        assert_eq!(table.entry(&mut r), Some(t.genesis()));
+        assert_eq!(r.random::<u64>(), rng(4).random::<u64>(), "no entry draw");
+        let tip = ww.select_tip_with_weights(&t, &w, &d, &mut rng(4));
+        assert!(tip == b || tip == c);
     }
 
     /// genesis -> {a, b}; c approves a; the a-branch is heavier.

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use tangle_ledger::analysis::{cumulative_weights, depths, ratings, TangleAnalysis};
 use tangle_ledger::walk::{RandomWalk, TipSelector, UniformTips, WindowedWalk};
-use tangle_ledger::{Tangle, TxId};
+use tangle_ledger::{Tangle, TangleRead, TangleView, TxId};
 
 use lt_conformance::gen::tangle_from_script;
 
@@ -41,7 +41,7 @@ proptest! {
     ) {
         let t = tangle_from_script(&script);
         let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::new(0.2);
+        let walk = RandomWalk::new(0.2).table(&t, &analysis.cumulative_weight);
         let conf = analysis.walk_confidence(&t, &walk, 48, seed);
         prop_assert!((conf[0] - 1.0).abs() < 1e-6);
         for c in &conf {
@@ -252,7 +252,8 @@ proptest! {
     ) {
         let t = tangle_from_script(&script);
         let analysis = TangleAnalysis::compute(&t);
-        let conf = analysis.walk_confidence(&t, &RandomWalk::new(0.2), 16, seed);
+        let walk = RandomWalk::new(0.2).table(&t, &analysis.cumulative_weight);
+        let conf = analysis.walk_confidence(&t, &walk, 16, seed);
         let top = analysis.choose_reference(&conf, n);
         prop_assert!(top.len() <= n);
         prop_assert!(!top.is_empty());
@@ -264,5 +265,64 @@ proptest! {
         for pair in top.windows(2) {
             prop_assert!(score(pair[0]) >= score(pair[1]) - 1e-9);
         }
+    }
+}
+
+/// Both tables' walks and their context-free walks over `tangle`, on equal
+/// generators: same tip, and the same generator state after.
+fn table_walks_match_context_free<T: TangleRead>(
+    tangle: &T,
+    alpha: f64,
+    window: u32,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    use rand::RngExt as _;
+    let rng = || rand::rngs::SmallRng::seed_from_u64(seed);
+    let (w, d) = (cumulative_weights(tangle), depths(tangle));
+    let genesis = tangle.genesis();
+
+    let plain = RandomWalk::new(alpha);
+    let (mut a, mut b) = (rng(), rng());
+    let mut path = vec![genesis];
+    plain
+        .table(tangle, &w)
+        .walk(tangle, genesis, &mut a, |x| path.push(x));
+    prop_assert_eq!(&path, &plain.walk_path_with_weights(tangle, &w, &mut b));
+    prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
+
+    let windowed = WindowedWalk::new(plain, window);
+    let table = windowed.table(tangle, &w, &d);
+    let (mut a, mut b) = (rng(), rng());
+    let start = table.entry(&mut a).expect("a windowed table has an entry");
+    prop_assert!(start == genesis || (window..=2 * window).contains(&d[start.index()]));
+    let tip = table.walk(tangle, start, &mut a, |_| {});
+    prop_assert_eq!(
+        tip,
+        windowed.select_tip_with_weights(tangle, &w, &d, &mut b)
+    );
+    prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Through the public API only (the crate's own tests hold the old
+    /// step loop as the oracle): a snapshot's `WalkTable` and the
+    /// context-free selectors pick the same tips from the same draws, over
+    /// a whole ledger and over a zero-copy prefix of it.
+    #[test]
+    fn walk_table_matches_context_free_selectors(
+        script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
+        alpha in 0usize..5,
+        window in 1u32..6,
+        cut in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        let alpha = [0.0, 0.05, 0.5, 8.0, 1000.0][alpha];
+        let t = tangle_from_script(&script);
+        table_walks_match_context_free(&t, alpha, window, seed)?;
+        let view = TangleView::new(&t, 1 + cut % t.len());
+        table_walks_match_context_free(&view, alpha, window, seed)?;
     }
 }

@@ -120,7 +120,8 @@ fn async_ledger_supports_consensus_extraction() {
 
     // Extract consensus by confidence × rating, as in the round-based path.
     let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
-    let walk = tangle_learning::ledger::walk::RandomWalk::new(cfg.hyper.alpha);
+    let walk = tangle_learning::ledger::walk::RandomWalk::new(cfg.hyper.alpha)
+        .table(&run.tangle, &analysis.cumulative_weight);
     let conf = analysis.walk_confidence(&run.tangle, &walk, 16, 1);
     let top = analysis.choose_reference(&conf, 3);
     let payloads: Vec<&tangle_learning::nn::ParamVec> = top
@@ -167,7 +168,8 @@ fn sync_and_async_agree_qualitatively() {
         &AsyncOptions::default(),
     );
     let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
-    let walk = tangle_learning::ledger::walk::RandomWalk::new(0.5);
+    let walk = tangle_learning::ledger::walk::RandomWalk::new(0.5)
+        .table(&run.tangle, &analysis.cumulative_weight);
     let conf = analysis.walk_confidence(&run.tangle, &walk, 16, 2);
     let top = analysis.choose_reference(&conf, 3);
     let payloads: Vec<&tangle_learning::nn::ParamVec> = top
