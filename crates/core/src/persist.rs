@@ -13,43 +13,19 @@
 //!   issuer u64   round u64   parent_count u16   parents (u32 local id) ×
 //!   payload_len u32   payload bytes (tinynn::wire encoding, checksummed)
 //! ```
+//!
+//! Parsing goes through [`tinynn::wire::Reader`]; running off the end of
+//! the input in any field is `Malformed("truncated")`. This is the image
+//! of a *ledger* (local ids, sorted parents). A gossip peer's checkpoint
+//! (`LTCP`, `tangle_gossip::Peer::checkpoint_bytes`) does not contain one:
+//! it stores the wire messages themselves.
 
 use crate::node::ModelParams;
-use bytes_shim::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 use tangle_ledger::{Tangle, TxId};
-use tinynn::wire;
-
-/// Plain little-endian helpers over `Vec<u8>`/slices (keeps this module
-/// free of a buffer-library dependency in its public surface).
-mod bytes_shim {
-    pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn get_u16(b: &[u8], at: &mut usize) -> Option<u16> {
-        let v = b.get(*at..*at + 2)?;
-        *at += 2;
-        Some(u16::from_le_bytes(v.try_into().ok()?))
-    }
-    pub fn get_u32(b: &[u8], at: &mut usize) -> Option<u32> {
-        let v = b.get(*at..*at + 4)?;
-        *at += 4;
-        Some(u32::from_le_bytes(v.try_into().ok()?))
-    }
-    pub fn get_u64(b: &[u8], at: &mut usize) -> Option<u64> {
-        let v = b.get(*at..*at + 8)?;
-        *at += 8;
-        Some(u64::from_le_bytes(v.try_into().ok()?))
-    }
-}
+use tinynn::wire::{self, Reader, Truncated};
 
 const MAGIC: &[u8; 4] = b"LTGL";
 const VERSION: u8 = 1;
@@ -77,6 +53,14 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+/// Running off the end of the bytes is one structural error, whichever
+/// field it happened in.
+impl From<Truncated> for PersistError {
+    fn from(_: Truncated) -> Self {
+        PersistError::Malformed("truncated")
+    }
+}
+
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
@@ -88,16 +72,16 @@ pub fn to_bytes(tangle: &Tangle<ModelParams>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    put_u32(&mut out, tangle.len() as u32);
+    out.extend_from_slice(&(tangle.len() as u32).to_le_bytes());
     for tx in tangle.transactions() {
-        put_u64(&mut out, tx.issuer);
-        put_u64(&mut out, tx.round);
-        put_u16(&mut out, tx.parents.len() as u16);
+        out.extend_from_slice(&tx.issuer.to_le_bytes());
+        out.extend_from_slice(&tx.round.to_le_bytes());
+        out.extend_from_slice(&(tx.parents.len() as u16).to_le_bytes());
         for p in &tx.parents {
-            put_u32(&mut out, p.0);
+            out.extend_from_slice(&p.0.to_le_bytes());
         }
         let payload = wire::encode(&tx.payload);
-        put_u32(&mut out, payload.len() as u32);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&payload);
     }
     out
@@ -105,62 +89,42 @@ pub fn to_bytes(tangle: &Tangle<ModelParams>) -> Vec<u8> {
 
 /// Reconstruct a tangle from bytes.
 pub fn from_bytes(b: &[u8]) -> Result<Tangle<ModelParams>, PersistError> {
-    let mut at = 0usize;
-    if b.len() < 9 || &b[..4] != MAGIC {
+    let mut r = Reader::new(b);
+    if r.take(4) != Ok(&MAGIC[..]) {
         return Err(PersistError::Malformed("bad magic"));
     }
-    at += 4;
-    if b[at] != VERSION {
+    if r.u8()? != VERSION {
         return Err(PersistError::Malformed("unsupported version"));
-    }
-    at += 1;
-    let count = get_u32(b, &mut at).ok_or(PersistError::Malformed("truncated header"))? as usize;
-    if count == 0 {
-        return Err(PersistError::Malformed("empty ledger"));
     }
     // Every transaction occupies at least 22 bytes (issuer 8 + round 8 +
     // parent count 2 + payload length 4), so a count the remaining buffer
     // cannot possibly hold is a lie — reject it up front instead of
-    // trusting it for capacity planning.
-    if count as u64 * 22 > (b.len() - at) as u64 {
-        return Err(PersistError::Malformed("implausible transaction count"));
-    }
+    // looping on it.
+    let count = r
+        .count(22)
+        .map_err(|_| PersistError::Malformed("implausible transaction count"))?;
     let mut tangle: Option<Tangle<ModelParams>> = None;
-    for i in 0..count {
-        let issuer = get_u64(b, &mut at).ok_or(PersistError::Malformed("truncated tx"))?;
-        let round = get_u64(b, &mut at).ok_or(PersistError::Malformed("truncated tx"))?;
-        let np = get_u16(b, &mut at).ok_or(PersistError::Malformed("truncated tx"))? as usize;
-        let mut parents = Vec::with_capacity(np);
-        for _ in 0..np {
-            parents.push(TxId(
-                get_u32(b, &mut at).ok_or(PersistError::Malformed("truncated parents"))?,
-            ));
-        }
-        let plen =
-            get_u32(b, &mut at).ok_or(PersistError::Malformed("truncated payload len"))? as usize;
-        let payload = b
-            .get(at..at + plen)
-            .ok_or(PersistError::Malformed("truncated payload"))?;
-        at += plen;
-        let params = Arc::new(wire::decode(payload).map_err(PersistError::Payload)?);
-        match (&mut tangle, i) {
-            (slot @ None, 0) => {
-                if !parents.is_empty() {
-                    return Err(PersistError::Malformed("genesis has parents"));
-                }
-                *slot = Some(Tangle::new(params));
+    for _ in 0..count {
+        let (issuer, round) = (r.u64()?, r.u64()?);
+        let parents = (0..r.u16()?)
+            .map(|_| r.u32().map(TxId))
+            .collect::<Result<Vec<_>, _>>()?;
+        let params = Arc::new(wire::decode(r.len_prefixed()?).map_err(PersistError::Payload)?);
+        match &mut tangle {
+            None if !parents.is_empty() => {
+                return Err(PersistError::Malformed("genesis has parents"));
             }
-            (Some(t), _) => {
+            None => tangle = Some(Tangle::new(params)),
+            Some(t) => {
                 t.add_meta(params, parents, issuer, round)
                     .map_err(|_| PersistError::Malformed("invalid parent reference"))?;
             }
-            _ => return Err(PersistError::Malformed("missing genesis")),
         }
     }
-    if at != b.len() {
+    if r.remaining() != 0 {
         return Err(PersistError::Malformed("trailing bytes"));
     }
-    Ok(tangle.expect("count >= 1"))
+    tangle.ok_or(PersistError::Malformed("empty ledger"))
 }
 
 /// Write a ledger to a file.

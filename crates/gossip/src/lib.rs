@@ -28,8 +28,8 @@
 //!   partitions, plus peer crash/restart; the omniscient anti-entropy
 //!   oracle survives only as a test ground truth.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
-//!   schedules peer crash/restart cycles (recovering empty or from a
-//!   `learning_tangle::persist` checkpoint) and perturbs hops
+//!   schedules peer crash/restart cycles (recovering empty or from an
+//!   `LTCP` checkpoint, [`Peer::checkpoint_bytes`]) and perturbs hops
 //!   (drop/duplicate/corrupt/reorder) for every in-memory transport.
 //! * [`learn`] — decentralized training over the gossip network: peers run
 //!   the paper's Algorithm 2 against their *own replica* and publish the

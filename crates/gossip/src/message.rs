@@ -1,8 +1,9 @@
 //! Content-addressed wire transactions.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use tangle_ledger::pow;
-use tinynn::{wire, ParamVec};
+use tinynn::wire::{self, Reader, Truncated};
+use tinynn::ParamVec;
 
 /// Globally unique, content-derived transaction identifier. Unlike the
 /// per-replica [`tangle_ledger::TxId`] (an insertion index), a `ContentId`
@@ -85,46 +86,62 @@ impl TxMessage {
         wire::decode(&self.payload)
     }
 
-    /// Serialize the whole message to bytes (length-prefixed fields).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(
-            4 + 8 * self.parents.len() + 8 + 8 + 8 + 4 + self.payload.len(),
-        );
-        buf.put_u32_le(self.parents.len() as u32);
-        for p in &self.parents {
-            buf.put_u64_le(p.0);
-        }
-        buf.put_u64_le(self.issuer);
-        buf.put_u64_le(self.slot);
-        buf.put_u64_le(self.nonce);
-        buf.put_u32_le(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+    /// Exact byte length of the encoded message.
+    pub fn encoded_len(&self) -> usize {
+        4 + 8 * self.parents.len() + 8 + 8 + 8 + 4 + self.payload.len()
     }
 
-    /// Deserialize a message; `None` on malformed framing.
-    pub fn decode(mut b: &[u8]) -> Option<Self> {
-        if b.len() < 4 {
-            return None;
+    /// Append the encoded message (length-prefixed fields) to `out`: the
+    /// one writer behind [`TxMessage::encode`], every transaction-carrying
+    /// `LTNT` frame and the `LTCP` checkpoint.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
+        out.extend_from_slice(&(self.parents.len() as u32).to_le_bytes());
+        for p in &self.parents {
+            out.extend_from_slice(&p.0.to_le_bytes());
         }
-        let np = b.get_u32_le() as usize;
-        if b.len() < np * 8 + 8 + 8 + 8 + 4 {
-            return None;
-        }
-        let parents = (0..np).map(|_| ContentId(b.get_u64_le())).collect();
-        let issuer = b.get_u64_le();
-        let slot = b.get_u64_le();
-        let nonce = b.get_u64_le();
-        let plen = b.get_u32_le() as usize;
-        if b.len() != plen {
-            return None;
-        }
-        Some(Self {
+        out.extend_from_slice(&self.issuer.to_le_bytes());
+        out.extend_from_slice(&self.slot.to_le_bytes());
+        out.extend_from_slice(&self.nonce.to_le_bytes());
+        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.payload);
+    }
+
+    /// Append `len u32` + the encoded message: one entry of a message
+    /// list (the `Archive` frame, the `LTCP` checkpoint). Read it back
+    /// with `TxMessage::decode(reader.len_prefixed()?)`.
+    pub fn write_prefixed(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.encoded_len() as u32).to_le_bytes());
+        self.write_to(out);
+    }
+
+    /// Serialize the whole message to bytes.
+    pub fn encode(&self) -> Bytes {
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        out.into()
+    }
+
+    /// Deserialize a message; `None` on malformed framing (a field cut
+    /// short, or bytes left over after the payload).
+    pub fn decode(b: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(b);
+        let msg = Self::read_from(&mut r).ok()?;
+        (r.remaining() == 0).then_some(msg)
+    }
+
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, Truncated> {
+        let np = r.count(8)?;
+        let parents = (0..np)
+            .map(|_| r.u64().map(ContentId))
+            .collect::<Result<_, _>>()?;
+        // fields are read in the order written here, which is wire order
+        Ok(Self {
             parents,
-            issuer,
-            slot,
-            payload: Bytes::copy_from_slice(b),
-            nonce,
+            issuer: r.u64()?,
+            slot: r.u64()?,
+            nonce: r.u64()?,
+            payload: Bytes::copy_from_slice(r.len_prefixed()?),
         })
     }
 }

@@ -346,9 +346,9 @@ impl Network {
 
     /// Periodically snapshot every live peer's replica (every `every`
     /// ticks; 0 disables). Snapshots are kept in memory and, when `dir`
-    /// is given, also written to `dir/peer<i>.ckpt` via the
-    /// `learning_tangle::persist` format so a restart can recover them
-    /// even across processes. Crashed peers restarting with
+    /// is given, also written to `dir/peer<i>.ckpt` as the `LTCP` image of
+    /// [`Peer::checkpoint_bytes`] so a restart can recover them even
+    /// across processes. Crashed peers restarting with
     /// [`Recovery::FromCheckpoint`] resume from their latest snapshot.
     pub fn set_checkpointing(&mut self, every: u64, dir: Option<PathBuf>) {
         self.checkpoint_every = every;
@@ -596,14 +596,18 @@ impl Network {
     /// Latest checkpoint for `p`, from memory or the checkpoint
     /// directory; `None` when absent, unparsable, or from a different
     /// genesis (never trust a checkpoint blindly).
-    fn restore_from_checkpoint(&mut self, p: usize) -> Option<Peer> {
-        let bytes: Option<Vec<u8>> = self.checkpoints[p].clone().or_else(|| {
-            self.checkpoint_dir
-                .as_ref()
-                .and_then(|d| std::fs::read(d.join(format!("peer{p}.ckpt"))).ok())
-        });
+    fn restore_from_checkpoint(&self, p: usize) -> Option<Peer> {
+        let from_file;
+        let bytes = match &self.checkpoints[p] {
+            Some(image) => image,
+            None => {
+                let dir = self.checkpoint_dir.as_ref()?;
+                from_file = std::fs::read(dir.join(format!("peer{p}.ckpt"))).ok()?;
+                &from_file
+            }
+        };
         let peer =
-            Peer::from_checkpoint(p, &bytes?, self.cfg.pow_difficulty, self.cfg.orphan_cap).ok()?;
+            Peer::from_checkpoint(p, bytes, self.cfg.pow_difficulty, self.cfg.orphan_cap).ok()?;
         (peer.content_id_of(TxId(0)) == self.genesis.content_id()).then_some(peer)
     }
 

@@ -1,11 +1,24 @@
 //! A peer's local replica of the tangle.
+//!
+//! A [`Peer`] keeps every message it admitted, verbatim and in insertion
+//! order, and that archive is also its crash-recovery checkpoint: the
+//! `LTCP` version-2 image ([`Peer::checkpoint_bytes`]) is the archive
+//! written out as a message list, and [`Peer::from_checkpoint`] is
+//! [`Peer::new`] on the first message plus [`Peer::receive`] on the rest.
+//! There is no second description of the ledger to keep in step with the
+//! first, and a restore re-validates proof-of-work and payload checksums
+//! exactly as a delivery does. Version-1 images are rejected as
+//! `unsupported checkpoint version`; a checkpoint is scratch for the next
+//! restart, not an archival format.
 
 use crate::message::{ContentId, TxMessage};
 use learning_tangle::node::ModelParams;
-use learning_tangle::persist::{self, PersistError};
+use learning_tangle::persist::PersistError;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use tangle_ledger::{Tangle, TxId};
+use tinynn::wire::Reader;
+use tinynn::ParamVec;
 
 /// Default bound on the per-peer orphan buffer (see
 /// [`Peer::with_orphan_cap`]).
@@ -99,92 +112,65 @@ impl Peer {
     }
 
     /// Restore a peer from checkpoint bytes produced by
-    /// [`Peer::checkpoint_bytes`]. The replica, archive, and content-id
-    /// tables are rebuilt exactly; the orphan buffer starts empty (an
-    /// orphan is by definition not yet part of the ledger).
+    /// [`Peer::checkpoint_bytes`] by replaying them: the first message
+    /// seeds [`Peer::new`], every further one goes through
+    /// [`Peer::receive`] — the one admission path, so proof-of-work and
+    /// payload checksums are re-validated — and must be `Accepted` there.
+    /// Anything else (a duplicate, a parent that comes later, damage,
+    /// trailing bytes, a count the bytes cannot back, a version-1 image)
+    /// fails closed. The orphan buffer starts empty (an orphan is by
+    /// definition not yet part of the ledger).
     pub fn from_checkpoint(
         id: usize,
         bytes: &[u8],
         pow_difficulty: u32,
         orphan_cap: usize,
     ) -> Result<Self, PersistError> {
-        let (tangle, extras) = decode_checkpoint(bytes)?;
-        let mut by_content = HashMap::new();
-        let mut content_of = Vec::with_capacity(tangle.len());
-        let mut archive = Vec::with_capacity(tangle.len());
-        let mut seen = HashSet::new();
-        for (i, tx) in tangle.transactions().iter().enumerate() {
-            // Wire parent order is part of the content id; the ledger
-            // image sorts and dedups parents, so the trailer's ordered
-            // list is authoritative. Still require set-equality with the
-            // ledger so the two halves cannot disagree.
-            let WireExtras {
-                nonce,
-                wire_parents,
-            } = &extras[i];
-            let mut sorted: Vec<TxId> = wire_parents.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted != tx.parents {
-                return Err(PersistError::Malformed("parent table mismatch"));
-            }
-            let parents: Vec<ContentId> = wire_parents
-                .iter()
-                .map(|p| {
-                    if p.index() >= i {
-                        return Err(PersistError::Malformed("forward parent reference"));
-                    }
-                    Ok(content_of[p.index()])
-                })
-                .collect::<Result<_, _>>()?;
-            let msg = TxMessage {
-                parents,
-                issuer: tx.issuer,
-                slot: tx.round,
-                payload: tinynn::wire::encode(&tx.payload),
-                nonce: *nonce,
-            };
-            let cid = msg.content_id();
-            by_content.insert(cid, TxId(i as u32));
-            content_of.push(cid);
-            archive.push(msg);
-            seen.insert(cid);
+        let mut r = Reader::new(bytes);
+        if r.take(4) != Ok(&CHECKPOINT_MAGIC[..]) {
+            return Err(PersistError::Malformed("bad checkpoint magic"));
         }
-        Ok(Self {
-            id,
-            replica: tangle,
-            by_content,
-            content_of,
-            archive,
-            orphans: HashMap::new(),
-            orphan_order: VecDeque::new(),
-            orphan_cap,
-            evictions: 0,
-            missing: BTreeSet::new(),
-            seen,
-            pow_difficulty,
-        })
+        if r.u8()? != CHECKPOINT_VERSION {
+            return Err(PersistError::Malformed("unsupported checkpoint version"));
+        }
+        // Nothing is sized from `count`: it only bounds the replay loop,
+        // and only after the bytes present could hold that many messages.
+        let count = r
+            .count(4 + MIN_MESSAGE_LEN)
+            .map_err(|_| PersistError::Malformed("implausible message count"))?;
+        if count == 0 {
+            return Err(PersistError::Malformed("empty checkpoint"));
+        }
+        let genesis = next_message(&mut r)?;
+        if !genesis.parents.is_empty() || genesis.decode_params().is_err() {
+            return Err(PersistError::Malformed("invalid genesis message"));
+        }
+        let mut peer = Peer::new(id, &genesis, pow_difficulty).with_orphan_cap(orphan_cap);
+        for _ in 1..count {
+            if peer.receive(&next_message(&mut r)?) != ReceiveOutcome::Accepted {
+                return Err(PersistError::Malformed("checkpoint message not admissible"));
+            }
+        }
+        if r.remaining() != 0 {
+            return Err(PersistError::Malformed("trailing checkpoint bytes"));
+        }
+        Ok(peer)
     }
 
-    /// Serialize this peer's replica for crash recovery: the
-    /// [`learning_tangle::persist`] ledger image plus a per-transaction
-    /// wire trailer — the PoW nonce and the parents in original wire
-    /// order. Both are covered by the content id but absent from the
-    /// ledger image (which stores parents sorted and deduped), so they
-    /// are required to reconstruct byte-identical messages.
+    /// Serialize this peer's replica for crash recovery. A checkpoint *is*
+    /// the archive: `b"LTCP"`, version 2, `count u32`, then per archived
+    /// message in insertion order `len u32` + its [`TxMessage::encode`]
+    /// bytes (the list layout of the `Archive` frame). The messages are
+    /// the verbatim originals, so content ids, nonces and wire parent
+    /// order survive without a second description of the ledger.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let tangle_bytes = persist::to_bytes(&self.replica);
-        let mut out = Vec::with_capacity(4 + 1 + 4 + tangle_bytes.len() + 12 * self.archive.len());
+        let body: usize = self.archive.iter().map(|m| 4 + m.encoded_len()).sum();
+        let mut out = Vec::with_capacity(4 + 1 + 4 + body);
         out.extend_from_slice(CHECKPOINT_MAGIC);
         out.push(CHECKPOINT_VERSION);
-        out.extend_from_slice(&(tangle_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&tangle_bytes);
+        out.extend_from_slice(&(self.archive.len() as u32).to_le_bytes());
         for m in &self.archive {
-            out.extend_from_slice(&m.nonce.to_le_bytes());
-            out.extend_from_slice(&(m.parents.len() as u16).to_le_bytes());
-            for p in &m.parents {
-                out.extend_from_slice(&self.by_content[p].0.to_le_bytes());
-            }
+            m.write_prefixed(&mut out);
         }
         out
     }
@@ -293,13 +279,13 @@ impl Peer {
         if self.pow_difficulty > 0 && !msg.verify_pow(self.pow_difficulty) {
             return ReceiveOutcome::InvalidPow;
         }
-        if msg.decode_params().is_err() {
+        let Ok(params) = msg.decode_params() else {
             return ReceiveOutcome::Corrupt;
-        }
+        };
         self.seen.insert(cid);
         self.missing.remove(&cid);
         if msg.parents.iter().all(|p| self.by_content.contains_key(p)) {
-            self.insert(cid, msg);
+            self.insert(cid, msg, params);
             self.flush_orphans();
             ReceiveOutcome::Accepted
         } else {
@@ -349,8 +335,9 @@ impl Peer {
         }
     }
 
-    fn insert(&mut self, cid: ContentId, msg: &TxMessage) {
-        let params = msg.decode_params().expect("validated in receive");
+    /// The one place a transaction enters the replica; `params` is the
+    /// payload `receive` (or the orphan flush) already decoded.
+    fn insert(&mut self, cid: ContentId, msg: &TxMessage, params: ParamVec) {
         let parents: Vec<TxId> = msg.parents.iter().map(|p| self.by_content[p]).collect();
         let local = self
             .replica
@@ -382,7 +369,8 @@ impl Peer {
             }
             for cid in ready {
                 let msg = self.orphans.remove(&cid).expect("listed above");
-                self.insert(cid, &msg);
+                let params = msg.decode_params().expect("validated in receive");
+                self.insert(cid, &msg, params);
             }
         }
         // drop stale front entries so eviction targets live orphans
@@ -396,55 +384,14 @@ impl Peer {
 }
 
 const CHECKPOINT_MAGIC: &[u8; 4] = b"LTCP";
-const CHECKPOINT_VERSION: u8 = 1;
+const CHECKPOINT_VERSION: u8 = 2;
+/// Encoded length of a message with no parents and an empty payload.
+const MIN_MESSAGE_LEN: usize = 4 + 8 + 8 + 8 + 4;
 
-/// Per-transaction wire facts a checkpoint carries beyond the ledger
-/// image: the PoW nonce and the parents in original wire order.
-struct WireExtras {
-    nonce: u64,
-    wire_parents: Vec<TxId>,
-}
-
-/// Split checkpoint bytes into the persisted tangle and the wire trailer.
-fn decode_checkpoint(b: &[u8]) -> Result<(Tangle<ModelParams>, Vec<WireExtras>), PersistError> {
-    if b.len() < 9 || &b[..4] != CHECKPOINT_MAGIC {
-        return Err(PersistError::Malformed("bad checkpoint magic"));
-    }
-    if b[4] != CHECKPOINT_VERSION {
-        return Err(PersistError::Malformed("unsupported checkpoint version"));
-    }
-    let tlen = u32::from_le_bytes(b[5..9].try_into().expect("4 bytes")) as usize;
-    let rest = &b[9..];
-    if rest.len() < tlen {
-        return Err(PersistError::Malformed("truncated checkpoint tangle"));
-    }
-    let tangle = persist::from_bytes(&rest[..tlen])?;
-    let mut at = tlen;
-    let mut extras = Vec::with_capacity(tangle.len());
-    for _ in 0..tangle.len() {
-        if rest.len() < at + 10 {
-            return Err(PersistError::Malformed("truncated wire trailer"));
-        }
-        let nonce = u64::from_le_bytes(rest[at..at + 8].try_into().expect("8 bytes"));
-        let np = u16::from_le_bytes(rest[at + 8..at + 10].try_into().expect("2 bytes")) as usize;
-        at += 10;
-        if rest.len() < at + 4 * np {
-            return Err(PersistError::Malformed("truncated wire parents"));
-        }
-        let wire_parents = rest[at..at + 4 * np]
-            .chunks_exact(4)
-            .map(|c| TxId(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .collect();
-        at += 4 * np;
-        extras.push(WireExtras {
-            nonce,
-            wire_parents,
-        });
-    }
-    if at != rest.len() {
-        return Err(PersistError::Malformed("trailing checkpoint bytes"));
-    }
-    Ok((tangle, extras))
+/// The next `len u32` + [`TxMessage::encode`] entry of a checkpoint.
+fn next_message(r: &mut Reader<'_>) -> Result<TxMessage, PersistError> {
+    TxMessage::decode(r.len_prefixed()?)
+        .ok_or(PersistError::Malformed("checkpoint message framing"))
 }
 
 #[cfg(test)]

@@ -27,13 +27,14 @@
 //! periodically persists an `LTND` envelope (last activated slot +
 //! [`Peer::checkpoint_bytes`] + whole-file checksum) via atomic
 //! tmp-and-rename writes; `--restore` rebuilds the replica from that
-//! file at startup, falling back to an empty replica (repair refills
-//! it) when the file is missing, truncated, or corrupt.
+//! file at startup by replaying its messages through [`Peer::receive`],
+//! falling back to an empty replica (repair refills it) when the file is
+//! missing, truncated, or corrupt.
 //!
 //! On startup the daemon prints `LISTEN <addr>` on stdout — the contract
 //! the [`crate::driver`] uses to find the ephemeral port.
 
-use crate::frame::{fnv1a, read_frame, StatusReport, WireMsg, CONTROL_PEER};
+use crate::frame::{read_frame, StatusReport, WireMsg, CONTROL_PEER};
 use crate::preset::{Preset, ORPHAN_CAP};
 use crate::protocol::NodeProtocol;
 use crate::queue::SendQueue;
@@ -52,6 +53,7 @@ use tangle_gossip::learn::{consensus_eval, train_step};
 use tangle_gossip::{Peer, ProtocolMsg, Transport, TxMessage};
 use tangle_ledger::{AnalysisCache, TxId};
 use tinynn::rng::{derive, seeded, Rng};
+use tinynn::wire::{fnv1a, Reader};
 
 /// Configuration of one daemon process.
 #[derive(Clone, Debug)]
@@ -111,7 +113,7 @@ pub const DAEMON_CKPT_VERSION: u8 = 1;
 /// version   u8       (currently 1)
 /// last_slot u64 LE   (last activated training slot)
 /// inner_len u32 LE   (LTCP image byte count)
-/// inner     bytes    (Peer::checkpoint_bytes)
+/// inner     bytes    (Peer::checkpoint_bytes: the archived messages)
 /// check     u64 LE   (FNV-1a over all preceding bytes)
 /// ```
 pub fn daemon_checkpoint_bytes(peer: &Peer, last_slot: u64) -> Vec<u8> {
@@ -130,37 +132,37 @@ pub fn daemon_checkpoint_bytes(peer: &Peer, last_slot: u64) -> Vec<u8> {
 /// Parse and validate a daemon checkpoint produced by
 /// [`daemon_checkpoint_bytes`]. Any truncation, bit flip, or version
 /// skew fails closed with an error — never a panic, never a silently
-/// shorter history.
+/// shorter history. The inner `LTCP` image is replayed through
+/// [`Peer::from_checkpoint`], so every message is admitted again
+/// (payload checksum, proof-of-work at `pow_difficulty`, parents first);
+/// an envelope around a version-1 `LTCP` image is an error like any other.
 pub fn decode_daemon_checkpoint(
     id: usize,
     b: &[u8],
     pow_difficulty: u32,
     orphan_cap: usize,
 ) -> Result<(Peer, u64), PersistError> {
-    const HEADER: usize = 4 + 1 + 8 + 4;
-    if b.len() < HEADER + 8 || &b[..4] != DAEMON_CKPT_MAGIC {
+    let mut r = Reader::new(b);
+    if r.take(4) != Ok(&DAEMON_CKPT_MAGIC[..]) {
         return Err(PersistError::Malformed("bad daemon checkpoint header"));
     }
-    if b[4] != DAEMON_CKPT_VERSION {
+    if r.u8()? != DAEMON_CKPT_VERSION {
         return Err(PersistError::Malformed(
             "unsupported daemon checkpoint version",
         ));
     }
-    let last_slot = u64::from_le_bytes(b[5..13].try_into().expect("8 bytes"));
-    let inner_len = u32::from_le_bytes(b[13..17].try_into().expect("4 bytes")) as usize;
-    let Some(body_end) = HEADER.checked_add(inner_len) else {
-        return Err(PersistError::Malformed("implausible checkpoint length"));
-    };
-    if b.len() != body_end + 8 {
+    let last_slot = r.u64()?;
+    let inner = r.len_prefixed()?;
+    let check = r.u64()?;
+    if r.remaining() != 0 {
         return Err(PersistError::Malformed("daemon checkpoint length mismatch"));
     }
-    let check = u64::from_le_bytes(b[body_end..].try_into().expect("8 bytes"));
-    if fnv1a(&b[..body_end]) != check {
+    if fnv1a(&b[..b.len() - 8]) != check {
         return Err(PersistError::Malformed(
             "daemon checkpoint checksum mismatch",
         ));
     }
-    let peer = Peer::from_checkpoint(id, &b[HEADER..body_end], pow_difficulty, orphan_cap)?;
+    let peer = Peer::from_checkpoint(id, inner, pow_difficulty, orphan_cap)?;
     Ok((peer, last_slot))
 }
 

@@ -12,16 +12,21 @@
 //! ```
 //!
 //! Transaction-carrying frames ([`WireMsg::Publish`], [`WireMsg::Delta`],
-//! [`WireMsg::Archive`]) embed [`TxMessage::encode`] bytes verbatim, whose
+//! [`WireMsg::Archive`]) embed [`TxMessage::encode`] bytes verbatim
+//! (written in place by [`TxMessage::write_to`]), whose
 //! parameter payload is itself the checksummed `tinynn::wire` LTPV
 //! encoding — so parameter corruption is caught twice (frame checksum at
 //! the transport, payload checksum at the replica).
 //!
 //! Decoding is total: malformed input of any kind returns a
 //! [`FrameError`], never panics, and an oversized length prefix is
-//! rejected *before* any allocation happens.
+//! rejected *before* any allocation happens. Every payload is parsed with
+//! the workspace's one bounds-checked reader, [`tinynn::wire::Reader`]
+//! (its `Truncated` maps to [`FrameError::Truncated`]), and checksummed
+//! with the one [`tinynn::wire::fnv1a`].
 
 use tangle_gossip::{ContentId, ProtocolMsg, TxMessage};
+use tinynn::wire::{fnv1a, fnv1a_update, Reader, Truncated};
 
 /// Frame magic bytes.
 pub const MAGIC: &[u8; 4] = b"LTNT";
@@ -72,6 +77,12 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
+
+impl From<Truncated> for FrameError {
+    fn from(_: Truncated) -> Self {
+        FrameError::Truncated
+    }
+}
 
 /// One peer's snapshot of its own state, served to `StatusReq`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -211,102 +222,21 @@ const K_SHUTDOWN: u8 = 18;
 /// so a bit flip that turns one message kind into another with the same
 /// payload layout (e.g. `Advertise` → `Request`) still fails the check.
 fn frame_check(kind: u8, payload: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h ^= kind as u64;
-    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    for &b in payload {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a_update(fnv1a(&[kind]), payload)
 }
 
-/// Plain FNV-1a over a byte slice. Used by the daemon checkpoint
-/// envelope, which needs a whole-file checksum without a kind byte.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+fn string(r: &mut Reader<'_>) -> Result<String, FrameError> {
+    let n = r.u16()? as usize;
+    String::from_utf8(r.take(n)?.to_vec()).map_err(|_| FrameError::Malformed("non-utf8 string"))
 }
 
-/// Bounds-checked little-endian reader over a payload slice.
-struct Cursor<'a> {
-    b: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Self { b }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.b.len() < n {
-            return Err(FrameError::Truncated);
-        }
-        let (head, rest) = self.b.split_at(n);
-        self.b = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// A `u32`-prefixed count, sanity-bounded by the bytes actually
-    /// remaining so a hostile count cannot drive a huge reservation.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, FrameError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.b.len() {
-            return Err(FrameError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        let n = self.u16()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| FrameError::Malformed("non-utf8 string"))
-    }
-
-    fn tx(&mut self) -> Result<TxMessage, FrameError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        TxMessage::decode(raw).ok_or(FrameError::Malformed("transaction framing"))
-    }
-
-    fn done(&self) -> Result<(), FrameError> {
-        if self.b.is_empty() {
-            Ok(())
-        } else {
-            Err(FrameError::Malformed("trailing payload bytes"))
-        }
-    }
+fn tx(b: &[u8]) -> Result<TxMessage, FrameError> {
+    TxMessage::decode(b).ok_or(FrameError::Malformed("transaction framing"))
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_tx(out: &mut Vec<u8>, m: &TxMessage) {
-    let enc = m.encode();
-    out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-    out.extend_from_slice(&enc);
 }
 
 fn put_cids(out: &mut Vec<u8>, cids: &[ContentId]) {
@@ -316,7 +246,7 @@ fn put_cids(out: &mut Vec<u8>, cids: &[ContentId]) {
     }
 }
 
-fn cids(c: &mut Cursor<'_>) -> Result<Vec<ContentId>, FrameError> {
+fn cids(c: &mut Reader<'_>) -> Result<Vec<ContentId>, FrameError> {
     let n = c.count(8)?;
     (0..n).map(|_| Ok(ContentId(c.u64()?))).collect()
 }
@@ -346,18 +276,16 @@ impl WireMsg {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Append this message's kind-specific payload to `out`.
+    fn write_payload(&self, out: &mut Vec<u8>) {
         match self {
             WireMsg::Hello { peer, genesis } => {
                 out.extend_from_slice(&peer.to_le_bytes());
                 out.extend_from_slice(&genesis.to_le_bytes());
             }
-            WireMsg::Publish(m) | WireMsg::Delta(m) => {
-                out = m.encode().to_vec();
-            }
-            WireMsg::Advertise { heads } => put_cids(&mut out, heads),
-            WireMsg::Request { wants } => put_cids(&mut out, wants),
+            WireMsg::Publish(m) | WireMsg::Delta(m) => m.write_to(out),
+            WireMsg::Advertise { heads } => put_cids(out, heads),
+            WireMsg::Request { wants } => put_cids(out, wants),
             WireMsg::Ping { nonce, sent_us } | WireMsg::Pong { nonce, sent_us } => {
                 out.extend_from_slice(&nonce.to_le_bytes());
                 out.extend_from_slice(&sent_us.to_le_bytes());
@@ -383,7 +311,7 @@ impl WireMsg {
             WireMsg::Archive(msgs) => {
                 out.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
                 for m in msgs {
-                    put_tx(&mut out, m);
+                    m.write_prefixed(out);
                 }
             }
             WireMsg::EvalReq { slot, eval_seed } => {
@@ -403,12 +331,12 @@ impl WireMsg {
             } => {
                 out.extend_from_slice(&(counters.len() as u32).to_le_bytes());
                 for (name, v) in counters {
-                    put_string(&mut out, name);
+                    put_string(out, name);
                     out.extend_from_slice(&v.to_le_bytes());
                 }
                 out.extend_from_slice(&(histograms.len() as u32).to_le_bytes());
                 for (name, count, sum) in histograms {
-                    put_string(&mut out, name);
+                    put_string(out, name);
                     out.extend_from_slice(&count.to_le_bytes());
                     out.extend_from_slice(&sum.to_le_bytes());
                 }
@@ -417,30 +345,21 @@ impl WireMsg {
                 out.extend_from_slice(&(peers.len() as u32).to_le_bytes());
                 for (id, addr) in peers {
                     out.extend_from_slice(&id.to_le_bytes());
-                    put_string(&mut out, addr);
+                    put_string(out, addr);
                 }
             }
         }
-        out
     }
 
     fn decode_payload(kind: u8, b: &[u8]) -> Result<Self, FrameError> {
-        let mut c = Cursor::new(b);
+        let mut c = Reader::new(b);
         let msg = match kind {
             K_HELLO => WireMsg::Hello {
                 peer: c.u64()?,
                 genesis: c.u64()?,
             },
-            K_PUBLISH => {
-                return TxMessage::decode(b)
-                    .map(WireMsg::Publish)
-                    .ok_or(FrameError::Malformed("transaction framing"));
-            }
-            K_DELTA => {
-                return TxMessage::decode(b)
-                    .map(WireMsg::Delta)
-                    .ok_or(FrameError::Malformed("transaction framing"));
-            }
+            K_PUBLISH => return tx(b).map(WireMsg::Publish),
+            K_DELTA => return tx(b).map(WireMsg::Delta),
             K_ADVERTISE => WireMsg::Advertise {
                 heads: cids(&mut c)?,
             },
@@ -476,7 +395,9 @@ impl WireMsg {
             K_ARCHIVE_REQ => WireMsg::ArchiveReq,
             K_ARCHIVE => {
                 let n = c.count(4)?;
-                let msgs = (0..n).map(|_| c.tx()).collect::<Result<_, _>>()?;
+                let msgs = (0..n)
+                    .map(|_| tx(c.len_prefixed()?))
+                    .collect::<Result<_, _>>()?;
                 WireMsg::Archive(msgs)
             }
             K_EVAL_REQ => WireMsg::EvalReq {
@@ -491,11 +412,11 @@ impl WireMsg {
             K_METRICS => {
                 let nc = c.count(3)?;
                 let counters = (0..nc)
-                    .map(|_| Ok((c.string()?, c.u64()?)))
+                    .map(|_| Ok((string(&mut c)?, c.u64()?)))
                     .collect::<Result<_, FrameError>>()?;
                 let nh = c.count(3)?;
                 let histograms = (0..nh)
-                    .map(|_| Ok((c.string()?, c.u64()?, c.u64()?)))
+                    .map(|_| Ok((string(&mut c)?, c.u64()?, c.u64()?)))
                     .collect::<Result<_, FrameError>>()?;
                 WireMsg::Metrics {
                     counters,
@@ -505,14 +426,16 @@ impl WireMsg {
             K_CONNECT => {
                 let n = c.count(10)?;
                 let peers = (0..n)
-                    .map(|_| Ok((c.u64()?, c.string()?)))
+                    .map(|_| Ok((c.u64()?, string(&mut c)?)))
                     .collect::<Result<_, FrameError>>()?;
                 WireMsg::Connect { peers }
             }
             K_SHUTDOWN => WireMsg::Shutdown,
             other => return Err(FrameError::BadKind(other)),
         };
-        c.done()?;
+        if c.remaining() != 0 {
+            return Err(FrameError::Malformed("trailing payload bytes"));
+        }
         Ok(msg)
     }
 
@@ -539,17 +462,24 @@ impl WireMsg {
     }
 }
 
-/// Encode one frame (header + payload + checksum trailer).
+/// Encode one frame (header + payload + checksum trailer). The payload
+/// is written straight into the frame buffer and its length patched in.
 pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
-    let payload = msg.payload();
-    debug_assert!(payload.len() <= MAX_PAYLOAD, "oversized frame payload");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    // exact for the frames that carry a model; the small ones just grow
+    let payload_hint = match msg {
+        WireMsg::Publish(m) | WireMsg::Delta(m) => m.encoded_len(),
+        _ => 0,
+    };
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_hint + TRAILER_LEN);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(msg.kind());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let check = frame_check(msg.kind(), &payload);
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0; 4]);
+    msg.write_payload(&mut out);
+    let len = out.len() - HEADER_LEN;
+    debug_assert!(len <= MAX_PAYLOAD, "oversized frame payload");
+    out[6..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    let check = frame_check(msg.kind(), &out[HEADER_LEN..]);
     out.extend_from_slice(&check.to_le_bytes());
     out
 }
@@ -557,26 +487,25 @@ pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
 /// Validate a frame header. Returns `(kind, payload_len)`, rejecting an
 /// oversized length prefix before the caller allocates anything.
 pub fn decode_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), FrameError> {
-    if &h[..4] != MAGIC {
+    let mut r = Reader::new(h);
+    if r.take(4)? != MAGIC {
         return Err(FrameError::BadMagic);
     }
-    if h[4] != VERSION {
-        return Err(FrameError::BadVersion(h[4]));
+    let (version, kind, len) = (r.u8()?, r.u8()?, r.u32()? as usize);
+    if version != VERSION {
+        return Err(FrameError::BadVersion(version));
     }
-    let len = u32::from_le_bytes(h[6..10].try_into().expect("4 bytes")) as usize;
     if len > MAX_PAYLOAD {
         return Err(FrameError::TooLarge(len as u64));
     }
-    Ok((h[5], len))
+    Ok((kind, len))
 }
 
 /// Decode the payload + trailer that followed a validated header.
 pub fn decode_body(kind: u8, body: &[u8]) -> Result<WireMsg, FrameError> {
-    if body.len() < TRAILER_LEN {
-        return Err(FrameError::Truncated);
-    }
-    let (payload, trailer) = body.split_at(body.len() - TRAILER_LEN);
-    let check = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+    let mut r = Reader::new(body);
+    let payload = r.take(body.len().saturating_sub(TRAILER_LEN))?;
+    let check = r.u64()?;
     if frame_check(kind, payload) != check {
         return Err(FrameError::BadChecksum);
     }
