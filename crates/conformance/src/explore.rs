@@ -374,7 +374,7 @@ fn fault_plan(schedule: &Schedule) -> (FaultPlan, u64) {
 
 /// Copy the [`tangle_gossip::NetStats`] counters into a fixed array for
 /// monotonicity snapshots.
-fn stats_array(net: &Network) -> [u64; 8] {
+fn stats_array(net: &Network) -> [u64; 10] {
     let s = &net.stats;
     [
         s.delivered,
@@ -385,10 +385,12 @@ fn stats_array(net: &Network) -> [u64; 8] {
         s.discarded,
         s.rerequests,
         s.evicted,
+        s.announced,
+        s.requested,
     ]
 }
 
-const STAT_NAMES: [&str; 8] = [
+const STAT_NAMES: [&str; 10] = [
     "delivered",
     "dropped",
     "duplicates",
@@ -397,6 +399,8 @@ const STAT_NAMES: [&str; 8] = [
     "discarded",
     "rerequests",
     "evicted",
+    "announced",
+    "requested",
 ];
 
 /// Per-replica differential between the cached analyses (the real
@@ -446,7 +450,7 @@ pub fn check_replica_caches(
 /// [`NetStats`]: tangle_gossip::NetStats
 pub struct GossipChecker {
     orphan_cap: usize,
-    prev: [u64; 8],
+    prev: [u64; 10],
     evict_base: u64,
     evict_seen: Vec<u64>,
     was_up: Vec<bool>,

@@ -11,10 +11,10 @@
 //! leaves a run bit-identical to one with no plan installed at all.
 //!
 //! Recovery is protocol-driven, not harness-driven: [`RepairConfig`]
-//! parameterizes the pull-based repair protocol (see
+//! parameterizes the retries of the pull protocol (see
 //! [`crate::protocol::NodeProtocol`]) through which peers re-solidify
-//! after losses and restarts — bounded re-requests with exponential
-//! backoff, plus head advertisement rounds.
+//! after losses and restarts — bounded re-requests, plus head
+//! advertisement rounds.
 
 use crate::transport::ProtocolMsg;
 use rand::RngExt;
@@ -174,21 +174,21 @@ impl FaultPlan {
     }
 }
 
-/// Parameters of the pull-based repair protocol.
+/// Parameters of the pull protocol's retries.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairConfig {
-    /// Master switch. Off = orphans wait passively (pre-repair
-    /// behaviour; the [`crate::network::Network::anti_entropy`] oracle is
-    /// then the only way to reconcile losses).
+    /// Master switch for retries. Off = an announced transaction is
+    /// asked for once and an orphan then waits passively (the
+    /// [`crate::network::Network::anti_entropy`] oracle is then the only
+    /// way to reconcile losses).
     pub enabled: bool,
-    /// Ticks an orphaned parent stays missing before the first
-    /// re-request goes out.
-    pub delay: u64,
-    /// Base of the exponential backoff: attempt `a` waits
-    /// `backoff_base << a` ticks before the next re-request.
+    /// Ticks a requested transaction may take to arrive before it is
+    /// asked for again, from the next neighbour known to hold it; for a
+    /// missing parent nobody claims to hold, the base of an exponential
+    /// backoff (attempt `a` waits `backoff_base << a` ticks).
     pub backoff_base: u64,
-    /// Re-requests per missing transaction before giving up (head
-    /// advertisement rounds can still repair it afterwards).
+    /// Re-requests per wanted transaction before giving up (a fresh
+    /// announcement or a head advertisement round re-arms it).
     pub max_retries: u32,
 }
 
@@ -196,7 +196,6 @@ impl Default for RepairConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            delay: 8,
             backoff_base: 8,
             max_retries: 6,
         }

@@ -15,13 +15,14 @@
 //!   (transactions whose parents haven't arrived yet) and rejecting
 //!   duplicates, malformed payloads, and invalid proofs-of-work.
 //! * [`transport`] — the protocol vocabulary ([`ProtocolMsg`]:
-//!   publish / advertise / request / delta) and the [`Transport`]
-//!   abstraction over how those messages move between peers.
-//! * [`protocol`] — [`NodeProtocol`], the one protocol engine: flooding
-//!   plus the pull-based repair protocol (head advertisement + bounded
-//!   re-requests with exponential backoff and rotating neighbours),
-//!   written against [`Transport`]. The simulator below and the `lt-net`
-//!   daemon both run it.
+//!   publish / announce / advertise / request / delta) and the
+//!   [`Transport`] abstraction over how those messages move between peers.
+//! * [`protocol`] — [`NodeProtocol`], the one protocol engine: the issuer
+//!   pushes a transaction, every other peer announces its content id and
+//!   pulls the body on a miss, plus the repair protocol (head
+//!   advertisement + bounded re-requests from the announcers in
+//!   rotation), written against [`Transport`]. The simulator below and
+//!   the `lt-net` daemon both run it.
 //! * [`network`] — a discrete-event message simulator: one engine per
 //!   peer over an in-memory link layer with configurable topology (full
 //!   mesh / ring / random regular), per-link latency, message loss, and

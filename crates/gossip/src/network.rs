@@ -3,6 +3,14 @@
 //! drives one [`NodeProtocol`] per peer from its event queue, plus what
 //! only a simulator has: peer crash/recovery, checkpoint cadence,
 //! partitions, and omniscient consistency checks.
+//!
+//! What travels: a body eagerly from its issuer to the issuer's
+//! neighbours (`Publish`), lazily to everyone else (`Delta`, on
+//! `Request`); ids everywhere (`Announce`, `Advertise`).
+//! [`NetStats::delivered`] counts the bodies — the §III-C communication
+//! cost the benchmark multiplies by the message size — and
+//! [`NetStats::announced`] / [`NetStats::requested`] /
+//! [`NetStats::rerequests`] the ids, 8 bytes each plus framing.
 
 use crate::fault::{FaultPlan, Recovery, RepairConfig};
 use crate::message::TxMessage;
@@ -98,7 +106,9 @@ struct Scheduled {
 /// Running statistics of the simulated network.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Messages delivered to a peer.
+    /// Transaction bodies (`Publish` / `Delta`) delivered to a peer.
+    /// Announcements and requests carry no body and are counted in
+    /// [`NetStats::announced`] / [`NetStats::requested`].
     pub delivered: u64,
     /// Messages dropped by the loss model, a partition, or fault drops.
     pub dropped: u64,
@@ -115,6 +125,11 @@ pub struct NetStats {
     pub rerequests: u64,
     /// Orphans evicted by the per-peer buffer cap.
     pub evicted: u64,
+    /// Content ids delivered to a peer in `Announce` messages.
+    pub announced: u64,
+    /// Content ids asked for in first `Request`s (retries are
+    /// [`NetStats::rerequests`]).
+    pub requested: u64,
 }
 
 struct FaultState {
@@ -143,6 +158,9 @@ struct Links {
     /// Hops lost at send time, until [`Network::drive`] moves them into
     /// [`NetStats::dropped`].
     dropped: u64,
+    /// Content ids named in `Request`s at send time, until
+    /// [`Network::drive`] moves them into [`NetStats::requested`].
+    asked: u64,
 }
 
 impl Links {
@@ -181,6 +199,9 @@ impl Links {
 
 impl Transport for Links {
     fn send(&mut self, from: usize, to: usize, mut pkt: ProtocolMsg) -> bool {
+        if let ProtocolMsg::Request { wants } = &pkt {
+            self.asked += wants.len() as u64;
+        }
         let Some((mut delay, copy)) = self.draw_hop(from, to, &mut pkt) else {
             self.dropped += 1;
             return false;
@@ -208,12 +229,13 @@ impl Transport for Links {
 /// A gossip network of peers, each holding its own tangle replica.
 ///
 /// Every peer is a [`NodeProtocol`] — the same engine the `lt-node`
-/// daemon runs — and the network is the transport under them: messages
-/// published by a peer flood the topology (every peer forwards a
-/// first-seen valid message to all neighbours except the link it arrived
-/// on), delivery order is randomized by per-hop latency, so replicas see
-/// different insertion orders (and rely on orphan buffering), yet
-/// converge to the same transaction set.
+/// daemon runs — and the network is the transport under them: a
+/// publisher pushes its message to its neighbours, every peer announces
+/// a first-seen valid message by content id to all neighbours except
+/// the link it arrived on, and who lacks it pulls the body from an
+/// announcer. Delivery order is randomized by per-hop latency, so
+/// replicas see different insertion orders (and rely on orphan
+/// buffering), yet converge to the same transaction set.
 ///
 /// # Faults and repair
 ///
@@ -223,10 +245,11 @@ impl Transport for Links {
 /// and links additionally drop, duplicate, corrupt, or reorder traffic,
 /// all driven by a dedicated fault RNG so runs reproduce per fault seed.
 /// Losses are healed by protocol, not by fiat: the engines re-request
-/// missing orphan ancestors from neighbours with bounded retries and
-/// exponential backoff, and advertise their heads so neighbours push
-/// back the delta (see [`Network::repair_to_quiescence`]). The omniscient
-/// [`Network::anti_entropy`] survives only as a test ground truth.
+/// announced and missing transactions from neighbours with bounded
+/// retries, and advertise their heads so neighbours push back the delta
+/// and pull the heads they lack (see [`Network::repair_to_quiescence`]).
+/// The omniscient [`Network::anti_entropy`] survives only as a test
+/// ground truth.
 pub struct Network {
     /// One engine per peer; each owns its replica and its adjacency.
     protos: Vec<NodeProtocol>,
@@ -282,6 +305,7 @@ impl Network {
                 groups: vec![0; n],
                 up: vec![true; n],
                 dropped: 0,
+                asked: 0,
             },
             cfg,
             genesis: genesis.clone(),
@@ -301,11 +325,11 @@ impl Network {
     /// Attach an observability handle. The network then mirrors its
     /// [`NetStats`] bookkeeping into the `gossip.delivered`,
     /// `gossip.dropped`, `gossip.duplicates`, `gossip.orphaned`,
-    /// `gossip.rejected`, `gossip.rerequests`, and
-    /// `gossip.orphan_evictions` counters (incremented at exactly the
-    /// same points), records fault-engine activity under `fault.crash`,
-    /// `fault.restart`, `fault.recovered`, `fault.discarded`, and
-    /// `fault.checkpoint`, emits a structured `Fault` event per
+    /// `gossip.rejected`, `gossip.rerequests`, `gossip.announced`,
+    /// `gossip.requested` and `gossip.orphan_evictions` counters
+    /// (incremented at exactly the same points), records fault-engine
+    /// activity under `fault.crash`, `fault.restart`, `fault.recovered`,
+    /// `fault.discarded`, and `fault.checkpoint`, emits a structured `Fault` event per
     /// transition, and fills the `fault.recovery_ticks` histogram with
     /// restart-to-resolidified latencies. The engines' own `net.*`
     /// counters stay off: they are the daemon's names for the same points.
@@ -402,7 +426,7 @@ impl Network {
     }
 
     /// Publish a message from `origin`: the origin inserts it immediately
-    /// and gossips it to its neighbours. A crashed origin publishes
+    /// and pushes it to its neighbours. A crashed origin publishes
     /// nothing.
     pub fn publish(&mut self, origin: usize, msg: TxMessage) {
         if self.links.up[origin] {
@@ -427,6 +451,11 @@ impl Network {
         if dropped > 0 {
             self.stats.dropped += dropped;
             self.telemetry.count("gossip.dropped", dropped);
+        }
+        let asked = std::mem::take(&mut self.links.asked);
+        if asked > 0 {
+            self.stats.requested += asked;
+            self.telemetry.count("gossip.requested", asked);
         }
         out
     }
@@ -481,7 +510,12 @@ impl Network {
             return;
         }
         let now = self.links.now;
-        let rerequests = self.drive(p, |e, links| e.tick(now, links));
+        // what a tick asks for, it asks for again
+        let rerequests = self.drive(p, |e, links| {
+            let again = e.tick(now, links);
+            links.asked -= again;
+            again
+        });
         if rerequests > 0 {
             self.stats.rerequests += rerequests;
             self.telemetry.count("gossip.rerequests", rerequests);
@@ -496,8 +530,12 @@ impl Network {
             self.telemetry.count("fault.discarded", 1);
             return;
         }
+        if let ProtocolMsg::Announce { ids, .. } = &pkt {
+            self.stats.announced += ids.len() as u64;
+            self.telemetry.count("gossip.announced", ids.len() as u64);
+        }
         let Some(outcome) = self.drive(to, |e, links| e.on_message(from, pkt, links)) else {
-            return; // advertise / request: nothing entered the replica
+            return; // announce / advertise / request: no body arrived
         };
         self.stats.delivered += 1;
         self.telemetry.count("gossip.delivered", 1);
@@ -642,7 +680,8 @@ impl Network {
     /// every live peer advertises its heads to its neighbours (through
     /// the same lossy, fault-injected links as all other traffic),
     /// followed by a full drain. Terminates once two consecutive rounds
-    /// change nothing and leave no orphans or missing transactions —
+    /// change nothing and leave no orphans, no missing transactions and
+    /// no announced id still to be pulled ([`NodeProtocol::pending`]) —
     /// i.e. the protocol has nothing left it could do — or after
     /// `max_rounds`. Returns whether quiescence was reached.
     ///
@@ -661,10 +700,10 @@ impl Network {
             }
             self.run_to_quiescence();
             let unchanged = self.peers().zip(&before).all(|(p, &b)| p.len() == b);
-            let clean = self
-                .peers()
-                .zip(&self.links.up)
-                .all(|(p, &up)| !up || (p.orphan_count() == 0 && p.missing().is_empty()));
+            let clean = self.protos.iter().zip(&self.links.up).all(|(e, &up)| {
+                let p = e.peer();
+                !up || (p.orphan_count() == 0 && p.missing().is_empty() && e.pending() == 0)
+            });
             if unchanged && clean {
                 stable += 1;
                 if stable >= 2 {
@@ -828,8 +867,17 @@ mod tests {
             assert!(p.lookup(a.content_id()).is_some());
         }
         assert!(net.replicas_consistent());
-        assert!(net.stats.delivered > 0);
-        assert!(net.stats.duplicates > 0, "mesh flooding creates duplicates");
+        // the issuer is everyone's neighbour: five pushes, one body per
+        // peer, each receiver tells the four others, and nobody needs to
+        // ask
+        assert_eq!(
+            net.stats,
+            NetStats {
+                delivered: 5,
+                announced: 20,
+                ..NetStats::default()
+            }
+        );
     }
 
     #[test]
@@ -1037,7 +1085,7 @@ mod tests {
         assert!(!net.is_up(3));
         let b = msg(vec![a.content_id()], 0, 2.0);
         net.publish(0, b.clone());
-        net.advance(5); // b floods while 3 is down
+        net.advance(5); // b spreads while 3 is down
         assert!(net.peer(3).lookup(b.content_id()).is_none());
         net.advance(10); // restart at t=30 restores the checkpoint
         assert!(net.is_up(3));
@@ -1126,11 +1174,11 @@ mod tests {
         assert!(net.peer(1).orphan_count() > 0);
     }
 
-    /// The one scenario where flooding (whole adjacency), advertising (up
-    /// neighbours) and re-requesting (up *and* reachable neighbours) pick
-    /// three different neighbour sets: a peer restarting inside a
-    /// partition. The exact counters were recorded before the simulator
-    /// was rebuilt on the shared protocol engine.
+    /// The one scenario where pushing and announcing (whole adjacency),
+    /// advertising (up neighbours) and re-requesting (up *and* reachable
+    /// holders) pick three different neighbour sets: a peer restarting
+    /// inside a partition. The counters are exact: one changed RNG draw,
+    /// send or event order in the engine or the link layer moves them.
     #[test]
     fn restart_inside_a_partition_repairs_over_reachable_neighbours_only() {
         let g = genesis();
@@ -1177,42 +1225,52 @@ mod tests {
         net.run_to_quiescence();
         assert_eq!(net.peer(1).orphan_count(), 1);
         assert!(net.peer(1).missing().contains(&mid.content_id()));
-        // 30 drops = 3 cut-crossing copies × (b flooded by 0, 2 and 1, the
-        // advertisement, mid flooded by 3, 4 and 5, the child flooded by
-        // 0, 1 and 2); 12 re-requests = peers 1 and 2 × 6 retries, none of
-        // them dropped; the last retry's backoff ends at t=548.
-        assert_eq!(net.now(), 548);
+        // 30 drops = 3 cut-crossing copies × (b pushed by 0 and announced
+        // by 2 and 1, the advertisement, mid pushed by 3 and announced by
+        // 4 and 5, the child pushed by 0 and announced by 1 and 2);
+        // 12 bodies = a ×5, b to 2 and (pushed back by 0 and 2, hence the
+        // duplicate) twice to 1, mid ×2, the child ×2; peers 1 and 2 each
+        // ask 0, who sent them the child, for `mid` at once and 6 more
+        // times, none of them dropped; the last retry is at t=98.
+        assert_eq!(net.now(), 98);
         assert_eq!(
             net.stats,
             NetStats {
-                delivered: 37,
+                delivered: 12,
                 dropped: 30,
-                duplicates: 26,
+                duplicates: 1,
                 orphaned: 2,
                 rejected: 0,
                 discarded: 2,
                 rerequests: 12,
                 evicted: 0,
+                announced: 25,
+                requested: 2,
             }
         );
         // Healed, the near side advertises heads that do not cover `mid`,
-        // so the far side pushes it back and the orphaned child resolves.
+        // so the far side pushes it back and the orphaned child resolves;
+        // each side also asks the advertisers for the heads it has never
+        // seen (9 ids). Every neighbour that can tell a peer lacks a body
+        // pushes it back, which is where the duplicates come from.
         net.heal();
         assert!(net.repair_to_quiescence(32));
         assert!(net.replicas_consistent());
         assert_eq!(net.peer(1).len(), 5);
-        assert_eq!(net.now(), 573);
+        assert_eq!(net.now(), 127);
         assert_eq!(
             net.stats,
             NetStats {
-                delivered: 127,
+                delivered: 75,
                 dropped: 30,
-                duplicates: 107,
+                duplicates: 55,
                 orphaned: 2,
                 rejected: 0,
                 discarded: 2,
                 rerequests: 12,
                 evicted: 0,
+                announced: 61,
+                requested: 11,
             }
         );
     }

@@ -54,10 +54,16 @@ pub struct Peer {
     archive: Vec<TxMessage>,
     /// Messages waiting for missing parents, keyed by their own id.
     orphans: HashMap<ContentId, TxMessage>,
-    /// Orphan arrival order: drives both bounded eviction (oldest first)
-    /// and deterministic flush order. May hold stale ids of orphans that
-    /// have since flushed; consumers skip ids absent from `orphans`.
+    /// Orphan arrival order: drives bounded eviction (oldest first). May
+    /// hold stale ids of orphans that have since flushed; eviction skips
+    /// ids absent from `orphans`.
     orphan_order: VecDeque<ContentId>,
+    /// Parent not yet in the replica → the buffered orphans that name it,
+    /// in arrival order: what an admission unblocks, found without
+    /// scanning the buffer. Lists hold live orphans only (eviction
+    /// removes its victim), so the keys are exactly the parents the
+    /// buffer waits for.
+    waiting_on: HashMap<ContentId, Vec<ContentId>>,
     /// Maximum buffered orphans before the oldest is evicted.
     orphan_cap: usize,
     /// Orphans evicted by the cap so far.
@@ -95,6 +101,7 @@ impl Peer {
             archive: vec![genesis.clone()],
             orphans: HashMap::new(),
             orphan_order: VecDeque::new(),
+            waiting_on: HashMap::new(),
             orphan_cap: DEFAULT_ORPHAN_CAP,
             evictions: 0,
             missing: BTreeSet::new(),
@@ -195,6 +202,11 @@ impl Peer {
         self.orphans.len()
     }
 
+    /// The bound on buffered orphans (see [`Peer::with_orphan_cap`]).
+    pub fn orphan_cap(&self) -> usize {
+        self.orphan_cap
+    }
+
     /// Orphans evicted by the buffer cap so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -272,7 +284,14 @@ impl Peer {
 
     /// Process an incoming message.
     pub fn receive(&mut self, msg: &TxMessage) -> ReceiveOutcome {
-        let cid = msg.content_id();
+        self.admit(msg.content_id(), msg)
+    }
+
+    /// [`Peer::receive`] for a caller that already hashed the message
+    /// (`cid` must be `msg.content_id()`): the protocol engine needs the
+    /// id to announce the message and hashes the payload once.
+    pub(crate) fn admit(&mut self, cid: ContentId, msg: &TxMessage) -> ReceiveOutcome {
+        debug_assert_eq!(cid, msg.content_id());
         if self.seen.contains(&cid) {
             return ReceiveOutcome::Duplicate;
         }
@@ -286,12 +305,20 @@ impl Peer {
         self.missing.remove(&cid);
         if msg.parents.iter().all(|p| self.by_content.contains_key(p)) {
             self.insert(cid, msg, params);
-            self.flush_orphans();
+            self.flush_orphans(cid);
             ReceiveOutcome::Accepted
         } else {
             for p in &msg.parents {
+                if self.by_content.contains_key(p) {
+                    continue;
+                }
                 if !self.seen.contains(p) {
                     self.missing.insert(*p);
+                }
+                let waiting = self.waiting_on.entry(*p).or_default();
+                // a parent named twice lists its child once
+                if waiting.last() != Some(&cid) {
+                    waiting.push(cid);
                 }
             }
             self.orphans.insert(cid, msg.clone());
@@ -302,16 +329,25 @@ impl Peer {
     }
 
     /// Evict oldest orphans until the buffer respects the cap. Evicted
-    /// entries are forgotten (removed from `seen`) so a re-delivery or a
-    /// repair re-fetch can buffer them again.
+    /// entries are forgotten (removed from `seen` and from the lists of
+    /// the parents they waited for) so a re-delivery or a repair re-fetch
+    /// can buffer them again.
     fn enforce_orphan_cap(&mut self) {
         let mut evicted = false;
         while self.orphans.len() > self.orphan_cap {
             let Some(victim) = self.orphan_order.pop_front() else {
                 break;
             };
-            if self.orphans.remove(&victim).is_none() {
+            let Some(msg) = self.orphans.remove(&victim) else {
                 continue; // stale id of an already-flushed orphan
+            };
+            for p in &msg.parents {
+                if let Some(waiting) = self.waiting_on.get_mut(p) {
+                    waiting.retain(|c| *c != victim);
+                    if waiting.is_empty() {
+                        self.waiting_on.remove(p);
+                    }
+                }
             }
             self.seen.remove(&victim);
             self.evictions += 1;
@@ -322,17 +358,16 @@ impl Peer {
         }
     }
 
-    /// Rebuild `missing` from the surviving orphans (eviction may both
-    /// re-miss the victim and orphan references that only it held).
+    /// Rebuild `missing` from the parents the surviving orphans wait for
+    /// (eviction may both re-miss the victim and orphan references that
+    /// only it held).
     fn recompute_missing(&mut self) {
-        self.missing.clear();
-        for m in self.orphans.values() {
-            for p in &m.parents {
-                if !self.seen.contains(p) {
-                    self.missing.insert(*p);
-                }
-            }
-        }
+        self.missing = self
+            .waiting_on
+            .keys()
+            .filter(|p| !self.seen.contains(p))
+            .copied()
+            .collect();
     }
 
     /// The one place a transaction enters the replica; `params` is the
@@ -350,27 +385,25 @@ impl Peer {
         debug_assert_eq!(self.archive.len(), self.replica.len());
     }
 
-    /// Repeatedly insert any orphans whose parents are now present, in
-    /// arrival order (deterministic across runs, unlike map iteration).
-    fn flush_orphans(&mut self) {
-        loop {
-            let ready: Vec<ContentId> = self
-                .orphan_order
-                .iter()
-                .filter(|cid| {
-                    self.orphans
-                        .get(cid)
-                        .is_some_and(|m| m.parents.iter().all(|p| self.by_content.contains_key(p)))
-                })
-                .copied()
-                .collect();
-            if ready.is_empty() {
-                break;
-            }
-            for cid in ready {
-                let msg = self.orphans.remove(&cid).expect("listed above");
+    /// Insert the orphans that the admission of `arrived` unblocks, then
+    /// what those unblock in turn: breadth-first over `waiting_on`, each
+    /// list in arrival order (deterministic across runs, unlike map
+    /// iteration), touching only orphans that name an admitted parent.
+    fn flush_orphans(&mut self, arrived: ContentId) {
+        let mut admitted = VecDeque::from([arrived]);
+        while let Some(parent) = admitted.pop_front() {
+            for cid in self.waiting_on.remove(&parent).unwrap_or_default() {
+                let ready = self
+                    .orphans
+                    .get(&cid)
+                    .is_some_and(|m| m.parents.iter().all(|p| self.by_content.contains_key(p)));
+                if !ready {
+                    continue; // still listed under the parent it lacks
+                }
+                let msg = self.orphans.remove(&cid).expect("checked above");
                 let params = msg.decode_params().expect("validated in receive");
                 self.insert(cid, &msg, params);
+                admitted.push_back(cid);
             }
         }
         // drop stale front entries so eviction targets live orphans
@@ -463,6 +496,70 @@ mod tests {
         assert_eq!(p.receive(&a), ReceiveOutcome::Accepted);
         assert_eq!(p.orphan_count(), 0);
         assert_eq!(p.len(), 4); // genesis, a, d, b (c was evicted)
+    }
+
+    #[test]
+    fn orphan_chain_delivered_in_reverse_flushes_at_once() {
+        let g = genesis();
+        let mut p = Peer::new(0, &g, 0);
+        let mut chain = vec![msg(vec![g.content_id()], 0, 0.5)];
+        for i in 1..=200 {
+            let parent = chain[i - 1].content_id();
+            chain.push(msg(vec![parent], i as u64, i as f32));
+        }
+        for m in chain[1..].iter().rev() {
+            assert_eq!(p.receive(m), ReceiveOutcome::OrphanBuffered);
+        }
+        assert_eq!(p.orphan_count(), 200);
+        // each orphan is listed under its one parent, so the flush visits
+        // every orphan once; only the chain's root is truly missing
+        assert_eq!(p.waiting_on.len(), 200);
+        assert!(p.waiting_on.values().all(|w| w.len() == 1));
+        assert_eq!(p.missing().len(), 1);
+        assert_eq!(p.receive(&chain[0]), ReceiveOutcome::Accepted);
+        assert_eq!(p.len(), 202);
+        assert_eq!(p.orphan_count(), 0);
+        assert!(p.missing().is_empty());
+        assert!(p.waiting_on.is_empty());
+        assert!(p.orphan_order.is_empty());
+        // admitted root first, parents before children
+        for (i, m) in chain.iter().enumerate() {
+            assert_eq!(p.lookup(m.content_id()), Some(TxId(i as u32 + 1)));
+        }
+    }
+
+    #[test]
+    fn orphan_evicted_then_redelivered_is_listed_once() {
+        let g = genesis();
+        let mut p = Peer::new(0, &g, 0).with_orphan_cap(1);
+        let a = msg(vec![g.content_id()], 1, 1.0);
+        let b = msg(vec![a.content_id()], 2, 2.0);
+        let c = msg(vec![a.content_id(), b.content_id()], 3, 3.0);
+        assert_eq!(p.receive(&c), ReceiveOutcome::OrphanBuffered);
+        // b evicts c: nothing of c stays listed, and only b's parent is
+        // missing (c's reference to b went with it)
+        assert_eq!(p.receive(&b), ReceiveOutcome::OrphanBuffered);
+        assert_eq!(p.evictions(), 1);
+        assert_eq!(p.waiting_on.len(), 1);
+        assert_eq!(p.waiting_on[&a.content_id()], [b.content_id()]);
+        assert_eq!(
+            p.missing().iter().copied().collect::<Vec<_>>(),
+            [a.content_id()]
+        );
+        // c again evicts b in turn; c waits for a (missing) and b (missing
+        // again, since the eviction forgot it)
+        assert_eq!(p.receive(&c), ReceiveOutcome::OrphanBuffered);
+        assert_eq!(p.waiting_on[&a.content_id()], [c.content_id()]);
+        assert_eq!(p.waiting_on[&b.content_id()], [c.content_id()]);
+        assert_eq!(p.missing().len(), 2);
+        // a alone does not admit c; b after it does, exactly once
+        assert_eq!(p.receive(&a), ReceiveOutcome::Accepted);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.receive(&b), ReceiveOutcome::Accepted);
+        assert_eq!(p.len(), 4);
+        assert_eq!(p.orphan_count(), 0);
+        assert!(p.waiting_on.is_empty());
+        assert!(p.missing().is_empty());
     }
 
     #[test]

@@ -1,16 +1,35 @@
 //! One peer's protocol engine, written against the transport boundary.
 //!
 //! [`NodeProtocol`] is the only implementation of the gossip protocol in
-//! this repository: receive-and-forward flooding, advertise / request /
-//! delta repair, bounded re-requests with exponential backoff
-//! (`backoff_base << attempt`, shift capped at 16) and rotating
-//! neighbour selection (`nbrs[(attempt + cid) % len]`) over an
-//! `attempts: missing cid → (attempt, next_at)` map. The simulated
-//! [`Network`](crate::network::Network) owns one engine per peer and
-//! drives them from its event queue; the `lt-node` daemon owns one and
-//! drives it from its socket threads; `lt_net::MockTransport` tests drive
-//! a handful by hand. A verdict reached in one of them is a verdict about
-//! the same code in the others.
+//! this repository. A transaction body crosses the network once per peer,
+//! not once per link:
+//!
+//! * **eager** — the issuer pushes `Publish(body)` to each of its
+//!   neighbours, and every peer that sees a transaction for the first
+//!   time tells its other neighbours so with an 8-byte id
+//!   (`Announce { issuer, ids }`), never with the body;
+//! * **lazy** — a peer that is told of an id it has not seen records who
+//!   holds it (`wanted: id → holders`) and pulls it with `Request`,
+//!   answered by `Delta(body)`. An announcer, an advertiser of heads and
+//!   the sender of an orphan (for the orphan's unseen parents) are all
+//!   holders, and the first of them is asked at once — unless the issuer
+//!   is a neighbour, whose push is already on its way;
+//! * **repair** — a wanted id that has not arrived once `backoff_base`
+//!   has passed is re-requested, at that interval, from its holders in
+//!   rotation
+//!   (`holders[(attempt + cid) % len]`), a missing parent nobody claims
+//!   to hold with exponential backoff (`backoff_base << attempt`, shift
+//!   capped at 16) from all neighbours in rotation, both at most
+//!   `max_retries` times over one `attempts: cid → (attempt, next_at)`
+//!   map. Fresh evidence re-arms what gave up: an announcement, a head
+//!   advertisement, or — for the parents a stalled replica is missing —
+//!   the next orphan, whose sender is evidently ahead.
+//!
+//! The simulated [`Network`](crate::network::Network) owns one engine per
+//! peer and drives them from its event queue; the `lt-node` daemon owns
+//! one and drives it from its socket threads; `lt_net::MockTransport`
+//! tests drive a handful by hand. A verdict reached in one of them is a
+//! verdict about the same code in the others.
 //!
 //! Time is an explicit `u64` the embedder advances: the daemon feeds
 //! milliseconds since start, the simulator and the mock feed ticks. The
@@ -21,7 +40,7 @@ use crate::fault::RepairConfig;
 use crate::message::{ContentId, TxMessage};
 use crate::peer::{Peer, ReceiveOutcome};
 use crate::transport::{LinkState, ProtocolMsg, Transport};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Per-node gossip + repair protocol state machine.
 pub struct NodeProtocol {
@@ -29,7 +48,16 @@ pub struct NodeProtocol {
     peer: Peer,
     neighbours: Vec<usize>,
     repair_cfg: RepairConfig,
-    /// Missing content id → (re-requests issued, next re-request time).
+    /// Unseen content id → the neighbours that said they hold it, in the
+    /// order they said so. Bounded by the peer's orphan cap and by
+    /// `neighbours.len()` per id; a neighbour can make us want an id
+    /// nobody holds, which costs `1 + max_retries` small requests to it.
+    wanted: BTreeMap<ContentId, Vec<usize>>,
+    /// The ids of `wanted`, oldest first (what the cap drops). May hold
+    /// ids that have arrived since; the front is trimmed to a live one.
+    wanted_order: VecDeque<ContentId>,
+    /// Wanted or missing content id → (re-requests issued, next
+    /// re-request time).
     attempts: BTreeMap<ContentId, (u32, u64)>,
     /// Earliest pending repair wake-up, if any.
     next_tick: Option<u64>,
@@ -54,6 +82,8 @@ impl NodeProtocol {
             peer,
             neighbours: Vec::new(),
             repair_cfg: RepairConfig::default(),
+            wanted: BTreeMap::new(),
+            wanted_order: VecDeque::new(),
             attempts: BTreeMap::new(),
             next_tick: None,
             now: 0,
@@ -68,19 +98,26 @@ impl NodeProtocol {
 
     /// Attach an observability handle: deliveries are then mirrored into
     /// `net.delivered` / `net.duplicates` / `net.orphaned` /
-    /// `net.rejected_rx` / `net.rerequests`. The simulator leaves its
-    /// engines' handles disabled and counts the same points as `gossip.*`
-    /// from the values [`NodeProtocol::on_message`] and
+    /// `net.rejected_rx` / `net.rerequests`, announced ids into
+    /// `net.announced` and ids asked for in first requests into
+    /// `net.requested`. The simulator leaves its engines' handles
+    /// disabled and counts the same points as `gossip.*` from what it
+    /// sees pass and the values [`NodeProtocol::on_message`] and
     /// [`NodeProtocol::tick`] return.
     pub fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
         self.telemetry = telemetry;
     }
 
     /// Replace the neighbour set: the connected peer ids (daemon) or the
-    /// topology's adjacency (simulator). Floods and rotations follow its
-    /// order.
+    /// topology's adjacency (simulator). Pushes, announcements and
+    /// rotations follow its order; holders that are gone are forgotten.
     pub fn set_neighbours(&mut self, neighbours: Vec<usize>) {
         self.neighbours = neighbours;
+        let nbrs = &self.neighbours;
+        self.wanted.retain(|_, holders| {
+            holders.retain(|h| nbrs.contains(h));
+            !holders.is_empty()
+        });
     }
 
     /// The current neighbour set.
@@ -119,21 +156,33 @@ impl NodeProtocol {
         self.next_tick
     }
 
+    /// Content ids a neighbour said it holds that have not arrived yet,
+    /// retries exhausted or not. A peer with a pending pull is not
+    /// quiescent, whatever its orphan buffer says.
+    pub fn pending(&self) -> usize {
+        self.wanted.len()
+    }
+
     /// Publish a locally created transaction: insert it into the replica
-    /// and flood it to every neighbour. Returns the receive outcome (a
-    /// self-publish is normally [`ReceiveOutcome::Accepted`]).
+    /// and push it to every neighbour — the only place a body is sent
+    /// unasked. Returns the receive outcome (a self-publish is normally
+    /// [`ReceiveOutcome::Accepted`]).
     pub fn publish(&mut self, msg: TxMessage, t: &mut impl Transport) -> ReceiveOutcome {
-        let outcome = self.peer.receive(&msg);
+        let cid = msg.content_id();
+        let outcome = self.peer.admit(cid, &msg);
         if outcome == ReceiveOutcome::Accepted || outcome == ReceiveOutcome::OrphanBuffered {
-            self.forward(usize::MAX, msg, t);
+            self.forget(cid);
+            for &nb in &self.neighbours {
+                t.send(self.id, nb, ProtocolMsg::Publish(msg.clone()));
+            }
         }
         outcome
     }
 
     /// Advertise this node's heads to every neighbour the transport does
     /// not know to be down (the push half of anti-entropy; the replies
-    /// carry whatever the neighbours hold that we provably lack, and our
-    /// unknown-head registrations pull the rest).
+    /// carry whatever the neighbours hold that we provably lack, and they
+    /// pull the heads they have never seen).
     pub fn advertise_heads(&mut self, t: &mut impl Transport) {
         let heads = self.peer.heads();
         for &nb in &self.neighbours {
@@ -163,43 +212,51 @@ impl NodeProtocol {
             // identically; only the wire-level intent differs.
             ProtocolMsg::Publish(m) | ProtocolMsg::Delta(m) => {
                 self.telemetry.count("net.delivered", 1);
-                let outcome = self.peer.receive(&m);
+                let cid = m.content_id();
+                let outcome = self.peer.admit(cid, &m);
                 match outcome {
-                    ReceiveOutcome::Accepted => self.forward(from, m, t),
+                    ReceiveOutcome::Accepted => {
+                        self.forget(cid);
+                        self.announce(from, m.issuer, cid, t);
+                    }
                     ReceiveOutcome::OrphanBuffered => {
                         self.telemetry.count("net.orphaned", 1);
-                        self.forward(from, m, t);
-                        if self.repair_cfg.enabled {
-                            self.schedule_tick(self.now + self.repair_cfg.delay);
-                        }
+                        self.forget(cid);
+                        self.announce(from, m.issuer, cid, t);
+                        // Whoever sends a child can be asked for its parents,
+                        // and, being ahead of us, for what we gave up on.
+                        let mut ask = m.parents.clone();
+                        let gave_up =
+                            |c: &&ContentId| self.attempts_for(**c) >= self.repair_cfg.max_retries;
+                        ask.extend(self.peer.missing().iter().filter(gave_up));
+                        self.learn_holder(from, false, &ask, t);
                     }
-                    ReceiveOutcome::Duplicate => self.telemetry.count("net.duplicates", 1),
+                    ReceiveOutcome::Duplicate => {
+                        self.telemetry.count("net.duplicates", 1);
+                        self.forget(cid);
+                    }
                     ReceiveOutcome::InvalidPow | ReceiveOutcome::Corrupt => {
                         self.telemetry.count("net.rejected_rx", 1)
                     }
                 }
                 Some(outcome)
             }
+            ProtocolMsg::Announce { issuer, ids } => {
+                self.telemetry.count("net.announced", ids.len() as u64);
+                // A neighbouring issuer pushes to us itself: pulling as
+                // well would fetch the body twice. A false `issuer`
+                // therefore delays the victim's first request by one
+                // `backoff_base` (and a tick), no more.
+                let pushed =
+                    issuer != from as u64 && self.neighbours.iter().any(|&nb| nb as u64 == issuer);
+                self.learn_holder(from, pushed, &ids, t);
+                None
+            }
             ProtocolMsg::Advertise { heads } => {
-                let unknown: Vec<ContentId> = heads
-                    .iter()
-                    .copied()
-                    .filter(|h| !self.peer.has_seen(*h))
-                    .collect();
                 for m in self.peer.delta_for(&heads) {
                     t.send(self.id, from, ProtocolMsg::Delta(m));
                 }
-                if !unknown.is_empty() && self.repair_cfg.enabled {
-                    let first_due = self.now + self.repair_cfg.delay;
-                    for cid in unknown {
-                        let entry = self.attempts.entry(cid).or_insert((0, first_due));
-                        if entry.0 >= self.repair_cfg.max_retries {
-                            // fresh evidence the tx exists: retry anew
-                            *entry = (0, first_due);
-                        }
-                    }
-                    self.schedule_tick(first_due);
-                }
+                self.learn_holder(from, false, &heads, t);
                 None
             }
             ProtocolMsg::Request { wants } => {
@@ -215,11 +272,14 @@ impl NodeProtocol {
         }
     }
 
-    /// One round of the pull protocol: re-request every due missing
-    /// transaction from a rotating neighbour with an open link, back off
-    /// exponentially per transaction, and remember the earliest future
-    /// retry in [`NodeProtocol::next_wake`]. Returns the number of
-    /// re-requests issued.
+    /// One round of the pull protocol: re-request every due wanted or
+    /// missing transaction from a neighbour with an open link — a wanted
+    /// one from its holders in rotation at a fixed interval, a missing
+    /// parent nobody claims to hold from all neighbours in rotation with
+    /// exponential backoff — and remember the earliest future retry in
+    /// [`NodeProtocol::next_wake`]. A retry with no open link to try still
+    /// counts against `max_retries`, so a cut-off peer gives up rather
+    /// than waking forever. Returns the number of re-requests issued.
     pub fn tick(&mut self, now: u64, t: &mut impl Transport) -> u64 {
         self.set_now(now);
         if self.next_tick.is_some_and(|due| due <= self.now) {
@@ -230,21 +290,25 @@ impl NodeProtocol {
         }
         let now = self.now;
         let cfg = self.repair_cfg;
-        let missing: Vec<ContentId> = self.peer.missing().iter().copied().collect();
+        let patience = self.patience();
+        let peer = &self.peer;
+        // (the simulator's oracle admits bodies behind the engine's back)
+        self.wanted.retain(|cid, _| !peer.has_seen(*cid));
+        let (missing, wanted) = (peer.missing(), &self.wanted);
         self.attempts
-            .retain(|cid, _| missing.binary_search(cid).is_ok());
-        for cid in &missing {
+            .retain(|cid, _| missing.contains(cid) || wanted.contains_key(cid));
+        for cid in missing {
             self.attempts.entry(*cid).or_insert((0, now));
         }
-        let nbrs: Vec<usize> = self
+        if self.attempts.is_empty() {
+            return 0;
+        }
+        let open: Vec<usize> = self
             .neighbours
             .iter()
             .copied()
             .filter(|&nb| t.link_state(self.id, nb) == LinkState::Open)
             .collect();
-        if nbrs.is_empty() {
-            return 0;
-        }
         let mut sends: BTreeMap<usize, Vec<ContentId>> = BTreeMap::new();
         let mut next_due: Option<u64> = None;
         for (cid, (attempt, next_at)) in self.attempts.iter_mut() {
@@ -255,10 +319,27 @@ impl NodeProtocol {
                 next_due = Some(next_due.map_or(*next_at, |d| d.min(*next_at)));
                 continue;
             }
-            let nb = nbrs[(*attempt as usize + cid.0 as usize) % nbrs.len()];
-            sends.entry(nb).or_default().push(*cid);
+            let rotate = (*attempt as usize).wrapping_add(cid.0 as usize);
+            let pick = |from: &[usize]| from.get(rotate % from.len().max(1)).copied();
             *attempt += 1;
-            *next_at = now + (cfg.backoff_base << (*attempt).min(16));
+            let target = match wanted.get(cid) {
+                Some(holders) => {
+                    let holders: Vec<usize> = holders
+                        .iter()
+                        .copied()
+                        .filter(|h| open.contains(h))
+                        .collect();
+                    *next_at = now + patience;
+                    pick(&holders)
+                }
+                None => {
+                    *next_at = now + (cfg.backoff_base << (*attempt).min(16));
+                    pick(&open)
+                }
+            };
+            if let Some(nb) = target {
+                sends.entry(nb).or_default().push(*cid);
+            }
             if *attempt < cfg.max_retries {
                 next_due = Some(next_due.map_or(*next_at, |d| d.min(*next_at)));
             }
@@ -281,20 +362,106 @@ impl NodeProtocol {
         self.attempts.get(&cid).map_or(0, |(a, _)| *a)
     }
 
+    /// How long a wanted body may take before it is asked for again. One
+    /// that arrives exactly `backoff_base` after the request is on time
+    /// (a request and its answer each taking half of it), so the retry
+    /// waits for the clock to move past that.
+    fn patience(&self) -> u64 {
+        self.repair_cfg.backoff_base + 1
+    }
+
     fn schedule_tick(&mut self, at: u64) {
         if self.next_tick.is_none_or(|due| at < due) {
             self.next_tick = Some(at);
         }
     }
 
-    /// Flood a first-seen transaction to every neighbour except the one
-    /// it arrived from.
-    fn forward(&mut self, came_from: usize, msg: TxMessage, t: &mut impl Transport) {
+    /// Tell every neighbour except the one it arrived from that we now
+    /// hold `cid`. Never the body: who wants it asks.
+    fn announce(&mut self, came_from: usize, issuer: u64, cid: ContentId, t: &mut impl Transport) {
         for &nb in &self.neighbours {
             if nb == came_from {
                 continue;
             }
-            t.send(self.id, nb, ProtocolMsg::Publish(msg.clone()));
+            let ids = vec![cid];
+            t.send(self.id, nb, ProtocolMsg::Announce { issuer, ids });
+        }
+    }
+
+    /// Neighbour `from` holds `ids`. Record it as a holder of each one we
+    /// have not seen, and start pulling those we are not already
+    /// fetching (new, or given up on: fresh evidence re-arms): the first
+    /// `Request` goes to `from` at once unless the body is being `pushed`
+    /// to us anyway, the retries follow from [`NodeProtocol::tick`]. The
+    /// want-set is capped at the peer's orphan cap (at least one id); the
+    /// oldest id makes room and can be announced again.
+    fn learn_holder(
+        &mut self,
+        from: usize,
+        pushed: bool,
+        ids: &[ContentId],
+        t: &mut impl Transport,
+    ) {
+        let cfg = self.repair_cfg;
+        let first_retry = self.now + self.patience();
+        let mut wants = Vec::new();
+        let mut armed = false;
+        for &cid in ids {
+            if self.peer.has_seen(cid) {
+                continue;
+            }
+            let fetching = match self.wanted.get_mut(&cid) {
+                Some(holders) => {
+                    if !holders.contains(&from) {
+                        holders.push(from);
+                    }
+                    self.attempts
+                        .get(&cid)
+                        .is_some_and(|(attempt, _)| *attempt < cfg.max_retries)
+                }
+                None => {
+                    self.wanted.insert(cid, vec![from]);
+                    self.wanted_order.push_back(cid);
+                    false
+                }
+            };
+            if fetching {
+                continue;
+            }
+            self.attempts.insert(cid, (0, first_retry));
+            armed = true;
+            if !pushed {
+                wants.push(cid);
+            }
+        }
+        while self.wanted.len() > self.peer.orphan_cap().max(1) {
+            let Some(oldest) = self.wanted_order.pop_front() else {
+                break;
+            };
+            if self.wanted.remove(&oldest).is_some() {
+                self.attempts.remove(&oldest);
+            }
+        }
+        wants.retain(|cid| self.wanted.contains_key(cid));
+        if armed && cfg.enabled {
+            self.schedule_tick(first_retry);
+        }
+        if !wants.is_empty() {
+            self.telemetry.count("net.requested", wants.len() as u64);
+            t.send(self.id, from, ProtocolMsg::Request { wants });
+        }
+    }
+
+    /// `cid` is here: stop wanting it.
+    fn forget(&mut self, cid: ContentId) {
+        if self.wanted.remove(&cid).is_some() {
+            self.attempts.remove(&cid);
+            while let Some(front) = self.wanted_order.front() {
+                if self.wanted.contains_key(front) {
+                    break;
+                }
+                self.wanted_order.pop_front();
+            }
         }
     }
 }
@@ -310,6 +477,30 @@ mod tests {
         states: Vec<LinkState>,
     }
 
+    impl Wire {
+        fn open(n: usize) -> Self {
+            Wire {
+                sent: Vec::new(),
+                states: vec![LinkState::Open; n],
+            }
+        }
+
+        /// `(to, "publish" | "announce" | …, ids named)` of everything
+        /// sent since the last call.
+        fn take(&mut self) -> Vec<(usize, &'static str, Vec<ContentId>)> {
+            self.sent
+                .drain(..)
+                .map(|(to, msg)| match msg {
+                    ProtocolMsg::Publish(m) => (to, "publish", vec![m.content_id()]),
+                    ProtocolMsg::Delta(m) => (to, "delta", vec![m.content_id()]),
+                    ProtocolMsg::Announce { ids, .. } => (to, "announce", ids),
+                    ProtocolMsg::Advertise { heads } => (to, "advertise", heads),
+                    ProtocolMsg::Request { wants } => (to, "request", wants),
+                })
+                .collect()
+        }
+    }
+
     impl Transport for Wire {
         fn send(&mut self, _from: usize, to: usize, msg: ProtocolMsg) -> bool {
             self.sent.push((to, msg));
@@ -322,15 +513,21 @@ mod tests {
     }
 
     fn tx(parents: Vec<ContentId>, v: f32) -> TxMessage {
-        TxMessage::create(&ParamVec(vec![v]), parents, 0, 0, 0)
+        TxMessage::create(&ParamVec(vec![v]), parents, 9, 0, 0)
+    }
+
+    /// Engine 0 with neighbours `1..=n`, orphan cap 16.
+    fn engine(n: usize) -> (NodeProtocol, ContentId) {
+        let genesis = tx(vec![], 0.0);
+        let mut e = NodeProtocol::new(0, &genesis, 0, 16);
+        e.set_neighbours((1..=n).collect());
+        (e, genesis.content_id())
     }
 
     /// Engine 0 with neighbours 1 (open), 2 (cut) and 3 (down), holding an
     /// orphan whose parent nobody will ever send.
     fn orphaned() -> (NodeProtocol, Wire, ContentId) {
-        let genesis = tx(vec![], 0.0);
-        let mut e = NodeProtocol::new(0, &genesis, 0, 16);
-        e.set_neighbours(vec![1, 2, 3]);
+        let (mut e, genesis) = engine(3);
         let mut wire = Wire {
             sent: Vec::new(),
             states: vec![
@@ -340,34 +537,200 @@ mod tests {
                 LinkState::Down,
             ],
         };
-        let parent = tx(vec![genesis.content_id()], 1.0);
+        let parent = tx(vec![genesis], 1.0);
         let child = tx(vec![parent.content_id()], 2.0);
         let outcome = e.on_message(1, ProtocolMsg::Publish(child), &mut wire);
         assert_eq!(outcome, Some(ReceiveOutcome::OrphanBuffered));
         (e, wire, parent.content_id())
     }
 
-    fn targets(wire: &mut Wire) -> Vec<usize> {
-        wire.sent.drain(..).map(|(to, _)| to).collect()
+    fn announce(issuer: u64, ids: &[ContentId]) -> ProtocolMsg {
+        ProtocolMsg::Announce {
+            issuer,
+            ids: ids.to_vec(),
+        }
+    }
+
+    #[test]
+    fn issuer_pushes_bodies_to_all_neighbours_and_a_forwarder_sends_none() {
+        let (mut e, genesis) = engine(3);
+        let mut wire = Wire::open(4);
+        let a = tx(vec![genesis], 1.0);
+        let b = tx(vec![genesis], 2.0);
+        let (ida, idb) = (a.content_id(), b.content_id());
+        // whatever `issuer` the message names, `publish` pushes the body
+        assert_eq!(e.publish(a, &mut wire), ReceiveOutcome::Accepted);
+        assert_eq!(
+            wire.take(),
+            [1, 2, 3].map(|to| (to, "publish", vec![ida])).to_vec()
+        );
+        // first seen from 2: ids to everyone else, and no body at all
+        let outcome = e.on_message(2, ProtocolMsg::Publish(b.clone()), &mut wire);
+        assert_eq!(outcome, Some(ReceiveOutcome::Accepted));
+        assert_eq!(
+            wire.take(),
+            [1, 3].map(|to| (to, "announce", vec![idb])).to_vec()
+        );
+        // a pulled body is announced like a pushed one; a duplicate is not
+        let c = tx(vec![ida], 3.0);
+        let idc = c.content_id();
+        e.on_message(3, ProtocolMsg::Delta(c), &mut wire);
+        assert_eq!(
+            wire.take(),
+            [1, 2].map(|to| (to, "announce", vec![idc])).to_vec()
+        );
+        let outcome = e.on_message(1, ProtocolMsg::Publish(b), &mut wire);
+        assert_eq!(outcome, Some(ReceiveOutcome::Duplicate));
+        assert!(wire.take().is_empty());
+    }
+
+    #[test]
+    fn one_request_per_unseen_id_however_many_neighbours_announce_it() {
+        let (mut e, genesis) = engine(3);
+        let mut wire = Wire::open(4);
+        let x = ContentId(77);
+        e.on_message(1, announce(9, &[x, genesis, x]), &mut wire);
+        // the genesis is here already, and x is asked for once
+        assert_eq!(wire.take(), [(1, "request", vec![x])]);
+        e.on_message(2, announce(9, &[x]), &mut wire);
+        e.on_message(1, announce(9, &[x]), &mut wire);
+        e.on_message(3, ProtocolMsg::Advertise { heads: vec![x] }, &mut wire);
+        assert!(wire.take().is_empty(), "already being fetched");
+        assert_eq!(e.wanted[&x], [1, 2, 3]);
+        assert_eq!(e.pending(), 1);
+        // an id stops being wanted when its body arrives
+        let body = tx(vec![genesis], 1.0);
+        e.on_message(2, announce(9, &[body.content_id()]), &mut wire);
+        assert_eq!(e.pending(), 2);
+        e.on_message(2, ProtocolMsg::Delta(body), &mut wire);
+        assert_eq!(e.pending(), 1);
+        assert_eq!(e.attempts.len(), 1);
+    }
+
+    #[test]
+    fn neighbouring_issuer_suppresses_the_request_and_a_lost_push_is_pulled_at_the_first_retry() {
+        let (mut e, _) = engine(3);
+        let mut wire = Wire::open(4);
+        let x = ContentId(78);
+        // issuer 2 is a neighbour: its own push is on the way
+        e.on_message(1, announce(2, &[x]), &mut wire);
+        assert!(wire.take().is_empty());
+        assert_eq!(e.pending(), 1);
+        let due = e.now() + e.patience();
+        assert_eq!(e.next_wake(), Some(due));
+        // ...but it never arrives, so the announcer is asked
+        assert_eq!(e.tick(due, &mut wire), 1);
+        assert_eq!(wire.take(), [(1, "request", vec![x])]);
+        // the issuer announcing its own transaction is not pushing it
+        let y = ContentId(79);
+        e.on_message(2, announce(2, &[y]), &mut wire);
+        assert_eq!(wire.take(), [(2, "request", vec![y])]);
+    }
+
+    #[test]
+    fn an_orphans_parents_are_requested_from_its_sender() {
+        let (e, mut wire, parent) = orphaned();
+        let sent = wire.take();
+        assert_eq!(sent.len(), 3);
+        assert_eq!((sent[0].0, sent[0].1), (2, "announce"));
+        assert_eq!((sent[1].0, sent[1].1), (3, "announce"));
+        assert_eq!(sent[2], (1, "request", vec![parent]));
+        assert_eq!(e.wanted[&parent], [1]);
+    }
+
+    #[test]
+    fn retries_rotate_over_holders_only_stop_at_max_retries_and_a_fresh_announcement_rearms() {
+        let cfg = RepairConfig::default();
+        let (mut e, _) = engine(4);
+        let mut wire = Wire::open(5);
+        let x = ContentId(80);
+        e.on_message(1, announce(9, &[x]), &mut wire);
+        e.on_message(3, announce(9, &[x]), &mut wire);
+        assert_eq!(wire.take(), [(1, "request", vec![x])]);
+        let holders = [1, 3];
+        let mut last = e.now();
+        for attempt in 0..cfg.max_retries {
+            let due = e.next_wake().expect("retry pending");
+            assert_eq!(due, last + cfg.backoff_base + 1, "fixed interval");
+            last = due;
+            assert_eq!(e.tick(due, &mut wire), 1);
+            let to = holders[(attempt as usize + x.0 as usize) % 2];
+            assert_eq!(wire.take(), [(to, "request", vec![x])]);
+        }
+        assert_eq!(e.next_wake(), None, "gave up");
+        assert_eq!(e.tick(e.now() + 1000, &mut wire), 0);
+        assert_eq!(e.attempts_for(x), cfg.max_retries);
+        assert_eq!(e.pending(), 1, "still wanted");
+        // fresh evidence: asked at once, retries re-armed
+        e.on_message(2, announce(9, &[x]), &mut wire);
+        assert_eq!(wire.take(), [(2, "request", vec![x])]);
+        assert_eq!(e.attempts_for(x), 0);
+        assert_eq!(e.next_wake(), Some(e.now() + e.patience()));
+        assert_eq!(e.wanted[&x], [1, 3, 2]);
     }
 
     #[test]
     fn link_state_narrows_advertising_and_rerequests_but_not_flooding() {
-        let (mut e, mut wire, _) = orphaned();
-        // first-seen from 1: flooded on, whatever the links look like
-        assert_eq!(targets(&mut wire), [2, 3]);
+        let (mut e, mut wire, parent) = orphaned();
+        // first-seen from 1: announced on, whatever the links look like,
+        // and the parent asked for where the child came from
+        let to: Vec<usize> = wire.take().iter().map(|s| s.0).collect();
+        assert_eq!(to, [2, 3, 1]);
         e.advertise_heads(&mut wire);
-        assert_eq!(targets(&mut wire), [1, 2], "down neighbours are skipped");
-        // every retry of the rotation lands on the only open link, and
-        // `tick` reports each
+        let to: Vec<usize> = wire.take().iter().map(|s| s.0).collect();
+        assert_eq!(to, [1, 2], "down neighbours are skipped");
+        // 2 (cut) and 3 (down) claim the parent too: recorded, never tried
+        e.on_message(2, announce(9, &[parent]), &mut wire);
+        e.on_message(3, announce(9, &[parent]), &mut wire);
+        assert_eq!(e.wanted[&parent], [1, 2, 3]);
         let mut retries = 0;
         while let Some(due) = e.next_wake() {
             assert_eq!(e.tick(due, &mut wire), 1);
             retries += 1;
         }
         assert_eq!(retries, RepairConfig::default().max_retries);
-        assert_eq!(targets(&mut wire), vec![1; retries as usize]);
+        assert_eq!(
+            wire.take(),
+            vec![(1, "request", vec![parent]); retries as usize]
+        );
         assert_eq!(e.tick(e.now() + 1, &mut wire), 0, "retries exhausted");
+    }
+
+    #[test]
+    fn a_retry_with_no_open_holder_is_spent_not_sent() {
+        let (mut e, mut wire, parent) = orphaned();
+        wire.take();
+        wire.states[1] = LinkState::Cut;
+        let mut retries = 0;
+        while let Some(due) = e.next_wake() {
+            assert_eq!(e.tick(due, &mut wire), 0);
+            retries += 1;
+        }
+        assert_eq!(retries, RepairConfig::default().max_retries);
+        assert!(wire.take().is_empty());
+        assert_eq!(e.attempts_for(parent), retries);
+    }
+
+    #[test]
+    fn the_next_orphan_rearms_what_a_stalled_replica_gave_up_on() {
+        let (mut e, mut wire, parent) = orphaned();
+        wire.states[2] = LinkState::Open;
+        while let Some(due) = e.next_wake() {
+            e.tick(due, &mut wire);
+        }
+        wire.take();
+        // another orphan, of other parentage, from another neighbour: its
+        // sender is ahead of us, so it is asked for both missing parents
+        let other = tx(vec![ContentId(5)], 3.0);
+        e.on_message(2, ProtocolMsg::Publish(other), &mut wire);
+        let sent = wire.take();
+        assert_eq!(sent[2], (2, "request", vec![ContentId(5), parent]));
+        assert_eq!(e.attempts_for(parent), 0);
+        assert_eq!(e.wanted[&parent], [1, 2]);
+        // a third orphan while both are being fetched asks for nothing
+        let third = tx(vec![ContentId(5)], 4.0);
+        e.on_message(2, ProtocolMsg::Publish(third), &mut wire);
+        assert!(wire.take().iter().all(|s| s.1 == "announce"));
     }
 
     #[test]
@@ -376,9 +739,90 @@ mod tests {
         while let Some(due) = e.next_wake() {
             e.tick(due, &mut wire);
         }
+        wire.take();
         let heads = vec![parent];
         e.on_message(1, ProtocolMsg::Advertise { heads }, &mut wire);
         assert_eq!(e.attempts_for(parent), 0);
-        assert_eq!(e.next_wake(), Some(e.now() + RepairConfig::default().delay));
+        assert_eq!(wire.take(), [(1, "request", vec![parent])]);
+        assert_eq!(e.next_wake(), Some(e.now() + e.patience()));
+    }
+
+    /// The pull half of head advertisement: an unknown head must be asked
+    /// for and must survive `tick`, which keeps an `attempts` entry only
+    /// for an orphan's parent or a wanted id.
+    #[test]
+    fn advertised_unknown_head_that_is_nobodys_orphan_parent_is_requested() {
+        let (mut e, _) = engine(2);
+        let mut wire = Wire::open(3);
+        let head = ContentId(81);
+        e.on_message(2, ProtocolMsg::Advertise { heads: vec![head] }, &mut wire);
+        assert_eq!(wire.take(), [(2, "request", vec![head])]);
+        assert!(e.peer().missing().is_empty());
+        assert_eq!(e.pending(), 1);
+        let due = e.next_wake().expect("retry armed");
+        assert_eq!(e.tick(due, &mut wire), 1, "and it survives the tick");
+        assert_eq!(wire.take(), [(2, "request", vec![head])]);
+    }
+
+    #[test]
+    fn an_unannounced_missing_parent_backs_off_exponentially_over_all_open_neighbours() {
+        let cfg = RepairConfig::default();
+        let (mut e, mut wire, parent) = orphaned();
+        wire.take();
+        wire.states[2] = LinkState::Open;
+        // the child's sender goes away and takes its claim with it
+        e.set_neighbours(vec![2, 3]);
+        assert_eq!(e.pending(), 0);
+        assert!(e.peer().missing().contains(&parent));
+        let mut at = Vec::new();
+        while let Some(due) = e.next_wake() {
+            assert_eq!(e.tick(due, &mut wire), 1);
+            at.push(due);
+        }
+        assert_eq!(at.len(), cfg.max_retries as usize);
+        for (k, w) in at.windows(2).enumerate() {
+            assert_eq!(w[1] - w[0], cfg.backoff_base << (k + 1));
+        }
+        // 3 is down: every retry of the rotation lands on 2
+        assert_eq!(
+            wire.take(),
+            vec![(2, "request", vec![parent]); cfg.max_retries as usize]
+        );
+    }
+
+    #[test]
+    fn what_one_neighbour_can_make_us_want_is_bounded() {
+        let cfg = RepairConfig::default();
+        let (mut e, _) = engine(2);
+        let cap = e.peer().orphan_cap();
+        let mut wire = Wire::open(3);
+        let ids: Vec<ContentId> = (0..10_000).map(|i| ContentId(1000 + i)).collect();
+        e.on_message(1, announce(9, &ids), &mut wire);
+        assert_eq!(e.pending(), cap);
+        assert_eq!(e.attempts.len(), cap);
+        assert!(e.wanted_order.len() <= cap);
+        // one request, for the ids that were kept (the newest), each once
+        let sent = wire.take();
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].2, ids[ids.len() - cap..]);
+        // their retries stop after `max_retries` rounds
+        let mut rounds = 0;
+        let mut rerequests = 0;
+        while let Some(due) = e.next_wake() {
+            rerequests += e.tick(due, &mut wire);
+            rounds += 1;
+        }
+        assert_eq!(rounds, cfg.max_retries);
+        assert_eq!(rerequests, (cap as u64) * u64::from(cfg.max_retries));
+        assert_eq!(wire.take().len(), rounds as usize);
+        // a dropped id can be announced again
+        e.on_message(2, announce(9, &ids[..1]), &mut wire);
+        assert_eq!(wire.take(), [(2, "request", vec![ids[0]])]);
+        assert_eq!(e.pending(), cap);
+        // a neighbour that goes away takes its claims with it
+        e.set_neighbours(vec![2]);
+        assert_eq!(e.pending(), 1);
+        e.set_neighbours(vec![]);
+        assert_eq!(e.pending(), 0);
     }
 }

@@ -1,7 +1,10 @@
 //! The gossip wire-protocol vocabulary and the transport abstraction.
 //!
-//! The pull-based repair protocol (PR 2) speaks exactly four messages,
-//! captured here as [`ProtocolMsg`]. What a peer does with them is
+//! The protocol speaks exactly five messages, captured here as
+//! [`ProtocolMsg`]: a transaction body travels in `Publish` (pushed by its
+//! issuer, eagerly) or `Delta` (sent on request, lazily); everything else
+//! — `Announce`, `Advertise`, `Request` — names transactions by their
+//! 8-byte content id. What a peer does with them is
 //! [`NodeProtocol`](crate::protocol::NodeProtocol); how they move between
 //! peers is a [`Transport`] concern: the link layer of the discrete-event
 //! [`Network`](crate::network::Network) is one implementation (latency,
@@ -16,12 +19,23 @@ use crate::message::{ContentId, TxMessage};
 /// [`Publish`](ProtocolMsg::Publish) and [`Delta`](ProtocolMsg::Delta)
 /// both carry a full transaction and are handled identically on
 /// receipt; the distinction records *why* the transaction is on the
-/// wire (fresh flood vs repair back-fill), which matters for telemetry
-/// and wire-level accounting but never for replica state.
+/// wire (the issuer's push vs the answer to a pull), which matters for
+/// telemetry and wire-level accounting but never for replica state.
 #[derive(Clone, Debug)]
 pub enum ProtocolMsg {
-    /// A transaction flooding the topology from its publisher.
+    /// A transaction pushed by its publisher to each of its neighbours.
     Publish(TxMessage),
+    /// "I hold these transactions" — sent by every peer that sees a
+    /// transaction for the first time, to every neighbour but the one it
+    /// came from. The receiver pulls what it has not seen with
+    /// [`ProtocolMsg::Request`].
+    Announce {
+        /// Issuer of the announced transactions. A receiver that has the
+        /// issuer for a neighbour waits for its push instead of pulling.
+        issuer: u64,
+        /// Content ids the announcer holds.
+        ids: Vec<ContentId>,
+    },
     /// "These are my current heads" — the receiver pushes back whatever
     /// provably lies outside their closure and pulls any head it has
     /// never seen.
@@ -75,9 +89,9 @@ pub trait Transport {
     fn send(&mut self, from: usize, to: usize, msg: ProtocolMsg) -> bool;
 
     /// What this transport knows about the `from → to` link. The engine
-    /// floods over every neighbour regardless (the transport accounts for
-    /// what it loses), advertises heads to every neighbour not
-    /// [`LinkState::Down`], and spends re-request retries only on
+    /// pushes and announces to every neighbour regardless (the transport
+    /// accounts for what it loses), advertises heads to every neighbour
+    /// not [`LinkState::Down`], and spends re-request retries only on
     /// [`LinkState::Open`] ones. A transport that cannot tell — a socket
     /// whose neighbour list already is "whoever is connected" — keeps the
     /// default.

@@ -82,6 +82,16 @@ fn assert_counters_match_stats(gl: &GossipLearning<'_>, tel: &Telemetry) {
         "rerequests counter out of sync"
     );
     assert_eq!(
+        tel.counter_value("gossip.announced"),
+        stats.announced,
+        "announced counter out of sync"
+    );
+    assert_eq!(
+        tel.counter_value("gossip.requested"),
+        stats.requested,
+        "requested counter out of sync"
+    );
+    assert_eq!(
         tel.counter_value("gossip.orphan_evictions"),
         stats.evicted,
         "eviction counter out of sync"
@@ -115,6 +125,48 @@ fn counters_match_netstats_on_lossy_ring() {
     let stats = gl.network().stats;
     assert!(stats.delivered > 0, "ring gossip must deliver messages");
     assert!(stats.dropped > 0, "30% loss must drop messages");
+    assert!(stats.announced > 0, "first-seen bodies must be announced");
+    assert!(stats.requested > 0, "on a ring most bodies are pulled");
+    assert!(stats.rerequests > 0, "30% loss must cost retries");
+    assert_counters_match_stats(&gl, &tel);
+}
+
+/// What the counters are counters *of*: on a healthy network every peer
+/// gets every body exactly once, a first request is what fetches a body
+/// its issuer did not push, and every first-seen body is announced to
+/// every neighbour but the one it came from.
+#[test]
+fn announced_and_requested_add_up_on_a_healthy_ring() {
+    let tel = Telemetry::new(NoopSink);
+    let mut gl = GossipLearning::new(
+        data(6),
+        cfg(),
+        NetworkConfig {
+            topology: Topology::Ring,
+            latency: Latency { min: 1, max: 3 },
+            seed: 11,
+            ..NetworkConfig::default()
+        },
+        build,
+    );
+    gl.set_telemetry(tel.clone());
+    gl.run(30);
+    gl.network_mut().run_to_quiescence();
+    let stats = gl.network().stats;
+    let published = gl.published();
+    assert!(published > 0);
+    assert!(gl.network().replicas_consistent());
+    assert_eq!(stats.dropped + stats.rejected + stats.discarded, 0);
+    // 5 receivers per transaction, each exactly once, bar the races in
+    // which a body asked for twice is also answered twice
+    assert_eq!(stats.delivered - stats.duplicates, 5 * published);
+    // 2 of them are pushed to (the issuer's neighbours), 3 must ask
+    assert_eq!(
+        stats.requested + stats.rerequests - stats.duplicates,
+        3 * published
+    );
+    // degree 2: each of the 5 receivers tells its one other neighbour
+    assert_eq!(stats.announced, 5 * published);
     assert_counters_match_stats(&gl, &tel);
 }
 

@@ -11,6 +11,9 @@
 //! checksum u64 LE    (FNV-1a over the kind byte then the payload)
 //! ```
 //!
+//! Kinds 0–18 are as first released; kind 19 ([`WireMsg::Announce`]) was
+//! added after them, so every older frame keeps its bytes.
+//!
 //! Transaction-carrying frames ([`WireMsg::Publish`], [`WireMsg::Delta`],
 //! [`WireMsg::Archive`]) embed [`TxMessage::encode`] bytes verbatim
 //! (written in place by [`TxMessage::write_to`]), whose
@@ -99,7 +102,7 @@ pub struct StatusReport {
     pub last_slot: u64,
 }
 
-/// Every message that can travel over an `lt-node` socket: the four
+/// Every message that can travel over an `lt-node` socket: the five
 /// gossip protocol messages (mapped 1:1 onto
 /// [`ProtocolMsg`]), liveness probes, and the
 /// control plane the scale harness drives daemons with.
@@ -114,7 +117,7 @@ pub enum WireMsg {
         /// Content id of the sender's genesis.
         genesis: u64,
     },
-    /// A freshly published transaction flooding the topology.
+    /// A freshly published transaction, pushed by its issuer.
     Publish(TxMessage),
     /// Repair protocol: "these are my current heads".
     Advertise {
@@ -196,6 +199,14 @@ pub enum WireMsg {
     },
     /// Control: exit cleanly.
     Shutdown,
+    /// Gossip: "I hold these transactions" — ids only; a receiver that
+    /// lacks one pulls it with [`WireMsg::Request`].
+    Announce {
+        /// Issuer of the announced transactions.
+        issuer: u64,
+        /// Content ids the sender holds.
+        ids: Vec<ContentId>,
+    },
 }
 
 const K_HELLO: u8 = 0;
@@ -217,6 +228,7 @@ const K_METRICS_REQ: u8 = 15;
 const K_METRICS: u8 = 16;
 const K_CONNECT: u8 = 17;
 const K_SHUTDOWN: u8 = 18;
+const K_ANNOUNCE: u8 = 19;
 
 /// Frame checksum: FNV-1a chained over the kind byte then the payload,
 /// so a bit flip that turns one message kind into another with the same
@@ -273,6 +285,7 @@ impl WireMsg {
             WireMsg::Metrics { .. } => K_METRICS,
             WireMsg::Connect { .. } => K_CONNECT,
             WireMsg::Shutdown => K_SHUTDOWN,
+            WireMsg::Announce { .. } => K_ANNOUNCE,
         }
     }
 
@@ -286,6 +299,10 @@ impl WireMsg {
             WireMsg::Publish(m) | WireMsg::Delta(m) => m.write_to(out),
             WireMsg::Advertise { heads } => put_cids(out, heads),
             WireMsg::Request { wants } => put_cids(out, wants),
+            WireMsg::Announce { issuer, ids } => {
+                out.extend_from_slice(&issuer.to_le_bytes());
+                put_cids(out, ids);
+            }
             WireMsg::Ping { nonce, sent_us } | WireMsg::Pong { nonce, sent_us } => {
                 out.extend_from_slice(&nonce.to_le_bytes());
                 out.extend_from_slice(&sent_us.to_le_bytes());
@@ -431,6 +448,10 @@ impl WireMsg {
                 WireMsg::Connect { peers }
             }
             K_SHUTDOWN => WireMsg::Shutdown,
+            K_ANNOUNCE => WireMsg::Announce {
+                issuer: c.u64()?,
+                ids: cids(&mut c)?,
+            },
             other => return Err(FrameError::BadKind(other)),
         };
         if c.remaining() != 0 {
@@ -443,6 +464,7 @@ impl WireMsg {
     pub fn from_protocol(msg: ProtocolMsg) -> Self {
         match msg {
             ProtocolMsg::Publish(m) => WireMsg::Publish(m),
+            ProtocolMsg::Announce { issuer, ids } => WireMsg::Announce { issuer, ids },
             ProtocolMsg::Advertise { heads } => WireMsg::Advertise { heads },
             ProtocolMsg::Request { wants } => WireMsg::Request { wants },
             ProtocolMsg::Delta(m) => WireMsg::Delta(m),
@@ -450,10 +472,11 @@ impl WireMsg {
     }
 
     /// The gossip [`ProtocolMsg`] this frame carries, if it is one of
-    /// the four data-plane messages.
+    /// the five data-plane messages.
     pub fn into_protocol(self) -> Option<ProtocolMsg> {
         match self {
             WireMsg::Publish(m) => Some(ProtocolMsg::Publish(m)),
+            WireMsg::Announce { issuer, ids } => Some(ProtocolMsg::Announce { issuer, ids }),
             WireMsg::Advertise { heads } => Some(ProtocolMsg::Advertise { heads }),
             WireMsg::Request { wants } => Some(ProtocolMsg::Request { wants }),
             WireMsg::Delta(m) => Some(ProtocolMsg::Delta(m)),
@@ -630,6 +653,10 @@ mod tests {
                 peers: vec![(0, "127.0.0.1:1234".into()), (1, "127.0.0.1:9".into())],
             },
             WireMsg::Shutdown,
+            WireMsg::Announce {
+                issuer: 3,
+                ids: vec![ContentId(4), ContentId(5)],
+            },
         ];
         for m in msgs {
             let enc = encode_frame(&m);

@@ -10,7 +10,7 @@
 //! * [`frame`] — the versioned `LTNT` frame format: header, payload,
 //!   FNV-1a trailer; total decoding (malformed input is an error, never a
 //!   panic; oversized length prefixes are rejected before allocation).
-//!   [`frame::WireMsg`] maps 1:1 onto the four
+//!   [`frame::WireMsg`] maps 1:1 onto the five
 //!   [`ProtocolMsg`](tangle_gossip::ProtocolMsg) variants plus liveness
 //!   probes and the control plane the scale harness drives daemons with.
 //! * [`protocol`] — re-export of [`tangle_gossip::protocol`], where

@@ -78,15 +78,13 @@ impl Preset {
     }
 
     /// Repair timing for real daemons. The protocol default counts in
-    /// simulator ticks (delay 8, backoff base 8); a daemon's clock is
-    /// wall milliseconds, so those values would re-request orphan
-    /// parents almost instantly. These are the same shape on an
-    /// ms-scale: first re-request after 25ms, backoff base 25ms, the
-    /// protocol's shared retry cap.
+    /// simulator ticks (backoff base 8); a daemon's clock is wall
+    /// milliseconds, so that value would re-request a transaction while
+    /// its body is still on the socket. This is the same shape on an
+    /// ms-scale: a re-request every 25ms, the protocol's shared retry cap.
     pub fn repair_cfg() -> RepairConfig {
         RepairConfig {
             enabled: true,
-            delay: 25,
             backoff_base: 25,
             max_retries: 6,
         }

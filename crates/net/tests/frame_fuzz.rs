@@ -11,7 +11,7 @@ use tinynn::ParamVec;
 /// A small pool of structurally diverse messages; `pick` selects one.
 fn sample_msg(pick: usize, k: u64) -> WireMsg {
     let tx = TxMessage::create(&ParamVec(vec![k as f32, -1.5, 0.25]), vec![], k, k + 1, 0);
-    match pick % 8 {
+    match pick % 9 {
         0 => WireMsg::Hello {
             peer: k,
             genesis: k.wrapping_mul(31),
@@ -32,9 +32,15 @@ fn sample_msg(pick: usize, k: u64) -> WireMsg {
             connected: 3,
             last_slot: k,
         }),
-        _ => WireMsg::Metrics {
+        7 => WireMsg::Metrics {
             counters: vec![("net.frames_sent".into(), k)],
             histograms: vec![("net.rtt_us".into(), k, k * 10)],
+        },
+        _ => WireMsg::Announce {
+            issuer: k,
+            ids: (0..(k % 6))
+                .map(|i| ContentId(k.rotate_left(7) ^ i))
+                .collect(),
         },
     }
 }
@@ -49,7 +55,7 @@ proptest! {
 
     /// Every message round-trips byte-exactly through the codec.
     #[test]
-    fn roundtrip_all_kinds(pick in 0usize..8, k in 0u64..1000) {
+    fn roundtrip_all_kinds(pick in 0usize..9, k in 0u64..1000) {
         let msg = sample_msg(pick, k);
         let enc = encode_frame(&msg);
         let (dec, used) = decode_frame(&enc).expect("valid frame decodes");
@@ -60,7 +66,7 @@ proptest! {
     /// Any strict prefix fails with `Truncated` — never panics, never
     /// decodes.
     #[test]
-    fn truncation_always_errs(pick in 0usize..8, k in 0u64..1000, cut in 0usize..10_000) {
+    fn truncation_always_errs(pick in 0usize..9, k in 0u64..1000, cut in 0usize..10_000) {
         let enc = encode_frame(&sample_msg(pick, k));
         let cut = cut % enc.len();
         prop_assert!(matches!(decode_frame(&enc[..cut]), Err(FrameError::Truncated)));
@@ -69,7 +75,7 @@ proptest! {
     /// Flipping any single bit of a valid frame is rejected (magic,
     /// version, kind, length, payload, or checksum — all covered).
     #[test]
-    fn bit_flips_always_err(pick in 0usize..8, k in 0u64..1000, pos in 0usize..10_000, bit in 0u8..8) {
+    fn bit_flips_always_err(pick in 0usize..9, k in 0u64..1000, pos in 0usize..10_000, bit in 0u8..8) {
         let mut enc = encode_frame(&sample_msg(pick, k));
         let pos = pos % enc.len();
         enc[pos] ^= 1 << bit;
@@ -102,6 +108,23 @@ proptest! {
                 Err(FrameError::TooLarge(n)) if n == claimed
             ));
         }
+    }
+
+    /// The same for an `Announce`: an id count the 8 + 4 + 16 payload
+    /// bytes cannot back fails in the count guard.
+    #[test]
+    fn hostile_announce_count_rejected(issuer in 0u64..u64::MAX, count in 3u32..u32::MAX) {
+        let mut body = issuer.to_le_bytes().to_vec();
+        body.extend_from_slice(&count.to_le_bytes());
+        body.extend_from_slice(&[0u8; 16]);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"LTNT");
+        buf.push(1);
+        buf.push(19); // Announce
+        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&body);
+        buf.extend_from_slice(&forge_check(19, &body).to_le_bytes());
+        prop_assert!(matches!(decode_frame(&buf), Err(FrameError::Truncated)));
     }
 
     /// Hostile element counts inside a payload (e.g. an `Advertise`

@@ -1,8 +1,9 @@
 //! Golden bytes of the formats `lt-net` owns — one `LTNT` frame of every
 //! `WireMsg` kind and the `LTND` checkpoint envelope — recorded at commit
 //! `7db9e55`, before `frame.rs` / `daemon.rs` moved onto the shared
-//! `Reader`. A failure here means two builds can no longer talk to each
-//! other or read each other's files.
+//! `Reader`; kind 19 (`Announce`) was added after that and has a vector
+//! of its own, assembled by hand. A failure here means two builds can no
+//! longer talk to each other or read each other's files.
 
 use lt_net::daemon::{daemon_checkpoint_bytes, decode_daemon_checkpoint};
 use lt_net::{decode_frame, encode_frame, StatusReport, WireMsg, ORPHAN_CAP};
@@ -184,6 +185,36 @@ fn golden_ltnt_frame_of_every_kind() {
         0x845c_9f46_ae11_3b89,
         "digest over all 19 frames"
     );
+}
+
+#[test]
+fn golden_ltnt_announce_frame() {
+    // header (kind 19, 28 payload bytes), issuer u64, count u32, two ids,
+    // FNV-1a over the kind byte then the payload
+    let expect = concat!(
+        "4c544e5401131c000000",
+        "0300000000000000",
+        "02000000",
+        "0400000000000000",
+        "0d0c0b0a00000000",
+        "577e34f4bc92d3cd"
+    );
+    let msg = WireMsg::Announce {
+        issuer: 3,
+        ids: vec![ContentId(4), ContentId(0x0a0b_0c0d)],
+    };
+    let enc = encode_frame(&msg);
+    assert_eq!(hex(&enc), expect);
+    // the trailer is FNV-1a over the kind byte then the payload
+    let body = enc.len() - 8;
+    let checked: Vec<u8> = [&[19u8][..], &enc[10..body]].concat();
+    assert_eq!(reference_fnv(&checked).to_le_bytes(), enc[body..]);
+    let (dec, used) = decode_frame(&unhex(expect)).expect("golden frame parses");
+    assert_eq!(used, enc.len());
+    assert!(matches!(
+        dec,
+        WireMsg::Announce { issuer: 3, ref ids } if ids[..] == [ContentId(4), ContentId(0x0a0b_0c0d)]
+    ));
 }
 
 #[test]

@@ -178,3 +178,124 @@ fn socket_counters_match_peer_accounting() {
     }
     cluster.shutdown().expect("clean shutdown");
 }
+
+/// Counts the ids of every `Request` handed to the transport under it.
+struct RequestTap {
+    inner: lt_net::MockTransport,
+    asked: u64,
+}
+
+impl Transport for RequestTap {
+    fn send(&mut self, from: usize, to: usize, msg: ProtocolMsg) -> bool {
+        if let ProtocolMsg::Request { wants } = &msg {
+            self.asked += wants.len() as u64;
+        }
+        self.inner.send(from, to, msg)
+    }
+}
+
+/// `net.announced` / `net.requested` / `net.rerequests` against what
+/// actually crosses the (mock) wire: ids in delivered `Announce`s, and
+/// ids in sent `Request`s split into first requests and retries — on a
+/// ring, where most bodies must be pulled, under loss, where pulls fail.
+#[test]
+fn announce_and_request_counters_match_the_wire() {
+    use lt_net::{MockTransport, NodeProtocol};
+    use tangle_gossip::{FaultPlan, TxMessage};
+    use tinynn::ParamVec;
+
+    let genesis = TxMessage::create(&ParamVec(vec![0.5]), vec![], u64::MAX, 0, 0);
+    let telemetry: Vec<Telemetry> = (0..5).map(|_| Telemetry::new(MemorySink::new())).collect();
+    let mut nodes: Vec<NodeProtocol> = (0..5)
+        .map(|i| {
+            let mut p = NodeProtocol::new(i, &genesis, 0, 64);
+            p.set_neighbours(vec![(i + 4) % 5, (i + 1) % 5]);
+            p.set_telemetry(telemetry[i].clone());
+            p
+        })
+        .collect();
+    let mut t = RequestTap {
+        inner: MockTransport::new(21, (1, 3)),
+        asked: 0,
+    };
+    t.inner.install_faults(FaultPlan {
+        seed: 4,
+        drop: 0.2,
+        ..FaultPlan::default()
+    });
+
+    let (mut announced, mut retried) = (0u64, 0u64);
+    let mut heads = nodes[0].peer().heads();
+    for slot in 1..=12u64 {
+        let issuer = (slot % 5) as usize;
+        let m = TxMessage::create(&ParamVec(vec![slot as f32]), heads, issuer as u64, slot, 0);
+        heads = vec![m.content_id()];
+        nodes[issuer].publish(m, &mut t);
+        // drain: due ticks and deliveries in time order
+        loop {
+            let wake = nodes.iter().filter_map(|n| n.next_wake()).min();
+            match (t.inner.next_at(), wake) {
+                (None, None) => break,
+                (d, Some(w)) if d.is_none_or(|d| w <= d) => {
+                    t.inner.advance_to(w);
+                    for n in nodes.iter_mut() {
+                        if n.next_wake().is_some_and(|at| at <= w) {
+                            retried += n.tick(w, &mut t);
+                        }
+                    }
+                }
+                _ => {
+                    let d = t.inner.pop_next().expect("delivery scheduled");
+                    if let ProtocolMsg::Announce { ids, .. } = &d.msg {
+                        announced += ids.len() as u64;
+                    }
+                    nodes[d.to].set_now(d.at);
+                    nodes[d.to].on_message(d.from, d.msg, &mut t);
+                }
+            }
+        }
+    }
+    let total = |name: &str| telemetry.iter().map(|t| t.counter_value(name)).sum::<u64>();
+    assert!(announced > 0 && retried > 0, "nothing to check");
+    assert!(t.asked > retried, "no first request to check");
+    assert_eq!(total("net.announced"), announced);
+    assert_eq!(total("net.rerequests"), retried);
+    assert_eq!(total("net.requested"), t.asked - retried);
+}
+
+/// The daemons report the new counters in their `Metrics` reply: on a
+/// 3-daemon mesh every publication reaches the two other daemons by the
+/// issuer's push and each of them tells the other one, so exactly two
+/// ids are announced per publication and (the issuer being everyone's
+/// neighbour) none needs to be asked for.
+#[test]
+fn daemons_report_announced_ids() {
+    let mut cluster = Cluster::spawn(&node_bin(), 3, 11, 0).expect("cluster up");
+    let report = cluster.lockstep(&[0, 1, 2, 0, 1, 2]).expect("lockstep");
+    assert!(report.published > 0);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let metrics = cluster.metrics().expect("metrics");
+        let sum = |name: &str| {
+            metrics
+                .iter()
+                .map(|m| counters_of(m).get(name).copied().unwrap_or(0))
+                .sum::<u64>()
+        };
+        if sum("net.announced") == 2 * report.published {
+            // a pull can only be a retry of a push that took longer than
+            // the repair interval, and every body arrived at least once
+            assert!(sum("net.requested") <= sum("net.rerequests"));
+            assert!(sum("net.delivered") >= 2 * report.published);
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "announced {} for {} publications",
+            sum("net.announced"),
+            report.published
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    cluster.shutdown().expect("clean shutdown");
+}
