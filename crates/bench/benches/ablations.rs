@@ -1,13 +1,11 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! cost of the §III-E defense, walk randomness extremes, serial vs
-//! rayon-parallel gradient accumulation, and reference-averaging width.
+//! cost of the §III-E defense, walk randomness extremes, reference-averaging
+//! width, windowed tip selection, and robust aggregation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use learning_tangle::TangleHyperParams;
 use lt_bench::bench_simulation;
 use std::hint::black_box;
-use tinynn::rng::seeded;
-use tinynn::Tensor;
 
 /// Defense cost: a §III-E round validates up to `sample_size` candidate
 /// models per node — measure the overhead against the basic algorithm.
@@ -66,25 +64,6 @@ fn bench_alpha(c: &mut Criterion) {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
             let walk = RandomWalk::new(alpha);
             b.iter(|| black_box(walk.select_tip_with_weights(&t, &w, &mut rng)))
-        });
-    }
-    g.finish();
-}
-
-/// Serial vs rayon data-parallel gradient accumulation on the scaled CNN.
-fn bench_parallel_gradients(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_parallel_gradients");
-    g.sample_size(10);
-    let mut rng = seeded(1);
-    let model = tinynn::zoo::femnist_cnn(16, 10, tinynn::zoo::CnnConfig::scaled(), &mut rng);
-    let x = Tensor::from_fn(&[32, 1, 16, 16], |i| ((i * 13 % 89) as f32) / 89.0);
-    let y: Vec<u32> = (0..32).map(|i| (i % 10) as u32).collect();
-    g.bench_function("serial_b32", |b| {
-        b.iter(|| black_box(model.loss_and_grads(&x, &y)))
-    });
-    for chunks in [2usize, 4, 8] {
-        g.bench_function(format!("parallel_{chunks}chunks_b32"), |b| {
-            b.iter(|| black_box(model.loss_and_grads_parallel(&x, &y, chunks)))
         });
     }
     g.finish();
@@ -185,7 +164,6 @@ criterion_group!(
     benches,
     bench_defense_cost,
     bench_alpha,
-    bench_parallel_gradients,
     bench_reference_width,
     bench_windowed_walk,
     bench_aggregators

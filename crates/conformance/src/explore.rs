@@ -252,8 +252,8 @@ pub fn check_ledger_invariants(
     // Confidence invariants under both estimators.
     let walk = RandomWalk::new(cfg.hyper.alpha).table(tangle, &real.cumulative_weight);
     let samples = cfg.hyper.confidence_samples;
-    let conf = real.walk_confidence(tangle, &walk, samples, derive(seed, 0xC0F1));
-    let approval = real.approval_confidence(tangle, &walk, samples, derive(seed, 0xAC0F));
+    let conf = walk.walk_confidence(tangle, samples, derive(seed, 0xC0F1));
+    let approval = walk.approval_confidence(tangle, samples, derive(seed, 0xAC0F));
     for (name, values) in [("walk", &conf), ("approval", &approval)] {
         if !values.iter().all(|c| (0.0..=1.0).contains(c)) {
             return Err(Violation::new(

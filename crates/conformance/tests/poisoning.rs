@@ -127,7 +127,7 @@ fn label_flip_attackers_are_starved_in_model_and_simulation() {
     // malicious transaction approaches confirmation.
     let analysis = TangleAnalysis::compute(sim.tangle());
     let walk = RandomWalk::new(cfg().hyper.alpha).table(sim.tangle(), &analysis.cumulative_weight);
-    let conf = analysis.approval_confidence(sim.tangle(), &walk, 64, 0xF00D);
+    let conf = walk.approval_confidence(sim.tangle(), 64, 0xF00D);
     let sampled_max = views
         .iter()
         .zip(&conf)
@@ -164,7 +164,7 @@ fn honest_transactions_do_get_confirmed() {
     // the attackers never reach.
     let analysis = TangleAnalysis::compute(sim.tangle());
     let walk = RandomWalk::new(0.5).table(sim.tangle(), &analysis.cumulative_weight);
-    let conf = analysis.approval_confidence(sim.tangle(), &walk, 64, 0xF00D);
+    let conf = walk.approval_confidence(sim.tangle(), 64, 0xF00D);
     let max_conf = views
         .iter()
         .zip(&conf)

@@ -128,11 +128,6 @@ pub struct SimConfig {
     pub lr: f32,
     /// Local mini-batch size.
     pub batch_size: usize,
-    /// Gradient-accumulation chunks per training batch (1 = single-shot
-    /// backward). Chunking changes the float summation order once, but the
-    /// result is a function of the chunk count alone — never of how the
-    /// chunks are executed.
-    pub train_chunks: usize,
     /// Fraction of nodes whose held-out data is pooled for evaluation
     /// (paper: 10%).
     pub eval_fraction: f32,
@@ -145,10 +140,6 @@ pub struct SimConfig {
     pub network: Option<NetworkModel>,
 }
 
-fn default_train_chunks() -> usize {
-    1
-}
-
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
@@ -156,7 +147,6 @@ impl Default for SimConfig {
             local_epochs: 1,
             lr: 0.06,
             batch_size: 16,
-            train_chunks: default_train_chunks(),
             eval_fraction: 0.1,
             seed: 0,
             hyper: TangleHyperParams::basic(),

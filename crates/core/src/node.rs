@@ -4,7 +4,7 @@
 
 use crate::config::SimConfig;
 use crate::eval_cache::{reference_key, tx_key, EvalCache, ScratchPool};
-use fedavg::{local_train_with, TrainOpts};
+use fedavg::local_train;
 use feddata::ClientData;
 use rand::RngExt;
 use rand_distr::{Distribution, Normal};
@@ -220,14 +220,16 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
             "the walk table must be windowed exactly when tip selection is"
         );
         let samples = cfg.hyper.confidence_samples.max(1);
-        let confidence = match cfg.hyper.confidence_mode {
-            crate::config::ConfidenceMode::WalkHit => {
-                analysis.walk_confidence_observed(tangle, &walk, samples, seed, &telemetry)
-            }
-            crate::config::ConfidenceMode::Approval => {
-                let _span = telemetry.span("tangle.confidence_us");
-                telemetry.count("tangle.confidence_walks", samples as u64);
-                analysis.approval_confidence(tangle, &walk, samples, seed)
+        let confidence = {
+            let _span = telemetry.span("tangle.confidence_us");
+            telemetry.count("tangle.confidence_walks", samples as u64);
+            match cfg.hyper.confidence_mode {
+                crate::config::ConfidenceMode::WalkHit => {
+                    walk.walk_confidence(tangle, samples, seed)
+                }
+                crate::config::ConfidenceMode::Approval => {
+                    walk.approval_confidence(tangle, samples, seed)
+                }
             }
         };
         let reference_ids = analysis.choose_reference(&confidence, cfg.hyper.reference_avg.max(1));
@@ -512,16 +514,12 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     avg.assign_to(&mut model);
     {
         let _span = ctx.telemetry.span("node.local_train_us");
-        local_train_with(
+        local_train(
             &mut model,
             data,
-            TrainOpts {
-                epochs: cfg.local_epochs,
-                lr: cfg.lr,
-                batch_size: cfg.batch_size,
-                chunks: cfg.train_chunks,
-                parallel: true,
-            },
+            cfg.local_epochs,
+            cfg.lr,
+            cfg.batch_size,
             rng,
         );
     }
@@ -809,7 +807,7 @@ mod tests {
 
     /// Oracle for [`node_step`] on an honest node: Algorithm 2 as the paper
     /// states it — one model, every evaluation and every walk in a serial
-    /// loop, serial gradient chunks, nothing memoized.
+    /// loop, nothing memoized.
     fn naive_step(
         node: &Node,
         ctx: &RoundContext<'_>,
@@ -884,16 +882,12 @@ mod tests {
             .map(|id| ctx.tangle.get(*id).payload.as_ref())
             .collect();
         ParamVec::average(&payloads).assign_to(&mut model);
-        local_train_with(
+        local_train(
             &mut model,
             data,
-            TrainOpts {
-                epochs: cfg.local_epochs,
-                lr: cfg.lr,
-                batch_size: cfg.batch_size,
-                chunks: cfg.train_chunks,
-                parallel: false,
-            },
+            cfg.local_epochs,
+            cfg.lr,
+            cfg.batch_size,
             rng,
         );
         let new_params = ParamVec::from_model(&model);
@@ -960,9 +954,9 @@ mod tests {
     #[test]
     fn node_step_matches_the_naive_algorithm() {
         // The production step — memoized, candidates and walks evaluated as
-        // rayon batches, pooled scratch models and gradient chunks — must
-        // agree to the bit with the serial uncached statement of
-        // Algorithm 2, on a cold cache and on a warm one.
+        // rayon batches, pooled scratch models — must agree to the bit with
+        // the serial uncached statement of Algorithm 2, on a cold cache and
+        // on a warm one.
         let ds = dataset();
         let tangle = grown_tangle(&ds);
         let validated = crate::TangleHyperParams {
@@ -971,15 +965,14 @@ mod tests {
             ..crate::TangleHyperParams::basic()
         };
         let variants = [
-            ("basic", crate::TangleHyperParams::basic(), 1),
-            ("validated", validated, 1),
+            ("basic", crate::TangleHyperParams::basic()),
+            ("validated", validated),
             (
                 "biased",
                 crate::TangleHyperParams {
                     accuracy_bias: 0.5,
                     ..validated
                 },
-                1,
             ),
             (
                 "windowed",
@@ -987,7 +980,6 @@ mod tests {
                     window: Some(2),
                     ..validated
                 },
-                1,
             ),
             (
                 "biased+windowed",
@@ -996,15 +988,12 @@ mod tests {
                     window: Some(2),
                     ..validated
                 },
-                1,
             ),
-            ("chunked", validated, 4),
         ];
-        for (tag, hyper, train_chunks) in variants {
+        for (tag, hyper) in variants {
             let cfg = SimConfig {
                 lr: 0.2,
                 batch_size: 8,
-                train_chunks,
                 hyper,
                 ..SimConfig::default()
             };

@@ -753,20 +753,16 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        // `train_chunks = 4` sends local training through the chunked,
-        // pooled gradient path.
-        let run = |seed: u64, train_chunks: usize| {
+        let run = |seed: u64| {
             let mut cfg = quick_cfg();
             cfg.seed = seed;
-            cfg.train_chunks = train_chunks;
             let mut sim = Simulation::new(dataset(8), cfg, build);
             for _ in 0..5 {
                 sim.round();
             }
             (sim.tangle().len(), sim.evaluate(0).accuracy)
         };
-        assert_eq!(run(9, 1), run(9, 1));
-        assert_eq!(run(9, 4), run(9, 4));
+        assert_eq!(run(9), run(9));
     }
 
     /// Full fingerprint of a short observed run: per-round stats, the

@@ -16,6 +16,4 @@ pub mod train;
 
 pub use aggregate::Aggregator;
 pub use server::{FedAvg, FedAvgConfig, RoundStats};
-pub use train::{
-    evaluate_params, gather_rows, local_train, local_train_with, sample_eval_clients, TrainOpts,
-};
+pub use train::{evaluate_params, gather_rows, local_train, sample_eval_clients};

@@ -26,37 +26,6 @@ fn gather_targets(y: &[u32], idx: &[usize], rows_per_sample: usize) -> Vec<u32> 
     out
 }
 
-/// Knobs for [`local_train_with`]. `chunks > 1` splits each mini-batch into
-/// per-worker gradient chunks combined by a fixed-order tree reduction; the
-/// result is a function of `chunks` only, so `parallel` (execution strategy)
-/// never changes the trained weights.
-#[derive(Debug, Clone, Copy)]
-pub struct TrainOpts {
-    /// Number of local epochs.
-    pub epochs: usize,
-    /// SGD learning rate.
-    pub lr: f32,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Gradient-accumulation chunks per batch (1 = single-shot backward).
-    pub chunks: usize,
-    /// Execute chunks on the worker pool; bit-identical to serial.
-    pub parallel: bool,
-}
-
-impl TrainOpts {
-    /// Single-shot backward per batch, matching the original `local_train`.
-    pub fn single(epochs: usize, lr: f32, batch_size: usize) -> Self {
-        Self {
-            epochs,
-            lr,
-            batch_size,
-            chunks: 1,
-            parallel: false,
-        }
-    }
-}
-
 /// Run `epochs` epochs of mini-batch SGD on a client's training data,
 /// starting from the parameters already loaded in `model`. Mutates `model`
 /// in place and returns the final average training loss of the last epoch.
@@ -70,30 +39,15 @@ pub fn local_train(
     batch_size: usize,
     rng: &mut impl RngExt,
 ) -> f32 {
-    local_train_with(
-        model,
-        client,
-        TrainOpts::single(epochs, lr, batch_size),
-        rng,
-    )
-}
-
-/// [`local_train`] with explicit chunked/parallel gradient options.
-pub fn local_train_with(
-    model: &mut Sequential,
-    client: &ClientData,
-    opts: TrainOpts,
-    rng: &mut impl RngExt,
-) -> f32 {
     let n = client.train_len();
     if n == 0 {
         return 0.0;
     }
     let rows_per_sample = client.train_y.len() / n;
-    let mut sgd = Sgd::new(opts.lr);
+    let mut sgd = Sgd::new(lr);
     let mut idx: Vec<usize> = (0..n).collect();
     let mut last_epoch_loss = 0.0;
-    for _ in 0..opts.epochs.max(1) {
+    for _ in 0..epochs.max(1) {
         // Fisher-Yates shuffle per epoch.
         for i in (1..n).rev() {
             let j = rng.random_range(0..=i);
@@ -101,14 +55,10 @@ pub fn local_train_with(
         }
         let mut loss_sum = 0.0f32;
         let mut batches = 0;
-        for chunk in idx.chunks(opts.batch_size.max(1)) {
-            let xb = gather_rows(&client.train_x, chunk);
-            let yb = gather_targets(&client.train_y, chunk, rows_per_sample);
-            let (loss, grads) = if opts.chunks > 1 {
-                model.loss_and_grads_chunked(&xb, &yb, opts.chunks, opts.parallel)
-            } else {
-                model.loss_and_grads(&xb, &yb)
-            };
+        for batch in idx.chunks(batch_size.max(1)) {
+            let xb = gather_rows(&client.train_x, batch);
+            let yb = gather_targets(&client.train_y, batch, rows_per_sample);
+            let (loss, grads) = model.loss_and_grads(&xb, &yb);
             sgd.step(model, &grads);
             loss_sum += loss;
             batches += 1;
@@ -203,42 +153,6 @@ mod tests {
         }
         let (loss1, _) = model.evaluate(&c.train_x, &c.train_y);
         assert!(loss1 < loss0 * 0.7, "loss {loss0} -> {loss1}");
-    }
-
-    #[test]
-    fn chunked_parallel_training_bitwise_equals_serial() {
-        // Whole-loop determinism: shuffled epochs of chunked SGD must land on
-        // byte-identical weights whether chunks run on the pool or inline.
-        let ds = blobs::generate(
-            &BlobsConfig {
-                users: 1,
-                samples_per_user: (40, 40),
-                ..BlobsConfig::default()
-            },
-            7,
-        );
-        let c = &ds.clients[0];
-        let run = |parallel: bool| {
-            let mut rng = seeded(9);
-            let mut model = tinynn::zoo::mlp(8, &[16], 4, &mut rng);
-            let mut train_rng = seeded(11);
-            let opts = TrainOpts {
-                epochs: 2,
-                lr: 0.1,
-                batch_size: 16,
-                chunks: 4,
-                parallel,
-            };
-            let loss = local_train_with(&mut model, c, opts, &mut train_rng);
-            (loss, ParamVec::from_model(&model))
-        };
-        let (loss_p, w_p) = run(true);
-        let (loss_s, w_s) = run(false);
-        assert_eq!(loss_p.to_bits(), loss_s.to_bits());
-        assert_eq!(w_p.0.len(), w_s.0.len());
-        for (i, (a, b)) in w_p.0.iter().zip(&w_s.0).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "weight {i} diverged");
-        }
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl FaultPlan {
 /// Parameters of the pull protocol's retries.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairConfig {
-    /// Master switch for retries. Off = an announced transaction is
-    /// asked for once and an orphan then waits passively (the
-    /// [`crate::network::Network::anti_entropy`] oracle is then the only
-    /// way to reconcile losses).
-    pub enabled: bool,
     /// Ticks a requested transaction may take to arrive before it is
     /// asked for again, from the next neighbour known to hold it; for a
     /// missing parent nobody claims to hold, the base of an exponential
@@ -195,7 +190,6 @@ pub struct RepairConfig {
 impl Default for RepairConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             backoff_base: 8,
             max_retries: 6,
         }

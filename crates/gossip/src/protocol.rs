@@ -285,9 +285,6 @@ impl NodeProtocol {
         if self.next_tick.is_some_and(|due| due <= self.now) {
             self.next_tick = None;
         }
-        if !self.repair_cfg.enabled {
-            return 0;
-        }
         let now = self.now;
         let cfg = self.repair_cfg;
         let patience = self.patience();
@@ -443,7 +440,7 @@ impl NodeProtocol {
             }
         }
         wants.retain(|cid| self.wanted.contains_key(cid));
-        if armed && cfg.enabled {
+        if armed {
             self.schedule_tick(first_retry);
         }
         if !wants.is_empty() {

@@ -84,7 +84,6 @@ impl Preset {
     /// ms-scale: a re-request every 25ms, the protocol's shared retry cap.
     pub fn repair_cfg() -> RepairConfig {
         RepairConfig {
-            enabled: true,
             backoff_base: 25,
             max_retries: 6,
         }

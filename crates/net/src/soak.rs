@@ -20,7 +20,6 @@
 
 use crate::chaos::ChaosPlan;
 use crate::driver::{Cluster, ClusterOptions, Supervisor};
-use crate::preset::Preset;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
@@ -220,14 +219,6 @@ pub fn run_soak(bin: &Path, cfg: &SoakConfig) -> io::Result<(SoakReport, Vec<Vec
     };
     cluster.shutdown()?;
     Ok((report, archives))
-}
-
-/// The preset a soak's archives should be audited against.
-pub fn soak_preset(cfg: &SoakConfig) -> Preset {
-    Preset {
-        nodes: cfg.nodes,
-        seed: cfg.seed,
-    }
 }
 
 /// One daemon's snapshot as returned by `Cluster::metrics`:

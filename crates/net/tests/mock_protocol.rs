@@ -160,7 +160,6 @@ fn orphan_repair_recovers_missing_parent() {
 #[test]
 fn rerequests_back_off_and_cap() {
     let cfg = RepairConfig {
-        enabled: true,
         backoff_base: 8,
         max_retries: 4,
     };

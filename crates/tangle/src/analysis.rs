@@ -11,13 +11,13 @@
 //! is hit during the random walk", normalized by the number of sampling
 //! rounds. An IOTA-style alternative (fraction of sampled tips whose past
 //! cone contains the transaction) is provided as
-//! [`TangleAnalysis::approval_confidence`].
+//! [`WalkTable::approval_confidence`](crate::walk::WalkTable::approval_confidence).
+//! Both sample walks over the snapshot's transition table, so they live on
+//! [`crate::walk::WalkTable`].
 
 use crate::bitset::BitSet;
 use crate::graph::{Tangle, TxId};
 use crate::view::TangleRead;
-use crate::walk::WalkTable;
-use rayon::prelude::*;
 use std::collections::BTreeSet;
 
 /// Exact cumulative weights: `w(t) = 1 + |{x : x directly or indirectly
@@ -452,72 +452,6 @@ impl TangleAnalysis {
         Self::compute(tangle)
     }
 
-    /// Monte-Carlo walk-hit confidence (paper §III-A): run `samples` random
-    /// walks and count, for each transaction, the fraction of walks whose
-    /// particle path passed through it. The genesis always has confidence 1.
-    ///
-    /// Walks run in parallel with per-walk derived seeds over `walk`, the
-    /// transition table of this snapshot (see
-    /// [`crate::walk::RandomWalk::table`]), so the result is deterministic
-    /// for a given `(tangle, walk, samples, seed)`.
-    pub fn walk_confidence<T>(
-        &self,
-        tangle: &T,
-        walk: &WalkTable,
-        samples: usize,
-        seed: u64,
-    ) -> Vec<f32>
-    where
-        T: TangleRead + Sync,
-    {
-        hit_fractions(tangle.len(), samples, seed, |rng| {
-            let mut path = vec![tangle.genesis()];
-            walk.walk(tangle, tangle.genesis(), rng, |x| path.push(x));
-            path
-        })
-    }
-
-    /// Like [`Self::walk_confidence`], additionally recording the sampling
-    /// into `telemetry`: a `tangle.confidence_us` span around the whole
-    /// Monte-Carlo pass and a `tangle.confidence_walks` counter counting
-    /// the individual walks.
-    pub fn walk_confidence_observed<T>(
-        &self,
-        tangle: &T,
-        walk: &WalkTable,
-        samples: usize,
-        seed: u64,
-        telemetry: &lt_telemetry::Telemetry,
-    ) -> Vec<f32>
-    where
-        T: TangleRead + Sync,
-    {
-        let _span = telemetry.span("tangle.confidence_us");
-        telemetry.count("tangle.confidence_walks", samples as u64);
-        self.walk_confidence(tangle, walk, samples, seed)
-    }
-
-    /// IOTA-style approval confidence: sample `samples` tips by walks from
-    /// the genesis over `walk` and report, per transaction, the fraction
-    /// of sampled tips whose past cone contains it.
-    pub fn approval_confidence<T>(
-        &self,
-        tangle: &T,
-        walk: &WalkTable,
-        samples: usize,
-        seed: u64,
-    ) -> Vec<f32>
-    where
-        T: TangleRead + Sync,
-    {
-        hit_fractions(tangle.len(), samples, seed, |rng| {
-            let tip = walk.walk(tangle, tangle.genesis(), rng, |_| {});
-            let mut hit = tangle.past_cone(tip);
-            hit.push(tip);
-            hit
-        })
-    }
-
     /// Algorithm 1 (generalized to the top `n`): rank transactions by
     /// `confidence(t) × rating(t)` descending and return the best `n` ids.
     ///
@@ -537,34 +471,6 @@ impl TangleAnalysis {
         });
         scored.into_iter().take(n).map(|(_, i)| TxId(i)).collect()
     }
-}
-
-/// Monte-Carlo hit fractions over `n` transactions: draw `samples` id
-/// sets in parallel, sample `s` from its own generator derived from
-/// `seed`, and count serially how many sets contain each id. A set lists
-/// an id at most once (a walk path never revisits, a past cone is a set),
-/// so the pass costs the sets' total length, not `samples × n`.
-fn hit_fractions(
-    n: usize,
-    samples: usize,
-    seed: u64,
-    sample: impl Fn(&mut rand::rngs::SmallRng) -> Vec<TxId> + Sync,
-) -> Vec<f32> {
-    use rand::SeedableRng;
-    assert!(samples > 0, "need at least one confidence sample");
-    let sets: Vec<Vec<TxId>> = (0..samples)
-        .into_par_iter()
-        .map(|s| {
-            sample(&mut rand::rngs::SmallRng::seed_from_u64(
-                seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ))
-        })
-        .collect();
-    let mut hits = vec![0u32; n];
-    for id in sets.iter().flatten() {
-        hits[id.index()] += 1;
-    }
-    hits.iter().map(|&h| h as f32 / samples as f32).collect()
 }
 
 /// Fig. 2 view: classify every transaction relative to the current tips.
@@ -621,7 +527,6 @@ impl ConsensusView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::RandomWalk;
 
     /// genesis -> a, b; c -> (a,b); d -> (c); e -> (b)   tips: d, e
     fn sample() -> (Tangle<u8>, [TxId; 5]) {
@@ -671,43 +576,6 @@ mod tests {
         assert_eq!(w[g.index()], 4);
         let r = ratings(&t);
         assert_eq!(r[c.index()], 3);
-    }
-
-    #[test]
-    fn walk_confidence_bounds_and_genesis() {
-        let (t, _) = sample();
-        let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::default().table(&t, &analysis.cumulative_weight);
-        let conf = analysis.walk_confidence(&t, &walk, 64, 42);
-        assert_eq!(conf.len(), t.len());
-        assert!((conf[t.genesis().index()] - 1.0).abs() < 1e-6);
-        assert!(conf.iter().all(|&c| (0.0..=1.0).contains(&c)));
-    }
-
-    #[test]
-    fn walk_confidence_is_deterministic_per_seed() {
-        let (t, _) = sample();
-        let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::default().table(&t, &analysis.cumulative_weight);
-        let c1 = analysis.walk_confidence(&t, &walk, 32, 7);
-        let c2 = analysis.walk_confidence(&t, &walk, 32, 7);
-        assert_eq!(c1, c2);
-        let c3 = analysis.walk_confidence(&t, &walk, 32, 8);
-        assert_ne!(c1, c3);
-    }
-
-    #[test]
-    fn approval_confidence_dominates_walk_confidence() {
-        // Every tx on a walk path is in the reached tip's past cone, so
-        // approval confidence >= walk confidence for matching seeds/samples.
-        let (t, _) = sample();
-        let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::default().table(&t, &analysis.cumulative_weight);
-        let wc = analysis.walk_confidence(&t, &walk, 64, 9);
-        let ac = analysis.approval_confidence(&t, &walk, 64, 9);
-        for (w, a) in wc.iter().zip(&ac) {
-            assert!(a >= w, "approval {a} < walk {w}");
-        }
     }
 
     #[test]

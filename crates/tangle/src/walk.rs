@@ -37,6 +37,7 @@ use crate::analysis::cumulative_weights;
 use crate::graph::{Tangle, TxId};
 use crate::view::TangleRead;
 use rand::RngExt as _;
+use rayon::prelude::*;
 
 /// Strategy for picking the tips a new transaction will approve.
 pub trait TipSelector<P> {
@@ -234,6 +235,67 @@ impl WalkTable {
         assert_eq!(len, tangle.len(), "walk table of another snapshot");
         walk(tangle, start, self, rng, visit)
     }
+
+    /// Monte-Carlo walk-hit confidence (paper §III-A): run `samples` walks
+    /// from the genesis and count, for each transaction, the fraction of
+    /// walks whose particle path passed through it. The genesis always has
+    /// confidence 1.
+    ///
+    /// Walks run in parallel with per-walk derived seeds, so the result is
+    /// deterministic for a given `(tangle, table, samples, seed)`.
+    pub fn walk_confidence<T>(&self, tangle: &T, samples: usize, seed: u64) -> Vec<f32>
+    where
+        T: TangleRead + Sync,
+    {
+        hit_fractions(tangle.len(), samples, seed, |rng| {
+            let mut path = vec![tangle.genesis()];
+            self.walk(tangle, tangle.genesis(), rng, |x| path.push(x));
+            path
+        })
+    }
+
+    /// IOTA-style approval confidence: sample `samples` tips by walks from
+    /// the genesis and report, per transaction, the fraction of sampled
+    /// tips whose past cone contains it.
+    pub fn approval_confidence<T>(&self, tangle: &T, samples: usize, seed: u64) -> Vec<f32>
+    where
+        T: TangleRead + Sync,
+    {
+        hit_fractions(tangle.len(), samples, seed, |rng| {
+            let tip = self.walk(tangle, tangle.genesis(), rng, |_| {});
+            let mut hit = tangle.past_cone(tip);
+            hit.push(tip);
+            hit
+        })
+    }
+}
+
+/// Monte-Carlo hit fractions over `n` transactions: draw `samples` id
+/// sets in parallel, sample `s` from its own generator derived from
+/// `seed`, and count serially how many sets contain each id. A set lists
+/// an id at most once (a walk path never revisits, a past cone is a set),
+/// so the pass costs the sets' total length, not `samples × n`.
+fn hit_fractions(
+    n: usize,
+    samples: usize,
+    seed: u64,
+    sample: impl Fn(&mut rand::rngs::SmallRng) -> Vec<TxId> + Sync,
+) -> Vec<f32> {
+    use rand::SeedableRng;
+    assert!(samples > 0, "need at least one confidence sample");
+    let sets: Vec<Vec<TxId>> = (0..samples)
+        .into_par_iter()
+        .map(|s| {
+            sample(&mut rand::rngs::SmallRng::seed_from_u64(
+                seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ))
+        })
+        .collect();
+    let mut hits = vec![0u32; n];
+    for id in sets.iter().flatten() {
+        hits[id.index()] += 1;
+    }
+    hits.iter().map(|&h| h as f32 / samples as f32).collect()
 }
 
 /// The weighted MCMC random walk from the genesis.
@@ -489,6 +551,44 @@ mod tests {
     }
 
     const ALPHAS: [f64; 5] = [0.0, 0.05, 0.5, 8.0, 1000.0];
+
+    /// genesis -> 1, 2; 3 -> (1, 2); 4 -> (3); 5 -> (2)   tips: 4, 5
+    fn confidence_table() -> (Tangle<u32>, WalkTable) {
+        let t = scripted(&[(0, 0), (0, 0), (1, 2), (3, 3), (2, 2)]);
+        let table = RandomWalk::default().table(&t, &cumulative_weights(&t));
+        (t, table)
+    }
+
+    #[test]
+    fn walk_confidence_bounds_and_genesis() {
+        let (t, table) = confidence_table();
+        let conf = table.walk_confidence(&t, 64, 42);
+        assert_eq!(conf.len(), t.len());
+        assert!((conf[t.genesis().index()] - 1.0).abs() < 1e-6);
+        assert!(conf.iter().all(|&c| (0.0..=1.0).contains(&c)));
+    }
+
+    #[test]
+    fn walk_confidence_is_deterministic_per_seed() {
+        let (t, table) = confidence_table();
+        let c1 = table.walk_confidence(&t, 32, 7);
+        let c2 = table.walk_confidence(&t, 32, 7);
+        assert_eq!(c1, c2);
+        let c3 = table.walk_confidence(&t, 32, 8);
+        assert_ne!(c1, c3);
+    }
+
+    #[test]
+    fn approval_confidence_dominates_walk_confidence() {
+        // Every tx on a walk path is in the reached tip's past cone, so
+        // approval confidence >= walk confidence for matching seeds/samples.
+        let (t, table) = confidence_table();
+        let wc = table.walk_confidence(&t, 64, 9);
+        let ac = table.approval_confidence(&t, 64, 9);
+        for (w, a) in wc.iter().zip(&ac) {
+            assert!(a >= w, "approval {a} < walk {w}");
+        }
+    }
 
     /// A table walk's path from `start` and the generator's next output
     /// (which pins the number of draws the walk consumed).

@@ -42,7 +42,7 @@ proptest! {
         let t = tangle_from_script(&script);
         let analysis = TangleAnalysis::compute(&t);
         let walk = RandomWalk::new(0.2).table(&t, &analysis.cumulative_weight);
-        let conf = analysis.walk_confidence(&t, &walk, 48, seed);
+        let conf = walk.walk_confidence(&t, 48, seed);
         prop_assert!((conf[0] - 1.0).abs() < 1e-6);
         for c in &conf {
             prop_assert!((0.0..=1.0).contains(c));
@@ -253,7 +253,7 @@ proptest! {
         let t = tangle_from_script(&script);
         let analysis = TangleAnalysis::compute(&t);
         let walk = RandomWalk::new(0.2).table(&t, &analysis.cumulative_weight);
-        let conf = analysis.walk_confidence(&t, &walk, 16, seed);
+        let conf = walk.walk_confidence(&t, 16, seed);
         let top = analysis.choose_reference(&conf, n);
         prop_assert!(top.len() <= n);
         prop_assert!(!top.is_empty());

@@ -13,8 +13,8 @@
 //!
 //! The im2col matrices are built once in the training forward pass and
 //! cached for backward. Batch items are processed serially in ascending
-//! order, keeping gradient accumulation deterministic; data parallelism
-//! belongs to the batch-chunk level in `model.rs`.
+//! order, keeping gradient accumulation deterministic; the parallelism of a
+//! training round is one node per worker, above the layer.
 
 use crate::init;
 use crate::layer::{Cache, Layer};

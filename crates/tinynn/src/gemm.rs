@@ -27,8 +27,8 @@
 //! dispatched on the rayon pool; each block owns a disjoint slice of `out`,
 //! so the result is independent of thread count and scheduling. Small
 //! products (below [`PAR_GEMM_THRESHOLD`] multiply-adds) stay serial —
-//! training-sized GEMMs are left serial so batch-chunk data parallelism in
-//! `model.rs` owns the cores.
+//! training-sized GEMMs are left serial because they already run inside a
+//! round's per-node `par_iter`, which owns the cores.
 
 use rayon::prelude::*;
 
@@ -45,10 +45,10 @@ pub const NR: usize = 8;
 
 /// Minimum `m·n·k` multiply-adds before row blocks go to the thread pool.
 ///
-/// Kept at 64³ so evaluation-sized products parallelize while per-chunk
-/// training GEMMs stay serial under the batch-chunk parallelism in
-/// `Sequential::loss_and_grads_chunked` (nested pool regions would serialize
-/// anyway, but staying below the threshold also skips the dispatch cost).
+/// Kept at 64³ so evaluation-sized products parallelize while training
+/// GEMMs stay serial: those run inside a round's per-node `par_iter`, where
+/// a nested pool region would serialize anyway, and staying below the
+/// threshold also skips the dispatch cost.
 pub const PAR_GEMM_THRESHOLD: usize = 64 * 64 * 64;
 
 /// A logical `rows × cols` operand over row-major storage; `trans` means the

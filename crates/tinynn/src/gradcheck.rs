@@ -35,8 +35,8 @@ pub struct GradCheckReport {
 /// Compare analytic gradients to central finite differences on a random
 /// sample of `sample` parameter coordinates (or all, if fewer).
 ///
-/// Layers with train-time stochasticity (dropout) must not be present —
-/// the check evaluates the loss several times and requires determinism.
+/// The check evaluates the loss several times and requires every layer's
+/// forward pass to be deterministic.
 pub fn check_gradients(
     model: &mut Sequential,
     x: &crate::tensor::Tensor,
@@ -45,40 +45,7 @@ pub fn check_gradients(
     sample: usize,
     seed: u64,
 ) -> GradCheckReport {
-    check_gradients_with(model, x, targets, eps, sample, seed, |m, x, t| {
-        m.loss_and_grads(x, t)
-    })
-}
-
-/// [`check_gradients`] against the chunked/parallel accumulation path:
-/// analytic gradients and finite-difference losses both come from
-/// [`Sequential::loss_and_grads_chunked`] with parallel execution, so this
-/// validates the per-chunk weighting and the fixed-order tree reduction —
-/// not just the single-batch backward pass.
-pub fn check_gradients_chunked(
-    model: &mut Sequential,
-    x: &crate::tensor::Tensor,
-    targets: &[u32],
-    eps: f32,
-    sample: usize,
-    seed: u64,
-    chunks: usize,
-) -> GradCheckReport {
-    check_gradients_with(model, x, targets, eps, sample, seed, move |m, x, t| {
-        m.loss_and_grads_chunked(x, t, chunks, true)
-    })
-}
-
-fn check_gradients_with(
-    model: &mut Sequential,
-    x: &crate::tensor::Tensor,
-    targets: &[u32],
-    eps: f32,
-    sample: usize,
-    seed: u64,
-    eval: impl Fn(&Sequential, &crate::tensor::Tensor, &[u32]) -> (f32, Gradients),
-) -> GradCheckReport {
-    let (_, grads) = eval(model, x, targets);
+    let (_, grads) = model.loss_and_grads(x, targets);
     let analytic = flatten_grads(&grads);
     let base = ParamVec::from_model(model);
     let n = base.len();
@@ -97,11 +64,11 @@ fn check_gradients_with(
         let mut plus = base.clone();
         plus.0[i] += eps;
         plus.assign_to(model);
-        let (lp, _) = eval(model, x, targets);
+        let (lp, _) = model.loss_and_grads(x, targets);
         let mut minus = base.clone();
         minus.0[i] -= eps;
         minus.assign_to(model);
-        let (lm, _) = eval(model, x, targets);
+        let (lm, _) = model.loss_and_grads(x, targets);
         let numeric = (lp - lm) / (2.0 * eps);
         let a = analytic[i];
         let rel = (a - numeric).abs() / (a.abs() + numeric.abs()).max(1.0);
@@ -199,23 +166,6 @@ mod tests {
         let t: Vec<u32> = (0..4).map(|i| (i % 2) as u32).collect();
         let r = check_gradients(&mut m, &x, &t, 1e-2, 60, 5);
         assert!(r.max_rel_err < TOL, "stacked lstm grad check failed: {r:?}");
-    }
-
-    #[test]
-    fn chunked_accumulation_gradients() {
-        // Validate the per-chunk weighted tree reduction end-to-end, with a
-        // chunk count that does not divide the batch. Smooth activations keep
-        // finite differences clean; the conv/pool backward is covered above.
-        let mut rng = seeded(16);
-        let mut m = Sequential::new(vec![
-            Box::new(Dense::xavier(5, 8, &mut rng)),
-            Box::new(Tanh::new()),
-            Box::new(Dense::xavier(8, 4, &mut rng)),
-        ]);
-        let x = Tensor::from_fn(&[7, 5], |i| ((i * 17 % 23) as f32 - 11.0) * 0.08);
-        let t: Vec<u32> = (0..7).map(|i| (i % 4) as u32).collect();
-        let r = check_gradients_chunked(&mut m, &x, &t, 1e-2, 60, 7, 3);
-        assert!(r.max_rel_err < TOL, "chunked grad check failed: {r:?}");
     }
 
     #[test]

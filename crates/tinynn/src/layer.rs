@@ -1,9 +1,9 @@
 //! The [`Layer`] trait: immutable forward/backward with an explicit cache.
 //!
 //! Layers never mutate themselves during a pass; everything a backward pass
-//! needs is captured in the [`Cache`] returned by `forward`. This is what
-//! allows several mini-batch chunks to run forward+backward concurrently
-//! against a shared `&Sequential` (see [`crate::model`]).
+//! needs is captured in the [`Cache`] returned by `forward`, so a training
+//! step reads the model through `&Sequential` and only [`crate::Sgd::step`]
+//! writes it.
 
 use crate::tensor::Tensor;
 use std::any::Any;
@@ -52,7 +52,9 @@ pub trait Layer: Send + Sync {
     /// Human-readable layer name (used in summaries and error messages).
     fn name(&self) -> &'static str;
 
-    /// Run the layer. `train` enables train-only behaviour such as dropout.
+    /// Run the layer. `train` asks for the cache `backward` needs; layers
+    /// that keep large intermediates (e.g. [`crate::Conv2d`]'s patch
+    /// matrices) skip them when it is `false`.
     fn forward(&self, x: &Tensor, train: bool) -> (Tensor, Cache);
 
     /// Backpropagate. Returns `(grad_input, grad_params)` where

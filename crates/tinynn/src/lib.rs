@@ -2,20 +2,19 @@
 //!
 //! `tinynn` is the machine-learning substrate of the *learning tangle*
 //! reproduction. It implements exactly what the paper's evaluation needs —
-//! dense, convolutional and recurrent (LSTM) models trained with SGD — with
-//! manual backpropagation, no external BLAS, and `rayon`-based data
-//! parallelism over the mini-batch.
+//! dense, convolutional and recurrent (LSTM) models trained with plain
+//! mini-batch SGD — with manual backpropagation and no external BLAS.
 //!
 //! ## Design
 //!
 //! * [`Tensor`] is a dense row-major `f32` array with an explicit shape.
 //! * Every [`Layer`] is immutable during `forward`/`backward`; all per-call
-//!   state lives in a [`Cache`] value returned by `forward`. This makes
-//!   data-parallel gradient accumulation trivial: chunks of the batch run
-//!   forward+backward concurrently against `&Model` and their gradients are
-//!   summed.
-//! * [`Sequential`] composes layers; [`loss`] provides softmax cross-entropy;
-//!   [`Sgd`] applies updates.
+//!   state lives in a [`Cache`] value returned by `forward`, so a training
+//!   step reads the model through `&Sequential` and only the optimizer
+//!   writes its parameters.
+//! * [`Sequential`] composes layers; [`loss`] provides softmax cross-entropy.
+//!   Training is one [`Sequential::loss_and_grads`] per mini-batch followed
+//!   by [`Sgd::step`] (`p -= lr·g`); there is no other optimizer.
 //! * [`params`] flattens a model's parameters into a single `Vec<f32>` — the
 //!   unit of exchange on the tangle ledger — and restores them.
 //!
@@ -41,7 +40,6 @@
 pub mod activations;
 pub mod conv;
 pub mod dense;
-pub mod dropout;
 pub mod embedding;
 pub mod gemm;
 pub mod gradcheck;
@@ -51,7 +49,6 @@ pub mod loss;
 pub mod lstm;
 pub mod metrics;
 pub mod model;
-pub mod norm;
 pub mod optim;
 pub mod params;
 pub mod pool;
@@ -64,14 +61,12 @@ pub mod zoo;
 pub use activations::{Relu, Sigmoid, Tanh};
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use layer::{Cache, Layer};
 pub use lstm::Lstm;
 pub use metrics::ConfusionMatrix;
 pub use model::{Gradients, Sequential};
-pub use norm::LayerNorm;
-pub use optim::{Adam, Sgd};
+pub use optim::Sgd;
 pub use params::ParamVec;
 pub use pool::MaxPool2d;
 pub use reshape::Flatten;

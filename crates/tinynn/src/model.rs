@@ -1,10 +1,9 @@
-//! [`Sequential`] model composition, gradient containers, and rayon
-//! data-parallel training steps.
+//! [`Sequential`] model composition and the gradient container of one
+//! training step.
 
 use crate::layer::{Cache, Layer};
 use crate::loss;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Gradients for every parameter of a model, in layer order.
 ///
@@ -29,44 +28,6 @@ impl Gradients {
                 })
                 .collect(),
         }
-    }
-
-    /// Accumulate `other` into `self`.
-    pub fn add_assign(&mut self, other: &Gradients) {
-        assert_eq!(self.by_layer.len(), other.by_layer.len());
-        for (a, b) in self.by_layer.iter_mut().zip(&other.by_layer) {
-            for (ga, gb) in a.iter_mut().zip(b) {
-                ga.add_assign(gb);
-            }
-        }
-    }
-
-    /// Multiply every gradient by `s`.
-    pub fn scale(&mut self, s: f32) {
-        for layer in &mut self.by_layer {
-            for g in layer {
-                g.scale(s);
-            }
-        }
-    }
-
-    /// Global L2 norm across all gradients (useful for clipping/diagnostics).
-    pub fn l2_norm(&self) -> f32 {
-        self.by_layer
-            .iter()
-            .flat_map(|l| l.iter())
-            .map(Tensor::sq_norm)
-            .sum::<f32>()
-            .sqrt()
-    }
-
-    /// Clip the global L2 norm to `max_norm`, returning the pre-clip norm.
-    pub fn clip_l2(&mut self, max_norm: f32) -> f32 {
-        let norm = self.l2_norm();
-        if norm > max_norm && norm > 0.0 {
-            self.scale(max_norm / norm);
-        }
-        norm
     }
 }
 
@@ -102,7 +63,7 @@ impl Sequential {
         format!("{} ({} params)", names.join(" -> "), self.param_count())
     }
 
-    /// Inference-mode forward pass (no caches, dropout disabled).
+    /// Inference-mode forward pass (no caches).
     pub fn predict(&self, x: &Tensor) -> Tensor {
         let mut cur = x.clone();
         for layer in &self.layers {
@@ -145,89 +106,6 @@ impl Sequential {
         let (logits, tape) = self.forward_train(x);
         let (loss_value, grad) = loss::softmax_cross_entropy(&logits, targets);
         (loss_value, self.backward(&tape, grad))
-    }
-
-    /// Chunked version of [`Self::loss_and_grads`]: the batch is split into
-    /// `chunks` contiguous ranges — a pure function of the batch size and
-    /// `chunks`, never of thread count — each range runs forward+backward
-    /// into its own per-worker gradient buffer scaled by `n_chunk / b`, and
-    /// the buffers are combined by a fixed-order pairwise tree reduction.
-    ///
-    /// `parallel` selects the execution strategy *only*: the ranges, the
-    /// per-chunk arithmetic, and the reduction order are identical either
-    /// way, so the parallel result is **bit-identical** to the serial one by
-    /// construction. (The one exception is [`crate::Dropout`], whose mask
-    /// seeds come from a process-global counter and therefore depend on
-    /// chunk execution order; no model in [`crate::zoo`] uses dropout.)
-    ///
-    /// Relative to the unchunked path, chunking re-associates the gradient
-    /// average (weighted per-chunk means instead of one batch mean), so
-    /// results agree with [`Self::loss_and_grads`] only to float tolerance —
-    /// pick `chunks` once per deployment and keep it.
-    pub fn loss_and_grads_chunked(
-        &self,
-        x: &Tensor,
-        targets: &[u32],
-        chunks: usize,
-        parallel: bool,
-    ) -> (f32, Gradients) {
-        let b = x.shape()[0];
-        let chunks = chunks.clamp(1, b.max(1));
-        if chunks <= 1 {
-            return self.loss_and_grads(x, targets);
-        }
-        let rows_per_sample = targets.len() / b;
-        assert_eq!(
-            rows_per_sample * b,
-            targets.len(),
-            "targets not divisible by batch"
-        );
-        let step = b.div_ceil(chunks);
-        let ranges: Vec<(usize, usize)> = (0..b)
-            .step_by(step)
-            .map(|s| (s, (s + step).min(b)))
-            .collect();
-        let work = |&(s, e): &(usize, usize)| -> (f32, Gradients) {
-            let xc = x.slice_batch(s, e);
-            let tc = &targets[s * rows_per_sample..e * rows_per_sample];
-            let (l, mut g) = self.loss_and_grads(&xc, tc);
-            let w = (e - s) as f32 / b as f32;
-            g.scale(w);
-            (l * w, g)
-        };
-        let mut results: Vec<(f32, Gradients)> = if parallel {
-            ranges.par_iter().map(work).collect()
-        } else {
-            ranges.iter().map(work).collect()
-        };
-        // Fixed-order pairwise tree reduction: association depends only on
-        // the chunk count, not on which thread finished first.
-        while results.len() > 1 {
-            let mut next = Vec::with_capacity(results.len().div_ceil(2));
-            let mut it = results.into_iter();
-            while let Some((l1, mut g1)) = it.next() {
-                match it.next() {
-                    Some((l2, g2)) => {
-                        g1.add_assign(&g2);
-                        next.push((l1 + l2, g1));
-                    }
-                    None => next.push((l1, g1)),
-                }
-            }
-            results = next;
-        }
-        results.pop().expect("at least one chunk")
-    }
-
-    /// Data-parallel [`Self::loss_and_grads`]:
-    /// [`Self::loss_and_grads_chunked`] with parallel execution.
-    pub fn loss_and_grads_parallel(
-        &self,
-        x: &Tensor,
-        targets: &[u32],
-        chunks: usize,
-    ) -> (f32, Gradients) {
-        self.loss_and_grads_chunked(x, targets, chunks, true)
     }
 
     /// Inference-mode loss and accuracy on a labelled batch.
@@ -278,99 +156,6 @@ mod tests {
         }
         let (l1, _) = m.loss_and_grads(&x, &t);
         assert!(l1 < l0 * 0.5, "loss should halve: {l0} -> {l1}");
-    }
-
-    #[test]
-    fn parallel_grads_match_serial() {
-        let m = tiny_model(2);
-        let x = Tensor::from_fn(&[16, 4], |i| ((i * 31 % 23) as f32 - 11.0) * 0.05);
-        let t: Vec<u32> = (0..16).map(|i| (i % 3) as u32).collect();
-        let (ls, gs) = m.loss_and_grads(&x, &t);
-        let (lp, gp) = m.loss_and_grads_parallel(&x, &t, 4);
-        assert!((ls - lp).abs() < 1e-5, "loss {ls} vs {lp}");
-        for (a, b) in gs
-            .by_layer
-            .iter()
-            .flatten()
-            .zip(gp.by_layer.iter().flatten())
-        {
-            for (va, vb) in a.as_slice().iter().zip(b.as_slice()) {
-                assert!((va - vb).abs() < 1e-5, "{va} vs {vb}");
-            }
-        }
-    }
-
-    fn assert_bitwise_equal(a: &(f32, Gradients), b: &(f32, Gradients)) {
-        assert_eq!(
-            a.0.to_bits(),
-            b.0.to_bits(),
-            "losses differ: {} vs {}",
-            a.0,
-            b.0
-        );
-        for (ga, gb) in
-            a.1.by_layer
-                .iter()
-                .flatten()
-                .zip(b.1.by_layer.iter().flatten())
-        {
-            assert_eq!(ga.shape(), gb.shape());
-            for (va, vb) in ga.as_slice().iter().zip(gb.as_slice()) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "{va} vs {vb}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_parallel_bitwise_equals_chunked_serial_mlp() {
-        let m = tiny_model(7);
-        let x = Tensor::from_fn(&[16, 4], |i| ((i * 13 % 29) as f32 - 14.0) * 0.07);
-        let t: Vec<u32> = (0..16).map(|i| (i % 3) as u32).collect();
-        for chunks in 2..=5 {
-            let serial = m.loss_and_grads_chunked(&x, &t, chunks, false);
-            let parallel = m.loss_and_grads_chunked(&x, &t, chunks, true);
-            assert_bitwise_equal(&serial, &parallel);
-        }
-    }
-
-    #[test]
-    fn chunked_parallel_bitwise_equals_chunked_serial_cnn() {
-        let mut rng = seeded(11);
-        let m = crate::zoo::femnist_cnn(8, 5, crate::zoo::CnnConfig::scaled(), &mut rng);
-        let x = Tensor::from_fn(&[8, 1, 8, 8], |i| ((i * 7 % 19) as f32 - 9.0) * 0.05);
-        let t: Vec<u32> = (0..8).map(|i| (i % 5) as u32).collect();
-        for chunks in [2, 3, 4] {
-            let serial = m.loss_and_grads_chunked(&x, &t, chunks, false);
-            let parallel = m.loss_and_grads_chunked(&x, &t, chunks, true);
-            assert_bitwise_equal(&serial, &parallel);
-        }
-    }
-
-    #[test]
-    fn parallel_with_one_chunk_is_serial() {
-        let m = tiny_model(3);
-        let x = Tensor::from_fn(&[4, 4], |i| i as f32 * 0.1);
-        let t = [0u32, 1, 2, 0];
-        let (ls, _) = m.loss_and_grads(&x, &t);
-        let (lp, _) = m.loss_and_grads_parallel(&x, &t, 1);
-        assert_eq!(ls, lp);
-    }
-
-    #[test]
-    fn gradients_container_math() {
-        let m = tiny_model(4);
-        let mut g = Gradients::zeros_like(&m);
-        assert_eq!(g.l2_norm(), 0.0);
-        g.by_layer[0][0].as_mut_slice()[0] = 3.0;
-        g.by_layer[0][0].as_mut_slice()[1] = 4.0;
-        assert!((g.l2_norm() - 5.0).abs() < 1e-6);
-        let pre = g.clip_l2(1.0);
-        assert!((pre - 5.0).abs() < 1e-6);
-        assert!((g.l2_norm() - 1.0).abs() < 1e-5);
-        let mut g2 = Gradients::zeros_like(&m);
-        g2.add_assign(&g);
-        g2.scale(2.0);
-        assert!((g2.l2_norm() - 2.0).abs() < 1e-5);
     }
 
     #[test]

@@ -1,159 +1,26 @@
-//! Stochastic gradient descent with optional momentum and weight decay —
-//! the optimizer used by both FedAvg and the learning tangle (the paper
-//! trains with plain SGD at fixed learning rates).
+//! Plain stochastic gradient descent — the optimizer used by both FedAvg
+//! and the learning tangle (the paper trains with plain SGD at fixed
+//! learning rates).
 
 use crate::model::{Gradients, Sequential};
-use crate::tensor::Tensor;
 
-/// SGD optimizer: `v ← μ·v + g + wd·p; p ← p − lr·v`.
+/// SGD optimizer: `p ← p − lr·g`.
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Option<Vec<Vec<Tensor>>>,
 }
 
 impl Sgd {
     /// Plain SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: None,
-        }
-    }
-
-    /// Enable classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Enable L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Replace the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
+        Self { lr }
     }
 
     /// Apply one update step to `model` using `grads`.
     pub fn step(&mut self, model: &mut Sequential, grads: &Gradients) {
-        let use_momentum = self.momentum > 0.0;
-        if use_momentum && self.velocity.is_none() {
-            self.velocity = Some(
-                grads
-                    .by_layer
-                    .iter()
-                    .map(|l| l.iter().map(|g| Tensor::zeros(g.shape())).collect())
-                    .collect(),
-            );
-        }
-        for (li, layer) in model.layers_mut().iter_mut().enumerate() {
-            let params = layer.params_mut();
-            for (pi, p) in params.into_iter().enumerate() {
-                let g = &grads.by_layer[li][pi];
-                if use_momentum {
-                    let v = &mut self.velocity.as_mut().expect("velocity initialized")[li][pi];
-                    for ((vv, pv), &gv) in v
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(p.as_mut_slice().iter_mut())
-                        .zip(g.as_slice())
-                    {
-                        *vv = self.momentum * *vv + gv + self.weight_decay * *pv;
-                        *pv -= self.lr * *vv;
-                    }
-                } else {
-                    for (pv, &gv) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                        *pv -= self.lr * (gv + self.weight_decay * *pv);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Adam optimizer (Kingma & Ba): adaptive per-parameter step sizes. Not
-/// used by the paper's experiments (which are plain SGD) but provided for
-/// downstream users and the meta-learning outlook (§VI).
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Option<Vec<Vec<Tensor>>>,
-    v: Option<Vec<Vec<Tensor>>>,
-}
-
-impl Adam {
-    /// Adam with the canonical defaults `β₁ = 0.9, β₂ = 0.999, ε = 1e-8`.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: None,
-            v: None,
-        }
-    }
-
-    /// Override the exponential-decay coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// Apply one update step to `model` using `grads`.
-    pub fn step(&mut self, model: &mut Sequential, grads: &Gradients) {
-        let zeros = || -> Vec<Vec<Tensor>> {
-            grads
-                .by_layer
-                .iter()
-                .map(|l| l.iter().map(|g| Tensor::zeros(g.shape())).collect())
-                .collect()
-        };
-        if self.m.is_none() {
-            self.m = Some(zeros());
-            self.v = Some(zeros());
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (m, v) = (
-            self.m.as_mut().expect("initialized"),
-            self.v.as_mut().expect("initialized"),
-        );
-        for (li, layer) in model.layers_mut().iter_mut().enumerate() {
-            for (pi, p) in layer.params_mut().into_iter().enumerate() {
-                let g = &grads.by_layer[li][pi];
-                let mv = &mut m[li][pi];
-                let vv = &mut v[li][pi];
-                for (((pv, &gv), mvv), vvv) in p
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(g.as_slice())
-                    .zip(mv.as_mut_slice().iter_mut())
-                    .zip(vv.as_mut_slice().iter_mut())
-                {
-                    *mvv = self.beta1 * *mvv + (1.0 - self.beta1) * gv;
-                    *vvv = self.beta2 * *vvv + (1.0 - self.beta2) * gv * gv;
-                    let mhat = *mvv / bc1;
-                    let vhat = *vvv / bc2;
-                    *pv -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        for (layer, layer_grads) in model.layers_mut().iter_mut().zip(&grads.by_layer) {
+            for (p, g) in layer.params_mut().into_iter().zip(layer_grads) {
+                for (pv, &gv) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                    *pv -= self.lr * gv;
                 }
             }
         }
@@ -164,111 +31,17 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::dense::Dense;
-    use crate::model::Sequential;
-
-    fn one_param_model(w: f32) -> Sequential {
-        Sequential::new(vec![Box::new(Dense::new(
-            Tensor::from_vec(vec![1, 1], vec![w]),
-            Tensor::zeros(&[1]),
-        ))])
-    }
-
-    fn unit_grads(m: &Sequential, g: f32) -> Gradients {
-        let mut grads = Gradients::zeros_like(m);
-        grads.by_layer[0][0].as_mut_slice()[0] = g;
-        grads
-    }
+    use crate::tensor::Tensor;
 
     #[test]
     fn plain_sgd_step() {
-        let mut m = one_param_model(1.0);
-        let g = unit_grads(&m, 0.5);
-        let mut sgd = Sgd::new(0.1);
-        sgd.step(&mut m, &g);
+        let mut m = Sequential::new(vec![Box::new(Dense::new(
+            Tensor::from_vec(vec![1, 1], vec![1.0]),
+            Tensor::zeros(&[1]),
+        ))]);
+        let mut g = Gradients::zeros_like(&m);
+        g.by_layer[0][0].as_mut_slice()[0] = 0.5;
+        Sgd::new(0.1).step(&mut m, &g);
         assert!((m.layers()[0].params()[0].as_slice()[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_accumulates() {
-        let mut m = one_param_model(0.0);
-        let mut sgd = Sgd::new(1.0).with_momentum(0.5);
-        let g = unit_grads(&m, 1.0);
-        sgd.step(&mut m, &g); // v=1, p=-1
-        let g = unit_grads(&m, 1.0);
-        sgd.step(&mut m, &g); // v=1.5, p=-2.5
-        assert!((m.layers()[0].params()[0].as_slice()[0] + 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let mut m = one_param_model(10.0);
-        let mut sgd = Sgd::new(0.1).with_weight_decay(0.1);
-        let g = unit_grads(&m, 0.0);
-        sgd.step(&mut m, &g);
-        // p -= lr * wd * p = 10 - 0.1*0.1*10 = 9.9
-        assert!((m.layers()[0].params()[0].as_slice()[0] - 9.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn set_lr() {
-        let mut sgd = Sgd::new(0.1);
-        sgd.set_lr(0.01);
-        assert_eq!(sgd.lr(), 0.01);
-    }
-
-    #[test]
-    fn adam_first_step_has_unit_scale() {
-        // With a constant gradient g, the first Adam step is -lr * sign(g)
-        // (bias correction makes mhat/sqrt(vhat) = 1).
-        let mut m = one_param_model(0.0);
-        let g = unit_grads(&m, 0.5);
-        let mut adam = Adam::new(0.1);
-        adam.step(&mut m, &g);
-        let p = m.layers()[0].params()[0].as_slice()[0];
-        assert!((p + 0.1).abs() < 1e-4, "first step should be -lr: {p}");
-    }
-
-    #[test]
-    fn adam_trains_a_network() {
-        use crate::activations::Relu;
-        use crate::rng::seeded;
-        let mut rng = seeded(3);
-        let mut model = Sequential::new(vec![
-            Box::new(Dense::he(4, 8, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Dense::xavier(8, 3, &mut rng)),
-        ]);
-        let x = Tensor::from_fn(&[6, 4], |i| ((i * 29 % 13) as f32 - 6.0) * 0.1);
-        let t = [0u32, 1, 2, 0, 1, 2];
-        let mut adam = Adam::new(0.05);
-        let (l0, g) = model.loss_and_grads(&x, &t);
-        adam.step(&mut model, &g);
-        for _ in 0..60 {
-            let (_, g) = model.loss_and_grads(&x, &t);
-            adam.step(&mut model, &g);
-        }
-        let (l1, _) = model.loss_and_grads(&x, &t);
-        assert!(l1 < l0 * 0.3, "adam should cut loss sharply: {l0} -> {l1}");
-    }
-
-    #[test]
-    fn adam_adapts_per_coordinate() {
-        // Two parameters, very different gradient magnitudes: Adam's step
-        // sizes should be comparable (both near lr) after a few steps.
-        let w = Tensor::from_vec(vec![1, 2], vec![0.0, 0.0]);
-        let b = Tensor::zeros(&[2]);
-        let mut m = Sequential::new(vec![Box::new(Dense::new(w, b))]);
-        let mut grads = Gradients::zeros_like(&m);
-        grads.by_layer[0][0].as_mut_slice()[0] = 100.0;
-        grads.by_layer[0][0].as_mut_slice()[1] = 0.01;
-        let mut adam = Adam::new(0.1);
-        for _ in 0..5 {
-            adam.step(&mut m, &grads);
-        }
-        let p = m.layers()[0].params()[0].as_slice().to_vec();
-        assert!(
-            (p[0] - p[1]).abs() < 0.1,
-            "steps should be magnitude-invariant: {p:?}"
-        );
     }
 }

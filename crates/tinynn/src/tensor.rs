@@ -165,13 +165,6 @@ impl Tensor {
         }
     }
 
-    /// Multiply every element by `s` in place.
-    pub fn scale(&mut self, s: f32) {
-        for a in &mut self.data {
-            *a *= s;
-        }
-    }
-
     /// Set every element to zero, keeping the allocation.
     pub fn zero(&mut self) {
         self.data.fill(0.0);
@@ -180,11 +173,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Squared L2 norm of the buffer.
-    pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum()
     }
 
     /// Matrix product `self [M,K] × other [K,N] -> [M,N]`.
@@ -376,15 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn axpy_add_scale() {
+    fn axpy_add_zero() {
         let mut a = Tensor::from_vec(vec![3], vec![1., 2., 3.]);
         let b = Tensor::from_vec(vec![3], vec![10., 20., 30.]);
         a.axpy(0.5, &b);
         assert_eq!(a.as_slice(), &[6., 12., 18.]);
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[16., 32., 48.]);
-        a.scale(0.25);
-        assert_eq!(a.as_slice(), &[4., 8., 12.]);
         a.zero();
         assert_eq!(a.sum(), 0.0);
     }
@@ -394,11 +380,5 @@ mod tests {
         let t = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 3., 4., 5.]);
         assert_eq!(t.mean_rows().as_slice(), &[2., 3., 4.]);
         assert_eq!(t.sum_rows().as_slice(), &[4., 6., 8.]);
-    }
-
-    #[test]
-    fn sq_norm() {
-        let t = Tensor::from_vec(vec![2], vec![3., 4.]);
-        assert_eq!(t.sq_norm(), 25.0);
     }
 }

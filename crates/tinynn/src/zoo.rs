@@ -100,87 +100,6 @@ pub fn char_lstm(
     Sequential::new(stack)
 }
 
-/// A serializable architecture descriptor — lets ledgers, checkpoints,
-/// and experiment configs record *which* model their parameter vectors
-/// belong to, and rebuild it anywhere.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum ModelSpec {
-    /// [`mlp`]
-    Mlp {
-        /// Input feature width.
-        in_dim: usize,
-        /// Hidden layer widths.
-        hidden: Vec<usize>,
-        /// Output classes.
-        classes: usize,
-    },
-    /// [`femnist_cnn`]
-    FemnistCnn {
-        /// Image side length (divisible by 4).
-        img: usize,
-        /// Output classes.
-        classes: usize,
-        /// First conv width.
-        conv1: usize,
-        /// Second conv width.
-        conv2: usize,
-        /// Dense layer width.
-        dense: usize,
-    },
-    /// [`char_lstm`]
-    CharLstm {
-        /// Vocabulary size.
-        vocab: usize,
-        /// Embedding width.
-        embed: usize,
-        /// LSTM hidden width.
-        hidden: usize,
-        /// Stacked LSTM layers.
-        layers: usize,
-    },
-}
-
-impl ModelSpec {
-    /// Instantiate the architecture with a deterministic initialization.
-    pub fn build(&self, seed: u64) -> Sequential {
-        let mut rng = crate::rng::seeded(seed);
-        match self {
-            ModelSpec::Mlp {
-                in_dim,
-                hidden,
-                classes,
-            } => mlp(*in_dim, hidden, *classes, &mut rng),
-            ModelSpec::FemnistCnn {
-                img,
-                classes,
-                conv1,
-                conv2,
-                dense,
-            } => femnist_cnn(
-                *img,
-                *classes,
-                CnnConfig {
-                    conv1: *conv1,
-                    conv2: *conv2,
-                    dense: *dense,
-                },
-                &mut rng,
-            ),
-            ModelSpec::CharLstm {
-                vocab,
-                embed,
-                hidden,
-                layers,
-            } => char_lstm(*vocab, *embed, *hidden, *layers, &mut rng),
-        }
-    }
-
-    /// Number of learnable scalars the built model will have.
-    pub fn param_count(&self) -> usize {
-        self.build(0).param_count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,52 +138,6 @@ mod tests {
         let x = Tensor::from_fn(&[2, 5], |i| (i % 30) as f32);
         let y = m.predict(&x);
         assert_eq!(y.shape(), &[2, 5, 30]);
-    }
-
-    #[test]
-    fn model_spec_builds_matching_architectures() {
-        let spec = ModelSpec::Mlp {
-            in_dim: 6,
-            hidden: vec![10],
-            classes: 3,
-        };
-        let m = spec.build(4);
-        let direct = mlp(6, &[10], 3, &mut seeded(4));
-        assert_eq!(m.param_count(), direct.param_count());
-        assert_eq!(
-            crate::ParamVec::from_model(&m),
-            crate::ParamVec::from_model(&direct)
-        );
-        assert_eq!(spec.param_count(), m.param_count());
-    }
-
-    #[test]
-    fn model_spec_serde_roundtrip() {
-        let specs = vec![
-            ModelSpec::Mlp {
-                in_dim: 4,
-                hidden: vec![8, 8],
-                classes: 2,
-            },
-            ModelSpec::FemnistCnn {
-                img: 16,
-                classes: 10,
-                conv1: 6,
-                conv2: 12,
-                dense: 48,
-            },
-            ModelSpec::CharLstm {
-                vocab: 30,
-                embed: 8,
-                hidden: 32,
-                layers: 2,
-            },
-        ];
-        for spec in specs {
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: ModelSpec = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, spec);
-        }
     }
 
     #[test]

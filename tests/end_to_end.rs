@@ -122,7 +122,7 @@ fn async_ledger_supports_consensus_extraction() {
     let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
     let walk = tangle_learning::ledger::walk::RandomWalk::new(cfg.hyper.alpha)
         .table(&run.tangle, &analysis.cumulative_weight);
-    let conf = analysis.walk_confidence(&run.tangle, &walk, 16, 1);
+    let conf = walk.walk_confidence(&run.tangle, 16, 1);
     let top = analysis.choose_reference(&conf, 3);
     let payloads: Vec<&tangle_learning::nn::ParamVec> = top
         .iter()
@@ -170,7 +170,7 @@ fn sync_and_async_agree_qualitatively() {
     let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
     let walk = tangle_learning::ledger::walk::RandomWalk::new(0.5)
         .table(&run.tangle, &analysis.cumulative_weight);
-    let conf = analysis.walk_confidence(&run.tangle, &walk, 16, 2);
+    let conf = walk.walk_confidence(&run.tangle, 16, 2);
     let top = analysis.choose_reference(&conf, 3);
     let payloads: Vec<&tangle_learning::nn::ParamVec> = top
         .iter()
