@@ -876,12 +876,13 @@ mod tests {
 
     /// Six observed rounds with the per-node eval caches left to warm up,
     /// or (`cold`) emptied before every round so that nothing evaluated in
-    /// one round is served in a later one. Also returns the hits served.
+    /// one round is served in a later one. Also returns the hits served and
+    /// the misses evaluated.
     fn fingerprint_eval(
         cfg: SimConfig,
         cold: bool,
         path: &std::path::Path,
-    ) -> (RunFingerprint, u64) {
+    ) -> (RunFingerprint, u64, u64) {
         let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
         let mut sim = Simulation::new(dataset(10), cfg, build).with_telemetry(Telemetry::new(sink));
         let stats: Vec<RoundStats> = (0..6)
@@ -894,26 +895,32 @@ mod tests {
                 sim.round()
             })
             .collect();
-        let hits = sim.telemetry().counter_value("eval_cache.hits");
-        (finish_fingerprint(&sim, stats, path), hits)
+        let tel = sim.telemetry();
+        let (hits, misses) = (
+            tel.counter_value("eval_cache.hits"),
+            tel.counter_value("eval_cache.misses"),
+        );
+        (finish_fingerprint(&sim, stats, path), hits, misses)
     }
 
     /// A warm and a cold run of `cfg` must be the same run, and the warm
-    /// one must actually have reused evaluations across rounds.
-    fn assert_eval_cache_is_invisible(cfg: SimConfig, tag: &str) {
+    /// one must actually have reused evaluations across rounds. Returns
+    /// the warm run's hits and misses.
+    fn assert_eval_cache_is_invisible(cfg: SimConfig, tag: &str) -> (u64, u64) {
         let dir = std::env::temp_dir();
-        let (warm, warm_hits) = fingerprint_eval(
+        let (warm, warm_hits, warm_misses) = fingerprint_eval(
             cfg.clone(),
             false,
             &dir.join(format!("lt_eval_warm_{tag}.jsonl")),
         );
-        let (cold, cold_hits) =
+        let (cold, cold_hits, _) =
             fingerprint_eval(cfg, true, &dir.join(format!("lt_eval_cold_{tag}.jsonl")));
         assert_same_run(&warm, &cold);
         assert!(
             warm_hits > cold_hits,
             "the warm run must serve hits across rounds ({warm_hits} vs {cold_hits})"
         );
+        (warm_hits, warm_misses)
     }
 
     #[test]
@@ -933,11 +940,16 @@ mod tests {
     #[test]
     fn eval_cache_warm_and_cold_are_bit_identical_accuracy_bias() {
         // The accuracy-bias path evaluates every transaction per step —
-        // the heaviest cached surface.
+        // the heaviest cached surface, so after a node's first activation
+        // most of its probes must be served from its cache.
         let mut cfg = quick_cfg();
         cfg.hyper.tip_validation = true;
         cfg.hyper.accuracy_bias = 0.5;
-        assert_eval_cache_is_invisible(cfg, "b");
+        let (hits, misses) = assert_eval_cache_is_invisible(cfg, "b");
+        assert!(
+            hits > misses,
+            "the accuracy-bias run must mostly hit ({hits} hits, {misses} misses)"
+        );
     }
 
     #[test]

@@ -20,8 +20,7 @@ pub enum Aggregator {
         /// Assumed maximum number of byzantine updates per round.
         f: usize,
     },
-    /// Multi-Krum: average the `m` best-scoring updates under the Krum
-    /// criterion.
+    /// Multi-Krum: average the `m` updates with the best Krum scores.
     MultiKrum {
         /// Assumed maximum number of byzantine updates per round.
         f: usize,

@@ -680,10 +680,10 @@ impl Network {
     /// every live peer advertises its heads to its neighbours (through
     /// the same lossy, fault-injected links as all other traffic),
     /// followed by a full drain. Terminates once two consecutive rounds
-    /// change nothing and leave no orphans, no missing transactions and
-    /// no announced id still to be pulled ([`NodeProtocol::pending`]) —
-    /// i.e. the protocol has nothing left it could do — or after
-    /// `max_rounds`. Returns whether quiescence was reached.
+    /// change nothing and leave no orphans and nothing waited for
+    /// ([`NodeProtocol::waiting_for`]: no missing parent, no announced id
+    /// still to be pulled) — i.e. the protocol has nothing left it could
+    /// do — or after `max_rounds`. Returns whether quiescence was reached.
     ///
     /// This replaces [`Network::anti_entropy`] as the sanctioned way to
     /// reconcile after loss, churn, or a healed partition: every byte
@@ -700,10 +700,11 @@ impl Network {
             }
             self.run_to_quiescence();
             let unchanged = self.peers().zip(&before).all(|(p, &b)| p.len() == b);
-            let clean = self.protos.iter().zip(&self.links.up).all(|(e, &up)| {
-                let p = e.peer();
-                !up || (p.orphan_count() == 0 && p.missing().is_empty() && e.pending() == 0)
-            });
+            let clean = self
+                .protos
+                .iter()
+                .zip(&self.links.up)
+                .all(|(e, &up)| !up || (e.peer().orphan_count() == 0 && e.waiting_for() == 0));
             if unchanged && clean {
                 stable += 1;
                 if stable >= 2 {

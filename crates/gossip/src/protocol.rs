@@ -163,6 +163,16 @@ impl NodeProtocol {
         self.wanted.len()
     }
 
+    /// Content ids this peer is still waiting for: the unseen parents of
+    /// its orphans together with the ids it is pulling
+    /// ([`NodeProtocol::pending`]), each counted once. Zero, with no
+    /// orphans, is quiescence.
+    pub fn waiting_for(&self) -> usize {
+        let missing = self.peer.missing();
+        let pulled_only = self.wanted.keys().filter(|cid| !missing.contains(cid));
+        missing.len() + pulled_only.count()
+    }
+
     /// Publish a locally created transaction: insert it into the replica
     /// and push it to every neighbour — the only place a body is sent
     /// unasked. Returns the receive outcome (a self-publish is normally
@@ -602,6 +612,20 @@ mod tests {
         e.on_message(2, ProtocolMsg::Delta(body), &mut wire);
         assert_eq!(e.pending(), 1);
         assert_eq!(e.attempts.len(), 1);
+    }
+
+    /// An id being pulled is waited for although no orphan names it — the
+    /// state in which counting `peer().missing()` alone reads as solid.
+    #[test]
+    fn an_announced_id_is_waited_for_until_its_body_arrives() {
+        let (mut e, genesis) = engine(2);
+        let mut wire = Wire::open(3);
+        let body = tx(vec![genesis], 1.0);
+        e.on_message(1, announce(9, &[body.content_id()]), &mut wire);
+        assert!(e.peer().missing().is_empty());
+        assert_eq!(e.waiting_for(), 1);
+        e.on_message(1, ProtocolMsg::Delta(body), &mut wire);
+        assert_eq!(e.waiting_for(), 0);
     }
 
     #[test]

@@ -828,7 +828,7 @@ fn handle_control(
             respond(&WireMsg::Status(StatusReport {
                 len: proto.peer().len() as u32,
                 orphans: proto.peer().orphan_count() as u32,
-                missing: proto.peer().missing().len() as u32,
+                missing: proto.waiting_for() as u32,
                 connected: router.len() as u32,
                 last_slot: learner.last_slot,
             }));

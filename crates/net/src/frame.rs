@@ -94,7 +94,10 @@ pub struct StatusReport {
     pub len: u32,
     /// Buffered orphans.
     pub orphans: u32,
-    /// Missing parents the repair protocol is pulling.
+    /// Content ids the peer is still waiting for
+    /// ([`NodeProtocol::waiting_for`](tangle_gossip::NodeProtocol::waiting_for)):
+    /// its orphans' unseen parents and the announced ids it is pulling,
+    /// each counted once.
     pub missing: u32,
     /// Established data-plane connections.
     pub connected: u32,

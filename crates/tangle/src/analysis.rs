@@ -147,7 +147,8 @@ pub enum RefreshOutcome {
 /// cone|)` walk per append, which in a steady-state tangle is `O(V)`
 /// each — and a build from scratch is the same sweep from the genesis
 /// row, with `O(V)` scratch instead of the batch DPs' `O(V²/64)` bitsets
-/// (see the `analysis_cache` bench group).
+/// (`benchmark/` times both: `tangle.analysis.refresh_us_per_append` and
+/// `tangle.analysis.full_ms`).
 ///
 /// The cache *validates* instead of trusting: [`AnalysisCache::on_add`]
 /// returns [`CacheError`] on skipped or out-of-order ids, and
@@ -364,8 +365,7 @@ impl AnalysisCache {
     /// `telemetry`: `tangle.cache_hits` counts refreshes served from the
     /// cache (fresh or incrementally extended, with appended transactions
     /// under `tangle.cache_appends`), `tangle.cache_rebuilds` counts full
-    /// rebuilds. All counters are no-ops on a disabled handle (see the
-    /// `telemetry_overhead` bench).
+    /// rebuilds. All counters are no-ops on a disabled handle.
     pub fn refresh_observed<T: TangleRead>(
         &mut self,
         tangle: &T,

@@ -13,11 +13,12 @@ fn mat(max: usize) -> impl Strategy<Value = Tensor> {
 
 /// GEMM shape strategy biased toward block-boundary pathologies: each dim
 /// drawn from hostile values (1, primes, exact block multiples, ±1 around
-/// them) as well as a uniform range — so packed-edge handling, tall/skinny
-/// and single-element cases are all hit every run.
+/// them, up to the NC = 128 column panel) as well as a uniform range — so
+/// packed-edge handling, tall/skinny and single-element cases are all hit
+/// every run.
 fn gemm_dim() -> impl Strategy<Value = usize> {
-    (0usize..11, 1usize..=80).prop_map(|(pick, uniform)| {
-        const HOSTILE: [usize; 10] = [1, 2, 3, 5, 7, 13, 31, 63, 64, 65];
+    (0usize..14, 1usize..=80).prop_map(|(pick, uniform)| {
+        const HOSTILE: [usize; 13] = [1, 2, 3, 5, 7, 13, 31, 63, 64, 65, 127, 128, 129];
         if pick < HOSTILE.len() {
             HOSTILE[pick]
         } else {
