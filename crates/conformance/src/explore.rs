@@ -1,17 +1,14 @@
-//! Schedule exploration: drive every executor through equivalent
-//! schedules and check differential agreement plus standalone invariants.
+//! Schedule exploration: drive the round simulator and the gossip
+//! network through equivalent schedules and check them against the
+//! reference model plus standalone invariants.
 //!
-//! Three layers of checking per schedule:
+//! Two layers of checking per schedule:
 //!
-//! 1. **Cross-executor differential** — the round simulator and the
-//!    (single-worker, scripted) asynchronous simulator run the same
-//!    activation schedule and must agree *byte for byte*: per-round
-//!    stats, ledger structure, telemetry events, and analysis-cache
-//!    counters.
-//! 2. **Model differential** — the naive [`StructModel`] recomputes
-//!    weights, ratings, depths, tips, confirmation, and the reference
-//!    pick from the definitions and must match the bitset DPs.
-//! 3. **Gossip invariants** — the same schedule, reinterpreted as peer
+//! 1. **Model differential** — the round simulator runs the schedule's
+//!    activation order, and the naive [`StructModel`] recomputes weights,
+//!    ratings, depths, tips, confirmation, and the reference pick of its
+//!    ledger from the definitions; they must match the bitset DPs.
+//! 2. **Gossip invariants** — the same schedule, reinterpreted as peer
 //!    activations plus delivery windows and churn, runs on the gossip
 //!    network; after every op each replica must stay acyclic and under
 //!    the orphan cap, [`NetStats`](tangle_gossip::NetStats) must stay
@@ -23,10 +20,7 @@ use crate::model::{ShadowCache, StructModel};
 use crate::schedule::{Op, Schedule};
 use feddata::blobs::{self, BlobsConfig};
 use feddata::FederatedDataset;
-use learning_tangle::async_sim::run_async_scripted;
-use learning_tangle::{Node, RoundStats, SimConfig, Simulation, TangleHyperParams};
-use lt_telemetry::{MemorySink, Telemetry};
-use std::sync::Arc;
+use learning_tangle::{SimConfig, Simulation, TangleHyperParams};
 use tangle_gossip::learn::GossipLearning;
 use tangle_gossip::{CrashEvent, FaultPlan, Latency, Network, NetworkConfig, Recovery, Topology};
 use tangle_ledger::analysis::{self, TangleAnalysis};
@@ -105,7 +99,7 @@ fn sim_cfg(seed: u64) -> SimConfig {
 
 /// Run every check over one schedule.
 pub fn check_schedule(schedule: &Schedule, mutation: Mutation) -> Result<(), Violation> {
-    check_differential(schedule)?;
+    check_round_sim(schedule)?;
     check_gossip(schedule, mutation)
 }
 
@@ -122,74 +116,14 @@ pub fn explore(schedules: usize, seed: u64, mutation: Mutation) -> Vec<(Schedule
     failures
 }
 
-// ---- cross-executor + model differential -----------------------------
+// ---- model differential ----------------------------------------------
 
-fn check_differential(schedule: &Schedule) -> Result<(), Violation> {
-    let rounds = schedule.rounds();
+fn check_round_sim(schedule: &Schedule) -> Result<(), Violation> {
     let cfg = sim_cfg(schedule.seed);
-
-    // Round simulator, scripted activation order.
-    let sync_sink = Arc::new(MemorySink::new());
-    let sync_tel = Telemetry::new(sync_sink.clone());
-    let mut sim =
-        Simulation::new(dataset(schedule), cfg.clone(), build).with_telemetry(sync_tel.clone());
-    let sync_stats: Vec<RoundStats> = rounds.iter().map(|r| sim.round_with_nodes(r)).collect();
-
-    // Asynchronous simulator, same schedule through the snapshot/lock path.
-    let nodes: Vec<Node> = dataset(schedule)
-        .clients
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| Node::honest(i, c))
-        .collect();
-    let async_sink = Arc::new(MemorySink::new());
-    let async_tel = Telemetry::new(async_sink.clone());
-    let (run, async_stats) = run_async_scripted(&nodes, &cfg, build, &rounds, async_tel.clone());
-
-    if sync_stats != async_stats {
-        return Err(Violation::new(
-            "sync-async-stats",
-            format!("round stats diverge: {sync_stats:?} vs {async_stats:?}"),
-        ));
+    let mut sim = Simulation::new(dataset(schedule), cfg.clone(), build);
+    for r in schedule.rounds() {
+        sim.round_with_nodes(&r);
     }
-    let sync_structure = sim.tangle().structure();
-    let async_structure = run.tangle.structure();
-    if sync_structure != async_structure {
-        return Err(Violation::new(
-            "sync-async-structure",
-            format!(
-                "ledger structure diverges at len {} vs {}",
-                sync_structure.len(),
-                async_structure.len()
-            ),
-        ));
-    }
-    if sync_sink.events() != async_sink.events() {
-        return Err(Violation::new(
-            "sync-async-events",
-            "telemetry event streams diverge".into(),
-        ));
-    }
-    for counter in [
-        "tangle.cache_hits",
-        "tangle.cache_rebuilds",
-        "tangle.cache_appends",
-        "tangle.walks",
-        "sim.published",
-        "sim.rejected",
-    ] {
-        let (a, b) = (
-            sync_tel.counter_value(counter),
-            async_tel.counter_value(counter),
-        );
-        if a != b {
-            return Err(Violation::new(
-                "sync-async-counters",
-                format!("counter {counter}: {a} vs {b}"),
-            ));
-        }
-    }
-
     check_ledger_invariants(sim.tangle(), &cfg, schedule.seed)
 }
 

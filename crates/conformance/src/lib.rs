@@ -5,8 +5,10 @@
 //! ([`learning_tangle::async_sim`]), and the gossip network
 //! ([`tangle_gossip::learn::GossipLearning`]). They share the node logic
 //! but differ in everything around it — locking, snapshots, caches,
-//! message delivery, churn. This crate checks that they still agree on
-//! the *protocol*:
+//! message delivery, churn. This crate checks the round simulator and the
+//! gossip network against one reference model of the *protocol* (the
+//! asynchronous simulator is checked against its own serial replay in
+//! `learning-tangle`):
 //!
 //! * [`model`] — a pure in-memory **reference model**: naive,
 //!   independently written implementations of the ledger semantics
@@ -16,8 +18,9 @@
 //!   that must not depend on real gradients.
 //! * [`schedule`] — seeded generation of arbitrary interleavings of node
 //!   activations, message-delivery windows, and crash/restart churn.
-//! * [`mod@explore`] — drives the real executors through equivalent schedules
-//!   and checks differential agreement plus standalone invariants;
+//! * [`mod@explore`] — drives the round simulator and the gossip network
+//!   through equivalent schedules and checks them against the reference
+//!   model plus standalone invariants;
 //!   [`explore::Mutation`] can inject a known bug (a stale-cache read) to
 //!   prove the harness catches it.
 //! * [`mod@shrink`] — delta-debugging minimization of failing schedules.

@@ -9,8 +9,9 @@ use crate::schedule::Schedule;
 /// [`crate::schedule::Op`]), so any subsequence is a valid candidate.
 ///
 /// `budget` bounds the number of candidate re-executions (each one runs
-/// all three executors); the best schedule found within the budget is
-/// returned together with the number of executions spent.
+/// the round simulator and the gossip network); the best schedule found
+/// within the budget is returned together with the number of executions
+/// spent.
 pub fn shrink(
     schedule: &Schedule,
     violation: &Violation,

@@ -223,165 +223,6 @@ pub fn run_async(
     }
 }
 
-/// Scriptable activation-order hook for the asynchronous executor: a
-/// single worker processes `script` as consecutive virtual rounds (round
-/// `r` activates `script[r-1]`, in order), deriving context seeds and
-/// per-node RNG streams with the **same formulas as
-/// [`crate::Simulation::round`]** and holding all of a round's
-/// publications until its barrier — while still going through the
-/// asynchronous machinery (snapshot under a read lock, per-worker
-/// [`AnalysisCache`](tangle_ledger::AnalysisCache), publication under a
-/// write lock).
-///
-/// This is the degenerate differential case of the conformance harness:
-/// driven through the same schedule, this executor must produce
-/// byte-identical [`RoundStats`](crate::RoundStats), ledger structure, and
-/// telemetry events to the round-based simulator (pinned by
-/// `crates/core/tests/async_equivalence.rs`). Any divergence means the
-/// snapshot/lock/cache path changed observable semantics.
-pub fn run_async_scripted(
-    nodes: &[Node],
-    cfg: &SimConfig,
-    build: impl Fn() -> Sequential + Sync,
-    script: &[Vec<usize>],
-    telemetry: lt_telemetry::Telemetry,
-) -> (AsyncRun, Vec<crate::sim::RoundStats>) {
-    use lt_telemetry::{Event, ReferenceEntry, RoundEvent, StepEvent};
-    let genesis = Arc::new(ParamVec::from_model(&build()));
-    let scratch = ScratchPool::new(Box::new(&build));
-    let ledger = RwLock::new(Tangle::new(genesis));
-    let mut cache = tangle_ledger::AnalysisCache::new(&*ledger.read());
-    let mut eval: Vec<EvalCache> = (0..nodes.len())
-        .map(|_| EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY))
-        .collect();
-    let mut events: Vec<PublishEvent> = Vec::new();
-    let mut discarded = 0usize;
-    let mut stats = Vec::with_capacity(script.len());
-    for (r, idx) in script.iter().enumerate() {
-        let round = (r + 1) as u64;
-        assert!(!idx.is_empty(), "a scripted round must activate a node");
-        let tel = telemetry.clone();
-        let mut phases = tel.phases();
-        let mut reference_entries: Vec<ReferenceEntry> = Vec::new();
-        let snapshot = ledger.read().clone();
-        let snapshot_len = snapshot.len();
-        let ctx_seed = derive(cfg.seed, round ^ 0xC0FF_EE00);
-        let ctx = phases.measure("analysis", || {
-            RoundContext::build_with_cache(&snapshot, &mut cache, cfg, round, ctx_seed, tel.clone())
-        });
-        if tel.enabled() {
-            reference_entries = ctx.reference_entries();
-        }
-        let outcomes: Vec<(usize, crate::node::StepOutcome)> = phases.measure("step", || {
-            idx.iter()
-                .map(|&ni| {
-                    let mut node_rng = seeded(derive(cfg.seed, (round << 24) ^ ni as u64));
-                    let out = node_step(
-                        &nodes[ni],
-                        &ctx,
-                        &scratch,
-                        cfg,
-                        &mut node_rng,
-                        &mut eval[ni],
-                    );
-                    (ni, out)
-                })
-                .collect()
-        });
-        drop(ctx);
-        // Round barrier: commit every accepted publication through the
-        // write lock, exactly like the free-running workers do.
-        let mut published = 0;
-        let mut malicious_published = 0;
-        let mut rejected = 0u64;
-        phases.measure("publish", || {
-            for (ni, out) in outcomes {
-                let mut accepted = false;
-                let mut parents: Vec<u32> = Vec::new();
-                match out.publish {
-                    None => {
-                        rejected += 1;
-                        discarded += 1;
-                    }
-                    Some(p) => {
-                        if nodes[ni].is_malicious(round) {
-                            malicious_published += 1;
-                        }
-                        parents = p.parents.iter().map(|id| id.index() as u32).collect();
-                        let mut guard = ledger.write();
-                        guard
-                            .add_meta(Arc::new(p.params), p.parents, ni as u64, round)
-                            .expect("parents come from a snapshot prefix");
-                        let len = guard.len();
-                        drop(guard);
-                        events.push(PublishEvent {
-                            worker: 0,
-                            node: ni,
-                            tangle_len: len,
-                            snapshot_len,
-                        });
-                        published += 1;
-                        accepted = true;
-                    }
-                }
-                tel.emit(|| {
-                    Event::Step(StepEvent {
-                        round,
-                        node: ni as u64,
-                        accepted,
-                        parents,
-                        new_loss: out.new_loss,
-                        reference_loss: out.reference_loss,
-                    })
-                });
-            }
-        });
-        let guard = ledger.read();
-        let tips = guard.tip_count();
-        let tangle_len = guard.len() as u64;
-        drop(guard);
-        tel.count("sim.published", published as u64);
-        tel.count("sim.rejected", rejected);
-        if tel.enabled() {
-            let walk_count = tel.counter_value("tangle.walks");
-            let (_, walk_len_sum) = tel.histogram_totals("tangle.walk_len");
-            let phase_us = phases.finish();
-            tel.emit(|| {
-                Event::Round(RoundEvent {
-                    round,
-                    sampled: idx.len() as u64,
-                    published: published as u64,
-                    rejected,
-                    malicious_published: malicious_published as u64,
-                    lost_publications: 0,
-                    tip_count: tips as u64,
-                    tangle_len,
-                    reference: reference_entries,
-                    walk_count,
-                    walk_len_sum,
-                    phase_us,
-                })
-            });
-        }
-        stats.push(crate::sim::RoundStats {
-            round,
-            sampled: idx.len(),
-            published,
-            malicious_published,
-            tips,
-        });
-    }
-    (
-        AsyncRun {
-            tangle: ledger.into_inner(),
-            events,
-            discarded,
-            killed: 0,
-        },
-        stats,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,8 +3,10 @@
 //! The paper envisions "a long-lived, evolving learning network" (§II-B)
 //! whose global model "over time adapts to shifts in the underlying data
 //! distribution". Long-lived means restartable: this module serializes a
-//! model-carrying tangle to a compact binary file and restores it, so a
-//! training network can stop and resume without losing its ledger.
+//! model-carrying tangle to compact bytes ([`to_bytes`]) and restores it
+//! ([`from_bytes`], then [`crate::Simulation::resume`]), so a training
+//! network can stop and resume without losing its ledger. Where the bytes
+//! are kept is the caller's business.
 //!
 //! Format (little-endian):
 //! ```text
@@ -21,8 +23,6 @@
 //! it stores the wire messages themselves.
 
 use crate::node::ModelParams;
-use std::io::{Read, Write};
-use std::path::Path;
 use std::sync::Arc;
 use tangle_ledger::{Tangle, TxId};
 use tinynn::wire::{self, Reader, Truncated};
@@ -33,8 +33,6 @@ const VERSION: u8 = 1;
 /// Errors while loading a persisted ledger.
 #[derive(Debug)]
 pub enum PersistError {
-    /// I/O failure.
-    Io(std::io::Error),
     /// Structural problem in the file.
     Malformed(&'static str),
     /// A payload failed its checksum.
@@ -44,7 +42,6 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "io error: {e}"),
             PersistError::Malformed(m) => write!(f, "malformed ledger file: {m}"),
             PersistError::Payload(e) => write!(f, "payload error: {e}"),
         }
@@ -58,12 +55,6 @@ impl std::error::Error for PersistError {}
 impl From<Truncated> for PersistError {
     fn from(_: Truncated) -> Self {
         PersistError::Malformed("truncated")
-    }
-}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
     }
 }
 
@@ -127,20 +118,6 @@ pub fn from_bytes(b: &[u8]) -> Result<Tangle<ModelParams>, PersistError> {
     tangle.ok_or(PersistError::Malformed("empty ledger"))
 }
 
-/// Write a ledger to a file.
-pub fn save(path: impl AsRef<Path>, tangle: &Tangle<ModelParams>) -> Result<(), PersistError> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&to_bytes(tangle))?;
-    Ok(())
-}
-
-/// Read a ledger from a file.
-pub fn load(path: impl AsRef<Path>) -> Result<Tangle<ModelParams>, PersistError> {
-    let mut buf = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut buf)?;
-    from_bytes(&buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,16 +151,6 @@ mod tests {
             assert_eq!(x.round, y.round);
             assert_eq!(x.payload.as_ref(), y.payload.as_ref());
         }
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let t = sample_tangle();
-        let path = std::env::temp_dir().join("lt_persist_test.tangle");
-        save(&path, &t).unwrap();
-        let r = load(&path).unwrap();
-        assert_eq!(r.len(), 3);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

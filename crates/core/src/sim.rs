@@ -736,6 +736,35 @@ mod tests {
     }
 
     #[test]
+    fn scripted_rounds_are_served_from_the_cache() {
+        // One cached context per scripted round, never a rebuild — with a
+        // node activated twice in one round, which is legal.
+        let tel = Telemetry::new(lt_telemetry::NoopSink);
+        let mut sim = Simulation::new(dataset(8), quick_cfg(), build).with_telemetry(tel.clone());
+        let script: [&[usize]; 6] = [
+            &[0, 1, 2, 3],
+            &[4, 5, 6, 7],
+            &[1, 3, 5],
+            &[0, 2, 4, 6, 7],
+            &[7, 0],
+            &[2, 2, 5],
+        ];
+        for (r, idx) in script.iter().enumerate() {
+            let s = sim.round_with_nodes(idx);
+            assert_eq!((s.round, s.sampled), (r as u64 + 1, idx.len()));
+        }
+        assert_eq!(tel.counter_value("tangle.cache_hits"), 6);
+        assert_eq!(tel.counter_value("tangle.cache_rebuilds"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node")]
+    fn scripted_round_rejects_empty_activation() {
+        let mut sim = Simulation::new(dataset(8), quick_cfg(), build);
+        sim.round_with_nodes(&[]);
+    }
+
+    #[test]
     fn tip_count_stays_bounded() {
         // "the combination of averaging and training ensures that the number
         // of tips in the network remains constant given a fixed rate of

@@ -65,7 +65,7 @@ pub fn femnist_lr(_scale: Scale) -> f32 {
 /// Shakespeare learning rate. The paper's Table I lists 0.8, but tinynn
 /// normalizes the cross-entropy over *all* `B·T` predicted positions, so
 /// an equivalent step size is larger; 3.0 reaches the task's bigram
-/// ceiling in centralized calibration runs (see the `debug_lstm` binary).
+/// ceiling in centralized calibration runs.
 pub fn shakespeare_lr(_scale: Scale) -> f32 {
     3.0
 }

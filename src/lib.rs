@@ -6,7 +6,10 @@
 //! publishing a model update doubles as validation of the updates it
 //! approves.
 //!
-//! This facade crate re-exports the whole workspace:
+//! This facade crate re-exports the library crates a user builds on. The
+//! TCP daemon (`lt-net`), the conformance harness (`lt-conformance`) and
+//! the experiment CLI (`lt-experiments`) are separate workspace members,
+//! not re-exported here:
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
@@ -15,7 +18,7 @@
 //! | [`data`] | `feddata` | synthetic FEMNIST / Shakespeare / blob federated datasets |
 //! | [`baseline`] | `fedavg` | the centralized federated-averaging baseline |
 //! | [`learning`] | `learning-tangle` | the paper's node algorithms, attacks, and simulators |
-//! | [`gossip`] | `tangle-gossip` | simulated P2P network: per-peer replicas, partitions, anti-entropy |
+//! | [`gossip`] | `tangle-gossip` | simulated P2P network: per-peer replicas, announce/pull dissemination, advertise/re-request repair, partitions |
 //! | [`telemetry`] | `lt-telemetry` | counters, histograms, span timers, structured JSONL event sinks |
 //!
 //! ## Quickstart
@@ -55,8 +58,9 @@ pub use fedavg as baseline;
 /// The learning-tangle core (the paper's contribution).
 pub use learning_tangle as learning;
 
-/// The simulated P2P gossip network (per-peer replicas, partitions,
-/// anti-entropy — the paper's §VI distributed-implementation outlook).
+/// The simulated P2P gossip network (per-peer replicas, announce/pull
+/// dissemination, advertise/re-request repair, partitions — the paper's
+/// §VI distributed-implementation outlook).
 pub use tangle_gossip as gossip;
 
 /// Observability: counters, histograms, span timers, and structured
