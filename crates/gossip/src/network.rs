@@ -559,7 +559,8 @@ impl Network {
 
     /// Bookkeeping after a peer absorbed data: mirror orphan evictions
     /// into the stats and close out crash recovery once the peer is
-    /// fully re-solidified (no orphans, nothing missing).
+    /// fully re-solidified (no orphans, and nothing it waits for: no
+    /// missing parent, no announced body still being pulled).
     fn after_receive(&mut self, p: usize) {
         let peer = self.protos[p].peer();
         let e = peer.evictions();
@@ -571,7 +572,7 @@ impl Network {
         }
         if self.recovering_since[p].is_some()
             && peer.orphan_count() == 0
-            && peer.missing().is_empty()
+            && self.protos[p].waiting_for() == 0
         {
             let t0 = self.recovering_since[p].take().expect("checked");
             let now = self.links.now;
@@ -1173,6 +1174,55 @@ mod tests {
         // 4 peers × ≤3 retries each; bounded even though the tx is gone
         assert!(net.stats.rerequests <= 12, "{}", net.stats.rerequests);
         assert!(net.peer(1).orphan_count() > 0);
+    }
+
+    /// A restarted peer that was told of a body and is still pulling it has
+    /// not recovered, even when another body lands first and leaves it
+    /// with no orphan and no missing parent.
+    #[test]
+    fn recovery_waits_for_bodies_still_being_pulled() {
+        let g = genesis();
+        let mut net = Network::new(
+            4,
+            &g,
+            NetworkConfig {
+                topology: Topology::Ring,
+                latency: Latency { min: 1, max: 1 },
+                ..NetworkConfig::default()
+            },
+        );
+        let tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
+        net.set_telemetry(tel.clone());
+        net.install_faults(FaultPlan {
+            crashes: vec![CrashEvent {
+                peer: 3,
+                at: 1,
+                restart_at: Some(2),
+                recovery: Recovery::Empty,
+            }],
+            ..FaultPlan::default()
+        });
+        net.advance(2); // down at t=1, back at t=2 with nothing to re-fetch
+        assert!(net.is_up(3));
+        // Peer 1 is not a neighbour of peer 3 on the ring, so `x` reaches
+        // peer 3 only as an announcement (t=4), which it pulls: the
+        // request lands at t=5 and the body at t=6.
+        let x = msg(vec![g.content_id()], 1, 1.0);
+        net.publish(1, x.clone());
+        net.advance(2);
+        assert_eq!(net.protos[3].waiting_for(), 1);
+        assert!(net.peer(3).missing().is_empty());
+        // `y` is pushed straight to peer 3 and lands at t=5, in between.
+        let y = msg(vec![g.content_id()], 0, 2.0);
+        net.publish(0, y.clone());
+        net.advance(1);
+        assert!(net.peer(3).lookup(y.content_id()).is_some());
+        assert!(net.peer(3).lookup(x.content_id()).is_none());
+        assert_eq!(net.peer(3).orphan_count(), 0);
+        assert_eq!(tel.counter_value("fault.recovered"), 0, "x still pulled");
+        net.run_to_quiescence();
+        assert!(net.peer(3).lookup(x.content_id()).is_some());
+        assert_eq!(tel.counter_value("fault.recovered"), 1);
     }
 
     /// The one scenario where pushing and announcing (whole adjacency),

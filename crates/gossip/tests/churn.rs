@@ -197,7 +197,7 @@ const GOLDEN_SEED_7: Golden = (
     },
     66,
     136,
-    0x67b5_3051_7e81_3960,
+    0x7f4a_6b88_8c8e_cabf,
 );
 
 const GOLDEN_SEED_8: Golden = (
@@ -215,7 +215,7 @@ const GOLDEN_SEED_8: Golden = (
     },
     69,
     148,
-    0xe059_3c5b_a05e_4460,
+    0x05e0_29de_3be6_509b,
 );
 
 /// FNV-1a over the newline-terminated telemetry lines.

@@ -1,25 +1,41 @@
 //! 2-D convolution (stride 1, symmetric zero padding), the building block of
 //! the FEMNIST CNN.
 //!
-//! Both passes are expressed as GEMMs over im2col patch matrices, so all the
-//! arithmetic runs through the blocked/packed kernel in [`crate::gemm`]:
+//! **Forward: direct convolution over a zero-padded plane** (Zhang,
+//! Franchetti & Low, "High Performance Zero-Memory Overhead Direct
+//! Convolutions", ICML 2018). Each image is copied once into `[IC, PH, PW]`
+//! planes, `PH = H + 2·pad`, whose border holds stored zeros; `PW` also
+//! leaves room for the last, ragged column tile. A register tile of `MR`
+//! output channels × `NR` output columns then starts every chain at the
+//! bias and adds the `IC·K·K` taps in ascending `(c, ky, kx)` order, a
+//! padded tap multiplying a stored `0.0`. That is exactly the chain of
+//! `fill(bias)` followed by [`crate::gemm::gemm_accum`] over an im2col patch
+//! matrix, so the two are bit-identical; the im2col + GEMM forward survives
+//! only as the differential oracle in `mod tests`. Inference and training
+//! run the same kernel.
 //!
-//! - forward: `out_b[OC, OH·OW] = bias ⊕ W[OC, IC·K·K] · col_b` (the
-//!   accumulating GEMM starts each chain at the bias, reproducing the
-//!   classic `acc = bias; acc += w·x` loop bit-for-bit),
-//! - weight gradient: `gW += g_b · col_bᵀ` (B-transposed variant),
+//! **Backward** stays on the GEMMs of [`crate::gemm`]:
+//!
+//! - weight gradient: `gW += g_b · col_bᵀ` (B-transposed variant), where the
+//!   `[IC·K·K, OH·OW]` patch matrix `col_b` is cut out of the padded planes
+//!   with one contiguous copy per (tap, output row),
 //! - input gradient: `gcol = Wᵀ · g_b` (A-transposed variant) scattered back
 //!   with col2im.
 //!
-//! The im2col matrices are built once in the training forward pass and
-//! cached for backward. Batch items are processed serially in ascending
-//! order, keeping gradient accumulation deterministic; the parallelism of a
-//! training round is one node per worker, above the layer.
+//! The training forward pass caches the padded planes, not the `K·K`-fold
+//! replicated patch matrices. Batch items are processed serially in
+//! ascending order, keeping gradient accumulation deterministic; the
+//! parallelism of a training round is one node per worker, above the layer.
 
 use crate::init;
 use crate::layer::{Cache, Layer};
 use crate::tensor::Tensor;
 use rand::Rng;
+
+/// Output channels per register tile of the direct forward kernel.
+const MR: usize = 4;
+/// Output columns per register tile of the direct forward kernel.
+const NR: usize = 8;
 
 /// A 2-D convolution layer over `[B, C, H, W]` inputs.
 ///
@@ -33,6 +49,18 @@ pub struct Conv2d {
     out_ch: usize,
     k: usize,
     pad: usize,
+}
+
+/// Spatial sizes of one call: the `h × w` input, the `oh × ow` output and
+/// the `ph × pw` zero-padded plane each input channel is copied into.
+#[derive(Clone, Copy)]
+struct Geom {
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    ph: usize,
+    pw: usize,
 }
 
 impl Conv2d {
@@ -69,7 +97,10 @@ impl Conv2d {
         h + 2 * self.pad + 1 - self.k
     }
 
-    fn check_input(&self, x: &Tensor) -> (usize, usize, usize) {
+    /// Validate `x` and return its batch size and the call's geometry. The
+    /// padded plane is `pw = ⌈ow / NR⌉·NR + k − 1` wide, so every column
+    /// tile, the ragged last one included, reads inside its row.
+    fn geom(&self, x: &Tensor) -> (usize, Geom) {
         assert_eq!(x.rank(), 4, "Conv2d expects [B, C, H, W]");
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         assert_eq!(c, self.in_ch, "Conv2d channel mismatch");
@@ -77,68 +108,159 @@ impl Conv2d {
             h + 2 * self.pad >= self.k && w + 2 * self.pad >= self.k,
             "Conv2d input smaller than kernel"
         );
-        (b, h, w)
+        let (oh, ow) = (self.out_size(h), self.out_size(w));
+        let g = Geom {
+            h,
+            w,
+            oh,
+            ow,
+            ph: h + 2 * self.pad,
+            pw: ow.div_ceil(NR) * NR + self.k - 1,
+        };
+        (b, g)
     }
 
-    /// Unfold one item into the `[IC·K·K, OH·OW]` patch matrix: row
-    /// `(c, ky, kx)` holds the input pixel each output position multiplies
-    /// against that kernel tap, with zeros where the tap falls in padding.
-    #[allow(clippy::too_many_arguments)]
-    fn im2col(&self, xb: &[f32], h: usize, w: usize, oh: usize, ow: usize, col: &mut [f32]) {
-        let (ic, k, pad) = (self.in_ch, self.k, self.pad);
-        debug_assert_eq!(col.len(), ic * k * k * oh * ow);
-        col.fill(0.0);
-        for c in 0..ic {
-            let xplane = &xb[c * h * w..(c + 1) * h * w];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = ((c * k + ky) * k + kx) * oh * ow;
-                    for oy in 0..oh {
-                        let iy = oy + ky;
-                        if iy < pad || iy >= h + pad {
-                            continue;
-                        }
-                        let iy = iy - pad;
-                        for ox in 0..ow {
-                            let ix = ox + kx;
-                            if ix < pad || ix >= w + pad {
-                                continue;
-                            }
-                            col[row + oy * ow + ox] = xplane[iy * w + (ix - pad)];
-                        }
+    /// Copy every `[H, W]` plane of `x` into a zeroed `[PH, PW]` plane, pixel
+    /// `(y, x)` landing at `(y + pad, x + pad)`.
+    fn padded(&self, x: &Tensor, g: &Geom) -> Vec<f32> {
+        let xs = x.as_slice();
+        let mut planes = vec![0.0f32; xs.len() / (g.h * g.w) * g.ph * g.pw];
+        for (src, dst) in xs
+            .chunks_exact(g.h * g.w)
+            .zip(planes.chunks_exact_mut(g.ph * g.pw))
+        {
+            for (y, row) in src.chunks_exact(g.w).enumerate() {
+                let at = (y + self.pad) * g.pw + self.pad;
+                dst[at..at + g.w].copy_from_slice(row);
+            }
+        }
+        planes
+    }
+
+    /// Offset of tap `(c, ky, kx)` inside one image's padded planes, in
+    /// ascending tap order: output `(oy, ox)` reads it at
+    /// `offset + oy·PW + ox`.
+    fn tap_offsets(&self, g: &Geom) -> Vec<usize> {
+        let k = self.k;
+        (0..self.in_ch * k * k)
+            .map(|t| ((t / (k * k)) * g.ph + t / k % k) * g.pw + t % k)
+            .collect()
+    }
+
+    /// The weights and bias regrouped for the register tile: block `i` holds
+    /// channels `i·MR ..` as `[IC·K·K][MR]` weights and `[MR]` biases,
+    /// zero-filled past the last channel.
+    fn packed_params(&self) -> (Vec<f32>, Vec<f32>) {
+        let ickk = self.in_ch * self.k * self.k;
+        let blocks = self.out_ch.div_ceil(MR);
+        let (ws, bs) = (self.weight.as_slice(), self.bias.as_slice());
+        let mut wpack = vec![0.0f32; blocks * ickk * MR];
+        let mut bpack = vec![0.0f32; blocks * MR];
+        for o in 0..self.out_ch {
+            let (blk, r) = (o / MR, o % MR);
+            for t in 0..ickk {
+                wpack[(blk * ickk + t) * MR + r] = ws[o * ickk + t];
+            }
+            bpack[blk * MR + r] = bs[o];
+        }
+        (wpack, bpack)
+    }
+
+    /// Direct convolution of one image: `out[o, oy, ox] = bias[o] +
+    /// Σ_t w[o, t] · xp[taps[t] + oy·PW + ox]`, each chain in ascending tap
+    /// order, over `MR × NR` register tiles.
+    fn forward_image(
+        &self,
+        taps: &[usize],
+        (wpack, bpack): (&[f32], &[f32]),
+        xp: &[f32],
+        g: &Geom,
+        out: &mut [f32],
+    ) {
+        let ohow = g.oh * g.ow;
+        let blocks = wpack
+            .chunks_exact(taps.len() * MR)
+            .zip(bpack.chunks_exact(MR));
+        for (blk, (wb, bb)) in blocks.enumerate() {
+            let o0 = blk * MR;
+            let rows = MR.min(self.out_ch - o0);
+            for oy in 0..g.oh {
+                for x0 in (0..g.ow).step_by(NR) {
+                    let mut acc = [0.0f32; MR * NR];
+                    for (row, &b) in acc.chunks_exact_mut(NR).zip(bb) {
+                        row.fill(b);
+                    }
+                    tile(taps, wb, &xp[oy * g.pw + x0..], &mut acc);
+                    let width = NR.min(g.ow - x0);
+                    for (r, row) in acc.chunks_exact(NR).take(rows).enumerate() {
+                        let at = (o0 + r) * ohow + oy * g.ow + x0;
+                        out[at..at + width].copy_from_slice(&row[..width]);
                     }
                 }
             }
         }
     }
 
-    /// Scatter a `[IC·K·K, OH·OW]` patch-gradient matrix back onto the input
-    /// plane (the transpose of [`Self::im2col`]): padding taps are dropped,
-    /// overlapping taps accumulate.
-    #[allow(clippy::too_many_arguments)]
-    fn col2im(&self, gcol: &[f32], h: usize, w: usize, oh: usize, ow: usize, gx: &mut [f32]) {
-        let (ic, k, pad) = (self.in_ch, self.k, self.pad);
-        debug_assert_eq!(gcol.len(), ic * k * k * oh * ow);
-        for c in 0..ic {
-            let gplane = &mut gx[c * h * w..(c + 1) * h * w];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = ((c * k + ky) * k + kx) * oh * ow;
-                    for oy in 0..oh {
-                        let iy = oy + ky;
-                        if iy < pad || iy >= h + pad {
-                            continue;
-                        }
-                        let iy = iy - pad;
-                        for ox in 0..ow {
-                            let ix = ox + kx;
-                            if ix < pad || ix >= w + pad {
-                                continue;
-                            }
-                            gplane[iy * w + (ix - pad)] += gcol[row + oy * ow + ox];
-                        }
-                    }
+    /// Cut one image's `[IC·K·K, OH·OW]` patch matrix out of its padded
+    /// planes: row `(c, ky, kx)` holds the pixel (a stored zero in the
+    /// border) each output position multiplies against that tap. One
+    /// contiguous copy per (tap, output row).
+    fn patches(&self, taps: &[usize], xp: &[f32], g: &Geom, col: &mut [f32]) {
+        for (&off, dst) in taps.iter().zip(col.chunks_exact_mut(g.oh * g.ow)) {
+            for (oy, drow) in dst.chunks_exact_mut(g.ow).enumerate() {
+                let at = off + oy * g.pw;
+                drow.copy_from_slice(&xp[at..at + g.ow]);
+            }
+        }
+    }
+
+    /// Scatter a `[IC·K·K, OH·OW]` patch-gradient matrix back onto one
+    /// image's zeroed padded gradient planes (the transpose of [`Self::patches`]):
+    /// one contiguous add per (tap, output row), taps in ascending order, so
+    /// every pixel accumulates its taps in the same order as a per-pixel
+    /// col2im. What lands in the border is dropped by [`Self::unpad`].
+    fn col2im(&self, taps: &[usize], gcol: &[f32], g: &Geom, gpad: &mut [f32]) {
+        for (&off, src) in taps.iter().zip(gcol.chunks_exact(g.oh * g.ow)) {
+            for (oy, srow) in src.chunks_exact(g.ow).enumerate() {
+                let at = off + oy * g.pw;
+                for (d, &v) in gpad[at..at + g.ow].iter_mut().zip(srow) {
+                    *d += v;
                 }
+            }
+        }
+    }
+
+    /// Copy the interior of `[PH, PW]` planes back into `[H, W]` planes (the
+    /// inverse of [`Self::padded`]).
+    fn unpad(&self, gpad: &[f32], g: &Geom, gx: &mut [f32]) {
+        for (src, dst) in gpad
+            .chunks_exact(g.ph * g.pw)
+            .zip(gx.chunks_exact_mut(g.h * g.w))
+        {
+            for (y, row) in dst.chunks_exact_mut(g.w).enumerate() {
+                let at = (y + self.pad) * g.pw + self.pad;
+                row.copy_from_slice(&src[at..at + g.w]);
+            }
+        }
+    }
+}
+
+/// One `MR × NR` register tile: `acc[r][j] += w[t][r] · x[taps[t] + j]`
+/// for every tap `t` in ascending order, `x` starting at the tile's first
+/// output column. Each lane keeps its own serial chain; the `NR`-wide
+/// inner loop is the autovectorizer target. Kept out of line: inlined into
+/// the loop nest of [`Conv2d::forward_image`], LLVM leaves the tile scalar
+/// and the forward pass runs 2–4× slower.
+#[inline(never)]
+fn tile(taps: &[usize], w: &[f32], x: &[f32], acc: &mut [f32; MR * NR]) {
+    for (&off, wt) in taps.iter().zip(w.chunks_exact(MR)) {
+        let xr: &[f32; NR] = x[off..off + NR].try_into().expect("NR-wide row");
+        let wt: &[f32; MR] = wt.try_into().expect("MR weights");
+        for r in 0..MR {
+            let wr = wt[r];
+            let row = &mut acc[r * NR..r * NR + NR];
+            for (av, &xv) in row.iter_mut().zip(xr) {
+                *av += wr * xv;
             }
         }
     }
@@ -150,85 +272,70 @@ impl Layer for Conv2d {
     }
 
     fn forward(&self, x: &Tensor, train: bool) -> (Tensor, Cache) {
-        let (b, h, w) = self.check_input(x);
-        let (oh, ow) = (self.out_size(h), self.out_size(w));
-        let (ic, oc, k) = (self.in_ch, self.out_ch, self.k);
-        let (ickk, ohow) = (ic * k * k, oh * ow);
-        let xs = x.as_slice();
-        let ws = self.weight.as_slice();
-        let bs = self.bias.as_slice();
+        let (b, g) = self.geom(x);
+        let ohow = g.oh * g.ow;
+        let oc = self.out_ch;
+        let plane = self.in_ch * g.ph * g.pw;
+        let planes = self.padded(x, &g);
+        let taps = self.tap_offsets(&g);
+        let (wpack, bpack) = self.packed_params();
         let mut out = vec![0.0f32; b * oc * ohow];
-        // In training mode the patch matrices are kept for backward; in
-        // inference mode one scratch matrix is reused across items.
-        let mut cols = vec![0.0f32; if train { b * ickk * ohow } else { ickk * ohow }];
-        for bi in 0..b {
-            let xb = &xs[bi * ic * h * w..(bi + 1) * ic * h * w];
-            let col = if train {
-                &mut cols[bi * ickk * ohow..(bi + 1) * ickk * ohow]
-            } else {
-                &mut cols[..]
-            };
-            self.im2col(xb, h, w, oh, ow, col);
-            let ob = &mut out[bi * oc * ohow..(bi + 1) * oc * ohow];
-            for (o, row) in ob.chunks_mut(ohow).enumerate() {
-                row.fill(bs[o]);
-            }
-            crate::gemm::gemm_accum(oc, ohow, ickk, ws, false, col, false, ob);
+        for (xp, ob) in planes
+            .chunks_exact(plane)
+            .zip(out.chunks_exact_mut(oc * ohow))
+        {
+            self.forward_image(&taps, (&wpack, &bpack), xp, &g, ob);
         }
         let cache = if train {
-            Cache::new(cols)
+            Cache::new(planes)
         } else {
             Cache::none()
         };
-        (Tensor::from_vec(vec![b, oc, oh, ow], out), cache)
+        (Tensor::from_vec(vec![b, oc, g.oh, g.ow], out), cache)
     }
 
     fn backward(&self, x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
-        let (b, h, w) = self.check_input(x);
-        let (oh, ow) = (self.out_size(h), self.out_size(w));
+        let (b, g) = self.geom(x);
         let (ic, oc, k) = (self.in_ch, self.out_ch, self.k);
-        let (ickk, ohow) = (ic * k * k, oh * ow);
-        let xs = x.as_slice();
+        let (ickk, ohow) = (ic * k * k, g.oh * g.ow);
+        let plane = ic * g.ph * g.pw;
         let ws = self.weight.as_slice();
         let gs = grad_out.as_slice();
-        let cached_cols = cache.try_get::<Vec<f32>>();
-        let mut scratch_col = match cached_cols {
-            Some(_) => Vec::new(),
-            None => vec![0.0f32; ickk * ohow],
+        // An inference-mode forward cached nothing: pad the input afresh.
+        let fresh;
+        let planes: &[f32] = match cache.try_get::<Vec<f32>>() {
+            Some(planes) => planes,
+            None => {
+                fresh = self.padded(x, &g);
+                &fresh
+            }
         };
+        let taps = self.tap_offsets(&g);
+        let mut col = vec![0.0f32; ickk * ohow];
         let mut grad_w = vec![0.0f32; oc * ickk];
         let mut grad_b = vec![0.0f32; oc];
-        let mut grad_x = vec![0.0f32; b * ic * h * w];
+        let mut grad_x = vec![0.0f32; b * ic * g.h * g.w];
         let mut gcol = vec![0.0f32; ickk * ohow];
+        let mut gpad = vec![0.0f32; plane];
         // Items accumulate in ascending batch order: fixed association,
         // independent of any parallelism in the callers above.
         for bi in 0..b {
             let gb = &gs[bi * oc * ohow..(bi + 1) * oc * ohow];
             for (o, grow) in gb.chunks(ohow).enumerate() {
-                for &g in grow {
-                    grad_b[o] += g;
+                for &gv in grow {
+                    grad_b[o] += gv;
                 }
             }
-            let col: &[f32] = match cached_cols {
-                Some(cols) => &cols[bi * ickk * ohow..(bi + 1) * ickk * ohow],
-                None => {
-                    let xb = &xs[bi * ic * h * w..(bi + 1) * ic * h * w];
-                    self.im2col(xb, h, w, oh, ow, &mut scratch_col);
-                    &scratch_col
-                }
-            };
+            self.patches(&taps, &planes[bi * plane..(bi + 1) * plane], &g, &mut col);
             // gW[OC, IC·K·K] += g_b · col_bᵀ
-            crate::gemm::gemm_accum(oc, ickk, ohow, gb, false, col, true, &mut grad_w);
+            crate::gemm::gemm_accum(oc, ickk, ohow, gb, false, &col, true, &mut grad_w);
             // gcol[IC·K·K, OH·OW] = Wᵀ · g_b, scattered back onto the input
             crate::gemm::gemm(ickk, ohow, oc, ws, true, gb, false, &mut gcol);
-            self.col2im(
-                &gcol,
-                h,
-                w,
-                oh,
-                ow,
-                &mut grad_x[bi * ic * h * w..(bi + 1) * ic * h * w],
-            );
+            // One image's padded gradient planes, reused while they sit in L1.
+            gpad.fill(0.0);
+            self.col2im(&taps, &gcol, &g, &mut gpad);
+            let xlen = ic * g.h * g.w;
+            self.unpad(&gpad, &g, &mut grad_x[bi * xlen..(bi + 1) * xlen]);
         }
         (
             Tensor::from_vec(x.shape().to_vec(), grad_x),
@@ -310,8 +417,8 @@ mod tests {
         assert_eq!(gp[1].as_slice()[0], (2 * 5 * 5) as f32);
     }
 
-    /// backward must work (by recomputing im2col) even when forward ran in
-    /// inference mode and cached nothing.
+    /// backward must work (by padding the input afresh) even when forward
+    /// ran in inference mode and cached no padded planes.
     #[test]
     fn backward_without_cached_columns() {
         let mut rng = crate::rng::seeded(2);
@@ -324,5 +431,201 @@ mod tests {
         assert_eq!(gx_cached.as_slice(), gx_fresh.as_slice());
         assert_eq!(gp_cached[0].as_slice(), gp_fresh[0].as_slice());
         assert_eq!(gp_cached[1].as_slice(), gp_fresh[1].as_slice());
+    }
+
+    /// The im2col + GEMM convolution the direct kernel replaced, kept as
+    /// the differential oracle. `im2col` unfolds one item into the
+    /// `[IC·K·K, OH·OW]` patch matrix with a per-pixel padding branch.
+    fn im2col(conv: &Conv2d, xb: &[f32], g: &Geom, col: &mut [f32]) {
+        let (ic, k, pad) = (conv.in_ch, conv.k, conv.pad);
+        let (h, w, oh, ow) = (g.h, g.w, g.oh, g.ow);
+        col.fill(0.0);
+        for c in 0..ic {
+            let xplane = &xb[c * h * w..(c + 1) * h * w];
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = ((c * k + ky) * k + kx) * oh * ow;
+                    for oy in 0..oh {
+                        let iy = oy + ky;
+                        if iy < pad || iy >= h + pad {
+                            continue;
+                        }
+                        let iy = iy - pad;
+                        for ox in 0..ow {
+                            let ix = ox + kx;
+                            if ix < pad || ix >= w + pad {
+                                continue;
+                            }
+                            col[row + oy * ow + ox] = xplane[iy * w + (ix - pad)];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The oracle's col2im: scatter a patch-gradient matrix back onto the
+    /// input plane pixel by pixel, dropping padding taps.
+    fn col2im(conv: &Conv2d, gcol: &[f32], g: &Geom, gx: &mut [f32]) {
+        let (ic, k, pad) = (conv.in_ch, conv.k, conv.pad);
+        let (h, w, oh, ow) = (g.h, g.w, g.oh, g.ow);
+        for c in 0..ic {
+            let gplane = &mut gx[c * h * w..(c + 1) * h * w];
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = ((c * k + ky) * k + kx) * oh * ow;
+                    for oy in 0..oh {
+                        let iy = oy + ky;
+                        if iy < pad || iy >= h + pad {
+                            continue;
+                        }
+                        let iy = iy - pad;
+                        for ox in 0..ow {
+                            let ix = ox + kx;
+                            if ix < pad || ix >= w + pad {
+                                continue;
+                            }
+                            gplane[iy * w + (ix - pad)] += gcol[row + oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Oracle forward: per item, `fill(bias)` then `gemm_accum(W, col)`.
+    fn oracle_forward(conv: &Conv2d, x: &Tensor) -> Vec<f32> {
+        let (b, g) = conv.geom(x);
+        let (ic, oc, k) = (conv.in_ch, conv.out_ch, conv.k);
+        let (ickk, ohow, xlen) = (ic * k * k, g.oh * g.ow, ic * g.h * g.w);
+        let mut col = vec![0.0f32; ickk * ohow];
+        let mut out = vec![0.0f32; b * oc * ohow];
+        for bi in 0..b {
+            im2col(
+                conv,
+                &x.as_slice()[bi * xlen..(bi + 1) * xlen],
+                &g,
+                &mut col,
+            );
+            let ob = &mut out[bi * oc * ohow..(bi + 1) * oc * ohow];
+            for (o, row) in ob.chunks_mut(ohow).enumerate() {
+                row.fill(conv.bias.as_slice()[o]);
+            }
+            let ws = conv.weight.as_slice();
+            crate::gemm::gemm_accum(oc, ohow, ickk, ws, false, &col, false, ob);
+        }
+        out
+    }
+
+    /// Oracle backward over im2col patch matrices: `(gx, gW, gb)`.
+    fn oracle_backward(conv: &Conv2d, x: &Tensor, grad: &Tensor) -> [Vec<f32>; 3] {
+        let (b, g) = conv.geom(x);
+        let (ic, oc, k) = (conv.in_ch, conv.out_ch, conv.k);
+        let (ickk, ohow, xlen) = (ic * k * k, g.oh * g.ow, ic * g.h * g.w);
+        let gs = grad.as_slice();
+        let mut col = vec![0.0f32; ickk * ohow];
+        let mut gcol = vec![0.0f32; ickk * ohow];
+        let mut gw = vec![0.0f32; oc * ickk];
+        let mut gb = vec![0.0f32; oc];
+        let mut gx = vec![0.0f32; b * xlen];
+        for bi in 0..b {
+            let gi = &gs[bi * oc * ohow..(bi + 1) * oc * ohow];
+            for (o, grow) in gi.chunks(ohow).enumerate() {
+                for &v in grow {
+                    gb[o] += v;
+                }
+            }
+            im2col(
+                conv,
+                &x.as_slice()[bi * xlen..(bi + 1) * xlen],
+                &g,
+                &mut col,
+            );
+            crate::gemm::gemm_accum(oc, ickk, ohow, gi, false, &col, true, &mut gw);
+            let ws = conv.weight.as_slice();
+            crate::gemm::gemm(ickk, ohow, oc, ws, true, gi, false, &mut gcol);
+            col2im(conv, &gcol, &g, &mut gx[bi * xlen..(bi + 1) * xlen]);
+        }
+        [gx, gw, gb]
+    }
+
+    /// Deterministic values in roughly [-1, 1]; every 5th is +0.0 and every
+    /// 7th −0.0, so signed-zero arithmetic is exercised.
+    fn values(seed: u64, len: usize) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match i % 35 {
+                    0 | 5 | 10 | 15 | 20 | 25 | 30 => 0.0,
+                    7 | 14 | 21 | 28 => -0.0,
+                    _ => ((state >> 33) as i32 as f32) / (i32::MAX as f32),
+                }
+            })
+            .collect()
+    }
+
+    fn assert_bits(what: &str, shape: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what} length, {shape}");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}[{i}] differs for {shape}: {a} vs {b}"
+            );
+        }
+    }
+
+    /// Direct forward (both modes) and all three gradients (with and
+    /// without cached planes) equal the im2col + GEMM oracle bit for bit,
+    /// on shapes that leave ragged channel and column tiles.
+    #[test]
+    fn conv_direct_matches_im2col_gemm_oracle_bitwise() {
+        let mut case = 0u64;
+        for oc in [1usize, 3, 5, 6, 12] {
+            for ow in [1usize, 7, 8, 9, 17] {
+                for pad in 0usize..=2 {
+                    for k in [1usize, 2, 3, 5] {
+                        // the input width that yields `ow`
+                        let Some(w) = (ow + k - 1).checked_sub(2 * pad).filter(|&w| w > 0) else {
+                            continue;
+                        };
+                        case += 1;
+                        let ic = 1 + (case % 3) as usize;
+                        let b = 1 + (case / 3 % 3) as usize;
+                        let h = 1 + (case % 4) as usize + k.saturating_sub(2 * pad);
+                        let conv = Conv2d::new(
+                            Tensor::from_vec(vec![oc, ic, k, k], values(case, oc * ic * k * k)),
+                            Tensor::from_vec(vec![oc], values(case + 101, oc)),
+                            pad,
+                        );
+                        let x =
+                            Tensor::from_vec(vec![b, ic, h, w], values(case + 7, b * ic * h * w));
+                        let shape = format!("oc={oc} ic={ic} k={k} pad={pad} b={b} h={h} w={w}");
+                        let want = oracle_forward(&conv, &x);
+                        let (y_inf, _) = conv.forward(&x, false);
+                        let (y_train, cache) = conv.forward(&x, true);
+                        assert_eq!(y_inf.shape()[3], ow);
+                        assert_bits("forward(infer)", &shape, y_inf.as_slice(), &want);
+                        assert_bits("forward(train)", &shape, y_train.as_slice(), &want);
+
+                        let grad = Tensor::from_vec(
+                            y_train.shape().to_vec(),
+                            values(case + 13, y_train.len()),
+                        );
+                        let [gx, gw, gb] = oracle_backward(&conv, &x, &grad);
+                        for (mode, c) in [("cached", &cache), ("fresh", &Cache::none())] {
+                            let (dx, dp) = conv.backward(&x, c, &grad);
+                            assert_bits(&format!("gx({mode})"), &shape, dx.as_slice(), &gx);
+                            assert_bits(&format!("gW({mode})"), &shape, dp[0].as_slice(), &gw);
+                            assert_bits(&format!("gb({mode})"), &shape, dp[1].as_slice(), &gb);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(case > 200, "only {case} shapes ran");
     }
 }

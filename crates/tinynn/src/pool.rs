@@ -1,8 +1,11 @@
 //! 2-D max pooling.
+//!
+//! Planes are pooled serially: a layer runs inside a round's per-node
+//! worker, where a nested pool region would only fall back to serial after
+//! paying its dispatch.
 
 use crate::layer::{Cache, Layer};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Non-overlapping `k × k` max pooling (stride = k) over `[B, C, H, W]`.
 ///
@@ -35,30 +38,28 @@ impl Layer for MaxPool2d {
         let oplane = oh * ow;
         let mut out = vec![0.0f32; b * c * oplane];
         let mut argmax = vec![0u32; b * c * oplane];
-        out.par_chunks_mut(oplane)
-            .zip(argmax.par_chunks_mut(oplane))
-            .enumerate()
-            .for_each(|(pc, (ob, ab))| {
-                // pc indexes the (batch, channel) plane
-                let xp = &xs[pc * plane..(pc + 1) * plane];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut besti = 0usize;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let idx = (oy * k + ky) * w + ox * k + kx;
-                                if xp[idx] > best {
-                                    best = xp[idx];
-                                    besti = idx;
-                                }
+        let planes = out.chunks_mut(oplane).zip(argmax.chunks_mut(oplane));
+        for (pc, (ob, ab)) in planes.enumerate() {
+            // pc indexes the (batch, channel) plane
+            let xp = &xs[pc * plane..(pc + 1) * plane];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut besti = 0usize;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let idx = (oy * k + ky) * w + ox * k + kx;
+                            if xp[idx] > best {
+                                best = xp[idx];
+                                besti = idx;
                             }
                         }
-                        ob[oy * ow + ox] = best;
-                        ab[oy * ow + ox] = besti as u32;
                     }
+                    ob[oy * ow + ox] = best;
+                    ab[oy * ow + ox] = besti as u32;
                 }
-            });
+            }
+        }
         (
             Tensor::from_vec(vec![b, c, oh, ow], out),
             Cache::new(argmax),
@@ -74,13 +75,13 @@ impl Layer for MaxPool2d {
         let oplane = oh * ow;
         let gs = grad_out.as_slice();
         let mut gx = vec![0.0f32; b * c * plane];
-        gx.par_chunks_mut(plane).enumerate().for_each(|(pc, gp)| {
+        for (pc, gp) in gx.chunks_mut(plane).enumerate() {
             let gob = &gs[pc * oplane..(pc + 1) * oplane];
             let ab = &argmax[pc * oplane..(pc + 1) * oplane];
             for (g, &ai) in gob.iter().zip(ab) {
                 gp[ai as usize] += g;
             }
-        });
+        }
         (Tensor::from_vec(x.shape().to_vec(), gx), Vec::new())
     }
 }
