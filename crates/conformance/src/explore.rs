@@ -352,16 +352,13 @@ pub fn check_replica_caches(
     let truth_w = analysis::cumulative_weights(replica);
     let truth_r = analysis::ratings(replica);
     shadow.refresh(&views, mutation != Mutation::StaleCache);
-    if shadow.weights() != truth_w || shadow.ratings() != truth_r {
-        return Err(Violation::new(
-            "stale-shadow-cache",
-            format!(
-                "peer {peer}: cached weights {:?} vs recomputed {:?}",
-                shadow.weights(),
-                truth_w
-            ),
-        ));
-    }
+    stale_table(
+        peer,
+        [
+            ("weights", shadow.weights(), &truth_w),
+            ("ratings", shadow.ratings(), &truth_r),
+        ],
+    )?;
     real.refresh(replica);
     if real.weights() != truth_w
         || real.ratings() != truth_r
@@ -374,6 +371,19 @@ pub fn check_replica_caches(
         ));
     }
     Ok(())
+}
+
+/// The first of `tables` — `(name, cached, recomputed)` — whose cached
+/// copy differs, as a `stale-shadow-cache` violation that names and
+/// prints that table.
+fn stale_table(peer: usize, tables: [(&str, &[u32], &[u32]); 2]) -> Result<(), Violation> {
+    match tables.iter().find(|(_, cached, truth)| cached != truth) {
+        Some((name, cached, truth)) => Err(Violation::new(
+            "stale-shadow-cache",
+            format!("peer {peer}: cached {name} {cached:?} vs recomputed {truth:?}"),
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Stateful invariant checker over a gossip network's observable state:
@@ -549,4 +559,25 @@ fn check_gossip(schedule: &Schedule, mutation: Mutation) -> Result<(), Violation
         )?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stale_table_names_and_prints_the_table_that_differs() {
+        let w: &[u32] = &[5, 3, 1];
+        let v = stale_table(2, [("weights", w, w), ("ratings", &[4, 2, 1], &[4, 1, 1])])
+            .expect_err("a ratings-only mismatch is a violation");
+        assert_eq!(v.invariant, "stale-shadow-cache");
+        assert_eq!(
+            v.detail,
+            "peer 2: cached ratings [4, 2, 1] vs recomputed [4, 1, 1]"
+        );
+        assert_eq!(
+            stale_table(2, [("weights", w, w), ("ratings", w, w)]),
+            Ok(())
+        );
+    }
 }

@@ -1,14 +1,11 @@
 //! # lt-conformance — model-based conformance testing for the learning tangle
 //!
-//! The workspace has three executors of the same protocol: the round-based
-//! [`Simulation`](learning_tangle::Simulation), the asynchronous simulator
-//! ([`learning_tangle::async_sim`]), and the gossip network
-//! ([`tangle_gossip::learn::GossipLearning`]). They share the node logic
-//! but differ in everything around it — locking, snapshots, caches,
-//! message delivery, churn. This crate checks the round simulator and the
-//! gossip network against one reference model of the *protocol* (the
-//! asynchronous simulator is checked against its own serial replay in
-//! `learning-tangle`):
+//! The workspace has two in-process executors of the same protocol: the
+//! round-based [`Simulation`](learning_tangle::Simulation) and the gossip
+//! network ([`tangle_gossip::learn::GossipLearning`]). They share the node
+//! logic but differ in everything around it — snapshots, caches, message
+//! delivery, churn. This crate checks both against one reference model of
+//! the *protocol*:
 //!
 //! * [`model`] — a pure in-memory **reference model**: naive,
 //!   independently written implementations of the ledger semantics

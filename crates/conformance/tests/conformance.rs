@@ -1,8 +1,17 @@
 //! End-to-end conformance harness tests: the healthy protocol explores
-//! clean, and a deliberately injected stale-cache bug is caught and
-//! shrinks to a small replayable artifact.
+//! clean, a deliberately injected stale-cache bug is caught and shrinks
+//! to a small replayable artifact, and every checked-in artifact still
+//! reproduces its recorded violation.
 
 use lt_conformance::{check_schedule, explore, shrink, Artifact, Mutation, Schedule};
+use std::path::Path;
+
+/// Every regression artifact in `tests/artifacts/`, with the mutation it
+/// was recorded under. A new artifact needs a row here.
+const ARTIFACTS: &[(&str, Mutation)] = &[
+    ("stale-cache-a.json", Mutation::StaleCache),
+    ("stale-cache-b.json", Mutation::StaleCache),
+];
 
 #[test]
 fn healthy_protocol_explores_clean() {
@@ -84,4 +93,51 @@ fn single_activation_schedule_matches_across_executors() {
             .collect(),
     };
     check_schedule(&s, Mutation::None).expect("base case must be clean");
+}
+
+#[test]
+fn checked_in_artifacts_reproduce_under_their_mutation_and_replay_clean() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/artifacts");
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+        .expect("tests/artifacts exists")
+        .map(|e| {
+            e.expect("readable entry")
+                .file_name()
+                .into_string()
+                .unwrap()
+        })
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    on_disk.sort();
+    let mut rows: Vec<&str> = ARTIFACTS.iter().map(|&(file, _)| file).collect();
+    rows.sort();
+    assert_eq!(
+        on_disk, rows,
+        "every tests/artifacts/*.json needs exactly one row"
+    );
+
+    for &(file, mutation) in ARTIFACTS {
+        let artifact =
+            Artifact::load(&dir.join(file)).unwrap_or_else(|e| panic!("cannot load {file}: {e}"));
+        // The invariant is the verdict; the detail is evidence that may
+        // legitimately move with the protocol.
+        match artifact.replay(mutation) {
+            Err(v) => assert_eq!(
+                v.invariant, artifact.invariant,
+                "{file} under {mutation:?} fails another invariant: {}",
+                v.detail
+            ),
+            Ok(()) => panic!(
+                "{file}: the recorded `{}` no longer reproduces under {mutation:?}; \
+                 re-find it with `lt-experiments conformance --schedules=64 --mutate=...`",
+                artifact.invariant
+            ),
+        }
+        if let Err(v) = artifact.replay(Mutation::None) {
+            panic!(
+                "{file}: the healthy protocol violates [{}] {}",
+                v.invariant, v.detail
+            );
+        }
+    }
 }

@@ -33,6 +33,7 @@
 //! hold.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 use tangle_ledger::TxId;
 use tinynn::Sequential;
 
@@ -203,7 +204,7 @@ const MAX_POOLED: usize = 64;
 /// allocation cost after warm-up.
 pub struct ScratchPool<'a> {
     build: Box<dyn Fn() -> Sequential + Sync + 'a>,
-    free: parking_lot::Mutex<Vec<Sequential>>,
+    free: Mutex<Vec<Sequential>>,
 }
 
 impl<'a> ScratchPool<'a> {
@@ -211,7 +212,7 @@ impl<'a> ScratchPool<'a> {
     pub fn new(build: Box<dyn Fn() -> Sequential + Sync + 'a>) -> Self {
         Self {
             build,
-            free: parking_lot::Mutex::new(Vec::new()),
+            free: Mutex::new(Vec::new()),
         }
     }
 
@@ -224,12 +225,16 @@ impl<'a> ScratchPool<'a> {
     /// Check a scratch model out (reused if available, built otherwise).
     /// Callers must assign parameters before use.
     pub fn take(&self) -> Sequential {
-        self.free.lock().pop().unwrap_or_else(|| (self.build)())
+        self.free
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop()
+            .unwrap_or_else(|| (self.build)())
     }
 
     /// Return a model to the pool.
     pub fn put(&self, model: Sequential) {
-        let mut free = self.free.lock();
+        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
         if free.len() < MAX_POOLED {
             free.push(model);
         }

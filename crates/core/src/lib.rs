@@ -22,14 +22,11 @@
 //! * [`attack`] — the paper's adversaries: random-noise poisoning and
 //!   targeted label flipping (§III-E / §V-B).
 //! * [`sim`] — the round-based simulator used for all paper experiments.
-//! * [`async_sim`] — an asynchronous, thread-per-worker simulator
-//!   (the paper's §VI outlook of a "distributed implementation").
 //! * [`metrics`] — accuracy / misclassification series and Table II
 //!   helpers.
 //! * [`dp`] — optional differential-privacy noise on published updates
 //!   (§III-D mitigation).
 
-pub mod async_sim;
 pub mod attack;
 pub mod cluster;
 pub mod config;

@@ -13,11 +13,10 @@ use crate::eval_cache::{EvalCache, ScratchPool, DEFAULT_EVAL_CACHE_CAPACITY};
 use crate::node::{node_step, walk_table, ModelParams, Node, RoundContext, StepOutcome};
 use feddata::{ClientData, FederatedDataset};
 use lt_telemetry::{Event, PhaseRecorder, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
-use parking_lot::Mutex;
 use rand::RngExt;
 use rayon::prelude::*;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use tangle_ledger::walk::WalkTable;
 use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TangleView};
 use tinynn::loss::predictions;
@@ -403,7 +402,7 @@ impl<'a> Simulation<'a> {
             &self.scratch,
             &self.cfg,
             node_rng,
-            &mut self.eval[ni].lock(),
+            &mut self.eval[ni].lock().unwrap_or_else(PoisonError::into_inner),
         );
         (ni, out)
     }
@@ -655,7 +654,7 @@ impl<'a> Simulation<'a> {
 
 /// Indices of the evaluation pool: an `eval_fraction` sample of `n`
 /// nodes, shuffled by an RNG derived from `(seed, eval_seed)`. Factored
-/// out of [`Simulation::evaluate`] so every executor (round, async,
+/// out of [`Simulation::evaluate`] so every executor (round,
 /// gossip, networked daemon) draws the *same* pool and consensus
 /// evaluations agree bit-for-bit.
 pub fn eval_pool_indices(seed: u64, eval_seed: u64, n: usize, eval_fraction: f32) -> Vec<usize> {
@@ -918,7 +917,10 @@ mod tests {
             .map(|_| {
                 if cold {
                     for cache in &sim.eval {
-                        cache.lock().invalidate_all(&Telemetry::disabled());
+                        cache
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .invalidate_all(&Telemetry::disabled());
                     }
                 }
                 sim.round()

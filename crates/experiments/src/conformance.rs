@@ -1,5 +1,5 @@
-//! `conformance` — model-based conformance harness over the three
-//! protocol executors (round sim, async sim, gossip network).
+//! `conformance` — model-based conformance harness over the two
+//! in-process protocol executors (round sim, gossip network).
 //!
 //! Explore mode (default): generate `--schedules=N` seeded schedules,
 //! check differential agreement + standalone invariants on each, shrink
@@ -13,7 +13,7 @@
 //! reproduce, and the exit code is 1 when it does not.
 
 use crate::common::Opts;
-use lt_conformance::{explore, shrink, Artifact, Mutation};
+use lt_conformance::{check_schedule, explore, shrink, Artifact, Mutation};
 
 /// Candidate re-executions granted to the shrinker per failure.
 const SHRINK_BUDGET: usize = 200;
@@ -101,10 +101,13 @@ fn explore_mode(opts: &Opts, mutation: Mutation) {
             violation.invariant, schedule.seed, violation.detail
         );
         let (minimal, spent) = shrink(schedule, violation, mutation, SHRINK_BUDGET);
+        // Record the shrunk schedule's own evidence, which is what a
+        // replay of the artifact prints.
+        let shrunk = check_schedule(&minimal, mutation).expect_err("a shrunk schedule still fails");
         let path = opts
             .out
             .join(format!("conformance-{}-{i}.json", violation.invariant));
-        Artifact::new(minimal.clone(), violation)
+        Artifact::new(minimal.clone(), &shrunk)
             .save(&path)
             .expect("write artifact");
         println!(

@@ -1,6 +1,6 @@
 //! Content-addressed wire transactions.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 use tangle_ledger::pow;
 use tinynn::wire::{self, Reader, Truncated};
 use tinynn::ParamVec;
@@ -27,8 +27,9 @@ pub struct TxMessage {
     pub issuer: u64,
     /// Issuer-local logical time (diagnostic only).
     pub slot: u64,
-    /// `tinynn::wire`-encoded model parameters.
-    pub payload: Bytes,
+    /// `tinynn::wire`-encoded model parameters, shared so that the
+    /// per-neighbour clone on every gossip hop copies no body.
+    pub payload: Arc<[u8]>,
     /// Hashcash nonce over the message digest.
     pub nonce: u64,
 }
@@ -43,12 +44,11 @@ impl TxMessage {
         slot: u64,
         difficulty: u32,
     ) -> Self {
-        let payload = wire::encode(params);
         let base = Self {
             parents,
             issuer,
             slot,
-            payload,
+            payload: wire::encode(params).into(),
             nonce: 0,
         };
         let nonce = pow::solve(base.pow_digest(), difficulty);
@@ -57,13 +57,13 @@ impl TxMessage {
 
     /// The digest the proof-of-work covers: everything except the nonce.
     fn pow_digest(&self) -> u64 {
-        let mut buf = BytesMut::with_capacity(8 * (self.parents.len() + 2) + self.payload.len());
+        let mut buf = Vec::with_capacity(8 * (self.parents.len() + 2) + self.payload.len());
         for p in &self.parents {
-            buf.put_u64_le(p.0);
+            buf.extend_from_slice(&p.0.to_le_bytes());
         }
-        buf.put_u64_le(self.issuer);
-        buf.put_u64_le(self.slot);
-        buf.put_slice(&self.payload);
+        buf.extend_from_slice(&self.issuer.to_le_bytes());
+        buf.extend_from_slice(&self.slot.to_le_bytes());
+        buf.extend_from_slice(&self.payload);
         pow::digest(&buf)
     }
 
@@ -116,10 +116,10 @@ impl TxMessage {
     }
 
     /// Serialize the whole message to bytes.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_to(&mut out);
-        out.into()
+        out
     }
 
     /// Deserialize a message; `None` on malformed framing (a field cut
@@ -141,7 +141,7 @@ impl TxMessage {
             issuer: r.u64()?,
             slot: r.u64()?,
             nonce: r.u64()?,
-            payload: Bytes::copy_from_slice(r.len_prefixed()?),
+            payload: r.len_prefixed()?.into(),
         })
     }
 }

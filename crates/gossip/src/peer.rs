@@ -578,7 +578,7 @@ mod tests {
         assert!(r.lookup(b.content_id()).is_some());
         // the restored archive is byte-identical, so re-gossip still works
         for (x, y) in p.export_messages().iter().zip(r.export_messages()) {
-            assert_eq!(x.encode().as_ref(), y.encode().as_ref());
+            assert_eq!(x.encode(), y.encode());
         }
         // and a corrupted checkpoint is rejected, not trusted
         let mut bad = bytes.clone();

@@ -22,7 +22,7 @@ fn message(parents: Vec<ContentId>, issuer: u64, slot: u64, v: f32, nonce: u64) 
         parents,
         issuer,
         slot,
-        payload: wire::encode(&ParamVec(vec![v, -v])),
+        payload: wire::encode(&ParamVec(vec![v, -v])).into(),
         nonce,
     }
 }

@@ -32,7 +32,7 @@ fn tx() -> TxMessage {
         parents: vec![ContentId(7), ContentId(0x0a0b_0c0d)],
         issuer: 3,
         slot: 4,
-        payload: wire::encode(&ParamVec(vec![1.0, -2.0])),
+        payload: wire::encode(&ParamVec(vec![1.0, -2.0])).into(),
         nonce: 0x1234,
     }
 }

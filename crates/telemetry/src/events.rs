@@ -69,29 +69,14 @@ pub struct RoundEvent {
     pub phase_us: Option<BTreeMap<String, u64>>,
 }
 
-/// One publication committed by the asynchronous (round-free) simulator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct AsyncPublishEvent {
-    /// Worker thread that processed the step.
-    pub worker: u64,
-    /// Node that published.
-    pub node: u64,
-    /// Ledger size right after the publication.
-    pub tangle_len: u64,
-    /// Size of the snapshot the node acted on.
-    pub snapshot_len: u64,
-}
-
-/// One fault-engine transition: a peer crash, restart, recovery, or a
-/// worker kill/respawn in the asynchronous simulator.
+/// One fault-engine transition: a peer crash, restart or recovery.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {
-    /// Simulated tick (gossip network) or local step (async workers).
+    /// Simulated tick of the gossip network.
     pub at: u64,
-    /// Affected peer / worker id.
+    /// Affected peer id.
     pub peer: u64,
-    /// Transition kind: `"crash"`, `"restart"`, `"recovered"`,
-    /// `"worker_kill"`, or `"worker_respawn"`.
+    /// Transition kind: `"crash"`, `"restart"` or `"recovered"`.
     pub kind: String,
 }
 
@@ -102,8 +87,6 @@ pub enum Event {
     Step(StepEvent),
     /// A round-level ledger summary.
     Round(RoundEvent),
-    /// An asynchronous-simulator publication.
-    AsyncPublish(AsyncPublishEvent),
     /// A fault-engine lifecycle transition.
     Fault(FaultEvent),
 }
@@ -114,7 +97,7 @@ impl Event {
         match self {
             Event::Step(e) => Some(e.round),
             Event::Round(e) => Some(e.round),
-            Event::AsyncPublish(_) | Event::Fault(_) => None,
+            Event::Fault(_) => None,
         }
     }
 }

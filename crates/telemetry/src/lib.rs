@@ -26,7 +26,7 @@ pub mod events;
 pub mod metrics;
 pub mod sink;
 
-pub use events::{AsyncPublishEvent, Event, FaultEvent, ReferenceEntry, RoundEvent, StepEvent};
+pub use events::{Event, FaultEvent, ReferenceEntry, RoundEvent, StepEvent};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use sink::{JsonlSink, MemorySink, NoopSink, TelemetrySink};
 
@@ -236,11 +236,10 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let tel = Telemetry::new(sink.clone());
         tel.emit(|| {
-            Event::AsyncPublish(AsyncPublishEvent {
-                worker: 1,
-                node: 2,
-                tangle_len: 3,
-                snapshot_len: 2,
+            Event::Fault(FaultEvent {
+                at: 3,
+                peer: 2,
+                kind: "crash".to_string(),
             })
         });
         assert_eq!(sink.len(), 1);

@@ -6,11 +6,10 @@
 //! one registry without contention on a lock. Snapshots are plain data:
 //! serializable, comparable, and mergeable across runs or shards.
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -179,11 +178,17 @@ impl Metrics {
 
     /// The counter registered under `name`, created at zero if absent.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().get(name) {
+        if let Some(c) = self
+            .counters
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
             return c.clone();
         }
         self.counters
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name.to_owned())
             .or_default()
             .clone()
@@ -192,11 +197,17 @@ impl Metrics {
     /// The histogram registered under `name`, created with the default
     /// exponential bounds if absent.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().get(name) {
+        if let Some(h) = self
+            .histograms
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
             return h.clone();
         }
         self.histograms
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name.to_owned())
             .or_insert_with(|| Arc::new(default_histogram()))
             .clone()
@@ -208,12 +219,14 @@ impl Metrics {
             counters: self
                 .counters
                 .read()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
             histograms: self
                 .histograms
                 .read()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),

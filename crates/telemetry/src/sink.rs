@@ -1,10 +1,9 @@
 //! Event sinks: where emitted [`Event`]s go.
 
 use crate::events::Event;
-use parking_lot::Mutex;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A destination for structured events. Implementations must be
 /// thread-safe: the parallel simulators emit from worker threads.
@@ -44,7 +43,7 @@ impl JsonlSink {
 impl TelemetrySink for JsonlSink {
     fn record(&self, event: &Event) {
         let line = serde_json::to_string(event).expect("events always serialize");
-        let mut out = self.out.lock();
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         // A failed telemetry write must not kill a simulation; drop it.
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
@@ -65,12 +64,18 @@ impl MemorySink {
 
     /// A copy of everything recorded so far.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether nothing has been recorded yet.
@@ -81,7 +86,10 @@ impl MemorySink {
 
 impl TelemetrySink for MemorySink {
     fn record(&self, event: &Event) {
-        self.events.lock().push(event.clone());
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(event.clone());
     }
 }
 
@@ -94,14 +102,13 @@ impl<S: TelemetrySink> TelemetrySink for Arc<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{AsyncPublishEvent, Event};
+    use crate::events::{Event, FaultEvent};
 
     fn ev(n: u64) -> Event {
-        Event::AsyncPublish(AsyncPublishEvent {
-            worker: 0,
-            node: n,
-            tangle_len: n + 1,
-            snapshot_len: n,
+        Event::Fault(FaultEvent {
+            at: n,
+            peer: n + 1,
+            kind: "crash".to_string(),
         })
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Every stochastic component in this workspace takes an explicit RNG (or
 //! seed) so that experiments are reproducible run-to-run and so the
-//! round-based and asynchronous simulators can be compared under identical
-//! randomness.
+//! round-based simulator and the gossip network can be compared under
+//! identical randomness.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

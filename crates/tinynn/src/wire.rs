@@ -16,7 +16,6 @@
 //! ```
 
 use crate::params::ParamVec;
-use bytes::{BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"LTPV";
 const VERSION: u8 = 1;
@@ -145,19 +144,19 @@ impl<'a> Reader<'a> {
 }
 
 /// Encode a parameter vector into its wire representation.
-pub fn encode(params: &ParamVec) -> Bytes {
+pub fn encode(params: &ParamVec) -> Vec<u8> {
     let n = params.len();
-    let mut buf = BytesMut::with_capacity(4 + 1 + 4 + n * 4 + 8);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u32_le(n as u32);
+    let mut buf = Vec::with_capacity(4 + 1 + 4 + n * 4 + 8);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(n as u32).to_le_bytes());
     let start = buf.len();
     for &v in params.as_slice() {
-        buf.put_f32_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
     let checksum = fnv1a(&buf[start..]);
-    buf.put_u64_le(checksum);
-    buf.freeze()
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf
 }
 
 /// Decode a wire payload back into a parameter vector.

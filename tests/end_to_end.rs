@@ -3,8 +3,6 @@
 
 use tangle_learning::baseline::{FedAvg, FedAvgConfig};
 use tangle_learning::data::blobs::{self, BlobsConfig};
-use tangle_learning::learning::async_sim::{run_async, AsyncOptions};
-use tangle_learning::learning::node::Node;
 use tangle_learning::learning::{SimConfig, Simulation, TangleHyperParams};
 use tangle_learning::nn::rng::seeded;
 use tangle_learning::nn::zoo::mlp;
@@ -99,92 +97,6 @@ fn deterministic_replay() {
     assert_eq!(len_a, len_b);
     assert_eq!(tips_a, tips_b);
     assert_eq!(params_a, params_b);
-}
-
-/// The asynchronous simulator must produce a ledger on which the same
-/// consensus extraction yields a working model — rounds are a convenience,
-/// not a correctness requirement (paper §IV).
-#[test]
-fn async_ledger_supports_consensus_extraction() {
-    let data = dataset(10, 9);
-    let nodes: Vec<Node> = data
-        .clients
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, c)| Node::honest(i, c))
-        .collect();
-    let cfg = quick_cfg(5, 13);
-    let run = run_async(&nodes, &cfg, build, 2, 30, &AsyncOptions::default());
-    assert!(run.tangle.len() >= 30);
-
-    // Extract consensus by confidence × rating, as in the round-based path.
-    let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
-    let walk = tangle_learning::ledger::walk::RandomWalk::new(cfg.hyper.alpha)
-        .table(&run.tangle, &analysis.cumulative_weight);
-    let conf = walk.walk_confidence(&run.tangle, 16, 1);
-    let top = analysis.choose_reference(&conf, 3);
-    let payloads: Vec<&tangle_learning::nn::ParamVec> = top
-        .iter()
-        .map(|id| run.tangle.get(*id).payload.as_ref())
-        .collect();
-    let consensus = tangle_learning::nn::ParamVec::average(&payloads);
-
-    let mut model = build();
-    let clients: Vec<&tangle_learning::data::ClientData> = data.clients.iter().collect();
-    let (_, acc) = tangle_learning::baseline::evaluate_params(&mut model, &consensus, &clients);
-    assert!(
-        acc > 0.5,
-        "async-trained consensus should beat chance clearly: {acc}"
-    );
-}
-
-/// Round-based and asynchronous training must agree qualitatively: both
-/// converge on the same task from the same genesis.
-#[test]
-fn sync_and_async_agree_qualitatively() {
-    let data = dataset(10, 21);
-    // Sync run.
-    let mut sim = Simulation::new(data.clone(), quick_cfg(5, 17), build);
-    for _ in 0..10 {
-        sim.round();
-    }
-    let sync_acc = sim.evaluate(0).accuracy;
-    // Async run with a similar transaction budget.
-    let nodes: Vec<Node> = data
-        .clients
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, c)| Node::honest(i, c))
-        .collect();
-    let target = sim.tangle().len();
-    let run = run_async(
-        &nodes,
-        &quick_cfg(5, 17),
-        build,
-        1,
-        target,
-        &AsyncOptions::default(),
-    );
-    let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
-    let walk = tangle_learning::ledger::walk::RandomWalk::new(0.5)
-        .table(&run.tangle, &analysis.cumulative_weight);
-    let conf = walk.walk_confidence(&run.tangle, 16, 2);
-    let top = analysis.choose_reference(&conf, 3);
-    let payloads: Vec<&tangle_learning::nn::ParamVec> = top
-        .iter()
-        .map(|id| run.tangle.get(*id).payload.as_ref())
-        .collect();
-    let consensus = tangle_learning::nn::ParamVec::average(&payloads);
-    let mut model = build();
-    let clients: Vec<&tangle_learning::data::ClientData> = data.clients.iter().collect();
-    let (_, async_acc) =
-        tangle_learning::baseline::evaluate_params(&mut model, &consensus, &clients);
-    assert!(
-        (sync_acc - async_acc).abs() < 0.35,
-        "sync {sync_acc} and async {async_acc} diverged wildly"
-    );
 }
 
 /// The tip population must stay bounded as the network runs (paper §III-C).
