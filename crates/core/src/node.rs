@@ -13,7 +13,6 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use tangle_ledger::walk::{BiasedRandomWalk, RandomWalk, WalkTable, WindowedWalk};
 use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TxId};
-use tinynn::rng::{derive, seeded};
 use tinynn::{ParamVec, Sequential};
 
 /// Payload carried by learning-tangle transactions: a shared, immutable
@@ -145,10 +144,10 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
     /// The round being played.
     pub round: u64,
     /// The snapshot's transition table under `hyper.alpha` (shared like
-    /// `analysis`): every confidence walk and every tip-selection walk of
-    /// the context reads it, so `exp(α·Δw)` is computed once per approval
-    /// edge. With `hyper.window` set it also holds the window's entry
-    /// particles.
+    /// `analysis`): every confidence walk of the context reads it, so
+    /// `exp(α·Δw)` is computed once per approval edge, and every tip is
+    /// drawn from its exit distribution. With `hyper.window` set that
+    /// distribution starts on the window's entry particles.
     pub walk: Arc<WalkTable>,
     /// Observability handle shared by every node this round (disabled by
     /// default, see [`lt_telemetry::Telemetry`]).
@@ -262,41 +261,26 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
             .collect()
     }
 
-    /// Sample one tip by weighted random walk over the shared transition
-    /// table. Starts from the genesis, or from a depth-window particle
-    /// when windowed selection is configured (§IV); only a walk from the
-    /// genesis records its length.
-    pub fn sample_tip(&self, rng: &mut dyn rand::Rng) -> TxId {
-        let _span = self.telemetry.span("tangle.tip_selection_us");
-        self.telemetry.count("tangle.walks", 1);
-        let entry = self.walk.entry(rng);
-        let start = entry.unwrap_or_else(|| self.tangle.genesis());
-        let mut hops = 0u64;
-        let tip = self.walk.walk(self.tangle, start, rng, |_| hops += 1);
-        if entry.is_none() {
-            self.telemetry.record("tangle.walk_len", hops);
-        }
-        tip
-    }
-
-    /// Sample `k` tips as a rayon batch of independent walks. One draw
-    /// from `rng` seeds the batch; walk `i` then runs on its own RNG stream
-    /// derived from that seed, so the output does not depend on how the
-    /// batch is scheduled.
+    /// Draw `k` tips, one after another on `rng`, from the exit
+    /// distribution of the snapshot's walk ([`WalkTable::draw_tip`]): the
+    /// walk from the genesis, or from a depth-window particle when
+    /// windowed selection is configured (§IV).
     pub fn sample_tips(&self, k: usize, rng: &mut dyn rand::Rng) -> Vec<TxId> {
-        let base = rng.random::<u64>();
+        self.telemetry.count("tangle.walks", k as u64);
         (0..k)
-            .into_par_iter()
-            .map(|i| self.sample_tip(&mut seeded(derive(base, i as u64))))
+            .map(|_| {
+                let _span = self.telemetry.span("tangle.tip_selection_us");
+                self.walk.draw_tip(rng)
+            })
             .collect()
     }
 }
 
-/// The transition table every walk of a context over `tangle` reads: the
-/// weighted walk under `hyper.alpha`, entered through the depth window
-/// when `hyper.window` is set — over `depths` when the caller already has
-/// them (an [`AnalysisCache`]), else over a fresh depth DP. Built once per
-/// analysed snapshot.
+/// The transition table every confidence walk and tip draw of a context
+/// over `tangle` reads: the weighted walk under `hyper.alpha`, entered
+/// through the depth window when `hyper.window` is set — over `depths`
+/// when the caller already has them (an [`AnalysisCache`]), else over a
+/// fresh depth DP. Built once per analysed snapshot.
 ///
 /// # Panics
 /// Panics if `analysis` or `depths` do not describe `tangle`.
@@ -452,8 +436,8 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
         }
     };
 
-    // Tip selection: `sample_size` walks; with validation on, keep the
-    // locally best `num_tips` distinct candidates, else the first walks.
+    // Tip selection: `sample_size` draws; with validation on, keep the
+    // locally best `num_tips` distinct candidates, else the first draws.
     // With `accuracy_bias` enabled (§VI outlook) the walk is additionally
     // biased by each model's accuracy on this node's local data.
     let bias: Option<Vec<f64>> = (hyper.accuracy_bias > 0.0).then(|| {
@@ -547,8 +531,8 @@ fn random_poison_step<T: TangleRead<Payload = ModelParams> + Sync>(
     rng: &mut impl RngExt,
 ) -> StepOutcome {
     // "adversarial nodes simply submit model parameters generated by a
-    // standard normal distribution" (Fig. 5). Parents are selected by the
-    // ordinary walk so the junk attaches where honest traffic attaches.
+    // standard normal distribution" (Fig. 5). Parents are drawn like an
+    // honest node's tips so the junk attaches where honest traffic attaches.
     let normal = Normal::new(0.0f32, 1.0).expect("valid normal");
     let dim = ctx.reference.len();
     let params = ParamVec((0..dim).map(|_| normal.sample(rng)).collect());
@@ -570,6 +554,7 @@ mod tests {
     use crate::eval_cache::DEFAULT_EVAL_CACHE_CAPACITY;
     use feddata::blobs::{self, BlobsConfig};
     use lt_telemetry::Telemetry;
+    use tinynn::rng::seeded;
 
     fn build() -> Sequential {
         tinynn::zoo::mlp(8, &[12], 4, &mut seeded(7))
@@ -806,8 +791,8 @@ mod tests {
     }
 
     /// Oracle for [`node_step`] on an honest node: Algorithm 2 as the paper
-    /// states it — one model, every evaluation and every walk in a serial
-    /// loop, nothing memoized.
+    /// states it — one model, every evaluation, tip draw and biased walk in
+    /// a serial loop, nothing memoized.
     fn naive_step(
         node: &Node,
         ctx: &RoundContext<'_>,
@@ -830,30 +815,18 @@ mod tests {
                 .collect()
         });
         let k = hyper.sample_size.max(hyper.num_tips);
-        let weights = &ctx.analysis.cumulative_weight;
         let samples: Vec<TxId> = match &bias {
-            // Context-free selectors only: every step recomputes its row,
-            // every windowed walk rescans the depths — never the context's
-            // `WalkTable`, which is what this oracle checks.
-            None => {
-                let base = rng.random::<u64>();
-                let walk = RandomWalk::new(hyper.alpha);
-                let depths = tangle_ledger::analysis::depths(ctx.tangle);
-                (0..k)
-                    .map(|i| {
-                        let rng = &mut seeded(derive(base, i as u64));
-                        match hyper.window {
-                            Some(w) => WindowedWalk::new(walk, w)
-                                .select_tip_with_weights(ctx.tangle, weights, &depths, rng),
-                            None => walk.select_tip_with_weights(ctx.tangle, weights, rng),
-                        }
-                    })
-                    .collect()
-            }
+            // One exit-mass draw per tip on the node's generator; the
+            // `walk_table_exit_*` tests check the draw against a
+            // descending DP and against the walk it replaces.
+            None => (0..k).map(|_| ctx.walk.draw_tip(rng)).collect(),
             Some(b) => (0..k)
                 .map(|_| {
-                    BiasedRandomWalk::new(hyper.alpha, b)
-                        .select_tip_with_weights(ctx.tangle, weights, rng)
+                    BiasedRandomWalk::new(hyper.alpha, b).select_tip_with_weights(
+                        ctx.tangle,
+                        &ctx.analysis.cumulative_weight,
+                        rng,
+                    )
                 })
                 .collect(),
         };
@@ -919,24 +892,6 @@ mod tests {
         tangle
     }
 
-    #[test]
-    fn sample_tips_match_a_serial_loop() {
-        // Each walk runs on its own derived RNG stream, so batching the
-        // walks through rayon cannot change what they select.
-        let tangle = grown_tangle(&dataset());
-        for window in [None, Some(2)] {
-            let mut cfg = SimConfig::default();
-            cfg.hyper.window = window;
-            let ctx = RoundContext::build(&tangle, &cfg, 1, 8, Telemetry::disabled());
-            let batch = ctx.sample_tips(24, &mut seeded(3));
-            let base = seeded(3).random::<u64>();
-            let serial: Vec<TxId> = (0..24)
-                .map(|i| ctx.sample_tip(&mut seeded(derive(base, i))))
-                .collect();
-            assert_eq!(batch, serial);
-        }
-    }
-
     /// A step outcome down to the bit.
     type OutcomeBits = (Option<(Vec<u32>, Vec<TxId>)>, Option<u32>, Option<u32>);
 
@@ -953,8 +908,8 @@ mod tests {
 
     #[test]
     fn node_step_matches_the_naive_algorithm() {
-        // The production step — memoized, candidates and walks evaluated as
-        // rayon batches, pooled scratch models — must agree to the bit with
+        // The production step — memoized, candidates evaluated as a rayon
+        // batch, pooled scratch models — must agree to the bit with
         // the serial uncached statement of Algorithm 2, on a cold cache and
         // on a warm one.
         let ds = dataset();

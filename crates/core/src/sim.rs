@@ -477,7 +477,6 @@ impl<'a> Simulation<'a> {
         tel.count("sim.rejected", rejected);
         if tel.enabled() {
             let walk_count = tel.counter_value("tangle.walks");
-            let (_, walk_len_sum) = tel.histogram_totals("tangle.walk_len");
             let phase_us = phases.finish();
             let tangle_len = self.tangle.len() as u64;
             let lost_publications = self.lost_publications;
@@ -493,7 +492,6 @@ impl<'a> Simulation<'a> {
                     tangle_len,
                     reference: reference_entries,
                     walk_count,
-                    walk_len_sum,
                     phase_us,
                 })
             });
@@ -1104,7 +1102,7 @@ mod tests {
         }
     }
 
-    /// `(analysis spans, cache appends, confidence walks, tip walks)` of a
+    /// `(analysis spans, cache appends, confidence walks, tip draws)` of a
     /// delayed run with span timings on.
     fn delayed_counters(sim: &Simulation<'_>) -> (u64, u64, u64, u64) {
         let tel = sim.telemetry();

@@ -184,38 +184,38 @@ type Golden = (NetStats, usize, u64, u64);
 
 const GOLDEN_SEED_7: Golden = (
     NetStats {
-        delivered: 474,
-        dropped: 161,
-        duplicates: 84,
-        orphaned: 202,
-        rejected: 22,
-        discarded: 95,
-        rerequests: 78,
+        delivered: 598,
+        dropped: 185,
+        duplicates: 192,
+        orphaned: 186,
+        rejected: 25,
+        discarded: 106,
+        rerequests: 73,
         evicted: 0,
-        announced: 734,
-        requested: 153,
+        announced: 746,
+        requested: 160,
     },
-    66,
-    136,
-    0x7f4a_6b88_8c8e_cabf,
+    68,
+    118,
+    0x25d2_513c_97fd_217e,
 );
 
 const GOLDEN_SEED_8: Golden = (
     NetStats {
-        delivered: 640,
-        dropped: 185,
-        duplicates: 221,
-        orphaned: 195,
-        rejected: 34,
-        discarded: 110,
-        rerequests: 76,
+        delivered: 617,
+        dropped: 177,
+        duplicates: 217,
+        orphaned: 197,
+        rejected: 26,
+        discarded: 96,
+        rerequests: 75,
         evicted: 0,
-        announced: 764,
-        requested: 161,
+        announced: 736,
+        requested: 163,
     },
-    69,
-    148,
-    0x05e0_29de_3be6_509b,
+    67,
+    120,
+    0xbcfb_bfba_838a_8f1a,
 );
 
 /// FNV-1a over the newline-terminated telemetry lines.

@@ -18,20 +18,35 @@
 //! `[0, sum)` and scans the row subtracting each weight until `r` falls
 //! inside one. It is a subtraction scan on purpose: a prefix-sum search or
 //! an alias table rounds differently and would map some draws to another
-//! approver, and every golden digest in the repository pins which tip each
-//! draw selects. Transactions with a single approver are followed without a
-//! draw and have no row.
+//! approver, and the confidence estimates (§III-A) and the context-free
+//! selectors are pinned draw for draw against the original step loop.
+//! Transactions with a single approver are followed without a draw and
+//! have no row.
 //!
 //! Every walk over one ledger snapshot sees the same rows, so a
-//! [`WalkTable`] computes them once — one `exp` per approval edge — and all
-//! walks of a round (tip sampling and confidence estimation alike) read
-//! them. The context-free selectors ([`RandomWalk::select_tip_with_weights`]
-//! and friends) have no snapshot to amortise over: they fill a one-row
-//! scratch per step with the same row function and draw with the same
-//! draw function. A table is valid only for the snapshot and α it was
-//! built from; approver lists are still read from the tangle. A
-//! [`BiasedRandomWalk`] has no table: its bias lives for a handful of walks
-//! of one node step, fewer than a build (an `exp` per edge) pays for.
+//! [`WalkTable`] computes them once — one `exp` per approval edge — and the
+//! confidence walks of a round read them. The context-free selectors
+//! ([`RandomWalk::select_tip_with_weights`] and friends) have no snapshot
+//! to amortise over: they fill a one-row scratch per step with the same
+//! row function and draw with the same draw function. A table is valid
+//! only for the snapshot and α it was built from; approver lists are still
+//! read from the tangle. A [`BiasedRandomWalk`] has no table: its bias
+//! lives for a handful of walks of one node step, fewer than a build (an
+//! `exp` per edge) pays for.
+//!
+//! # Tip draws from the exit distribution
+//!
+//! Over one snapshot the walk is a Markov chain on a DAG whose ids are
+//! already in topological order (an approver is always newer than what it
+//! approves), as Popov's "The Tangle" defines tip selection. So the chance
+//! `h(x)` that a walk passes through `x` comes out of one ascending pass:
+//! `h(genesis) = 1` (or `1/|entries|` on each window entry), and each `x`
+//! pushes `h(x) · p_y / sum` to each approver `y` of its row. A walk ends
+//! at tip `τ` with probability `h(τ)`. [`WalkTable`]'s build runs this pass
+//! in the loop that computes the rows, and [`WalkTable::draw_tip`] draws a
+//! tip with one uniform draw against the tips' cumulative mass: the same
+//! distribution as a walk, in O(log tips) instead of O(depth) steps, but
+//! not the same tip for the same generator.
 
 use crate::analysis::cumulative_weights;
 use crate::graph::{Tangle, TxId};
@@ -161,18 +176,22 @@ fn draw_entry(entries: &[TxId], rng: &mut dyn rand::Rng) -> TxId {
     }
 }
 
-/// The transition rows of every transaction of one ledger snapshot (see
-/// the module docs), plus the entry list of a windowed walk. Built by
-/// [`RandomWalk::table`] or [`WindowedWalk::table`]; valid only for that
-/// snapshot.
+/// The transition rows of every transaction of one ledger snapshot, and
+/// the walk's exit distribution over its tips (see the module docs).
+/// Built by [`RandomWalk::table`] or [`WindowedWalk::table`]; valid only
+/// for that snapshot.
 #[derive(Debug)]
 pub struct WalkTable {
     /// `rows[offsets[i]..offsets[i + 1]]` is the row of transaction `i`,
     /// empty when it has fewer than two approvers.
     offsets: Vec<u32>,
     rows: Vec<f64>,
-    /// Entry particles, when the table was built by a [`WindowedWalk`].
-    entries: Option<Vec<TxId>>,
+    /// The tips a walk ends at with positive probability, ascending, and
+    /// the running sum of those probabilities (`cdf[k]` covers `tips[..=k]`).
+    tips: Vec<TxId>,
+    cdf: Vec<f64>,
+    /// Whether the table was built by a [`WindowedWalk`].
+    windowed: bool,
 }
 
 impl RowSource for WalkTable {
@@ -182,41 +201,75 @@ impl RowSource for WalkTable {
 }
 
 impl WalkTable {
-    /// One ascending pass over `tangle`, one row per transaction with at
-    /// least two approvers.
-    fn build<T: TangleRead>(
-        tangle: &T,
-        source: &impl RowSource,
-        entries: Option<Vec<TxId>>,
-    ) -> Self {
-        let mut offsets = Vec::with_capacity(tangle.len() + 1);
+    /// One ascending pass over `tangle`: one row per transaction with at
+    /// least two approvers and, in the same loop, the walk's pass-through
+    /// mass, started on the genesis or, for a windowed walk (`entries` is
+    /// `Some`), spread uniformly over the window entries (the genesis when
+    /// there is none). Ids are topologically ordered, so a transaction's
+    /// mass is complete when the loop reaches it.
+    fn build<T: TangleRead>(tangle: &T, source: &impl RowSource, entries: Option<&[TxId]>) -> Self {
+        let n = tangle.len();
+        let mut offsets = Vec::with_capacity(n + 1);
         let (mut rows, mut scratch) = (Vec::new(), Vec::new());
-        for i in 0..tangle.len() as u32 {
+        let mut mass = vec![0.0f64; n];
+        match entries {
+            Some(e) if !e.is_empty() => {
+                let share = 1.0 / e.len() as f64;
+                for x in e {
+                    mass[x.index()] = share;
+                }
+            }
+            _ => mass[tangle.genesis().index()] = 1.0,
+        }
+        let (mut tips, mut cdf, mut total) = (Vec::new(), Vec::new(), 0.0f64);
+        for i in 0..n as u32 {
             offsets.push(rows.len() as u32); // range-checked once, below
-            let approvers = tangle.approvers(TxId(i));
-            if approvers.len() >= 2 {
-                rows.extend_from_slice(source.row(TxId(i), approvers, &mut scratch));
+            let (at, h) = (TxId(i), mass[i as usize]);
+            let approvers = tangle.approvers(at);
+            match approvers.len() {
+                0 if h > 0.0 => {
+                    total += h;
+                    tips.push(at);
+                    cdf.push(total);
+                }
+                0 => {}
+                1 => mass[approvers[0].index()] += h,
+                _ => {
+                    let row = source.row(at, approvers, &mut scratch);
+                    if h > 0.0 {
+                        let (sum, probs) = row.split_last().expect("a row ends with its sum");
+                        for (a, &p) in approvers.iter().zip(probs) {
+                            mass[a.index()] += h * p / sum;
+                        }
+                    }
+                    rows.extend_from_slice(row);
+                }
             }
         }
         offsets.push(u32::try_from(rows.len()).expect("walk table fits u32 offsets"));
         Self {
             offsets,
             rows,
-            entries,
+            tips,
+            cdf,
+            windowed: entries.is_some(),
         }
     }
 
     /// Whether the table was built by a [`WindowedWalk`].
     pub fn is_windowed(&self) -> bool {
-        self.entries.is_some()
+        self.windowed
     }
 
-    /// The start of a windowed tip-selection walk — a uniformly drawn
-    /// window entry, or the genesis (without a draw) while the snapshot is
-    /// shallower than the window — and `None` when the table was not built
-    /// by a [`WindowedWalk`].
-    pub fn entry(&self, rng: &mut dyn rand::Rng) -> Option<TxId> {
-        self.entries.as_deref().map(|e| draw_entry(e, rng))
+    /// Draw the tip a tip-selection walk ends at: one uniform draw against
+    /// the tips' cumulative exit mass and a binary search. Same
+    /// distribution as [`Self::walk`] from the genesis (or, for a windowed
+    /// table, from a uniformly drawn window entry), not the same tip per
+    /// generator.
+    pub fn draw_tip(&self, rng: &mut dyn rand::Rng) -> TxId {
+        let total = *self.cdf.last().expect("a snapshot has a tip");
+        let r = rng.random_range(0.0..total);
+        self.tips[self.cdf.partition_point(|&c| c <= r)]
     }
 
     /// Walk over `tangle` from `start` to a tip, which is returned;
@@ -326,9 +379,10 @@ impl RandomWalk {
         Rows::new(self.alpha, move |a: TxId| weights[a.index()] as f64)
     }
 
-    /// The transition table of `tangle` under its cumulative `weights`:
-    /// build it once per snapshot and run every walk of that snapshot over
-    /// it (confidence sampling, per-node tip sampling).
+    /// The transition table of `tangle` under its cumulative `weights`,
+    /// with the exit distribution of a walk from the genesis: build it once
+    /// per snapshot, run every confidence walk of that snapshot over it and
+    /// draw every tip from it ([`WalkTable::draw_tip`]).
     ///
     /// # Panics
     /// Panics if α is not finite and non-negative.
@@ -399,13 +453,18 @@ impl WindowedWalk {
         Self { walk, window }
     }
 
-    /// The transition table of `tangle` (see [`RandomWalk::table`]) with
-    /// the entry particles of this window, collected once from `depths`
-    /// (see [`crate::analysis::depths`]).
+    /// The transition table of `tangle` (see [`RandomWalk::table`]) whose
+    /// exit distribution starts uniformly on the entry particles of this
+    /// window, collected once from `depths` (see
+    /// [`crate::analysis::depths`]).
     pub fn table<T: TangleRead>(&self, tangle: &T, weights: &[u32], depths: &[u32]) -> WalkTable {
         assert_eq!(depths.len(), tangle.len(), "depths/tangle length mismatch");
-        let entries = Some(window_entries(depths, self.window));
-        WalkTable::build(tangle, &self.walk.rows(tangle.len(), weights), entries)
+        let entries = window_entries(depths, self.window);
+        WalkTable::build(
+            tangle,
+            &self.walk.rows(tangle.len(), weights),
+            Some(&entries),
+        )
     }
 
     /// Select a tip with precomputed cumulative weights and depths
@@ -675,7 +734,7 @@ mod tests {
                 .filter(|&i| (window..=2 * window).contains(&d[i]))
                 .map(|i| TxId(i as u32))
                 .collect();
-            prop_assert_eq!(table.entries.as_ref(), Some(&scan));
+            prop_assert_eq!(window_entries(&d, window), scan.clone());
             // Same start for the same seed, then the reference walk.
             let mut r = rng(seed);
             let start = match scan.len() {
@@ -685,13 +744,163 @@ mod tests {
             let want = reference_walk(&t, start, 0.5, |a| w[a.index()] as f64, &mut r);
             let want = (*want.last().unwrap(), r.random::<u64>());
             let mut r = rng(seed);
-            let entry = table.entry(&mut r).expect("a windowed table");
+            let entry = draw_entry(&scan, &mut r);
             prop_assert_eq!(entry, start);
             let tip = table.walk(&t, entry, &mut r, |_| {});
             prop_assert_eq!((tip, r.random::<u64>()), want);
             let mut r = rng(seed);
             let tip = ww.select_tip_with_weights(&t, &w, &d, &mut r);
             prop_assert_eq!((tip, r.random::<u64>()), want);
+        }
+    }
+
+    /// The exit distribution by an independent descending DP: `e[x][τ]` is
+    /// the chance that a walk from `x` ends at tip `τ`, with `e[τ] = δ_τ`
+    /// and `e[x] = Σ_y P(x→y) · e[y]`, the transition probabilities
+    /// recomputed here from the weights.
+    fn exit_dp<T: TangleRead>(tangle: &T, alpha: f64, w: &[u32]) -> Vec<Vec<f64>> {
+        let n = tangle.len();
+        let mut e = vec![vec![0.0f64; n]; n];
+        for x in (0..n).rev() {
+            let approvers = tangle.approvers(TxId(x as u32));
+            let mut here = vec![0.0f64; n];
+            if approvers.is_empty() {
+                here[x] = 1.0;
+            }
+            let max = approvers.iter().map(|a| w[a.index()]).max().unwrap_or(0) as f64;
+            let p: Vec<f64> = approvers
+                .iter()
+                .map(|a| (alpha * (w[a.index()] as f64 - max)).exp())
+                .collect();
+            let sum: f64 = p.iter().sum();
+            for (a, pa) in approvers.iter().zip(&p) {
+                for (h, ea) in here.iter_mut().zip(&e[a.index()]) {
+                    *h += pa / sum * ea;
+                }
+            }
+            e[x] = here;
+        }
+        e
+    }
+
+    /// The exit mass per transaction id that `table` draws from.
+    fn exit_mass(table: &WalkTable, n: usize) -> Vec<f64> {
+        let mut mass = vec![0.0f64; n];
+        let mut below = 0.0;
+        for (tip, &c) in table.tips.iter().zip(&table.cdf) {
+            mass[tip.index()] = c - below;
+            below = c;
+        }
+        mass
+    }
+
+    /// The plain table's and a windowed table's exit masses against the
+    /// DP, to 1e-12.
+    fn check_exit_masses<T: TangleRead>(
+        tangle: &T,
+        alpha: f64,
+        window: u32,
+    ) -> Result<(), TestCaseError> {
+        let (w, d) = (cumulative_weights(tangle), depths(tangle));
+        let e = exit_dp(tangle, alpha, &w);
+        let walk = RandomWalk::new(alpha);
+        let entries = window_entries(&d, window);
+        let windowed: Vec<f64> = match entries.len() {
+            0 => e[tangle.genesis().index()].clone(),
+            k => (0..tangle.len())
+                .map(|t| entries.iter().map(|x| e[x.index()][t]).sum::<f64>() / k as f64)
+                .collect(),
+        };
+        let tables = [
+            (walk.table(tangle, &w), &e[tangle.genesis().index()]),
+            (
+                WindowedWalk::new(walk, window).table(tangle, &w, &d),
+                &windowed,
+            ),
+        ];
+        for (table, want) in &tables {
+            let got = exit_mass(table, tangle.len());
+            for (i, (g, x)) in got.iter().zip(want.iter()).enumerate() {
+                prop_assert!((g - x).abs() <= 1e-12, "tx {i}: table {g}, DP {x}");
+            }
+            for tip in &table.tips {
+                prop_assert!(tangle.approvers(*tip).is_empty(), "{tip} is not a tip");
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn walk_table_exit_masses_match_a_descending_dp(
+            script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
+            window in 1u32..6,
+            cut in any::<usize>(),
+        ) {
+            let t = scripted(&script);
+            let view = TangleView::new(&t, 1 + cut % t.len());
+            for alpha in ALPHAS {
+                check_exit_masses(&t, alpha, window)?;
+                check_exit_masses(&view, alpha, window)?;
+            }
+        }
+    }
+
+    /// `hits` out of `n` trials against `mass`, within 5σ of the binomial.
+    fn assert_binomial(hits: &[u64], mass: &[f64], n: u64, what: &str) {
+        for (i, (&k, &m)) in hits.iter().zip(mass).enumerate() {
+            let (mean, sd) = (n as f64 * m, (n as f64 * m * (1.0 - m)).sqrt());
+            assert!(
+                (k as f64 - mean).abs() <= 5.0 * sd,
+                "{what}: tx {i} hit {k} times, mass {m} expects {mean:.1} ± {sd:.1}"
+            );
+        }
+    }
+
+    #[test]
+    fn walk_table_exit_mass_is_where_walks_and_draws_land() {
+        const N: u64 = 200_000;
+        let mut script_rng = rng(0x5EED);
+        let script: Vec<(u8, u8)> = (0..60)
+            .map(|_| (script_rng.random(), script_rng.random()))
+            .collect();
+        let t = scripted(&script);
+        let w = cumulative_weights(&t);
+        for (seed, alpha) in [(1, 0.05), (2, 0.5), (3, 8.0)] {
+            let table = RandomWalk::new(alpha).table(&t, &w);
+            let mass = exit_mass(&table, t.len());
+            assert!(table.tips.len() >= 2, "α = {alpha}: too few reachable tips");
+            let (mut walks, mut draws) = (vec![0u64; t.len()], vec![0u64; t.len()]);
+            let mut r = rng(seed);
+            for _ in 0..N {
+                walks[table.walk(&t, t.genesis(), &mut r, |_| {}).index()] += 1;
+                draws[table.draw_tip(&mut r).index()] += 1;
+            }
+            assert_binomial(&walks, &mass, N, &format!("walks, α = {alpha}"));
+            assert_binomial(&draws, &mass, N, &format!("draws, α = {alpha}"));
+        }
+    }
+
+    #[test]
+    fn walk_table_exit_zero_mass_tip_is_never_drawn() {
+        // At α = 1000 the genesis never steps to the light b: its exit mass
+        // is exactly zero and it is not among the drawable tips.
+        let (t, _, b, c) = forked();
+        let table = RandomWalk::new(1000.0).table(&t, &cumulative_weights(&t));
+        assert_eq!(
+            (table.tips.as_slice(), table.cdf.as_slice()),
+            (&[c][..], &[1.0][..])
+        );
+        let mut r = rng(10);
+        assert!((0..1000).all(|_| table.draw_tip(&mut r) == c), "drew {b}");
+        // A genesis-only snapshot draws the genesis, plain or windowed.
+        let g = Tangle::new(0u8);
+        let (w, d) = (cumulative_weights(&g), depths(&g));
+        let windowed = WindowedWalk::new(RandomWalk::default(), 2).table(&g, &w, &d);
+        for table in [RandomWalk::default().table(&g, &w), windowed] {
+            assert_eq!(table.draw_tip(&mut r), g.genesis());
         }
     }
 
@@ -711,7 +920,7 @@ mod tests {
             rng(5).random::<u64>(),
             "the walk drew from its generator"
         );
-        assert_eq!(table.entry(&mut rng(5)), None, "not a windowed table");
+        assert!(!table.is_windowed());
     }
 
     #[test]
@@ -788,9 +997,11 @@ mod tests {
         let (w, d) = (cumulative_weights(&t), depths(&t));
         let ww = WindowedWalk::new(RandomWalk::default(), u32::MAX);
         let table = ww.table(&t, &w, &d);
-        assert_eq!(table.entries.as_deref(), Some(&[][..]));
+        assert!(table.is_windowed() && window_entries(&d, u32::MAX).is_empty());
+        let plain = ww.walk.table(&t, &w);
+        assert_eq!((&table.tips, &table.cdf), (&plain.tips, &plain.cdf));
         let mut r = rng(4);
-        assert_eq!(table.entry(&mut r), Some(t.genesis()));
+        assert_eq!(draw_entry(&[], &mut r), t.genesis());
         assert_eq!(r.random::<u64>(), rng(4).random::<u64>(), "no entry draw");
         let tip = ww.select_tip_with_weights(&t, &w, &d, &mut rng(4));
         assert!(tip == b || tip == c);

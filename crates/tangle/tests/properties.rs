@@ -293,8 +293,15 @@ fn table_walks_match_context_free<T: TangleRead>(
     let windowed = WindowedWalk::new(plain, window);
     let table = windowed.table(tangle, &w, &d);
     let (mut a, mut b) = (rng(), rng());
-    let start = table.entry(&mut a).expect("a windowed table has an entry");
-    prop_assert!(start == genesis || (window..=2 * window).contains(&d[start.index()]));
+    // The selector's start: a uniform window entry, or the genesis.
+    let entries: Vec<TxId> = (0..tangle.len() as u32)
+        .map(TxId)
+        .filter(|x| (window..=2 * window).contains(&d[x.index()]))
+        .collect();
+    let start = match entries.len() {
+        0 => genesis,
+        n => entries[a.random_range(0..n)],
+    };
     let tip = table.walk(tangle, start, &mut a, |_| {});
     prop_assert_eq!(
         tip,

@@ -60,10 +60,8 @@ pub struct RoundEvent {
     /// The reference set used this round (empty under per-node stale
     /// views, where no single shared reference exists).
     pub reference: Vec<ReferenceEntry>,
-    /// Tip-selection walks taken so far (cumulative).
+    /// Tips drawn so far (cumulative).
     pub walk_count: u64,
-    /// Total hops over those walks (cumulative).
-    pub walk_len_sum: u64,
     /// Wall time per phase in microseconds; `None` unless span timings
     /// are enabled (they are off by default to keep output deterministic).
     pub phase_us: Option<BTreeMap<String, u64>>,
@@ -123,7 +121,6 @@ mod tests {
                 rating: 12,
             }],
             walk_count: 90,
-            walk_len_sum: 410,
             phase_us: None,
         });
         let line = serde_json::to_string(&ev).unwrap();
@@ -176,7 +173,6 @@ mod tests {
             tangle_len: 1,
             reference: vec![],
             walk_count: 0,
-            walk_len_sum: 0,
             phase_us: Some(phase_us),
         };
         let line = serde_json::to_string(&ev).unwrap();

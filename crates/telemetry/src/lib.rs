@@ -6,7 +6,7 @@
 //!    counters and fixed-bucket histograms with atomic recording and
 //!    plain-data, mergeable [`MetricsSnapshot`]s.
 //! 2. **Span timers** ([`Telemetry::span`], [`PhaseRecorder`]): RAII
-//!    wall-clock timers for hot paths (tip-selection walks, confidence
+//!    wall-clock timers for hot paths (tip draws, confidence
 //!    sampling, local training, wire encode/decode), recorded into
 //!    histograms in microseconds.
 //! 3. **Structured events** ([`Event`], [`TelemetrySink`]): per-round

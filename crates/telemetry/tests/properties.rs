@@ -174,7 +174,6 @@ proptest! {
             tangle_len,
             reference,
             walk_count: sampled * 2,
-            walk_len_sum: sampled * 11,
             phase_us,
         });
         let line = serde_json::to_string(&ev).unwrap();

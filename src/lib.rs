@@ -13,7 +13,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`ledger`] | `tangle-ledger` | DAG ledger, tip-selection walks, confidence/rating analysis, PoW, DOT export |
+//! | [`ledger`] | `tangle-ledger` | DAG ledger, tip selection (walks and exit-mass draws), confidence/rating analysis, PoW, DOT export |
 //! | [`nn`] | `tinynn` | tensors, CNN/LSTM layers, manual backprop, SGD, parameter vectors |
 //! | [`data`] | `feddata` | synthetic FEMNIST / Shakespeare / blob federated datasets |
 //! | [`baseline`] | `fedavg` | the centralized federated-averaging baseline |
