@@ -20,11 +20,10 @@
 //! replica-backed caches (the gossip learner) additionally clear the
 //! cache outright on crash/restore (see `Network::restarts`).
 //!
-//! [`ScratchPool`] removes the other fixed cost of `node_step`: instead of
-//! rebuilding a fresh `Sequential` per node per round, workers check
-//! models out of a shared pool and `ParamVec::assign_to` overwrites every
-//! parameter before use (layers keep no other state between calls), so
-//! reuse is bit-identical to rebuilding.
+//! A miss costs one in-place evaluation: `Sequential::evaluate_params`
+//! reads the transaction's payload where the ledger holds it, under the
+//! one architecture every worker shares, so no model is built, checked
+//! out or loaded per evaluation.
 //!
 //! Cache behaviour is observable through the `eval_cache.hits` /
 //! `eval_cache.misses` / `eval_cache.evictions` /
@@ -33,9 +32,7 @@
 //! hold.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
 use tangle_ledger::TxId;
-use tinynn::Sequential;
 
 /// Default per-node entry capacity. Sized for the experiment-scale runs
 /// (thousands of transactions per ledger): one entry per transaction a
@@ -190,57 +187,6 @@ impl EvalCache {
     }
 }
 
-/// Maximum idle models retained by a [`ScratchPool`]; beyond the worker
-/// count there is nothing to reuse.
-const MAX_POOLED: usize = 64;
-
-/// A shared pool of scratch [`Sequential`] models of one architecture.
-///
-/// `node_step` needs a mutable model to evaluate candidates and train on,
-/// but every use starts with `ParamVec::assign_to`, which overwrites all
-/// parameters — and layers carry no other state between calls (forward
-/// activations live in explicit per-call caches). Checking a model out of
-/// the pool is therefore bit-identical to building a fresh one, at zero
-/// allocation cost after warm-up.
-pub struct ScratchPool<'a> {
-    build: Box<dyn Fn() -> Sequential + Sync + 'a>,
-    free: Mutex<Vec<Sequential>>,
-}
-
-impl<'a> ScratchPool<'a> {
-    /// A pool that manufactures models with `build` on demand.
-    pub fn new(build: Box<dyn Fn() -> Sequential + Sync + 'a>) -> Self {
-        Self {
-            build,
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Construct a model outside the pool (for callers that need the raw
-    /// architecture, e.g. dataset-wide evaluation helpers).
-    pub fn fresh(&self) -> Sequential {
-        (self.build)()
-    }
-
-    /// Check a scratch model out (reused if available, built otherwise).
-    /// Callers must assign parameters before use.
-    pub fn take(&self) -> Sequential {
-        self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_else(|| (self.build)())
-    }
-
-    /// Return a model to the pool.
-    pub fn put(&self, model: Sequential) {
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
-        if free.len() < MAX_POOLED {
-            free.push(model);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,21 +261,5 @@ mod tests {
             reference_key(&[TxId(2), TxId(1)], 0),
             "reference keys are order-sensitive (choose_reference output is ranked)"
         );
-    }
-
-    #[test]
-    fn scratch_pool_reuses_models() {
-        let mut built = 0usize;
-        let counter = std::sync::Mutex::new(&mut built);
-        // Count constructions through a side channel.
-        let pool = ScratchPool::new(Box::new(|| {
-            **counter.lock().unwrap() += 1;
-            tinynn::zoo::mlp(4, &[3], 2, &mut tinynn::rng::seeded(1))
-        }));
-        let a = pool.take();
-        pool.put(a);
-        let _b = pool.take(); // reused, not rebuilt
-        drop(pool);
-        assert_eq!(built, 1);
     }
 }

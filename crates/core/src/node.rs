@@ -3,7 +3,7 @@
 //! the publish gate (Algorithm 2).
 
 use crate::config::SimConfig;
-use crate::eval_cache::{reference_key, tx_key, EvalCache, ScratchPool};
+use crate::eval_cache::{reference_key, tx_key, EvalCache};
 use fedavg::local_train;
 use feddata::ClientData;
 use rand::RngExt;
@@ -326,53 +326,54 @@ pub struct StepOutcome {
     pub reference_loss: Option<f32>,
 }
 
-/// Evaluate `params` on a client's held-out data, returning `(loss,
-/// accuracy)` — the pair an [`EvalCache`] memoizes.
-fn eval_params(model: &mut Sequential, params: &ParamVec, data: &ClientData) -> (f32, f32) {
-    params.assign_to(model);
-    model.evaluate(&data.test_x, &data.test_y)
+/// Evaluate `params` in place under `model`'s architecture on a client's
+/// held-out data, returning `(loss, accuracy)` — the pair an [`EvalCache`]
+/// memoizes.
+fn eval_params(model: &Sequential, params: &ParamVec, data: &ClientData) -> (f32, f32) {
+    model.evaluate_params(params.as_slice(), &data.test_x, &data.test_y)
 }
 
 /// Execute one node-round (the paper's Algorithm 2, §III-E variant when
 /// `tip_validation` is on).
 ///
-/// `scratch` lends models of the shared architecture; `rng` drives this
-/// node's walks and batch shuffles; `cache` memoizes this node's
-/// evaluations across steps. The cache only changes what is *recomputed*,
-/// never what is computed: evaluations are pure in the parameters and the
-/// node's data, scratch models are fully overwritten before use, and cache
-/// probes consume no randomness.
+/// `model` is the shared architecture: every candidate is evaluated in
+/// place from its ledger payload, and training runs on a copy carrying the
+/// averaged parents. `rng` drives this node's walks and batch shuffles;
+/// `cache` memoizes this node's evaluations across steps. The cache only
+/// changes what is *recomputed*, never what is computed: evaluations are
+/// pure in the parameters and the node's data, and cache probes consume no
+/// randomness.
 pub fn node_step<T: TangleRead<Payload = ModelParams> + Sync>(
     node: &Node,
     ctx: &RoundContext<'_, T>,
-    scratch: &ScratchPool<'_>,
+    model: &Sequential,
     cfg: &SimConfig,
     rng: &mut impl RngExt,
     cache: &mut EvalCache,
 ) -> StepOutcome {
     match node.behaviour(ctx.round) {
         Behaviour::RandomNoise => random_poison_step(node, ctx, cfg, rng),
-        Behaviour::Honest => honest_step(node, &node.data, 0, ctx, scratch, cfg, rng, cache),
+        Behaviour::Honest => honest_step(node, &node.data, 0, ctx, model, cfg, rng, cache),
         Behaviour::FlippedTraining => {
             let data = node
                 .poisoned_data
                 .as_ref()
                 .expect("data poisoner constructed with poisoned data");
-            honest_step(node, data, 1, ctx, scratch, cfg, rng, cache)
+            honest_step(node, data, 1, ctx, model, cfg, rng, cache)
         }
     }
 }
 
 /// `(loss, accuracy)` of the models carried by `ids` on `data`, in the
 /// order of `ids`: probe the cache for every id, evaluate the misses in
-/// parallel over pooled scratch models (evaluation draws no randomness, so
-/// the split cannot perturb the run), and memoize them.
+/// parallel, each payload in place (evaluation draws no randomness, so the
+/// split cannot perturb the run), and memoize them.
 fn eval_transactions<T: TangleRead<Payload = ModelParams> + Sync>(
     ids: &[TxId],
     data: &ClientData,
     data_tag: u64,
     ctx: &RoundContext<'_, T>,
-    scratch: &ScratchPool<'_>,
+    model: &Sequential,
     cache: &mut EvalCache,
 ) -> Vec<(f32, f32)> {
     let sig = |id: TxId| ctx.tangle.history_sig(id.index() + 1);
@@ -386,12 +387,7 @@ fn eval_transactions<T: TangleRead<Payload = ModelParams> + Sync>(
     }
     let computed: Vec<(f32, f32)> = misses
         .par_iter()
-        .map(|&slot| {
-            let mut m = scratch.take();
-            let eval = eval_params(&mut m, &ctx.tangle.get(ids[slot]).payload, data);
-            scratch.put(m);
-            eval
-        })
+        .map(|&slot| eval_params(model, &ctx.tangle.get(ids[slot]).payload, data))
         .collect();
     for (&slot, &(loss, acc)) in misses.iter().zip(&computed) {
         let id = ids[slot];
@@ -407,13 +403,12 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     data: &ClientData,
     data_tag: u64,
     ctx: &RoundContext<'_, T>,
-    scratch: &ScratchPool<'_>,
+    model: &Sequential,
     cfg: &SimConfig,
     rng: &mut impl RngExt,
     cache: &mut EvalCache,
 ) -> StepOutcome {
     let hyper = &cfg.hyper;
-    let mut model = scratch.take();
 
     // Reference loss, memoized on (ranked reference id set, history
     // signature up to the newest reference transaction).
@@ -429,7 +424,7 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
         match cache.get(key, sig, &ctx.telemetry) {
             Some((loss, _)) => loss,
             None => {
-                let (loss, acc) = eval_params(&mut model, &ctx.reference, data);
+                let (loss, acc) = eval_params(model, &ctx.reference, data);
                 cache.insert(key, sig, loss, acc, &ctx.telemetry);
                 loss
             }
@@ -442,7 +437,7 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     // biased by each model's accuracy on this node's local data.
     let bias: Option<Vec<f64>> = (hyper.accuracy_bias > 0.0).then(|| {
         let all: Vec<TxId> = (0..ctx.tangle.len() as u32).map(TxId).collect();
-        eval_transactions(&all, data, data_tag, ctx, scratch, cache)
+        eval_transactions(&all, data, data_tag, ctx, model, cache)
             .into_iter()
             .map(|(_, acc)| hyper.accuracy_bias * acc as f64)
             .collect()
@@ -471,7 +466,7 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
         // Scored in `distinct` order, so the stable sort breaks loss ties
         // towards the lower transaction id.
         let mut scored: Vec<(f32, TxId)> =
-            eval_transactions(&distinct, data, data_tag, ctx, scratch, cache)
+            eval_transactions(&distinct, data, data_tag, ctx, model, cache)
                 .into_iter()
                 .zip(distinct)
                 .map(|((loss, _), tip)| (loss, tip))
@@ -494,12 +489,12 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
         .collect();
     let avg = ParamVec::average(&payloads);
 
-    // Train locally from the averaged base.
-    avg.assign_to(&mut model);
+    // Train locally from the averaged base, on a model sharing the layers.
+    let mut trained = model.with_params(avg.0);
     {
         let _span = ctx.telemetry.span("node.local_train_us");
         local_train(
-            &mut model,
+            &mut trained,
             data,
             cfg.local_epochs,
             cfg.lr,
@@ -507,9 +502,8 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
             rng,
         );
     }
-    let new_params = ParamVec::from_model(&model);
-    let (new_loss, _) = model.evaluate(&data.test_x, &data.test_y);
-    scratch.put(model);
+    let (new_loss, _) = trained.evaluate(&data.test_x, &data.test_y);
+    let new_params = ParamVec(trained.into_params());
 
     // Publish gate: only emit if we beat the consensus reference locally.
     let publish = (new_loss < reference_loss).then_some(Publish {
@@ -560,16 +554,15 @@ mod tests {
         tinynn::zoo::mlp(8, &[12], 4, &mut seeded(7))
     }
 
-    /// One node step on a cold cache and a fresh scratch pool.
+    /// One node step on a cold cache.
     fn step<T: TangleRead<Payload = ModelParams> + Sync>(
         node: &Node,
         ctx: &RoundContext<'_, T>,
         cfg: &SimConfig,
         rng: &mut impl RngExt,
     ) -> StepOutcome {
-        let scratch = ScratchPool::new(Box::new(build));
         let mut cache = EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY);
-        node_step(node, ctx, &scratch, cfg, rng, &mut cache)
+        node_step(node, ctx, &build(), cfg, rng, &mut cache)
     }
 
     fn dataset() -> feddata::FederatedDataset {
@@ -758,11 +751,9 @@ mod tests {
         // Which tip is better *on this node's local data*? The biased walk
         // should favour that one (this is the point of the §VI bias: local
         // performance, enabling per-cluster sub-tangles).
-        let mut scratch = build();
-        let mut local_acc = |id: tangle_ledger::TxId| {
-            tangle.get(id).payload.assign_to(&mut scratch);
-            scratch.evaluate(&node.data.test_x, &node.data.test_y).1
-        };
+        let arch = build();
+        let local_acc =
+            |id: tangle_ledger::TxId| eval_params(&arch, &tangle.get(id).payload, &node.data).1;
         let (acc_good, acc_noise) = (local_acc(good), local_acc(noise));
         let winner = if acc_good >= acc_noise { good } else { noise };
         let mut winner_hits = 0;
@@ -785,14 +776,17 @@ mod tests {
         );
     }
 
-    /// Evaluate `params` on a client's held-out data, returning the loss.
-    fn validation_loss(model: &mut Sequential, params: &ParamVec, data: &ClientData) -> f32 {
-        eval_params(model, params, data).0
+    /// Load a copy of `params` into a model of `arch` and evaluate it on a
+    /// client's held-out data — the copy-then-evaluate form that scoring in
+    /// place replaced.
+    fn loaded_eval(arch: &Sequential, params: &ParamVec, data: &ClientData) -> (f32, f32) {
+        let model = arch.with_params(params.as_slice().to_vec());
+        model.evaluate(&data.test_x, &data.test_y)
     }
 
     /// Oracle for [`node_step`] on an honest node: Algorithm 2 as the paper
-    /// states it — one model, every evaluation, tip draw and biased walk in
-    /// a serial loop, nothing memoized.
+    /// states it — every evaluation on a model loaded with a copy, every tip
+    /// draw and biased walk in a serial loop, nothing memoized.
     fn naive_step(
         node: &Node,
         ctx: &RoundContext<'_>,
@@ -801,17 +795,13 @@ mod tests {
     ) -> StepOutcome {
         let hyper = &cfg.hyper;
         let data = &node.data;
-        let mut model = build();
-        let reference_loss = validation_loss(&mut model, &ctx.reference, data);
+        let arch = build();
+        let reference_loss = loaded_eval(&arch, &ctx.reference, data).0;
         let bias: Option<Vec<f64>> = (hyper.accuracy_bias > 0.0).then(|| {
             ctx.tangle
                 .transactions()
                 .iter()
-                .map(|tx| {
-                    tx.payload.assign_to(&mut model);
-                    let (_, acc) = model.evaluate(&data.test_x, &data.test_y);
-                    hyper.accuracy_bias * acc as f64
-                })
+                .map(|tx| hyper.accuracy_bias * loaded_eval(&arch, &tx.payload, data).1 as f64)
                 .collect()
         });
         let k = hyper.sample_size.max(hyper.num_tips);
@@ -837,7 +827,7 @@ mod tests {
             let mut scored: Vec<(f32, TxId)> = distinct
                 .into_iter()
                 .map(|tip| {
-                    let loss = validation_loss(&mut model, &ctx.tangle.get(tip).payload, data);
+                    let loss = loaded_eval(&arch, &ctx.tangle.get(tip).payload, data).0;
                     (loss, tip)
                 })
                 .collect();
@@ -854,7 +844,7 @@ mod tests {
             .iter()
             .map(|id| ctx.tangle.get(*id).payload.as_ref())
             .collect();
-        ParamVec::average(&payloads).assign_to(&mut model);
+        let mut model = arch.with_params(ParamVec::average(&payloads).0);
         local_train(
             &mut model,
             data,
@@ -908,10 +898,10 @@ mod tests {
 
     #[test]
     fn node_step_matches_the_naive_algorithm() {
-        // The production step — memoized, candidates evaluated as a rayon
-        // batch, pooled scratch models — must agree to the bit with
-        // the serial uncached statement of Algorithm 2, on a cold cache and
-        // on a warm one.
+        // The production step — memoized, candidates evaluated in place as
+        // a rayon batch — must agree to the bit with the serial uncached
+        // statement of Algorithm 2 on loaded copies, on a cold cache and on
+        // a warm one.
         let ds = dataset();
         let tangle = grown_tangle(&ds);
         let validated = crate::TangleHyperParams {
@@ -954,7 +944,7 @@ mod tests {
             };
             let tel = Telemetry::new(lt_telemetry::NoopSink);
             let ctx = RoundContext::build(&tangle, &cfg, 1, 5, tel.clone());
-            let scratch = ScratchPool::new(Box::new(build));
+            let arch = build();
             for ni in 0..3 {
                 let node = Node::honest(ni, ds.clients[ni].clone());
                 let naive = naive_step(&node, &ctx, &cfg, &mut seeded(60 + ni as u64));
@@ -962,7 +952,7 @@ mod tests {
                 let hits_before = tel.counter_value("eval_cache.hits");
                 for pass in ["cold", "warm"] {
                     let mut rng = seeded(60 + ni as u64);
-                    let out = node_step(&node, &ctx, &scratch, &cfg, &mut rng, &mut cache);
+                    let out = node_step(&node, &ctx, &arch, &cfg, &mut rng, &mut cache);
                     assert_eq!(
                         outcome_bits(&out),
                         outcome_bits(&naive),

@@ -9,13 +9,14 @@
 
 use crate::config::{SimConfig, TangleHyperParams};
 use crate::dp::DpConfig;
-use crate::eval_cache::{EvalCache, ScratchPool, DEFAULT_EVAL_CACHE_CAPACITY};
+use crate::eval_cache::{EvalCache, DEFAULT_EVAL_CACHE_CAPACITY};
 use crate::node::{node_step, walk_table, ModelParams, Node, RoundContext, StepOutcome};
 use feddata::{ClientData, FederatedDataset};
 use lt_telemetry::{Event, PhaseRecorder, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
 use rand::RngExt;
 use rayon::prelude::*;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, PoisonError};
 use tangle_ledger::walk::WalkTable;
 use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TangleView};
@@ -87,9 +88,9 @@ impl PrefixAnalysis {
 pub struct Simulation<'a> {
     nodes: Vec<Node>,
     tangle: Tangle<ModelParams>,
-    /// Scratch models of the shared architecture, reused across rounds and
-    /// workers (params are fully assigned before every use).
-    scratch: ScratchPool<'a>,
+    /// The shared architecture: every worker evaluates ledger payloads in
+    /// place under it and trains on a copy sharing its layers.
+    model: Sequential,
     cfg: SimConfig,
     dp: Option<DpConfig>,
     round: u64,
@@ -112,6 +113,8 @@ pub struct Simulation<'a> {
     eval: Vec<Mutex<EvalCache>>,
     /// Observability handle; disabled (no-op) unless attached.
     telemetry: Telemetry,
+    /// Unused; kept only because `benchmark/` names `Simulation<'static>`.
+    _lifetime: PhantomData<&'a ()>,
 }
 
 /// One fresh eval cache per node.
@@ -125,21 +128,18 @@ impl<'a> Simulation<'a> {
     /// Create a simulation over a federated dataset. The genesis
     /// transaction carries one fresh model initialization — the shared
     /// starting point, like the initial model a FedAvg server distributes.
-    pub fn new(
-        data: FederatedDataset,
-        cfg: SimConfig,
-        build: impl Fn() -> Sequential + Sync + 'a,
-    ) -> Self {
-        let genesis = Arc::new(ParamVec::from_model(&build()));
-        Self::from_ledger(data, cfg, build, Tangle::new(genesis), 0)
+    pub fn new(data: FederatedDataset, cfg: SimConfig, build: impl FnOnce() -> Sequential) -> Self {
+        let model = build();
+        let genesis = Arc::new(ParamVec::from_model(&model));
+        Self::from_ledger(data, cfg, model, Tangle::new(genesis), 0)
     }
 
-    /// A simulation whose ledger is `tangle` after `round` completed
-    /// rounds.
+    /// A simulation of architecture `model` whose ledger is `tangle` after
+    /// `round` completed rounds.
     fn from_ledger(
         data: FederatedDataset,
         cfg: SimConfig,
-        build: impl Fn() -> Sequential + Sync + 'a,
+        model: Sequential,
         tangle: Tangle<ModelParams>,
         round: u64,
     ) -> Self {
@@ -154,13 +154,14 @@ impl<'a> Simulation<'a> {
             nodes,
             cache: cfg.network.is_none().then(|| AnalysisCache::new(&tangle)),
             tangle,
-            scratch: ScratchPool::new(Box::new(build)),
+            model,
             cfg,
             dp: None,
             round,
             prefixes: VecDeque::new(),
             lost_publications: 0,
             telemetry: Telemetry::disabled(),
+            _lifetime: PhantomData,
         }
     }
 
@@ -205,10 +206,11 @@ impl<'a> Simulation<'a> {
     pub fn resume(
         data: FederatedDataset,
         cfg: SimConfig,
-        build: impl Fn() -> Sequential + Sync + 'a,
+        build: impl FnOnce() -> Sequential,
         tangle: Tangle<ModelParams>,
     ) -> Self {
-        let expect = build().param_count();
+        let model = build();
+        let expect = model.param_count();
         for tx in tangle.transactions() {
             assert_eq!(
                 tx.payload.len(),
@@ -216,7 +218,7 @@ impl<'a> Simulation<'a> {
                 "persisted ledger does not match the model architecture"
             );
         }
-        let mut sim = Self::from_ledger(data, cfg, build, tangle, 1);
+        let mut sim = Self::from_ledger(data, cfg, model, tangle, 1);
         if sim.cfg.network.is_some() {
             // Round 0 of the synthetic history: the genesis alone.
             sim.prefixes.push_back(PrefixAnalysis::compute(
@@ -389,7 +391,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// Algorithm 2 for node `ni` on `ctx`, through the node's eval cache
-    /// and the shared scratch models.
+    /// and the shared architecture.
     fn step_node<T: TangleRead<Payload = ModelParams> + Sync>(
         &self,
         ni: usize,
@@ -399,7 +401,7 @@ impl<'a> Simulation<'a> {
         let out = node_step(
             &self.nodes[ni],
             ctx,
-            &self.scratch,
+            &self.model,
             &self.cfg,
             node_rng,
             &mut self.eval[ni].lock().unwrap_or_else(PoisonError::into_inner),
@@ -572,9 +574,7 @@ impl<'a> Simulation<'a> {
     pub fn evaluate(&self, eval_seed: u64) -> EvalResult {
         let (reference, poisoned_frac) = self.reference_info();
         let clients = self.eval_pool(eval_seed);
-        let mut model = self.scratch.take();
-        let (loss, accuracy) = fedavg::evaluate_params(&mut model, &reference, &clients);
-        self.scratch.put(model);
+        let (loss, accuracy) = fedavg::evaluate_params(&self.model, &reference, &clients);
         EvalResult {
             accuracy,
             loss,
@@ -589,8 +589,7 @@ impl<'a> Simulation<'a> {
     pub fn backdoor_success(&self, target: u32, patch: usize, eval_seed: u64) -> f32 {
         let (reference, _) = self.reference_info();
         let clients = self.eval_pool(eval_seed);
-        let mut model = self.scratch.take();
-        reference.assign_to(&mut model);
+        let model = self.model.with_params(reference.0);
         let mut total = 0usize;
         let mut hit = 0usize;
         for c in clients {
@@ -609,7 +608,6 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-        self.scratch.put(model);
         if total == 0 {
             0.0
         } else {
@@ -622,8 +620,7 @@ impl<'a> Simulation<'a> {
     pub fn target_misclassification(&self, src: u32, dst: u32, eval_seed: u64) -> f32 {
         let (reference, _) = self.reference_info();
         let clients = self.eval_pool(eval_seed);
-        let mut model = self.scratch.take();
-        reference.assign_to(&mut model);
+        let model = self.model.with_params(reference.0);
         let mut total = 0usize;
         let mut hit = 0usize;
         for c in clients {
@@ -641,7 +638,6 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-        self.scratch.put(model);
         if total == 0 {
             0.0
         } else {
@@ -1219,7 +1215,7 @@ mod tests {
                 |p: &ParamVec| -> Vec<u32> { p.as_slice().iter().map(|v| v.to_bits()).collect() };
             assert_eq!(bits(&params), bits(&batch.reference));
             let (loss, accuracy) =
-                fedavg::evaluate_params(&mut build(), &batch.reference, &sim.eval_pool(0));
+                fedavg::evaluate_params(&build(), &batch.reference, &sim.eval_pool(0));
             assert_eq!(
                 (eval.loss.to_bits(), eval.accuracy.to_bits()),
                 (loss.to_bits(), accuracy.to_bits())

@@ -78,33 +78,31 @@ pub struct RoundStats {
 
 /// A federated-averaging run over a fixed dataset and model architecture.
 ///
-/// The model builder is invoked once to create the shared architecture and
-/// initial global parameters; per-client working copies are rebuilt from
-/// the builder so that rounds can run clients in parallel.
+/// Per-client working copies share the architecture's layers and carry
+/// their own parameters, so rounds can run clients in parallel.
 pub struct FedAvg<'a> {
     data: &'a FederatedDataset,
     cfg: FedAvgConfig,
-    build: Box<dyn Fn() -> Sequential + Sync + 'a>,
+    arch: Sequential,
     global: ParamVec,
     round: u64,
     poisoners: HashSet<usize>,
 }
 
 impl<'a> FedAvg<'a> {
-    /// Create a run. `build` must return the same architecture every time
-    /// (it may differ in initialization; the global model starts from one
-    /// fresh build).
+    /// Create a run. `build` is called once: its model is the shared
+    /// architecture and its parameters the initial global model.
     pub fn new(
         data: &'a FederatedDataset,
         cfg: FedAvgConfig,
-        build: impl Fn() -> Sequential + Sync + 'a,
+        build: impl FnOnce() -> Sequential,
     ) -> Self {
-        let global = ParamVec::from_model(&build());
+        let arch = build();
         Self {
             data,
             cfg,
-            build: Box::new(build),
-            global,
+            global: ParamVec::from_model(&arch),
+            arch,
             round: 0,
             poisoners: HashSet::new(),
         }
@@ -157,8 +155,7 @@ impl<'a> FedAvg<'a> {
                     let noise = sample_noise(self.global.len(), &mut local_rng);
                     return (noise, client.train_len() as f32, 0.0);
                 }
-                let mut model = (self.build)();
-                self.global.assign_to(&mut model);
+                let mut model = self.arch.with_params(self.global.0.clone());
                 let loss = local_train(
                     &mut model,
                     client,
@@ -168,7 +165,7 @@ impl<'a> FedAvg<'a> {
                     &mut local_rng,
                 );
                 (
-                    ParamVec::from_model(&model),
+                    ParamVec(model.into_params()),
                     client.train_len() as f32,
                     loss,
                 )
@@ -191,8 +188,7 @@ impl<'a> FedAvg<'a> {
     pub fn evaluate(&self, frac: f32, eval_seed: u64) -> (f32, f32) {
         let mut rng = seeded(derive(self.cfg.seed, 0xE7A1_0000 ^ eval_seed));
         let clients = sample_eval_clients(self.data, frac, &mut rng);
-        let mut model = (self.build)();
-        evaluate_params(&mut model, &self.global, &clients)
+        evaluate_params(&self.arch, &self.global, &clients)
     }
 }
 

@@ -68,15 +68,13 @@ pub fn local_train(
     last_epoch_loss
 }
 
-/// Evaluate a parameter vector on the pooled held-out data of `clients`.
-/// Returns `(loss, accuracy)`. `model` is scratch space defining the
-/// architecture; its parameters are overwritten.
+/// Evaluate a parameter vector on the pooled held-out data of `clients`,
+/// in place under `model`'s architecture. Returns `(loss, accuracy)`.
 pub fn evaluate_params(
-    model: &mut Sequential,
+    model: &Sequential,
     params: &ParamVec,
     clients: &[&ClientData],
 ) -> (f32, f32) {
-    params.assign_to(model);
     let mut loss_sum = 0.0f64;
     let mut hit_sum = 0.0f64;
     let mut rows = 0usize;
@@ -84,7 +82,7 @@ pub fn evaluate_params(
         if c.test_len() == 0 {
             continue;
         }
-        let (loss, acc) = model.evaluate(&c.test_x, &c.test_y);
+        let (loss, acc) = model.evaluate_params(params.as_slice(), &c.test_x, &c.test_y);
         let r = c.test_y.len();
         loss_sum += loss as f64 * r as f64;
         hit_sum += acc as f64 * r as f64;
@@ -159,13 +157,13 @@ mod tests {
     fn evaluate_params_weighted_by_rows() {
         let ds = blobs::generate(&BlobsConfig::default(), 2);
         let mut rng = seeded(3);
-        let mut model = tinynn::zoo::mlp(8, &[16], 4, &mut rng);
+        let model = tinynn::zoo::mlp(8, &[16], 4, &mut rng);
         let params = ParamVec::from_model(&model);
         let clients: Vec<&ClientData> = ds.clients.iter().collect();
-        let (loss, acc) = evaluate_params(&mut model, &params, &clients);
+        let (loss, acc) = evaluate_params(&model, &params, &clients);
         assert!(loss > 0.0);
         assert!((0.0..=1.0).contains(&acc));
-        assert_eq!(evaluate_params(&mut model, &params, &[]), (0.0, 0.0));
+        assert_eq!(evaluate_params(&model, &params, &[]), (0.0, 0.0));
     }
 
     #[test]

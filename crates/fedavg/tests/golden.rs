@@ -10,7 +10,7 @@ use feddata::shakespeare::{self, ShakespeareConfig};
 use feddata::ClientData;
 use tinynn::rng::seeded;
 use tinynn::zoo::{self, CnnConfig};
-use tinynn::{wire, Dense, Gradients, ParamVec, Sequential, Sgd, Tensor};
+use tinynn::{wire, Dense, LayerInit, ParamVec, Sequential, Sgd, Tensor};
 
 /// Train `model` for 2 epochs on `client` and digest the flat parameters.
 fn trained_digest(mut model: Sequential, client: &ClientData, lr: f32, batch: usize) -> u64 {
@@ -56,20 +56,16 @@ fn golden_sgd_step_signed_zero_gradients() {
     let p = [0.0f32, -0.0, 1.5, -1.5];
     let g = [0.0f32, -0.0];
     let weight: Vec<f32> = p.iter().flat_map(|&v| [v, v]).collect();
-    let mut model = Sequential::new(vec![Box::new(Dense::new(
-        Tensor::from_vec(vec![4, 2], weight),
-        Tensor::zeros(&[2]),
-    ))]);
-    let mut grads = Gradients::zeros_like(&model);
-    for (i, v) in grads.by_layer[0][0].as_mut_slice().iter_mut().enumerate() {
+    let mut model = Sequential::new(vec![LayerInit::new(
+        Dense::new(4, 2),
+        &[Tensor::from_vec(vec![4, 2], weight), Tensor::zeros(&[2])],
+    )]);
+    let mut grads = vec![0.0f32; model.param_count()];
+    for (i, v) in grads[..8].iter_mut().enumerate() {
         *v = g[i % 2];
     }
     Sgd::new(0.5).step(&mut model, &grads);
-    let bits: Vec<u32> = model.layers()[0].params()[0]
-        .as_slice()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
+    let bits: Vec<u32> = model.params()[..8].iter().map(|v| v.to_bits()).collect();
     let want = [
         0x0000_0000u32, // +0 - 0.5·(+0)
         0x0000_0000,    // +0 - 0.5·(-0)

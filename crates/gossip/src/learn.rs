@@ -10,10 +10,9 @@ use crate::message::TxMessage;
 use crate::network::{Network, NetworkConfig};
 use feddata::FederatedDataset;
 use learning_tangle::node::{node_step, ModelParams, Node, RoundContext, StepOutcome};
-use learning_tangle::{
-    eval_pool_indices, EvalCache, ScratchPool, SimConfig, DEFAULT_EVAL_CACHE_CAPACITY,
-};
+use learning_tangle::{eval_pool_indices, EvalCache, SimConfig, DEFAULT_EVAL_CACHE_CAPACITY};
 use rand::RngExt;
+use std::marker::PhantomData;
 use tangle_ledger::{AnalysisCache, Tangle};
 use tinynn::rng::{derive, seeded};
 use tinynn::{ParamVec, Sequential};
@@ -33,7 +32,7 @@ pub fn train_step(
     node: &Node,
     peer: usize,
     slot: u64,
-    scratch: &ScratchPool<'_>,
+    model: &Sequential,
     cfg: &SimConfig,
     eval: &mut EvalCache,
     telemetry: &lt_telemetry::Telemetry,
@@ -47,19 +46,19 @@ pub fn train_step(
         telemetry.clone(),
     );
     let mut node_rng = seeded(derive(cfg.seed, (slot << 24) ^ peer as u64));
-    node_step(node, &ctx, scratch, cfg, &mut node_rng, eval)
+    node_step(node, &ctx, model, cfg, &mut node_rng, eval)
 }
 
 /// Evaluate the consensus model held in `replica` exactly as
 /// [`learning_tangle::Simulation::evaluate`] does after `slot` rounds:
-/// Algorithm 1 at round `slot + 1`, evaluated on the pooled clean
-/// held-out data of the shared [`eval_pool_indices`] sample. Returns
-/// `(loss, accuracy)` — bit-identical across executors whose replicas
-/// are bit-identical.
+/// Algorithm 1 at round `slot + 1`, evaluated in place under `model`'s
+/// architecture on the pooled clean held-out data of the shared
+/// [`eval_pool_indices`] sample. Returns `(loss, accuracy)` —
+/// bit-identical across executors whose replicas are bit-identical.
 pub fn consensus_eval(
     replica: &Tangle<ModelParams>,
     nodes: &[Node],
-    scratch: &ScratchPool<'_>,
+    model: &Sequential,
     cfg: &SimConfig,
     slot: u64,
     eval_seed: u64,
@@ -73,17 +72,15 @@ pub fn consensus_eval(
     );
     let pool = eval_pool_indices(cfg.seed, eval_seed, nodes.len(), cfg.eval_fraction);
     let clients: Vec<&feddata::ClientData> = pool.iter().map(|&i| &nodes[i].data).collect();
-    let mut model = scratch.take();
-    let out = fedavg::evaluate_params(&mut model, &ctx.reference, &clients);
-    scratch.put(model);
-    out
+    fedavg::evaluate_params(model, &ctx.reference, &clients)
 }
 
 /// A gossip-network learning run.
 pub struct GossipLearning<'a> {
     network: Network,
     nodes: Vec<Node>,
-    scratch: ScratchPool<'a>,
+    /// The shared architecture every activation evaluates and trains under.
+    model: Sequential,
     cfg: SimConfig,
     /// Ticks the network advances per node activation.
     pub ticks_per_activation: u64,
@@ -109,6 +106,8 @@ pub struct GossipLearning<'a> {
     /// [`Network::restart_count`]).
     restarts_seen: Vec<u64>,
     telemetry: lt_telemetry::Telemetry,
+    /// Unused; kept only because `benchmark/` names `GossipLearning<'static>`.
+    _lifetime: PhantomData<&'a ()>,
 }
 
 impl<'a> GossipLearning<'a> {
@@ -118,9 +117,10 @@ impl<'a> GossipLearning<'a> {
         data: FederatedDataset,
         cfg: SimConfig,
         net_cfg: NetworkConfig,
-        build: impl Fn() -> Sequential + Sync + 'a,
+        build: impl FnOnce() -> Sequential,
     ) -> Self {
-        let genesis_params = ParamVec::from_model(&build());
+        let model = build();
+        let genesis_params = ParamVec::from_model(&model);
         let genesis =
             TxMessage::create(&genesis_params, vec![], u64::MAX, 0, net_cfg.pow_difficulty);
         let n = data.num_clients();
@@ -144,7 +144,7 @@ impl<'a> GossipLearning<'a> {
                 .collect(),
             restarts_seen: vec![0; n],
             nodes,
-            scratch: ScratchPool::new(Box::new(build)),
+            model,
             cfg,
             ticks_per_activation: 1,
             slot: 0,
@@ -153,6 +153,7 @@ impl<'a> GossipLearning<'a> {
             discarded: 0,
             rng,
             telemetry: lt_telemetry::Telemetry::disabled(),
+            _lifetime: PhantomData,
         }
     }
 
@@ -219,7 +220,7 @@ impl<'a> GossipLearning<'a> {
                 &self.nodes[peer],
                 peer,
                 slot,
-                &self.scratch,
+                &self.model,
                 &self.cfg,
                 &mut self.eval[peer],
                 &self.telemetry,
@@ -288,7 +289,7 @@ impl<'a> GossipLearning<'a> {
         consensus_eval(
             self.network.peer(peer).replica(),
             &self.nodes,
-            &self.scratch,
+            &self.model,
             &self.cfg,
             self.slot,
             eval_seed,
@@ -306,11 +307,8 @@ impl<'a> GossipLearning<'a> {
             derive(self.cfg.seed, 0xE7A1),
             lt_telemetry::Telemetry::disabled(),
         );
-        let mut model = self.scratch.take();
         let clients: Vec<&feddata::ClientData> = self.nodes.iter().map(|n| &n.data).collect();
-        let out = fedavg::evaluate_params(&mut model, &ctx.reference, &clients);
-        self.scratch.put(model);
-        out
+        fedavg::evaluate_params(&self.model, &ctx.reference, &clients)
     }
 }
 

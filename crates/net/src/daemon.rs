@@ -40,7 +40,7 @@ use crate::protocol::NodeProtocol;
 use crate::queue::SendQueue;
 use learning_tangle::node::Node;
 use learning_tangle::persist::PersistError;
-use learning_tangle::{EvalCache, ScratchPool, SimConfig, DEFAULT_EVAL_CACHE_CAPACITY};
+use learning_tangle::{EvalCache, SimConfig, DEFAULT_EVAL_CACHE_CAPACITY};
 use rand::RngExt;
 use std::collections::HashMap;
 use std::fs;
@@ -556,7 +556,9 @@ struct Learner {
     nodes: Vec<Node>,
     cache: AnalysisCache,
     eval: EvalCache,
-    scratch: ScratchPool<'static>,
+    /// [`Preset::build`]'s architecture, shared by every evaluation and
+    /// training step.
+    model: tinynn::Sequential,
     cfg: SimConfig,
     last_slot: u64,
 }
@@ -597,7 +599,7 @@ pub fn run_daemon(cfg: DaemonConfig) -> std::io::Result<()> {
         nodes: preset.population(),
         cache: AnalysisCache::new(proto.peer().replica()),
         eval: EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY),
-        scratch: ScratchPool::new(Box::new(Preset::build)),
+        model: Preset::build(),
         cfg: preset.sim_cfg(),
         last_slot: restored_slot,
     };
@@ -794,7 +796,7 @@ fn handle_control(
                     &learner.nodes[proto.id()],
                     proto.id(),
                     *slot,
-                    &learner.scratch,
+                    &learner.model,
                     &learner.cfg,
                     &mut learner.eval,
                     telemetry,
@@ -840,7 +842,7 @@ fn handle_control(
             let (loss, acc) = consensus_eval(
                 proto.peer().replica(),
                 &learner.nodes,
-                &learner.scratch,
+                &learner.model,
                 &learner.cfg,
                 *slot,
                 *eval_seed,

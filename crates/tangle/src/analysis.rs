@@ -456,20 +456,36 @@ impl TangleAnalysis {
     /// `confidence(t) × rating(t)` descending and return the best `n` ids.
     ///
     /// Ties break toward newer transactions (higher id), which keeps the
-    /// selection stable and favors fresher models.
+    /// selection stable and favors fresher models. The order is total, so
+    /// selecting the best `n` and sorting only those returns exactly the
+    /// first `n` of a full sort, in O(V + n log n).
+    ///
+    /// # Panics
+    /// Panics if a score is NaN.
     pub fn choose_reference(&self, confidence: &[f32], n: usize) -> Vec<TxId> {
         assert_eq!(confidence.len(), self.rating.len());
         let mut scored: Vec<(f64, u32)> = confidence
             .iter()
             .enumerate()
-            .map(|(i, &c)| (c as f64 * self.rating[i] as f64, i as u32))
+            .map(|(i, &c)| {
+                let score = c as f64 * self.rating[i] as f64;
+                assert!(!score.is_nan(), "scores are finite");
+                (score, i as u32)
+            })
             .collect();
-        scored.sort_unstable_by(|a, b| {
+        let rank = |a: &(f64, u32), b: &(f64, u32)| {
             b.0.partial_cmp(&a.0)
                 .expect("scores are finite")
                 .then(b.1.cmp(&a.1))
-        });
-        scored.into_iter().take(n).map(|(_, i)| TxId(i)).collect()
+        };
+        if n < scored.len() {
+            if n > 0 {
+                scored.select_nth_unstable_by(n - 1, rank);
+            }
+            scored.truncate(n);
+        }
+        scored.sort_unstable_by(rank);
+        scored.into_iter().map(|(_, i)| TxId(i)).collect()
     }
 }
 
@@ -576,6 +592,15 @@ mod tests {
         assert_eq!(w[g.index()], 4);
         let r = ratings(&t);
         assert_eq!(r[c.index()], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "scores are finite")]
+    fn choose_reference_rejects_nan_scores() {
+        let (t, _) = sample();
+        let mut conf = vec![0.5f32; t.len()];
+        conf[3] = f32::NAN;
+        TangleAnalysis::compute(&t).choose_reference(&conf, 1);
     }
 
     #[test]

@@ -266,6 +266,30 @@ proptest! {
             prop_assert!(score(pair[0]) >= score(pair[1]) - 1e-9);
         }
     }
+
+    /// Selecting the best `n` and sorting only those returns exactly the
+    /// first `n` of the full sort, over scores with many ties (a handful
+    /// of confidence and rating levels) and `n` around the ledger size.
+    #[test]
+    fn choose_reference_matches_full_sort_oracle(
+        levels in prop::collection::vec((0u8..4, 0u32..5), 1..300),
+        pick in 0usize..5,
+    ) {
+        let conf: Vec<f32> = levels.iter().map(|&(c, _)| f32::from(c) * 0.25).collect();
+        let rating: Vec<u32> = levels.iter().map(|&(_, r)| r).collect();
+        let v = levels.len();
+        let n = [1, 10, v.saturating_sub(1).max(1), v, v + 5][pick];
+        let analysis = TangleAnalysis {
+            cumulative_weight: vec![1; v],
+            rating: rating.clone(),
+        };
+        let mut oracle: Vec<(f64, u32)> = (0..v)
+            .map(|i| (conf[i] as f64 * rating[i] as f64, i as u32))
+            .collect();
+        oracle.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(b.1.cmp(&a.1)));
+        let want: Vec<TxId> = oracle.into_iter().take(n).map(|(_, i)| TxId(i)).collect();
+        prop_assert_eq!(analysis.choose_reference(&conf, n), want);
+    }
 }
 
 /// Both tables' walks and their context-free walks over `tangle`, on equal

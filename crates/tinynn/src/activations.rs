@@ -19,7 +19,7 @@ impl Layer for Relu {
         "Relu"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
         let mut y = x.clone();
         for v in y.as_mut_slice() {
             if *v < 0.0 {
@@ -29,14 +29,14 @@ impl Layer for Relu {
         (y, Cache::none())
     }
 
-    fn backward(&self, x: &Tensor, _cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
-        let mut g = grad_out.clone();
+    fn backward(&self, _: &[f32], x: &Tensor, _: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
+        let mut g = dy.clone();
         for (gv, &xv) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
             if xv <= 0.0 {
                 *gv = 0.0;
             }
         }
-        (g, Vec::new())
+        g
     }
 }
 
@@ -62,7 +62,7 @@ impl Layer for Sigmoid {
         "Sigmoid"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
         let mut y = x.clone();
         for v in y.as_mut_slice() {
             *v = sigmoid(*v);
@@ -70,13 +70,13 @@ impl Layer for Sigmoid {
         (y.clone(), Cache::new(y))
     }
 
-    fn backward(&self, _x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
+    fn backward(&self, _: &[f32], _: &Tensor, cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
         let y = cache.get::<Tensor>();
-        let mut g = grad_out.clone();
+        let mut g = dy.clone();
         for (gv, &yv) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
             *gv *= yv * (1.0 - yv);
         }
-        (g, Vec::new())
+        g
     }
 }
 
@@ -96,7 +96,7 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
         let mut y = x.clone();
         for v in y.as_mut_slice() {
             *v = v.tanh();
@@ -104,13 +104,13 @@ impl Layer for Tanh {
         (y.clone(), Cache::new(y))
     }
 
-    fn backward(&self, _x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
+    fn backward(&self, _: &[f32], _: &Tensor, cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
         let y = cache.get::<Tensor>();
-        let mut g = grad_out.clone();
+        let mut g = dy.clone();
         for (gv, &yv) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
             *gv *= 1.0 - yv * yv;
         }
-        (g, Vec::new())
+        g
     }
 }
 
@@ -122,22 +122,21 @@ mod tests {
     fn relu_forward_backward() {
         let x = Tensor::from_vec(vec![4], vec![-1., 0., 0.5, 2.]);
         let r = Relu::new();
-        let (y, c) = r.forward(&x, true);
+        let (y, c) = r.forward(&[], &x, true);
         assert_eq!(y.as_slice(), &[0., 0., 0.5, 2.]);
         let g = Tensor::filled(&[4], 1.0);
-        let (gx, gp) = r.backward(&x, &c, &g);
+        let gx = r.backward(&[], &x, &c, &g, &mut []);
         assert_eq!(gx.as_slice(), &[0., 0., 1., 1.]);
-        assert!(gp.is_empty());
     }
 
     #[test]
     fn sigmoid_midpoint() {
         let x = Tensor::from_vec(vec![1], vec![0.0]);
         let s = Sigmoid::new();
-        let (y, c) = s.forward(&x, true);
+        let (y, c) = s.forward(&[], &x, true);
         assert!((y.as_slice()[0] - 0.5).abs() < 1e-6);
         let g = Tensor::filled(&[1], 1.0);
-        let (gx, _) = s.backward(&x, &c, &g);
+        let gx = s.backward(&[], &x, &c, &g, &mut []);
         assert!((gx.as_slice()[0] - 0.25).abs() < 1e-6);
     }
 
@@ -145,7 +144,7 @@ mod tests {
     fn tanh_odd_symmetry() {
         let x = Tensor::from_vec(vec![2], vec![1.3, -1.3]);
         let t = Tanh::new();
-        let (y, _) = t.forward(&x, false);
+        let (y, _) = t.forward(&[], &x, false);
         assert!((y.as_slice()[0] + y.as_slice()[1]).abs() < 1e-6);
     }
 
@@ -153,9 +152,9 @@ mod tests {
     fn tanh_gradient_at_zero_is_one() {
         let x = Tensor::from_vec(vec![1], vec![0.0]);
         let t = Tanh::new();
-        let (_, c) = t.forward(&x, true);
+        let (_, c) = t.forward(&[], &x, true);
         let g = Tensor::filled(&[1], 1.0);
-        let (gx, _) = t.backward(&x, &c, &g);
+        let gx = t.backward(&[], &x, &c, &g, &mut []);
         assert!((gx.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 }

@@ -28,7 +28,7 @@
 //! parallelism of a training round is one node per worker, above the layer.
 
 use crate::init;
-use crate::layer::{Cache, Layer};
+use crate::layer::{Cache, Layer, LayerInit};
 use crate::tensor::Tensor;
 use rand::Rng;
 
@@ -39,12 +39,11 @@ const NR: usize = 8;
 
 /// A 2-D convolution layer over `[B, C, H, W]` inputs.
 ///
-/// Weights have shape `[out_ch, in_ch, k, k]`; stride is fixed at 1 and the
-/// input is zero-padded by `pad` pixels on every side, so the output spatial
-/// size is `H + 2·pad − k + 1`.
+/// Parameters: weights of shape `[out_ch, in_ch, k, k]`, then the
+/// `[out_ch]` bias. Stride is fixed at 1 and the input is zero-padded by
+/// `pad` pixels on every side, so the output spatial size is
+/// `H + 2·pad − k + 1`.
 pub struct Conv2d {
-    weight: Tensor,
-    bias: Tensor,
     in_ch: usize,
     out_ch: usize,
     k: usize,
@@ -64,17 +63,10 @@ struct Geom {
 }
 
 impl Conv2d {
-    /// Construct with explicit weights (mainly for tests).
-    pub fn new(weight: Tensor, bias: Tensor, pad: usize) -> Self {
-        assert_eq!(weight.rank(), 4, "Conv2d weight must be [OC, IC, K, K]");
-        let out_ch = weight.shape()[0];
-        let in_ch = weight.shape()[1];
-        let k = weight.shape()[2];
-        assert_eq!(weight.shape()[3], k, "Conv2d kernels must be square");
-        assert_eq!(bias.shape(), &[out_ch]);
+    /// An `in_ch → out_ch` convolution with square `k × k` kernels and
+    /// `pad` pixels of zero padding (architecture only).
+    pub fn new(in_ch: usize, out_ch: usize, k: usize, pad: usize) -> Self {
         Self {
-            weight,
-            bias,
             in_ch,
             out_ch,
             k,
@@ -83,12 +75,14 @@ impl Conv2d {
     }
 
     /// He-initialized convolution (the default in front of ReLU).
-    pub fn he(in_ch: usize, out_ch: usize, k: usize, pad: usize, rng: &mut impl Rng) -> Self {
+    pub fn he(in_ch: usize, out_ch: usize, k: usize, pad: usize, rng: &mut impl Rng) -> LayerInit {
         let fan_in = in_ch * k * k;
-        Self::new(
-            init::he_normal(&[out_ch, in_ch, k, k], fan_in, rng),
-            Tensor::zeros(&[out_ch]),
-            pad,
+        LayerInit::new(
+            Self::new(in_ch, out_ch, k, pad),
+            &[
+                init::he_normal(&[out_ch, in_ch, k, k], fan_in, rng),
+                Tensor::zeros(&[out_ch]),
+            ],
         )
     }
 
@@ -147,13 +141,13 @@ impl Conv2d {
             .collect()
     }
 
-    /// The weights and bias regrouped for the register tile: block `i` holds
-    /// channels `i·MR ..` as `[IC·K·K][MR]` weights and `[MR]` biases,
-    /// zero-filled past the last channel.
-    fn packed_params(&self) -> (Vec<f32>, Vec<f32>) {
+    /// The weights and bias of `p` regrouped for the register tile: block
+    /// `i` holds channels `i·MR ..` as `[IC·K·K][MR]` weights and `[MR]`
+    /// biases, zero-filled past the last channel.
+    fn packed_params(&self, p: &[f32]) -> (Vec<f32>, Vec<f32>) {
         let ickk = self.in_ch * self.k * self.k;
         let blocks = self.out_ch.div_ceil(MR);
-        let (ws, bs) = (self.weight.as_slice(), self.bias.as_slice());
+        let (ws, bs) = p.split_at(self.out_ch * ickk);
         let mut wpack = vec![0.0f32; blocks * ickk * MR];
         let mut bpack = vec![0.0f32; blocks * MR];
         for o in 0..self.out_ch {
@@ -271,14 +265,18 @@ impl Layer for Conv2d {
         "Conv2d"
     }
 
-    fn forward(&self, x: &Tensor, train: bool) -> (Tensor, Cache) {
+    fn param_count(&self) -> usize {
+        self.out_ch * self.in_ch * self.k * self.k + self.out_ch
+    }
+
+    fn forward(&self, p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache) {
         let (b, g) = self.geom(x);
         let ohow = g.oh * g.ow;
         let oc = self.out_ch;
         let plane = self.in_ch * g.ph * g.pw;
         let planes = self.padded(x, &g);
         let taps = self.tap_offsets(&g);
-        let (wpack, bpack) = self.packed_params();
+        let (wpack, bpack) = self.packed_params(p);
         let mut out = vec![0.0f32; b * oc * ohow];
         for (xp, ob) in planes
             .chunks_exact(plane)
@@ -294,12 +292,19 @@ impl Layer for Conv2d {
         (Tensor::from_vec(vec![b, oc, g.oh, g.ow], out), cache)
     }
 
-    fn backward(&self, x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
+    fn backward(
+        &self,
+        p: &[f32],
+        x: &Tensor,
+        cache: &Cache,
+        grad_out: &Tensor,
+        grad_p: &mut [f32],
+    ) -> Tensor {
         let (b, g) = self.geom(x);
         let (ic, oc, k) = (self.in_ch, self.out_ch, self.k);
         let (ickk, ohow) = (ic * k * k, g.oh * g.ow);
         let plane = ic * g.ph * g.pw;
-        let ws = self.weight.as_slice();
+        let ws = &p[..oc * ickk];
         let gs = grad_out.as_slice();
         // An inference-mode forward cached nothing: pad the input afresh.
         let fresh;
@@ -312,8 +317,7 @@ impl Layer for Conv2d {
         };
         let taps = self.tap_offsets(&g);
         let mut col = vec![0.0f32; ickk * ohow];
-        let mut grad_w = vec![0.0f32; oc * ickk];
-        let mut grad_b = vec![0.0f32; oc];
+        let (grad_w, grad_b) = grad_p.split_at_mut(oc * ickk);
         let mut grad_x = vec![0.0f32; b * ic * g.h * g.w];
         let mut gcol = vec![0.0f32; ickk * ohow];
         let mut gpad = vec![0.0f32; plane];
@@ -328,7 +332,7 @@ impl Layer for Conv2d {
             }
             self.patches(&taps, &planes[bi * plane..(bi + 1) * plane], &g, &mut col);
             // gW[OC, IC·K·K] += g_b · col_bᵀ
-            crate::gemm::gemm_accum(oc, ickk, ohow, gb, false, &col, true, &mut grad_w);
+            crate::gemm::gemm_accum(oc, ickk, ohow, gb, false, &col, true, grad_w);
             // gcol[IC·K·K, OH·OW] = Wᵀ · g_b, scattered back onto the input
             crate::gemm::gemm(ickk, ohow, oc, ws, true, gb, false, &mut gcol);
             // One image's padded gradient planes, reused while they sit in L1.
@@ -337,21 +341,7 @@ impl Layer for Conv2d {
             let xlen = ic * g.h * g.w;
             self.unpad(&gpad, &g, &mut grad_x[bi * xlen..(bi + 1) * xlen]);
         }
-        (
-            Tensor::from_vec(x.shape().to_vec(), grad_x),
-            vec![
-                Tensor::from_vec(self.weight.shape().to_vec(), grad_w),
-                Tensor::from_vec(vec![oc], grad_b),
-            ],
-        )
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
+        Tensor::from_vec(x.shape().to_vec(), grad_x)
     }
 }
 
@@ -359,14 +349,25 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
 
+    /// Run `conv.backward` into a zeroed gradient: `(gx, gW ++ gb)`.
+    fn backward(
+        conv: &Conv2d,
+        p: &[f32],
+        x: &Tensor,
+        cache: &Cache,
+        g: &Tensor,
+    ) -> (Tensor, Vec<f32>) {
+        let mut gp = vec![0.0; conv.param_count()];
+        let gx = conv.backward(p, x, cache, g, &mut gp);
+        (gx, gp)
+    }
+
     /// A 1×1 kernel reduces to a per-pixel scale + bias.
     #[test]
     fn identity_kernel_1x1() {
-        let w = Tensor::from_vec(vec![1, 1, 1, 1], vec![2.0]);
-        let b = Tensor::from_vec(vec![1], vec![0.5]);
-        let conv = Conv2d::new(w, b, 0);
+        let conv = Conv2d::new(1, 1, 1, 0);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 2., 3., 4.]);
-        let (y, _) = conv.forward(&x, false);
+        let (y, _) = conv.forward(&[2.0, 0.5], &x, false);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[2.5, 4.5, 6.5, 8.5]);
     }
@@ -374,11 +375,11 @@ mod tests {
     /// A 3×3 all-ones kernel on a padded input computes box sums.
     #[test]
     fn box_sum_kernel() {
-        let w = Tensor::filled(&[1, 1, 3, 3], 1.0);
-        let b = Tensor::zeros(&[1]);
-        let conv = Conv2d::new(w, b, 1);
+        let mut p = vec![1.0; 10];
+        p[9] = 0.0; // bias
+        let conv = Conv2d::new(1, 1, 3, 1);
         let x = Tensor::filled(&[1, 1, 3, 3], 1.0);
-        let (y, _) = conv.forward(&x, false);
+        let (y, _) = conv.forward(&p, &x, false);
         assert_eq!(y.shape(), &[1, 1, 3, 3]);
         // center pixel sees all 9 ones; corners see 4.
         assert_eq!(y.at_idx(&[0, 0, 1, 1]), 9.0);
@@ -396,25 +397,25 @@ mod tests {
     #[test]
     fn output_shape_no_pad() {
         let mut rng = crate::rng::seeded(0);
-        let conv = Conv2d::he(2, 4, 3, 0, &mut rng);
+        let init = Conv2d::he(2, 4, 3, 0, &mut rng);
         let x = Tensor::zeros(&[2, 2, 8, 8]);
-        let (y, _) = conv.forward(&x, false);
+        let (y, _) = init.layer.forward(&init.params, &x, false);
         assert_eq!(y.shape(), &[2, 4, 6, 6]);
     }
 
     #[test]
     fn backward_shapes() {
         let mut rng = crate::rng::seeded(1);
-        let conv = Conv2d::he(2, 3, 3, 1, &mut rng);
+        let p = Conv2d::he(2, 3, 3, 1, &mut rng).params;
+        let conv = Conv2d::new(2, 3, 3, 1);
         let x = Tensor::from_fn(&[2, 2, 5, 5], |i| (i % 11) as f32 * 0.1);
-        let (y, c) = conv.forward(&x, true);
+        let (y, c) = conv.forward(&p, &x, true);
         let g = Tensor::filled(y.shape(), 1.0);
-        let (gx, gp) = conv.backward(&x, &c, &g);
+        let (gx, gp) = backward(&conv, &p, &x, &c, &g);
         assert_eq!(gx.shape(), x.shape());
-        assert_eq!(gp[0].shape(), &[3, 2, 3, 3]);
-        assert_eq!(gp[1].shape(), &[3]);
+        assert_eq!(gp.len(), 3 * 2 * 3 * 3 + 3);
         // bias gradient = number of output pixels per channel per batch
-        assert_eq!(gp[1].as_slice()[0], (2 * 5 * 5) as f32);
+        assert_eq!(gp[3 * 2 * 3 * 3], (2 * 5 * 5) as f32);
     }
 
     /// backward must work (by padding the input afresh) even when forward
@@ -422,15 +423,15 @@ mod tests {
     #[test]
     fn backward_without_cached_columns() {
         let mut rng = crate::rng::seeded(2);
-        let conv = Conv2d::he(1, 2, 3, 1, &mut rng);
+        let p = Conv2d::he(1, 2, 3, 1, &mut rng).params;
+        let conv = Conv2d::new(1, 2, 3, 1);
         let x = Tensor::from_fn(&[1, 1, 4, 4], |i| (i % 5) as f32 * 0.2);
-        let (y, cache_train) = conv.forward(&x, true);
+        let (y, cache_train) = conv.forward(&p, &x, true);
         let g = Tensor::filled(y.shape(), 0.5);
-        let (gx_cached, gp_cached) = conv.backward(&x, &cache_train, &g);
-        let (gx_fresh, gp_fresh) = conv.backward(&x, &Cache::none(), &g);
+        let (gx_cached, gp_cached) = backward(&conv, &p, &x, &cache_train, &g);
+        let (gx_fresh, gp_fresh) = backward(&conv, &p, &x, &Cache::none(), &g);
         assert_eq!(gx_cached.as_slice(), gx_fresh.as_slice());
-        assert_eq!(gp_cached[0].as_slice(), gp_fresh[0].as_slice());
-        assert_eq!(gp_cached[1].as_slice(), gp_fresh[1].as_slice());
+        assert_eq!(gp_cached, gp_fresh);
     }
 
     /// The im2col + GEMM convolution the direct kernel replaced, kept as
@@ -494,7 +495,7 @@ mod tests {
     }
 
     /// Oracle forward: per item, `fill(bias)` then `gemm_accum(W, col)`.
-    fn oracle_forward(conv: &Conv2d, x: &Tensor) -> Vec<f32> {
+    fn oracle_forward(conv: &Conv2d, p: &[f32], x: &Tensor) -> Vec<f32> {
         let (b, g) = conv.geom(x);
         let (ic, oc, k) = (conv.in_ch, conv.out_ch, conv.k);
         let (ickk, ohow, xlen) = (ic * k * k, g.oh * g.ow, ic * g.h * g.w);
@@ -508,17 +509,17 @@ mod tests {
                 &mut col,
             );
             let ob = &mut out[bi * oc * ohow..(bi + 1) * oc * ohow];
+            let (ws, bs) = p.split_at(oc * ickk);
             for (o, row) in ob.chunks_mut(ohow).enumerate() {
-                row.fill(conv.bias.as_slice()[o]);
+                row.fill(bs[o]);
             }
-            let ws = conv.weight.as_slice();
             crate::gemm::gemm_accum(oc, ohow, ickk, ws, false, &col, false, ob);
         }
         out
     }
 
     /// Oracle backward over im2col patch matrices: `(gx, gW, gb)`.
-    fn oracle_backward(conv: &Conv2d, x: &Tensor, grad: &Tensor) -> [Vec<f32>; 3] {
+    fn oracle_backward(conv: &Conv2d, p: &[f32], x: &Tensor, grad: &Tensor) -> [Vec<f32>; 3] {
         let (b, g) = conv.geom(x);
         let (ic, oc, k) = (conv.in_ch, conv.out_ch, conv.k);
         let (ickk, ohow, xlen) = (ic * k * k, g.oh * g.ow, ic * g.h * g.w);
@@ -542,7 +543,7 @@ mod tests {
                 &mut col,
             );
             crate::gemm::gemm_accum(oc, ickk, ohow, gi, false, &col, true, &mut gw);
-            let ws = conv.weight.as_slice();
+            let ws = &p[..oc * ickk];
             crate::gemm::gemm(ickk, ohow, oc, ws, true, gi, false, &mut gcol);
             col2im(conv, &gcol, &g, &mut gx[bi * xlen..(bi + 1) * xlen]);
         }
@@ -596,17 +597,14 @@ mod tests {
                         let ic = 1 + (case % 3) as usize;
                         let b = 1 + (case / 3 % 3) as usize;
                         let h = 1 + (case % 4) as usize + k.saturating_sub(2 * pad);
-                        let conv = Conv2d::new(
-                            Tensor::from_vec(vec![oc, ic, k, k], values(case, oc * ic * k * k)),
-                            Tensor::from_vec(vec![oc], values(case + 101, oc)),
-                            pad,
-                        );
+                        let conv = Conv2d::new(ic, oc, k, pad);
+                        let p = [values(case, oc * ic * k * k), values(case + 101, oc)].concat();
                         let x =
                             Tensor::from_vec(vec![b, ic, h, w], values(case + 7, b * ic * h * w));
                         let shape = format!("oc={oc} ic={ic} k={k} pad={pad} b={b} h={h} w={w}");
-                        let want = oracle_forward(&conv, &x);
-                        let (y_inf, _) = conv.forward(&x, false);
-                        let (y_train, cache) = conv.forward(&x, true);
+                        let want = oracle_forward(&conv, &p, &x);
+                        let (y_inf, _) = conv.forward(&p, &x, false);
+                        let (y_train, cache) = conv.forward(&p, &x, true);
                         assert_eq!(y_inf.shape()[3], ow);
                         assert_bits("forward(infer)", &shape, y_inf.as_slice(), &want);
                         assert_bits("forward(train)", &shape, y_train.as_slice(), &want);
@@ -615,12 +613,13 @@ mod tests {
                             y_train.shape().to_vec(),
                             values(case + 13, y_train.len()),
                         );
-                        let [gx, gw, gb] = oracle_backward(&conv, &x, &grad);
+                        let [gx, gw, gb] = oracle_backward(&conv, &p, &x, &grad);
                         for (mode, c) in [("cached", &cache), ("fresh", &Cache::none())] {
-                            let (dx, dp) = conv.backward(&x, c, &grad);
+                            let (dx, dp) = backward(&conv, &p, &x, c, &grad);
+                            let (dw, db) = dp.split_at(gw.len());
                             assert_bits(&format!("gx({mode})"), &shape, dx.as_slice(), &gx);
-                            assert_bits(&format!("gW({mode})"), &shape, dp[0].as_slice(), &gw);
-                            assert_bits(&format!("gb({mode})"), &shape, dp[1].as_slice(), &gb);
+                            assert_bits(&format!("gW({mode})"), &shape, dw, &gw);
+                            assert_bits(&format!("gb({mode})"), &shape, db, &gb);
                         }
                     }
                 }

@@ -1,34 +1,34 @@
 //! Token embedding lookup.
 
 use crate::init;
-use crate::layer::{Cache, Layer};
+use crate::layer::{Cache, Layer, LayerInit};
 use crate::tensor::Tensor;
 use rand::Rng;
 
 /// Embedding lookup: maps `[B, T]` token ids (stored as `f32` values that
 /// must be exact small integers) to `[B, T, dim]` vectors.
 ///
-/// The gradient w.r.t. the input is defined as zero (ids are not
-/// differentiable); the gradient w.r.t. the table is a scatter-add.
+/// The one parameter is the `[vocab, dim]` table. The gradient w.r.t. the
+/// input is defined as zero (ids are not differentiable); the gradient
+/// w.r.t. the table is a scatter-add.
 pub struct Embedding {
-    table: Tensor,
     vocab: usize,
     dim: usize,
 }
 
 impl Embedding {
-    /// Construct with an explicit table `[vocab, dim]`.
-    pub fn new(table: Tensor) -> Self {
-        assert_eq!(table.rank(), 2, "Embedding table must be [vocab, dim]");
-        let vocab = table.shape()[0];
-        let dim = table.shape()[1];
-        Self { table, vocab, dim }
+    /// A `vocab × dim` lookup (architecture only).
+    pub fn new(vocab: usize, dim: usize) -> Self {
+        Self { vocab, dim }
     }
 
     /// Normal-initialized table with std `0.1` (small enough to keep the
     /// first LSTM steps in the linear regime).
-    pub fn init(vocab: usize, dim: usize, rng: &mut impl Rng) -> Self {
-        Self::new(init::normal(&[vocab, dim], 0.1, rng))
+    pub fn init(vocab: usize, dim: usize, rng: &mut impl Rng) -> LayerInit {
+        LayerInit::new(
+            Self::new(vocab, dim),
+            &[init::normal(&[vocab, dim], 0.1, rng)],
+        )
     }
 
     /// Vocabulary size.
@@ -58,36 +58,38 @@ impl Layer for Embedding {
         "Embedding"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn param_count(&self) -> usize {
+        self.vocab * self.dim
+    }
+
+    fn forward(&self, p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
         let n = x.len();
         let mut out = Vec::with_capacity(n * self.dim);
         for &v in x.as_slice() {
             let id = self.token(v);
-            out.extend_from_slice(self.table.row(id));
+            out.extend_from_slice(&p[id * self.dim..(id + 1) * self.dim]);
         }
         let mut shape = x.shape().to_vec();
         shape.push(self.dim);
         (Tensor::from_vec(shape, out), Cache::none())
     }
 
-    fn backward(&self, x: &Tensor, _cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
-        let mut grad_table = Tensor::zeros(self.table.shape());
+    fn backward(
+        &self,
+        _p: &[f32],
+        x: &Tensor,
+        _cache: &Cache,
+        grad_out: &Tensor,
+        grad_p: &mut [f32],
+    ) -> Tensor {
         for (i, &v) in x.as_slice().iter().enumerate() {
             let id = self.token(v);
             let g = &grad_out.as_slice()[i * self.dim..(i + 1) * self.dim];
-            for (a, &b) in grad_table.row_mut(id).iter_mut().zip(g) {
+            for (a, &b) in grad_p[id * self.dim..(id + 1) * self.dim].iter_mut().zip(g) {
                 *a += b;
             }
         }
-        (Tensor::zeros(x.shape()), vec![grad_table])
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.table]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.table]
+        Tensor::zeros(x.shape())
     }
 }
 
@@ -97,31 +99,33 @@ mod tests {
 
     #[test]
     fn lookup_rows() {
-        let table = Tensor::from_vec(vec![3, 2], vec![0., 1., 10., 11., 20., 21.]);
-        let e = Embedding::new(table);
+        let table = [0., 1., 10., 11., 20., 21.];
+        let e = Embedding::new(3, 2);
         let x = Tensor::from_vec(vec![1, 3], vec![2., 0., 1.]);
-        let (y, _) = e.forward(&x, false);
+        let (y, _) = e.forward(&table, &x, false);
         assert_eq!(y.shape(), &[1, 3, 2]);
         assert_eq!(y.as_slice(), &[20., 21., 0., 1., 10., 11.]);
     }
 
     #[test]
     fn backward_scatter_adds() {
-        let table = Tensor::zeros(&[3, 2]);
-        let e = Embedding::new(table);
+        let table = [0.0; 6];
+        let e = Embedding::new(3, 2);
         let x = Tensor::from_vec(vec![1, 3], vec![1., 1., 2.]);
-        let (_, c) = e.forward(&x, true);
+        let (_, c) = e.forward(&table, &x, true);
         let g = Tensor::from_vec(vec![1, 3, 2], vec![1., 2., 3., 4., 5., 6.]);
-        let (gx, gp) = e.backward(&x, &c, &g);
+        let mut gp = [0.0; 6];
+        let gx = e.backward(&table, &x, &c, &g, &mut gp);
         assert!(gx.as_slice().iter().all(|&v| v == 0.0));
         // token 1 hit twice: [1+3, 2+4]; token 2 once: [5, 6]
-        assert_eq!(gp[0].as_slice(), &[0., 0., 4., 6., 5., 6.]);
+        assert_eq!(gp, [0., 0., 4., 6., 5., 6.]);
     }
 
     #[test]
     fn param_count() {
         let mut rng = crate::rng::seeded(0);
-        let e = Embedding::init(50, 8, &mut rng);
+        assert_eq!(Embedding::init(50, 8, &mut rng).params.len(), 400);
+        let e = Embedding::new(50, 8);
         assert_eq!(e.param_count(), 400);
         assert_eq!(e.vocab(), 50);
         assert_eq!(e.dim(), 8);

@@ -32,9 +32,13 @@
 //! so the result is independent of thread count and scheduling. Small
 //! products (below [`PAR_GEMM_THRESHOLD`] multiply-adds) stay serial —
 //! training-sized GEMMs are left serial because they already run inside a
-//! round's per-node `par_iter`, which owns the cores.
+//! round's per-node `par_iter`, which owns the cores. A serial product
+//! packs into its thread's reused buffers; the parallel branch allocates
+//! its own, so no buffer is held while a pool worker could start another
+//! product.
 
 use rayon::prelude::*;
+use std::cell::RefCell;
 
 /// Row-block height packed per A panel set (also the parallel grain).
 pub const MC: usize = 64;
@@ -248,33 +252,50 @@ pub fn gemm_accum(
         MatRef::new(b, k, n, false)
     };
     let parallel = m > MC && m * n * k >= PAR_GEMM_THRESHOLD;
-    let mut bpack = Vec::new();
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            pack_b(&b, pc, jc, kc, nc, &mut bpack);
-            if parallel {
-                let bp = &bpack;
-                let a_ref = &a;
-                out.par_chunks_mut(MC * n)
-                    .enumerate()
-                    .for_each(|(blk, rows)| {
+    let mut run = |apack: &mut Vec<f32>, bpack: &mut Vec<f32>| {
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                pack_b(&b, pc, jc, kc, nc, bpack);
+                if parallel {
+                    let bp = &*bpack;
+                    let a_ref = &a;
+                    out.par_chunks_mut(MC * n)
+                        .enumerate()
+                        .for_each(|(blk, rows)| {
+                            let ic = blk * MC;
+                            let mc = rows.len() / n;
+                            let mut apack = Vec::new();
+                            process_row_block(
+                                a_ref, rows, n, ic, mc, pc, kc, jc, nc, bp, &mut apack,
+                            );
+                        });
+                } else {
+                    for (blk, rows) in out.chunks_mut(MC * n).enumerate() {
                         let ic = blk * MC;
                         let mc = rows.len() / n;
-                        let mut apack = Vec::new();
-                        process_row_block(a_ref, rows, n, ic, mc, pc, kc, jc, nc, bp, &mut apack);
-                    });
-            } else {
-                let mut apack = Vec::new();
-                for (blk, rows) in out.chunks_mut(MC * n).enumerate() {
-                    let ic = blk * MC;
-                    let mc = rows.len() / n;
-                    process_row_block(&a, rows, n, ic, mc, pc, kc, jc, nc, &bpack, &mut apack);
+                        process_row_block(&a, rows, n, ic, mc, pc, kc, jc, nc, bpack, apack);
+                    }
                 }
             }
         }
+    };
+    if parallel {
+        // A pool worker may start another product while this one waits,
+        // so the parallel branch holds none of its thread's buffers.
+        run(&mut Vec::new(), &mut Vec::new());
+    } else {
+        // The serial loop calls nothing that could start another product.
+        PACKS.with_borrow_mut(|(apack, bpack)| run(apack, bpack));
     }
+}
+
+thread_local! {
+    /// Pack buffers (`A` panels, `B` panels) of this thread's serial GEMMs:
+    /// every pack clears and refills the prefix it uses, so reuse changes
+    /// no value, and small products stop paying two allocations each.
+    static PACKS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Textbook scalar kernels, retained as the differential-test oracle for the
@@ -414,6 +435,49 @@ mod tests {
         for (x, y) in blocked.iter().zip(&naive) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    /// One thread alternates parallel-branch, tiny, transposed, ragged and
+    /// multi-slab products, plain and accumulating: a pack buffer that
+    /// kept a longer previous product's values, or came back short, would
+    /// show up as a bit difference against the reference.
+    #[test]
+    fn gemm_pack_reuse_alternating_shapes_match_reference_bitwise() {
+        let shapes = [
+            (3 * MC + 1, 96, 100),
+            (1, 1, 1),
+            (7, 16, 8),
+            (MC + 7, NC + 9, KC + 11),
+            (2, 3, 1),
+            (3 * MC + 1, 96, 100),
+            (5, NR + 1, 3),
+            (1, 2 * NC + 1, 2 * KC + 1),
+            (7, 4, 16),
+        ];
+        for round in 0..3u64 {
+            for (i, &(m, n, k)) in shapes.iter().enumerate() {
+                let (ta, tb) =
+                    [(false, false), (true, false), (false, true)][(i + round as usize) % 3];
+                let seed = round * 100 + i as u64;
+                let a = fill(seed, m * k);
+                let b = fill(seed + 50, k * n);
+                let mut got = vec![f32::NAN; m * n];
+                let mut want = vec![f32::NAN; m * n];
+                gemm(m, n, k, &a, ta, &b, tb, &mut got);
+                reference::matmul(m, n, k, &a, ta, &b, tb, &mut want);
+                let what = format!("{m}x{n}x{k} ta={ta} tb={tb} round {round}");
+                assert_eq!(bits(&got), bits(&want), "gemm {what}");
+                let init = fill(seed + 77, m * n);
+                let (mut got, mut want) = (init.clone(), init);
+                gemm_accum(m, n, k, &a, ta, &b, tb, &mut got);
+                reference::matmul_accum(m, n, k, &a, ta, &b, tb, &mut want);
+                assert_eq!(bits(&got), bits(&want), "gemm_accum {what}");
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The [`Layer`] trait: immutable forward/backward with an explicit cache.
+//! The [`Layer`] trait: a layer is an architecture, not a parameter store.
 //!
-//! Layers never mutate themselves during a pass; everything a backward pass
-//! needs is captured in the [`Cache`] returned by `forward`, so a training
-//! step reads the model through `&Sequential` and only [`crate::Sgd::step`]
-//! writes it.
+//! A layer holds only its dimensions. Its parameters are a borrowed `&[f32]`
+//! slice of the model's one flat vector (in [`crate::ParamVec`] order), so a
+//! ledger payload is evaluated where it lies and no layer is ever written.
+//! Everything a backward pass needs is captured in the [`Cache`] returned by
+//! `forward`.
 
 use crate::tensor::Tensor;
 use std::any::Any;
@@ -43,37 +44,63 @@ impl Cache {
 
 /// A differentiable network layer.
 ///
-/// `forward` maps an input tensor to an output tensor and records whatever
-/// intermediate state `backward` will need. `backward` receives the gradient
-/// of the loss w.r.t. the layer output and returns the gradient w.r.t. the
-/// input plus the gradients w.r.t. each parameter, in the same order as
-/// [`Layer::params`].
+/// `p` is the layer's [`Layer::param_count`] parameters, its tensors
+/// concatenated in the layer's documented order. `forward` maps an input
+/// tensor to an output tensor and records whatever intermediate state
+/// `backward` will need. `backward` receives the gradient of the loss
+/// w.r.t. the layer output, adds the gradient w.r.t. each parameter into
+/// `grad_p` (laid out like `p`; [`crate::Sequential`] hands it over zeroed)
+/// and returns the gradient w.r.t. the input.
 pub trait Layer: Send + Sync {
     /// Human-readable layer name (used in summaries and error messages).
     fn name(&self) -> &'static str;
 
-    /// Run the layer. `train` asks for the cache `backward` needs; layers
-    /// that keep large intermediates (e.g. [`crate::Conv2d`]'s patch
-    /// matrices) skip them when it is `false`.
-    fn forward(&self, x: &Tensor, train: bool) -> (Tensor, Cache);
-
-    /// Backpropagate. Returns `(grad_input, grad_params)` where
-    /// `grad_params[i]` matches `self.params()[i]` in shape and order.
-    fn backward(&self, x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>);
-
-    /// Borrow the layer's learnable parameters (possibly empty).
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    /// Mutably borrow the layer's learnable parameters, in the same order.
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    /// Total number of learnable scalars in this layer.
+    /// Number of learnable scalars in this layer (the length of `p`).
     fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
+        0
+    }
+
+    /// Run the layer. `train` asks for the cache `backward` needs; layers
+    /// that keep large intermediates (e.g. [`crate::Conv2d`]'s padded
+    /// planes) skip them when it is `false`.
+    fn forward(&self, p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache);
+
+    /// Backpropagate: add the parameter gradients into `grad_p` and return
+    /// the gradient w.r.t. `x`.
+    fn backward(
+        &self,
+        p: &[f32],
+        x: &Tensor,
+        cache: &Cache,
+        grad_out: &Tensor,
+        grad_p: &mut [f32],
+    ) -> Tensor;
+}
+
+/// A layer and the initial values of its parameters, as
+/// [`crate::Sequential::new`] assembles a model from them. Parameterless
+/// layers convert with `.into()`.
+pub struct LayerInit {
+    /// The layer.
+    pub layer: Box<dyn Layer>,
+    /// Its [`Layer::param_count`] initial parameters, in the layer's order.
+    pub params: Vec<f32>,
+}
+
+impl LayerInit {
+    /// Pair `layer` with the concatenation of its initial parameter
+    /// tensors.
+    pub fn new(layer: impl Layer + 'static, tensors: &[Tensor]) -> Self {
+        Self {
+            layer: Box::new(layer),
+            params: tensors.iter().flat_map(|t| t.as_slice()).copied().collect(),
+        }
+    }
+}
+
+impl<L: Layer + 'static> From<L> for LayerInit {
+    fn from(layer: L) -> Self {
+        Self::new(layer, &[])
     }
 }
 

@@ -8,15 +8,16 @@
 //! ## Design
 //!
 //! * [`Tensor`] is a dense row-major `f32` array with an explicit shape.
-//! * Every [`Layer`] is immutable during `forward`/`backward`; all per-call
-//!   state lives in a [`Cache`] value returned by `forward`, so a training
-//!   step reads the model through `&Sequential` and only the optimizer
-//!   writes its parameters.
-//! * [`Sequential`] composes layers; [`loss`] provides softmax cross-entropy.
-//!   Training is one [`Sequential::loss_and_grads`] per mini-batch followed
-//!   by [`Sgd::step`] (`p -= lr·g`); there is no other optimizer.
-//! * [`params`] flattens a model's parameters into a single `Vec<f32>` — the
-//!   unit of exchange on the tangle ledger — and restores them.
+//! * A [`Layer`] is an architecture: it holds its dimensions only and reads
+//!   its parameters from a borrowed `&[f32]`. All per-call state lives in a
+//!   [`Cache`] value returned by `forward`.
+//! * [`Sequential`] composes layers (shared behind an `Arc`) with one flat
+//!   parameter vector in [`ParamVec`] order — the unit of exchange on the
+//!   tangle ledger. [`Sequential::evaluate_params`] scores any such vector
+//!   in place. [`loss`] provides softmax cross-entropy.
+//! * Training is one [`Sequential::loss_and_grads`] per mini-batch, giving a
+//!   flat gradient, followed by [`Sgd::step`] (`p -= lr·g`); there is no
+//!   other optimizer.
 //!
 //! ## Quickstart
 //!
@@ -25,9 +26,9 @@
 //!
 //! let mut rng = seeded(42);
 //! let mut model = Sequential::new(vec![
-//!     Box::new(Dense::xavier(4, 16, &mut rng)),
-//!     Box::new(Relu::new()),
-//!     Box::new(Dense::xavier(16, 3, &mut rng)),
+//!     Dense::xavier(4, 16, &mut rng),
+//!     Relu.into(),
+//!     Dense::xavier(16, 3, &mut rng),
 //! ]);
 //! let x = tinynn::Tensor::from_vec(vec![2, 4], vec![0.1; 8]);
 //! let targets = [0u32, 2];
@@ -62,10 +63,10 @@ pub use activations::{Relu, Sigmoid, Tanh};
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use embedding::Embedding;
-pub use layer::{Cache, Layer};
+pub use layer::{Cache, Layer, LayerInit};
 pub use lstm::Lstm;
 pub use metrics::ConfusionMatrix;
-pub use model::{Gradients, Sequential};
+pub use model::Sequential;
 pub use optim::Sgd;
 pub use params::ParamVec;
 pub use pool::MaxPool2d;

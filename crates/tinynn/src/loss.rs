@@ -68,31 +68,40 @@ pub fn cross_entropy(logits: &Tensor, targets: &[u32]) -> f32 {
     (loss / rows as f64) as f32
 }
 
+/// Index of a row's largest value (the first, on ties).
+fn argmax(row: &[f32]) -> usize {
+    let mut best = 0usize;
+    for (j, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = j;
+        }
+    }
+    best
+}
+
 /// Arg-max class prediction per row.
 pub fn predictions(logits: &Tensor) -> Vec<u32> {
-    let (rows, classes) = rows_classes(logits);
-    (0..rows)
-        .map(|i| {
-            let row = &logits.as_slice()[i * classes..(i + 1) * classes];
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
-            }
-            best as u32
-        })
+    let (_, classes) = rows_classes(logits);
+    logits
+        .as_slice()
+        .chunks_exact(classes)
+        .map(|row| argmax(row) as u32)
         .collect()
 }
 
 /// Fraction of rows whose arg-max matches the target.
 pub fn accuracy(logits: &Tensor, targets: &[u32]) -> f32 {
-    let preds = predictions(logits);
-    assert_eq!(preds.len(), targets.len());
+    let (rows, classes) = rows_classes(logits);
+    assert_eq!(rows, targets.len());
     if targets.is_empty() {
         return 0.0;
     }
-    let hits = preds.iter().zip(targets).filter(|(p, t)| p == t).count();
+    let hits = logits
+        .as_slice()
+        .chunks_exact(classes)
+        .zip(targets)
+        .filter(|(row, &t)| argmax(row) == t as usize)
+        .count();
     hits as f32 / targets.len() as f32
 }
 

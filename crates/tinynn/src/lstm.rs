@@ -5,20 +5,19 @@
 //! `[B, T, H]` sequence produced by the previous one.
 
 use crate::activations::sigmoid;
+use crate::gemm::gemm;
 use crate::init;
-use crate::layer::{Cache, Layer};
+use crate::layer::{Cache, Layer, LayerInit};
 use crate::tensor::Tensor;
 use rand::Rng;
 
 /// A single LSTM layer mapping `[B, T, in]` to the full hidden sequence
 /// `[B, T, hidden]`. Initial hidden and cell states are zero.
 ///
-/// Gate packing order inside the `4·hidden` axis is `i, f, g, o`
-/// (input, forget, candidate, output).
+/// Parameters: `w_ih [in, 4H]`, `w_hh [H, 4H]`, `bias [4H]`. Gate packing
+/// order inside the `4·hidden` axis is `i, f, g, o` (input, forget,
+/// candidate, output).
 pub struct Lstm {
-    w_ih: Tensor, // [in, 4H]
-    w_hh: Tensor, // [H, 4H]
-    bias: Tensor, // [4H]
     in_dim: usize,
     hidden: usize,
 }
@@ -34,33 +33,29 @@ struct LstmCache {
 }
 
 impl Lstm {
-    /// Construct with explicit weights (mainly for tests).
-    pub fn new(w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Self {
-        let in_dim = w_ih.shape()[0];
-        let four_h = w_ih.shape()[1];
-        assert_eq!(four_h % 4, 0, "LSTM weight columns must be 4·hidden");
-        let hidden = four_h / 4;
-        assert_eq!(w_hh.shape(), &[hidden, four_h]);
-        assert_eq!(bias.shape(), &[four_h]);
-        Self {
-            w_ih,
-            w_hh,
-            bias,
-            in_dim,
-            hidden,
-        }
+    /// An `in_dim → hidden` LSTM (architecture only).
+    pub fn new(in_dim: usize, hidden: usize) -> Self {
+        Self { in_dim, hidden }
     }
 
     /// Xavier-initialized LSTM with the forget-gate bias set to 1 (the
     /// standard trick to ease gradient flow early in training).
-    pub fn init(in_dim: usize, hidden: usize, rng: &mut impl Rng) -> Self {
+    pub fn init(in_dim: usize, hidden: usize, rng: &mut impl Rng) -> LayerInit {
         let w_ih = init::xavier_uniform(&[in_dim, 4 * hidden], in_dim, hidden, rng);
         let w_hh = init::xavier_uniform(&[hidden, 4 * hidden], hidden, hidden, rng);
         let mut bias = Tensor::zeros(&[4 * hidden]);
         for v in &mut bias.as_mut_slice()[hidden..2 * hidden] {
             *v = 1.0;
         }
-        Self::new(w_ih, w_hh, bias)
+        LayerInit::new(Self::new(in_dim, hidden), &[w_ih, w_hh, bias])
+    }
+
+    /// `p` split into `(w_ih, w_hh, bias)`.
+    fn split<'p>(&self, p: &'p [f32]) -> (&'p [f32], &'p [f32], &'p [f32]) {
+        let four_h = 4 * self.hidden;
+        let (w_ih, rest) = p.split_at(self.in_dim * four_h);
+        let (w_hh, bias) = rest.split_at(self.hidden * four_h);
+        (w_ih, w_hh, bias)
     }
 
     /// Hidden state width.
@@ -91,14 +86,33 @@ impl Lstm {
     }
 }
 
+/// `op(A)·op(B)` (see [`gemm`]) into a fresh `[m, n]` tensor.
+fn product(m: usize, n: usize, k: usize, a: &[f32], ta: bool, b: &[f32], tb: bool) -> Tensor {
+    let mut out = vec![0.0f32; m * n];
+    gemm(m, n, k, a, ta, b, tb, &mut out);
+    Tensor::from_vec(vec![m, n], out)
+}
+
+/// `acc += v`, elementwise.
+fn add_into(acc: &mut [f32], v: &Tensor) {
+    for (a, &x) in acc.iter_mut().zip(v.as_slice()) {
+        *a += x;
+    }
+}
+
 impl Layer for Lstm {
     fn name(&self) -> &'static str {
         "Lstm"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn param_count(&self) -> usize {
+        (self.in_dim + self.hidden + 1) * 4 * self.hidden
+    }
+
+    fn forward(&self, p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
         let (b, t) = self.dims(x);
         let h = self.hidden;
+        let (w_ih, w_hh, bias) = self.split(p);
         let mut cache = LstmCache {
             gates: Vec::with_capacity(t),
             cells: Vec::with_capacity(t),
@@ -109,9 +123,13 @@ impl Layer for Lstm {
         let mut out = vec![0.0f32; b * t * h];
         for step in 0..t {
             let x_t = Self::step_slice(x, step, self.in_dim);
-            let mut z = x_t.matmul(&self.w_ih);
-            z.add_assign(&h_prev.matmul(&self.w_hh));
-            z.add_row_broadcast(&self.bias);
+            let mut z = product(b, 4 * h, self.in_dim, x_t.as_slice(), false, w_ih, false);
+            z.add_assign(&product(b, 4 * h, h, h_prev.as_slice(), false, w_hh, false));
+            for row in z.as_mut_slice().chunks_exact_mut(4 * h) {
+                for (o, &bv) in row.iter_mut().zip(bias) {
+                    *o += bv;
+                }
+            }
             let mut gates = z;
             let mut c_t = Tensor::zeros(&[b, h]);
             let mut h_t = Tensor::zeros(&[b, h]);
@@ -144,13 +162,20 @@ impl Layer for Lstm {
         (Tensor::from_vec(vec![b, t, h], out), Cache::new(cache))
     }
 
-    fn backward(&self, x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
+    fn backward(
+        &self,
+        p: &[f32],
+        x: &Tensor,
+        cache: &Cache,
+        grad_out: &Tensor,
+        grad_p: &mut [f32],
+    ) -> Tensor {
         let (b, t) = self.dims(x);
-        let h = self.hidden;
+        let (h, d) = (self.hidden, self.in_dim);
+        let (w_ih, w_hh, _) = self.split(p);
         let cache = cache.get::<LstmCache>();
-        let mut grad_w_ih = Tensor::zeros(self.w_ih.shape());
-        let mut grad_w_hh = Tensor::zeros(self.w_hh.shape());
-        let mut grad_bias = Tensor::zeros(self.bias.shape());
+        let (grad_w_ih, rest) = grad_p.split_at_mut(d * 4 * h);
+        let (grad_w_hh, grad_bias) = rest.split_at_mut(h * 4 * h);
         let mut grad_x = vec![0.0f32; b * t * self.in_dim];
         let mut dh_next = Tensor::zeros(&[b, h]);
         let mut dc_next = Tensor::zeros(&[b, h]);
@@ -191,14 +216,21 @@ impl Layer for Lstm {
             }
             dc_next = dc_prev;
             // Parameter gradients
-            let x_t = Self::step_slice(x, step, self.in_dim);
-            grad_w_ih.add_assign(&x_t.matmul_at(&dz));
+            let x_t = Self::step_slice(x, step, d);
+            add_into(
+                grad_w_ih,
+                &product(d, 4 * h, b, x_t.as_slice(), true, dz.as_slice(), false),
+            );
             if step > 0 {
-                grad_w_hh.add_assign(&cache.hiddens[step - 1].matmul_at(&dz));
+                let h_prev = cache.hiddens[step - 1].as_slice();
+                add_into(
+                    grad_w_hh,
+                    &product(h, 4 * h, b, h_prev, true, dz.as_slice(), false),
+                );
             }
-            grad_bias.add_assign(&dz.sum_rows());
+            add_into(grad_bias, &dz.sum_rows());
             // Input and recurrent gradients
-            let dx_t = dz.matmul_bt(&self.w_ih);
+            let dx_t = product(b, d, 4 * h, dz.as_slice(), false, w_ih, true);
             for bi in 0..b {
                 let base = (bi * t + step) * self.in_dim;
                 for (gx, &v) in grad_x[base..base + self.in_dim]
@@ -208,20 +240,9 @@ impl Layer for Lstm {
                     *gx += v;
                 }
             }
-            dh_next = dz.matmul_bt(&self.w_hh);
+            dh_next = product(b, h, 4 * h, dz.as_slice(), false, w_hh, true);
         }
-        (
-            Tensor::from_vec(x.shape().to_vec(), grad_x),
-            vec![grad_w_ih, grad_w_hh, grad_bias],
-        )
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.w_ih, &self.w_hh, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.w_ih, &mut self.w_hh, &mut self.bias]
+        Tensor::from_vec(x.shape().to_vec(), grad_x)
     }
 }
 
@@ -235,7 +256,7 @@ mod tests {
         let mut rng = seeded(0);
         let lstm = Lstm::init(3, 5, &mut rng);
         let x = Tensor::from_fn(&[2, 7, 3], |i| ((i % 13) as f32 - 6.0) * 0.2);
-        let (y, _) = lstm.forward(&x, false);
+        let (y, _) = lstm.layer.forward(&lstm.params, &x, false);
         assert_eq!(y.shape(), &[2, 7, 5]);
         // h = o * tanh(c) with o in (0,1) and tanh in (-1,1)
         assert!(y.as_slice().iter().all(|v| v.abs() < 1.0));
@@ -243,13 +264,9 @@ mod tests {
 
     #[test]
     fn zero_input_zero_weights_gives_zero_output() {
-        let lstm = Lstm::new(
-            Tensor::zeros(&[2, 8]),
-            Tensor::zeros(&[2, 8]),
-            Tensor::zeros(&[8]),
-        );
+        let lstm = Lstm::new(2, 2);
         let x = Tensor::zeros(&[1, 4, 2]);
-        let (y, _) = lstm.forward(&x, false);
+        let (y, _) = lstm.forward(&[0.0; 40], &x, false);
         // all gates sigmoid(0)=0.5, g=tanh(0)=0, so c=0, h=0
         assert!(y.as_slice().iter().all(|&v| v == 0.0));
     }
@@ -258,7 +275,7 @@ mod tests {
     fn forget_bias_initialized_to_one() {
         let mut rng = seeded(1);
         let lstm = Lstm::init(4, 6, &mut rng);
-        let b = lstm.bias.as_slice();
+        let b = &lstm.params[(4 + 6) * 24..];
         assert!(b[6..12].iter().all(|&v| v == 1.0));
         assert!(b[0..6].iter().all(|&v| v == 0.0));
     }
@@ -268,13 +285,12 @@ mod tests {
         let mut rng = seeded(2);
         let lstm = Lstm::init(3, 4, &mut rng);
         let x = Tensor::from_fn(&[2, 5, 3], |i| (i as f32 * 0.01).sin());
-        let (y, c) = lstm.forward(&x, true);
+        let (y, c) = lstm.layer.forward(&lstm.params, &x, true);
         let g = Tensor::filled(y.shape(), 0.1);
-        let (gx, gp) = lstm.backward(&x, &c, &g);
+        let mut gp = vec![0.0; lstm.params.len()];
+        let gx = lstm.layer.backward(&lstm.params, &x, &c, &g, &mut gp);
         assert_eq!(gx.shape(), &[2, 5, 3]);
-        assert_eq!(gp[0].shape(), &[3, 16]);
-        assert_eq!(gp[1].shape(), &[4, 16]);
-        assert_eq!(gp[2].shape(), &[16]);
+        assert_eq!(gp.len(), 3 * 16 + 4 * 16 + 16);
     }
 
     #[test]
@@ -284,7 +300,7 @@ mod tests {
         let mut rng = seeded(3);
         let lstm = Lstm::init(1, 2, &mut rng);
         let x = Tensor::filled(&[1, 10, 1], 1.0);
-        let (y, _) = lstm.forward(&x, false);
+        let (y, _) = lstm.layer.forward(&lstm.params, &x, false);
         let first = &y.as_slice()[0..2];
         let last = &y.as_slice()[18..20];
         assert_ne!(first, last);

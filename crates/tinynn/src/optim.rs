@@ -2,7 +2,7 @@
 //! and the learning tangle (the paper trains with plain SGD at fixed
 //! learning rates).
 
-use crate::model::{Gradients, Sequential};
+use crate::model::Sequential;
 
 /// SGD optimizer: `p ← p − lr·g`.
 pub struct Sgd {
@@ -15,14 +15,15 @@ impl Sgd {
         Self { lr }
     }
 
-    /// Apply one update step to `model` using `grads`.
-    pub fn step(&mut self, model: &mut Sequential, grads: &Gradients) {
-        for (layer, layer_grads) in model.layers_mut().iter_mut().zip(&grads.by_layer) {
-            for (p, g) in layer.params_mut().into_iter().zip(layer_grads) {
-                for (pv, &gv) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *pv -= self.lr * gv;
-                }
-            }
+    /// Apply one update step to `model` using the flat gradient `grads`
+    /// (as [`Sequential::loss_and_grads`] returns it).
+    ///
+    /// # Panics
+    /// Panics if `grads` is not one value per parameter.
+    pub fn step(&mut self, model: &mut Sequential, grads: &[f32]) {
+        assert_eq!(grads.len(), model.params.len(), "gradient length mismatch");
+        for (p, &g) in model.params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 }
@@ -31,17 +32,16 @@ impl Sgd {
 mod tests {
     use super::*;
     use crate::dense::Dense;
+    use crate::layer::LayerInit;
     use crate::tensor::Tensor;
 
     #[test]
     fn plain_sgd_step() {
-        let mut m = Sequential::new(vec![Box::new(Dense::new(
-            Tensor::from_vec(vec![1, 1], vec![1.0]),
-            Tensor::zeros(&[1]),
-        ))]);
-        let mut g = Gradients::zeros_like(&m);
-        g.by_layer[0][0].as_mut_slice()[0] = 0.5;
-        Sgd::new(0.1).step(&mut m, &g);
-        assert!((m.layers()[0].params()[0].as_slice()[0] - 0.95).abs() < 1e-6);
+        let mut m = Sequential::new(vec![LayerInit::new(
+            Dense::new(1, 1),
+            &[Tensor::from_vec(vec![1, 1], vec![1.0]), Tensor::zeros(&[1])],
+        )]);
+        Sgd::new(0.1).step(&mut m, &[0.5, 0.0]);
+        assert!((m.params()[0] - 0.95).abs() < 1e-6);
     }
 }

@@ -1,9 +1,10 @@
 //! Flat parameter vectors — the unit of exchange on the tangle.
 //!
 //! Each tangle transaction carries a *full set of model parameters* (paper
-//! §III). [`ParamVec`] flattens every learnable tensor of a [`Sequential`]
-//! into one `Vec<f32>` in deterministic layer order, and can be written back
-//! into any architecturally-identical model.
+//! §III). A [`Sequential`] already keeps its parameters as one `Vec<f32>` in
+//! deterministic layer order; [`ParamVec`] is that vector on its own, which
+//! [`Sequential::evaluate_params`] scores in place and
+//! [`Sequential::with_params`] turns back into a model.
 
 use crate::model::Sequential;
 use rayon::prelude::*;
@@ -14,36 +15,9 @@ use serde::{Deserialize, Serialize};
 pub struct ParamVec(pub Vec<f32>);
 
 impl ParamVec {
-    /// Extract the parameters of `model` in layer order.
+    /// A copy of `model`'s parameters, in layer order.
     pub fn from_model(model: &Sequential) -> Self {
-        let mut out = Vec::with_capacity(model.param_count());
-        for layer in model.layers() {
-            for p in layer.params() {
-                out.extend_from_slice(p.as_slice());
-            }
-        }
-        ParamVec(out)
-    }
-
-    /// Write these parameters into `model`.
-    ///
-    /// # Panics
-    /// Panics if the length does not match `model.param_count()`.
-    pub fn assign_to(&self, model: &mut Sequential) {
-        assert_eq!(
-            self.0.len(),
-            model.param_count(),
-            "parameter vector length mismatch"
-        );
-        let mut offset = 0;
-        for layer in model.layers_mut() {
-            for p in layer.params_mut() {
-                let n = p.len();
-                p.as_mut_slice()
-                    .copy_from_slice(&self.0[offset..offset + n]);
-                offset += n;
-            }
-        }
+        ParamVec(model.params().to_vec())
     }
 
     /// Number of scalars.
@@ -138,20 +112,17 @@ mod tests {
     fn model(seed: u64) -> Sequential {
         let mut rng = seeded(seed);
         Sequential::new(vec![
-            Box::new(Dense::he(3, 5, &mut rng)),
-            Box::new(Dense::xavier(5, 2, &mut rng)),
+            Dense::he(3, 5, &mut rng),
+            Dense::xavier(5, 2, &mut rng),
         ])
     }
 
     #[test]
     fn roundtrip_preserves_predictions() {
         let src = model(1);
-        let mut dst = model(2);
+        let dst = model(2).with_params(ParamVec::from_model(&src).0);
         let x = Tensor::from_fn(&[4, 3], |i| (i as f32).sin());
-        let before = src.predict(&x);
-        ParamVec::from_model(&src).assign_to(&mut dst);
-        let after = dst.predict(&x);
-        assert_eq!(before.as_slice(), after.as_slice());
+        assert_eq!(src.predict(&x).as_slice(), dst.predict(&x).as_slice());
     }
 
     #[test]
@@ -162,9 +133,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn assign_rejects_wrong_length() {
-        let mut m = model(4);
-        ParamVec(vec![0.0; 3]).assign_to(&mut m);
+    fn with_params_rejects_wrong_length() {
+        let _ = model(4).with_params(vec![0.0; 3]);
     }
 
     #[test]

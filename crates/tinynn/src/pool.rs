@@ -28,7 +28,7 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
         assert_eq!(x.rank(), 4, "MaxPool2d expects [B, C, H, W]");
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let k = self.k;
@@ -66,14 +66,14 @@ impl Layer for MaxPool2d {
         )
     }
 
-    fn backward(&self, x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
+    fn backward(&self, _: &[f32], x: &Tensor, cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let k = self.k;
         let (oh, ow) = (h / k, w / k);
         let argmax = cache.get::<Vec<u32>>();
         let plane = h * w;
         let oplane = oh * ow;
-        let gs = grad_out.as_slice();
+        let gs = dy.as_slice();
         let mut gx = vec![0.0f32; b * c * plane];
         for (pc, gp) in gx.chunks_mut(plane).enumerate() {
             let gob = &gs[pc * oplane..(pc + 1) * oplane];
@@ -82,7 +82,7 @@ impl Layer for MaxPool2d {
                 gp[ai as usize] += g;
             }
         }
-        (Tensor::from_vec(x.shape().to_vec(), gx), Vec::new())
+        Tensor::from_vec(x.shape().to_vec(), gx)
     }
 }
 
@@ -94,7 +94,7 @@ mod tests {
     fn pool_2x2_takes_max() {
         let x = Tensor::from_vec(vec![1, 1, 2, 4], vec![1., 5., 2., 0., 3., 4., 1., 9.]);
         let p = MaxPool2d::new(2);
-        let (y, _) = p.forward(&x, false);
+        let (y, _) = p.forward(&[], &x, false);
         assert_eq!(y.shape(), &[1, 1, 1, 2]);
         assert_eq!(y.as_slice(), &[5., 9.]);
     }
@@ -103,18 +103,17 @@ mod tests {
     fn backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 5., 2., 0.]);
         let p = MaxPool2d::new(2);
-        let (_, c) = p.forward(&x, true);
+        let (_, c) = p.forward(&[], &x, true);
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![3.0]);
-        let (gx, gp) = p.backward(&x, &c, &g);
+        let gx = p.backward(&[], &x, &c, &g, &mut []);
         assert_eq!(gx.as_slice(), &[0., 3., 0., 0.]);
-        assert!(gp.is_empty());
     }
 
     #[test]
     fn odd_sizes_floor() {
         let x = Tensor::from_fn(&[1, 1, 5, 5], |i| i as f32);
         let p = MaxPool2d::new(2);
-        let (y, _) = p.forward(&x, false);
+        let (y, _) = p.forward(&[], &x, false);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
     }
 
@@ -122,7 +121,7 @@ mod tests {
     fn multi_channel_planes_independent() {
         let x = Tensor::from_vec(vec![1, 2, 2, 2], vec![1., 2., 3., 4., 8., 7., 6., 5.]);
         let p = MaxPool2d::new(2);
-        let (y, _) = p.forward(&x, false);
+        let (y, _) = p.forward(&[], &x, false);
         assert_eq!(y.as_slice(), &[4., 8.]);
     }
 }

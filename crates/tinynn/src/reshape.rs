@@ -20,14 +20,14 @@ impl Layer for Flatten {
         "Flatten"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
         let b = x.shape()[0];
         let rest = x.len() / b;
         (x.clone().reshape(vec![b, rest]), Cache::none())
     }
 
-    fn backward(&self, x: &Tensor, _cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
-        (grad_out.clone().reshape(x.shape().to_vec()), Vec::new())
+    fn backward(&self, _: &[f32], x: &Tensor, _: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
+        dy.clone().reshape(x.shape().to_vec())
     }
 }
 
@@ -39,9 +39,9 @@ mod tests {
     fn flatten_roundtrip() {
         let x = Tensor::from_fn(&[2, 3, 4], |i| i as f32);
         let f = Flatten::new();
-        let (y, c) = f.forward(&x, false);
+        let (y, c) = f.forward(&[], &x, false);
         assert_eq!(y.shape(), &[2, 12]);
-        let (gx, _) = f.backward(&x, &c, &y);
+        let gx = f.backward(&[], &x, &c, &y, &mut []);
         assert_eq!(gx.shape(), &[2, 3, 4]);
         assert_eq!(gx.as_slice(), x.as_slice());
     }

@@ -1,6 +1,6 @@
 //! Dense row-major `f32` tensors with the handful of operations the library
-//! needs: elementwise arithmetic, GEMM (including the transposed variants
-//! used by backpropagation), and shape bookkeeping.
+//! needs: elementwise arithmetic, a matrix product, and shape bookkeeping.
+//! Layers run their transposed products on slices through [`crate::gemm`].
 
 use serde::{Deserialize, Serialize};
 
@@ -157,19 +157,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Set every element to zero, keeping the allocation.
-    pub fn zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -177,9 +164,9 @@ impl Tensor {
 
     /// Matrix product `self [M,K] × other [K,N] -> [M,N]`.
     ///
-    /// All three matmul variants run through the blocked/packed kernel in
-    /// [`crate::gemm`], which parallelizes over disjoint output row blocks
-    /// above [`crate::gemm::PAR_GEMM_THRESHOLD`] multiply-adds and is
+    /// Runs through the blocked/packed kernel in [`crate::gemm`], which
+    /// parallelizes over disjoint output row blocks above
+    /// [`crate::gemm::PAR_GEMM_THRESHOLD`] multiply-adds and is
     /// bit-identical to the naive k-ascending loop at any thread count.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rank(), 2, "matmul expects a rank-2 left operand");
@@ -192,52 +179,6 @@ impl Tensor {
         Tensor::from_vec(vec![m, n], out)
     }
 
-    /// Matrix product with the right operand transposed:
-    /// `self [M,K] × otherᵀ, other [N,K] -> [M,N]`.
-    pub fn matmul_bt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul_bt expects a rank-2 left operand");
-        assert_eq!(other.rank(), 2, "matmul_bt expects a rank-2 right operand");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul_bt inner dimension mismatch: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        crate::gemm::gemm(m, n, k, &self.data, false, &other.data, true, &mut out);
-        Tensor::from_vec(vec![m, n], out)
-    }
-
-    /// Matrix product with the left operand transposed:
-    /// `selfᵀ, self [K,M] × other [K,N] -> [M,N]`.
-    pub fn matmul_at(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul_at expects a rank-2 left operand");
-        assert_eq!(other.rank(), 2, "matmul_at expects a rank-2 right operand");
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul_at inner dimension mismatch: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        crate::gemm::gemm(m, n, k, &self.data, true, &other.data, false, &mut out);
-        Tensor::from_vec(vec![m, n], out)
-    }
-
-    /// Add a rank-1 `[N]` bias to every row of a rank-2 `[M,N]` tensor —
-    /// the shared broadcast behind every affine layer's `+ b`.
-    pub fn add_row_broadcast(&mut self, bias: &Tensor) {
-        assert_eq!(self.rank(), 2, "add_row_broadcast expects a rank-2 tensor");
-        assert_eq!(
-            bias.shape(),
-            &[self.shape[1]],
-            "bias shape {:?} does not broadcast over rows of {:?}",
-            bias.shape(),
-            self.shape
-        );
-        let n = self.shape[1];
-        let bs = &bias.data;
-        for row in self.data.chunks_mut(n) {
-            for (o, &b) in row.iter_mut().zip(bs) {
-                *o += b;
-            }
-        }
-    }
-
     /// Copy rows `start..end` along the first (batch) axis.
     ///
     /// Works for any rank ≥ 1; the remaining axes are preserved.
@@ -247,22 +188,6 @@ impl Tensor {
         let mut shape = self.shape.clone();
         shape[0] = end - start;
         Tensor::from_vec(shape, self.data[start * stride..end * stride].to_vec())
-    }
-
-    /// Mean over axis 0 of a rank-2 tensor: `[M,N] -> [N]`.
-    pub fn mean_rows(&self) -> Tensor {
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; n];
-        for i in 0..m {
-            for (o, &v) in out.iter_mut().zip(self.row(i)) {
-                *o += v;
-            }
-        }
-        let inv = 1.0 / m as f32;
-        for o in &mut out {
-            *o *= inv;
-        }
-        Tensor::from_vec(vec![n], out)
     }
 
     /// Sum over axis 0 of a rank-2 tensor: `[M,N] -> [N]`.
@@ -327,24 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_bt_matches_explicit_transpose() {
-        let a = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        // b is [2,3]; matmul_bt computes a × bᵀ -> [2,2]
-        let b = Tensor::from_vec(vec![2, 3], vec![1., 0., 1., 0., 1., 0.]);
-        let c = a.matmul_bt(&b);
-        assert_eq!(c.as_slice(), &[4., 2., 10., 5.]);
-    }
-
-    #[test]
-    fn matmul_at_matches_explicit_transpose() {
-        // a is [3,2]; matmul_at computes aᵀ × b, b [3,2] -> [2,2]
-        let a = Tensor::from_vec(vec![3, 2], vec![1., 4., 2., 5., 3., 6.]);
-        let b = Tensor::from_vec(vec![3, 2], vec![1., 0., 0., 1., 1., 1.]);
-        let c = a.matmul_at(&b);
-        assert_eq!(c.as_slice(), &[4., 5., 10., 11.]);
-    }
-
-    #[test]
     fn large_matmul_parallel_matches_serial_semantics() {
         // Exceed gemm::PAR_GEMM_THRESHOLD to exercise the parallel path.
         let m = 80;
@@ -364,21 +271,17 @@ mod tests {
     }
 
     #[test]
-    fn axpy_add_zero() {
+    fn add_assign_and_sum() {
         let mut a = Tensor::from_vec(vec![3], vec![1., 2., 3.]);
         let b = Tensor::from_vec(vec![3], vec![10., 20., 30.]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.as_slice(), &[6., 12., 18.]);
         a.add_assign(&b);
-        assert_eq!(a.as_slice(), &[16., 32., 48.]);
-        a.zero();
-        assert_eq!(a.sum(), 0.0);
+        assert_eq!(a.as_slice(), &[11., 22., 33.]);
+        assert_eq!(a.sum(), 66.0);
     }
 
     #[test]
-    fn mean_and_sum_rows() {
+    fn sum_rows_adds_columns() {
         let t = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 3., 4., 5.]);
-        assert_eq!(t.mean_rows().as_slice(), &[2., 3., 4.]);
         assert_eq!(t.sum_rows().as_slice(), &[4., 6., 8.]);
     }
 }

@@ -5,6 +5,7 @@ use crate::activations::Relu;
 use crate::conv::Conv2d;
 use crate::dense::Dense;
 use crate::embedding::Embedding;
+use crate::layer::LayerInit;
 use crate::lstm::Lstm;
 use crate::model::Sequential;
 use crate::pool::MaxPool2d;
@@ -13,14 +14,14 @@ use rand::Rng;
 
 /// Multi-layer perceptron: `in -> hidden... -> classes` with ReLU between.
 pub fn mlp(in_dim: usize, hidden: &[usize], classes: usize, rng: &mut impl Rng) -> Sequential {
-    let mut layers: Vec<Box<dyn crate::Layer>> = Vec::new();
+    let mut layers = Vec::new();
     let mut d = in_dim;
     for &h in hidden {
-        layers.push(Box::new(Dense::he(d, h, rng)));
-        layers.push(Box::new(Relu::new()));
+        layers.push(Dense::he(d, h, rng));
+        layers.push(Relu.into());
         d = h;
     }
-    layers.push(Box::new(Dense::xavier(d, classes, rng)));
+    layers.push(Dense::xavier(d, classes, rng));
     Sequential::new(layers)
 }
 
@@ -67,16 +68,16 @@ pub fn femnist_cnn(img: usize, classes: usize, cfg: CnnConfig, rng: &mut impl Rn
     );
     let side = img / 4;
     Sequential::new(vec![
-        Box::new(Conv2d::he(1, cfg.conv1, 3, 1, rng)),
-        Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Conv2d::he(cfg.conv1, cfg.conv2, 3, 1, rng)),
-        Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Flatten::new()),
-        Box::new(Dense::he(cfg.conv2 * side * side, cfg.dense, rng)),
-        Box::new(Relu::new()),
-        Box::new(Dense::xavier(cfg.dense, classes, rng)),
+        Conv2d::he(1, cfg.conv1, 3, 1, rng),
+        Relu.into(),
+        MaxPool2d::new(2).into(),
+        Conv2d::he(cfg.conv1, cfg.conv2, 3, 1, rng),
+        Relu.into(),
+        MaxPool2d::new(2).into(),
+        Flatten.into(),
+        Dense::he(cfg.conv2 * side * side, cfg.dense, rng),
+        Relu.into(),
+        Dense::xavier(cfg.dense, classes, rng),
     ])
 }
 
@@ -90,13 +91,13 @@ pub fn char_lstm(
     rng: &mut impl Rng,
 ) -> Sequential {
     assert!(layers >= 1, "need at least one LSTM layer");
-    let mut stack: Vec<Box<dyn crate::Layer>> = vec![Box::new(Embedding::init(vocab, embed, rng))];
+    let mut stack: Vec<LayerInit> = vec![Embedding::init(vocab, embed, rng)];
     let mut d = embed;
     for _ in 0..layers {
-        stack.push(Box::new(Lstm::init(d, hidden, rng)));
+        stack.push(Lstm::init(d, hidden, rng));
         d = hidden;
     }
-    stack.push(Box::new(Dense::xavier(hidden, vocab, rng)));
+    stack.push(Dense::xavier(hidden, vocab, rng));
     Sequential::new(stack)
 }
 

@@ -50,8 +50,7 @@ fn main() {
 
     // Confusion analysis of the final consensus model over all devices.
     let consensus: ParamVec = sim.consensus_params();
-    let mut model = build();
-    consensus.assign_to(&mut model);
+    let model = build().with_params(consensus.0);
     let mut cm = ConfusionMatrix::new(classes);
     for c in &eval_clients {
         if c.test_len() > 0 {
