@@ -1,24 +1,20 @@
-//! Memoized model evaluation for the round hot path.
+//! Memoized candidate evaluation for the round hot path.
 //!
-//! Algorithm 2 makes local validation the inner loop of everything: each
-//! node evaluates the reference model, every sampled candidate tip
-//! (§III-E), and — with `accuracy_bias` — every transaction in the ledger,
-//! on its held-out data, every round. The same transactions are
-//! re-evaluated by the same node across rounds with unchanged parameters
-//! and unchanged validation data, so the loss/accuracy pair is a pure
-//! function of `(transaction, node dataset)` — as long as the node's view
-//! of history has not been replaced.
+//! Algorithm 2 makes local validation the inner loop: each node scores the
+//! reference model and every sampled candidate tip (§III-E) — and, with
+//! `accuracy_bias`, every transaction in the ledger — on its held-out
+//! data. A transaction's payload never changes and neither does the
+//! node's data, so the loss/accuracy pair is a pure function of
+//! `(transaction, dataset)`.
 //!
-//! [`EvalCache`] memoizes those pairs per node. Every entry is guarded by
-//! the chained history signature (`Tangle::history_sig`) of the prefix
-//! that determines the evaluated parameters: a hit is served only when the
-//! stored signature matches the current view's, so a diverged or regrown
-//! history (checkpoint restore, gossip repair in a different arrival
-//! order) can never serve a stale loss. The signature covers ledger
-//! *structure*, not payloads — a regrown replica can agree structurally
-//! while carrying swapped payloads at the same local ids — so owners of
-//! replica-backed caches (the gossip learner) additionally clear the
-//! cache outright on crash/restore (see `Network::restarts`).
+//! [`EvalCache`] memoizes those pairs, keyed by transaction id and data
+//! tag. An id names one transaction only as long as the ledger it indexes
+//! lives, so the memo must not outlive it: a `Simulation` node keeps one
+//! for the whole run (its `Tangle` only ever appends, and a `TangleView`
+//! is a prefix of that same ledger), while a gossip activation starts
+//! from an empty one (a replica can be replaced wholesale on restart).
+//! The reference model is an average of a ranked id set that rarely
+//! repeats, so it is never memoized.
 //!
 //! A miss costs one in-place evaluation: `Sequential::evaluate_params`
 //! reads the transaction's payload where the ledger holds it, under the
@@ -26,164 +22,51 @@
 //! out or loaded per evaluation.
 //!
 //! Cache behaviour is observable through the `eval_cache.hits` /
-//! `eval_cache.misses` / `eval_cache.evictions` /
-//! `eval_cache.invalidations` counters — metrics registry only, never the
-//! JSONL event stream, which stays byte-deterministic whatever the caches
-//! hold.
+//! `eval_cache.misses` counters — metrics registry only, never the JSONL
+//! event stream, which stays byte-deterministic whatever the memo holds.
 
+use rayon::prelude::*;
 use std::collections::HashMap;
 use tangle_ledger::TxId;
 
-/// Default per-node entry capacity. Sized for the experiment-scale runs
-/// (thousands of transactions per ledger): one entry per transaction a
-/// node has ever validated, plus reference combinations.
-pub const DEFAULT_EVAL_CACHE_CAPACITY: usize = 8192;
-
-/// High bit distinguishing hashed reference-set keys from plain
-/// transaction-id keys (which keep bit 63 clear).
-const REF_TAG: u64 = 1 << 63;
-
-/// SplitMix64 finalizer (same avalanche as the ledger's signature fold).
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Cache key for one transaction's evaluation on one of the node's
-/// datasets. `data_tag` discriminates the dataset (0 = clean local data,
-/// 1 = poisoned replacement data) so a node that switches behaviour
-/// mid-run cannot alias entries across datasets.
-pub fn tx_key(id: TxId, data_tag: u64) -> u64 {
-    u64::from(id.0) | (data_tag << 48)
-}
-
-/// Cache key for the averaged reference model built from `ids`. Hashed
-/// (the id set is variable-length) and tagged into its own key space.
-pub fn reference_key(ids: &[TxId], data_tag: u64) -> u64 {
-    let mut h = 0x243F_6A88_85A3_08D3u64 ^ data_tag;
-    for id in ids {
-        h = splitmix(h ^ u64::from(id.0));
-    }
-    h | REF_TAG
-}
-
-#[derive(Clone, Copy)]
-struct Entry {
-    /// Chained history signature of the prefix that determines the
-    /// evaluated parameters; a mismatch at probe time drops the entry.
-    sig: u64,
-    loss: f32,
-    acc: f32,
-    /// Last-touch tick for LRU eviction.
-    tick: u64,
-}
-
-/// A per-node memo of `(transaction / reference) → (loss, accuracy)` on
-/// that node's held-out data, guarded by history signatures and bounded
-/// by LRU eviction. See the module docs for the invalidation rule.
+/// One node's memo of `(transaction, data tag) → (loss, accuracy)`. The
+/// data tag discriminates the node's datasets (0 = clean local data,
+/// 1 = poisoned replacement data), so a node that switches behaviour
+/// mid-run cannot alias entries across them.
+#[derive(Default)]
 pub struct EvalCache {
-    entries: HashMap<u64, Entry>,
-    cap: usize,
-    tick: u64,
+    entries: HashMap<(TxId, u64), (f32, f32)>,
 }
 
 impl EvalCache {
-    /// An empty cache holding at most `cap` entries.
-    pub fn new(cap: usize) -> Self {
-        Self {
-            entries: HashMap::new(),
-            cap: cap.max(1),
-            tick: 0,
-        }
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Probe for `key` under history signature `sig`.
-    ///
-    /// A stored entry whose signature differs from `sig` belongs to a
-    /// replaced history: it is dropped (counted under
-    /// `eval_cache.invalidations`) and the probe is a miss. Hits refresh
-    /// the entry's LRU tick.
-    pub fn get(
+    /// `(loss, accuracy)` of every transaction in `ids` on the dataset
+    /// tagged `data_tag`, in the order of `ids`. Memoized pairs are
+    /// served; the rest are computed by `eval` in parallel (evaluation
+    /// draws no randomness, so the split cannot perturb the run) and
+    /// memoized. Counts the batch's hits and misses once each.
+    pub(crate) fn evaluate(
         &mut self,
-        key: u64,
-        sig: u64,
+        ids: &[TxId],
+        data_tag: u64,
+        eval: impl Fn(TxId) -> (f32, f32) + Sync,
         telemetry: &lt_telemetry::Telemetry,
-    ) -> Option<(f32, f32)> {
-        match self.entries.get_mut(&key) {
-            Some(e) if e.sig == sig => {
-                self.tick += 1;
-                e.tick = self.tick;
-                telemetry.count("eval_cache.hits", 1);
-                Some((e.loss, e.acc))
-            }
-            Some(_) => {
-                self.entries.remove(&key);
-                telemetry.count("eval_cache.invalidations", 1);
-                telemetry.count("eval_cache.misses", 1);
-                None
-            }
-            None => {
-                telemetry.count("eval_cache.misses", 1);
-                None
+    ) -> Vec<(f32, f32)> {
+        let mut evals = vec![(0.0f32, 0.0f32); ids.len()];
+        let mut misses: Vec<usize> = Vec::new();
+        for (slot, &id) in ids.iter().enumerate() {
+            match self.entries.get(&(id, data_tag)) {
+                Some(&e) => evals[slot] = e,
+                None => misses.push(slot),
             }
         }
-    }
-
-    /// Store `(loss, acc)` for `key` under history signature `sig`,
-    /// evicting the least-recently-used eighth of the cache when full
-    /// (batch eviction keeps the amortized cost O(1) without an intrusive
-    /// LRU list; the order is deterministic, by tick).
-    pub fn insert(
-        &mut self,
-        key: u64,
-        sig: u64,
-        loss: f32,
-        acc: f32,
-        telemetry: &lt_telemetry::Telemetry,
-    ) {
-        if self.entries.len() >= self.cap && !self.entries.contains_key(&key) {
-            let mut by_age: Vec<(u64, u64)> =
-                self.entries.iter().map(|(&k, e)| (e.tick, k)).collect();
-            by_age.sort_unstable();
-            let drop = (self.cap / 8).max(1);
-            for &(_, k) in by_age.iter().take(drop) {
-                self.entries.remove(&k);
-            }
-            telemetry.count("eval_cache.evictions", drop as u64);
+        telemetry.count("eval_cache.hits", (ids.len() - misses.len()) as u64);
+        telemetry.count("eval_cache.misses", misses.len() as u64);
+        let computed: Vec<(f32, f32)> = misses.par_iter().map(|&slot| eval(ids[slot])).collect();
+        for (&slot, &e) in misses.iter().zip(&computed) {
+            self.entries.insert((ids[slot], data_tag), e);
+            evals[slot] = e;
         }
-        self.tick += 1;
-        self.entries.insert(
-            key,
-            Entry {
-                sig,
-                loss,
-                acc,
-                tick: self.tick,
-            },
-        );
-    }
-
-    /// Drop every entry — the owner knows the backing history was replaced
-    /// wholesale (e.g. a gossip peer crashed and restored). Counted under
-    /// `eval_cache.invalidations`, one per dropped entry.
-    pub fn invalidate_all(&mut self, telemetry: &lt_telemetry::Telemetry) {
-        let n = self.entries.len();
-        if n > 0 {
-            telemetry.count("eval_cache.invalidations", n as u64);
-        }
-        self.entries.clear();
+        evals
     }
 }
 
@@ -191,6 +74,7 @@ impl EvalCache {
 mod tests {
     use super::*;
     use lt_telemetry::Telemetry;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tel() -> Telemetry {
         Telemetry::new(lt_telemetry::NoopSink)
@@ -199,67 +83,45 @@ mod tests {
     #[test]
     fn hit_after_insert_and_counters() {
         let tel = tel();
-        let mut c = EvalCache::new(16);
-        let key = tx_key(TxId(3), 0);
-        assert_eq!(c.get(key, 77, &tel), None);
-        c.insert(key, 77, 0.5, 0.9, &tel);
-        assert_eq!(c.get(key, 77, &tel), Some((0.5, 0.9)));
-        assert_eq!(tel.counter_value("eval_cache.hits"), 1);
-        assert_eq!(tel.counter_value("eval_cache.misses"), 1);
-    }
-
-    #[test]
-    fn signature_mismatch_invalidates() {
-        let tel = tel();
-        let mut c = EvalCache::new(16);
-        let key = tx_key(TxId(3), 0);
-        c.insert(key, 77, 0.5, 0.9, &tel);
-        // Same key, different history: the entry must die, not be served.
-        assert_eq!(c.get(key, 78, &tel), None);
-        assert_eq!(tel.counter_value("eval_cache.invalidations"), 1);
-        // And it is really gone, even for the original signature.
-        assert_eq!(c.get(key, 77, &tel), None);
-    }
-
-    #[test]
-    fn capacity_evicts_least_recently_used() {
-        let tel = tel();
-        let mut c = EvalCache::new(8);
-        for i in 0..8u32 {
-            c.insert(tx_key(TxId(i), 0), 1, i as f32, 0.0, &tel);
-        }
-        // Touch entry 0 so it is the most recently used.
-        assert!(c.get(tx_key(TxId(0), 0), 1, &tel).is_some());
-        c.insert(tx_key(TxId(99), 0), 1, 9.0, 0.0, &tel);
-        assert_eq!(tel.counter_value("eval_cache.evictions"), 1);
-        assert!(c.len() <= 8);
-        // The freshly touched entry survived; the oldest (1) did not.
-        assert!(c.get(tx_key(TxId(0), 0), 1, &tel).is_some());
-        assert!(c.get(tx_key(TxId(1), 0), 1, &tel).is_none());
-    }
-
-    #[test]
-    fn invalidate_all_clears_and_counts() {
-        let tel = tel();
-        let mut c = EvalCache::new(16);
-        c.insert(tx_key(TxId(1), 0), 1, 0.1, 0.2, &tel);
-        c.insert(tx_key(TxId(2), 0), 1, 0.3, 0.4, &tel);
-        c.invalidate_all(&tel);
-        assert!(c.is_empty());
-        assert_eq!(tel.counter_value("eval_cache.invalidations"), 2);
-    }
-
-    #[test]
-    fn key_spaces_are_disjoint() {
-        // Transaction keys keep bit 63 clear; reference keys set it.
-        assert_eq!(tx_key(TxId(u32::MAX), 1) >> 63, 0);
-        assert_eq!(reference_key(&[TxId(0)], 0) >> 63, 1);
-        // Dataset tags separate entries for the same transaction.
-        assert_ne!(tx_key(TxId(5), 0), tx_key(TxId(5), 1));
-        assert_ne!(
-            reference_key(&[TxId(1), TxId(2)], 0),
-            reference_key(&[TxId(2), TxId(1)], 0),
-            "reference keys are order-sensitive (choose_reference output is ranked)"
+        let calls = AtomicU64::new(0);
+        let eval = |id: TxId| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            (id.0 as f32, 0.5)
+        };
+        let mut c = EvalCache::default();
+        let ids = [TxId(3), TxId(1), TxId(3)];
+        assert_eq!(
+            c.evaluate(&ids[..2], 0, eval, &tel),
+            vec![(3.0, 0.5), (1.0, 0.5)]
         );
+        assert_eq!(
+            c.evaluate(&ids, 0, eval, &tel),
+            vec![(3.0, 0.5), (1.0, 0.5), (3.0, 0.5)]
+        );
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            2,
+            "each pair is computed once"
+        );
+        assert_eq!(tel.counter_value("eval_cache.hits"), 3);
+        assert_eq!(tel.counter_value("eval_cache.misses"), 2);
+    }
+
+    #[test]
+    fn data_tags_separate_entries() {
+        // The same transaction scored on the node's clean and poisoned
+        // data are two entries, never one.
+        let tel = tel();
+        let mut c = EvalCache::default();
+        c.evaluate(&[TxId(5)], 0, |_| (0.1, 0.9), &tel);
+        assert_eq!(
+            c.evaluate(&[TxId(5)], 1, |_| (0.7, 0.2), &tel),
+            vec![(0.7, 0.2)]
+        );
+        assert_eq!(
+            c.evaluate(&[TxId(5)], 0, |_| unreachable!(), &tel),
+            vec![(0.1, 0.9)]
+        );
+        assert_eq!(tel.counter_value("eval_cache.misses"), 2);
     }
 }

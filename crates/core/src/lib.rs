@@ -40,7 +40,7 @@ pub mod sim;
 
 pub use attack::{assign_malicious, AttackKind};
 pub use config::{ConfidenceMode, NetworkModel, SimConfig, TangleHyperParams};
-pub use eval_cache::{tx_key, EvalCache, DEFAULT_EVAL_CACHE_CAPACITY};
+pub use eval_cache::EvalCache;
 pub use metrics::{rounds_to_reach, MetricsLog};
 pub use node::{Node, NodeKind, RoundContext};
 pub use sim::{eval_pool_indices, RoundStats, Simulation};

@@ -9,7 +9,7 @@
 
 use crate::config::{SimConfig, TangleHyperParams};
 use crate::dp::DpConfig;
-use crate::eval_cache::{EvalCache, DEFAULT_EVAL_CACHE_CAPACITY};
+use crate::eval_cache::EvalCache;
 use crate::node::{node_step, walk_table, ModelParams, Node, RoundContext, StepOutcome};
 use feddata::{ClientData, FederatedDataset};
 use lt_telemetry::{Event, PhaseRecorder, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
@@ -107,21 +107,15 @@ pub struct Simulation<'a> {
     /// analyses `prefixes` instead. A pure optimization: the cached
     /// weights, ratings and depths equal the batch DPs bit for bit.
     cache: Option<AnalysisCache>,
-    /// Per-node evaluation memoization. Like the analysis cache this is a
-    /// pure optimization: entries are keyed by the chained history
-    /// signature and probes consume no randomness.
+    /// Per-node evaluation memo, kept for the whole run: `tangle` only
+    /// appends and every delayed view is a prefix of it, so a transaction
+    /// id never names another transaction. A pure optimization, like the
+    /// analysis cache: probes consume no randomness.
     eval: Vec<Mutex<EvalCache>>,
     /// Observability handle; disabled (no-op) unless attached.
     telemetry: Telemetry,
     /// Unused; kept only because `benchmark/` names `Simulation<'static>`.
     _lifetime: PhantomData<&'a ()>,
-}
-
-/// One fresh eval cache per node.
-fn fresh_eval_caches(n: usize) -> Vec<Mutex<EvalCache>> {
-    (0..n)
-        .map(|_| Mutex::new(EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY)))
-        .collect()
 }
 
 impl<'a> Simulation<'a> {
@@ -150,7 +144,7 @@ impl<'a> Simulation<'a> {
             .map(|(i, c)| Node::honest(i, c))
             .collect();
         Self {
-            eval: fresh_eval_caches(nodes.len()),
+            eval: nodes.iter().map(|_| Mutex::default()).collect(),
             nodes,
             cache: cfg.network.is_none().then(|| AnalysisCache::new(&tangle)),
             tangle,
@@ -896,25 +890,26 @@ mod tests {
         assert_same_run(&cached, &fresh);
     }
 
-    /// Six observed rounds with the per-node eval caches left to warm up,
-    /// or (`cold`) emptied before every round so that nothing evaluated in
-    /// one round is served in a later one. Also returns the hits served and
-    /// the misses evaluated.
+    /// Six observed rounds of `cfg` over a population that `setup` has
+    /// shaped, with the per-node eval caches left to warm up, or (`cold`)
+    /// emptied before every round so that nothing evaluated in one round
+    /// is served in a later one. Also returns the hits served and the
+    /// misses evaluated.
     fn fingerprint_eval(
         cfg: SimConfig,
+        setup: fn(&mut [Node]),
         cold: bool,
         path: &std::path::Path,
     ) -> (RunFingerprint, u64, u64) {
         let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
         let mut sim = Simulation::new(dataset(10), cfg, build).with_telemetry(Telemetry::new(sink));
+        setup(sim.nodes_mut());
         let stats: Vec<RoundStats> = (0..6)
             .map(|_| {
                 if cold {
                     for cache in &sim.eval {
-                        cache
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .invalidate_all(&Telemetry::disabled());
+                        *cache.lock().unwrap_or_else(PoisonError::into_inner) =
+                            EvalCache::default();
                     }
                 }
                 sim.round()
@@ -931,15 +926,24 @@ mod tests {
     /// A warm and a cold run of `cfg` must be the same run, and the warm
     /// one must actually have reused evaluations across rounds. Returns
     /// the warm run's hits and misses.
-    fn assert_eval_cache_is_invisible(cfg: SimConfig, tag: &str) -> (u64, u64) {
+    fn assert_eval_cache_is_invisible(
+        cfg: SimConfig,
+        setup: fn(&mut [Node]),
+        tag: &str,
+    ) -> (u64, u64) {
         let dir = std::env::temp_dir();
         let (warm, warm_hits, warm_misses) = fingerprint_eval(
             cfg.clone(),
+            setup,
             false,
             &dir.join(format!("lt_eval_warm_{tag}.jsonl")),
         );
-        let (cold, cold_hits, _) =
-            fingerprint_eval(cfg, true, &dir.join(format!("lt_eval_cold_{tag}.jsonl")));
+        let (cold, cold_hits, _) = fingerprint_eval(
+            cfg,
+            setup,
+            true,
+            &dir.join(format!("lt_eval_cold_{tag}.jsonl")),
+        );
         assert_same_run(&warm, &cold);
         assert!(
             warm_hits > cold_hits,
@@ -959,7 +963,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.hyper.tip_validation = true;
         cfg.hyper.sample_size = 6;
-        assert_eval_cache_is_invisible(cfg, "v");
+        assert_eval_cache_is_invisible(cfg, |_| {}, "v");
     }
 
     #[test]
@@ -970,7 +974,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.hyper.tip_validation = true;
         cfg.hyper.accuracy_bias = 0.5;
-        let (hits, misses) = assert_eval_cache_is_invisible(cfg, "b");
+        let (hits, misses) = assert_eval_cache_is_invisible(cfg, |_| {}, "b");
         assert!(
             hits > misses,
             "the accuracy-bias run must mostly hit ({hits} hits, {misses} misses)"
@@ -980,13 +984,37 @@ mod tests {
     #[test]
     fn eval_cache_warm_and_cold_are_bit_identical_delayed_network() {
         // Delayed-network mode runs nodes on zero-copy `TangleView`
-        // prefixes; the view shares the base signature chain, so entries
-        // written under a stale view serve under fresher ones — without
-        // ever changing results.
+        // prefixes of the one ledger, so a transaction id means the same
+        // transaction under every view and entries written under a stale
+        // view serve under fresher ones — without ever changing results.
         let mut cfg = quick_cfg();
         cfg.hyper.tip_validation = true;
         cfg.network = Some(delayed(3));
-        assert_eval_cache_is_invisible(cfg, "d");
+        assert_eval_cache_is_invisible(cfg, |_| {}, "d");
+    }
+
+    #[test]
+    fn eval_cache_warm_and_cold_are_bit_identical_label_flipper() {
+        // A label flipper scores candidates on its clean data until round
+        // 3 and on its poisoned data after: the data tag must keep the two
+        // apart, or the warm flipper would rank tips by clean losses.
+        let mut cfg = quick_cfg();
+        cfg.hyper.tip_validation = true;
+        cfg.hyper.sample_size = 6;
+        assert_eval_cache_is_invisible(
+            cfg,
+            |nodes| {
+                // Sampled in rounds 1, 2, 3 and 6: clean, then poisoned.
+                let node = &mut nodes[3];
+                node.poisoned_data = crate::attack::default_flip_source(0, 1)(node);
+                node.kind = crate::NodeKind::LabelFlipper {
+                    from_round: 3,
+                    src: 0,
+                    dst: 1,
+                };
+            },
+            "f",
+        );
     }
 
     fn delayed(max_delay_rounds: u64) -> crate::config::NetworkModel {

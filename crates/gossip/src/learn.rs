@@ -10,7 +10,7 @@ use crate::message::TxMessage;
 use crate::network::{Network, NetworkConfig};
 use feddata::FederatedDataset;
 use learning_tangle::node::{node_step, ModelParams, Node, RoundContext, StepOutcome};
-use learning_tangle::{eval_pool_indices, EvalCache, SimConfig, DEFAULT_EVAL_CACHE_CAPACITY};
+use learning_tangle::{eval_pool_indices, EvalCache, SimConfig};
 use rand::RngExt;
 use std::marker::PhantomData;
 use tangle_ledger::{AnalysisCache, Tangle};
@@ -24,7 +24,8 @@ use tinynn::{ParamVec, Sequential};
 /// in-process learner and the `lt-node` daemon produce byte-identical
 /// parameters for the same `(seed, slot, peer)` over the same replica —
 /// and so a one-activation-per-round gossip run matches the round
-/// simulator bit for bit.
+/// simulator bit for bit. Evaluations are memoized for this step only:
+/// replica ids do not outlive a restart, which replaces the replica.
 #[allow(clippy::too_many_arguments)]
 pub fn train_step(
     replica: &Tangle<ModelParams>,
@@ -34,7 +35,6 @@ pub fn train_step(
     slot: u64,
     model: &Sequential,
     cfg: &SimConfig,
-    eval: &mut EvalCache,
     telemetry: &lt_telemetry::Telemetry,
 ) -> StepOutcome {
     let ctx = RoundContext::build_with_cache(
@@ -46,7 +46,14 @@ pub fn train_step(
         telemetry.clone(),
     );
     let mut node_rng = seeded(derive(cfg.seed, (slot << 24) ^ peer as u64));
-    node_step(node, &ctx, model, cfg, &mut node_rng, eval)
+    node_step(
+        node,
+        &ctx,
+        model,
+        cfg,
+        &mut node_rng,
+        &mut EvalCache::default(),
+    )
 }
 
 /// Evaluate the consensus model held in `replica` exactly as
@@ -96,15 +103,6 @@ pub struct GossipLearning<'a> {
     /// checkpoint-restore replaces the replica wholesale, which the cache
     /// detects and answers with a counted rebuild.
     caches: Vec<AnalysisCache>,
-    /// Per-peer evaluation memoization. Replica-local tx ids are only
-    /// meaningful within one replica incarnation, so a restart drops the
-    /// peer's cache wholesale (`eval_cache.invalidations`) — the history
-    /// signature alone cannot see a regrown replica that swapped payloads
-    /// under unchanged structure.
-    eval: Vec<EvalCache>,
-    /// Restart counts already reflected in `eval` (see
-    /// [`Network::restart_count`]).
-    restarts_seen: Vec<u64>,
     telemetry: lt_telemetry::Telemetry,
     /// Unused; kept only because `benchmark/` names `GossipLearning<'static>`.
     _lifetime: PhantomData<&'a ()>,
@@ -139,10 +137,6 @@ impl<'a> GossipLearning<'a> {
         Self {
             network,
             caches,
-            eval: (0..n)
-                .map(|_| EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY))
-                .collect(),
-            restarts_seen: vec![0; n],
             nodes,
             model,
             cfg,
@@ -203,13 +197,6 @@ impl<'a> GossipLearning<'a> {
         }
         self.slot += 1;
         let slot = self.slot;
-        // A restarted peer came back with a different replica incarnation:
-        // its memoized evaluations are meaningless, drop them all.
-        let restarts = self.network.restart_count(peer);
-        if restarts != self.restarts_seen[peer] {
-            self.restarts_seen[peer] = restarts;
-            self.eval[peer].invalidate_all(&self.telemetry);
-        }
         let replica_len;
         let (publish, new_loss, reference_loss) = {
             let replica = self.network.peer(peer).replica();
@@ -222,7 +209,6 @@ impl<'a> GossipLearning<'a> {
                 slot,
                 &self.model,
                 &self.cfg,
-                &mut self.eval[peer],
                 &self.telemetry,
             );
             (out.publish, out.new_loss, out.reference_loss)
@@ -405,71 +391,80 @@ mod tests {
     }
 
     #[test]
-    fn eval_cache_warm_and_cold_are_bit_identical() {
-        // The learner's per-peer memoization must be invisible: same
-        // publish/discard counts, same replica structure, same consensus
-        // accuracy, byte-identical telemetry JSONL per seed — whether a
-        // peer finds its earlier evaluations or (`cold`) every cache is
-        // emptied before every activation.
-        let run = |cold: bool, path: &std::path::Path| {
-            let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
-            let tel = lt_telemetry::Telemetry::new(sink);
+    fn lockstep_with_validation_matches_the_round_simulator() {
+        // One activation per round, fully drained, is the round simulator
+        // run one node per round. A simulator node keeps its evaluation
+        // memo across rounds while every activation here starts from an
+        // empty one: in both modes that score candidates, the two must
+        // build the same ledger, bit for bit. Both start from six random
+        // models approving the genesis and approve one tip per step, so
+        // the ledger stays six tips wide and scores pick the parents.
+        let schedule: Vec<usize> = (0..24u64).map(|k| (derive(9, k) % 6) as usize).collect();
+        for accuracy_bias in [0.0, 0.5] {
             let mut c = cfg();
             c.hyper.tip_validation = true;
-            c.hyper.accuracy_bias = 0.5;
-            let mut gl = GossipLearning::new(data(6), c, NetworkConfig::default(), build);
-            gl.set_telemetry(tel.clone());
-            for _ in 0..40 {
-                if cold {
-                    for cache in &mut gl.eval {
-                        cache.invalidate_all(&lt_telemetry::Telemetry::disabled());
-                    }
-                }
-                gl.run(1);
+            c.hyper.sample_size = 6;
+            c.hyper.num_tips = 1;
+            c.hyper.accuracy_bias = accuracy_bias;
+            let gossip_tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
+            let mut gl = GossipLearning::new(data(6), c.clone(), NetworkConfig::default(), build);
+            gl.set_telemetry(gossip_tel.clone());
+            // Published one at a time, so every replica holds them in the
+            // same order, in the one synthetic round `Simulation::resume`
+            // counts before it.
+            let genesis = gl.network().peer(0).content_id_of(tangle_ledger::TxId(0));
+            for i in 0..6u64 {
+                let model = tinynn::zoo::mlp(8, &[12], 4, &mut seeded(100 + i));
+                let msg = TxMessage::create(&ParamVec::from_model(&model), vec![genesis], i, 1, 0);
+                gl.network_mut().publish(i as usize, msg);
+                gl.network_mut().run_to_quiescence();
             }
-            gl.network_mut().run_to_quiescence();
-            let structure: Vec<(u64, Vec<u32>)> = gl
-                .network()
-                .peer(0)
-                .replica()
-                .transactions()
-                .iter()
-                .map(|tx| {
-                    (
-                        tx.issuer,
-                        tx.parents.iter().map(|p| p.index() as u32).collect(),
-                    )
-                })
-                .collect();
-            let (loss, acc) = gl.evaluate_peer(0);
-            let published = gl.published();
-            let discarded = gl.discarded();
-            let bytes = std::fs::read(path).expect("read jsonl");
-            let _ = std::fs::remove_file(path);
-            (
-                structure,
-                loss.to_bits(),
-                acc.to_bits(),
-                published,
-                discarded,
-                bytes,
-                tel.counter_value("eval_cache.hits"),
-            )
-        };
-        let dir = std::env::temp_dir();
-        let warm = run(false, &dir.join("lt_gossip_eval_warm.jsonl"));
-        let cold = run(true, &dir.join("lt_gossip_eval_cold.jsonl"));
-        assert_eq!(warm.0, cold.0, "replica structure must match");
-        assert_eq!(warm.1, cold.1, "consensus loss must be bit-identical");
-        assert_eq!(warm.2, cold.2, "consensus accuracy must be bit-identical");
-        assert_eq!(warm.3, cold.3, "published count must match");
-        assert_eq!(warm.4, cold.4, "discarded count must match");
-        assert!(!warm.5.is_empty());
-        assert_eq!(warm.5, cold.5, "telemetry JSONL must be byte-identical");
-        assert!(
-            warm.6 > cold.6,
-            "the warm run must serve hits across activations"
-        );
+            gl.slot = 1;
+            let start = gl.network().peer(0).replica().clone();
+            let sim_tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
+            let mut sim = learning_tangle::Simulation::resume(data(6), c, build, start);
+            sim.set_telemetry(sim_tel.clone());
+            for &peer in &schedule {
+                gl.activate(peer);
+                gl.network_mut().run_to_quiescence();
+                sim.round_with_nodes(&[peer]);
+            }
+
+            let (replica, tangle) = (gl.network().peer(0).replica(), sim.tangle());
+            assert!(
+                tangle.len() > 7 + schedule.len() / 2,
+                "too few publications"
+            );
+            assert_eq!(
+                replica.len(),
+                tangle.len(),
+                "bias {accuracy_bias}: ledger size"
+            );
+            for (g, s) in replica.transactions().iter().zip(tangle.transactions()) {
+                let at = format!("bias {accuracy_bias}, tx {}", s.id);
+                assert_eq!(g.issuer, s.issuer, "{at}: issuer");
+                assert_eq!(g.parents, s.parents, "{at}: parents");
+                let bits =
+                    |p: &ModelParams| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g.payload), bits(&s.payload), "{at}: parameters");
+            }
+            let sim_eval = sim.evaluate(1);
+            let (loss, acc) = gl.evaluate_consensus(0, 1);
+            assert_eq!(
+                (loss.to_bits(), acc.to_bits()),
+                (sim_eval.loss.to_bits(), sim_eval.accuracy.to_bits()),
+                "bias {accuracy_bias}: consensus evaluation"
+            );
+            // Within one activation only the biased step reuses (its
+            // candidates were scored for the bias); the simulator also
+            // reuses across rounds.
+            let hits = |tel: &lt_telemetry::Telemetry| tel.counter_value("eval_cache.hits");
+            assert_eq!(hits(&gossip_tel) > 0, accuracy_bias > 0.0);
+            assert!(
+                hits(&sim_tel) > hits(&gossip_tel),
+                "bias {accuracy_bias}: the simulator must reuse evaluations across rounds"
+            );
+        }
     }
 
     #[test]

@@ -266,11 +266,6 @@ pub struct Network {
     recovering_since: Vec<Option<u64>>,
     /// Eviction counts already mirrored into `stats.evicted`.
     evicted_synced: Vec<u64>,
-    /// Restart count per peer. A restart replaces the replica wholesale
-    /// (checkpoint or empty), so anything derived from the old replica —
-    /// notably per-peer evaluation caches — must be dropped when this
-    /// changes (see [`Network::restart_count`]).
-    restarts: Vec<u64>,
     checkpoint_every: u64,
     next_checkpoint_at: u64,
     checkpoints: Vec<Option<Vec<u8>>>,
@@ -314,7 +309,6 @@ impl Network {
             repair_cfg: RepairConfig::default(),
             recovering_since: vec![None; n],
             evicted_synced: vec![0; n],
-            restarts: vec![0; n],
             checkpoint_every: 0,
             next_checkpoint_at: u64::MAX,
             checkpoints: vec![None; n],
@@ -410,14 +404,6 @@ impl Network {
     /// Is peer `i` currently up?
     pub fn is_up(&self, i: usize) -> bool {
         self.links.up[i]
-    }
-
-    /// How many times peer `i` has restarted after a crash. Each restart
-    /// replaces the replica wholesale, so derived per-peer state (eval
-    /// caches, anything indexed by replica-local tx ids) is stale once
-    /// this number changes.
-    pub fn restart_count(&self, i: usize) -> u64 {
-        self.restarts[i]
     }
 
     /// Neighbours of peer `i`.
@@ -622,7 +608,6 @@ impl Network {
         engine.set_neighbours(self.protos[p].neighbours().to_vec());
         self.protos[p] = engine;
         self.evicted_synced[p] = 0;
-        self.restarts[p] += 1;
         self.links.up[p] = true;
         self.recovering_since[p] = Some(self.links.now);
         self.telemetry.count("fault.restart", 1);

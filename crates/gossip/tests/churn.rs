@@ -57,7 +57,6 @@ struct ChurnOutcome {
     recovered: u64,
     cache_hits: u64,
     cache_rebuilds: u64,
-    eval_invalidations: u64,
 }
 
 /// One full churn scenario: ≥2 crashes (one checkpoint recovery, one
@@ -129,7 +128,6 @@ fn run_churn(fault_seed: u64) -> ChurnOutcome {
         recovered: tel.counter_value("fault.recovered"),
         cache_hits: tel.counter_value("tangle.cache_hits"),
         cache_rebuilds: tel.counter_value("tangle.cache_rebuilds"),
-        eval_invalidations: tel.counter_value("eval_cache.invalidations"),
     }
 }
 
@@ -161,12 +159,6 @@ fn churn_reconverges_via_pull_repair_alone() {
     assert!(
         out.cache_rebuilds >= 1,
         "a restarted peer's replaced replica must force a cache rebuild"
-    );
-    // restarts replace replicas wholesale; the memoized evaluation caches
-    // of peers 2 and 4 must be dropped rather than served stale
-    assert!(
-        out.eval_invalidations > 0,
-        "a restarted peer's eval cache must be invalidated on reactivation"
     );
     // the telemetry stream narrates the fault schedule
     let faults: Vec<&String> = out

@@ -40,7 +40,7 @@ use crate::protocol::NodeProtocol;
 use crate::queue::SendQueue;
 use learning_tangle::node::Node;
 use learning_tangle::persist::PersistError;
-use learning_tangle::{EvalCache, SimConfig, DEFAULT_EVAL_CACHE_CAPACITY};
+use learning_tangle::SimConfig;
 use rand::RngExt;
 use std::collections::HashMap;
 use std::fs;
@@ -555,7 +555,6 @@ fn dial_loop(dial: Dial, events: Sender<Event>, telemetry: lt_telemetry::Telemet
 struct Learner {
     nodes: Vec<Node>,
     cache: AnalysisCache,
-    eval: EvalCache,
     /// [`Preset::build`]'s architecture, shared by every evaluation and
     /// training step.
     model: tinynn::Sequential,
@@ -598,7 +597,6 @@ pub fn run_daemon(cfg: DaemonConfig) -> std::io::Result<()> {
     let mut learner = Learner {
         nodes: preset.population(),
         cache: AnalysisCache::new(proto.peer().replica()),
-        eval: EvalCache::new(DEFAULT_EVAL_CACHE_CAPACITY),
         model: Preset::build(),
         cfg: preset.sim_cfg(),
         last_slot: restored_slot,
@@ -798,7 +796,6 @@ fn handle_control(
                     *slot,
                     &learner.model,
                     &learner.cfg,
-                    &mut learner.eval,
                     telemetry,
                 )
             };

@@ -63,8 +63,7 @@ pub trait TangleRead {
     /// Chained signature of the first `len` transactions (see
     /// [`Tangle::history_sig`]). A prefix view shares its base ledger's
     /// signature chain, so signatures taken through a view remain valid
-    /// against the full ledger — this is what lets an `EvalCache` entry
-    /// written under a stale view be served under a fresh one.
+    /// against the full ledger.
     ///
     /// # Panics
     /// Panics if `len` is zero or exceeds this view's length.
