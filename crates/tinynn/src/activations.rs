@@ -19,24 +19,32 @@ impl Layer for Relu {
         "Relu"
     }
 
+    /// A select, not a branch: the sign of an activation is data the
+    /// branch predictor cannot learn, and the select vectorizes. `-0.0` and
+    /// NaN pass through unchanged.
     fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
+        let y = x.as_slice().iter().map(|&v| if v < 0.0 { 0.0 } else { v });
+        let y = Tensor::from_vec(x.shape().to_vec(), y.collect());
         (y, Cache::none())
     }
 
-    fn backward(&self, _: &[f32], x: &Tensor, _: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
-        let mut g = dy.clone();
-        for (gv, &xv) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            if xv <= 0.0 {
-                *gv = 0.0;
-            }
+    /// Masks the owned gradient in place: zero where `x <= 0.0`.
+    fn backward(
+        &self,
+        _: &[f32],
+        x: &Tensor,
+        _: &Cache,
+        mut dy: Tensor,
+        _: &mut [f32],
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        if !input_grad {
+            return None;
         }
-        g
+        for (gv, &xv) in dy.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *gv = if xv <= 0.0 { 0.0 } else { *gv };
+        }
+        Some(dy)
     }
 }
 
@@ -70,13 +78,23 @@ impl Layer for Sigmoid {
         (y.clone(), Cache::new(y))
     }
 
-    fn backward(&self, _: &[f32], _: &Tensor, cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
+    fn backward(
+        &self,
+        _: &[f32],
+        _: &Tensor,
+        cache: &Cache,
+        mut dy: Tensor,
+        _: &mut [f32],
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        if !input_grad {
+            return None;
+        }
         let y = cache.get::<Tensor>();
-        let mut g = dy.clone();
-        for (gv, &yv) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
+        for (gv, &yv) in dy.as_mut_slice().iter_mut().zip(y.as_slice()) {
             *gv *= yv * (1.0 - yv);
         }
-        g
+        Some(dy)
     }
 }
 
@@ -104,13 +122,23 @@ impl Layer for Tanh {
         (y.clone(), Cache::new(y))
     }
 
-    fn backward(&self, _: &[f32], _: &Tensor, cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
+    fn backward(
+        &self,
+        _: &[f32],
+        _: &Tensor,
+        cache: &Cache,
+        mut dy: Tensor,
+        _: &mut [f32],
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        if !input_grad {
+            return None;
+        }
         let y = cache.get::<Tensor>();
-        let mut g = dy.clone();
-        for (gv, &yv) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
+        for (gv, &yv) in dy.as_mut_slice().iter_mut().zip(y.as_slice()) {
             *gv *= 1.0 - yv * yv;
         }
-        g
+        Some(dy)
     }
 }
 
@@ -125,8 +153,53 @@ mod tests {
         let (y, c) = r.forward(&[], &x, true);
         assert_eq!(y.as_slice(), &[0., 0., 0.5, 2.]);
         let g = Tensor::filled(&[4], 1.0);
-        let gx = r.backward(&[], &x, &c, &g, &mut []);
+        let gx = r.backward(&[], &x, &c, g, &mut [], true).unwrap();
         assert_eq!(gx.as_slice(), &[0., 0., 1., 1.]);
+    }
+
+    /// The branchy ReLU loops the selects replaced, kept as their oracles:
+    /// `(y, dL/dx)`.
+    fn branchy_relu(x: &[f32], dy: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let mut y = x.to_vec();
+        for v in &mut y {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        let mut g = dy.to_vec();
+        for (gv, &xv) in g.iter_mut().zip(x) {
+            if xv <= 0.0 {
+                *gv = 0.0;
+            }
+        }
+        (y, g)
+    }
+
+    /// Forward (both modes) and backward equal the branchy oracle bit for
+    /// bit on inputs and gradients full of ±0.0, NaN and ±∞.
+    #[test]
+    fn relu_matches_branchy_oracle_bitwise() {
+        use crate::testing::{bits, special_values};
+        for (seed, shape) in [vec![1], vec![7], vec![2, 16], vec![3, 33], vec![2, 3, 5, 7]]
+            .into_iter()
+            .enumerate()
+        {
+            let n = shape.iter().product();
+            let x = Tensor::from_vec(shape.clone(), special_values(seed as u64, n));
+            let dy = Tensor::from_vec(shape.clone(), special_values(seed as u64 + 100, n));
+            let (want_y, want_g) = branchy_relu(x.as_slice(), dy.as_slice());
+            for train in [false, true] {
+                let (y, _) = Relu.forward(&[], &x, train);
+                assert_eq!(y.shape(), x.shape());
+                assert_eq!(bits(y.as_slice()), bits(&want_y), "forward, {shape:?}");
+            }
+            let g = Relu.backward(&[], &x, &Cache::none(), dy.clone(), &mut [], true);
+            let g = g.expect("input gradient asked for");
+            assert_eq!(bits(g.as_slice()), bits(&want_g), "backward, {shape:?}");
+            assert!(Relu
+                .backward(&[], &x, &Cache::none(), dy, &mut [], false)
+                .is_none());
+        }
     }
 
     #[test]
@@ -136,7 +209,7 @@ mod tests {
         let (y, c) = s.forward(&[], &x, true);
         assert!((y.as_slice()[0] - 0.5).abs() < 1e-6);
         let g = Tensor::filled(&[1], 1.0);
-        let gx = s.backward(&[], &x, &c, &g, &mut []);
+        let gx = s.backward(&[], &x, &c, g, &mut [], true).unwrap();
         assert!((gx.as_slice()[0] - 0.25).abs() < 1e-6);
     }
 
@@ -154,7 +227,7 @@ mod tests {
         let t = Tanh::new();
         let (_, c) = t.forward(&[], &x, true);
         let g = Tensor::filled(&[1], 1.0);
-        let gx = t.backward(&[], &x, &c, &g, &mut []);
+        let gx = t.backward(&[], &x, &c, g, &mut [], true).unwrap();
         assert!((gx.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 }

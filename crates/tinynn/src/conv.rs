@@ -20,7 +20,8 @@
 //!   `[IC·K·K, OH·OW]` patch matrix `col_b` is cut out of the padded planes
 //!   with one contiguous copy per (tap, output row),
 //! - input gradient: `gcol = Wᵀ · g_b` (A-transposed variant) scattered back
-//!   with col2im.
+//!   with col2im, only when the caller asks for it (a model's first layer
+//!   is not asked: its input is the data batch).
 //!
 //! The training forward pass caches the padded planes, not the `K·K`-fold
 //! replicated patch matrices. Batch items are processed serially in
@@ -297,9 +298,10 @@ impl Layer for Conv2d {
         p: &[f32],
         x: &Tensor,
         cache: &Cache,
-        grad_out: &Tensor,
+        grad_out: Tensor,
         grad_p: &mut [f32],
-    ) -> Tensor {
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let (b, g) = self.geom(x);
         let (ic, oc, k) = (self.in_ch, self.out_ch, self.k);
         let (ickk, ohow) = (ic * k * k, g.oh * g.ow);
@@ -318,9 +320,12 @@ impl Layer for Conv2d {
         let taps = self.tap_offsets(&g);
         let mut col = vec![0.0f32; ickk * ohow];
         let (grad_w, grad_b) = grad_p.split_at_mut(oc * ickk);
-        let mut grad_x = vec![0.0f32; b * ic * g.h * g.w];
-        let mut gcol = vec![0.0f32; ickk * ohow];
-        let mut gpad = vec![0.0f32; plane];
+        // The input gradient's buffers, empty when it is not wanted.
+        let len = |n: usize| if input_grad { n } else { 0 };
+        let xlen = ic * g.h * g.w;
+        let mut grad_x = vec![0.0f32; len(b * xlen)];
+        let mut gcol = vec![0.0f32; len(ickk * ohow)];
+        let mut gpad = vec![0.0f32; len(plane)];
         // Items accumulate in ascending batch order: fixed association,
         // independent of any parallelism in the callers above.
         for bi in 0..b {
@@ -333,23 +338,28 @@ impl Layer for Conv2d {
             self.patches(&taps, &planes[bi * plane..(bi + 1) * plane], &g, &mut col);
             // gW[OC, IC·K·K] += g_b · col_bᵀ
             crate::gemm::gemm_accum(oc, ickk, ohow, gb, false, &col, true, grad_w);
+            if !input_grad {
+                continue;
+            }
             // gcol[IC·K·K, OH·OW] = Wᵀ · g_b, scattered back onto the input
             crate::gemm::gemm(ickk, ohow, oc, ws, true, gb, false, &mut gcol);
             // One image's padded gradient planes, reused while they sit in L1.
             gpad.fill(0.0);
             self.col2im(&taps, &gcol, &g, &mut gpad);
-            let xlen = ic * g.h * g.w;
             self.unpad(&gpad, &g, &mut grad_x[bi * xlen..(bi + 1) * xlen]);
         }
-        Tensor::from_vec(x.shape().to_vec(), grad_x)
+        input_grad.then(|| Tensor::from_vec(x.shape().to_vec(), grad_x))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{bits, values};
 
-    /// Run `conv.backward` into a zeroed gradient: `(gx, gW ++ gb)`.
+    /// Run `conv.backward` into a zeroed gradient: `(gx, gW ++ gb)`. Also
+    /// checks that a pass without the input gradient returns none and the
+    /// same parameter gradient, bit for bit.
     fn backward(
         conv: &Conv2d,
         p: &[f32],
@@ -358,8 +368,13 @@ mod tests {
         g: &Tensor,
     ) -> (Tensor, Vec<f32>) {
         let mut gp = vec![0.0; conv.param_count()];
-        let gx = conv.backward(p, x, cache, g, &mut gp);
-        (gx, gp)
+        let gx = conv.backward(p, x, cache, g.clone(), &mut gp, true);
+        let mut gp_only = vec![0.0; conv.param_count()];
+        assert!(conv
+            .backward(p, x, cache, g.clone(), &mut gp_only, false)
+            .is_none());
+        assert_eq!(bits(&gp_only), bits(&gp), "parameter gradient without gx");
+        (gx.expect("input gradient asked for"), gp)
     }
 
     /// A 1×1 kernel reduces to a per-pixel scale + bias.
@@ -548,24 +563,6 @@ mod tests {
             col2im(conv, &gcol, &g, &mut gx[bi * xlen..(bi + 1) * xlen]);
         }
         [gx, gw, gb]
-    }
-
-    /// Deterministic values in roughly [-1, 1]; every 5th is +0.0 and every
-    /// 7th −0.0, so signed-zero arithmetic is exercised.
-    fn values(seed: u64, len: usize) -> Vec<f32> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|i| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                match i % 35 {
-                    0 | 5 | 10 | 15 | 20 | 25 | 30 => 0.0,
-                    7 | 14 | 21 | 28 => -0.0,
-                    _ => ((state >> 33) as i32 as f32) / (i32::MAX as f32),
-                }
-            })
-            .collect()
     }
 
     fn assert_bits(what: &str, shape: &str, got: &[f32], want: &[f32]) {

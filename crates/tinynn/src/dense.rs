@@ -105,9 +105,10 @@ impl Layer for Dense {
         p: &[f32],
         x: &Tensor,
         _cache: &Cache,
-        grad_out: &Tensor,
+        grad_out: Tensor,
         grad_p: &mut [f32],
-    ) -> Tensor {
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let (rows, k, n) = (self.rows(x), self.in_dim, self.out_dim);
         let g = grad_out.as_slice();
         assert_eq!(g.len(), rows * n, "Dense: gradient shape mismatch");
@@ -119,9 +120,12 @@ impl Layer for Dense {
                 *o += v;
             }
         }
+        if !input_grad {
+            return None;
+        }
         let mut gx = vec![0.0f32; rows * k];
         gemm(rows, k, n, g, false, &p[..k * n], true, &mut gx);
-        Tensor::from_vec(x.shape().to_vec(), gx)
+        Some(Tensor::from_vec(x.shape().to_vec(), gx))
     }
 }
 
@@ -129,6 +133,7 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::rng::seeded;
+    use crate::testing::{bits, values};
 
     fn params(w: &[f32], b: &[f32]) -> Vec<f32> {
         [w, b].concat()
@@ -160,7 +165,10 @@ mod tests {
         let (y, cache) = init.layer.forward(&init.params, &x, true);
         let g = Tensor::filled(y.shape(), 1.0);
         let mut gp = vec![0.0; init.layer.param_count()];
-        let gx = init.layer.backward(&init.params, &x, &cache, &g, &mut gp);
+        let gx = init
+            .layer
+            .backward(&init.params, &x, &cache, g, &mut gp, true)
+            .unwrap();
         assert_eq!(gx.shape(), x.shape());
         assert_eq!(gp.len(), 4 * 3 + 3);
     }
@@ -190,30 +198,8 @@ mod tests {
         let (_, cache) = layer.forward(&p, &x, true);
         let g = Tensor::from_vec(vec![3, 2], vec![1., 2., 3., 4., 5., 6.]);
         let mut gp = [0.0; 6];
-        layer.backward(&p, &x, &cache, &g, &mut gp);
+        layer.backward(&p, &x, &cache, g, &mut gp, false);
         assert_eq!(&gp[4..], &[9., 12.]);
-    }
-
-    /// Deterministic values in roughly [-1, 1]; every 5th is +0.0 and every
-    /// 7th −0.0, so signed-zero arithmetic is exercised.
-    fn values(seed: u64, len: usize) -> Vec<f32> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|i| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                match i % 35 {
-                    0 | 5 | 10 | 15 | 20 | 25 | 30 => 0.0,
-                    7 | 14 | 21 | 28 => -0.0,
-                    _ => ((state >> 33) as i32 as f32) / (i32::MAX as f32),
-                }
-            })
-            .collect()
-    }
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// The tensor-owning formulation the in-place layer replaced: copy the
@@ -281,11 +267,16 @@ mod tests {
                     assert_eq!(bits(out.as_slice()), bits(&y), "forward, {what}");
                 }
                 let mut gp = vec![0.0; layer.param_count()];
-                let dx = layer.backward(&p, &x, &Cache::none(), &g, &mut gp);
+                let dx = layer.backward(&p, &x, &Cache::none(), g.clone(), &mut gp, true);
+                let dx = dx.expect("input gradient asked for");
                 assert_eq!(dx.shape(), x.shape(), "{what}");
                 assert_eq!(bits(dx.as_slice()), bits(&gx), "gx, {what}");
                 assert_eq!(bits(&gp[..k * n]), bits(&gw), "gW, {what}");
                 assert_eq!(bits(&gp[k * n..]), bits(&gb), "gb, {what}");
+                let mut gp_only = vec![0.0; layer.param_count()];
+                let none = layer.backward(&p, &x, &Cache::none(), g, &mut gp_only, false);
+                assert!(none.is_none(), "{what}");
+                assert_eq!(bits(&gp_only), bits(&gp), "params only, {what}");
             }
         }
     }

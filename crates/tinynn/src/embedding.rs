@@ -79,9 +79,10 @@ impl Layer for Embedding {
         _p: &[f32],
         x: &Tensor,
         _cache: &Cache,
-        grad_out: &Tensor,
+        grad_out: Tensor,
         grad_p: &mut [f32],
-    ) -> Tensor {
+        input_grad: bool,
+    ) -> Option<Tensor> {
         for (i, &v) in x.as_slice().iter().enumerate() {
             let id = self.token(v);
             let g = &grad_out.as_slice()[i * self.dim..(i + 1) * self.dim];
@@ -89,7 +90,8 @@ impl Layer for Embedding {
                 *a += b;
             }
         }
-        Tensor::zeros(x.shape())
+        // Token ids are not differentiable: their gradient is zero.
+        input_grad.then(|| Tensor::zeros(x.shape()))
     }
 }
 
@@ -115,7 +117,7 @@ mod tests {
         let (_, c) = e.forward(&table, &x, true);
         let g = Tensor::from_vec(vec![1, 3, 2], vec![1., 2., 3., 4., 5., 6.]);
         let mut gp = [0.0; 6];
-        let gx = e.backward(&table, &x, &c, &g, &mut gp);
+        let gx = e.backward(&table, &x, &c, g, &mut gp, true).unwrap();
         assert!(gx.as_slice().iter().all(|&v| v == 0.0));
         // token 1 hit twice: [1+3, 2+4]; token 2 once: [5, 6]
         assert_eq!(gp, [0., 0., 4., 6., 5., 6.]);

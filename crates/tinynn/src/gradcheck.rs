@@ -23,7 +23,9 @@ pub struct GradCheckReport {
 /// sample of `sample` parameter coordinates (or all, if fewer).
 ///
 /// The check evaluates the loss several times and requires every layer's
-/// forward pass to be deterministic.
+/// forward pass to be deterministic. The analytic pass asks every layer,
+/// the first included, for its input gradient, so each layer's input-gradient
+/// code runs here even where [`Sequential::loss_and_grads`] skips it.
 pub fn check_gradients(
     model: &Sequential,
     x: &crate::tensor::Tensor,
@@ -32,7 +34,9 @@ pub fn check_gradients(
     sample: usize,
     seed: u64,
 ) -> GradCheckReport {
-    let (_, analytic) = model.loss_and_grads(x, targets);
+    let (_, analytic, gx) = model.train_pass(x, targets, true);
+    let gx = gx.expect("every layer returns the input gradient it is asked for");
+    assert_eq!(gx.shape(), x.shape(), "input gradient shape");
     let base = model.params();
     let n = base.len();
     let mut rng = crate::rng::seeded(seed);

@@ -47,10 +47,14 @@ impl Cache {
 /// `p` is the layer's [`Layer::param_count`] parameters, its tensors
 /// concatenated in the layer's documented order. `forward` maps an input
 /// tensor to an output tensor and records whatever intermediate state
-/// `backward` will need. `backward` receives the gradient of the loss
-/// w.r.t. the layer output, adds the gradient w.r.t. each parameter into
+/// `backward` will need. `backward` takes ownership of the gradient of the
+/// loss w.r.t. the layer output (so an elementwise layer can mask or
+/// reshape it in place), adds the gradient w.r.t. each parameter into
 /// `grad_p` (laid out like `p`; [`crate::Sequential`] hands it over zeroed)
-/// and returns the gradient w.r.t. the input.
+/// and, when `input_grad` is set, returns the gradient w.r.t. the input.
+/// [`crate::Sequential`] clears `input_grad` for its first layer, whose
+/// input is the data batch, so e.g. [`crate::Conv2d`] skips its `Wᵀ·g`
+/// GEMM and col2im there.
 pub trait Layer: Send + Sync {
     /// Human-readable layer name (used in summaries and error messages).
     fn name(&self) -> &'static str;
@@ -66,15 +70,17 @@ pub trait Layer: Send + Sync {
     fn forward(&self, p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache);
 
     /// Backpropagate: add the parameter gradients into `grad_p` and return
-    /// the gradient w.r.t. `x`.
+    /// the gradient w.r.t. `x` if `input_grad` is set, `None` otherwise.
+    /// The parameter gradients do not depend on `input_grad`.
     fn backward(
         &self,
         p: &[f32],
         x: &Tensor,
         cache: &Cache,
-        grad_out: &Tensor,
+        grad_out: Tensor,
         grad_p: &mut [f32],
-    ) -> Tensor;
+        input_grad: bool,
+    ) -> Option<Tensor>;
 }
 
 /// A layer and the initial values of its parameters, as

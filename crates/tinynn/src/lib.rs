@@ -56,6 +56,8 @@ pub mod pool;
 pub mod reshape;
 pub mod rng;
 pub mod tensor;
+#[cfg(test)]
+mod testing;
 pub mod wire;
 pub mod zoo;
 

@@ -167,9 +167,10 @@ impl Layer for Lstm {
         p: &[f32],
         x: &Tensor,
         cache: &Cache,
-        grad_out: &Tensor,
+        grad_out: Tensor,
         grad_p: &mut [f32],
-    ) -> Tensor {
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let (b, t) = self.dims(x);
         let (h, d) = (self.hidden, self.in_dim);
         let (w_ih, w_hh, _) = self.split(p);
@@ -183,7 +184,7 @@ impl Layer for Lstm {
             let gates = &cache.gates[step];
             let c_t = &cache.cells[step];
             // dL/dh_t = upstream grad at this step + recurrent carry
-            let mut dh = Self::step_slice(grad_out, step, h);
+            let mut dh = Self::step_slice(&grad_out, step, h);
             dh.add_assign(&dh_next);
             // Raw-gate gradients dz [B, 4H]
             let mut dz = Tensor::zeros(&[b, 4 * h]);
@@ -230,19 +231,21 @@ impl Layer for Lstm {
             }
             add_into(grad_bias, &dz.sum_rows());
             // Input and recurrent gradients
-            let dx_t = product(b, d, 4 * h, dz.as_slice(), false, w_ih, true);
-            for bi in 0..b {
-                let base = (bi * t + step) * self.in_dim;
-                for (gx, &v) in grad_x[base..base + self.in_dim]
-                    .iter_mut()
-                    .zip(dx_t.row(bi))
-                {
-                    *gx += v;
+            if input_grad {
+                let dx_t = product(b, d, 4 * h, dz.as_slice(), false, w_ih, true);
+                for bi in 0..b {
+                    let base = (bi * t + step) * self.in_dim;
+                    for (gx, &v) in grad_x[base..base + self.in_dim]
+                        .iter_mut()
+                        .zip(dx_t.row(bi))
+                    {
+                        *gx += v;
+                    }
                 }
             }
             dh_next = product(b, h, 4 * h, dz.as_slice(), false, w_hh, true);
         }
-        Tensor::from_vec(x.shape().to_vec(), grad_x)
+        input_grad.then(|| Tensor::from_vec(x.shape().to_vec(), grad_x))
     }
 }
 
@@ -288,7 +291,10 @@ mod tests {
         let (y, c) = lstm.layer.forward(&lstm.params, &x, true);
         let g = Tensor::filled(y.shape(), 0.1);
         let mut gp = vec![0.0; lstm.params.len()];
-        let gx = lstm.layer.backward(&lstm.params, &x, &c, &g, &mut gp);
+        let gx = lstm
+            .layer
+            .backward(&lstm.params, &x, &c, g, &mut gp, true)
+            .unwrap();
         assert_eq!(gx.shape(), &[2, 5, 3]);
         assert_eq!(gp.len(), 3 * 16 + 4 * 16 + 16);
     }

