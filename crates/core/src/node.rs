@@ -8,7 +8,6 @@ use fedavg::local_train;
 use feddata::ClientData;
 use rand::RngExt;
 use rand_distr::{Distribution, Normal};
-use std::borrow::Cow;
 use std::sync::Arc;
 use tangle_ledger::walk::{BiasedRandomWalk, RandomWalk, WalkTable, WindowedWalk};
 use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TxId};
@@ -120,8 +119,9 @@ impl Node {
 /// The paper's training is round-based, with "published transactions from a
 /// given round ... only visible to the nodes participating in the next
 /// round" — so on an ideal network one context serves all nodes of a
-/// round. Under a [`crate::config::NetworkModel`] every node gets a
-/// context of its own (own view, own confidence walks) built by
+/// round, built by [`Self::build_with_cache`] from the analysis cache
+/// that follows the ledger. Under a [`crate::config::NetworkModel`] every
+/// node gets a context of its own (own view, own confidence walks) built by
 /// [`Self::from_analysis`] over the *shared* analysis of its prefix: the
 /// weight/rating tables and the walk's transition table are a pure
 /// function of the prefix, so they are held by `Arc` and never copied or
@@ -154,28 +154,14 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
 }
 
 impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
-    /// Build the context for `round` from the full weight/rating/depth DPs
-    /// over `tangle` (Algorithm 1 happens here), threading `telemetry`
-    /// through the analysis, confidence sampling, and all later tip
-    /// selection.
-    pub fn build(
-        tangle: &'a T,
-        cfg: &SimConfig,
-        round: u64,
-        seed: u64,
-        telemetry: lt_telemetry::Telemetry,
-    ) -> Self {
-        let analysis = Arc::new(TangleAnalysis::compute_observed(tangle, &telemetry));
-        let walk = walk_table(tangle, &analysis, None, &cfg.hyper);
-        Self::from_analysis(tangle, analysis, walk, cfg, round, seed, telemetry)
-    }
-
-    /// Like [`Self::build`], serving the weight/rating/depth DPs
-    /// from `cache` instead of recomputing them. The cache is refreshed
-    /// against `tangle` first (incremental catch-up, or a counted rebuild
-    /// when it is stale — see [`AnalysisCache::refresh_observed`]), so the
-    /// context is bit-identical to a freshly built one; only the cost
-    /// changes, from `O(V²/64)` to `O(appended cones)`.
+    /// Build the context for `round` over `tangle` (Algorithm 1 happens
+    /// here), threading `telemetry` through the analysis, confidence
+    /// sampling, and all later tip selection. Weights, ratings and depths
+    /// come from `cache`, refreshed against `tangle` first (incremental
+    /// catch-up, or a counted rebuild when it follows another history —
+    /// see [`AnalysisCache::refresh_observed`]); they equal the batch DPs
+    /// bit for bit. A caller that must leave its cache where it is (an
+    /// evaluation between rounds) passes a clone.
     pub fn build_with_cache(
         tangle: &'a T,
         cache: &mut AnalysisCache,
@@ -186,7 +172,7 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
     ) -> Self {
         cache.refresh_observed(tangle, &telemetry);
         let analysis = Arc::new(cache.analysis());
-        let walk = walk_table(tangle, &analysis, Some(cache.depths()), &cfg.hyper);
+        let walk = walk_table(tangle, &analysis, cache.depths(), &cfg.hyper);
         Self::from_analysis(tangle, analysis, walk, cfg, round, seed, telemetry)
     }
 
@@ -277,27 +263,20 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
 
 /// The transition table every confidence walk and tip draw of a context
 /// over `tangle` reads: the weighted walk under `hyper.alpha`, entered
-/// through the depth window when `hyper.window` is set — over `depths`
-/// when the caller already has them (an [`AnalysisCache`]), else over a
-/// fresh depth DP. Built once per analysed snapshot.
+/// through the window of `depths` when `hyper.window` is set. Built once
+/// per analysed snapshot.
 ///
 /// # Panics
 /// Panics if `analysis` or `depths` do not describe `tangle`.
 pub(crate) fn walk_table<T: TangleRead>(
     tangle: &T,
     analysis: &TangleAnalysis,
-    depths: Option<&[u32]>,
+    depths: &[u32],
     hyper: &crate::config::TangleHyperParams,
 ) -> Arc<WalkTable> {
     let (walk, weights) = (RandomWalk::new(hyper.alpha), &analysis.cumulative_weight);
     Arc::new(match hyper.window {
-        Some(w) => {
-            let depths = depths.map_or_else(
-                || Cow::Owned(tangle_ledger::analysis::depths(tangle)),
-                Cow::Borrowed,
-            );
-            WindowedWalk::new(walk, w).table(tangle, weights, &depths)
-        }
+        Some(w) => WindowedWalk::new(walk, w).table(tangle, weights, depths),
         None => walk.table(tangle, weights),
     })
 }
@@ -495,6 +474,25 @@ fn random_poison_step<T: TangleRead<Payload = ModelParams> + Sync>(
 }
 
 #[cfg(test)]
+impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
+    /// Test oracle for [`Self::build_with_cache`]: the context from the
+    /// batch weight/rating/depth DPs over `tangle`, never from an
+    /// [`AnalysisCache`].
+    pub(crate) fn from_dps(
+        tangle: &'a T,
+        cfg: &SimConfig,
+        round: u64,
+        seed: u64,
+        telemetry: lt_telemetry::Telemetry,
+    ) -> Self {
+        let analysis = Arc::new(TangleAnalysis::compute_observed(tangle, &telemetry));
+        let depths = tangle_ledger::analysis::depths(tangle);
+        let walk = walk_table(tangle, &analysis, &depths, &cfg.hyper);
+        Self::from_analysis(tangle, analysis, walk, cfg, round, seed, telemetry)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use feddata::blobs::{self, BlobsConfig};
@@ -547,7 +545,7 @@ mod tests {
     fn round_context_reference_is_genesis_initially() {
         let tangle = genesis_tangle();
         let cfg = SimConfig::default();
-        let ctx = RoundContext::build(&tangle, &cfg, 1, 1, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 1, Telemetry::disabled());
         assert_eq!(ctx.reference_ids, vec![tangle.genesis()]);
         assert_eq!(
             &ctx.reference,
@@ -563,7 +561,7 @@ mod tests {
         let analysis = Arc::new(TangleAnalysis::compute(&tangle));
         // Built before the window was set: every walk would silently start
         // at the genesis.
-        let walk = walk_table(&tangle, &analysis, None, &cfg.hyper);
+        let walk = walk_table(&tangle, &analysis, &[0], &cfg.hyper);
         cfg.hyper.window = Some(2);
         RoundContext::from_analysis(&tangle, analysis, walk, &cfg, 1, 1, Telemetry::disabled());
     }
@@ -579,7 +577,7 @@ mod tests {
             local_epochs: 3,
             ..SimConfig::default()
         };
-        let ctx = RoundContext::build(&tangle, &cfg, 1, 2, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 2, Telemetry::disabled());
         let node = Node::honest(0, ds.clients[0].clone());
         let mut rng = seeded(11);
         let out = step(&node, &ctx, &cfg, &mut rng);
@@ -598,7 +596,7 @@ mod tests {
         let ds = dataset();
         let tangle = genesis_tangle();
         let cfg = SimConfig::default();
-        let ctx = RoundContext::build(&tangle, &cfg, 5, 3, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 5, 3, Telemetry::disabled());
         let node = Node {
             id: 1,
             data: ds.clients[1].clone(),
@@ -646,7 +644,7 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let ctx = RoundContext::build(&tangle, &cfg, 1, 4, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 4, Telemetry::disabled());
         let node = Node::honest(3, ds.clients[3].clone());
         let mut rng = seeded(21);
         let out = step(&node, &ctx, &cfg, &mut rng);
@@ -696,7 +694,7 @@ mod tests {
             local_epochs: 2,
             ..SimConfig::default()
         };
-        let ctx = RoundContext::build(&tangle, &cfg, 1, 6, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 6, Telemetry::disabled());
         let node = Node::honest(4, ds.clients[4].clone());
         // Which tip is better *on this node's local data*? The biased walk
         // should favour that one (this is the point of the §VI bias: local
@@ -893,7 +891,7 @@ mod tests {
                 ..SimConfig::default()
             };
             let tel = Telemetry::new(lt_telemetry::NoopSink);
-            let ctx = RoundContext::build(&tangle, &cfg, 1, 5, tel.clone());
+            let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 5, tel.clone());
             let arch = build();
             for ni in 0..3 {
                 let node = Node::honest(ni, ds.clients[ni].clone());

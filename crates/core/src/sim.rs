@@ -66,7 +66,8 @@ struct PrefixAnalysis {
 impl PrefixAnalysis {
     /// Run the full DPs over the first `len` transactions of `tangle` —
     /// deliberately not the incremental [`AnalysisCache`], which follows
-    /// the ledger head and cannot serve an older prefix.
+    /// the ledger head and cannot serve an older prefix. The only place
+    /// production reaches the batch DPs.
     fn compute(
         tangle: &Tangle<ModelParams>,
         len: usize,
@@ -75,7 +76,8 @@ impl PrefixAnalysis {
     ) -> Self {
         let view = TangleView::new(tangle, len);
         let analysis = Arc::new(TangleAnalysis::compute_observed(&view, telemetry));
-        let walk = walk_table(&view, &analysis, None, hyper);
+        let depths = tangle_ledger::analysis::depths(&view);
+        let walk = walk_table(&view, &analysis, &depths, hyper);
         Self {
             len,
             analysis,
@@ -102,11 +104,12 @@ pub struct Simulation<'a> {
     prefixes: VecDeque<PrefixAnalysis>,
     /// Publications dropped by the lossy network so far.
     lost_publications: u64,
-    /// Incremental analysis cache for the shared round context of the
-    /// ideal network; `None` exactly under a `NetworkModel`, which
-    /// analyses `prefixes` instead. A pure optimization: the cached
-    /// weights, ratings and depths equal the batch DPs bit for bit.
-    cache: Option<AnalysisCache>,
+    /// Incremental analysis of the ledger: it serves the shared round
+    /// context of the ideal network and, through a caught-up copy, every
+    /// consensus evaluation. Under a `NetworkModel` the rounds analyse
+    /// `prefixes` instead and never refresh it. A pure optimization: the
+    /// cached weights, ratings and depths equal the batch DPs bit for bit.
+    cache: AnalysisCache,
     /// Per-node evaluation memo, kept for the whole run: `tangle` only
     /// appends and every delayed view is a prefix of it, so a transaction
     /// id never names another transaction. A pure optimization, like the
@@ -146,7 +149,7 @@ impl<'a> Simulation<'a> {
         Self {
             eval: nodes.iter().map(|_| Mutex::default()).collect(),
             nodes,
-            cache: cfg.network.is_none().then(|| AnalysisCache::new(&tangle)),
+            cache: AnalysisCache::new(&tangle),
             tangle,
             model,
             cfg,
@@ -306,11 +309,7 @@ impl<'a> Simulation<'a> {
             None => {
                 // Split the borrows so the cache can be refreshed while the
                 // context keeps a shared reference to the tangle.
-                let tangle = &self.tangle;
-                let cache = self
-                    .cache
-                    .as_mut()
-                    .expect("an ideal-network simulation holds an analysis cache");
+                let (tangle, cache) = (&self.tangle, &mut self.cache);
                 let ctx_seed = derive(self.cfg.seed, round ^ 0xC0FF_EE00);
                 let ctx = phases.measure("analysis", || {
                     RoundContext::build_with_cache(
@@ -503,26 +502,20 @@ impl<'a> Simulation<'a> {
 
     /// Algorithm 1 over the whole current ledger, as the next round's
     /// shared context would run it — unobserved, so telemetry counts
-    /// training work only. On the ideal network the weights and ratings
-    /// come from a caught-up copy of the analysis cache (the cache itself
-    /// lags the ledger by the last round's publications until the next
-    /// round refreshes it) instead of from the `O(V²/64)` bitset DPs.
+    /// training work only. The weights and ratings come from a caught-up
+    /// copy of the analysis cache: the cache itself lags the ledger by
+    /// the last round's publications until the next round refreshes it
+    /// (under a `NetworkModel`, by every round since it was built).
     fn consensus(&self) -> RoundContext<'_> {
         let round = self.round + 1;
-        let seed = derive(self.cfg.seed, round ^ 0xC0FF_EE00);
-        match &self.cache {
-            Some(cache) => RoundContext::build_with_cache(
-                &self.tangle,
-                &mut cache.clone(),
-                &self.cfg,
-                round,
-                seed,
-                Telemetry::disabled(),
-            ),
-            None => {
-                RoundContext::build(&self.tangle, &self.cfg, round, seed, Telemetry::disabled())
-            }
-        }
+        RoundContext::build_with_cache(
+            &self.tangle,
+            &mut self.cache.clone(),
+            &self.cfg,
+            round,
+            derive(self.cfg.seed, round ^ 0xC0FF_EE00),
+            Telemetry::disabled(),
+        )
     }
 
     /// Compute the current consensus parameters (Algorithm 1 over the
@@ -813,7 +806,7 @@ mod tests {
     }
 
     /// Oracle for the ideal-network round: the shared context comes from
-    /// the full DPs over the ledger ([`RoundContext::build`]), never from
+    /// the full DPs over the ledger ([`RoundContext::from_dps`]), never from
     /// the [`AnalysisCache`]. Only node sampling, the step on an
     /// already-built context, and the publish barrier are shared with
     /// [`Simulation::round`].
@@ -824,7 +817,7 @@ mod tests {
         let tel = sim.telemetry.clone();
         let mut phases = tel.phases();
         let ctx = phases.measure("analysis", || {
-            RoundContext::build(
+            RoundContext::from_dps(
                 &sim.tangle,
                 &sim.cfg,
                 round,
@@ -1044,7 +1037,7 @@ mod tests {
                     let delay = node_rng.random_range(0..=net.max_delay_rounds);
                     let view_round = (round - 1).saturating_sub(delay) as usize;
                     let stale = sim.tangle.prefix(round_end_len[view_round]);
-                    let ctx = RoundContext::build(
+                    let ctx = RoundContext::from_dps(
                         &stale,
                         &sim.cfg,
                         round,
@@ -1149,9 +1142,10 @@ mod tests {
         };
         let (spans, appends, confidence_walks, walks) = {
             let mut sim = observed();
-            assert!(
-                sim.cache.is_none(),
-                "nobody reads a cache under a NetworkModel"
+            assert_eq!(
+                sim.cache.len(),
+                1,
+                "no round refreshes the cache under a NetworkModel"
             );
             for r in 1..=rounds {
                 let seen = sim.tangle().len();
@@ -1201,8 +1195,12 @@ mod tests {
             let restored = crate::persist::from_bytes(&bytes).unwrap();
             let restored_len = restored.len();
             let mut sim = Simulation::resume(dataset(10), cfg, build, restored);
-            assert!(sim.cache.is_none());
             let stats = run_delayed(&mut sim, 4, oracle.then(|| vec![1, restored_len]));
+            assert_eq!(
+                sim.cache.len(),
+                restored_len,
+                "no round refreshes the cache"
+            );
             assert!(sim.prefixes.len() as u64 <= max_delay + 1);
             assert!(sim.tangle().len() > restored_len, "resume must publish");
             (stats, structure(&sim), sim.evaluate(0).accuracy.to_bits())
@@ -1215,24 +1213,32 @@ mod tests {
     #[test]
     fn evaluate_from_the_cache_matches_the_batch_analysis() {
         // `evaluate` serves weights and ratings from a caught-up copy of
-        // the analysis cache; it must agree bit-for-bit with Algorithm 1
-        // over the batch DPs, leave the cache itself alone, and stay
-        // unobserved.
+        // the analysis cache, on the ideal network and under a
+        // `NetworkModel` (whose rounds never refresh the cache); it must
+        // agree bit-for-bit with Algorithm 1 over the batch DPs, leave the
+        // cache itself alone, and stay unobserved.
+        for network in [None, Some(delayed(2))] {
+            evaluate_matches_the_batch_analysis(network);
+        }
+    }
+
+    fn evaluate_matches_the_batch_analysis(network: Option<crate::config::NetworkModel>) {
         let mut cfg = quick_cfg();
         cfg.hyper.window = Some(3);
         cfg.hyper.reference_avg = 3;
+        cfg.network = network;
         let tel = Telemetry::with_timings(lt_telemetry::NoopSink, true);
         let mut sim = Simulation::new(dataset(10), cfg.clone(), build).with_telemetry(tel);
         for _ in 0..5 {
             sim.round();
             let before = sim.telemetry().metrics_snapshot();
-            let cached_len = sim.cache.as_ref().map(AnalysisCache::len);
+            let cached_len = sim.cache.len();
             let eval = sim.evaluate(0);
             let params = sim.consensus_params();
-            assert_eq!(sim.cache.as_ref().map(AnalysisCache::len), cached_len);
+            assert_eq!(sim.cache.len(), cached_len);
             assert_eq!(sim.telemetry().metrics_snapshot(), before);
             let round = sim.round + 1;
-            let batch = RoundContext::build(
+            let batch = RoundContext::from_dps(
                 sim.tangle(),
                 &cfg,
                 round,

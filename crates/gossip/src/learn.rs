@@ -62,16 +62,20 @@ pub fn train_step(
 /// architecture on the pooled clean held-out data of the shared
 /// [`eval_pool_indices`] sample. Returns `(loss, accuracy)` —
 /// bit-identical across executors whose replicas are bit-identical.
+/// The analysis comes from a caught-up copy of `cache`, the peer's
+/// analysis cache, which is left as it is.
 pub fn consensus_eval(
     replica: &Tangle<ModelParams>,
+    cache: &AnalysisCache,
     nodes: &[Node],
     model: &Sequential,
     cfg: &SimConfig,
     slot: u64,
     eval_seed: u64,
 ) -> (f32, f32) {
-    let ctx = RoundContext::build(
+    let ctx = RoundContext::build_with_cache(
         replica,
+        &mut cache.clone(),
         cfg,
         slot + 1,
         derive(cfg.seed, (slot + 1) ^ 0xC0FF_EE00),
@@ -274,6 +278,7 @@ impl<'a> GossipLearning<'a> {
     pub fn evaluate_consensus(&self, peer: usize, eval_seed: u64) -> (f32, f32) {
         consensus_eval(
             self.network.peer(peer).replica(),
+            &self.caches[peer],
             &self.nodes,
             &self.model,
             &self.cfg,
@@ -286,8 +291,9 @@ impl<'a> GossipLearning<'a> {
     /// clean held-out data of all nodes. Returns `(loss, accuracy)`.
     pub fn evaluate_peer(&self, peer: usize) -> (f32, f32) {
         let replica = self.network.peer(peer).replica();
-        let ctx = RoundContext::build(
+        let ctx = RoundContext::build_with_cache(
             replica,
+            &mut self.caches[peer].clone(),
             &self.cfg,
             self.slot + 1,
             derive(self.cfg.seed, 0xE7A1),
@@ -304,6 +310,7 @@ mod tests {
     use crate::network::{Latency, Topology};
     use feddata::blobs::{self, BlobsConfig};
     use learning_tangle::TangleHyperParams;
+    use tangle_ledger::TxId;
 
     fn data(users: usize) -> FederatedDataset {
         blobs::generate(
@@ -465,6 +472,39 @@ mod tests {
                 "bias {accuracy_bias}: the simulator must reuse evaluations across rounds"
             );
         }
+    }
+
+    #[test]
+    fn consensus_eval_reads_the_same_from_a_lagging_or_foreign_cache() {
+        // A peer's cache lags its replica until the peer's next activation
+        // and follows another history after a restart. Evaluation refreshes
+        // a copy of it: the result must equal the one from a cache built on
+        // the spot.
+        let mut gl = GossipLearning::new(data(6), cfg(), NetworkConfig::default(), build);
+        gl.run(12);
+        gl.network_mut().run_to_quiescence();
+        let replica = gl.network().peer(0).replica();
+        assert!(replica.len() > 4, "too few publications");
+        let lagging = AnalysisCache::new(&replica.prefix(replica.len() / 2));
+        // Transaction 2 approves other parents than the replica's does.
+        let mut other = replica.prefix(2);
+        let parents = match replica.get(TxId(2)).parents.as_slice() {
+            [p] if *p == other.genesis() => vec![TxId(1)],
+            _ => vec![other.genesis()],
+        };
+        other
+            .add(replica.get(TxId(1)).payload.clone(), parents)
+            .unwrap();
+        let foreign = AnalysisCache::new(&other);
+        assert!(foreign.validate(replica).is_err(), "not a foreign history");
+        let eval = |cache: &AnalysisCache| {
+            let (loss, acc) =
+                consensus_eval(replica, cache, &gl.nodes, &gl.model, &gl.cfg, gl.slot, 1);
+            (loss.to_bits(), acc.to_bits())
+        };
+        let want = eval(&AnalysisCache::new(replica));
+        assert_eq!(eval(&lagging), want, "lagging cache");
+        assert_eq!(eval(&foreign), want, "foreign cache");
     }
 
     #[test]

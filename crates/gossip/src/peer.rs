@@ -331,7 +331,11 @@ impl Peer {
     /// Evict oldest orphans until the buffer respects the cap. Evicted
     /// entries are forgotten (removed from `seen` and from the lists of
     /// the parents they waited for) so a re-delivery or a repair re-fetch
-    /// can buffer them again.
+    /// can buffer them again. Nothing here remembers them — neither
+    /// [`Peer::missing`] nor a want-set — so an evicted transaction that no
+    /// later one references (a final tip) comes back only through the
+    /// resync that the protocol engine arms on every eviction
+    /// ([`crate::protocol::NodeProtocol::tick`]).
     fn enforce_orphan_cap(&mut self) {
         let mut evicted = false;
         while self.orphans.len() > self.orphan_cap {

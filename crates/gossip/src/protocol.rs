@@ -23,7 +23,14 @@
 //!   `max_retries` times over one `attempts: cid → (attempt, next_at)`
 //!   map. Fresh evidence re-arms what gave up: an announcement, a head
 //!   advertisement, or — for the parents a stalled replica is missing —
-//!   the next orphan, whose sender is evidently ahead.
+//!   the next orphan, whose sender is evidently ahead;
+//! * **resync** — an orphan evicted by the buffer cap is forgotten, and
+//!   only a later reference or announcement would make it wanted again,
+//!   which a final tip never gets. So an admission that evicts arms one
+//!   head advertisement, sent from [`NodeProtocol::tick`] once the orphan
+//!   buffer is empty; the neighbours' replies (`Delta` of whatever our
+//!   heads do not cover) refill the gap — anti-entropy in the sense of
+//!   Demers et al. (PODC 1987).
 //!
 //! The simulated [`Network`](crate::network::Network) owns one engine per
 //! peer and drives them from its event queue; the `lt-node` daemon owns
@@ -61,6 +68,9 @@ pub struct NodeProtocol {
     attempts: BTreeMap<ContentId, (u32, u64)>,
     /// Earliest pending repair wake-up, if any.
     next_tick: Option<u64>,
+    /// An orphan eviction forgot an id since the last resync: advertise
+    /// heads once the orphan buffer is empty.
+    resync: bool,
     now: u64,
     telemetry: lt_telemetry::Telemetry,
 }
@@ -86,6 +96,7 @@ impl NodeProtocol {
             wanted_order: VecDeque::new(),
             attempts: BTreeMap::new(),
             next_tick: None,
+            resync: false,
             now: 0,
             telemetry: lt_telemetry::Telemetry::disabled(),
         }
@@ -98,7 +109,8 @@ impl NodeProtocol {
 
     /// Attach an observability handle: deliveries are then mirrored into
     /// `net.delivered` / `net.duplicates` / `net.orphaned` /
-    /// `net.rejected_rx` / `net.rerequests`, announced ids into
+    /// `net.rejected_rx` / `net.rerequests`, orphans evicted by the
+    /// buffer cap into `net.evicted`, announced ids into
     /// `net.announced` and ids asked for in first requests into
     /// `net.requested`. The simulator leaves its engines' handles
     /// disabled and counts the same points as `gossip.*` from what it
@@ -179,7 +191,7 @@ impl NodeProtocol {
     /// [`ReceiveOutcome::Accepted`]).
     pub fn publish(&mut self, msg: TxMessage, t: &mut impl Transport) -> ReceiveOutcome {
         let cid = msg.content_id();
-        let outcome = self.peer.admit(cid, &msg);
+        let outcome = self.admit(cid, &msg);
         if outcome == ReceiveOutcome::Accepted || outcome == ReceiveOutcome::OrphanBuffered {
             self.forget(cid);
             for &nb in &self.neighbours {
@@ -223,7 +235,7 @@ impl NodeProtocol {
             ProtocolMsg::Publish(m) | ProtocolMsg::Delta(m) => {
                 self.telemetry.count("net.delivered", 1);
                 let cid = m.content_id();
-                let outcome = self.peer.admit(cid, &m);
+                let outcome = self.admit(cid, &m);
                 match outcome {
                     ReceiveOutcome::Accepted => {
                         self.forget(cid);
@@ -282,18 +294,24 @@ impl NodeProtocol {
         }
     }
 
-    /// One round of the pull protocol: re-request every due wanted or
-    /// missing transaction from a neighbour with an open link — a wanted
-    /// one from its holders in rotation at a fixed interval, a missing
-    /// parent nobody claims to hold from all neighbours in rotation with
-    /// exponential backoff — and remember the earliest future retry in
-    /// [`NodeProtocol::next_wake`]. A retry with no open link to try still
-    /// counts against `max_retries`, so a cut-off peer gives up rather
-    /// than waking forever. Returns the number of re-requests issued.
+    /// One round of the pull protocol: advertise heads if an eviction
+    /// armed a resync and the orphan buffer is empty; re-request every
+    /// due wanted or missing transaction from a neighbour with an open
+    /// link — a wanted one from its holders in rotation at a fixed
+    /// interval, a missing parent nobody claims to hold from all
+    /// neighbours in rotation with exponential backoff — and remember the
+    /// earliest future retry in [`NodeProtocol::next_wake`]. A retry with
+    /// no open link to try still counts against `max_retries`, so a
+    /// cut-off peer gives up rather than waking forever. Returns the
+    /// number of re-requests issued.
     pub fn tick(&mut self, now: u64, t: &mut impl Transport) -> u64 {
         self.set_now(now);
         if self.next_tick.is_some_and(|due| due <= self.now) {
             self.next_tick = None;
+        }
+        if self.resync && self.peer.orphan_count() == 0 {
+            self.resync = false;
+            self.advertise_heads(t);
         }
         let now = self.now;
         let cfg = self.repair_cfg;
@@ -375,6 +393,23 @@ impl NodeProtocol {
     /// waits for the clock to move past that.
     fn patience(&self) -> u64 {
         self.repair_cfg.backoff_base + 1
+    }
+
+    /// Admit `msg` into the replica. An admission that evicts orphans arms
+    /// a resync, and once the orphan buffer is empty (now, or after a
+    /// later admission drains it) a tick is due to send it.
+    fn admit(&mut self, cid: ContentId, msg: &TxMessage) -> ReceiveOutcome {
+        let before = self.peer.evictions();
+        let outcome = self.peer.admit(cid, msg);
+        let evicted = self.peer.evictions() - before;
+        if evicted > 0 {
+            self.telemetry.count("net.evicted", evicted);
+            self.resync = true;
+        }
+        if self.resync && self.peer.orphan_count() == 0 {
+            self.schedule_tick(self.now);
+        }
+        outcome
     }
 
     fn schedule_tick(&mut self, at: u64) {
@@ -809,6 +844,44 @@ mod tests {
             wire.take(),
             vec![(2, "request", vec![parent]); cfg.max_retries as usize]
         );
+    }
+
+    #[test]
+    fn an_orphan_eviction_arms_one_head_advertisement_once_the_buffer_drains() {
+        let (mut e, genesis) = engine(2);
+        let tel = lt_telemetry::Telemetry::new(lt_telemetry::NoopSink);
+        e.set_telemetry(tel.clone());
+        let mut wire = Wire::open(3);
+        let parent = tx(vec![genesis], 1.0);
+        // Seventeen children of an unseen parent: the last one evicts the
+        // first, which nothing will ever name again.
+        let cap = e.peer().orphan_cap();
+        for k in 0..=cap {
+            let child = tx(vec![parent.content_id()], 10.0 + k as f32);
+            e.on_message(1, ProtocolMsg::Publish(child), &mut wire);
+        }
+        assert_eq!(e.peer().evictions(), 1);
+        assert_eq!(tel.counter_value("net.evicted"), 1);
+        // Not while orphans are buffered: their parents are still coming.
+        let mut sent = Vec::new();
+        let due = e.next_wake().expect("the parent's retry");
+        e.tick(due, &mut wire);
+        sent.extend(wire.take());
+        assert!(sent.iter().all(|s| s.1 != "advertise"));
+        e.on_message(1, ProtocolMsg::Delta(parent), &mut wire);
+        assert_eq!(e.peer().orphan_count(), 0);
+        while let Some(due) = e.next_wake() {
+            e.tick(due, &mut wire);
+        }
+        sent.extend(wire.take());
+        let heads = e.peer().heads();
+        let advertised: Vec<_> = sent.into_iter().filter(|s| s.1 == "advertise").collect();
+        assert_eq!(
+            advertised,
+            [(1, "advertise", heads.clone()), (2, "advertise", heads)]
+        );
+        // One advertisement per eviction episode.
+        assert_eq!(e.next_wake(), None);
     }
 
     #[test]

@@ -838,6 +838,7 @@ fn handle_control(
         WireMsg::EvalReq { slot, eval_seed } => {
             let (loss, acc) = consensus_eval(
                 proto.peer().replica(),
+                &learner.cache,
                 &learner.nodes,
                 &learner.model,
                 &learner.cfg,

@@ -151,6 +151,45 @@ fn orphan_repair_recovers_missing_parent() {
     assert_eq!(archive_ids(&nodes[1]), archive_ids(&nodes[0]));
 }
 
+/// An orphan evicted by the buffer cap is forgotten, and a final tip is
+/// named by no later transaction: nothing would make the receiver want it
+/// again. The eviction arms one head advertisement, sent once the buffer
+/// drains, and the sender's delta refills the gap.
+#[test]
+fn an_evicted_final_tip_comes_back_through_the_resync() {
+    let g = genesis();
+    let mut sender = NodeProtocol::new(0, &g, POW, ORPHAN_CAP);
+    sender.set_neighbours(vec![1]);
+    let mut receiver = NodeProtocol::new(1, &g, POW, 2);
+    receiver.set_neighbours(vec![0]);
+    // The sender holds a chain a <- b <- c <- d; d is the final tip.
+    let mut chain = Vec::new();
+    let mut head = g.content_id();
+    for k in 0..4u64 {
+        let m = tx(vec![head], 0, k + 1, k as f32);
+        head = m.content_id();
+        let quiet = &mut MockTransport::new(0, (1, 1));
+        assert_eq!(sender.publish(m.clone(), quiet), ReceiveOutcome::Accepted);
+        chain.push(m);
+    }
+    // The receiver gets d, c and b in reverse: b overflows its cap of two
+    // and evicts d, the oldest orphan.
+    let mut t = MockTransport::new(5, (1, 3));
+    for m in chain[1..].iter().rev() {
+        let outcome = receiver.on_message(0, ProtocolMsg::Publish(m.clone()), &mut t);
+        assert_eq!(outcome, Some(ReceiveOutcome::OrphanBuffered));
+    }
+    assert_eq!(receiver.peer().evictions(), 1);
+    assert!(!receiver.peer().has_seen(chain[3].content_id()));
+    let mut nodes = [sender, receiver];
+    drain(&mut nodes, &mut t);
+    let [sender, receiver] = &nodes;
+    assert_eq!(receiver.waiting_for(), 0);
+    assert_eq!(receiver.peer().orphan_count(), 0);
+    assert_eq!(archive_ids(receiver), archive_ids(sender));
+    assert_eq!(receiver.peer().len(), 5);
+}
+
 /// The pull of a transaction a neighbour claims to hold is retried at a
 /// fixed interval — one tick past `backoff_base`, so an answer that took
 /// exactly that long is not asked for twice — and stops at `max_retries`;

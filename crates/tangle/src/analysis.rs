@@ -14,6 +14,14 @@
 //! [`WalkTable::approval_confidence`](crate::walk::WalkTable::approval_confidence).
 //! Both sample walks over the snapshot's transition table, so they live on
 //! [`crate::walk::WalkTable`].
+//!
+//! Weights, ratings and depths have one producer for a ledger that grows:
+//! [`AnalysisCache`], which every round context, tip draw and consensus
+//! evaluation reads. The batch DPs ([`cumulative_weights`], [`ratings`],
+//! [`depths`], [`TangleAnalysis::compute`]) serve what a cache that follows
+//! the ledger head cannot: an older prefix (the simulator's delayed
+//! network). Everywhere else they are the ground truth that tests and the
+//! conformance explorer check the cache against.
 
 use crate::bitset::BitSet;
 use crate::graph::{Tangle, TxId};

@@ -364,26 +364,6 @@ impl<P> Tangle<P> {
             })
             .collect()
     }
-
-    /// Map payloads, preserving structure (useful for serialization).
-    pub fn map_payload<Q>(&self, mut f: impl FnMut(&P) -> Q) -> Tangle<Q> {
-        Tangle {
-            txs: self
-                .txs
-                .iter()
-                .map(|t| Transaction {
-                    id: t.id,
-                    parents: t.parents.clone(),
-                    issuer: t.issuer,
-                    round: t.round,
-                    payload: f(&t.payload),
-                })
-                .collect(),
-            approvers: self.approvers.clone(),
-            tips: self.tips.clone(),
-            hist_sigs: self.hist_sigs.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -505,14 +485,5 @@ mod tests {
         assert_eq!(r.get(b).parents, t.get(b).parents);
         assert_eq!(r.get(a).payload, 8);
         assert_eq!(r.approvers(t.genesis()), t.approvers(t.genesis()));
-    }
-
-    #[test]
-    fn map_payload_preserves_structure() {
-        let mut t = Tangle::new(1u32);
-        let a = t.add(2, vec![t.genesis()]).unwrap();
-        let mapped = t.map_payload(|p| p * 10);
-        assert_eq!(mapped.get(a).payload, 20);
-        assert_eq!(mapped.tips(), t.tips());
     }
 }

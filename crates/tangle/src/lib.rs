@@ -6,15 +6,17 @@
 //! * [`Tangle`] — an append-only DAG of payload-carrying transactions where
 //!   every non-genesis transaction *approves* its parent transactions
 //!   (directly, and transitively everything in their past cones).
-//! * [`walk`] — tip-selection algorithms: uniform tips, the weighted random
-//!   walk from the genesis used by IOTA (with a configurable randomness
-//!   parameter α), and a biased walk accepting an external per-transaction
-//!   score (the paper §VI outlook: model accuracy as walk bias); many walks
-//!   over one snapshot share its [`walk::WalkTable`].
-//! * [`analysis`] — consensus machinery: exact past-cone *ratings* and
-//!   future-cone *cumulative weights* via bitset dynamic programming,
-//!   Monte-Carlo walk *confidence*, and the confidence × rating reference
-//!   selection of the paper's Algorithm 1.
+//! * [`walk`] — tip selection: the weighted random walk from the genesis
+//!   used by IOTA (with a configurable randomness parameter α), its
+//!   depth-windowed variant, and a biased walk accepting an external
+//!   per-transaction score (the paper §VI outlook: model accuracy as walk
+//!   bias); the walks and tip draws over one snapshot share its
+//!   [`walk::WalkTable`].
+//! * [`analysis`] — consensus machinery: exact past-cone *ratings*,
+//!   future-cone *cumulative weights* and depths, kept current under
+//!   append by [`AnalysisCache`] (the batch bitset DPs serve older prefixes
+//!   and stand as its oracle), Monte-Carlo walk *confidence*, and the
+//!   confidence × rating reference selection of the paper's Algorithm 1.
 //! * [`pow`] — a hashcash proof-of-work gate (the Sybil defense the paper
 //!   defers to future work).
 //! * [`dot`] — Graphviz export reproducing the paper's Fig. 2 coloring.
@@ -23,7 +25,7 @@
 //! `Arc<ParamVec>` model snapshots in it.
 //!
 //! ```
-//! use tangle_ledger::{Tangle, walk::{TipSelector, RandomWalk}};
+//! use tangle_ledger::{AnalysisCache, Tangle, walk::RandomWalk};
 //! use rand::SeedableRng;
 //!
 //! // A tiny tangle: genesis plus two transactions approving it.
@@ -32,9 +34,14 @@
 //! let b = tangle.add("b", vec![tangle.genesis(), a]).unwrap();
 //! assert_eq!(tangle.tips(), vec![b]);
 //!
+//! // The cache follows the ledger as it grows; one walk table per
+//! // snapshot serves every tip draw over it.
+//! let mut cache = AnalysisCache::new(&tangle);
+//! let c = tangle.add("c", vec![b]).unwrap();
+//! cache.refresh(&tangle);
+//! let table = RandomWalk::default().table(&tangle, cache.weights());
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-//! let tip = RandomWalk::default().select_tip(&tangle, &mut rng);
-//! assert_eq!(tip, b);
+//! assert_eq!(table.draw_tip(&mut rng), c);
 //! ```
 
 pub mod analysis;

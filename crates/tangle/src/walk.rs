@@ -18,21 +18,24 @@
 //! `[0, sum)` and scans the row subtracting each weight until `r` falls
 //! inside one. It is a subtraction scan on purpose: a prefix-sum search or
 //! an alias table rounds differently and would map some draws to another
-//! approver, and the confidence estimates (§III-A) and the context-free
-//! selectors are pinned draw for draw against the original step loop.
+//! approver, and the confidence estimates (§III-A) and the two one-off
+//! walks are pinned draw for draw against the original step loop.
 //! Transactions with a single approver are followed without a draw and
 //! have no row.
 //!
 //! Every walk over one ledger snapshot sees the same rows, so a
 //! [`WalkTable`] computes them once — one `exp` per approval edge — and the
-//! confidence walks of a round read them. The context-free selectors
-//! ([`RandomWalk::select_tip_with_weights`] and friends) have no snapshot
-//! to amortise over: they fill a one-row scratch per step with the same
-//! row function and draw with the same draw function. A table is valid
-//! only for the snapshot and α it was built from; approver lists are still
-//! read from the tangle. A [`BiasedRandomWalk`] has no table: its bias
-//! lives for a handful of walks of one node step, fewer than a build (an
-//! `exp` per edge) pays for.
+//! confidence walks of a round read them. A table is valid only for the
+//! snapshot and α it was built from; approver lists are still read from
+//! the tangle. The one-off walks — [`BiasedRandomWalk`], whose bias lives
+//! for a handful of walks of one node step, fewer than a build (an `exp`
+//! per edge) pays for, and [`RandomWalk::select_tip_with_weights`] — have
+//! no snapshot to amortise over: they fill a one-row scratch per step with
+//! the same row function and draw with the same draw function.
+//!
+//! Nothing here computes weights or depths: the caller passes them in,
+//! from an [`crate::AnalysisCache`] that follows the ledger or, for an
+//! older prefix, from the batch DPs of [`crate::analysis`].
 //!
 //! # Tip draws from the exit distribution
 //!
@@ -48,31 +51,10 @@
 //! distribution as a walk, in O(log tips) instead of O(depth) steps, but
 //! not the same tip for the same generator.
 
-use crate::analysis::cumulative_weights;
-use crate::graph::{Tangle, TxId};
+use crate::graph::TxId;
 use crate::view::TangleRead;
 use rand::RngExt as _;
 use rayon::prelude::*;
-
-/// Strategy for picking the tips a new transaction will approve.
-pub trait TipSelector<P> {
-    /// Select one tip. Call repeatedly for multiple (not necessarily
-    /// distinct) tips.
-    fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId;
-}
-
-/// Uniform choice among the current tips (no walk). The cheapest selector;
-/// used as an ablation baseline and by attackers that do not care about
-/// consensus weight.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UniformTips;
-
-impl<P> TipSelector<P> for UniformTips {
-    fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
-        let tips = tangle.tips();
-        tips[rng.random_range(0..tips.len())]
-    }
-}
 
 /// Where a step finds the row of the particle it stands on.
 trait RowSource {
@@ -166,14 +148,6 @@ fn window_entries(depths: &[u32], window: u32) -> Vec<TxId> {
         .filter(|&i| range.contains(&depths[i]))
         .map(|i| TxId(i as u32))
         .collect()
-}
-
-/// A uniformly drawn entry, or the genesis (and no draw) when there is none.
-fn draw_entry(entries: &[TxId], rng: &mut dyn rand::Rng) -> TxId {
-    match entries.len() {
-        0 => TxId(0),
-        n => entries[rng.random_range(0..n)],
-    }
 }
 
 /// The transition rows of every transaction of one ledger snapshot, and
@@ -390,25 +364,9 @@ impl RandomWalk {
         WalkTable::build(tangle, &self.rows(tangle.len(), weights), None)
     }
 
-    /// Walk once with precomputed cumulative weights, returning the full
-    /// particle path (genesis first, reached tip last). One-off walks
-    /// only: many walks over one snapshot share a [`Self::table`].
-    ///
-    /// # Panics
-    /// Panics if α is not finite and non-negative.
-    pub fn walk_path_with_weights<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        rng: &mut dyn rand::Rng,
-    ) -> Vec<TxId> {
-        let mut path = vec![tangle.genesis()];
-        let rows = self.rows(tangle.len(), weights);
-        walk(tangle, tangle.genesis(), &rows, rng, |x| path.push(x));
-        path
-    }
-
-    /// Select a tip with precomputed cumulative weights.
+    /// Walk once from the genesis to a tip with precomputed cumulative
+    /// weights, computing only the rows the walk visits. One-off walks
+    /// only: the tips of a snapshot are drawn from its [`Self::table`].
     ///
     /// # Panics
     /// Panics if α is not finite and non-negative.
@@ -420,13 +378,6 @@ impl RandomWalk {
     ) -> TxId {
         let rows = self.rows(tangle.len(), weights);
         walk(tangle, tangle.genesis(), &rows, rng, |_| {})
-    }
-}
-
-impl<P> TipSelector<P> for RandomWalk {
-    fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
-        let weights = cumulative_weights(tangle);
-        self.select_tip_with_weights(tangle, &weights, rng)
     }
 }
 
@@ -465,31 +416,6 @@ impl WindowedWalk {
             &self.walk.rows(tangle.len(), weights),
             Some(&entries),
         )
-    }
-
-    /// Select a tip with precomputed cumulative weights and depths
-    /// (see [`crate::analysis::depths`]). Scans `depths` for the entry
-    /// particles on every call; many walks over one snapshot share a
-    /// [`Self::table`].
-    pub fn select_tip_with_weights<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        depths: &[u32],
-        rng: &mut dyn rand::Rng,
-    ) -> TxId {
-        assert_eq!(depths.len(), tangle.len(), "depths/tangle length mismatch");
-        let start = draw_entry(&window_entries(depths, self.window), rng);
-        let rows = self.walk.rows(tangle.len(), weights);
-        walk(tangle, start, &rows, rng, |_| {})
-    }
-}
-
-impl<P> TipSelector<P> for WindowedWalk {
-    fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
-        let weights = cumulative_weights(tangle);
-        let depths = crate::analysis::depths(tangle);
-        self.select_tip_with_weights(tangle, &weights, &depths, rng)
     }
 }
 
@@ -531,17 +457,11 @@ impl<'a> BiasedRandomWalk<'a> {
     }
 }
 
-impl<'a, P> TipSelector<P> for BiasedRandomWalk<'a> {
-    fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
-        let weights = cumulative_weights(tangle);
-        self.select_tip_with_weights(tangle, &weights, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::depths;
+    use crate::analysis::{cumulative_weights, depths};
+    use crate::graph::Tangle;
     use crate::view::TangleView;
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -552,7 +472,7 @@ mod tests {
 
     /// The walk as it stood before [`WalkTable`] — max, `exp` and sum
     /// recomputed at every step, draw and scan inline — kept verbatim as
-    /// the oracle every table walk and context-free walk must match draw
+    /// the oracle every table walk and one-off walk must match draw
     /// for draw. Returns the particle path, `start` first.
     fn reference_walk<T: TangleRead>(
         tangle: &T,
@@ -664,21 +584,58 @@ mod tests {
     }
 
     /// One walk over `tangle` from the genesis, three ways on equal
-    /// generators: reference loop, table, context-free selector.
+    /// generators: reference loop, table, one-off walk.
     fn check_draw_for_draw<T: TangleRead>(tangle: &T, alpha: f64, seed: u64) {
         let w = cumulative_weights(tangle);
         let g = tangle.genesis();
         let mut r = rng(seed);
-        let want = reference_walk(tangle, g, alpha, |a| w[a.index()] as f64, &mut r);
-        let want = (want, r.random::<u64>());
+        let path = reference_walk(tangle, g, alpha, |a| w[a.index()] as f64, &mut r);
+        let next = r.random::<u64>();
         let walk = RandomWalk::new(alpha);
         let mut r = rng(seed);
-        let free = walk.walk_path_with_weights(tangle, &w, &mut r);
-        assert_eq!((free, r.random::<u64>()), want);
-        assert_eq!(table_path(&walk.table(tangle, &w), tangle, g, seed), want);
+        let tip = walk.select_tip_with_weights(tangle, &w, &mut r);
+        assert_eq!((tip, r.random::<u64>()), (*path.last().unwrap(), next));
+        assert_eq!(
+            table_path(&walk.table(tangle, &w), tangle, g, seed),
+            (path, next)
+        );
     }
 
-    /// The context-free biased walk against the reference loop.
+    /// A windowed table's entries against a scan of the depths, and its
+    /// walk from a uniformly drawn entry (the genesis, and no draw, when
+    /// there is none) against the reference loop from the same entry,
+    /// draw for draw.
+    fn check_windowed<T: TangleRead>(
+        tangle: &T,
+        alpha: f64,
+        window: u32,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let (w, d) = (cumulative_weights(tangle), depths(tangle));
+        let scan: Vec<TxId> = (0..tangle.len())
+            .filter(|&i| (window..=2 * window).contains(&d[i]))
+            .map(|i| TxId(i as u32))
+            .collect();
+        prop_assert_eq!(window_entries(&d, window), scan.clone());
+        let table = WindowedWalk::new(RandomWalk::new(alpha), window).table(tangle, &w, &d);
+        prop_assert!(table.is_windowed());
+        let entry = |r: &mut rand::rngs::SmallRng| match scan.len() {
+            0 => tangle.genesis(),
+            n => scan[r.random_range(0..n)],
+        };
+        let mut r = rng(seed);
+        let start = entry(&mut r);
+        let want = reference_walk(tangle, start, alpha, |a| w[a.index()] as f64, &mut r);
+        let want = (want, r.random::<u64>());
+        let mut r = rng(seed);
+        let start = entry(&mut r);
+        let mut path = vec![start];
+        table.walk(tangle, start, &mut r, |x| path.push(x));
+        prop_assert_eq!((path, r.random::<u64>()), want);
+        Ok(())
+    }
+
+    /// The one-off biased walk against the reference loop.
     fn check_biased<T: TangleRead>(tangle: &T, alpha: f64, bias: &[f64], seed: u64) {
         let w = cumulative_weights(tangle);
         let eff = |a: TxId| w[a.index()] as f64 + bias[a.index()];
@@ -721,36 +678,17 @@ mod tests {
         }
 
         #[test]
-        fn walk_table_windowed_entries_match_scan(
+        fn walk_table_windowed_matches_reference_draw_for_draw(
             script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
+            alpha in 0usize..5,
             window in 1u32..6,
+            cut in any::<usize>(),
             seed in any::<u64>(),
         ) {
             let t = scripted(&script);
-            let (w, d) = (cumulative_weights(&t), depths(&t));
-            let ww = WindowedWalk::new(RandomWalk::new(0.5), window);
-            let table = ww.table(&t, &w, &d);
-            let scan: Vec<TxId> = (0..t.len())
-                .filter(|&i| (window..=2 * window).contains(&d[i]))
-                .map(|i| TxId(i as u32))
-                .collect();
-            prop_assert_eq!(window_entries(&d, window), scan.clone());
-            // Same start for the same seed, then the reference walk.
-            let mut r = rng(seed);
-            let start = match scan.len() {
-                0 => t.genesis(),
-                n => scan[r.random_range(0..n)],
-            };
-            let want = reference_walk(&t, start, 0.5, |a| w[a.index()] as f64, &mut r);
-            let want = (*want.last().unwrap(), r.random::<u64>());
-            let mut r = rng(seed);
-            let entry = draw_entry(&scan, &mut r);
-            prop_assert_eq!(entry, start);
-            let tip = table.walk(&t, entry, &mut r, |_| {});
-            prop_assert_eq!((tip, r.random::<u64>()), want);
-            let mut r = rng(seed);
-            let tip = ww.select_tip_with_weights(&t, &w, &d, &mut r);
-            prop_assert_eq!((tip, r.random::<u64>()), want);
+            check_windowed(&t, ALPHAS[alpha], window, seed)?;
+            let view = TangleView::new(&t, 1 + cut % t.len());
+            check_windowed(&view, ALPHAS[alpha], window, seed)?;
         }
     }
 
@@ -980,7 +918,11 @@ mod tests {
     fn walk_rejects_non_finite_alpha() {
         let (t, _, _, _) = forked();
         // A literal bypasses `new`: the check sits where rows are made.
-        RandomWalk { alpha: f64::NAN }.select_tip(&t, &mut rng(1));
+        RandomWalk { alpha: f64::NAN }.select_tip_with_weights(
+            &t,
+            &cumulative_weights(&t),
+            &mut rng(1),
+        );
     }
 
     #[test]
@@ -1000,10 +942,7 @@ mod tests {
         assert!(table.is_windowed() && window_entries(&d, u32::MAX).is_empty());
         let plain = ww.walk.table(&t, &w);
         assert_eq!((&table.tips, &table.cdf), (&plain.tips, &plain.cdf));
-        let mut r = rng(4);
-        assert_eq!(draw_entry(&[], &mut r), t.genesis());
-        assert_eq!(r.random::<u64>(), rng(4).random::<u64>(), "no entry draw");
-        let tip = ww.select_tip_with_weights(&t, &w, &d, &mut rng(4));
+        let tip = table.draw_tip(&mut rng(4));
         assert!(tip == b || tip == c);
     }
 
@@ -1019,9 +958,10 @@ mod tests {
     #[test]
     fn walk_reaches_a_tip() {
         let (t, _, b, c) = forked();
+        let w = cumulative_weights(&t);
         let mut r = rng(1);
         for _ in 0..20 {
-            let tip = RandomWalk::default().select_tip(&t, &mut r);
+            let tip = RandomWalk::default().select_tip_with_weights(&t, &w, &mut r);
             assert!(tip == b || tip == c);
             assert!(t.is_tip(tip));
         }
@@ -1057,25 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_path_starts_at_genesis_ends_at_tip() {
-        let (t, a, _, c) = forked();
-        let w = cumulative_weights(&t);
-        let mut r = rng(4);
-        let path = RandomWalk::new(1000.0).walk_path_with_weights(&t, &w, &mut r);
-        assert_eq!(path, vec![t.genesis(), a, c]);
-    }
-
-    #[test]
-    fn uniform_tips_only_returns_tips() {
-        let (t, _, b, c) = forked();
-        let mut r = rng(5);
-        for _ in 0..20 {
-            let tip = <UniformTips as TipSelector<u8>>::select_tip(&UniformTips, &t, &mut r);
-            assert!(tip == b || tip == c);
-        }
-    }
-
-    #[test]
     fn bias_can_overcome_weight() {
         let (t, _, b, _c) = forked();
         let w = cumulative_weights(&t);
@@ -1100,9 +1021,13 @@ mod tests {
         let x = t.add(99, vec![prev]).unwrap();
         let y = t.add(100, vec![prev]).unwrap();
         let mut r = rng(8);
-        let w = WindowedWalk::new(RandomWalk::default(), 3);
+        let table = WindowedWalk::new(RandomWalk::default(), 3).table(
+            &t,
+            &cumulative_weights(&t),
+            &depths(&t),
+        );
         for _ in 0..20 {
-            let tip = w.select_tip(&t, &mut r);
+            let tip = table.draw_tip(&mut r);
             assert!(tip == x || tip == y, "windowed walk ended at {tip}");
         }
     }
@@ -1111,8 +1036,12 @@ mod tests {
     fn windowed_walk_falls_back_to_genesis_when_shallow() {
         let t = Tangle::new(0u8);
         let mut r = rng(9);
-        let w = WindowedWalk::new(RandomWalk::default(), 5);
-        assert_eq!(w.select_tip(&t, &mut r), t.genesis());
+        let table = WindowedWalk::new(RandomWalk::default(), 5).table(
+            &t,
+            &cumulative_weights(&t),
+            &depths(&t),
+        );
+        assert_eq!(table.draw_tip(&mut r), t.genesis());
     }
 
     #[test]
@@ -1130,7 +1059,8 @@ mod tests {
     fn genesis_only_tangle_selects_genesis() {
         let t = Tangle::new(0u8);
         let mut r = rng(7);
-        let tip = RandomWalk::default().select_tip(&t, &mut r);
+        let tip =
+            RandomWalk::default().select_tip_with_weights(&t, &cumulative_weights(&t), &mut r);
         assert_eq!(tip, t.genesis());
     }
 }

@@ -3,15 +3,17 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tangle_ledger::analysis::{cumulative_weights, depths, ratings, TangleAnalysis};
-use tangle_ledger::walk::{RandomWalk, TipSelector, UniformTips, WindowedWalk};
-use tangle_ledger::{Tangle, TangleRead, TangleView, TxId};
+use tangle_ledger::walk::{RandomWalk, WindowedWalk};
+use tangle_ledger::{AnalysisCache, Tangle, TangleRead, TangleView, TxId};
 
 use lt_conformance::gen::tangle_from_script;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any walk configuration always terminates at a tip.
+    /// Any walk configuration always terminates at a tip, and every tip
+    /// draw, plain or windowed, is one — with weights and depths from the
+    /// analysis cache, as production reads them.
     #[test]
     fn walks_end_at_tips(
         script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..40),
@@ -19,14 +21,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let t = tangle_from_script(&script);
+        let cache = AnalysisCache::new(&t);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let walk = RandomWalk::new(alpha);
-        let tip = walk.select_tip(&t, &mut rng);
+        let tip = walk.select_tip_with_weights(&t, cache.weights(), &mut rng);
         prop_assert!(t.is_tip(tip));
-        let tip2 = <UniformTips as TipSelector<u32>>::select_tip(&UniformTips, &t, &mut rng);
+        let tip2 = walk.table(&t, cache.weights()).draw_tip(&mut rng);
         prop_assert!(t.is_tip(tip2));
-        let tip3 = WindowedWalk::new(walk, 2).select_tip(&t, &mut rng);
-        prop_assert!(t.is_tip(tip3));
+        let windowed = WindowedWalk::new(walk, 2).table(&t, cache.weights(), cache.depths());
+        prop_assert!(t.is_tip(windowed.draw_tip(&mut rng)));
     }
 
     /// Confidence values are probabilities, the genesis has confidence 1,
@@ -292,45 +295,24 @@ proptest! {
     }
 }
 
-/// Both tables' walks and their context-free walks over `tangle`, on equal
-/// generators: same tip, and the same generator state after.
-fn table_walks_match_context_free<T: TangleRead>(
+/// A snapshot's table walk and the one-off walk over `tangle`, on equal
+/// generators: same tip, and the same generator state after. (The
+/// windowed table is pinned against the step-loop oracle in the crate's
+/// own tests, draw for draw.)
+fn table_walk_matches_one_off<T: TangleRead>(
     tangle: &T,
     alpha: f64,
-    window: u32,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     use rand::RngExt as _;
     let rng = || rand::rngs::SmallRng::seed_from_u64(seed);
-    let (w, d) = (cumulative_weights(tangle), depths(tangle));
-    let genesis = tangle.genesis();
-
-    let plain = RandomWalk::new(alpha);
+    let w = cumulative_weights(tangle);
+    let walk = RandomWalk::new(alpha);
     let (mut a, mut b) = (rng(), rng());
-    let mut path = vec![genesis];
-    plain
+    let tip = walk
         .table(tangle, &w)
-        .walk(tangle, genesis, &mut a, |x| path.push(x));
-    prop_assert_eq!(&path, &plain.walk_path_with_weights(tangle, &w, &mut b));
-    prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
-
-    let windowed = WindowedWalk::new(plain, window);
-    let table = windowed.table(tangle, &w, &d);
-    let (mut a, mut b) = (rng(), rng());
-    // The selector's start: a uniform window entry, or the genesis.
-    let entries: Vec<TxId> = (0..tangle.len() as u32)
-        .map(TxId)
-        .filter(|x| (window..=2 * window).contains(&d[x.index()]))
-        .collect();
-    let start = match entries.len() {
-        0 => genesis,
-        n => entries[a.random_range(0..n)],
-    };
-    let tip = table.walk(tangle, start, &mut a, |_| {});
-    prop_assert_eq!(
-        tip,
-        windowed.select_tip_with_weights(tangle, &w, &d, &mut b)
-    );
+        .walk(tangle, tangle.genesis(), &mut a, |_| {});
+    prop_assert_eq!(tip, walk.select_tip_with_weights(tangle, &w, &mut b));
     prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
     Ok(())
 }
@@ -339,21 +321,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Through the public API only (the crate's own tests hold the old
-    /// step loop as the oracle): a snapshot's `WalkTable` and the
-    /// context-free selectors pick the same tips from the same draws, over
-    /// a whole ledger and over a zero-copy prefix of it.
+    /// step loop as the oracle): a snapshot's `WalkTable` and the one-off
+    /// walk pick the same tips from the same draws, over a whole ledger
+    /// and over a zero-copy prefix of it.
     #[test]
     fn walk_table_matches_context_free_selectors(
         script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
         alpha in 0usize..5,
-        window in 1u32..6,
         cut in any::<usize>(),
         seed in any::<u64>(),
     ) {
         let alpha = [0.0, 0.05, 0.5, 8.0, 1000.0][alpha];
         let t = tangle_from_script(&script);
-        table_walks_match_context_free(&t, alpha, window, seed)?;
+        table_walk_matches_one_off(&t, alpha, seed)?;
         let view = TangleView::new(&t, 1 + cut % t.len());
-        table_walks_match_context_free(&view, alpha, window, seed)?;
+        table_walk_matches_one_off(&view, alpha, seed)?;
     }
 }
