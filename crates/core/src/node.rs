@@ -9,7 +9,7 @@ use feddata::ClientData;
 use rand::RngExt;
 use rand_distr::{Distribution, Normal};
 use std::sync::Arc;
-use tangle_ledger::walk::{BiasedRandomWalk, RandomWalk, WalkTable, WindowedWalk};
+use tangle_ledger::walk::{RandomWalk, WalkTable};
 use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TxId};
 use tinynn::{ParamVec, Sequential};
 
@@ -180,7 +180,7 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
     /// confidence sampling (seeded by `seed`), reference selection, and
     /// reference-model averaging. `analysis` and `walk` (the
     /// [`RandomWalk::table`] of `cfg.hyper.alpha`, or the
-    /// [`WindowedWalk::table`] when `cfg.hyper.window` is set) must
+    /// [`RandomWalk::windowed_table`] when `cfg.hyper.window` is set) must
     /// describe exactly `tangle`; callers that analyse a snapshot once and
     /// hand it to many contexts (the delayed-network round) clone the
     /// `Arc`s, not the tables.
@@ -247,15 +247,16 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
     }
 
     /// Draw `k` tips, one after another on `rng`, from the exit
-    /// distribution of the snapshot's walk ([`WalkTable::draw_tip`]): the
-    /// walk from the genesis, or from a depth-window particle when
-    /// windowed selection is configured (§IV).
-    pub fn sample_tips(&self, k: usize, rng: &mut dyn rand::Rng) -> Vec<TxId> {
+    /// distribution of `table` ([`WalkTable::draw_tip`]), counted as tip
+    /// draws: the context's [`Self::walk`] — the walk from the genesis, or
+    /// from a depth-window particle when windowed selection is configured
+    /// (§IV) — or a node step's accuracy-biased table.
+    pub fn sample_tips(&self, table: &WalkTable, k: usize, rng: &mut dyn rand::Rng) -> Vec<TxId> {
         self.telemetry.count("tangle.walks", k as u64);
         (0..k)
             .map(|_| {
                 let _span = self.telemetry.span("tangle.tip_selection_us");
-                self.walk.draw_tip(rng)
+                table.draw_tip(rng)
             })
             .collect()
     }
@@ -276,7 +277,7 @@ pub(crate) fn walk_table<T: TangleRead>(
 ) -> Arc<WalkTable> {
     let (walk, weights) = (RandomWalk::new(hyper.alpha), &analysis.cumulative_weight);
     Arc::new(match hyper.window {
-        Some(w) => WindowedWalk::new(walk, w).table(tangle, weights, depths),
+        Some(w) => walk.windowed_table(tangle, weights, depths, w),
         None => walk.table(tangle, weights),
     })
 }
@@ -364,32 +365,24 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     // Tip selection: `sample_size` draws; with validation on, keep the
     // locally best `num_tips` distinct candidates, else the first draws.
     // With `accuracy_bias` enabled (§VI outlook) the walk is additionally
-    // biased by each model's accuracy on this node's local data.
-    let bias: Option<Vec<f64>> = (hyper.accuracy_bias > 0.0).then(|| {
+    // biased by each model's accuracy on this node's local data: that bias
+    // belongs to this step alone, so the step builds its own table of it
+    // (from the genesis also under a window) and draws from that.
+    let biased: Option<WalkTable> = (hyper.accuracy_bias > 0.0).then(|| {
         let all: Vec<TxId> = (0..ctx.tangle.len() as u32).map(TxId).collect();
-        cache
+        let bias: Vec<f64> = cache
             .evaluate(&all, data_tag, eval_tx, &ctx.telemetry)
             .into_iter()
             .map(|(_, acc)| hyper.accuracy_bias * acc as f64)
-            .collect()
+            .collect();
+        RandomWalk::new(hyper.alpha).biased_table(
+            ctx.tangle,
+            &ctx.analysis.cumulative_weight,
+            &bias,
+        )
     });
-    let samples: Vec<TxId> = match &bias {
-        None => ctx.sample_tips(hyper.sample_size.max(hyper.num_tips), rng),
-        // The biased walk is a small-network research mode: its bias belongs
-        // to this node step alone and `sample_size` walks do not pay for a
-        // transition table of it (an `exp` per approval edge), so each
-        // walk computes the rows it visits, serially on the node's own
-        // generator and from the genesis also under a window.
-        Some(b) => (0..hyper.sample_size.max(hyper.num_tips))
-            .map(|_| {
-                BiasedRandomWalk::new(hyper.alpha, b).select_tip_with_weights(
-                    ctx.tangle,
-                    &ctx.analysis.cumulative_weight,
-                    rng,
-                )
-            })
-            .collect(),
-    };
+    let table = biased.as_ref().unwrap_or(&ctx.walk);
+    let samples = ctx.sample_tips(table, hyper.sample_size.max(hyper.num_tips), rng);
     let parents: Vec<TxId> = if hyper.tip_validation {
         let mut distinct = samples.clone();
         distinct.sort_unstable();
@@ -461,7 +454,7 @@ fn random_poison_step<T: TangleRead<Payload = ModelParams> + Sync>(
     let normal = Normal::new(0.0f32, 1.0).expect("valid normal");
     let dim = ctx.reference.len();
     let params = ParamVec((0..dim).map(|_| normal.sample(rng)).collect());
-    let parents: Vec<TxId> = ctx.sample_tips(cfg.hyper.num_tips.max(1), rng);
+    let parents: Vec<TxId> = ctx.sample_tips(&ctx.walk, cfg.hyper.num_tips.max(1), rng);
     StepOutcome {
         publish: Some(Publish {
             node: node.id,
@@ -734,7 +727,7 @@ mod tests {
 
     /// Oracle for [`node_step`] on an honest node: Algorithm 2 as the paper
     /// states it — every evaluation on a model loaded with a copy, every tip
-    /// draw and biased walk in a serial loop, nothing memoized.
+    /// draw in a serial loop, nothing memoized.
     fn naive_step(
         node: &Node,
         ctx: &RoundContext<'_>,
@@ -745,29 +738,23 @@ mod tests {
         let data = &node.data;
         let arch = build();
         let reference_loss = loaded_eval(&arch, &ctx.reference, data).0;
-        let bias: Option<Vec<f64>> = (hyper.accuracy_bias > 0.0).then(|| {
-            ctx.tangle
+        let biased: Option<WalkTable> = (hyper.accuracy_bias > 0.0).then(|| {
+            let bias: Vec<f64> = ctx
+                .tangle
                 .transactions()
                 .iter()
                 .map(|tx| hyper.accuracy_bias * loaded_eval(&arch, &tx.payload, data).1 as f64)
-                .collect()
+                .collect();
+            let w = &ctx.analysis.cumulative_weight;
+            RandomWalk::new(hyper.alpha).biased_table(ctx.tangle, w, &bias)
         });
+        // One exit-mass draw per tip on the node's generator, from the
+        // snapshot's table or this step's biased one; the `walk_table_*`
+        // tests check both against a descending DP and against the walk
+        // they replace.
+        let table = biased.as_ref().unwrap_or(&ctx.walk);
         let k = hyper.sample_size.max(hyper.num_tips);
-        let samples: Vec<TxId> = match &bias {
-            // One exit-mass draw per tip on the node's generator; the
-            // `walk_table_exit_*` tests check the draw against a
-            // descending DP and against the walk it replaces.
-            None => (0..k).map(|_| ctx.walk.draw_tip(rng)).collect(),
-            Some(b) => (0..k)
-                .map(|_| {
-                    BiasedRandomWalk::new(hyper.alpha, b).select_tip_with_weights(
-                        ctx.tangle,
-                        &ctx.analysis.cumulative_weight,
-                        rng,
-                    )
-                })
-                .collect(),
-        };
+        let samples: Vec<TxId> = (0..k).map(|_| table.draw_tip(rng)).collect();
         let parents: Vec<TxId> = if hyper.tip_validation {
             let mut distinct = samples.clone();
             distinct.sort_unstable();
@@ -900,11 +887,18 @@ mod tests {
                 let hits_before = tel.counter_value("eval_cache.hits");
                 for pass in ["cold", "warm"] {
                     let mut rng = seeded(60 + ni as u64);
+                    let walks_before = tel.counter_value("tangle.walks");
                     let out = node_step(&node, &ctx, &arch, &cfg, &mut rng, &mut cache);
                     assert_eq!(
                         outcome_bits(&out),
                         outcome_bits(&naive),
                         "{tag}, node {ni}, {pass} cache"
+                    );
+                    // Every tip draw is counted, biased ones included.
+                    assert_eq!(
+                        tel.counter_value("tangle.walks") - walks_before,
+                        hyper.sample_size.max(hyper.num_tips) as u64,
+                        "{tag}, node {ni}, {pass} cache: tip draws counted"
                     );
                 }
                 // Only scored candidates are memoized: the basic step

@@ -72,11 +72,6 @@ impl MockTransport {
         self.now
     }
 
-    /// Deliveries still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Time of the next scheduled delivery, if any.
     pub fn next_at(&self) -> Option<u64> {
         self.queue.peek().map(|Reverse((at, _))| *at)
@@ -88,14 +83,6 @@ impl MockTransport {
         let d = self.pending.remove(&key).expect("delivery recorded");
         self.now = self.now.max(at);
         Some(d)
-    }
-
-    /// Pop the next delivery only if it is due by `deadline`.
-    pub fn pop_due(&mut self, deadline: u64) -> Option<Delivery> {
-        if self.next_at()? > deadline {
-            return None;
-        }
-        self.pop_next()
     }
 
     /// Advance the clock without delivering (models idle waiting).

@@ -7,11 +7,12 @@
 //!   every non-genesis transaction *approves* its parent transactions
 //!   (directly, and transitively everything in their past cones).
 //! * [`walk`] — tip selection: the weighted random walk from the genesis
-//!   used by IOTA (with a configurable randomness parameter α), its
-//!   depth-windowed variant, and a biased walk accepting an external
-//!   per-transaction score (the paper §VI outlook: model accuracy as walk
-//!   bias); the walks and tip draws over one snapshot share its
-//!   [`walk::WalkTable`].
+//!   used by IOTA (with a configurable randomness parameter α), entered
+//!   through a depth window or biased by an external per-transaction score
+//!   (the paper §VI outlook: model accuracy as walk bias). Each variant is
+//!   a [`walk::WalkTable`] built by [`walk::RandomWalk`]: the confidence
+//!   walks over one snapshot read its rows, and every tip is drawn from
+//!   its exit distribution.
 //! * [`analysis`] — consensus machinery: exact past-cone *ratings*,
 //!   future-cone *cumulative weights* and depths, kept current under
 //!   append by [`AnalysisCache`] (the batch bitset DPs serve older prefixes

@@ -14,24 +14,23 @@
 //! A *row* is what one step at `x` needs: the unnormalised weights
 //! `exp(α · (eff(y) − max))` of `x`'s approvers, in approver order, followed
 //! by their left-to-right sum (`eff` is the cumulative weight, plus the
-//! caller's bias in a [`BiasedRandomWalk`]). A step draws `r` uniformly in
-//! `[0, sum)` and scans the row subtracting each weight until `r` falls
-//! inside one. It is a subtraction scan on purpose: a prefix-sum search or
-//! an alias table rounds differently and would map some draws to another
-//! approver, and the confidence estimates (§III-A) and the two one-off
-//! walks are pinned draw for draw against the original step loop.
+//! caller's bias in a [`RandomWalk::biased_table`]). A step draws `r`
+//! uniformly in `[0, sum)` and scans the row subtracting each weight until
+//! `r` falls inside one. It is a subtraction scan on purpose: a prefix-sum
+//! search or an alias table rounds differently and would map some draws to
+//! another approver, and the confidence estimates (§III-A) and the one-off
+//! walk are pinned draw for draw against the original step loop.
 //! Transactions with a single approver are followed without a draw and
 //! have no row.
 //!
 //! Every walk over one ledger snapshot sees the same rows, so a
 //! [`WalkTable`] computes them once — one `exp` per approval edge — and the
 //! confidence walks of a round read them. A table is valid only for the
-//! snapshot and α it was built from; approver lists are still read from
-//! the tangle. The one-off walks — [`BiasedRandomWalk`], whose bias lives
-//! for a handful of walks of one node step, fewer than a build (an `exp`
-//! per edge) pays for, and [`RandomWalk::select_tip_with_weights`] — have
-//! no snapshot to amortise over: they fill a one-row scratch per step with
-//! the same row function and draw with the same draw function.
+//! snapshot, α and bias it was built from; approver lists are still read
+//! from the tangle. The one-off walk,
+//! [`RandomWalk::select_tip_with_weights`], has no snapshot to amortise
+//! over: it fills a one-row scratch per step with the same row function
+//! and draws with the same draw function.
 //!
 //! Nothing here computes weights or depths: the caller passes them in,
 //! from an [`crate::AnalysisCache`] that follows the ledger or, for an
@@ -49,7 +48,10 @@
 //! in the loop that computes the rows, and [`WalkTable::draw_tip`] draws a
 //! tip with one uniform draw against the tips' cumulative mass: the same
 //! distribution as a walk, in O(log tips) instead of O(depth) steps, but
-//! not the same tip for the same generator.
+//! not the same tip for the same generator. Every tip is drawn this way:
+//! plain and windowed tips from the table of a round's snapshot, and
+//! accuracy-biased tips from a table a node step builds over its own bias
+//! (an `exp` per edge, next to evaluating every transaction for that bias).
 
 use crate::graph::TxId;
 use crate::view::TangleRead;
@@ -152,8 +154,8 @@ fn window_entries(depths: &[u32], window: u32) -> Vec<TxId> {
 
 /// The transition rows of every transaction of one ledger snapshot, and
 /// the walk's exit distribution over its tips (see the module docs).
-/// Built by [`RandomWalk::table`] or [`WindowedWalk::table`]; valid only
-/// for that snapshot.
+/// Built by [`RandomWalk::table`], [`RandomWalk::windowed_table`] or
+/// [`RandomWalk::biased_table`]; valid only for that snapshot (and bias).
 #[derive(Debug)]
 pub struct WalkTable {
     /// `rows[offsets[i]..offsets[i + 1]]` is the row of transaction `i`,
@@ -164,7 +166,7 @@ pub struct WalkTable {
     /// the running sum of those probabilities (`cdf[k]` covers `tips[..=k]`).
     tips: Vec<TxId>,
     cdf: Vec<f64>,
-    /// Whether the table was built by a [`WindowedWalk`].
+    /// Whether the table was built by [`RandomWalk::windowed_table`].
     windowed: bool,
 }
 
@@ -230,7 +232,7 @@ impl WalkTable {
         }
     }
 
-    /// Whether the table was built by a [`WindowedWalk`].
+    /// Whether the table was built by [`RandomWalk::windowed_table`].
     pub fn is_windowed(&self) -> bool {
         self.windowed
     }
@@ -364,88 +366,59 @@ impl RandomWalk {
         WalkTable::build(tangle, &self.rows(tangle.len(), weights), None)
     }
 
-    /// Walk once from the genesis to a tip with precomputed cumulative
-    /// weights, computing only the rows the walk visits. One-off walks
-    /// only: the tips of a snapshot are drawn from its [`Self::table`].
+    /// The table of [`Self::table`] with its exit distribution started
+    /// uniformly on the transactions whose depth (see
+    /// [`crate::analysis::depths`]) lies in `[window, 2·window]`, or on the
+    /// genesis while the tangle is shallower than that. This is windowed
+    /// tip selection: instead of walking from the genesis every time (which
+    /// the paper's prototype does, §IV, at the cost of scalability), enter
+    /// at a uniformly chosen such transaction — the optimization the
+    /// original tangle authors propose and the paper defers to future work.
     ///
     /// # Panics
-    /// Panics if α is not finite and non-negative.
-    pub fn select_tip_with_weights<T: TangleRead>(
+    /// Panics if `window` is 0 or α is not finite and non-negative.
+    pub fn windowed_table<T: TangleRead>(
         &self,
         tangle: &T,
         weights: &[u32],
-        rng: &mut dyn rand::Rng,
-    ) -> TxId {
-        let rows = self.rows(tangle.len(), weights);
-        walk(tangle, tangle.genesis(), &rows, rng, |_| {})
-    }
-}
-
-/// Windowed tip selection: instead of walking from the genesis every time
-/// (which the paper's prototype does, §IV, at the cost of scalability),
-/// start the walk from a uniformly chosen transaction whose depth lies in
-/// `[window, 2·window]` — the optimization the original tangle authors
-/// propose and the paper defers to future work.
-///
-/// Falls back to the genesis when the tangle is still shallower than the
-/// window.
-#[derive(Clone, Copy, Debug)]
-pub struct WindowedWalk {
-    /// The underlying weighted walk.
-    pub walk: RandomWalk,
-    /// Window depth `W`: entry particles are drawn from depths `W..=2W`.
-    pub window: u32,
-}
-
-impl WindowedWalk {
-    /// Construct from a walk and a window depth.
-    pub fn new(walk: RandomWalk, window: u32) -> Self {
+        depths: &[u32],
+        window: u32,
+    ) -> WalkTable {
         assert!(window >= 1, "window must be at least 1");
-        Self { walk, window }
-    }
-
-    /// The transition table of `tangle` (see [`RandomWalk::table`]) whose
-    /// exit distribution starts uniformly on the entry particles of this
-    /// window, collected once from `depths` (see
-    /// [`crate::analysis::depths`]).
-    pub fn table<T: TangleRead>(&self, tangle: &T, weights: &[u32], depths: &[u32]) -> WalkTable {
         assert_eq!(depths.len(), tangle.len(), "depths/tangle length mismatch");
-        let entries = window_entries(depths, self.window);
-        WalkTable::build(
-            tangle,
-            &self.walk.rows(tangle.len(), weights),
-            Some(&entries),
-        )
-    }
-}
-
-/// A weighted walk whose transition weight is `cumulative_weight + bias`,
-/// where the bias is supplied per transaction by the caller — the paper's
-/// §VI outlook of "introducing model performance as a bias in the weighted
-/// random walk".
-pub struct BiasedRandomWalk<'a> {
-    /// Randomness parameter, as in [`RandomWalk`].
-    pub alpha: f64,
-    /// Per-transaction additive bias on the walk weight, in cumulative-
-    /// weight units. Must be finite.
-    pub bias: &'a [f64],
-}
-
-impl<'a> BiasedRandomWalk<'a> {
-    /// Construct from α and a bias table indexed by transaction id.
-    pub fn new(alpha: f64, bias: &'a [f64]) -> Self {
-        Self { alpha, bias }
+        let entries = window_entries(depths, window);
+        WalkTable::build(tangle, &self.rows(tangle.len(), weights), Some(&entries))
     }
 
-    fn rows<'w>(&'w self, len: usize, weights: &'w [u32]) -> Rows<impl Fn(TxId) -> f64 + 'w> {
+    /// The genesis-started table of the walk whose transition weight is
+    /// `cumulative_weight + bias`, the bias (finite, in cumulative-weight
+    /// units) supplied per transaction by the caller — the paper's §VI
+    /// outlook of "introducing model performance as a bias in the weighted
+    /// random walk".
+    ///
+    /// # Panics
+    /// Panics if α is not finite and non-negative.
+    pub fn biased_table<T: TangleRead>(
+        &self,
+        tangle: &T,
+        weights: &[u32],
+        bias: &[f64],
+    ) -> WalkTable {
+        let len = tangle.len();
         assert_eq!(weights.len(), len, "weights/tangle length mismatch");
-        assert_eq!(self.bias.len(), len, "bias/tangle length mismatch");
-        Rows::new(self.alpha, move |a: TxId| {
-            weights[a.index()] as f64 + self.bias[a.index()]
-        })
+        assert_eq!(bias.len(), len, "bias/tangle length mismatch");
+        let rows = Rows::new(self.alpha, |a: TxId| {
+            weights[a.index()] as f64 + bias[a.index()]
+        });
+        WalkTable::build(tangle, &rows, None)
     }
 
-    /// Select one tip using precomputed cumulative weights plus the bias.
+    /// Walk once from the genesis to a tip with precomputed cumulative
+    /// weights, computing only the rows the walk visits. A one-off walk:
+    /// production draws every tip from a table ([`WalkTable::draw_tip`]).
+    ///
+    /// # Panics
+    /// Panics if α is not finite and non-negative.
     pub fn select_tip_with_weights<T: TangleRead>(
         &self,
         tangle: &T,
@@ -617,7 +590,7 @@ mod tests {
             .map(|i| TxId(i as u32))
             .collect();
         prop_assert_eq!(window_entries(&d, window), scan.clone());
-        let table = WindowedWalk::new(RandomWalk::new(alpha), window).table(tangle, &w, &d);
+        let table = RandomWalk::new(alpha).windowed_table(tangle, &w, &d, window);
         prop_assert!(table.is_windowed());
         let entry = |r: &mut rand::rngs::SmallRng| match scan.len() {
             0 => tangle.genesis(),
@@ -635,16 +608,17 @@ mod tests {
         Ok(())
     }
 
-    /// The one-off biased walk against the reference loop.
+    /// A biased table's walk from the genesis against the reference loop
+    /// under `w + bias`, draw for draw.
     fn check_biased<T: TangleRead>(tangle: &T, alpha: f64, bias: &[f64], seed: u64) {
         let w = cumulative_weights(tangle);
         let eff = |a: TxId| w[a.index()] as f64 + bias[a.index()];
+        let g = tangle.genesis();
         let mut r = rng(seed);
-        let want = reference_walk(tangle, tangle.genesis(), alpha, eff, &mut r);
-        let want = (*want.last().unwrap(), r.random::<u64>());
-        let mut r = rng(seed);
-        let tip = BiasedRandomWalk::new(alpha, bias).select_tip_with_weights(tangle, &w, &mut r);
-        assert_eq!((tip, r.random::<u64>()), want);
+        let path = reference_walk(tangle, g, alpha, eff, &mut r);
+        let want = (path, r.random::<u64>());
+        let table = RandomWalk::new(alpha).biased_table(tangle, &w, bias);
+        assert_eq!(table_path(&table, tangle, g, seed), want);
     }
 
     proptest! {
@@ -664,7 +638,7 @@ mod tests {
         }
 
         #[test]
-        fn walk_table_biased_matches_reference(
+        fn walk_table_biased_matches_reference_draw_for_draw(
             script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
             bias in prop::collection::vec(-40.0f64..40.0, 121),
             alpha in 0usize..5,
@@ -695,8 +669,8 @@ mod tests {
     /// The exit distribution by an independent descending DP: `e[x][τ]` is
     /// the chance that a walk from `x` ends at tip `τ`, with `e[τ] = δ_τ`
     /// and `e[x] = Σ_y P(x→y) · e[y]`, the transition probabilities
-    /// recomputed here from the weights.
-    fn exit_dp<T: TangleRead>(tangle: &T, alpha: f64, w: &[u32]) -> Vec<Vec<f64>> {
+    /// recomputed here from the effective weights `eff`.
+    fn exit_dp<T: TangleRead>(tangle: &T, alpha: f64, eff: impl Fn(TxId) -> f64) -> Vec<Vec<f64>> {
         let n = tangle.len();
         let mut e = vec![vec![0.0f64; n]; n];
         for x in (0..n).rev() {
@@ -705,10 +679,13 @@ mod tests {
             if approvers.is_empty() {
                 here[x] = 1.0;
             }
-            let max = approvers.iter().map(|a| w[a.index()]).max().unwrap_or(0) as f64;
+            let max = approvers
+                .iter()
+                .map(|&a| eff(a))
+                .fold(f64::NEG_INFINITY, f64::max);
             let p: Vec<f64> = approvers
                 .iter()
-                .map(|a| (alpha * (w[a.index()] as f64 - max)).exp())
+                .map(|&a| (alpha * (eff(a) - max)).exp())
                 .collect();
             let sum: f64 = p.iter().sum();
             for (a, pa) in approvers.iter().zip(&p) {
@@ -732,15 +709,17 @@ mod tests {
         mass
     }
 
-    /// The plain table's and a windowed table's exit masses against the
-    /// DP, to 1e-12.
+    /// The plain, a windowed and a biased table's exit masses against the
+    /// DP under their effective weights, to 1e-12.
     fn check_exit_masses<T: TangleRead>(
         tangle: &T,
         alpha: f64,
         window: u32,
+        bias: &[f64],
     ) -> Result<(), TestCaseError> {
         let (w, d) = (cumulative_weights(tangle), depths(tangle));
-        let e = exit_dp(tangle, alpha, &w);
+        let e = exit_dp(tangle, alpha, |a| w[a.index()] as f64);
+        let biased = exit_dp(tangle, alpha, |a| w[a.index()] as f64 + bias[a.index()]);
         let walk = RandomWalk::new(alpha);
         let entries = window_entries(&d, window);
         let windowed: Vec<f64> = match entries.len() {
@@ -749,12 +728,11 @@ mod tests {
                 .map(|t| entries.iter().map(|x| e[x.index()][t]).sum::<f64>() / k as f64)
                 .collect(),
         };
+        let g = tangle.genesis().index();
         let tables = [
-            (walk.table(tangle, &w), &e[tangle.genesis().index()]),
-            (
-                WindowedWalk::new(walk, window).table(tangle, &w, &d),
-                &windowed,
-            ),
+            (walk.table(tangle, &w), &e[g]),
+            (walk.windowed_table(tangle, &w, &d, window), &windowed),
+            (walk.biased_table(tangle, &w, bias), &biased[g]),
         ];
         for (table, want) in &tables {
             let got = exit_mass(table, tangle.len());
@@ -774,14 +752,15 @@ mod tests {
         #[test]
         fn walk_table_exit_masses_match_a_descending_dp(
             script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
+            bias in prop::collection::vec(-40.0f64..40.0, 121),
             window in 1u32..6,
             cut in any::<usize>(),
         ) {
             let t = scripted(&script);
             let view = TangleView::new(&t, 1 + cut % t.len());
             for alpha in ALPHAS {
-                check_exit_masses(&t, alpha, window)?;
-                check_exit_masses(&view, alpha, window)?;
+                check_exit_masses(&t, alpha, window, &bias[..t.len()])?;
+                check_exit_masses(&view, alpha, window, &bias[..view.len()])?;
             }
         }
     }
@@ -799,6 +778,8 @@ mod tests {
 
     #[test]
     fn walk_table_exit_mass_is_where_walks_and_draws_land() {
+        // A plain table against its own walks, a biased one against the
+        // reference loop under `w + bias`.
         const N: u64 = 200_000;
         let mut script_rng = rng(0x5EED);
         let script: Vec<(u8, u8)> = (0..60)
@@ -806,18 +787,35 @@ mod tests {
             .collect();
         let t = scripted(&script);
         let w = cumulative_weights(&t);
+        let bias: Vec<f64> = (0..t.len())
+            .map(|_| script_rng.random_range(-3.0..3.0))
+            .collect();
+        let eff = |a: TxId| w[a.index()] as f64 + bias[a.index()];
         for (seed, alpha) in [(1, 0.05), (2, 0.5), (3, 8.0)] {
-            let table = RandomWalk::new(alpha).table(&t, &w);
-            let mass = exit_mass(&table, t.len());
-            assert!(table.tips.len() >= 2, "α = {alpha}: too few reachable tips");
-            let (mut walks, mut draws) = (vec![0u64; t.len()], vec![0u64; t.len()]);
+            let walk = RandomWalk::new(alpha);
+            let (plain, biased) = (walk.table(&t, &w), walk.biased_table(&t, &w, &bias));
             let mut r = rng(seed);
-            for _ in 0..N {
-                walks[table.walk(&t, t.genesis(), &mut r, |_| {}).index()] += 1;
-                draws[table.draw_tip(&mut r).index()] += 1;
+            for (what, table) in [("plain", &plain), ("biased", &biased)] {
+                let mass = exit_mass(table, t.len());
+                assert!(
+                    table.tips.len() >= 2,
+                    "{what}, α = {alpha}: too few reachable tips"
+                );
+                let (mut walks, mut draws) = (vec![0u64; t.len()], vec![0u64; t.len()]);
+                for _ in 0..N {
+                    let tip = if what == "biased" {
+                        *reference_walk(&t, t.genesis(), alpha, eff, &mut r)
+                            .last()
+                            .unwrap()
+                    } else {
+                        table.walk(&t, t.genesis(), &mut r, |_| {})
+                    };
+                    walks[tip.index()] += 1;
+                    draws[table.draw_tip(&mut r).index()] += 1;
+                }
+                assert_binomial(&walks, &mass, N, &format!("{what} walks, α = {alpha}"));
+                assert_binomial(&draws, &mass, N, &format!("{what} draws, α = {alpha}"));
             }
-            assert_binomial(&walks, &mass, N, &format!("walks, α = {alpha}"));
-            assert_binomial(&draws, &mass, N, &format!("draws, α = {alpha}"));
         }
     }
 
@@ -833,11 +831,14 @@ mod tests {
         );
         let mut r = rng(10);
         assert!((0..1000).all(|_| table.draw_tip(&mut r) == c), "drew {b}");
-        // A genesis-only snapshot draws the genesis, plain or windowed.
+        // A genesis-only snapshot draws the genesis, plain, windowed or
+        // biased.
         let g = Tangle::new(0u8);
         let (w, d) = (cumulative_weights(&g), depths(&g));
-        let windowed = WindowedWalk::new(RandomWalk::default(), 2).table(&g, &w, &d);
-        for table in [RandomWalk::default().table(&g, &w), windowed] {
+        let walk = RandomWalk::default();
+        let windowed = walk.windowed_table(&g, &w, &d, 2);
+        let biased = walk.biased_table(&g, &w, &[7.0]);
+        for table in [walk.table(&g, &w), windowed, biased] {
             assert_eq!(table.draw_tip(&mut r), g.genesis());
         }
     }
@@ -933,14 +934,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "window must be at least 1")]
+    fn walk_table_rejects_a_zero_window() {
+        let (t, _, _, _) = forked();
+        RandomWalk::default().windowed_table(&t, &cumulative_weights(&t), &depths(&t), 0);
+    }
+
+    #[test]
     fn windowed_walk_huge_window_starts_at_the_genesis() {
         // `2 * window` used to overflow for window > u32::MAX / 2.
         let (t, _, b, c) = forked();
         let (w, d) = (cumulative_weights(&t), depths(&t));
-        let ww = WindowedWalk::new(RandomWalk::default(), u32::MAX);
-        let table = ww.table(&t, &w, &d);
+        let walk = RandomWalk::default();
+        let table = walk.windowed_table(&t, &w, &d, u32::MAX);
         assert!(table.is_windowed() && window_entries(&d, u32::MAX).is_empty());
-        let plain = ww.walk.table(&t, &w);
+        let plain = walk.table(&t, &w);
         assert_eq!((&table.tips, &table.cdf), (&plain.tips, &plain.cdf));
         let tip = table.draw_tip(&mut rng(4));
         assert!(tip == b || tip == c);
@@ -997,16 +1005,16 @@ mod tests {
     }
 
     #[test]
-    fn bias_can_overcome_weight() {
+    fn walk_table_bias_can_overcome_weight() {
         let (t, _, b, _c) = forked();
         let w = cumulative_weights(&t);
         // Heavily bias the light b-branch.
         let mut bias = vec![0.0f64; t.len()];
         bias[b.index()] = 100.0;
-        let walk = BiasedRandomWalk::new(10.0, &bias);
+        let table = RandomWalk::new(10.0).biased_table(&t, &w, &bias);
         let mut r = rng(6);
         for _ in 0..30 {
-            assert_eq!(walk.select_tip_with_weights(&t, &w, &mut r), b);
+            assert_eq!(table.draw_tip(&mut r), b);
         }
     }
 
@@ -1021,11 +1029,8 @@ mod tests {
         let x = t.add(99, vec![prev]).unwrap();
         let y = t.add(100, vec![prev]).unwrap();
         let mut r = rng(8);
-        let table = WindowedWalk::new(RandomWalk::default(), 3).table(
-            &t,
-            &cumulative_weights(&t),
-            &depths(&t),
-        );
+        let table =
+            RandomWalk::default().windowed_table(&t, &cumulative_weights(&t), &depths(&t), 3);
         for _ in 0..20 {
             let tip = table.draw_tip(&mut r);
             assert!(tip == x || tip == y, "windowed walk ended at {tip}");
@@ -1036,11 +1041,8 @@ mod tests {
     fn windowed_walk_falls_back_to_genesis_when_shallow() {
         let t = Tangle::new(0u8);
         let mut r = rng(9);
-        let table = WindowedWalk::new(RandomWalk::default(), 5).table(
-            &t,
-            &cumulative_weights(&t),
-            &depths(&t),
-        );
+        let table =
+            RandomWalk::default().windowed_table(&t, &cumulative_weights(&t), &depths(&t), 5);
         assert_eq!(table.draw_tip(&mut r), t.genesis());
     }
 

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tangle_ledger::analysis::{cumulative_weights, depths, ratings, TangleAnalysis};
-use tangle_ledger::walk::{RandomWalk, WindowedWalk};
+use tangle_ledger::walk::RandomWalk;
 use tangle_ledger::{AnalysisCache, Tangle, TangleRead, TangleView, TxId};
 
 use lt_conformance::gen::tangle_from_script;
@@ -12,12 +12,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any walk configuration always terminates at a tip, and every tip
-    /// draw, plain or windowed, is one — with weights and depths from the
-    /// analysis cache, as production reads them.
+    /// draw, plain, windowed or biased, is one — with weights and depths
+    /// from the analysis cache, as production reads them.
     #[test]
     fn walks_end_at_tips(
         script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..40),
         alpha in 0.0f64..10.0,
+        bias in prop::collection::vec(-20.0f64..20.0, 41),
         seed in any::<u64>(),
     ) {
         let t = tangle_from_script(&script);
@@ -28,8 +29,10 @@ proptest! {
         prop_assert!(t.is_tip(tip));
         let tip2 = walk.table(&t, cache.weights()).draw_tip(&mut rng);
         prop_assert!(t.is_tip(tip2));
-        let windowed = WindowedWalk::new(walk, 2).table(&t, cache.weights(), cache.depths());
+        let windowed = walk.windowed_table(&t, cache.weights(), cache.depths(), 2);
         prop_assert!(t.is_tip(windowed.draw_tip(&mut rng)));
+        let biased = walk.biased_table(&t, cache.weights(), &bias[..t.len()]);
+        prop_assert!(t.is_tip(biased.draw_tip(&mut rng)));
     }
 
     /// Confidence values are probabilities, the genesis has confidence 1,
