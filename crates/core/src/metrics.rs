@@ -46,14 +46,6 @@ impl MetricsLog {
         self.points.last().map(|p| p.accuracy)
     }
 
-    /// The best accuracy recorded anywhere in the run.
-    pub fn best_accuracy(&self) -> Option<f32> {
-        self.points
-            .iter()
-            .map(|p| p.accuracy)
-            .max_by(|a, b| a.partial_cmp(b).expect("finite accuracy"))
-    }
-
     /// Minimum accuracy in a round window (used to quantify attack damage).
     pub fn min_accuracy_in(&self, rounds: std::ops::RangeInclusive<u64>) -> Option<f32> {
         self.points
@@ -103,7 +95,6 @@ mod tests {
     fn accessors() {
         let l = log();
         assert_eq!(l.final_accuracy(), Some(0.70));
-        assert_eq!(l.best_accuracy(), Some(0.72));
         assert_eq!(l.min_accuracy_in(40..=80), Some(0.55));
         assert_eq!(l.min_accuracy_in(90..=100), None);
         assert_eq!(MetricsLog::new("x").final_accuracy(), None);

@@ -117,6 +117,10 @@ pub struct Simulation<'a> {
     eval: Vec<Mutex<EvalCache>>,
     /// Observability handle; disabled (no-op) unless attached.
     telemetry: Telemetry,
+    /// `tangle.walks` on the handle when it was attached: the handle may
+    /// outlive one simulation, and `Round.walk_count` counts this one's
+    /// draws only.
+    walks_at_attach: u64,
     /// Unused; kept only because `benchmark/` names `Simulation<'static>`.
     _lifetime: PhantomData<&'a ()>,
 }
@@ -158,6 +162,7 @@ impl<'a> Simulation<'a> {
             prefixes: VecDeque::new(),
             lost_publications: 0,
             telemetry: Telemetry::disabled(),
+            walks_at_attach: 0,
             _lifetime: PhantomData,
         }
     }
@@ -171,12 +176,13 @@ impl<'a> Simulation<'a> {
     /// record metrics and emit [`Event`]s through it; evaluation helpers
     /// stay unobserved so counters reflect training work only.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.set_telemetry(telemetry);
         self
     }
 
     /// Attach or replace the observability handle in place.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.walks_at_attach = telemetry.counter_value("tangle.walks");
         self.telemetry = telemetry;
     }
 
@@ -241,11 +247,6 @@ impl<'a> Simulation<'a> {
     /// The ledger.
     pub fn tangle(&self) -> &Tangle<ModelParams> {
         &self.tangle
-    }
-
-    /// Rounds completed.
-    pub fn rounds_done(&self) -> u64 {
-        self.round
     }
 
     /// The simulation configuration.
@@ -471,7 +472,7 @@ impl<'a> Simulation<'a> {
         tel.count("sim.published", published as u64);
         tel.count("sim.rejected", rejected);
         if tel.enabled() {
-            let walk_count = tel.counter_value("tangle.walks");
+            let walk_count = tel.counter_value("tangle.walks") - self.walks_at_attach;
             let phase_us = phases.finish();
             let tangle_len = self.tangle.len() as u64;
             let lost_publications = self.lost_publications;
@@ -656,6 +657,7 @@ mod tests {
     use crate::attack::{assign_malicious, AttackKind};
     use crate::config::TangleHyperParams;
     use feddata::blobs::{self, BlobsConfig};
+    use lt_telemetry::MemorySink;
     use tinynn::rng::seeded as tseed;
 
     fn dataset(users: usize) -> FederatedDataset {
@@ -702,6 +704,37 @@ mod tests {
             "tangle learning should improve: {acc0} -> {acc1}"
         );
         assert!(sim.tangle().len() > 10, "transactions should be published");
+    }
+
+    /// One telemetry handle across two simulations, as a CLI command
+    /// shares it between its arms: the second one's `Round` lines count
+    /// its own tip draws, exactly as when it runs alone.
+    #[test]
+    fn walk_count_is_per_simulation() {
+        fn rounds(tel: &Telemetry, sink: &MemorySink, seed: u64) -> Vec<Event> {
+            let skip = sink.len();
+            let cfg = SimConfig {
+                seed,
+                ..quick_cfg()
+            };
+            let mut sim = Simulation::new(dataset(8), cfg, build).with_telemetry(tel.clone());
+            for _ in 0..3 {
+                sim.round();
+            }
+            let events = sink.events().split_off(skip);
+            events
+                .into_iter()
+                .filter(|e| matches!(e, Event::Round(_)))
+                .collect()
+        }
+        let shared = Arc::new(MemorySink::new());
+        let tel = Telemetry::new(shared.clone());
+        rounds(&tel, &shared, 3);
+        let after_another = rounds(&tel, &shared, 4);
+        let alone_sink = Arc::new(MemorySink::new());
+        let alone = rounds(&Telemetry::new(alone_sink.clone()), &alone_sink, 4);
+        assert!(tel.counter_value("tangle.walks") > 0, "no tip drawn");
+        assert_eq!(after_another, alone);
     }
 
     #[test]

@@ -97,13 +97,10 @@ impl FaultPlan {
             && self.crashes.is_empty()
     }
 
-    /// Does the plan perturb links (as opposed to only crashing peers)?
-    pub fn perturbs_links(&self) -> bool {
-        self.drop > 0.0 || self.duplicate > 0.0 || self.corrupt > 0.0 || self.reorder_jitter > 0
-    }
-
-    /// Perturb one hop — the only implementation of the link faults, used
-    /// by the simulator's link layer and `lt_net::MockTransport` alike.
+    /// Perturb one hop — the only implementation of the link faults,
+    /// called by [`Links`](crate::network::Links), the one in-memory
+    /// transport (the simulator's link layer; stand-alone in protocol
+    /// tests, as `lt_net::MockTransport`).
     /// `rng` is the fault RNG (seeded from [`FaultPlan::seed`]) and is
     /// consulted only for non-zero rates; `base_delay` is the hop's
     /// latency as the transport already drew it from `latency`. Returns
@@ -203,7 +200,6 @@ mod tests {
     #[test]
     fn default_plan_is_benign() {
         assert!(FaultPlan::default().is_benign());
-        assert!(!FaultPlan::default().perturbs_links());
     }
 
     #[test]

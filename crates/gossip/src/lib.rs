@@ -27,11 +27,13 @@
 //!   peer over an in-memory link layer with configurable topology (full
 //!   mesh / ring / random regular), per-link latency, message loss, and
 //!   partitions, plus peer crash/restart; the omniscient anti-entropy
-//!   oracle survives only as a test ground truth.
+//!   oracle survives only as a test ground truth. The link layer,
+//!   [`Links`], is public: the one in-memory [`Transport`], which
+//!   protocol tests also drive stand-alone.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   schedules peer crash/restart cycles (recovering empty or from an
 //!   `LTCP` checkpoint, [`Peer::checkpoint_bytes`]) and perturbs hops
-//!   (drop/duplicate/corrupt/reorder) for every in-memory transport.
+//!   (drop/duplicate/corrupt/reorder) in the in-memory link layer.
 //! * [`learn`] — decentralized training over the gossip network: peers run
 //!   the paper's Algorithm 2 against their *own replica* and publish the
 //!   result as a gossip broadcast; replicas converge to a common consensus
@@ -47,7 +49,7 @@ pub mod transport;
 
 pub use fault::{CrashEvent, FaultPlan, Recovery, RepairConfig};
 pub use message::{ContentId, TxMessage};
-pub use network::{Latency, NetStats, Network, NetworkConfig, Topology};
+pub use network::{Delivery, Latency, Links, NetStats, Network, NetworkConfig, Topology};
 pub use peer::{Peer, ReceiveOutcome};
 pub use protocol::NodeProtocol;
 pub use transport::{LinkState, ProtocolMsg, Transport};

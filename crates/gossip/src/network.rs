@@ -19,7 +19,7 @@ use crate::protocol::NodeProtocol;
 use crate::transport::{LinkState, ProtocolMsg, Transport};
 use rand::RngExt;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::path::PathBuf;
 use tangle_ledger::TxId;
 use tinynn::rng::{derive, seeded};
@@ -79,28 +79,19 @@ impl Default for NetworkConfig {
     }
 }
 
-enum Payload {
-    Deliver {
-        from: usize,
-        to: usize,
-        pkt: ProtocolMsg,
-    },
-    Crash {
-        peer: usize,
-    },
-    Restart {
-        peer: usize,
-        recovery: Recovery,
-    },
-    RepairTick {
-        peer: usize,
-    },
+/// What the network's queue holds: link deliveries and the simulator's
+/// own lifecycle and repair events, all in one `(at, seq)` order.
+enum Event {
+    Deliver(Delivery),
+    Crash { peer: usize },
+    Restart { peer: usize, recovery: Recovery },
+    RepairTick { peer: usize },
 }
 
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    payload: Payload,
+impl From<Delivery> for Event {
+    fn from(d: Delivery) -> Self {
+        Event::Deliver(d)
+    }
 }
 
 /// Running statistics of the simulated network.
@@ -132,19 +123,64 @@ pub struct NetStats {
     pub requested: u64,
 }
 
+/// One scheduled delivery of the link layer.
+pub struct Delivery {
+    /// Delivery time on the link layer's clock.
+    pub at: u64,
+    /// Sending peer.
+    pub from: usize,
+    /// Receiving peer.
+    pub to: usize,
+    /// The message.
+    pub msg: ProtocolMsg,
+}
+
+/// A queued event, ordered by `(at, seq)` alone.
+struct Scheduled<E> {
+    at: u64,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
 struct FaultState {
     plan: FaultPlan,
     rng: tinynn::rng::Rng,
 }
 
-/// The simulator below the protocol: simulated clock, the one event
-/// queue (deliveries, repair wake-ups and lifecycle events share its
-/// `(at, seq)` order, which decides the order of latency draws), the
-/// base and fault RNGs, partition groups and up/down flags. This is the
-/// in-memory [`Transport`] the engines send through.
-struct Links {
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    events: HashMap<u64, Scheduled>,
+/// The in-memory [`Transport`]: a simulated clock, one event queue, the
+/// base and fault RNGs, partition groups and up/down flags. A send draws
+/// its latency and then [`FaultPlan::perturb_hop`], and queues the
+/// delivery; events come off the queue in `(at, seq)` order, so the
+/// order of latency draws is replayable from the seed alone.
+///
+/// [`Links::new`] builds a stand-alone link layer whose events are
+/// [`Delivery`]s, for tests that feed a handful of [`NodeProtocol`]s by
+/// hand (`lt_net::MockTransport` is this type). [`Network`] runs one
+/// whose queue also carries its crash, restart and repair wake-up
+/// events. A peer past the end of the partition groups and up/down
+/// flags counts as group 0 and up.
+pub struct Links<E = Delivery> {
+    queue: BinaryHeap<Reverse<Scheduled<E>>>,
     now: u64,
     seq: u64,
     rng: tinynn::rng::Rng,
@@ -155,20 +191,86 @@ struct Links {
     groups: Vec<usize>,
     /// Lifecycle per peer: `false` while crashed.
     up: Vec<bool>,
-    /// Hops lost at send time, until [`Network::drive`] moves them into
-    /// [`NetStats::dropped`].
-    dropped: u64,
+    /// Sends attempted via [`Transport::send`].
+    pub sent: u64,
+    /// Sends lost at send time to the loss model, a partition or a fault
+    /// drop. [`Network`] moves them into [`NetStats::dropped`] after each
+    /// engine call.
+    pub dropped: u64,
     /// Content ids named in `Request`s at send time, until
     /// [`Network::drive`] moves them into [`NetStats::requested`].
     asked: u64,
 }
 
 impl Links {
-    fn push_event(&mut self, at: u64, payload: Payload) {
+    /// A link layer with per-hop latency drawn from `latency.0..=latency.1`
+    /// ticks, no loss and no faults.
+    pub fn new(seed: u64, latency: (u64, u64)) -> Self {
+        let latency = Latency {
+            min: latency.0,
+            max: latency.1,
+        };
+        Links::with_rng(seeded(derive(seed, 0x30C4)), 0.0, latency, 0)
+    }
+}
+
+impl<E> Links<E> {
+    fn with_rng(rng: tinynn::rng::Rng, loss: f64, latency: Latency, peers: usize) -> Self {
+        Self {
+            queue: BinaryHeap::new(),
+            now: 0,
+            seq: 0,
+            rng,
+            loss,
+            latency,
+            faults: None,
+            groups: vec![0; peers],
+            up: vec![true; peers],
+            sent: 0,
+            dropped: 0,
+            asked: 0,
+        }
+    }
+
+    /// Arm a fault plan's link perturbations (drop / duplicate / corrupt /
+    /// reorder) for every later hop, driven by an RNG derived from
+    /// [`FaultPlan::seed`]. The plan's crashes are the caller's to
+    /// schedule; [`Network::install_faults`] does.
+    pub fn install_faults(&mut self, plan: FaultPlan) {
+        let rng = seeded(derive(plan.seed, 0xFA017));
+        self.faults = Some(FaultState { plan, rng });
+    }
+
+    /// Current time.
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Time of the next queued event, if any.
+    pub fn next_at(&self) -> Option<u64> {
+        self.queue.peek().map(|Reverse(s)| s.at)
+    }
+
+    /// Pop the next event, advancing the clock to it.
+    pub fn pop_next(&mut self) -> Option<E> {
+        let Reverse(s) = self.queue.pop()?;
+        self.now = self.now.max(s.at);
+        Some(s.event)
+    }
+
+    /// Advance the clock without popping (models idle waiting).
+    pub fn advance_to(&mut self, at: u64) {
+        self.now = self.now.max(at);
+    }
+
+    fn push(&mut self, at: u64, event: E) {
         self.seq += 1;
         let seq = self.seq;
-        self.queue.push(Reverse((at, seq)));
-        self.events.insert(seq, Scheduled { at, seq, payload });
+        self.queue.push(Reverse(Scheduled { at, seq, event }));
+    }
+
+    fn group(&self, p: usize) -> usize {
+        self.groups.get(p).copied().unwrap_or(0)
     }
 
     /// The fate of one hop: the partition, the base loss/latency model,
@@ -182,7 +284,7 @@ impl Links {
         to: usize,
         pkt: &mut ProtocolMsg,
     ) -> Option<(u64, Option<u64>)> {
-        if self.groups[from] != self.groups[to] {
+        if self.group(from) != self.group(to) {
             return None;
         }
         if self.loss > 0.0 && self.rng.random_range(0.0..1.0) < self.loss {
@@ -197,8 +299,16 @@ impl Links {
     }
 }
 
-impl Transport for Links {
+impl<E: From<Delivery>> Links<E> {
+    fn deliver_after(&mut self, delay: u64, from: usize, to: usize, msg: ProtocolMsg) {
+        let at = self.now + delay;
+        self.push(at, Delivery { at, from, to, msg }.into());
+    }
+}
+
+impl<E: From<Delivery>> Transport for Links<E> {
     fn send(&mut self, from: usize, to: usize, mut pkt: ProtocolMsg) -> bool {
+        self.sent += 1;
         if let ProtocolMsg::Request { wants } = &pkt {
             self.asked += wants.len() as u64;
         }
@@ -207,18 +317,17 @@ impl Transport for Links {
             return false;
         };
         if let Some(copy_delay) = copy {
-            let pkt = pkt.clone();
-            self.push_event(self.now + delay, Payload::Deliver { from, to, pkt });
+            self.deliver_after(delay, from, to, pkt.clone());
             delay = copy_delay;
         }
-        self.push_event(self.now + delay, Payload::Deliver { from, to, pkt });
+        self.deliver_after(delay, from, to, pkt);
         true
     }
 
     fn link_state(&self, from: usize, to: usize) -> LinkState {
-        if !self.up[to] {
+        if !self.up.get(to).copied().unwrap_or(true) {
             LinkState::Down
-        } else if self.groups[from] != self.groups[to] {
+        } else if self.group(from) != self.group(to) {
             LinkState::Cut
         } else {
             LinkState::Open
@@ -253,7 +362,7 @@ impl Transport for Links {
 pub struct Network {
     /// One engine per peer; each owns its replica and its adjacency.
     protos: Vec<NodeProtocol>,
-    links: Links,
+    links: Links<Event>,
     cfg: NetworkConfig,
     /// The shared genesis message (for empty rejoins and checkpoint
     /// validation).
@@ -288,20 +397,7 @@ impl Network {
             .collect();
         Self {
             protos,
-            links: Links {
-                queue: BinaryHeap::new(),
-                events: HashMap::new(),
-                now: 0,
-                seq: 0,
-                rng,
-                loss: cfg.loss,
-                latency: cfg.latency,
-                faults: None,
-                groups: vec![0; n],
-                up: vec![true; n],
-                dropped: 0,
-                asked: 0,
-            },
+            links: Links::with_rng(rng, cfg.loss, cfg.latency, n),
             cfg,
             genesis: genesis.clone(),
             stats: NetStats::default(),
@@ -338,20 +434,14 @@ impl Network {
     pub fn install_faults(&mut self, plan: FaultPlan) {
         for c in &plan.crashes {
             assert!(c.peer < self.len(), "crash peer out of range");
-            self.links.push_event(c.at, Payload::Crash { peer: c.peer });
+            self.links.push(c.at, Event::Crash { peer: c.peer });
             if let Some(r) = c.restart_at {
                 assert!(r > c.at, "restart must follow its crash");
-                self.links.push_event(
-                    r,
-                    Payload::Restart {
-                        peer: c.peer,
-                        recovery: c.recovery,
-                    },
-                );
+                let (peer, recovery) = (c.peer, c.recovery);
+                self.links.push(r, Event::Restart { peer, recovery });
             }
         }
-        let rng = seeded(derive(plan.seed, 0xFA017));
-        self.links.faults = Some(FaultState { plan, rng });
+        self.links.install_faults(plan);
     }
 
     /// Override the repair-protocol parameters (on by default).
@@ -425,13 +515,17 @@ impl Network {
     /// call moved the engine's wake-up (after the hops the call enqueued,
     /// as event order decides the order of latency draws) and account for
     /// the hops lost at send time.
-    fn drive<R>(&mut self, p: usize, call: impl FnOnce(&mut NodeProtocol, &mut Links) -> R) -> R {
+    fn drive<R>(
+        &mut self,
+        p: usize,
+        call: impl FnOnce(&mut NodeProtocol, &mut Links<Event>) -> R,
+    ) -> R {
         let e = &mut self.protos[p];
         e.set_now(self.links.now);
         let wake = e.next_wake();
         let out = call(e, &mut self.links);
         if let Some(at) = e.next_wake().filter(|&at| Some(at) != wake) {
-            self.links.push_event(at, Payload::RepairTick { peer: p });
+            self.links.push(at, Event::RepairTick { peer: p });
         }
         let dropped = std::mem::take(&mut self.links.dropped);
         if dropped > 0 {
@@ -448,21 +542,17 @@ impl Network {
 
     /// Deliver the next scheduled event. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse((at, key))) = self.links.queue.pop() else {
+        let Some(at) = self.links.next_at() else {
             return false;
         };
-        let ev = self.links.events.remove(&key).expect("event recorded");
-        debug_assert_eq!(ev.at, at);
-        debug_assert_eq!(ev.seq, key);
         self.take_due_checkpoints(at);
         let tel = self.telemetry.clone();
         let _span = tel.span("gossip.deliver_us");
-        self.links.now = self.links.now.max(at);
-        match ev.payload {
-            Payload::Deliver { from, to, pkt } => self.deliver(from, to, pkt),
-            Payload::Crash { peer } => self.crash(peer),
-            Payload::Restart { peer, recovery } => self.restart(peer, recovery),
-            Payload::RepairTick { peer } => self.wake(peer),
+        match self.links.pop_next().expect("event queued") {
+            Event::Deliver(d) => self.deliver(d.from, d.to, d.msg),
+            Event::Crash { peer } => self.crash(peer),
+            Event::Restart { peer, recovery } => self.restart(peer, recovery),
+            Event::RepairTick { peer } => self.wake(peer),
         }
         true
     }
@@ -651,14 +741,11 @@ impl Network {
     pub fn advance(&mut self, ticks: u64) -> u64 {
         let horizon = self.links.now + ticks;
         let mut steps = 0;
-        while let Some(Reverse((at, _))) = self.links.queue.peek() {
-            if *at > horizon {
-                break;
-            }
+        while self.links.next_at().is_some_and(|at| at <= horizon) {
             self.step();
             steps += 1;
         }
-        self.links.now = horizon;
+        self.links.advance_to(horizon);
         steps
     }
 

@@ -34,8 +34,9 @@
 //!
 //! The simulated [`Network`](crate::network::Network) owns one engine per
 //! peer and drives them from its event queue; the `lt-node` daemon owns
-//! one and drives it from its socket threads; `lt_net::MockTransport`
-//! tests drive a handful by hand. A verdict reached in one of them is a
+//! one and drives it from its socket threads; protocol tests drive a
+//! handful by hand over a stand-alone [`Links`](crate::network::Links)
+//! (`lt_net::MockTransport`). A verdict reached in one of them is a
 //! verdict about the same code in the others.
 //!
 //! Time is an explicit `u64` the embedder advances: the daemon feeds

@@ -8,8 +8,9 @@
 //! [`NodeProtocol`](crate::protocol::NodeProtocol); how they move between
 //! peers is a [`Transport`] concern: the link layer of the discrete-event
 //! [`Network`](crate::network::Network) is one implementation (latency,
-//! loss, partitions, fault injection on a simulated clock); `lt-net`
-//! provides a deterministic mock hub and a real length-framed TCP
+//! loss, partitions, fault injection on a simulated clock), public as
+//! [`Links`](crate::network::Links) so protocol tests can drive it
+//! stand-alone; `lt-net` provides the other, a real length-framed TCP
 //! transport over the same vocabulary.
 
 use crate::message::{ContentId, TxMessage};

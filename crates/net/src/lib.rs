@@ -14,11 +14,10 @@
 //!   [`ProtocolMsg`](tangle_gossip::ProtocolMsg) variants plus liveness
 //!   probes and the control plane the scale harness drives daemons with.
 //! * [`protocol`] — re-export of [`tangle_gossip::protocol`], where
-//!   [`NodeProtocol`] lives: the same state machine runs over TCP here,
-//!   under the in-memory simulator, and over the deterministic mock.
-//! * [`mock`] — [`MockTransport`]: a seeded, clock-explicit transport
-//!   perturbed by [`FaultPlan::perturb_hop`](tangle_gossip::FaultPlan::perturb_hop)
-//!   like the simulator's links, for socket-free protocol tests.
+//!   [`NodeProtocol`] lives: the same state machine runs over TCP here
+//!   and over the simulator's in-memory link layer, which socket-free
+//!   protocol tests drive stand-alone as [`MockTransport`] (an alias of
+//!   [`tangle_gossip::Links`], not a second transport).
 //! * [`queue`] — bounded per-connection send queues; overflow is counted
 //!   (`net.dropped`), never silently swallowed.
 //! * [`preset`] — the shared conformance experiment (dataset, model,
@@ -44,7 +43,6 @@ pub mod chaos;
 pub mod daemon;
 pub mod driver;
 pub mod frame;
-pub mod mock;
 pub mod preset;
 pub mod queue;
 pub mod soak;
@@ -60,8 +58,11 @@ pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, FrameError, StatusReport, WireMsg,
     CONTROL_PEER, MAX_PAYLOAD,
 };
-pub use mock::MockTransport;
 pub use preset::{Preset, ORPHAN_CAP};
 pub use queue::SendQueue;
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use tangle_gossip::protocol::{self, NodeProtocol};
+
+/// The simulator's link layer, stand-alone: socket-free protocol tests
+/// feed [`NodeProtocol`]s from its queue by hand.
+pub type MockTransport = tangle_gossip::Links;

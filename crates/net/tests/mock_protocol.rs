@@ -1,11 +1,15 @@
-//! Protocol state-machine tests over the deterministic mock transport:
+//! Protocol state-machine tests over the simulator's link layer, run
+//! stand-alone (`lt_net::MockTransport` is `tangle_gossip::Links`):
 //! push / announce / pull convergence, orphan repair with retries and
 //! backoff, rotating holder selection, duplicate delivery, fault-plan
 //! determinism, and a property test over random topologies, faults and
 //! publication schedules — all without a single socket.
 
 use lt_net::{MockTransport, NodeProtocol};
-use tangle_gossip::{ContentId, FaultPlan, ProtocolMsg, ReceiveOutcome, RepairConfig, TxMessage};
+use tangle_gossip::{
+    ContentId, Delivery, FaultPlan, ProtocolMsg, ReceiveOutcome, RepairConfig, TxMessage,
+};
+use tinynn::wire::{fnv1a, fnv1a_update};
 use tinynn::ParamVec;
 
 const POW: u32 = 0;
@@ -43,7 +47,7 @@ fn tx(parents: Vec<ContentId>, issuer: u64, slot: u64, k: f32) -> TxMessage {
 fn step(
     nodes: &mut [NodeProtocol],
     t: &mut MockTransport,
-    mut observe: impl FnMut(&lt_net::mock::Delivery),
+    mut observe: impl FnMut(&Delivery),
 ) -> bool {
     let next_tick = nodes.iter().filter_map(|n| n.next_wake()).min();
     let at = match (t.next_at(), next_tick) {
@@ -70,12 +74,42 @@ fn step(
 /// Run the discrete-event loop to quiescence: interleave due repair
 /// ticks with deliveries in timestamp order until neither exists.
 fn drain(nodes: &mut [NodeProtocol], t: &mut MockTransport) {
+    drain_observed(nodes, t, |_| ());
+}
+
+/// [`drain`], showing `observe` every delivery before its receiver.
+fn drain_observed(
+    nodes: &mut [NodeProtocol],
+    t: &mut MockTransport,
+    mut observe: impl FnMut(&Delivery),
+) {
     for _ in 0..100_000 {
-        if !step(nodes, t, |_| ()) {
+        if !step(nodes, t, &mut observe) {
             return;
         }
     }
     panic!("event loop did not quiesce");
+}
+
+/// Fold one popped delivery into an FNV-1a digest: its time, endpoints,
+/// message kind and the content ids it carries or names.
+fn fold_delivery(h: u64, d: &Delivery) -> u64 {
+    let (kind, ids) = match &d.msg {
+        ProtocolMsg::Publish(m) => (0u8, vec![m.content_id()]),
+        ProtocolMsg::Announce { ids, .. } => (1, ids.clone()),
+        ProtocolMsg::Advertise { heads } => (2, heads.clone()),
+        ProtocolMsg::Request { wants } => (3, wants.clone()),
+        ProtocolMsg::Delta(m) => (4, vec![m.content_id()]),
+    };
+    let mut bytes = Vec::new();
+    for v in [d.at, d.from as u64, d.to as u64] {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    bytes.push(kind);
+    for id in ids {
+        bytes.extend_from_slice(&id.0.to_le_bytes());
+    }
+    fnv1a_update(h, &bytes)
 }
 
 fn archive_ids(n: &NodeProtocol) -> Vec<u64> {
@@ -325,10 +359,12 @@ fn corrupt_in_flight_payload_is_rejected() {
 
 /// The same seed replays the same run — byte-identical archives and
 /// identical transport accounting — under drop + duplicate + reorder
-/// faults, with repair recovering every loss.
+/// faults, with repair recovering every loss. The counters and the
+/// digest of every popped delivery are pinned: a change that moves one
+/// latency or fault draw of the link layer fails here.
 #[test]
 fn faulty_run_is_deterministic_and_recovers() {
-    fn run(seed: u64) -> (Vec<Vec<u64>>, u64, u64) {
+    fn run(seed: u64) -> (Vec<Vec<u64>>, u64, u64, u64) {
         let mut nodes = mesh(3);
         let mut t = MockTransport::new(seed, (1, 6));
         t.install_faults(FaultPlan {
@@ -338,26 +374,41 @@ fn faulty_run_is_deterministic_and_recovers() {
             reorder_jitter: 9,
             ..FaultPlan::default()
         });
+        let mut schedule = fnv1a(&[]);
         let mut heads = nodes[0].peer().heads();
         for slot in 1..=6u64 {
             let issuer = (slot % 3) as usize;
             let m = tx(heads.clone(), issuer as u64, slot, slot as f32);
             heads = vec![m.content_id()];
             nodes[issuer].publish(m, &mut t);
-            drain(&mut nodes, &mut t);
+            drain_observed(&mut nodes, &mut t, |d| {
+                schedule = fold_delivery(schedule, d)
+            });
             // anti-entropy: advertised heads re-arm any pull that gave up
             for node in nodes.iter_mut() {
                 node.advertise_heads(&mut t);
             }
-            drain(&mut nodes, &mut t);
+            drain_observed(&mut nodes, &mut t, |d| {
+                schedule = fold_delivery(schedule, d)
+            });
         }
         let archives: Vec<Vec<u64>> = nodes.iter().map(archive_ids).collect();
-        (archives, t.sent, t.dropped)
+        (archives, t.sent, t.dropped, schedule)
     }
-    let (a1, sent1, dropped1) = run(42);
-    let (a2, sent2, dropped2) = run(42);
+    let (a1, sent1, dropped1, schedule1) = run(42);
+    let (a2, sent2, dropped2, schedule2) = run(42);
     assert_eq!(a1, a2, "same seed, same archives");
-    assert_eq!((sent1, dropped1), (sent2, dropped2), "same accounting");
+    assert_eq!(
+        (sent1, dropped1, schedule1),
+        (sent2, dropped2, schedule2),
+        "same accounting"
+    );
+    // recorded at a5e1aa1, over the stand-alone mock transport
+    assert_eq!(
+        (sent1, dropped1, schedule1),
+        (60, 8, 0x0ef2_f0ce_51b6_7748),
+        "golden schedule"
+    );
     assert!(dropped1 > 0, "fault plan actually dropped something");
     // every replica holds all 6 transactions despite the losses
     for archive in &a1 {

@@ -60,7 +60,7 @@ pub struct RoundEvent {
     /// The reference set used this round (empty under per-node stale
     /// views, where no single shared reference exists).
     pub reference: Vec<ReferenceEntry>,
-    /// Tips drawn so far (cumulative).
+    /// Tips drawn so far by the emitting simulation (cumulative).
     pub walk_count: u64,
     /// Wall time per phase in microseconds; `None` unless span timings
     /// are enabled (they are off by default to keep output deterministic).

@@ -35,17 +35,6 @@ impl ParamVec {
         &self.0
     }
 
-    /// Euclidean distance to another parameter vector.
-    pub fn l2_distance(&self, other: &ParamVec) -> f32 {
-        assert_eq!(self.0.len(), other.0.len());
-        self.0
-            .iter()
-            .zip(&other.0)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            .sqrt()
-    }
-
     /// Unweighted elementwise mean of several parameter vectors.
     ///
     /// This is the tangle's aggregation step: published models are *equally
@@ -157,13 +146,6 @@ mod tests {
         let b = ParamVec(vec![10.0]);
         let avg = ParamVec::weighted_average(&[&a, &b], &[1.0, 3.0]);
         assert!((avg.0[0] - 7.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn l2_distance() {
-        let a = ParamVec(vec![0.0, 0.0]);
-        let b = ParamVec(vec![3.0, 4.0]);
-        assert!((a.l2_distance(&b) - 5.0).abs() < 1e-6);
     }
 
     #[test]
