@@ -89,7 +89,6 @@ fn sim_cfg(seed: u64) -> SimConfig {
         eval_fraction: 0.5,
         seed,
         hyper: TangleHyperParams {
-            confidence_samples: 4,
             sample_size: 4,
             ..TangleHyperParams::basic()
         },
@@ -124,19 +123,19 @@ fn check_round_sim(schedule: &Schedule) -> Result<(), Violation> {
     for r in schedule.rounds() {
         sim.round_with_nodes(&r);
     }
-    check_ledger_invariants(sim.tangle(), &cfg, schedule.seed)
+    check_ledger_invariants(sim.tangle(), &cfg)
 }
 
 /// Model-differential and standalone invariants over one final ledger:
 /// acyclicity, weight/rating/depth/tip agreement with the naive
-/// [`StructModel`], approval monotonicity, confidence bounds, and the
-/// reference pick. Public so external differential harnesses (e.g. the
-/// `lt-net` cross-process conformance test) can run the same pass over
-/// a ledger reconstructed from daemon archives.
+/// [`StructModel`], exact confidence against the naive model, approval
+/// monotonicity, confidence bounds, and the reference pick. Public so
+/// external differential harnesses (e.g. the `lt-net` cross-process
+/// conformance test) can run the same pass over a ledger reconstructed
+/// from daemon archives.
 pub fn check_ledger_invariants(
     tangle: &Tangle<learning_tangle::node::ModelParams>,
     cfg: &SimConfig,
-    seed: u64,
 ) -> Result<(), Violation> {
     let views = tangle.structure();
     let model = StructModel::new(&views)
@@ -183,11 +182,14 @@ pub fn check_ledger_invariants(
             }
         }
     }
-    // Confidence invariants under both estimators.
+    // Confidence invariants. The walk table's exact confidence and the
+    // approval weighted by its tips' exit masses (a tip's confidence) are
+    // probabilities, 1 on the genesis. The exit masses sum to 1 up to
+    // their f32 rounding (at most 2^-24 of the total), checked to 1e-6.
     let walk = RandomWalk::new(cfg.hyper.alpha).table(tangle, &real.cumulative_weight);
-    let samples = cfg.hyper.confidence_samples;
-    let conf = walk.walk_confidence(tangle, samples, derive(seed, 0xC0F1));
-    let approval = walk.approval_confidence(tangle, samples, derive(seed, 0xAC0F));
+    let conf: Vec<f64> = walk.confidence().iter().map(|&c| c.into()).collect();
+    let exit: Vec<f64> = model.tips().iter().map(|&t| conf[t as usize]).collect();
+    let approval = model.tip_approval(&exit);
     for (name, values) in [("walk", &conf), ("approval", &approval)] {
         if !values.iter().all(|c| (0.0..=1.0).contains(c)) {
             return Err(Violation::new(
@@ -202,8 +204,24 @@ pub fn check_ledger_invariants(
             ));
         }
     }
-    // Approval confidence is monotone along approval edges: any sampled
-    // tip approving a child approves its parents too.
+    // The table's confidence is the walk's pass-through probability, as
+    // the naive model computes it from the definition.
+    let naive = model.confidence(&model.weights(), cfg.hyper.alpha);
+    if let Some(i) = (0..conf.len()).find(|&i| (conf[i] - naive[i]).abs() > 1e-6) {
+        return Err(Violation::new(
+            "confidence-flow",
+            format!("tx {i}: table confidence {}, naive {}", conf[i], naive[i]),
+        ));
+    }
+    let exit_total: f64 = exit.iter().sum();
+    if (exit_total - 1.0).abs() > 1e-6 {
+        return Err(Violation::new(
+            "confidence-bounds",
+            format!("the tips' exit masses sum to {exit_total}"),
+        ));
+    }
+    // Approval is monotone along approval edges: every tip approving a
+    // child approves its parents too. Exact: both sums run in tip order.
     for tx in &views {
         for &p in &tx.parents {
             if approval[p as usize] < approval[tx.id as usize] {
@@ -217,8 +235,9 @@ pub fn check_ledger_invariants(
             }
         }
     }
-    // A confirmed transaction is in every tip's past cone, so every
-    // sampled tip approves it: approval confidence exactly 1.
+    // A confirmed transaction is in every tip's past cone, so every walk
+    // ends at a tip approving it: approval exactly 1, as its share and the
+    // total are the same sum.
     for c in model.confirmed() {
         if approval[c as usize] != 1.0 {
             return Err(Violation::new(
@@ -232,11 +251,11 @@ pub fn check_ledger_invariants(
     }
     // Reference selection: naive selection loop vs the real comparator.
     let picks: Vec<u32> = real
-        .choose_reference(&conf, cfg.hyper.reference_avg)
+        .choose_reference(walk.confidence(), cfg.hyper.reference_avg)
         .iter()
         .map(|id| id.index() as u32)
         .collect();
-    let naive = model.choose_reference(&conf, &real.rating, cfg.hyper.reference_avg);
+    let naive = model.choose_reference(walk.confidence(), &real.rating, cfg.hyper.reference_avg);
     if picks != naive {
         return Err(Violation::new(
             "reference-pick",

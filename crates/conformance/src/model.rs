@@ -128,32 +128,68 @@ impl<'a> StructModel<'a> {
         out
     }
 
-    /// Per-transaction fraction of current tips whose past cone (tip
-    /// included) contains it — 1.0 means *confirmed* in the Fig. 2 sense.
-    pub fn tip_approval(&self) -> Vec<f64> {
+    /// Per-transaction approval: the share of `tip_weight` (one weight per
+    /// tip of [`Self::tips`], in that order) held by the tips whose past
+    /// cone (tip included) contains it. Equal weights give the fraction of
+    /// tips approving it; a walk table's exit masses give the chance that a
+    /// walk ends at a tip approving it. Shares and their total are summed
+    /// in tip order, so a transaction that every tip approves reads exactly
+    /// 1.0 and a parent never reads less than its child.
+    ///
+    /// # Panics
+    /// Panics unless there is one weight per tip.
+    pub fn tip_approval(&self, tip_weight: &[f64]) -> Vec<f64> {
         let tips = self.tips();
-        let mut hit = vec![0u32; self.txs.len()];
-        for &t in &tips {
-            hit[t as usize] += 1;
+        assert_eq!(tip_weight.len(), tips.len(), "one weight per tip");
+        let (mut hit, mut total) = (vec![0.0f64; self.txs.len()], 0.0f64);
+        for (&t, &w) in tips.iter().zip(tip_weight) {
+            total += w;
+            hit[t as usize] += w;
             for (a, &inside) in self.past_mask(t as usize).iter().enumerate() {
                 if inside {
-                    hit[a] += 1;
+                    hit[a] += w;
                 }
             }
         }
-        hit.iter()
-            .map(|&h| h as f64 / tips.len().max(1) as f64)
-            .collect()
+        hit.iter().map(|&h| h / total).collect()
+    }
+
+    /// [`Self::tip_approval`] with every tip weighing the same: the
+    /// fraction of current tips approving each transaction — 1.0 means
+    /// *confirmed* in the Fig. 2 sense.
+    pub fn uniform_tip_approval(&self) -> Vec<f64> {
+        self.tip_approval(&vec![1.0; self.tips().len()])
     }
 
     /// Confirmed transactions: non-genesis, non-tip, approved by every
     /// current tip.
     pub fn confirmed(&self) -> Vec<u32> {
-        let approval = self.tip_approval();
+        let approval = self.uniform_tip_approval();
         (1..self.txs.len())
             .filter(|&i| !self.children[i].is_empty() && approval[i] == 1.0)
             .map(|i| i as u32)
             .collect()
+    }
+
+    /// Confidence by its definition (§III-A): the chance that the weighted
+    /// walk from the genesis passes each transaction. `h(genesis) = 1` and
+    /// `h(x) = Σ h(p) · P(p → x)` over the transactions `p` that `x`
+    /// approves, where `P(p → x) ∝ exp(α · w(x))` among `p`'s approvers.
+    pub fn confidence(&self, weights: &[u32], alpha: f64) -> Vec<f64> {
+        let mut h = vec![0.0f64; self.txs.len()];
+        if let Some(genesis) = h.first_mut() {
+            *genesis = 1.0;
+        }
+        for p in 0..self.txs.len() {
+            let kids = &self.children[p];
+            let max = kids.iter().map(|&c| weights[c]).max().unwrap_or(0) as f64;
+            let step = |c: usize| (alpha * (weights[c] as f64 - max)).exp();
+            let total: f64 = kids.iter().map(|&c| step(c)).sum();
+            for &c in kids {
+                h[c] += h[p] * step(c) / total;
+            }
+        }
+        h
     }
 
     /// Algorithm 1, reimplemented from the paper text: the `n` ids with
@@ -386,7 +422,7 @@ impl StubSim {
     pub fn max_malicious_approval(&self) -> f64 {
         let approval = StructModel::new(&self.views)
             .expect("well-formed")
-            .tip_approval();
+            .uniform_tip_approval();
         self.views
             .iter()
             .zip(&approval)

@@ -45,7 +45,6 @@ fn cfg() -> SimConfig {
         eval_fraction: 0.5,
         seed: 13,
         hyper: TangleHyperParams {
-            confidence_samples: 8,
             sample_size: 4,
             tip_validation: true, // the §III-E defense under test
             ..TangleHyperParams::basic()
@@ -156,8 +155,9 @@ fn tip_validation_halves_honest_approvals_of_noise() {
 }
 
 /// Control: the starvation bound is not vacuous — in an all-honest run,
-/// honest transactions gather broad exact tip approval and cross the
-/// threshold under the confirmation-style (weight-greedy) estimator.
+/// honest transactions gather broad tip approval and cross the threshold
+/// under the confirmation-style estimator: the approval of tips weighted
+/// by where a weight-greedy walk ends, computed exactly.
 #[test]
 fn honest_transactions_do_get_confirmed() {
     let rounds = Schedule::generate(29, NODES, 40).rounds();
@@ -166,28 +166,30 @@ fn honest_transactions_do_get_confirmed() {
         sim.round_with_nodes(r);
     }
     let views = sim.tangle().structure();
-    let approval = StructModel::new(&views).unwrap().tip_approval();
-    let max_honest = views
-        .iter()
-        .zip(&approval)
-        .filter(|(v, _)| v.issuer != u64::MAX)
-        .map(|(_, &a)| a)
-        .fold(0.0, f64::max);
-    assert!(max_honest > 0.5, "honest txs must gather broad approval");
+    let model = StructModel::new(&views).unwrap();
+    let max_honest = |approval: &[f64]| {
+        views
+            .iter()
+            .zip(approval)
+            .filter(|(v, _)| v.issuer != u64::MAX)
+            .map(|(_, &a)| a)
+            .fold(0.0, f64::max)
+    };
+    let approval = max_honest(&model.uniform_tip_approval());
+    assert!(approval > 0.5, "honest txs must gather broad approval");
     // The confirmation-style estimate (weight-greedy walk, as used when
     // checking finality) does push honest transactions past the threshold
     // the attackers never reach.
     let analysis = TangleAnalysis::compute(sim.tangle());
     let walk = RandomWalk::new(0.5).table(sim.tangle(), &analysis.cumulative_weight);
-    let conf = walk.approval_confidence(sim.tangle(), 64, 0xF00D);
-    let max_conf = views
+    let exit: Vec<f64> = model
+        .tips()
         .iter()
-        .zip(&conf)
-        .filter(|(v, _)| v.issuer != u64::MAX)
-        .map(|(_, &c)| c as f64)
-        .fold(0.0, f64::max);
+        .map(|&t| walk.confidence()[t as usize].into())
+        .collect();
+    let confirmed = max_honest(&model.tip_approval(&exit));
     assert!(
-        max_conf >= THRESHOLD,
-        "weight-greedy approval confidence only reached {max_conf}"
+        confirmed >= THRESHOLD,
+        "weight-greedy walk approval only reached {confirmed}"
     );
 }

@@ -2,18 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How transaction confidence is estimated from the Monte-Carlo walks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConfidenceMode {
-    /// The paper's §III-A procedure: count how often each transaction is
-    /// *hit on the walk path* and divide by the sampling rounds.
-    WalkHit,
-    /// IOTA's convention: the fraction of sampled tips whose past cone
-    /// (directly or indirectly) approves the transaction. Dominates
-    /// WalkHit pointwise and is less noisy off the main walk path.
-    Approval,
-}
-
 /// Tangle-learning hyperparameters (the quantities swept in the paper's
 /// Table II and fixed for the attack experiments in §V-B).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -29,14 +17,14 @@ pub struct TangleHyperParams {
     /// Number of top `confidence × rating` transactions averaged into the
     /// reference model (paper Table II: 1, 2, 10 or 50).
     pub reference_avg: usize,
-    /// Monte-Carlo walks used to estimate transaction confidence (the paper
-    /// sets this to the number of active nodes per round).
+    /// Read by nothing: confidence is computed exactly from the walk
+    /// table, where it was once estimated by this many Monte-Carlo walks
+    /// (the paper sets it to the number of active nodes per round). Kept
+    /// so that struct literals naming it still compile.
+    #[deprecated(note = "read by nothing: confidence is exact, not sampled")]
     pub confidence_samples: usize,
     /// Randomness parameter α of the weighted random walk.
     pub alpha: f64,
-    /// Confidence estimator (paper's walk-hit counting vs IOTA's
-    /// approval-based convention).
-    pub confidence_mode: ConfidenceMode,
     /// Enable the §III-E defense: validate each sampled candidate tip's
     /// model locally and average the best-performing ones.
     pub tip_validation: bool,
@@ -56,6 +44,7 @@ pub struct TangleHyperParams {
 impl TangleHyperParams {
     /// The paper's basic configuration: "2 selected tips and a single model
     /// chosen as consensus model", no candidate validation.
+    #[allow(deprecated)]
     pub fn basic() -> Self {
         Self {
             num_tips: 2,
@@ -63,7 +52,6 @@ impl TangleHyperParams {
             reference_avg: 1,
             confidence_samples: 35,
             alpha: 0.05,
-            confidence_mode: ConfidenceMode::WalkHit,
             tip_validation: false,
             window: None,
             accuracy_bias: 0.0,
@@ -72,6 +60,7 @@ impl TangleHyperParams {
 
     /// The paper's hyperparameter-optimized configuration: "nodes selected
     /// 3 tips and used a reference model averaged from 10 models".
+    #[allow(deprecated)]
     pub fn optimized() -> Self {
         Self {
             num_tips: 3,
@@ -79,7 +68,6 @@ impl TangleHyperParams {
             reference_avg: 10,
             confidence_samples: 35,
             alpha: 0.05,
-            confidence_mode: ConfidenceMode::WalkHit,
             tip_validation: false,
             window: None,
             accuracy_bias: 0.0,
@@ -89,6 +77,7 @@ impl TangleHyperParams {
     /// The §V-B attack-experiment configuration: sampling rounds for both
     /// consensus and parent selection equal to the active nodes per round,
     /// with local candidate validation enabled.
+    #[allow(deprecated)]
     pub fn robust(nodes_per_round: usize) -> Self {
         Self {
             num_tips: 2,
@@ -96,7 +85,6 @@ impl TangleHyperParams {
             reference_avg: 10,
             confidence_samples: nodes_per_round,
             alpha: 0.05,
-            confidence_mode: ConfidenceMode::WalkHit,
             tip_validation: true,
             window: None,
             accuracy_bias: 0.0,
@@ -168,7 +156,6 @@ mod tests {
         assert_eq!((o.num_tips, o.reference_avg), (3, 10));
         let r = TangleHyperParams::robust(35);
         assert_eq!(r.sample_size, 35);
-        assert_eq!(r.confidence_samples, 35);
         assert!(r.tip_validation);
     }
 

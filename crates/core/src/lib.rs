@@ -39,7 +39,7 @@ pub mod privacy;
 pub mod sim;
 
 pub use attack::{assign_malicious, AttackKind};
-pub use config::{ConfidenceMode, NetworkModel, SimConfig, TangleHyperParams};
+pub use config::{NetworkModel, SimConfig, TangleHyperParams};
 pub use eval_cache::EvalCache;
 pub use metrics::{rounds_to_reach, MetricsLog};
 pub use node::{Node, NodeKind, RoundContext};

@@ -114,16 +114,17 @@ impl Node {
 }
 
 /// Everything a node acts on within one round: the tangle snapshot
-/// analysis, the confidence estimate, and the consensus reference model.
+/// analysis, the walk over it (confidence and tip draws), and the
+/// consensus reference model.
 ///
 /// The paper's training is round-based, with "published transactions from a
 /// given round ... only visible to the nodes participating in the next
 /// round" — so on an ideal network one context serves all nodes of a
 /// round, built by [`Self::build_with_cache`] from the analysis cache
 /// that follows the ledger. Under a [`crate::config::NetworkModel`] every
-/// node gets a context of its own (own view, own confidence walks) built by
+/// node gets a context of its own (own view, own tip draws) built by
 /// [`Self::from_analysis`] over the *shared* analysis of its prefix: the
-/// weight/rating tables and the walk's transition table are a pure
+/// weight/rating tables and the walk table with its confidence are a pure
 /// function of the prefix, so they are held by `Arc` and never copied or
 /// recomputed per node.
 pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelParams>> {
@@ -134,19 +135,18 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
     /// Cumulative weights and ratings of the snapshot (shared, see the
     /// type docs).
     pub analysis: Arc<TangleAnalysis>,
-    /// Per-transaction walk confidence.
-    pub confidence: Vec<f32>,
     /// The top `reference_avg` transactions by `confidence × rating`.
     pub reference_ids: Vec<TxId>,
     /// Their averaged parameters — the current consensus model.
     pub reference: ParamVec,
     /// The round being played.
     pub round: u64,
-    /// The snapshot's transition table under `hyper.alpha` (shared like
-    /// `analysis`): every confidence walk of the context reads it, so
-    /// `exp(α·Δw)` is computed once per approval edge, and every tip is
-    /// drawn from its exit distribution. With `hyper.window` set that
-    /// distribution starts on the window's entry particles.
+    /// The snapshot's walk table under `hyper.alpha` (shared like
+    /// `analysis`): it holds every transaction's exact confidence
+    /// ([`WalkTable::confidence`]), and every tip is drawn from its exit
+    /// distribution. With `hyper.window` set that distribution starts on
+    /// the window's entry particles; the confidence always starts on the
+    /// genesis.
     pub walk: Arc<WalkTable>,
     /// Observability handle shared by every node this round (disabled by
     /// default, see [`lt_telemetry::Telemetry`]).
@@ -155,35 +155,33 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
 
 impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
     /// Build the context for `round` over `tangle` (Algorithm 1 happens
-    /// here), threading `telemetry` through the analysis, confidence
-    /// sampling, and all later tip selection. Weights, ratings and depths
-    /// come from `cache`, refreshed against `tangle` first (incremental
-    /// catch-up, or a counted rebuild when it follows another history —
-    /// see [`AnalysisCache::refresh_observed`]); they equal the batch DPs
-    /// bit for bit. A caller that must leave its cache where it is (an
+    /// here), threading `telemetry` through the analysis, the walk table
+    /// and all later tip selection. Weights, ratings and depths come from
+    /// `cache`, refreshed against `tangle` first (incremental catch-up, or
+    /// a counted rebuild when it follows another history — see
+    /// [`AnalysisCache::refresh_observed`]); they equal the batch DPs bit
+    /// for bit. A caller that must leave its cache where it is (an
     /// evaluation between rounds) passes a clone.
     pub fn build_with_cache(
         tangle: &'a T,
         cache: &mut AnalysisCache,
         cfg: &SimConfig,
         round: u64,
-        seed: u64,
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
         cache.refresh_observed(tangle, &telemetry);
         let analysis = Arc::new(cache.analysis());
-        let walk = walk_table(tangle, &analysis, cache.depths(), &cfg.hyper);
-        Self::from_analysis(tangle, analysis, walk, cfg, round, seed, telemetry)
+        let walk = walk_table(tangle, &analysis, cache.depths(), &cfg.hyper, &telemetry);
+        Self::from_analysis(tangle, analysis, walk, cfg, round, telemetry)
     }
 
-    /// Algorithm 1 over an already-computed analysis of `tangle`:
-    /// confidence sampling (seeded by `seed`), reference selection, and
-    /// reference-model averaging. `analysis` and `walk` (the
-    /// [`RandomWalk::table`] of `cfg.hyper.alpha`, or the
-    /// [`RandomWalk::windowed_table`] when `cfg.hyper.window` is set) must
-    /// describe exactly `tangle`; callers that analyse a snapshot once and
-    /// hand it to many contexts (the delayed-network round) clone the
-    /// `Arc`s, not the tables.
+    /// Algorithm 1 over an already-computed analysis of `tangle`: reference
+    /// selection by the walk table's confidence, and reference-model
+    /// averaging. `analysis` and `walk` (the [`RandomWalk::table`] of
+    /// `cfg.hyper.alpha`, or the [`RandomWalk::windowed_table`] when
+    /// `cfg.hyper.window` is set) must describe exactly `tangle`; callers
+    /// that analyse a snapshot once and hand it to many contexts (the
+    /// delayed-network round) clone the `Arc`s, not the tables.
     ///
     /// # Panics
     /// Panics if `analysis` or `walk` covers a different number of
@@ -195,28 +193,20 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         walk: Arc<WalkTable>,
         cfg: &SimConfig,
         round: u64,
-        seed: u64,
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
+        assert_eq!(
+            (analysis.rating.len(), walk.confidence().len()),
+            (tangle.len(), tangle.len()),
+            "analysis or walk table of another snapshot"
+        );
         assert_eq!(
             walk.is_windowed(),
             cfg.hyper.window.is_some(),
             "the walk table must be windowed exactly when tip selection is"
         );
-        let samples = cfg.hyper.confidence_samples.max(1);
-        let confidence = {
-            let _span = telemetry.span("tangle.confidence_us");
-            telemetry.count("tangle.confidence_walks", samples as u64);
-            match cfg.hyper.confidence_mode {
-                crate::config::ConfidenceMode::WalkHit => {
-                    walk.walk_confidence(tangle, samples, seed)
-                }
-                crate::config::ConfidenceMode::Approval => {
-                    walk.approval_confidence(tangle, samples, seed)
-                }
-            }
-        };
-        let reference_ids = analysis.choose_reference(&confidence, cfg.hyper.reference_avg.max(1));
+        let reference_ids =
+            analysis.choose_reference(walk.confidence(), cfg.hyper.reference_avg.max(1));
         let payloads: Vec<&ParamVec> = reference_ids
             .iter()
             .map(|id| tangle.get(*id).payload.as_ref())
@@ -225,7 +215,6 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         Self {
             tangle,
             analysis,
-            confidence,
             reference_ids,
             reference,
             round,
@@ -240,7 +229,7 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
             .iter()
             .map(|id| lt_telemetry::ReferenceEntry {
                 tx: id.index() as u32,
-                confidence: self.confidence[id.index()],
+                confidence: self.walk.confidence()[id.index()],
                 rating: self.analysis.rating[id.index()],
             })
             .collect()
@@ -262,10 +251,11 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
     }
 }
 
-/// The transition table every confidence walk and tip draw of a context
-/// over `tangle` reads: the weighted walk under `hyper.alpha`, entered
-/// through the window of `depths` when `hyper.window` is set. Built once
-/// per analysed snapshot.
+/// The walk table of a context over `tangle`, timed as
+/// `tangle.confidence_us`: the weighted walk under `hyper.alpha`, entered
+/// through the window of `depths` when `hyper.window` is set. Its build
+/// computes every transaction's confidence and the tips' exit mass. Built
+/// once per analysed snapshot.
 ///
 /// # Panics
 /// Panics if `analysis` or `depths` do not describe `tangle`.
@@ -274,7 +264,9 @@ pub(crate) fn walk_table<T: TangleRead>(
     analysis: &TangleAnalysis,
     depths: &[u32],
     hyper: &crate::config::TangleHyperParams,
+    telemetry: &lt_telemetry::Telemetry,
 ) -> Arc<WalkTable> {
+    let _span = telemetry.span("tangle.confidence_us");
     let (walk, weights) = (RandomWalk::new(hyper.alpha), &analysis.cumulative_weight);
     Arc::new(match hyper.window {
         Some(w) => walk.windowed_table(tangle, weights, depths, w),
@@ -475,13 +467,12 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         tangle: &'a T,
         cfg: &SimConfig,
         round: u64,
-        seed: u64,
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
         let analysis = Arc::new(TangleAnalysis::compute_observed(tangle, &telemetry));
         let depths = tangle_ledger::analysis::depths(tangle);
-        let walk = walk_table(tangle, &analysis, &depths, &cfg.hyper);
-        Self::from_analysis(tangle, analysis, walk, cfg, round, seed, telemetry)
+        let walk = walk_table(tangle, &analysis, &depths, &cfg.hyper, &telemetry);
+        Self::from_analysis(tangle, analysis, walk, cfg, round, telemetry)
     }
 }
 
@@ -538,7 +529,7 @@ mod tests {
     fn round_context_reference_is_genesis_initially() {
         let tangle = genesis_tangle();
         let cfg = SimConfig::default();
-        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 1, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, Telemetry::disabled());
         assert_eq!(ctx.reference_ids, vec![tangle.genesis()]);
         assert_eq!(
             &ctx.reference,
@@ -554,9 +545,31 @@ mod tests {
         let analysis = Arc::new(TangleAnalysis::compute(&tangle));
         // Built before the window was set: every walk would silently start
         // at the genesis.
-        let walk = walk_table(&tangle, &analysis, &[0], &cfg.hyper);
+        let walk = walk_table(&tangle, &analysis, &[0], &cfg.hyper, &Telemetry::disabled());
         cfg.hyper.window = Some(2);
-        RoundContext::from_analysis(&tangle, analysis, walk, &cfg, 1, 1, Telemetry::disabled());
+        RoundContext::from_analysis(&tangle, analysis, walk, &cfg, 1, Telemetry::disabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "of another snapshot")]
+    fn from_analysis_rejects_a_table_of_a_longer_prefix() {
+        // The table covers one transaction more than the context's view.
+        let mut tangle = genesis_tangle();
+        let g = tangle.genesis();
+        let params = tangle.get(g).payload.clone();
+        tangle.add(params, vec![g]).unwrap();
+        let cfg = SimConfig::default();
+        let view = tangle_ledger::TangleView::new(&tangle, 1);
+        let analysis = Arc::new(TangleAnalysis::compute(&view));
+        let longer = TangleAnalysis::compute(&tangle);
+        let walk = walk_table(
+            &tangle,
+            &longer,
+            &[1, 0],
+            &cfg.hyper,
+            &Telemetry::disabled(),
+        );
+        RoundContext::from_analysis(&view, analysis, walk, &cfg, 1, Telemetry::disabled());
     }
 
     #[test]
@@ -570,7 +583,7 @@ mod tests {
             local_epochs: 3,
             ..SimConfig::default()
         };
-        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 2, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, Telemetry::disabled());
         let node = Node::honest(0, ds.clients[0].clone());
         let mut rng = seeded(11);
         let out = step(&node, &ctx, &cfg, &mut rng);
@@ -589,7 +602,7 @@ mod tests {
         let ds = dataset();
         let tangle = genesis_tangle();
         let cfg = SimConfig::default();
-        let ctx = RoundContext::from_dps(&tangle, &cfg, 5, 3, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 5, Telemetry::disabled());
         let node = Node {
             id: 1,
             data: ds.clients[1].clone(),
@@ -637,7 +650,7 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 4, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, Telemetry::disabled());
         let node = Node::honest(3, ds.clients[3].clone());
         let mut rng = seeded(21);
         let out = step(&node, &ctx, &cfg, &mut rng);
@@ -687,7 +700,7 @@ mod tests {
             local_epochs: 2,
             ..SimConfig::default()
         };
-        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 6, Telemetry::disabled());
+        let ctx = RoundContext::from_dps(&tangle, &cfg, 1, Telemetry::disabled());
         let node = Node::honest(4, ds.clients[4].clone());
         // Which tip is better *on this node's local data*? The biased walk
         // should favour that one (this is the point of the §VI bias: local
@@ -878,7 +891,7 @@ mod tests {
                 ..SimConfig::default()
             };
             let tel = Telemetry::new(lt_telemetry::NoopSink);
-            let ctx = RoundContext::from_dps(&tangle, &cfg, 1, 5, tel.clone());
+            let ctx = RoundContext::from_dps(&tangle, &cfg, 1, tel.clone());
             let arch = build();
             for ni in 0..3 {
                 let node = Node::honest(ni, ds.clients[ni].clone());

@@ -52,10 +52,10 @@ pub struct EvalResult {
 }
 
 /// The analysis of one round-end ledger prefix. Weights, ratings and the
-/// walk's transition table are a pure function of the prefix (and the
-/// hyper-parameters), so under a [`crate::config::NetworkModel`] they are
-/// computed once and shared by every node whose delayed view is that
-/// prefix.
+/// walk table (exit mass and confidence) are a pure function of the prefix
+/// (and the hyper-parameters), so under a
+/// [`crate::config::NetworkModel`] they are computed once and shared by
+/// every node whose delayed view is that prefix.
 struct PrefixAnalysis {
     /// Ledger size at the end of the analysed round.
     len: usize,
@@ -77,7 +77,7 @@ impl PrefixAnalysis {
         let view = TangleView::new(tangle, len);
         let analysis = Arc::new(TangleAnalysis::compute_observed(&view, telemetry));
         let depths = tangle_ledger::analysis::depths(&view);
-        let walk = walk_table(&view, &analysis, &depths, hyper);
+        let walk = walk_table(&view, &analysis, &depths, hyper, telemetry);
         Self {
             len,
             analysis,
@@ -277,7 +277,7 @@ impl<'a> Simulation<'a> {
 
     /// Scriptable activation-order hook: run the next round activating
     /// exactly `idx` (in that order) instead of the seeded Fisher–Yates
-    /// sample. Everything downstream of node selection — context seeds,
+    /// sample. Everything downstream of node selection — the walk table,
     /// per-node RNG streams, the publish barrier, telemetry — is identical
     /// to [`Self::round`], so a scripted run is bit-reproducible and can be
     /// compared step-for-step against other executors driven through the
@@ -302,7 +302,8 @@ impl<'a> Simulation<'a> {
         // All sampled nodes run Algorithm 2. On an ideal network they share
         // one round context (everyone sees the end of the previous round);
         // under a NetworkModel each node acts on its own stale prefix, with
-        // its own confidence walks over that prefix's shared analysis.
+        // its own tip draws from that prefix's shared analysis and walk
+        // table.
         let tel = self.telemetry.clone();
         let mut phases = tel.phases();
         let mut reference_entries: Vec<ReferenceEntry> = Vec::new();
@@ -311,16 +312,8 @@ impl<'a> Simulation<'a> {
                 // Split the borrows so the cache can be refreshed while the
                 // context keeps a shared reference to the tangle.
                 let (tangle, cache) = (&self.tangle, &mut self.cache);
-                let ctx_seed = derive(self.cfg.seed, round ^ 0xC0FF_EE00);
                 let ctx = phases.measure("analysis", || {
-                    RoundContext::build_with_cache(
-                        tangle,
-                        cache,
-                        &self.cfg,
-                        round,
-                        ctx_seed,
-                        tel.clone(),
-                    )
+                    RoundContext::build_with_cache(tangle, cache, &self.cfg, round, tel.clone())
                 });
                 if tel.enabled() {
                     reference_entries = ctx.reference_entries();
@@ -364,15 +357,12 @@ impl<'a> Simulation<'a> {
                             let prefix = &prefixes[prefixes.len() - 1 - age];
                             // Zero-copy stale view: O(1), no payload clones.
                             let view = TangleView::new(&self.tangle, prefix.len);
-                            let ctx_seed =
-                                derive(self.cfg.seed, (round ^ 0xC0FF_EE00) ^ (ni as u64) << 32);
                             let ctx = RoundContext::from_analysis(
                                 &view,
                                 Arc::clone(&prefix.analysis),
                                 Arc::clone(&prefix.walk),
                                 &self.cfg,
                                 round,
-                                ctx_seed,
                                 tel.clone(),
                             );
                             self.step_node(ni, &ctx, &mut node_rng)
@@ -514,7 +504,6 @@ impl<'a> Simulation<'a> {
             &mut self.cache.clone(),
             &self.cfg,
             round,
-            derive(self.cfg.seed, round ^ 0xC0FF_EE00),
             Telemetry::disabled(),
         )
     }
@@ -683,10 +672,7 @@ mod tests {
             batch_size: 8,
             eval_fraction: 0.5,
             seed: 3,
-            hyper: TangleHyperParams {
-                confidence_samples: 8,
-                ..TangleHyperParams::basic()
-            },
+            hyper: TangleHyperParams::basic(),
             ..SimConfig::default()
         }
     }
@@ -850,13 +836,7 @@ mod tests {
         let tel = sim.telemetry.clone();
         let mut phases = tel.phases();
         let ctx = phases.measure("analysis", || {
-            RoundContext::from_dps(
-                &sim.tangle,
-                &sim.cfg,
-                round,
-                derive(sim.cfg.seed, round ^ 0xC0FF_EE00),
-                tel.clone(),
-            )
+            RoundContext::from_dps(&sim.tangle, &sim.cfg, round, tel.clone())
         });
         let reference_entries = ctx.reference_entries();
         let outcomes = phases.measure("step", || {
@@ -1070,13 +1050,7 @@ mod tests {
                     let delay = node_rng.random_range(0..=net.max_delay_rounds);
                     let view_round = (round - 1).saturating_sub(delay) as usize;
                     let stale = sim.tangle.prefix(round_end_len[view_round]);
-                    let ctx = RoundContext::from_dps(
-                        &stale,
-                        &sim.cfg,
-                        round,
-                        derive(sim.cfg.seed, (round ^ 0xC0FF_EE00) ^ (ni as u64) << 32),
-                        tel.clone(),
-                    );
+                    let ctx = RoundContext::from_dps(&stale, &sim.cfg, round, tel.clone());
                     sim.step_node(ni, &ctx, &mut node_rng)
                 })
                 .collect()
@@ -1152,14 +1126,14 @@ mod tests {
         }
     }
 
-    /// `(analysis spans, cache appends, confidence walks, tip draws)` of a
+    /// `(analysis spans, walk-table spans, cache appends, tip draws)` of a
     /// delayed run with span timings on.
     fn delayed_counters(sim: &Simulation<'_>) -> (u64, u64, u64, u64) {
         let tel = sim.telemetry();
         (
             tel.histogram_totals("tangle.analysis_us").0,
+            tel.histogram_totals("tangle.confidence_us").0,
             tel.counter_value("tangle.cache_appends"),
-            tel.counter_value("tangle.confidence_walks"),
             tel.counter_value("tangle.walks"),
         )
     }
@@ -1173,7 +1147,7 @@ mod tests {
             let tel = Telemetry::with_timings(lt_telemetry::NoopSink, true);
             Simulation::new(dataset(10), cfg.clone(), build).with_telemetry(tel)
         };
-        let (spans, appends, confidence_walks, walks) = {
+        let (spans, tables, appends, walks) = {
             let mut sim = observed();
             assert_eq!(
                 sim.cache.len(),
@@ -1190,26 +1164,24 @@ mod tests {
                 let newest = sim.prefixes.back().expect("one entry per round");
                 assert_eq!(newest.len, seen);
                 assert_eq!(newest.analysis.rating.len(), seen);
+                assert_eq!(newest.walk.confidence().len(), seen);
             }
             delayed_counters(&sim)
         };
         let nodes = cfg.nodes_per_round as u64;
         assert_eq!(spans, rounds, "one full analysis per round");
+        assert_eq!(
+            tables, spans,
+            "one walk table, with its confidence, per analysis"
+        );
         assert_eq!(appends, 0, "stale views never touch the incremental cache");
-        // The per-node path ran one analysis per node-step; everything
-        // downstream of the analysis is untouched.
+        // The per-node path ran one analysis and one walk table per
+        // node-step; everything downstream of them is untouched.
         let mut sim = observed();
         run_delayed(&mut sim, rounds as usize, Some(vec![1]));
         let parent = delayed_counters(&sim);
-        assert_eq!(parent.0, rounds * nodes);
-        assert_eq!(
-            (appends, confidence_walks, walks),
-            (parent.1, parent.2, parent.3)
-        );
-        assert_eq!(
-            confidence_walks,
-            rounds * nodes * cfg.hyper.confidence_samples as u64
-        );
+        assert_eq!((parent.0, parent.1), (rounds * nodes, rounds * nodes));
+        assert_eq!((appends, walks), (parent.2, parent.3));
     }
 
     #[test]
@@ -1271,13 +1243,7 @@ mod tests {
             assert_eq!(sim.cache.len(), cached_len);
             assert_eq!(sim.telemetry().metrics_snapshot(), before);
             let round = sim.round + 1;
-            let batch = RoundContext::from_dps(
-                sim.tangle(),
-                &cfg,
-                round,
-                derive(cfg.seed, round ^ 0xC0FF_EE00),
-                Telemetry::disabled(),
-            );
+            let batch = RoundContext::from_dps(sim.tangle(), &cfg, round, Telemetry::disabled());
             let bits =
                 |p: &ParamVec| -> Vec<u32> { p.as_slice().iter().map(|v| v.to_bits()).collect() };
             assert_eq!(bits(&params), bits(&batch.reference));
@@ -1373,22 +1339,6 @@ mod tests {
         let restored = crate::persist::from_bytes(&bytes).unwrap();
         let wrong = || tinynn::zoo::mlp(8, &[5], 4, &mut tseed(5));
         let _ = Simulation::resume(dataset(6), quick_cfg(), wrong, restored);
-    }
-
-    #[test]
-    fn approval_confidence_mode_converges() {
-        let mut cfg = quick_cfg();
-        cfg.hyper.confidence_mode = crate::ConfidenceMode::Approval;
-        let mut sim = Simulation::new(dataset(10), cfg, build);
-        let acc0 = sim.evaluate(0).accuracy;
-        for _ in 0..15 {
-            sim.round();
-        }
-        let acc1 = sim.evaluate(0).accuracy;
-        assert!(
-            acc1 > acc0 + 0.15,
-            "approval-confidence consensus should learn: {acc0} -> {acc1}"
-        );
     }
 
     #[test]

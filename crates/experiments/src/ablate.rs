@@ -1,6 +1,6 @@
 //! Ablations of the design choices DESIGN.md calls out, on the fast blob
-//! task: §III-E defense on/off under attack, walk randomness α, confidence
-//! sample count, and the §VI accuracy-biased walk.
+//! task: §III-E defense on/off under attack, walk randomness α, the §VI
+//! accuracy-biased walk and lossy, delayed networks.
 
 use crate::common::{print_series_table, run_tangle, sim_config, write_json, Opts};
 use learning_tangle::{assign_malicious, AttackKind, Simulation, TangleHyperParams};
@@ -26,36 +26,8 @@ fn build() -> Sequential {
 pub fn run(opts: &Opts) {
     defense(opts);
     alpha(opts);
-    confidence(opts);
-    confidence_mode(opts);
     accuracy_bias(opts);
     network(opts);
-}
-
-/// Confidence estimator: the paper's walk-hit counting vs IOTA's
-/// approval-based convention.
-fn confidence_mode(opts: &Opts) {
-    let data = dataset(opts.seed ^ 5);
-    let mut logs = Vec::new();
-    for (label, mode) in [
-        ("conf-walk-hit", learning_tangle::ConfidenceMode::WalkHit),
-        ("conf-approval", learning_tangle::ConfidenceMode::Approval),
-    ] {
-        let hyper = TangleHyperParams {
-            confidence_samples: 10,
-            reference_avg: 3,
-            confidence_mode: mode,
-            ..TangleHyperParams::basic()
-        };
-        let sim = Simulation::new(data.clone(), sim_config(10, 0.15, opts.seed, hyper), build);
-        let (log, _) = run_tangle(sim, 30, 5, label, None, true);
-        logs.push(log);
-    }
-    print_series_table(
-        "Ablation: confidence estimator (walk-hit vs approval)",
-        &logs,
-    );
-    write_json(&opts.out, "ablation_confidence_mode", &logs);
 }
 
 /// §VI outlook: convergence under lossy, delayed network conditions.
@@ -80,7 +52,6 @@ fn network(opts: &Opts) {
         ),
     ] {
         let hyper = TangleHyperParams {
-            confidence_samples: 10,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         };
@@ -109,7 +80,6 @@ fn defense(opts: &Opts) {
         let hyper = TangleHyperParams {
             sample_size: if validation { nodes } else { 2 },
             reference_avg: 5,
-            confidence_samples: nodes,
             alpha: 0.5,
             tip_validation: validation,
             ..TangleHyperParams::basic()
@@ -144,7 +114,6 @@ fn alpha(opts: &Opts) {
     for a in [0.0, 0.5, 5.0] {
         let hyper = TangleHyperParams {
             alpha: a,
-            confidence_samples: 10,
             ..TangleHyperParams::basic()
         };
         let sim = Simulation::new(data.clone(), sim_config(10, 0.15, opts.seed, hyper), build);
@@ -155,24 +124,6 @@ fn alpha(opts: &Opts) {
     write_json(&opts.out, "ablation_alpha", &logs);
 }
 
-/// Confidence sample count sweep (stability of Algorithm 1).
-fn confidence(opts: &Opts) {
-    let data = dataset(opts.seed ^ 2);
-    let mut logs = Vec::new();
-    for s in [2usize, 8, 32] {
-        let hyper = TangleHyperParams {
-            confidence_samples: s,
-            reference_avg: 3,
-            ..TangleHyperParams::basic()
-        };
-        let sim = Simulation::new(data.clone(), sim_config(10, 0.15, opts.seed, hyper), build);
-        let (log, _) = run_tangle(sim, 30, 5, &format!("conf-samples-{s}"), None, true);
-        logs.push(log);
-    }
-    print_series_table("Ablation: confidence sample count", &logs);
-    write_json(&opts.out, "ablation_confidence", &logs);
-}
-
 /// §VI outlook: accuracy-biased walk vs plain weighted walk.
 fn accuracy_bias(opts: &Opts) {
     let data = dataset(opts.seed ^ 3);
@@ -180,7 +131,6 @@ fn accuracy_bias(opts: &Opts) {
     for (label, bias) in [("walk-plain", 0.0), ("walk-acc-biased", 10.0)] {
         let hyper = TangleHyperParams {
             accuracy_bias: bias,
-            confidence_samples: 10,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         };

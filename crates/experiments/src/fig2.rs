@@ -19,10 +19,7 @@ pub fn run(opts: &Opts) {
         opts.seed,
     );
     let build = || tinynn::zoo::mlp(8, &[12], 4, &mut tinynn::rng::seeded(5));
-    let hyper = TangleHyperParams {
-        confidence_samples: 8,
-        ..TangleHyperParams::basic()
-    };
+    let hyper = TangleHyperParams::basic();
     let mut sim = Simulation::new(data, sim_config(5, 0.15, opts.seed, hyper), build);
     let rounds = opts.rounds.unwrap_or(12);
     for _ in 0..rounds {

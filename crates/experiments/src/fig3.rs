@@ -40,10 +40,7 @@ pub fn run(opts: &Opts, which: Option<usize>) {
             &format!("FedAvg-{nodes}"),
             false,
         );
-        let basic = TangleHyperParams {
-            confidence_samples: nodes,
-            ..TangleHyperParams::basic()
-        };
+        let basic = TangleHyperParams::basic();
         let (tangle_log, _) = run_tangle(
             Simulation::new(
                 data.clone(),
@@ -56,10 +53,7 @@ pub fn run(opts: &Opts, which: Option<usize>) {
             None,
             false,
         );
-        let optimized = TangleHyperParams {
-            confidence_samples: nodes,
-            ..TangleHyperParams::optimized()
-        };
+        let optimized = TangleHyperParams::optimized();
         let (opt_log, _) = run_tangle(
             Simulation::new(
                 data.clone(),

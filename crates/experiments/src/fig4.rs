@@ -34,10 +34,7 @@ pub fn run(opts: &Opts) {
         "FedAvg",
         false,
     );
-    let basic = TangleHyperParams {
-        confidence_samples: nodes,
-        ..TangleHyperParams::basic()
-    };
+    let basic = TangleHyperParams::basic();
     let mut cfg = sim_config(nodes, lr, opts.seed, basic);
     cfg.batch_size = 8;
     let (tangle_log, _) = run_tangle(

@@ -33,7 +33,6 @@ pub fn run(opts: &Opts) {
             eval_fraction: 1.0,
             seed: opts.seed,
             hyper: TangleHyperParams {
-                confidence_samples: 8,
                 reference_avg: 3,
                 ..TangleHyperParams::basic()
             },

@@ -35,7 +35,6 @@ pub fn run(opts: &Opts) {
     let chance = 1.0 / data.num_clients() as f32;
     for sigma in [0.0f32, 0.001, 0.01, 0.05] {
         let hyper = TangleHyperParams {
-            confidence_samples: 8,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         };

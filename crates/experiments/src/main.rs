@@ -27,7 +27,7 @@
 //!            invariant-clean archives (--chaos-seed=N)
 //!   churn    fault injection: accuracy/consistency vs crash-restart churn
 //!   linkability update-linkability attack vs DP noise (extension, §III-D)
-//!   ablate   design-choice ablations (defense, alpha, confidence, bias)
+//!   ablate   design-choice ablations (defense, alpha, bias, network)
 //!   conformance model-based schedule exploration across the three
 //!            executors; shrinks failures to JSON repro artifacts and
 //!            replays them (--schedules / --replay / --mutate)

@@ -201,7 +201,7 @@ fn soak(opts: &Opts, secs: u64) {
                 invariants_ok = false;
             }
         }
-        if let Err(v) = check_ledger_invariants(rebuilt.replica(), &p.sim_cfg(), seed) {
+        if let Err(v) = check_ledger_invariants(rebuilt.replica(), &p.sim_cfg()) {
             println!("  daemon {i}: invariant violation: {v:?}");
             invariants_ok = false;
         }

@@ -63,7 +63,6 @@ pub fn run(opts: &Opts) {
                     num_tips: n,
                     sample_size: n * m,
                     reference_avg: r,
-                    confidence_samples: nodes,
                     alpha: 0.5,
                     tip_validation: m > 1,
                     ..TangleHyperParams::basic()

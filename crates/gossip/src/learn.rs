@@ -18,8 +18,7 @@ use tinynn::rng::{derive, seeded};
 use tinynn::{ParamVec, Sequential};
 
 /// One Algorithm-2 training step against `replica` at activation `slot`,
-/// derived exactly as the round simulator derives round `slot`: the
-/// context seed is `derive(cfg.seed, slot ^ 0xC0FF_EE00)` and the node
+/// derived exactly as the round simulator derives round `slot`: the node
 /// RNG is `derive(cfg.seed, (slot << 24) ^ peer)`. Factored out so the
 /// in-process learner and the `lt-node` daemon produce byte-identical
 /// parameters for the same `(seed, slot, peer)` over the same replica —
@@ -37,14 +36,7 @@ pub fn train_step(
     cfg: &SimConfig,
     telemetry: &lt_telemetry::Telemetry,
 ) -> StepOutcome {
-    let ctx = RoundContext::build_with_cache(
-        replica,
-        cache,
-        cfg,
-        slot,
-        derive(cfg.seed, slot ^ 0xC0FF_EE00),
-        telemetry.clone(),
-    );
+    let ctx = RoundContext::build_with_cache(replica, cache, cfg, slot, telemetry.clone());
     let mut node_rng = seeded(derive(cfg.seed, (slot << 24) ^ peer as u64));
     node_step(
         node,
@@ -78,7 +70,6 @@ pub fn consensus_eval(
         &mut cache.clone(),
         cfg,
         slot + 1,
-        derive(cfg.seed, (slot + 1) ^ 0xC0FF_EE00),
         lt_telemetry::Telemetry::disabled(),
     );
     let pool = eval_pool_indices(cfg.seed, eval_seed, nodes.len(), cfg.eval_fraction);
@@ -296,7 +287,6 @@ impl<'a> GossipLearning<'a> {
             &mut self.caches[peer].clone(),
             &self.cfg,
             self.slot + 1,
-            derive(self.cfg.seed, 0xE7A1),
             lt_telemetry::Telemetry::disabled(),
         );
         let clients: Vec<&feddata::ClientData> = self.nodes.iter().map(|n| &n.data).collect();
@@ -334,7 +324,6 @@ mod tests {
             batch_size: 8,
             seed: 31,
             hyper: TangleHyperParams {
-                confidence_samples: 6,
                 reference_avg: 3,
                 ..TangleHyperParams::basic()
             },

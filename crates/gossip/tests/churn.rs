@@ -36,7 +36,6 @@ fn cfg() -> SimConfig {
         batch_size: 8,
         seed: 31,
         hyper: TangleHyperParams {
-            confidence_samples: 6,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         },
@@ -176,38 +175,38 @@ type Golden = (NetStats, usize, u64, u64);
 
 const GOLDEN_SEED_7: Golden = (
     NetStats {
-        delivered: 598,
-        dropped: 185,
-        duplicates: 192,
-        orphaned: 186,
-        rejected: 25,
-        discarded: 106,
-        rerequests: 73,
+        delivered: 530,
+        dropped: 159,
+        duplicates: 161,
+        orphaned: 172,
+        rejected: 24,
+        discarded: 79,
+        rerequests: 65,
         evicted: 0,
-        announced: 746,
-        requested: 160,
+        announced: 697,
+        requested: 146,
     },
-    68,
-    118,
-    0x25d2_513c_97fd_217e,
+    61,
+    163,
+    0x93cd_6ca8_30ad_eb6f,
 );
 
 const GOLDEN_SEED_8: Golden = (
     NetStats {
-        delivered: 617,
-        dropped: 177,
-        duplicates: 217,
-        orphaned: 197,
-        rejected: 26,
-        discarded: 96,
-        rerequests: 75,
+        delivered: 565,
+        dropped: 169,
+        duplicates: 183,
+        orphaned: 174,
+        rejected: 27,
+        discarded: 84,
+        rerequests: 62,
         evicted: 0,
-        announced: 736,
-        requested: 163,
+        announced: 715,
+        requested: 152,
     },
-    67,
-    120,
-    0xbcfb_bfba_838a_8f1a,
+    63,
+    127,
+    0x82a4_49bf_f462_e1d7,
 );
 
 /// FNV-1a over the newline-terminated telemetry lines.

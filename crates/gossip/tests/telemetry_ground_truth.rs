@@ -31,7 +31,6 @@ fn cfg() -> SimConfig {
         batch_size: 8,
         seed: 31,
         hyper: TangleHyperParams {
-            confidence_samples: 6,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         },

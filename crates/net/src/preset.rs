@@ -56,7 +56,6 @@ impl Preset {
             eval_fraction: 0.5,
             seed: self.seed,
             hyper: TangleHyperParams {
-                confidence_samples: 4,
                 sample_size: 4,
                 ..TangleHyperParams::basic()
             },

@@ -146,7 +146,7 @@ fn daemons_agree_with_in_process_executors() {
     for msg in &daemon_archives[0] {
         assert_eq!(rebuilt.receive(msg), ReceiveOutcome::Accepted);
     }
-    check_ledger_invariants(rebuilt.replica(), &p.sim_cfg(), SEED)
+    check_ledger_invariants(rebuilt.replica(), &p.sim_cfg())
         .expect("networked ledger violates a conformance invariant");
 }
 

@@ -85,7 +85,7 @@ fn four_daemon_soak_reconverges_through_repair() {
                 "daemon {i} archive replay"
             );
         }
-        check_ledger_invariants(rebuilt.replica(), &p.sim_cfg(), SEED)
+        check_ledger_invariants(rebuilt.replica(), &p.sim_cfg())
             .unwrap_or_else(|v| panic!("daemon {i} ledger violates invariants: {v:?}"));
     }
 

@@ -6,14 +6,13 @@
 //! its past-cone size, with every transaction contributing equally (the
 //! prototype ignores IOTA's PoW-weighted own weights).
 //!
-//! *Confidence* follows the paper's Monte-Carlo procedure — "running the tip
-//! selection multiple times, thereby counting how often a given transaction
-//! is hit during the random walk", normalized by the number of sampling
-//! rounds. An IOTA-style alternative (fraction of sampled tips whose past
-//! cone contains the transaction) is provided as
-//! [`WalkTable::approval_confidence`](crate::walk::WalkTable::approval_confidence).
-//! Both sample walks over the snapshot's transition table, so they live on
-//! [`crate::walk::WalkTable`].
+//! *Confidence* is what the paper's Monte-Carlo procedure estimates —
+//! "running the tip selection multiple times, thereby counting how often a
+//! given transaction is hit during the random walk", normalized by the
+//! number of sampling rounds — computed exactly: the chance that a walk
+//! from the genesis passes through the transaction. It is a property of
+//! the walk, so it lives on the snapshot's
+//! [`WalkTable`](crate::walk::WalkTable::confidence).
 //!
 //! Weights, ratings and depths have one producer for a ledger that grows:
 //! [`AnalysisCache`], which every round context, tip draw and consensus

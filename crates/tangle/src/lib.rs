@@ -10,14 +10,15 @@
 //!   used by IOTA (with a configurable randomness parameter α), entered
 //!   through a depth window or biased by an external per-transaction score
 //!   (the paper §VI outlook: model accuracy as walk bias). Each variant is
-//!   a [`walk::WalkTable`] built by [`walk::RandomWalk`]: the confidence
-//!   walks over one snapshot read its rows, and every tip is drawn from
-//!   its exit distribution.
+//!   a [`walk::WalkTable`] built by [`walk::RandomWalk`]: one pass over a
+//!   snapshot gives the walk's exact *confidence* (the chance that it
+//!   passes each transaction), and every tip is drawn from its exit
+//!   distribution.
 //! * [`analysis`] — consensus machinery: exact past-cone *ratings*,
 //!   future-cone *cumulative weights* and depths, kept current under
 //!   append by [`AnalysisCache`] (the batch bitset DPs serve older prefixes
-//!   and stand as its oracle), Monte-Carlo walk *confidence*, and the
-//!   confidence × rating reference selection of the paper's Algorithm 1.
+//!   and stand as its oracle), and the confidence × rating reference
+//!   selection of the paper's Algorithm 1.
 //! * [`pow`] — a hashcash proof-of-work gate (the Sybil defense the paper
 //!   defers to future work).
 //! * [`dot`] — Graphviz export reproducing the paper's Fig. 2 coloring.

@@ -9,7 +9,7 @@
 //! randomness parameter of Gal's "alpha" article cited by the paper (\[32\]).
 //! `α = 0` is the unbiased walk; large `α` is greedy.
 //!
-//! # Rows and the transition table
+//! # Rows
 //!
 //! A *row* is what one step at `x` needs: the unnormalised weights
 //! `exp(α · (eff(y) − max))` of `x`'s approvers, in approver order, followed
@@ -18,25 +18,23 @@
 //! uniformly in `[0, sum)` and scans the row subtracting each weight until
 //! `r` falls inside one. It is a subtraction scan on purpose: a prefix-sum
 //! search or an alias table rounds differently and would map some draws to
-//! another approver, and the confidence estimates (§III-A) and the one-off
-//! walk are pinned draw for draw against the original step loop.
-//! Transactions with a single approver are followed without a draw and
-//! have no row.
+//! another approver, and the one-off walk is pinned draw for draw against
+//! the original step loop. Transactions with a single approver are
+//! followed without a draw and have no row.
 //!
-//! Every walk over one ledger snapshot sees the same rows, so a
-//! [`WalkTable`] computes them once — one `exp` per approval edge — and the
-//! confidence walks of a round read them. A table is valid only for the
-//! snapshot, α and bias it was built from; approver lists are still read
-//! from the tangle. The one-off walk,
-//! [`RandomWalk::select_tip_with_weights`], has no snapshot to amortise
-//! over: it fills a one-row scratch per step with the same row function
-//! and draws with the same draw function.
+//! A [`WalkTable`] computes the row of every transaction of one ledger
+//! snapshot once — one `exp` per approval edge — to push the walk's
+//! pass-through mass through it (below), and keeps the mass, not the rows.
+//! A table is valid only for the snapshot, α and bias it was built from.
+//! The one-off walk, [`RandomWalk::select_tip_with_weights`], computes the
+//! rows it visits with the same row function and draws with the same draw
+//! function.
 //!
 //! Nothing here computes weights or depths: the caller passes them in,
 //! from an [`crate::AnalysisCache`] that follows the ledger or, for an
 //! older prefix, from the batch DPs of [`crate::analysis`].
 //!
-//! # Tip draws from the exit distribution
+//! # Pass-through mass: tip draws and confidence
 //!
 //! Over one snapshot the walk is a Markov chain on a DAG whose ids are
 //! already in topological order (an approver is always newer than what it
@@ -52,21 +50,20 @@
 //! plain and windowed tips from the table of a round's snapshot, and
 //! accuracy-biased tips from a table a node step builds over its own bias
 //! (an `exp` per edge, next to evaluating every transaction for that bias).
+//!
+//! The genesis-started `h` is also the paper's *confidence* (§III-A), "how
+//! often a given transaction is hit during the random walk" from the
+//! genesis: exactly the fraction that Monte-Carlo walks estimate
+//! ([`WalkTable::confidence`]). A windowed walk enters at the window, so a
+//! windowed table's build pushes a second, genesis-started mass through
+//! the same rows for its confidence; any other table reads its own.
 
 use crate::graph::TxId;
 use crate::view::TangleRead;
 use rand::RngExt as _;
-use rayon::prelude::*;
-
-/// Where a step finds the row of the particle it stands on.
-trait RowSource {
-    /// The row of `at`, which `approvers` (at least two) approve — stored,
-    /// or computed into `scratch`.
-    fn row<'a>(&'a self, at: TxId, approvers: &[TxId], scratch: &'a mut Vec<f64>) -> &'a [f64];
-}
 
 /// The row arithmetic of one walk configuration: α and the effective
-/// weight of a transaction. As a [`RowSource`] it computes on demand.
+/// weight of a transaction.
 struct Rows<F> {
     alpha: f64,
     eff: F,
@@ -83,10 +80,10 @@ impl<F: Fn(TxId) -> f64> Rows<F> {
         );
         Self { alpha, eff }
     }
-}
 
-impl<F: Fn(TxId) -> f64> RowSource for Rows<F> {
-    fn row<'a>(&'a self, _: TxId, approvers: &[TxId], row: &'a mut Vec<f64>) -> &'a [f64] {
+    /// The row of a transaction that `approvers` (at least two) approve,
+    /// computed into `row`.
+    fn row<'a>(&self, approvers: &[TxId], row: &'a mut Vec<f64>) -> &'a [f64] {
         row.clear();
         let max = approvers
             .iter()
@@ -105,33 +102,9 @@ impl<F: Fn(TxId) -> f64> RowSource for Rows<F> {
     }
 }
 
-/// The walk: follow approvers from `start` until a tip, with one weighted
-/// draw by the particle's row wherever it has several approvers and none
-/// elsewhere, reporting every particle moved to (not `start`) to `visit`.
-fn walk<T: TangleRead>(
-    tangle: &T,
-    start: TxId,
-    rows: &impl RowSource,
-    rng: &mut dyn rand::Rng,
-    mut visit: impl FnMut(TxId),
-) -> TxId {
-    let mut scratch = Vec::new();
-    let mut cur = start;
-    loop {
-        let approvers = tangle.approvers(cur);
-        cur = match approvers.len() {
-            0 => return cur,
-            1 => approvers[0],
-            _ => draw(approvers, rows.row(cur, approvers, &mut scratch), rng),
-        };
-        visit(cur);
-    }
-}
-
 /// One weighted draw among `approvers` by their `row`.
 fn draw(approvers: &[TxId], row: &[f64], rng: &mut dyn rand::Rng) -> TxId {
     let (total, probs) = row.split_last().expect("a row ends with its sum");
-    debug_assert_eq!(probs.len(), approvers.len(), "row of another snapshot");
     let mut r = rng.random_range(0.0..*total);
     for (a, &p) in approvers.iter().zip(probs) {
         if r < p {
@@ -152,82 +125,95 @@ fn window_entries(depths: &[u32], window: u32) -> Vec<TxId> {
         .collect()
 }
 
-/// The transition rows of every transaction of one ledger snapshot, and
-/// the walk's exit distribution over its tips (see the module docs).
-/// Built by [`RandomWalk::table`], [`RandomWalk::windowed_table`] or
+/// Push `mass[at]` on to `at`'s approvers: all of it to a single approver,
+/// `p / sum` of it to each of several by `row`.
+fn push_mass(mass: &mut [f64], at: TxId, approvers: &[TxId], row: &[f64]) {
+    let h = mass[at.index()];
+    match approvers {
+        [a] => mass[a.index()] += h,
+        _ if h > 0.0 => {
+            let (sum, probs) = row.split_last().expect("a row ends with its sum");
+            for (a, &p) in approvers.iter().zip(probs) {
+                mass[a.index()] += h * p / sum;
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The walk over one ledger snapshot: its exit distribution over the tips
+/// and the confidence of every transaction (see the module docs). Built by
+/// [`RandomWalk::table`], [`RandomWalk::windowed_table`] or
 /// [`RandomWalk::biased_table`]; valid only for that snapshot (and bias).
 #[derive(Debug)]
 pub struct WalkTable {
-    /// `rows[offsets[i]..offsets[i + 1]]` is the row of transaction `i`,
-    /// empty when it has fewer than two approvers.
-    offsets: Vec<u32>,
-    rows: Vec<f64>,
     /// The tips a walk ends at with positive probability, ascending, and
     /// the running sum of those probabilities (`cdf[k]` covers `tips[..=k]`).
     tips: Vec<TxId>,
     cdf: Vec<f64>,
+    /// The genesis-started pass-through mass of every transaction.
+    confidence: Vec<f32>,
     /// Whether the table was built by [`RandomWalk::windowed_table`].
     windowed: bool,
 }
 
-impl RowSource for WalkTable {
-    fn row<'a>(&'a self, at: TxId, _: &[TxId], _: &'a mut Vec<f64>) -> &'a [f64] {
-        &self.rows[self.offsets[at.index()] as usize..self.offsets[at.index() + 1] as usize]
-    }
-}
-
 impl WalkTable {
-    /// One ascending pass over `tangle`: one row per transaction with at
-    /// least two approvers and, in the same loop, the walk's pass-through
-    /// mass, started on the genesis or, for a windowed walk (`entries` is
-    /// `Some`), spread uniformly over the window entries (the genesis when
-    /// there is none). Ids are topologically ordered, so a transaction's
-    /// mass is complete when the loop reaches it.
-    fn build<T: TangleRead>(tangle: &T, source: &impl RowSource, entries: Option<&[TxId]>) -> Self {
-        let n = tangle.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let (mut rows, mut scratch) = (Vec::new(), Vec::new());
+    /// One ascending pass over `tangle` that computes the row of every
+    /// transaction with at least two approvers and pushes the walk's
+    /// pass-through mass through it, started on the genesis or, for a
+    /// windowed walk (`entries` is `Some`), spread uniformly over the
+    /// window entries (the genesis when there is none). Ids are
+    /// topologically ordered, so a transaction's mass is complete when the
+    /// loop reaches it. A walk entered at the window carries a second,
+    /// genesis-started mass for its confidence.
+    fn build<T: TangleRead>(
+        tangle: &T,
+        rows: &Rows<impl Fn(TxId) -> f64>,
+        entries: Option<&[TxId]>,
+    ) -> Self {
+        let (n, genesis) = (tangle.len(), tangle.genesis().index());
+        let mut scratch = Vec::new();
         let mut mass = vec![0.0f64; n];
+        let mut from_genesis = None;
         match entries {
             Some(e) if !e.is_empty() => {
                 let share = 1.0 / e.len() as f64;
                 for x in e {
                     mass[x.index()] = share;
                 }
+                let mut g = vec![0.0f64; n];
+                g[genesis] = 1.0;
+                from_genesis = Some(g);
             }
-            _ => mass[tangle.genesis().index()] = 1.0,
+            _ => mass[genesis] = 1.0,
         }
         let (mut tips, mut cdf, mut total) = (Vec::new(), Vec::new(), 0.0f64);
         for i in 0..n as u32 {
-            offsets.push(rows.len() as u32); // range-checked once, below
-            let (at, h) = (TxId(i), mass[i as usize]);
+            let at = TxId(i);
             let approvers = tangle.approvers(at);
-            match approvers.len() {
-                0 if h > 0.0 => {
-                    total += h;
-                    tips.push(at);
-                    cdf.push(total);
-                }
-                0 => {}
-                1 => mass[approvers[0].index()] += h,
-                _ => {
-                    let row = source.row(at, approvers, &mut scratch);
+            let row = match approvers.len() {
+                0 => {
+                    let h = mass[i as usize];
                     if h > 0.0 {
-                        let (sum, probs) = row.split_last().expect("a row ends with its sum");
-                        for (a, &p) in approvers.iter().zip(probs) {
-                            mass[a.index()] += h * p / sum;
-                        }
+                        total += h;
+                        tips.push(at);
+                        cdf.push(total);
                     }
-                    rows.extend_from_slice(row);
+                    continue;
                 }
+                1 => &[][..],
+                _ => rows.row(approvers, &mut scratch),
+            };
+            push_mass(&mut mass, at, approvers, row);
+            if let Some(g) = &mut from_genesis {
+                push_mass(g, at, approvers, row);
             }
         }
-        offsets.push(u32::try_from(rows.len()).expect("walk table fits u32 offsets"));
+        let confidence = from_genesis.as_ref().unwrap_or(&mass);
         Self {
-            offsets,
-            rows,
             tips,
             cdf,
+            confidence: confidence.iter().map(|&h| h as f32).collect(),
             windowed: entries.is_some(),
         }
     }
@@ -237,94 +223,26 @@ impl WalkTable {
         self.windowed
     }
 
+    /// The confidence of every transaction (paper §III-A): the exact chance
+    /// that a walk from the genesis passes through it, which the paper
+    /// estimates by counting the hits of repeated walks. The genesis has
+    /// confidence 1; on a tip of a table that is not windowed it is the
+    /// tip's exit mass. Windowed or not, the table of one snapshot and α
+    /// gives the same confidence, bit for bit.
+    pub fn confidence(&self) -> &[f32] {
+        &self.confidence
+    }
+
     /// Draw the tip a tip-selection walk ends at: one uniform draw against
     /// the tips' cumulative exit mass and a binary search. Same
-    /// distribution as [`Self::walk`] from the genesis (or, for a windowed
-    /// table, from a uniformly drawn window entry), not the same tip per
+    /// distribution as a walk from the genesis (or, for a windowed table,
+    /// from a uniformly drawn window entry), not the same tip per
     /// generator.
     pub fn draw_tip(&self, rng: &mut dyn rand::Rng) -> TxId {
         let total = *self.cdf.last().expect("a snapshot has a tip");
         let r = rng.random_range(0.0..total);
         self.tips[self.cdf.partition_point(|&c| c <= r)]
     }
-
-    /// Walk over `tangle` from `start` to a tip, which is returned;
-    /// `visit` sees every particle moved to (not `start`), in order.
-    ///
-    /// # Panics
-    /// Panics if `tangle` has another length than the table's snapshot.
-    pub fn walk<T: TangleRead>(
-        &self,
-        tangle: &T,
-        start: TxId,
-        rng: &mut dyn rand::Rng,
-        visit: impl FnMut(TxId),
-    ) -> TxId {
-        let len = self.offsets.len() - 1;
-        assert_eq!(len, tangle.len(), "walk table of another snapshot");
-        walk(tangle, start, self, rng, visit)
-    }
-
-    /// Monte-Carlo walk-hit confidence (paper §III-A): run `samples` walks
-    /// from the genesis and count, for each transaction, the fraction of
-    /// walks whose particle path passed through it. The genesis always has
-    /// confidence 1.
-    ///
-    /// Walks run in parallel with per-walk derived seeds, so the result is
-    /// deterministic for a given `(tangle, table, samples, seed)`.
-    pub fn walk_confidence<T>(&self, tangle: &T, samples: usize, seed: u64) -> Vec<f32>
-    where
-        T: TangleRead + Sync,
-    {
-        hit_fractions(tangle.len(), samples, seed, |rng| {
-            let mut path = vec![tangle.genesis()];
-            self.walk(tangle, tangle.genesis(), rng, |x| path.push(x));
-            path
-        })
-    }
-
-    /// IOTA-style approval confidence: sample `samples` tips by walks from
-    /// the genesis and report, per transaction, the fraction of sampled
-    /// tips whose past cone contains it.
-    pub fn approval_confidence<T>(&self, tangle: &T, samples: usize, seed: u64) -> Vec<f32>
-    where
-        T: TangleRead + Sync,
-    {
-        hit_fractions(tangle.len(), samples, seed, |rng| {
-            let tip = self.walk(tangle, tangle.genesis(), rng, |_| {});
-            let mut hit = tangle.past_cone(tip);
-            hit.push(tip);
-            hit
-        })
-    }
-}
-
-/// Monte-Carlo hit fractions over `n` transactions: draw `samples` id
-/// sets in parallel, sample `s` from its own generator derived from
-/// `seed`, and count serially how many sets contain each id. A set lists
-/// an id at most once (a walk path never revisits, a past cone is a set),
-/// so the pass costs the sets' total length, not `samples × n`.
-fn hit_fractions(
-    n: usize,
-    samples: usize,
-    seed: u64,
-    sample: impl Fn(&mut rand::rngs::SmallRng) -> Vec<TxId> + Sync,
-) -> Vec<f32> {
-    use rand::SeedableRng;
-    assert!(samples > 0, "need at least one confidence sample");
-    let sets: Vec<Vec<TxId>> = (0..samples)
-        .into_par_iter()
-        .map(|s| {
-            sample(&mut rand::rngs::SmallRng::seed_from_u64(
-                seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ))
-        })
-        .collect();
-    let mut hits = vec![0u32; n];
-    for id in sets.iter().flatten() {
-        hits[id.index()] += 1;
-    }
-    hits.iter().map(|&h| h as f32 / samples as f32).collect()
 }
 
 /// The weighted MCMC random walk from the genesis.
@@ -355,10 +273,11 @@ impl RandomWalk {
         Rows::new(self.alpha, move |a: TxId| weights[a.index()] as f64)
     }
 
-    /// The transition table of `tangle` under its cumulative `weights`,
-    /// with the exit distribution of a walk from the genesis: build it once
-    /// per snapshot, run every confidence walk of that snapshot over it and
-    /// draw every tip from it ([`WalkTable::draw_tip`]).
+    /// The walk table of `tangle` under its cumulative `weights`, with the
+    /// exit distribution of a walk from the genesis: build it once
+    /// per snapshot, read the snapshot's confidence from it
+    /// ([`WalkTable::confidence`]) and draw every tip from it
+    /// ([`WalkTable::draw_tip`]).
     ///
     /// # Panics
     /// Panics if α is not finite and non-negative.
@@ -414,7 +333,9 @@ impl RandomWalk {
     }
 
     /// Walk once from the genesis to a tip with precomputed cumulative
-    /// weights, computing only the rows the walk visits. A one-off walk:
+    /// weights, computing only the rows the walk visits: follow approvers
+    /// until a tip, with one weighted draw by the particle's row wherever
+    /// it has several approvers and none elsewhere. A one-off walk:
     /// production draws every tip from a table ([`WalkTable::draw_tip`]).
     ///
     /// # Panics
@@ -426,7 +347,16 @@ impl RandomWalk {
         rng: &mut dyn rand::Rng,
     ) -> TxId {
         let rows = self.rows(tangle.len(), weights);
-        walk(tangle, tangle.genesis(), &rows, rng, |_| {})
+        let mut scratch = Vec::new();
+        let mut cur = tangle.genesis();
+        loop {
+            let approvers = tangle.approvers(cur);
+            cur = match approvers.len() {
+                0 => return cur,
+                1 => approvers[0],
+                _ => draw(approvers, rows.row(approvers, &mut scratch), rng),
+            };
+        }
     }
 }
 
@@ -445,8 +375,9 @@ mod tests {
 
     /// The walk as it stood before [`WalkTable`] — max, `exp` and sum
     /// recomputed at every step, draw and scan inline — kept verbatim as
-    /// the oracle every table walk and one-off walk must match draw
-    /// for draw. Returns the particle path, `start` first.
+    /// the oracle: the one-off walk must match it draw for draw, and a
+    /// table's confidence and exit masses must match where its walks pass
+    /// and end. Returns the particle path, `start` first.
     fn reference_walk<T: TangleRead>(
         tangle: &T,
         start: TxId,
@@ -504,128 +435,32 @@ mod tests {
 
     const ALPHAS: [f64; 5] = [0.0, 0.05, 0.5, 8.0, 1000.0];
 
-    /// genesis -> 1, 2; 3 -> (1, 2); 4 -> (3); 5 -> (2)   tips: 4, 5
-    fn confidence_table() -> (Tangle<u32>, WalkTable) {
-        let t = scripted(&[(0, 0), (0, 0), (1, 2), (3, 3), (2, 2)]);
-        let table = RandomWalk::default().table(&t, &cumulative_weights(&t));
-        (t, table)
-    }
-
-    #[test]
-    fn walk_confidence_bounds_and_genesis() {
-        let (t, table) = confidence_table();
-        let conf = table.walk_confidence(&t, 64, 42);
-        assert_eq!(conf.len(), t.len());
-        assert!((conf[t.genesis().index()] - 1.0).abs() < 1e-6);
-        assert!(conf.iter().all(|&c| (0.0..=1.0).contains(&c)));
-    }
-
-    #[test]
-    fn walk_confidence_is_deterministic_per_seed() {
-        let (t, table) = confidence_table();
-        let c1 = table.walk_confidence(&t, 32, 7);
-        let c2 = table.walk_confidence(&t, 32, 7);
-        assert_eq!(c1, c2);
-        let c3 = table.walk_confidence(&t, 32, 8);
-        assert_ne!(c1, c3);
-    }
-
-    #[test]
-    fn approval_confidence_dominates_walk_confidence() {
-        // Every tx on a walk path is in the reached tip's past cone, so
-        // approval confidence >= walk confidence for matching seeds/samples.
-        let (t, table) = confidence_table();
-        let wc = table.walk_confidence(&t, 64, 9);
-        let ac = table.approval_confidence(&t, 64, 9);
-        for (w, a) in wc.iter().zip(&ac) {
-            assert!(a >= w, "approval {a} < walk {w}");
-        }
-    }
-
-    /// A table walk's path from `start` and the generator's next output
-    /// (which pins the number of draws the walk consumed).
-    fn table_path<T: TangleRead>(
-        table: &WalkTable,
-        tangle: &T,
-        start: TxId,
-        seed: u64,
-    ) -> (Vec<TxId>, u64) {
-        let mut r = rng(seed);
-        let mut path = vec![start];
-        table.walk(tangle, start, &mut r, |x| path.push(x));
-        (path, r.random())
-    }
-
-    /// One walk over `tangle` from the genesis, three ways on equal
-    /// generators: reference loop, table, one-off walk.
+    /// One walk over `tangle` from the genesis, two ways on equal
+    /// generators: the reference loop and the one-off walk, whose rows come
+    /// from the row function a table's build pushes its mass through. Same
+    /// tip, and the same next output of the generator (which pins the
+    /// number of draws the walk consumed).
     fn check_draw_for_draw<T: TangleRead>(tangle: &T, alpha: f64, seed: u64) {
         let w = cumulative_weights(tangle);
-        let g = tangle.genesis();
         let mut r = rng(seed);
-        let path = reference_walk(tangle, g, alpha, |a| w[a.index()] as f64, &mut r);
-        let next = r.random::<u64>();
-        let walk = RandomWalk::new(alpha);
-        let mut r = rng(seed);
-        let tip = walk.select_tip_with_weights(tangle, &w, &mut r);
-        assert_eq!((tip, r.random::<u64>()), (*path.last().unwrap(), next));
-        assert_eq!(
-            table_path(&walk.table(tangle, &w), tangle, g, seed),
-            (path, next)
+        let path = reference_walk(
+            tangle,
+            tangle.genesis(),
+            alpha,
+            |a| w[a.index()] as f64,
+            &mut r,
         );
-    }
-
-    /// A windowed table's entries against a scan of the depths, and its
-    /// walk from a uniformly drawn entry (the genesis, and no draw, when
-    /// there is none) against the reference loop from the same entry,
-    /// draw for draw.
-    fn check_windowed<T: TangleRead>(
-        tangle: &T,
-        alpha: f64,
-        window: u32,
-        seed: u64,
-    ) -> Result<(), TestCaseError> {
-        let (w, d) = (cumulative_weights(tangle), depths(tangle));
-        let scan: Vec<TxId> = (0..tangle.len())
-            .filter(|&i| (window..=2 * window).contains(&d[i]))
-            .map(|i| TxId(i as u32))
-            .collect();
-        prop_assert_eq!(window_entries(&d, window), scan.clone());
-        let table = RandomWalk::new(alpha).windowed_table(tangle, &w, &d, window);
-        prop_assert!(table.is_windowed());
-        let entry = |r: &mut rand::rngs::SmallRng| match scan.len() {
-            0 => tangle.genesis(),
-            n => scan[r.random_range(0..n)],
-        };
+        let next = r.random::<u64>();
         let mut r = rng(seed);
-        let start = entry(&mut r);
-        let want = reference_walk(tangle, start, alpha, |a| w[a.index()] as f64, &mut r);
-        let want = (want, r.random::<u64>());
-        let mut r = rng(seed);
-        let start = entry(&mut r);
-        let mut path = vec![start];
-        table.walk(tangle, start, &mut r, |x| path.push(x));
-        prop_assert_eq!((path, r.random::<u64>()), want);
-        Ok(())
-    }
-
-    /// A biased table's walk from the genesis against the reference loop
-    /// under `w + bias`, draw for draw.
-    fn check_biased<T: TangleRead>(tangle: &T, alpha: f64, bias: &[f64], seed: u64) {
-        let w = cumulative_weights(tangle);
-        let eff = |a: TxId| w[a.index()] as f64 + bias[a.index()];
-        let g = tangle.genesis();
-        let mut r = rng(seed);
-        let path = reference_walk(tangle, g, alpha, eff, &mut r);
-        let want = (path, r.random::<u64>());
-        let table = RandomWalk::new(alpha).biased_table(tangle, &w, bias);
-        assert_eq!(table_path(&table, tangle, g, seed), want);
+        let tip = RandomWalk::new(alpha).select_tip_with_weights(tangle, &w, &mut r);
+        assert_eq!((tip, r.random::<u64>()), (*path.last().unwrap(), next));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn walk_table_matches_reference_draw_for_draw(
+        fn walk_table_rows_match_reference_draw_for_draw(
             script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
             alpha in 0usize..5,
             cut in any::<usize>(),
@@ -635,34 +470,6 @@ mod tests {
             check_draw_for_draw(&t, ALPHAS[alpha], seed);
             let view = TangleView::new(&t, 1 + cut % t.len());
             check_draw_for_draw(&view, ALPHAS[alpha], seed);
-        }
-
-        #[test]
-        fn walk_table_biased_matches_reference_draw_for_draw(
-            script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
-            bias in prop::collection::vec(-40.0f64..40.0, 121),
-            alpha in 0usize..5,
-            cut in any::<usize>(),
-            seed in any::<u64>(),
-        ) {
-            let t = scripted(&script);
-            check_biased(&t, ALPHAS[alpha], &bias[..t.len()], seed);
-            let view = TangleView::new(&t, 1 + cut % t.len());
-            check_biased(&view, ALPHAS[alpha], &bias[..view.len()], seed);
-        }
-
-        #[test]
-        fn walk_table_windowed_matches_reference_draw_for_draw(
-            script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
-            alpha in 0usize..5,
-            window in 1u32..6,
-            cut in any::<usize>(),
-            seed in any::<u64>(),
-        ) {
-            let t = scripted(&script);
-            check_windowed(&t, ALPHAS[alpha], window, seed)?;
-            let view = TangleView::new(&t, 1 + cut % t.len());
-            check_windowed(&view, ALPHAS[alpha], window, seed)?;
         }
     }
 
@@ -710,7 +517,8 @@ mod tests {
     }
 
     /// The plain, a windowed and a biased table's exit masses against the
-    /// DP under their effective weights, to 1e-12.
+    /// DP under their effective weights, to 1e-12, and the window's entries
+    /// against a scan of the depths.
     fn check_exit_masses<T: TangleRead>(
         tangle: &T,
         alpha: f64,
@@ -722,6 +530,11 @@ mod tests {
         let biased = exit_dp(tangle, alpha, |a| w[a.index()] as f64 + bias[a.index()]);
         let walk = RandomWalk::new(alpha);
         let entries = window_entries(&d, window);
+        let scan: Vec<TxId> = (0..tangle.len())
+            .filter(|&i| (window..=2 * window).contains(&d[i]))
+            .map(|i| TxId(i as u32))
+            .collect();
+        prop_assert_eq!(&entries, &scan);
         let windowed: Vec<f64> = match entries.len() {
             0 => e[tangle.genesis().index()].clone(),
             k => (0..tangle.len())
@@ -776,47 +589,74 @@ mod tests {
         }
     }
 
+    /// Every table of `tangle` (plain, windowed and biased) against `N`
+    /// reference walks under its effective weights, at three α: how often
+    /// walks from the genesis pass each transaction — the Monte-Carlo
+    /// walk-hit count of §III-A — against the confidence, and where walks
+    /// end (a windowed table's from a uniformly drawn window entry) and
+    /// where tip draws land against the exit mass.
+    fn check_walks_and_draws<T: TangleRead>(tangle: &T, bias: &[f64]) {
+        const N: u64 = 200_000;
+        const WINDOW: u32 = 2;
+        let (n, g) = (tangle.len(), tangle.genesis());
+        let (w, d) = (cumulative_weights(tangle), depths(tangle));
+        let (entries, zero) = (window_entries(&d, WINDOW), vec![0.0; n]);
+        assert!(!entries.is_empty(), "the window must have entries");
+        for (seed, alpha) in [(1, 0.05), (2, 0.5), (3, 8.0)] {
+            let walk = RandomWalk::new(alpha);
+            let tables = [
+                ("plain", walk.table(tangle, &w)),
+                ("windowed", walk.windowed_table(tangle, &w, &d, WINDOW)),
+                ("biased", walk.biased_table(tangle, &w, bias)),
+            ];
+            let mut r = rng(seed);
+            for (what, table) in &tables {
+                assert!(
+                    table.tips.len() >= 2,
+                    "{what}, α = {alpha}: too few reachable tips"
+                );
+                let b = if *what == "biased" { bias } else { &zero };
+                let eff = |a: TxId| w[a.index()] as f64 + b[a.index()];
+                let (mut hits, mut ends, mut draws) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+                for _ in 0..N {
+                    let path = reference_walk(tangle, g, alpha, eff, &mut r);
+                    for x in &path {
+                        hits[x.index()] += 1;
+                    }
+                    let tip = if table.is_windowed() {
+                        let entry = entries[r.random_range(0..entries.len())];
+                        *reference_walk(tangle, entry, alpha, eff, &mut r)
+                            .last()
+                            .unwrap()
+                    } else {
+                        *path.last().unwrap()
+                    };
+                    ends[tip.index()] += 1;
+                    draws[table.draw_tip(&mut r).index()] += 1;
+                }
+                let at = format!("{what}, α = {alpha}");
+                let confidence: Vec<f64> = table.confidence().iter().map(|&c| c.into()).collect();
+                assert_binomial(&hits, &confidence, N, &format!("{at}: walk hits"));
+                let mass = exit_mass(table, n);
+                assert_binomial(&ends, &mass, N, &format!("{at}: walks"));
+                assert_binomial(&draws, &mass, N, &format!("{at}: draws"));
+            }
+        }
+    }
+
     #[test]
     fn walk_table_exit_mass_is_where_walks_and_draws_land() {
-        // A plain table against its own walks, a biased one against the
-        // reference loop under `w + bias`.
-        const N: u64 = 200_000;
         let mut script_rng = rng(0x5EED);
         let script: Vec<(u8, u8)> = (0..60)
             .map(|_| (script_rng.random(), script_rng.random()))
             .collect();
         let t = scripted(&script);
-        let w = cumulative_weights(&t);
         let bias: Vec<f64> = (0..t.len())
             .map(|_| script_rng.random_range(-3.0..3.0))
             .collect();
-        let eff = |a: TxId| w[a.index()] as f64 + bias[a.index()];
-        for (seed, alpha) in [(1, 0.05), (2, 0.5), (3, 8.0)] {
-            let walk = RandomWalk::new(alpha);
-            let (plain, biased) = (walk.table(&t, &w), walk.biased_table(&t, &w, &bias));
-            let mut r = rng(seed);
-            for (what, table) in [("plain", &plain), ("biased", &biased)] {
-                let mass = exit_mass(table, t.len());
-                assert!(
-                    table.tips.len() >= 2,
-                    "{what}, α = {alpha}: too few reachable tips"
-                );
-                let (mut walks, mut draws) = (vec![0u64; t.len()], vec![0u64; t.len()]);
-                for _ in 0..N {
-                    let tip = if what == "biased" {
-                        *reference_walk(&t, t.genesis(), alpha, eff, &mut r)
-                            .last()
-                            .unwrap()
-                    } else {
-                        table.walk(&t, t.genesis(), &mut r, |_| {})
-                    };
-                    walks[tip.index()] += 1;
-                    draws[table.draw_tip(&mut r).index()] += 1;
-                }
-                assert_binomial(&walks, &mass, N, &format!("{what} walks, α = {alpha}"));
-                assert_binomial(&draws, &mass, N, &format!("{what} draws, α = {alpha}"));
-            }
-        }
+        check_walks_and_draws(&t, &bias);
+        let view = TangleView::new(&t, 45);
+        check_walks_and_draws(&view, &bias[..view.len()]);
     }
 
     #[test]
@@ -850,53 +690,70 @@ mod tests {
         for i in 0..10 {
             prev = t.add(i, vec![prev]).unwrap();
         }
-        let table = RandomWalk::default().table(&t, &cumulative_weights(&t));
-        assert!(table.rows.is_empty(), "no transaction has two approvers");
-        let (path, next) = table_path(&table, &t, t.genesis(), 5);
-        assert_eq!(path, (0..=10).map(TxId).collect::<Vec<_>>());
+        let w = cumulative_weights(&t);
+        let table = RandomWalk::default().table(&t, &w);
+        assert_eq!(table.confidence(), &[1.0; 11][..]);
         assert_eq!(
-            next,
+            (table.tips.as_slice(), table.cdf.as_slice()),
+            (&[prev][..], &[1.0][..])
+        );
+        assert!(!table.is_windowed());
+        let mut r = rng(5);
+        assert_eq!(
+            RandomWalk::default().select_tip_with_weights(&t, &w, &mut r),
+            prev
+        );
+        assert_eq!(
+            r.random::<u64>(),
             rng(5).random::<u64>(),
             "the walk drew from its generator"
         );
-        assert!(!table.is_windowed());
     }
 
     #[test]
     fn walk_table_tip_only_genesis() {
         let t = Tangle::new(0u8);
         let table = RandomWalk::default().table(&t, &cumulative_weights(&t));
-        assert_eq!(table.offsets, vec![0, 0]);
-        let (path, next) = table_path(&table, &t, t.genesis(), 6);
-        assert_eq!(path, vec![t.genesis()]);
-        assert_eq!(next, rng(6).random::<u64>());
+        assert_eq!(table.confidence(), &[1.0]);
+        assert_eq!(
+            (table.tips.as_slice(), table.cdf.as_slice()),
+            (&[t.genesis()][..], &[1.0][..])
+        );
     }
 
     #[test]
     fn walk_table_all_equal_weights() {
-        // A star: every approver of the genesis weighs 1, at any α.
+        // A star: every approver of the genesis weighs 1, at any α, so each
+        // gets exactly a fifth of the walk.
         let mut t = Tangle::new(0u8);
         for i in 0..5 {
             t.add(i, vec![t.genesis()]).unwrap();
         }
         for alpha in ALPHAS {
             let table = RandomWalk::new(alpha).table(&t, &cumulative_weights(&t));
-            assert_eq!(table.offsets, vec![0, 6, 6, 6, 6, 6, 6]);
-            assert_eq!(table.rows, vec![1.0, 1.0, 1.0, 1.0, 1.0, 5.0]);
+            assert_eq!(table.confidence(), &[1.0, 0.2, 0.2, 0.2, 0.2, 0.2]);
         }
     }
 
     #[test]
     fn walk_table_alpha_1000_underflows_to_exact_zero() {
         let (t, a, _, c) = forked();
-        let table = RandomWalk::new(1000.0).table(&t, &cumulative_weights(&t));
+        let w = cumulative_weights(&t);
         // The genesis row: a (weight 2) is the max, b (weight 1) is
-        // exp(-1000) = 0 exactly; stored unnormalised, summed left to right.
-        assert_eq!(table.rows, vec![1.0, 0.0, 1.0]);
-        for seed in 0..50 {
+        // exp(-1000) = 0 exactly, so b gets no confidence at all.
+        let table = RandomWalk::new(1000.0).table(&t, &w);
+        let mut want = [0.0f32; 4];
+        for x in [t.genesis(), a, c] {
+            want[x.index()] = 1.0;
+        }
+        assert_eq!(table.confidence(), &want[..]);
+        let mut r = rng(0);
+        for _ in 0..50 {
             // A zero weight is skipped: `r < 0.0` never holds.
-            let (path, _) = table_path(&table, &t, t.genesis(), seed);
-            assert_eq!(path, vec![t.genesis(), a, c]);
+            assert_eq!(
+                RandomWalk::new(1000.0).select_tip_with_weights(&t, &w, &mut r),
+                c
+            );
         }
     }
 
@@ -905,7 +762,7 @@ mod tests {
         let eff = [3.0, 0.3, 1.7, 2.9, 0.1, 2.2];
         let approvers: Vec<TxId> = (0..6).map(TxId).collect();
         let mut row = Vec::new();
-        Rows::new(0.7, |a: TxId| eff[a.index()]).row(TxId(0), &approvers, &mut row);
+        Rows::new(0.7, |a: TxId| eff[a.index()]).row(&approvers, &mut row);
         let p: Vec<f64> = eff.iter().map(|e| (0.7 * (e - 3.0)).exp()).collect();
         let forward = p.iter().fold(0.0, |s, x| s + x);
         let backward = p.iter().rev().fold(0.0, |s, x| s + x);

@@ -7,6 +7,11 @@ use tangle_ledger::walk::RandomWalk;
 use tangle_ledger::{AnalysisCache, Tangle, TangleRead, TangleView, TxId};
 
 use lt_conformance::gen::tangle_from_script;
+use lt_conformance::StructModel;
+
+/// Walk randomness from uniform (0) through greedy to an `exp` that
+/// underflows to exact zeros (1000).
+const ALPHAS: [f64; 5] = [0.0, 0.05, 0.5, 8.0, 1000.0];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -35,31 +40,63 @@ proptest! {
         prop_assert!(t.is_tip(biased.draw_tip(&mut rng)));
     }
 
-    /// Confidence values are probabilities, the genesis has confidence 1,
-    /// and flow conservation holds: every walk that visits a transaction
-    /// entered through one of its parents, so a child's confidence cannot
-    /// exceed the *sum* of its parents' confidences (it can exceed each
-    /// individual parent when walk paths merge).
+    /// Exact confidence is the walk's pass-through probability: the
+    /// genesis has exactly 1, every value is a probability, each child's
+    /// is what its parents push to it (`Σ h(parent) · P(parent → child)`,
+    /// the transition probabilities recomputed here from the weights), the
+    /// tips' masses sum to 1, and every transaction's approval weighted by
+    /// those masses dominates its confidence (every walk through it ends
+    /// at a tip approving it).
     #[test]
     fn confidence_properties(
         script in prop::collection::vec((any::<u8>(), any::<u8>()), 1..30),
-        seed in any::<u64>(),
+        alpha in 0usize..5,
     ) {
+        let alpha = ALPHAS[alpha];
         let t = tangle_from_script(&script);
-        let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::new(0.2).table(&t, &analysis.cumulative_weight);
-        let conf = walk.walk_confidence(&t, 48, seed);
-        prop_assert!((conf[0] - 1.0).abs() < 1e-6);
+        let w = TangleAnalysis::compute(&t).cumulative_weight;
+        let table = RandomWalk::new(alpha).table(&t, &w);
+        let conf: Vec<f64> = table.confidence().iter().map(|&c| c.into()).collect();
+        prop_assert_eq!(conf[0], 1.0);
         for c in &conf {
             prop_assert!((0.0..=1.0).contains(c));
         }
+        let step = |x: TxId, y: TxId| {
+            let approvers = t.approvers(x);
+            let max = approvers.iter().map(|a| w[a.index()]).max().unwrap();
+            let p = |a: TxId| (alpha * (w[a.index()] as f64 - max as f64)).exp();
+            p(y) / approvers.iter().map(|&a| p(a)).sum::<f64>()
+        };
         for tx in t.transactions().iter().skip(1) {
-            let parent_sum: f32 = tx.parents.iter().map(|p| conf[p.index()]).sum();
-            prop_assert!(
-                conf[tx.id.index()] <= parent_sum + 1e-5,
-                "child {} more confident than its parents combined",
-                tx.id
-            );
+            let pushed: f64 = tx.parents.iter().map(|&p| conf[p.index()] * step(p, tx.id)).sum();
+            let h = conf[tx.id.index()];
+            prop_assert!((h - pushed).abs() <= 1e-6, "tx {}: h {} but pushed {}", tx.id, h, pushed);
+        }
+        let views = t.structure();
+        let model = StructModel::new(&views).unwrap();
+        let exit: Vec<f64> = model.tips().iter().map(|&x| conf[x as usize]).collect();
+        prop_assert!((exit.iter().sum::<f64>() - 1.0).abs() <= 1e-6);
+        for (a, c) in model.tip_approval(&exit).iter().zip(&conf) {
+            prop_assert!(*a >= c - 1e-6, "approval {} < confidence {}", a, c);
+        }
+    }
+
+    /// A windowed table's walk enters at the window, but its confidence
+    /// is still the genesis-started pass: bit for bit the plain table's,
+    /// for every window, over a whole ledger and a zero-copy prefix of it.
+    #[test]
+    fn walk_table_windowed_confidence_is_genesis_started(
+        script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
+        alpha in 0usize..5,
+        window in 1u32..8,
+        cut in any::<usize>(),
+    ) {
+        let alpha = ALPHAS[alpha];
+        let t = tangle_from_script(&script);
+        let view = TangleView::new(&t, 1 + cut % t.len());
+        for window in [window, u32::MAX] {
+            check_windowed_confidence(&t, alpha, window)?;
+            check_windowed_confidence(&view, alpha, window)?;
         }
     }
 
@@ -254,13 +291,12 @@ proptest! {
     fn choose_reference_is_sane(
         script in prop::collection::vec((any::<u8>(), any::<u8>()), 1..30),
         n in 1usize..8,
-        seed in any::<u64>(),
     ) {
         let t = tangle_from_script(&script);
         let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::new(0.2).table(&t, &analysis.cumulative_weight);
-        let conf = walk.walk_confidence(&t, 16, seed);
-        let top = analysis.choose_reference(&conf, n);
+        let table = RandomWalk::new(0.2).table(&t, &analysis.cumulative_weight);
+        let conf = table.confidence();
+        let top = analysis.choose_reference(conf, n);
         prop_assert!(top.len() <= n);
         prop_assert!(!top.is_empty());
         let mut dedup = top.clone();
@@ -298,46 +334,18 @@ proptest! {
     }
 }
 
-/// A snapshot's table walk and the one-off walk over `tangle`, on equal
-/// generators: same tip, and the same generator state after. (The
-/// windowed table is pinned against the step-loop oracle in the crate's
-/// own tests, draw for draw.)
-fn table_walk_matches_one_off<T: TangleRead>(
+/// The windowed table's confidence against the plain table's, bit for bit.
+fn check_windowed_confidence<T: TangleRead>(
     tangle: &T,
     alpha: f64,
-    seed: u64,
+    window: u32,
 ) -> Result<(), TestCaseError> {
-    use rand::RngExt as _;
-    let rng = || rand::rngs::SmallRng::seed_from_u64(seed);
-    let w = cumulative_weights(tangle);
+    let (w, d) = (cumulative_weights(tangle), depths(tangle));
     let walk = RandomWalk::new(alpha);
-    let (mut a, mut b) = (rng(), rng());
-    let tip = walk
-        .table(tangle, &w)
-        .walk(tangle, tangle.genesis(), &mut a, |_| {});
-    prop_assert_eq!(tip, walk.select_tip_with_weights(tangle, &w, &mut b));
-    prop_assert_eq!(a.random::<u64>(), b.random::<u64>());
+    let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(
+        bits(walk.windowed_table(tangle, &w, &d, window).confidence()),
+        bits(walk.table(tangle, &w).confidence())
+    );
     Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Through the public API only (the crate's own tests hold the old
-    /// step loop as the oracle): a snapshot's `WalkTable` and the one-off
-    /// walk pick the same tips from the same draws, over a whole ledger
-    /// and over a zero-copy prefix of it.
-    #[test]
-    fn walk_table_matches_context_free_selectors(
-        script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..120),
-        alpha in 0usize..5,
-        cut in any::<usize>(),
-        seed in any::<u64>(),
-    ) {
-        let alpha = [0.0, 0.05, 0.5, 8.0, 1000.0][alpha];
-        let t = tangle_from_script(&script);
-        table_walk_matches_one_off(&t, alpha, seed)?;
-        let view = TangleView::new(&t, 1 + cut % t.len());
-        table_walk_matches_one_off(&view, alpha, seed)?;
-    }
 }

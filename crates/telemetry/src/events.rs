@@ -15,7 +15,8 @@ use std::collections::BTreeMap;
 pub struct ReferenceEntry {
     /// Transaction id within the snapshot.
     pub tx: u32,
-    /// Monte-Carlo walk confidence at selection time.
+    /// Exact walk confidence (the chance that a walk from the genesis
+    /// passes the transaction) at selection time.
     pub confidence: f32,
     /// Past-cone rating at selection time.
     pub rating: u32,

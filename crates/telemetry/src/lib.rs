@@ -6,13 +6,13 @@
 //!    counters and fixed-bucket histograms with atomic recording and
 //!    plain-data, mergeable [`MetricsSnapshot`]s.
 //! 2. **Span timers** ([`Telemetry::span`], [`PhaseRecorder`]): RAII
-//!    wall-clock timers for hot paths (tip draws, confidence
-//!    sampling, local training, wire encode/decode), recorded into
-//!    histograms in microseconds.
+//!    wall-clock timers for hot paths (tip draws, the walk-table build
+//!    that yields confidence, local training, wire encode/decode),
+//!    recorded into histograms in microseconds.
 //! 3. **Structured events** ([`Event`], [`TelemetrySink`]): per-round
 //!    and per-step JSONL records of ledger health — tip counts, approved
 //!    tips, reference confidence × rating, publish accept/reject, lost
-//!    publications, walk lengths, and per-phase wall time.
+//!    publications, tip-draw counts, and per-phase wall time.
 //!
 //! Everything hangs off a cheaply clonable [`Telemetry`] handle. The
 //! default handle is **disabled**: every operation is a single `Option`

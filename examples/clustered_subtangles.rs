@@ -68,7 +68,6 @@ fn run(bias: f64) -> f32 {
         eval_fraction: 0.5,
         seed: 7,
         hyper: TangleHyperParams {
-            confidence_samples: 8,
             reference_avg: 3,
             accuracy_bias: bias,
             alpha: 1.0,

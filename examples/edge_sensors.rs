@@ -32,7 +32,6 @@ fn main() {
         eval_fraction: 0.3,
         seed: 4,
         hyper: TangleHyperParams {
-            confidence_samples: 10,
             reference_avg: 5,
             ..TangleHyperParams::basic()
         },

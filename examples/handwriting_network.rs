@@ -46,7 +46,6 @@ fn main() {
         eval_fraction: 0.25,
         seed: 5,
         hyper: TangleHyperParams {
-            confidence_samples: 10,
             reference_avg: 5,
             ..TangleHyperParams::optimized()
         },

@@ -36,7 +36,6 @@ fn main() {
         batch_size: 8,
         seed: 11,
         hyper: TangleHyperParams {
-            confidence_samples: 8,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         },

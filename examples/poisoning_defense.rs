@@ -35,7 +35,6 @@ fn run(label: &str, defended: bool) {
         sample_size: if defended { nodes } else { 2 },
         tip_validation: defended,
         reference_avg: 5,
-        confidence_samples: nodes,
         alpha: 0.5,
         ..TangleHyperParams::basic()
     };

@@ -46,7 +46,6 @@ fn main() {
         eval_fraction: 0.5,
         seed: 7,
         hyper: TangleHyperParams {
-            confidence_samples: 8,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         },

@@ -32,7 +32,7 @@
 //! let build = || tangle_learning::nn::zoo::mlp(8, &[16], 4, &mut tangle_learning::nn::rng::seeded(1));
 //! let cfg = SimConfig {
 //!     nodes_per_round: 5,
-//!     hyper: TangleHyperParams { confidence_samples: 8, ..TangleHyperParams::basic() },
+//!     hyper: TangleHyperParams::basic(),
 //!     ..SimConfig::default()
 //! };
 //! let mut sim = Simulation::new(data, cfg, build);

@@ -32,7 +32,6 @@ fn quick_cfg(nodes: usize, seed: u64) -> SimConfig {
         eval_fraction: 0.5,
         seed,
         hyper: TangleHyperParams {
-            confidence_samples: 8,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         },

@@ -39,7 +39,6 @@ fn cfg(defended: bool, seed: u64) -> SimConfig {
         hyper: TangleHyperParams {
             sample_size: if defended { nodes } else { 2 },
             reference_avg: 5,
-            confidence_samples: nodes,
             alpha: 0.5,
             tip_validation: defended,
             ..TangleHyperParams::basic()
@@ -171,7 +170,6 @@ fn backdoor_attack_installs_and_is_measured() {
         eval_fraction: 0.5,
         seed: 21,
         hyper: TangleHyperParams {
-            confidence_samples: 5,
             reference_avg: 3,
             ..TangleHyperParams::basic()
         },

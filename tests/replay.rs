@@ -32,10 +32,7 @@ fn cfg(seed: u64) -> SimConfig {
         batch_size: 8,
         eval_fraction: 0.5,
         seed,
-        hyper: TangleHyperParams {
-            confidence_samples: 8,
-            ..TangleHyperParams::basic()
-        },
+        hyper: TangleHyperParams::basic(),
         ..SimConfig::default()
     }
 }
