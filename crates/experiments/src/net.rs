@@ -113,8 +113,8 @@ pub fn run(opts: &Opts) {
         report.bytes_sent, report.bytes_recv
     );
     println!(
-        "  dropped/rejected{:>10} / {}",
-        report.dropped, report.rejected
+        "  conn lost/rejected{:>8} / {}",
+        report.conn_lost, report.rejected
     );
     match report.mean_rtt_us() {
         Some(rtt) => println!(
@@ -138,7 +138,7 @@ pub fn run(opts: &Opts) {
             "\"wall_us\": {}, \"drain_us\": {}, \"activations_per_sec\": {:.2}, ",
             "\"frames_sent\": {}, \"frames_recv\": {}, ",
             "\"bytes_sent\": {}, \"bytes_recv\": {}, ",
-            "\"dropped\": {}, \"rejected\": {}, ",
+            "\"conn_lost\": {}, \"rejected\": {}, ",
             "\"rtt_count\": {}, \"rtt_sum_us\": {} }}\n",
             "}}\n"
         ),
@@ -157,7 +157,7 @@ pub fn run(opts: &Opts) {
         report.frames_recv,
         report.bytes_sent,
         report.bytes_recv,
-        report.dropped,
+        report.conn_lost,
         report.rejected,
         report.rtt.0,
         report.rtt.1,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lt-node --id 0 --nodes 3 --seed 7 [--listen 127.0.0.1:0]
-//!         [--queue-cap 1024] [--ping-ms 0]
+//!         [--ping-ms 0]
 //!         [--checkpoint <path>] [--checkpoint-every-ms 250] [--restore]
 //! ```
 //!
@@ -17,7 +17,7 @@ use lt_net::{run_daemon, DaemonConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: lt-node --id <i> --nodes <n> --seed <s> \
-         [--listen <addr>] [--queue-cap <n>] [--ping-ms <ms>] \
+         [--listen <addr>] [--ping-ms <ms>] \
          [--checkpoint <path>] [--checkpoint-every-ms <ms>] [--restore]"
     );
     std::process::exit(2);
@@ -28,7 +28,6 @@ fn main() {
     let mut nodes: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut listen: Option<String> = None;
-    let mut queue_cap: Option<usize> = None;
     let mut ping_ms: Option<u64> = None;
     let mut checkpoint: Option<String> = None;
     let mut checkpoint_every_ms: Option<u64> = None;
@@ -47,7 +46,6 @@ fn main() {
             "--nodes" => nodes = Some(parse(&flag, &take("count"))),
             "--seed" => seed = Some(parse(&flag, &take("seed"))),
             "--listen" => listen = Some(take("address")),
-            "--queue-cap" => queue_cap = Some(parse(&flag, &take("capacity"))),
             "--ping-ms" => ping_ms = Some(parse(&flag, &take("interval"))),
             "--checkpoint" => checkpoint = Some(take("path")),
             "--checkpoint-every-ms" => checkpoint_every_ms = Some(parse(&flag, &take("interval"))),
@@ -76,9 +74,6 @@ fn main() {
     let mut cfg = DaemonConfig::new(id, nodes, seed);
     if let Some(l) = listen {
         cfg.listen = l;
-    }
-    if let Some(c) = queue_cap {
-        cfg.queue_cap = c;
     }
     if let Some(p) = ping_ms {
         cfg.ping_interval_ms = p;

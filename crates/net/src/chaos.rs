@@ -36,8 +36,8 @@ pub enum LinkFault {
     /// No bytes cross the link. Bidirectional partitions sever the
     /// proxied connection and refuse redials until the window heals;
     /// unidirectional partitions stall one direction (delivery resumes
-    /// at heal, exercising queue-overflow accounting instead of the
-    /// reconnect path).
+    /// at heal, exercising a writer backlog instead of the reconnect
+    /// path).
     Partition,
     /// Add `ms` (+ uniform `0..=jitter_ms`) of delay to each chunk.
     Latency { ms: u64, jitter_ms: u64 },

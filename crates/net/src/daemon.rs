@@ -10,18 +10,16 @@
 //!   them to the protocol thread over a channel (counting
 //!   `net.frames_recv` / `net.bytes_recv` at the socket);
 //! * one **writer thread** per connection drains that connection's
-//!   bounded [`SendQueue`] (counting `net.frames_sent` /
-//!   `net.bytes_sent` after each successful write);
+//!   [`Outbox`] channel (counting `net.frames_sent` / `net.bytes_sent`
+//!   after each successful write);
 //! * one **dialer thread** per higher-id peer keeps the outgoing
 //!   connection alive, reconnecting with exponential backoff (counted
 //!   under `net.reconnects`).
 //!
-//! Frames that cannot be handed to a writer are never silently lost:
-//! a send to a peer with no live connection counts as `net.rejected`,
-//! a send that overflows a bounded queue counts as `net.dropped`, and a
-//! frame queued behind a socket that died mid-stream counts as
-//! `net.conn_lost` — every queued frame ends up in exactly one of
-//! `net.frames_sent` / `net.conn_lost`.
+//! No frame is dropped on the send path: a send to a peer with no live
+//! connection counts as `net.rejected`, and every frame accepted for a
+//! registered connection ends in exactly one of `net.frames_sent` (written)
+//! and `net.conn_lost` (queued behind a socket that died mid-stream).
 //!
 //! Crash safety: with `--checkpoint <path>` the protocol thread
 //! periodically persists an `LTND` envelope (last activated slot +
@@ -37,7 +35,6 @@
 use crate::frame::{read_frame, StatusReport, WireMsg, CONTROL_PEER};
 use crate::preset::{Preset, ORPHAN_CAP};
 use crate::protocol::NodeProtocol;
-use crate::queue::SendQueue;
 use learning_tangle::node::Node;
 use learning_tangle::persist::PersistError;
 use learning_tangle::SimConfig;
@@ -66,8 +63,6 @@ pub struct DaemonConfig {
     pub seed: u64,
     /// Listen address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub listen: String,
-    /// Bound on each connection's send queue, in frames.
-    pub queue_cap: usize,
     /// Interval between liveness pings to each connected peer, in
     /// milliseconds (0 = off; keep off for deterministic frame counts).
     pub ping_interval_ms: u64,
@@ -89,7 +84,6 @@ impl DaemonConfig {
             nodes,
             seed,
             listen: "127.0.0.1:0".to_string(),
-            queue_cap: 1024,
             ping_interval_ms: 0,
             checkpoint: None,
             checkpoint_every_ms: 250,
@@ -194,11 +188,23 @@ pub fn load_checkpoint(
     Ok((peer, slot))
 }
 
-/// Routes outbound frames to per-connection send queues. The daemon's
+/// One connection's send side: encoded frames for its writer thread, which
+/// owns the `Receiver` and ends once the last `Outbox` drops.
+///
+/// Unbounded, so a send to a live connection never fails. The protocol
+/// engine bounds the backlog: per connection it sends at most one `Publish`
+/// per own transaction, one `Announce` per first-seen id, `max_retries`
+/// `Request`s per wanted id, and `Delta`s only in answer to a received
+/// `Request` or `Advertise` — a small multiple of the ledger the daemon
+/// already holds in memory.
+pub type Outbox = Sender<Vec<u8>>;
+
+/// Routes outbound frames to per-connection [`Outbox`]es. The daemon's
 /// [`Transport`]: a gossip send becomes an encoded frame on the target
-/// connection's bounded queue.
+/// connection's channel. Dropping an entry (on `detach`, or when a
+/// reconnect replaces it) lets that connection's writer drain and exit.
 pub struct Router {
-    queues: HashMap<usize, (u64, SendQueue)>,
+    outboxes: HashMap<usize, (u64, Outbox)>,
     telemetry: lt_telemetry::Telemetry,
 }
 
@@ -206,55 +212,55 @@ impl Router {
     /// An empty router counting into `telemetry`.
     pub fn new(telemetry: lt_telemetry::Telemetry) -> Self {
         Self {
-            queues: HashMap::new(),
+            outboxes: HashMap::new(),
             telemetry,
         }
     }
 
     /// Register the live connection `token` to `peer`.
-    pub fn attach(&mut self, peer: usize, token: u64, queue: SendQueue) {
-        self.queues.insert(peer, (token, queue));
+    pub fn attach(&mut self, peer: usize, token: u64, outbox: Outbox) {
+        self.outboxes.insert(peer, (token, outbox));
     }
 
     /// Drop the connection to `peer`, but only if `token` still names the
     /// current one (a reconnect may already have replaced it).
     pub fn detach(&mut self, peer: usize, token: u64) {
-        if self.queues.get(&peer).is_some_and(|(t, _)| *t == token) {
-            self.queues.remove(&peer);
+        if self.outboxes.get(&peer).is_some_and(|(t, _)| *t == token) {
+            self.outboxes.remove(&peer);
         }
     }
 
     /// Currently connected peer ids, ascending.
     pub fn peer_ids(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.queues.keys().copied().collect();
+        let mut ids: Vec<usize> = self.outboxes.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
     /// Live connection count.
     pub fn len(&self) -> usize {
-        self.queues.len()
+        self.outboxes.len()
     }
 
     /// No live connections?
     pub fn is_empty(&self) -> bool {
-        self.queues.is_empty()
+        self.outboxes.is_empty()
     }
 
     /// Enqueue one frame for `to`. `false` — with the loss accounted
-    /// under `net.rejected` (peer down) or `net.dropped` (queue
-    /// overflow) — when the frame will not reach the wire.
+    /// under `net.rejected` — when no connection to `to` is registered.
+    /// (A closed channel, reachable only if its writer panicked, counts
+    /// under `net.conn_lost`.)
     pub fn send_wire(&mut self, to: usize, msg: &WireMsg) -> bool {
-        let Some((_, q)) = self.queues.get(&to) else {
+        let Some((_, outbox)) = self.outboxes.get(&to) else {
             self.telemetry.count("net.rejected", 1);
             return false;
         };
-        if q.push(crate::frame::encode_frame(msg)) {
-            true
-        } else {
-            self.telemetry.count("net.dropped", 1);
-            false
+        let sent = outbox.send(crate::frame::encode_frame(msg)).is_ok();
+        if !sent {
+            self.telemetry.count("net.conn_lost", 1);
         }
+        sent
     }
 }
 
@@ -269,14 +275,14 @@ enum Event {
     PeerUp {
         peer: usize,
         token: u64,
-        queue: SendQueue,
+        outbox: Outbox,
     },
     /// The data connection `token` to `peer` went down.
     PeerDown { peer: usize, token: u64 },
     /// A frame arrived from data peer `from`.
     Peer { from: usize, msg: WireMsg },
     /// A frame arrived on a control connection; replies go to `reply`.
-    Control { reply: SendQueue, msg: WireMsg },
+    Control { reply: Outbox, msg: WireMsg },
 }
 
 /// Socket-level counter names for one direction of a connection class.
@@ -309,24 +315,24 @@ const CTL_COUNTERS: WireCounters = WireCounters {
     conn_lost: "net.ctl_conn_lost",
 };
 
-/// Spawn the writer thread draining `queue` into `stream`. Once a write
-/// fails the socket is dead, but the queue keeps accepting pushes until
-/// the reader side notices and closes it — those frames were accepted
+/// Spawn the writer thread draining `rx` into `stream` until the last
+/// [`Outbox`] drops. Once a write fails the socket is dead, but the
+/// channel keeps accepting frames until the reader side notices and the
+/// protocol thread detaches the connection — those frames were accepted
 /// for delivery and then lost to the partition, so the writer keeps
-/// draining and counts each one under `conn_lost` (distinct from
-/// `net.dropped`, which is queue overflow on a *live* connection).
-/// Every frame popped here is counted exactly once: `frames_sent` on a
-/// successful write, `conn_lost` after the socket died.
+/// draining and counts each one under `conn_lost`. Every frame received
+/// here is counted exactly once: `frames_sent` on a successful write,
+/// `conn_lost` after the socket died.
 fn spawn_writer(
     stream: TcpStream,
-    queue: SendQueue,
+    rx: Receiver<Vec<u8>>,
     telemetry: lt_telemetry::Telemetry,
     counters: WireCounters,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let mut w = BufWriter::new(stream);
         let mut dead = false;
-        while let Some(frame) = queue.pop() {
+        while let Ok(frame) = rx.recv() {
             if !dead {
                 if w.write_all(&frame).and_then(|_| w.flush()).is_ok() {
                     telemetry.count(counters.frames_sent, 1);
@@ -345,10 +351,10 @@ fn spawn_writer(
 /// socket and check the `frames_sent + conn_lost = pushed` ledger.
 pub fn spawn_data_writer(
     stream: TcpStream,
-    queue: SendQueue,
+    rx: Receiver<Vec<u8>>,
     telemetry: lt_telemetry::Telemetry,
 ) -> std::thread::JoinHandle<()> {
-    spawn_writer(stream, queue, telemetry, DATA_COUNTERS)
+    spawn_writer(stream, rx, telemetry, DATA_COUNTERS)
 }
 
 /// Read frames from `r` until EOF or error, counting socket-level
@@ -379,12 +385,14 @@ fn read_loop(
 }
 
 /// Handle one freshly accepted connection: classify by its `Hello`,
-/// register it, and pump its frames into the protocol thread.
-#[allow(clippy::too_many_arguments)]
+/// register it, and pump its frames into the protocol thread. The writer
+/// ends once every [`Outbox`] of the connection is gone: for a control
+/// connection after the last reply, for a data connection when the
+/// protocol thread handles its `PeerDown` — which is therefore sent
+/// before the writer is joined.
 fn serve_conn(
     stream: TcpStream,
     genesis_id: u64,
-    queue_cap: usize,
     token: u64,
     events: Sender<Event>,
     telemetry: lt_telemetry::Telemetry,
@@ -410,28 +418,28 @@ fn serve_conn(
     };
     telemetry.count(counters.frames_recv, 1);
     telemetry.count(counters.bytes_recv, hello_bytes as u64);
-    let queue = SendQueue::new(queue_cap);
-    let writer = spawn_writer(write_half, queue.clone(), telemetry.clone(), counters);
+    let (outbox, rx) = mpsc::channel();
+    let writer = spawn_writer(write_half, rx, telemetry.clone(), counters);
     if hello == CONTROL_PEER {
         read_loop(&mut r, &telemetry, counters, |msg| {
             events
                 .send(Event::Control {
-                    reply: queue.clone(),
+                    reply: outbox.clone(),
                     msg,
                 })
                 .is_ok()
         });
+        drop(outbox);
     } else {
         let peer = hello as usize;
         if events
             .send(Event::PeerUp {
                 peer,
                 token,
-                queue: queue.clone(),
+                outbox,
             })
             .is_err()
         {
-            queue.close();
             return;
         }
         read_loop(&mut r, &telemetry, counters, |msg| {
@@ -439,7 +447,6 @@ fn serve_conn(
         });
         let _ = events.send(Event::PeerDown { peer, token });
     }
-    queue.close();
     let _ = writer.join();
 }
 
@@ -449,7 +456,6 @@ struct Dial {
     peer: usize,
     addr: String,
     genesis_id: u64,
-    queue_cap: usize,
     token_base: u64,
     /// Experiment seed; each dialer derives its own jitter stream.
     seed: u64,
@@ -475,16 +481,17 @@ pub fn decorrelated_backoff(prev_ms: u64, rng: &mut Rng) -> u64 {
 }
 
 /// Keep the outgoing connection to `peer` alive: dial, handshake,
-/// register, pump inbound frames; on failure back off with decorrelated
-/// jitter and redial (counted under `net.reconnects`). Gives up once
-/// the protocol thread is gone.
+/// register, pump inbound frames, then report `PeerDown` and join the
+/// writer (which ends once the protocol thread drops the connection's
+/// [`Outbox`]); on failure back off with decorrelated jitter and redial
+/// (counted under `net.reconnects`). Gives up once the protocol thread
+/// is gone.
 fn dial_loop(dial: Dial, events: Sender<Event>, telemetry: lt_telemetry::Telemetry) {
     let Dial {
         self_id,
         peer,
         addr,
         genesis_id,
-        queue_cap,
         token_base,
         seed,
     } = dial;
@@ -507,27 +514,25 @@ fn dial_loop(dial: Dial, events: Sender<Event>, telemetry: lt_telemetry::Telemet
                 conn_seq += 1;
                 // distinct odd token per connection incarnation
                 let token = token_base + (conn_seq << 32);
-                let queue = SendQueue::new(queue_cap);
-                let writer =
-                    spawn_writer(write_half, queue.clone(), telemetry.clone(), DATA_COUNTERS);
+                let (outbox, rx) = mpsc::channel();
+                let writer = spawn_writer(write_half, rx, telemetry.clone(), DATA_COUNTERS);
                 if events
                     .send(Event::PeerUp {
                         peer,
                         token,
-                        queue: queue.clone(),
+                        outbox,
                     })
                     .is_err()
                 {
-                    queue.close();
                     return;
                 }
                 let mut r = BufReader::new(stream);
                 read_loop(&mut r, &telemetry, DATA_COUNTERS, |msg| {
                     events.send(Event::Peer { from: peer, msg }).is_ok()
                 });
-                queue.close();
+                let down = events.send(Event::PeerDown { peer, token });
                 let _ = writer.join();
-                if events.send(Event::PeerDown { peer, token }).is_err() {
+                if down.is_err() {
                     return;
                 }
             }
@@ -613,7 +618,6 @@ pub fn run_daemon(cfg: DaemonConfig) -> std::io::Result<()> {
     {
         let tx = events_tx.clone();
         let tel = telemetry.clone();
-        let queue_cap = cfg.queue_cap;
         std::thread::spawn(move || {
             for (i, stream) in listener.incoming().enumerate() {
                 let Ok(stream) = stream else { continue };
@@ -622,9 +626,7 @@ pub fn run_daemon(cfg: DaemonConfig) -> std::io::Result<()> {
                 let tel = tel.clone();
                 // even tokens for accepted connections, odd for dialed
                 let token = (i as u64) << 1;
-                std::thread::spawn(move || {
-                    serve_conn(stream, genesis_id, queue_cap, token, tx, tel)
-                });
+                std::thread::spawn(move || serve_conn(stream, genesis_id, token, tx, tel));
             }
         });
     }
@@ -661,8 +663,12 @@ pub fn run_daemon(cfg: DaemonConfig) -> std::io::Result<()> {
         proto.set_now(now);
 
         match event {
-            Some(Event::PeerUp { peer, token, queue }) => {
-                router.attach(peer, token, queue);
+            Some(Event::PeerUp {
+                peer,
+                token,
+                outbox,
+            }) => {
+                router.attach(peer, token, outbox);
                 proto.set_neighbours(router.peer_ids());
                 // pull whatever the newly reachable peer has that we lack
                 let heads = proto.peer().heads();
@@ -767,7 +773,7 @@ fn save_checkpoint(
 #[allow(clippy::too_many_arguments)]
 fn handle_control(
     msg: &WireMsg,
-    reply: &SendQueue,
+    reply: &Outbox,
     proto: &mut NodeProtocol,
     learner: &mut Learner,
     router: &mut Router,
@@ -779,9 +785,8 @@ fn handle_control(
     events_tx: &Sender<Event>,
 ) -> bool {
     let respond = |m: &WireMsg| {
-        let frame = crate::frame::encode_frame(m);
-        if !reply.push(frame) {
-            telemetry.count("net.ctl_dropped", 1);
+        if reply.send(crate::frame::encode_frame(m)).is_err() {
+            telemetry.count("net.ctl_conn_lost", 1);
         }
     };
     match msg {
@@ -883,7 +888,6 @@ fn handle_control(
                     peer: pid,
                     addr: addr.clone(),
                     genesis_id,
-                    queue_cap: cfg.queue_cap,
                     token_base,
                     seed: cfg.seed,
                 };

@@ -143,8 +143,9 @@ pub struct ThroughputReport {
     pub bytes_recv: u64,
     /// Pooled `net.rtt_us` histogram totals `(count, sum_us)`.
     pub rtt: (u64, u64),
-    /// Sum of `net.dropped` (queue overflow) over all daemons.
-    pub dropped: u64,
+    /// Sum of `net.conn_lost` (frames queued behind a socket that died)
+    /// over all daemons.
+    pub conn_lost: u64,
     /// Sum of `net.rejected` (peer down) over all daemons.
     pub rejected: u64,
 }
@@ -170,8 +171,6 @@ pub struct ClusterOptions {
     pub seed: u64,
     /// Daemon liveness-ping interval (0 = off).
     pub ping_interval_ms: u64,
-    /// Per-connection send-queue bound (None = daemon default).
-    pub queue_cap: Option<usize>,
     /// Directory for per-daemon checkpoint files (None = no
     /// checkpoints, so kills recover empty).
     pub checkpoint_dir: Option<PathBuf>,
@@ -189,7 +188,6 @@ impl ClusterOptions {
             nodes,
             seed,
             ping_interval_ms: 0,
-            queue_cap: None,
             checkpoint_dir: None,
             checkpoint_every_ms: 250,
             chaos: None,
@@ -224,7 +222,7 @@ impl Cluster {
         Self::spawn_with(bin, opts)
     }
 
-    /// [`Cluster::spawn`] with full options: checkpoints, queue bounds,
+    /// [`Cluster::spawn`] with full options: checkpoints, ping interval,
     /// and an armed chaos plan.
     pub fn spawn_with(bin: &Path, opts: ClusterOptions) -> io::Result<Self> {
         if let Some(plan) = &opts.chaos {
@@ -285,9 +283,6 @@ impl Cluster {
             "--ping-ms",
             &self.opts.ping_interval_ms.to_string(),
         ]);
-        if let Some(cap) = self.opts.queue_cap {
-            cmd.args(["--queue-cap", &cap.to_string()]);
-        }
         if let Some(dir) = &self.opts.checkpoint_dir {
             let path = dir.join(format!("daemon-{id}.ltnd"));
             cmd.args(["--checkpoint".as_ref(), path.as_os_str()]);
@@ -576,7 +571,7 @@ impl Cluster {
             frames_recv: counter("net.frames_recv"),
             bytes_recv: counter("net.bytes_recv"),
             rtt,
-            dropped: counter("net.dropped"),
+            conn_lost: counter("net.conn_lost"),
             rejected: counter("net.rejected"),
         })
     }

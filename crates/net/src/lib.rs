@@ -18,8 +18,6 @@
 //!   and over the simulator's in-memory link layer, which socket-free
 //!   protocol tests drive stand-alone as [`MockTransport`] (an alias of
 //!   [`tangle_gossip::Links`], not a second transport).
-//! * [`queue`] — bounded per-connection send queues; overflow is counted
-//!   (`net.dropped`), never silently swallowed.
 //! * [`preset`] — the shared conformance experiment (dataset, model,
 //!   config, genesis) every executor of a cross-process differential run
 //!   reconstructs independently.
@@ -44,7 +42,6 @@ pub mod daemon;
 pub mod driver;
 pub mod frame;
 pub mod preset;
-pub mod queue;
 pub mod soak;
 
 pub use chaos::{
@@ -59,7 +56,6 @@ pub use frame::{
     CONTROL_PEER, MAX_PAYLOAD,
 };
 pub use preset::{Preset, ORPHAN_CAP};
-pub use queue::SendQueue;
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use tangle_gossip::protocol::{self, NodeProtocol};
 

@@ -1,18 +1,19 @@
 //! Ground-truth telemetry: the `net.*` counters must equal independent
-//! socket- and queue-level accounting, not merely move. Frames swallowed
-//! on the peer-down path are `net.rejected`, frames swallowed on queue
-//! overflow are `net.dropped`, frames accepted for delivery and then
-//! drained into a dead socket are `net.conn_lost`, and after a drained
-//! run every data frame one daemon sent was received by exactly one
-//! other daemon.
+//! socket- and channel-level accounting, not merely move. Frames swallowed
+//! on the peer-down path are `net.rejected`, a live connection accepts
+//! every frame, frames accepted for delivery and then drained into a dead
+//! socket are `net.conn_lost`, and after a drained run every data frame
+//! one daemon sent was received by exactly one other daemon.
 
 use lt_net::daemon::{spawn_data_writer, Router};
-use lt_net::{default_node_bin, encode_frame, Cluster, SendQueue, WireMsg};
+use lt_net::{default_node_bin, encode_frame, read_frame, Cluster, WireMsg};
 use lt_telemetry::{MemorySink, Telemetry};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use tangle_gossip::{ContentId, ProtocolMsg, Transport};
+use tangle_gossip::{ContentId, ProtocolMsg, Transport, TxMessage};
+use tinynn::ParamVec;
 
 fn node_bin() -> PathBuf {
     option_env!("CARGO_BIN_EXE_lt-node")
@@ -20,58 +21,93 @@ fn node_bin() -> PathBuf {
         .unwrap_or_else(default_node_bin)
 }
 
-/// Queue overflow and peer-down sends are counted, one for one, never
-/// silently swallowed.
+/// A live peer is never dropped a frame, however far its writer lags:
+/// 10 240 mixed frames pushed through both send paths before the writer
+/// starts all come out of the socket, in order and intact, each counted
+/// once under `net.frames_sent`. Sends to a peer with no live connection
+/// are rejected and counted, one for one.
 #[test]
-fn router_counts_every_swallowed_frame() {
+fn router_never_drops_a_frame_to_a_live_peer() {
+    use std::net::{TcpListener, TcpStream};
+
+    const FRAMES: u64 = 10_240;
     let telemetry = Telemetry::new(MemorySink::new());
     let mut router = Router::new(telemetry.clone());
-    // a live peer whose queue holds 2 frames and is never drained
-    router.attach(1, 0, SendQueue::new(2));
+    // a live peer whose writer has not started yet
+    let (outbox, rx) = mpsc::channel();
+    router.attach(1, 0, outbox);
 
+    let tx = |i: u64| TxMessage::create(&ParamVec(vec![i as f32; 4]), vec![], i % 4, i, 0);
+    let ids = |i: u64| vec![ContentId(i), ContentId(i ^ 0xFFFF)];
+    let mut expected = Vec::with_capacity(FRAMES as usize);
+    for i in 0..FRAMES {
+        let msg = match i % 5 {
+            0 => ProtocolMsg::Publish(tx(i)),
+            1 => ProtocolMsg::Delta(tx(i)),
+            2 => ProtocolMsg::Announce {
+                issuer: i % 4,
+                ids: ids(i),
+            },
+            3 => ProtocolMsg::Request { wants: ids(i) },
+            _ => ProtocolMsg::Advertise { heads: ids(i) },
+        };
+        let wire = WireMsg::from_protocol(msg.clone());
+        let accepted = if i % 2 == 0 {
+            router.send_wire(1, &wire)
+        } else {
+            Transport::send(&mut router, 0, 1, msg)
+        };
+        assert!(accepted, "send {i} to a live peer was refused");
+        expected.push(encode_frame(&wire));
+    }
+
+    // the writer starts late and drains the whole backlog
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let (server, _) = listener.accept().expect("accept");
+    let writer = spawn_data_writer(client, rx, telemetry.clone());
+    let mut r = std::io::BufReader::new(server);
+    for (i, want) in expected.iter().enumerate() {
+        let (msg, bytes) = read_frame(&mut r)
+            .expect("readable frame")
+            .unwrap_or_else(|| panic!("stream ended after {i} frames"));
+        assert_eq!(bytes, want.len(), "frame {i} length");
+        assert_eq!(&encode_frame(&msg), want, "frame {i} differs");
+    }
+
+    // sends to a peer with no live connection are rejected and counted
     let msg = WireMsg::Advertise {
         heads: vec![ContentId(7)],
     };
-    let mut accepted = 0u64;
-    let mut overflowed = 0u64;
-    for _ in 0..5 {
-        if router.send_wire(1, &msg) {
-            accepted += 1;
-        } else {
-            overflowed += 1;
-        }
-    }
-    assert_eq!((accepted, overflowed), (2, 3));
-    assert_eq!(telemetry.counter_value("net.dropped"), overflowed);
-    assert_eq!(telemetry.counter_value("net.rejected"), 0);
-
-    // sends to a peer with no live connection are rejected, not dropped
-    let mut rejected = 0u64;
     for _ in 0..4 {
-        if !router.send_wire(9, &msg) {
-            rejected += 1;
-        }
+        assert!(!router.send_wire(9, &msg));
     }
-    assert_eq!(rejected, 4);
-    assert_eq!(telemetry.counter_value("net.rejected"), rejected);
-    assert_eq!(telemetry.counter_value("net.dropped"), overflowed);
-
+    assert_eq!(telemetry.counter_value("net.rejected"), 4);
     // the Transport impl feeds the same accounting
-    let before = telemetry.counter_value("net.rejected");
     assert!(!Transport::send(
         &mut router,
         0,
         9,
         ProtocolMsg::Request { wants: vec![] }
     ));
-    assert_eq!(telemetry.counter_value("net.rejected"), before + 1);
+    assert_eq!(telemetry.counter_value("net.rejected"), 5);
+
+    // dropping the router drops the last outbox: the writer exits
+    drop(router);
+    writer.join().expect("writer exits");
+    assert_eq!(telemetry.counter_value("net.frames_sent"), FRAMES);
+    assert_eq!(
+        telemetry.counter_value("net.bytes_sent"),
+        expected.iter().map(|f| f.len() as u64).sum::<u64>()
+    );
+    assert_eq!(telemetry.counter_value("net.conn_lost"), 0);
+    assert_eq!(telemetry.counter_value("net.dropped"), 0);
 }
 
-/// Every frame accepted into a send queue lands in *exactly one* of
-/// `net.frames_sent` (written to a live socket) or `net.conn_lost`
-/// (drained after the socket died) — the write-to-dead-socket
-/// complement of `net.dropped`, which is queue overflow on a live
-/// connection. Driven against a real TCP peer that disappears
+/// Every frame accepted into a connection's outbox lands in *exactly one*
+/// of `net.frames_sent` (written to a live socket) or `net.conn_lost`
+/// (drained after the socket died), and the writer exits once the last
+/// outbox drops. Driven against a real TCP peer that disappears
 /// mid-stream.
 #[test]
 fn dead_socket_frames_are_counted_conn_lost() {
@@ -84,8 +120,8 @@ fn dead_socket_frames_are_counted_conn_lost() {
     let client = std::net::TcpStream::connect(addr).expect("connect");
     let (mut server, _) = listener.accept().expect("accept");
 
-    let queue = SendQueue::new(1024);
-    let writer = spawn_data_writer(client, queue.clone(), telemetry.clone());
+    let (outbox, rx) = mpsc::channel();
+    let writer = spawn_data_writer(client, rx, telemetry.clone());
     let frame = encode_frame(&WireMsg::Advertise {
         heads: vec![ContentId(7)],
     });
@@ -93,7 +129,7 @@ fn dead_socket_frames_are_counted_conn_lost() {
     // live phase: frames flow and are read by the peer
     const LIVE: u64 = 3;
     for _ in 0..LIVE {
-        assert!(queue.push(frame.clone()));
+        assert!(outbox.send(frame.clone()).is_ok());
     }
     let mut got = vec![0u8; frame.len() * LIVE as usize];
     server.read_exact(&mut got).expect("peer reads live frames");
@@ -111,13 +147,12 @@ fn dead_socket_frames_are_counted_conn_lost() {
             "writer never observed the dead socket"
         );
         for _ in 0..4 {
-            if queue.push(frame.clone()) {
-                pushed += 1;
-            }
+            assert!(outbox.send(frame.clone()).is_ok());
+            pushed += 1;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    queue.close();
+    drop(outbox);
     writer.join().expect("writer exits");
 
     let sent = telemetry.counter_value("net.frames_sent");
@@ -129,7 +164,6 @@ fn dead_socket_frames_are_counted_conn_lost() {
         pushed,
         "every accepted frame is sent or conn_lost, never both or neither"
     );
-    assert_eq!(telemetry.counter_value("net.dropped"), 0);
 }
 
 type Metrics = (Vec<(String, u64)>, Vec<(String, u64, u64)>);
@@ -163,7 +197,7 @@ fn socket_counters_match_peer_accounting() {
             assert!(a["net.frames_sent"] > 0);
             assert!(b["net.frames_sent"] > 0);
             for m in [&a, &b] {
-                assert_eq!(m.get("net.dropped"), None, "no queue overflow expected");
+                assert_eq!(m.get("net.conn_lost"), None, "no connection lost");
                 assert_eq!(m.get("net.recv_errors"), None, "no decode errors expected");
                 // control traffic is accounted separately from data
                 assert!(m["net.ctl_frames_recv"] > 0);
