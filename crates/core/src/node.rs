@@ -6,6 +6,7 @@ use crate::config::SimConfig;
 use crate::eval_cache::EvalCache;
 use fedavg::local_train;
 use feddata::ClientData;
+use lt_telemetry::PhaseRecorder;
 use rand::RngExt;
 use rand_distr::{Distribution, Normal};
 use std::sync::Arc;
@@ -161,18 +162,25 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
     /// a counted rebuild when it follows another history — see
     /// [`AnalysisCache::refresh_observed`]); they equal the batch DPs bit
     /// for bit. A caller that must leave its cache where it is (an
-    /// evaluation between rounds) passes a clone.
+    /// evaluation between rounds) passes a clone. `phases` times the
+    /// three parts: `refresh`, `walk_table` and `reference` (choosing and
+    /// averaging the reference set, [`Self::from_analysis`]).
     pub fn build_with_cache(
         tangle: &'a T,
         cache: &mut AnalysisCache,
         cfg: &SimConfig,
         round: u64,
         telemetry: lt_telemetry::Telemetry,
+        phases: &mut PhaseRecorder<'_>,
     ) -> Self {
-        cache.refresh_observed(tangle, &telemetry);
+        phases.measure("refresh", |_| cache.refresh_observed(tangle, &telemetry));
         let analysis = Arc::new(cache.analysis());
-        let walk = walk_table(tangle, &analysis, cache.depths(), &cfg.hyper, &telemetry);
-        Self::from_analysis(tangle, analysis, walk, cfg, round, telemetry)
+        let walk = phases.measure("walk_table", |_| {
+            walk_table(tangle, &analysis, cache.depths(), &cfg.hyper, &telemetry)
+        });
+        phases.measure("reference", |_| {
+            Self::from_analysis(tangle, analysis, walk, cfg, round, telemetry)
+        })
     }
 
     /// Algorithm 1 over an already-computed analysis of `tangle`: reference
@@ -297,6 +305,14 @@ pub struct StepOutcome {
     pub reference_loss: Option<f32>,
 }
 
+/// The span that times a node step's model evaluations, per batch of
+/// them: the reference, the candidate tips (cache hits included) and the
+/// freshly trained model.
+pub(crate) const EVALUATE_SPAN: &str = "node.evaluate_us";
+
+/// The span that times a node step's local training.
+pub(crate) const TRAIN_SPAN: &str = "node.local_train_us";
+
 /// Evaluate `params` in place under `model`'s architecture on a client's
 /// held-out data, returning `(loss, accuracy)`.
 fn eval_params(model: &Sequential, params: &ParamVec, data: &ClientData) -> (f32, f32) {
@@ -351,7 +367,10 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     // Reference loss, evaluated afresh: the ranked reference set rarely
     // repeats, so it is not memoized (but counted as an evaluation run).
     ctx.telemetry.count("eval_cache.misses", 1);
-    let (reference_loss, _) = eval_params(model, &ctx.reference, data);
+    let (reference_loss, _) = {
+        let _span = ctx.telemetry.span(EVALUATE_SPAN);
+        eval_params(model, &ctx.reference, data)
+    };
     let eval_tx = |id: TxId| eval_params(model, &ctx.tangle.get(id).payload, data);
 
     // Tip selection: `sample_size` draws; with validation on, keep the
@@ -362,11 +381,13 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     // (from the genesis also under a window) and draws from that.
     let biased: Option<WalkTable> = (hyper.accuracy_bias > 0.0).then(|| {
         let all: Vec<TxId> = (0..ctx.tangle.len() as u32).map(TxId).collect();
-        let bias: Vec<f64> = cache
-            .evaluate(&all, data_tag, eval_tx, &ctx.telemetry)
-            .into_iter()
-            .map(|(_, acc)| hyper.accuracy_bias * acc as f64)
-            .collect();
+        let bias: Vec<f64> = {
+            let _span = ctx.telemetry.span(EVALUATE_SPAN);
+            cache.evaluate(&all, data_tag, eval_tx, &ctx.telemetry)
+        }
+        .into_iter()
+        .map(|(_, acc)| hyper.accuracy_bias * acc as f64)
+        .collect();
         RandomWalk::new(hyper.alpha).biased_table(
             ctx.tangle,
             &ctx.analysis.cumulative_weight,
@@ -381,12 +402,14 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
         distinct.dedup();
         // Scored in `distinct` order, so the stable sort breaks loss ties
         // towards the lower transaction id.
-        let mut scored: Vec<(f32, TxId)> = cache
-            .evaluate(&distinct, data_tag, eval_tx, &ctx.telemetry)
-            .into_iter()
-            .zip(distinct)
-            .map(|((loss, _), tip)| (loss, tip))
-            .collect();
+        let mut scored: Vec<(f32, TxId)> = {
+            let _span = ctx.telemetry.span(EVALUATE_SPAN);
+            cache.evaluate(&distinct, data_tag, eval_tx, &ctx.telemetry)
+        }
+        .into_iter()
+        .zip(distinct)
+        .map(|((loss, _), tip)| (loss, tip))
+        .collect();
         scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite losses"));
         scored
             .into_iter()
@@ -408,7 +431,7 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
     // Train locally from the averaged base, on a model sharing the layers.
     let mut trained = model.with_params(avg.0);
     {
-        let _span = ctx.telemetry.span("node.local_train_us");
+        let _span = ctx.telemetry.span(TRAIN_SPAN);
         local_train(
             &mut trained,
             data,
@@ -418,7 +441,10 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
             rng,
         );
     }
-    let (new_loss, _) = trained.evaluate(&data.test_x, &data.test_y);
+    let (new_loss, _) = {
+        let _span = ctx.telemetry.span(EVALUATE_SPAN);
+        trained.evaluate(&data.test_x, &data.test_y)
+    };
     let new_params = ParamVec(trained.into_params());
 
     // Publish gate: only emit if we beat the consensus reference locally.

@@ -10,7 +10,9 @@
 use crate::config::{SimConfig, TangleHyperParams};
 use crate::dp::DpConfig;
 use crate::eval_cache::EvalCache;
-use crate::node::{node_step, walk_table, ModelParams, Node, RoundContext, StepOutcome};
+use crate::node::{
+    node_step, walk_table, ModelParams, Node, RoundContext, StepOutcome, EVALUATE_SPAN, TRAIN_SPAN,
+};
 use feddata::{ClientData, FederatedDataset};
 use lt_telemetry::{Event, PhaseRecorder, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
 use rand::RngExt;
@@ -67,23 +69,46 @@ impl PrefixAnalysis {
     /// Run the full DPs over the first `len` transactions of `tangle` —
     /// deliberately not the incremental [`AnalysisCache`], which follows
     /// the ledger head and cannot serve an older prefix. The only place
-    /// production reaches the batch DPs.
+    /// production reaches the batch DPs. `phases` times the two parts:
+    /// `full` (the DPs) and `walk_table`.
     fn compute(
         tangle: &Tangle<ModelParams>,
         len: usize,
         hyper: &TangleHyperParams,
         telemetry: &Telemetry,
+        phases: &mut PhaseRecorder<'_>,
     ) -> Self {
         let view = TangleView::new(tangle, len);
-        let analysis = Arc::new(TangleAnalysis::compute_observed(&view, telemetry));
-        let depths = tangle_ledger::analysis::depths(&view);
-        let walk = walk_table(&view, &analysis, &depths, hyper, telemetry);
+        let (analysis, depths) = phases.measure("full", |_| {
+            let analysis = Arc::new(TangleAnalysis::compute_observed(&view, telemetry));
+            (analysis, tangle_ledger::analysis::depths(&view))
+        });
+        let walk = phases.measure("walk_table", |_| {
+            walk_table(&view, &analysis, &depths, hyper, telemetry)
+        });
         Self {
             len,
             analysis,
             walk,
         }
     }
+}
+
+/// Run a round's node steps `f` as phase `step`, and add next to it the
+/// busy time of their evaluations and local training, summed over the
+/// threads that ran them: `evaluate` and `train` (the round's growth of
+/// their span sums). A sum over threads can exceed `step`.
+fn measure_step<R>(phases: &mut PhaseRecorder<'_>, tel: &Telemetry, f: impl FnOnce() -> R) -> R {
+    if !phases.active() {
+        return f();
+    }
+    let busy = || [EVALUATE_SPAN, TRAIN_SPAN].map(|span| tel.histogram_totals(span).1);
+    let before = busy();
+    let out = phases.measure("step", |_| f());
+    let after = busy();
+    phases.add("evaluate", after[0] - before[0]);
+    phases.add("train", after[1] - before[1]);
+    out
 }
 
 /// A complete learning-tangle run: population, ledger, and configuration.
@@ -229,6 +254,7 @@ impl<'a> Simulation<'a> {
                 1,
                 &sim.cfg.hyper,
                 &sim.telemetry,
+                &mut PhaseRecorder::inert(),
             ));
         }
         sim
@@ -312,13 +338,20 @@ impl<'a> Simulation<'a> {
                 // Split the borrows so the cache can be refreshed while the
                 // context keeps a shared reference to the tangle.
                 let (tangle, cache) = (&self.tangle, &mut self.cache);
-                let ctx = phases.measure("analysis", || {
-                    RoundContext::build_with_cache(tangle, cache, &self.cfg, round, tel.clone())
+                let ctx = phases.measure("analysis", |phases| {
+                    RoundContext::build_with_cache(
+                        tangle,
+                        cache,
+                        &self.cfg,
+                        round,
+                        tel.clone(),
+                        phases,
+                    )
                 });
                 if tel.enabled() {
                     reference_entries = ctx.reference_entries();
                 }
-                phases.measure("step", || {
+                measure_step(&mut phases, &tel, || {
                     idx.par_iter()
                         .map(|&ni| {
                             let mut node_rng =
@@ -333,7 +366,7 @@ impl<'a> Simulation<'a> {
                 // analyse it once, and forget the prefix no delay reaches
                 // any more.
                 let (tangle, prefixes) = (&self.tangle, &mut self.prefixes);
-                phases.measure("analysis", || {
+                phases.measure("analysis", |phases| {
                     if prefixes.len() as u64 > net.max_delay_rounds {
                         prefixes.pop_front();
                     }
@@ -342,10 +375,11 @@ impl<'a> Simulation<'a> {
                         tangle.len(),
                         &self.cfg.hyper,
                         &tel,
+                        phases,
                     ));
                 });
                 let prefixes = &self.prefixes;
-                phases.measure("step", || {
+                measure_step(&mut phases, &tel, || {
                     idx.par_iter()
                         .map(|&ni| {
                             let mut node_rng =
@@ -409,7 +443,7 @@ impl<'a> Simulation<'a> {
         let mut rejected = 0u64;
         let mut dp_rng = seeded(derive(self.cfg.seed, round ^ 0xD11F_F00D));
         let mut loss_rng = seeded(derive(self.cfg.seed, round ^ 0x1057_0000));
-        phases.measure("publish", || {
+        phases.measure("publish", |_| {
             for (ni, out) in outcomes {
                 let mut accepted = false;
                 let mut parents: Vec<u32> = Vec::new();
@@ -505,6 +539,7 @@ impl<'a> Simulation<'a> {
             &self.cfg,
             round,
             Telemetry::disabled(),
+            &mut PhaseRecorder::inert(),
         )
     }
 
@@ -723,6 +758,66 @@ mod tests {
         assert_eq!(after_another, alone);
     }
 
+    /// `Round.phase_us` under span timings, on the ideal network and
+    /// under a `NetworkModel`: the keys each path has, and every nested
+    /// part at most its parent. Checks no timing value. `evaluate` and
+    /// `train` are busy time summed over threads, so no bound holds them.
+    #[test]
+    fn round_phases_nest_inside_their_parents() {
+        let ideal = [
+            "analysis",
+            "analysis.reference",
+            "analysis.refresh",
+            "analysis.walk_table",
+            "evaluate",
+            "publish",
+            "step",
+            "train",
+        ];
+        let stale = [
+            "analysis",
+            "analysis.full",
+            "analysis.walk_table",
+            "evaluate",
+            "publish",
+            "step",
+            "train",
+        ];
+        for (network, keys) in [(None, &ideal[..]), (Some(delayed(2)), &stale[..])] {
+            let sink = Arc::new(MemorySink::new());
+            let tel = Telemetry::with_timings(sink.clone(), true);
+            let cfg = SimConfig {
+                network,
+                ..quick_cfg()
+            };
+            let mut sim = Simulation::new(dataset(8), cfg, build).with_telemetry(tel);
+            for _ in 0..4 {
+                sim.round();
+            }
+            let phases: Vec<_> = sink
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    Event::Round(r) => r.phase_us,
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(phases.len(), 4, "one phase map per round");
+            for map in phases {
+                assert_eq!(map.keys().map(String::as_str).collect::<Vec<_>>(), keys);
+                let parts: u64 = map
+                    .iter()
+                    .filter(|(k, _)| k.starts_with("analysis."))
+                    .map(|(_, us)| us)
+                    .sum();
+                assert!(
+                    parts <= map["analysis"],
+                    "analysis parts exceed it: {map:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn round_stats_are_sane() {
         let mut sim = Simulation::new(dataset(8), quick_cfg(), build);
@@ -835,11 +930,11 @@ mod tests {
         let idx = sim.sample_nodes(round);
         let tel = sim.telemetry.clone();
         let mut phases = tel.phases();
-        let ctx = phases.measure("analysis", || {
+        let ctx = phases.measure("analysis", |_| {
             RoundContext::from_dps(&sim.tangle, &sim.cfg, round, tel.clone())
         });
         let reference_entries = ctx.reference_entries();
-        let outcomes = phases.measure("step", || {
+        let outcomes = phases.measure("step", |_| {
             idx.par_iter()
                 .map(|&ni| {
                     let mut node_rng = seeded(derive(sim.cfg.seed, (round << 24) ^ ni as u64));
@@ -1043,7 +1138,7 @@ mod tests {
         let net = sim.cfg.network.expect("the oracle is the delayed path");
         let tel = sim.telemetry.clone();
         let mut phases = tel.phases();
-        let outcomes = phases.measure("step", || {
+        let outcomes = phases.measure("step", |_| {
             idx.par_iter()
                 .map(|&ni| {
                     let mut node_rng = seeded(derive(sim.cfg.seed, (round << 24) ^ ni as u64));

@@ -11,6 +11,7 @@ use crate::network::{Network, NetworkConfig};
 use feddata::FederatedDataset;
 use learning_tangle::node::{node_step, ModelParams, Node, RoundContext, StepOutcome};
 use learning_tangle::{eval_pool_indices, EvalCache, SimConfig};
+use lt_telemetry::PhaseRecorder;
 use rand::RngExt;
 use std::marker::PhantomData;
 use tangle_ledger::{AnalysisCache, Tangle};
@@ -36,7 +37,14 @@ pub fn train_step(
     cfg: &SimConfig,
     telemetry: &lt_telemetry::Telemetry,
 ) -> StepOutcome {
-    let ctx = RoundContext::build_with_cache(replica, cache, cfg, slot, telemetry.clone());
+    let ctx = RoundContext::build_with_cache(
+        replica,
+        cache,
+        cfg,
+        slot,
+        telemetry.clone(),
+        &mut PhaseRecorder::inert(),
+    );
     let mut node_rng = seeded(derive(cfg.seed, (slot << 24) ^ peer as u64));
     node_step(
         node,
@@ -71,6 +79,7 @@ pub fn consensus_eval(
         cfg,
         slot + 1,
         lt_telemetry::Telemetry::disabled(),
+        &mut PhaseRecorder::inert(),
     );
     let pool = eval_pool_indices(cfg.seed, eval_seed, nodes.len(), cfg.eval_fraction);
     let clients: Vec<&feddata::ClientData> = pool.iter().map(|&i| &nodes[i].data).collect();
@@ -288,6 +297,7 @@ impl<'a> GossipLearning<'a> {
             &self.cfg,
             self.slot + 1,
             lt_telemetry::Telemetry::disabled(),
+            &mut PhaseRecorder::inert(),
         );
         let clients: Vec<&feddata::ClientData> = self.nodes.iter().map(|n| &n.data).collect();
         fedavg::evaluate_params(&self.model, &ctx.reference, &clients)

@@ -65,6 +65,12 @@ pub struct RoundEvent {
     pub walk_count: u64,
     /// Wall time per phase in microseconds; `None` unless span timings
     /// are enabled (they are off by default to keep output deterministic).
+    /// The round simulator's phases are `analysis`, `step` and `publish`.
+    /// A part measured inside a phase is keyed `<phase>.<part>`:
+    /// `analysis.refresh`, `analysis.walk_table` and `analysis.reference`
+    /// on the ideal network, `analysis.full` and `analysis.walk_table`
+    /// under a network model. `evaluate` and `train` are the step's busy
+    /// time summed over threads, so they may exceed `step`.
     pub phase_us: Option<BTreeMap<String, u64>>,
 }
 

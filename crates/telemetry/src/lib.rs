@@ -60,7 +60,7 @@ impl std::fmt::Debug for Telemetry {
 
 impl Telemetry {
     /// The no-op handle: every operation returns immediately.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Self { inner: None }
     }
 
@@ -134,6 +134,7 @@ impl Telemetry {
             telemetry: self,
             active: self.timings(),
             times: BTreeMap::new(),
+            prefix: String::new(),
         }
     }
 
@@ -176,25 +177,57 @@ impl Drop for Span<'_> {
 
 /// Collects named phase durations for one round (see
 /// [`Telemetry::phases`]). Each phase is also recorded into the span
-/// histogram `span.<name>`.
+/// histogram `span.<name>`. A phase measured inside another is keyed
+/// `<outer>.<name>`, so its time is part of the outer phase's.
 pub struct PhaseRecorder<'a> {
     telemetry: &'a Telemetry,
     active: bool,
     times: BTreeMap<String, u64>,
+    /// The key prefix of phases measured now: each enclosing phase's key
+    /// followed by a `.`; empty at the top.
+    prefix: String,
+}
+
+impl PhaseRecorder<'static> {
+    /// A recorder that times nothing, for work outside a round.
+    pub fn inert() -> Self {
+        static OFF: Telemetry = Telemetry::disabled();
+        OFF.phases()
+    }
 }
 
 impl PhaseRecorder<'_> {
-    /// Run `f`, attributing its wall time to phase `name`.
-    pub fn measure<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
+    /// Run `f`, attributing its wall time to phase `name`. Phases that `f`
+    /// measures on the recorder it is handed nest inside `name`.
+    pub fn measure<R>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> R) -> R {
         if !self.active {
-            return f();
+            return f(self);
         }
+        let key = format!("{}{name}", self.prefix);
+        let outer = std::mem::replace(&mut self.prefix, format!("{key}."));
         let start = Instant::now();
-        let out = f();
+        let out = f(self);
         let us = start.elapsed().as_micros() as u64;
-        *self.times.entry(name.to_owned()).or_insert(0) += us;
-        self.telemetry.record(&format!("span.{name}"), us);
+        self.prefix = outer;
+        self.telemetry.record(&format!("span.{key}"), us);
+        *self.times.entry(key).or_insert(0) += us;
         out
+    }
+
+    /// Add `us` to phase `name` without timing it here: for busy time
+    /// summed over threads, which may exceed any wall-time phase.
+    pub fn add(&mut self, name: &str, us: u64) {
+        if self.active {
+            *self
+                .times
+                .entry(format!("{}{name}", self.prefix))
+                .or_insert(0) += us;
+        }
+    }
+
+    /// Whether phases are being timed (span timings are on).
+    pub fn active(&self) -> bool {
+        self.active
     }
 
     /// The collected phase map — `None` when timings are off, so the
@@ -264,16 +297,33 @@ mod tests {
     fn phase_recorder_only_reports_with_timings() {
         let off = Telemetry::new(NoopSink);
         let mut p = off.phases();
-        assert_eq!(p.measure("a", || 41) + 1, 42);
+        assert_eq!(p.measure("a", |_| 41) + 1, 42);
         assert!(p.finish().is_none());
 
         let on = Telemetry::with_timings(NoopSink, true);
         let mut p = on.phases();
-        p.measure("a", || ());
-        p.measure("a", || ());
+        p.measure("a", |_| ());
+        p.measure("a", |_| ());
         let map = p.finish().expect("timings on");
         assert!(map.contains_key("a"));
         assert_eq!(on.histogram_totals("span.a").0, 2);
+    }
+
+    #[test]
+    fn nested_phases_are_keyed_under_their_parent() {
+        let on = Telemetry::with_timings(NoopSink, true);
+        let mut p = on.phases();
+        p.measure("a", |p| {
+            p.measure("b", |p| p.measure("c", |_| ()));
+            p.add("busy", 7);
+        });
+        p.measure("d", |_| ());
+        let map = p.finish().expect("timings on");
+        let keys: Vec<&str> = map.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["a", "a.b", "a.b.c", "a.busy", "d"]);
+        assert_eq!(map["a.busy"], 7);
+        assert!(map["a.b.c"] <= map["a.b"] && map["a.b"] <= map["a"]);
+        assert_eq!(on.histogram_totals("span.a.b.c").0, 1);
     }
 
     #[test]

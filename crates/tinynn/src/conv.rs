@@ -14,6 +14,12 @@
 //! only as the differential oracle in `mod tests`. Inference and training
 //! run the same kernel.
 //!
+//! **Vector width.** One tile source, two compiles, picked once per process
+//! ([`crate::kernel_width`] names it): `tile_plain` for the target's
+//! baseline features (SSE2 on x86-64, four lanes) and `tile_avx2` (eight
+//! lanes: one register per tile row). Each lane keeps its serial chain, so
+//! both compiles produce the same bits.
+//!
 //! **Backward** stays on the GEMMs of [`crate::gemm`]:
 //!
 //! - weight gradient: `gW += g_b · col_bᵀ` (B-transposed variant), where the
@@ -30,6 +36,7 @@
 
 use crate::init;
 use crate::layer::{Cache, Layer, LayerInit};
+use crate::simd::Width;
 use crate::tensor::Tensor;
 use rand::Rng;
 
@@ -163,9 +170,10 @@ impl Conv2d {
 
     /// Direct convolution of one image: `out[o, oy, ox] = bias[o] +
     /// Σ_t w[o, t] · xp[taps[t] + oy·PW + ox]`, each chain in ascending tap
-    /// order, over `MR × NR` register tiles.
+    /// order, over `MR × NR` register tiles of `simd`'s compile.
     fn forward_image(
         &self,
+        simd: Width,
         taps: &[usize],
         (wpack, bpack): (&[f32], &[f32]),
         xp: &[f32],
@@ -185,7 +193,13 @@ impl Conv2d {
                     for (row, &b) in acc.chunks_exact_mut(NR).zip(bb) {
                         row.fill(b);
                     }
-                    tile(taps, wb, &xp[oy * g.pw + x0..], &mut acc);
+                    let x = &xp[oy * g.pw + x0..];
+                    match simd.avx2() {
+                        // SAFETY: a `Width` says AVX2 only on a host that has it.
+                        #[cfg(target_arch = "x86_64")]
+                        true => unsafe { tile_avx2(taps, wb, x, &mut acc) },
+                        _ => tile_plain(taps, wb, x, &mut acc),
+                    }
                     let width = NR.min(g.ow - x0);
                     for (r, row) in acc.chunks_exact(NR).take(rows).enumerate() {
                         let at = (o0 + r) * ohow + oy * g.ow + x0;
@@ -194,6 +208,30 @@ impl Conv2d {
                 }
             }
         }
+    }
+
+    /// [`Layer::forward`] on the register tile of `simd`'s compile.
+    fn forward_with(&self, simd: Width, p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache) {
+        let (b, g) = self.geom(x);
+        let ohow = g.oh * g.ow;
+        let oc = self.out_ch;
+        let plane = self.in_ch * g.ph * g.pw;
+        let planes = self.padded(x, &g);
+        let taps = self.tap_offsets(&g);
+        let (wpack, bpack) = self.packed_params(p);
+        let mut out = vec![0.0f32; b * oc * ohow];
+        for (xp, ob) in planes
+            .chunks_exact(plane)
+            .zip(out.chunks_exact_mut(oc * ohow))
+        {
+            self.forward_image(simd, &taps, (&wpack, &bpack), xp, &g, ob);
+        }
+        let cache = if train {
+            Cache::new(planes)
+        } else {
+            Cache::none()
+        };
+        (Tensor::from_vec(vec![b, oc, g.oh, g.ow], out), cache)
     }
 
     /// Cut one image's `[IC·K·K, OH·OW]` patch matrix out of its padded
@@ -243,10 +281,11 @@ impl Conv2d {
 /// One `MR × NR` register tile: `acc[r][j] += w[t][r] · x[taps[t] + j]`
 /// for every tap `t` in ascending order, `x` starting at the tile's first
 /// output column. Each lane keeps its own serial chain; the `NR`-wide
-/// inner loop is the autovectorizer target. Kept out of line: inlined into
+/// inner loop is the autovectorizer target. The body of both compiles
+/// ([`tile_plain`], [`tile_avx2`]), which stay out of line: inlined into
 /// the loop nest of [`Conv2d::forward_image`], LLVM leaves the tile scalar
 /// and the forward pass runs 2–4× slower.
-#[inline(never)]
+#[inline(always)]
 fn tile(taps: &[usize], w: &[f32], x: &[f32], acc: &mut [f32; MR * NR]) {
     for (&off, wt) in taps.iter().zip(w.chunks_exact(MR)) {
         let xr: &[f32; NR] = x[off..off + NR].try_into().expect("NR-wide row");
@@ -261,6 +300,23 @@ fn tile(taps: &[usize], w: &[f32], x: &[f32], acc: &mut [f32; MR * NR]) {
     }
 }
 
+/// [`tile`] for the target's baseline features.
+#[inline(never)]
+fn tile_plain(taps: &[usize], w: &[f32], x: &[f32], acc: &mut [f32; MR * NR]) {
+    tile(taps, w, x, acc)
+}
+
+/// [`tile`] compiled for AVX2.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2(taps: &[usize], w: &[f32], x: &[f32], acc: &mut [f32; MR * NR]) {
+    tile(taps, w, x, acc)
+}
+
 impl Layer for Conv2d {
     fn name(&self) -> &'static str {
         "Conv2d"
@@ -271,26 +327,7 @@ impl Layer for Conv2d {
     }
 
     fn forward(&self, p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache) {
-        let (b, g) = self.geom(x);
-        let ohow = g.oh * g.ow;
-        let oc = self.out_ch;
-        let plane = self.in_ch * g.ph * g.pw;
-        let planes = self.padded(x, &g);
-        let taps = self.tap_offsets(&g);
-        let (wpack, bpack) = self.packed_params(p);
-        let mut out = vec![0.0f32; b * oc * ohow];
-        for (xp, ob) in planes
-            .chunks_exact(plane)
-            .zip(out.chunks_exact_mut(oc * ohow))
-        {
-            self.forward_image(&taps, (&wpack, &bpack), xp, &g, ob);
-        }
-        let cache = if train {
-            Cache::new(planes)
-        } else {
-            Cache::none()
-        };
-        (Tensor::from_vec(vec![b, oc, g.oh, g.ow], out), cache)
+        self.forward_with(Width::host(), p, x, train)
     }
 
     fn backward(
@@ -623,5 +660,32 @@ mod tests {
             }
         }
         assert!(case > 200, "only {case} shapes ran");
+    }
+
+    /// Both compiles of the register tile, run directly, against the
+    /// im2col + GEMM oracle on the convolutions of the scaled and paper
+    /// FEMNIST CNNs (16×16 images) at 1, 4, 7 and 16 rows, bit for bit.
+    #[test]
+    fn dispatch_compiles_match_im2col_oracle_bitwise() {
+        let compiles = crate::simd::compiles_on_host("conv dispatch differential");
+        for (c1, c2) in [(6, 12), (32, 64)] {
+            for (ic, oc, side) in [(1, c1, 16), (c1, c2, 8)] {
+                let conv = Conv2d::new(ic, oc, 3, 1);
+                for rows in [1usize, 4, 7, 16] {
+                    let seed = (oc * 100 + rows) as u64;
+                    let p = [values(seed, oc * ic * 9), values(seed + 1, oc)].concat();
+                    let len = rows * ic * side * side;
+                    let x = Tensor::from_vec(vec![rows, ic, side, side], values(seed + 2, len));
+                    let want = oracle_forward(&conv, &p, &x);
+                    for &simd in &compiles {
+                        let shape = format!("{simd:?} ic={ic} oc={oc} side={side} rows={rows}");
+                        for train in [false, true] {
+                            let (y, _) = conv.forward_with(simd, &p, &x, train);
+                            assert_bits("forward", &shape, y.as_slice(), &want);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

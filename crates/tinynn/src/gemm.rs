@@ -17,6 +17,13 @@
 //! - an `MR × NR` register-tile microkernel written so the autovectorizer
 //!   turns the `NR`-wide inner loop into SIMD lanes.
 //!
+//! **Vector width.** One microkernel source, two compiles, picked once per
+//! process ([`crate::kernel_width`] names it): `microkernel_plain` for the
+//! target's baseline features (SSE2 on x86-64: one `NR`-wide row is two
+//! 4-lane registers) and `microkernel_avx2` (one 8-lane register per row).
+//! Both stay out of line, and both are bit-identical to the reference
+//! below.
+//!
 //! **Determinism.** Every output element accumulates its `k` products in
 //! strictly ascending order: the `KC` blocks advance in ascending `k` and the
 //! microkernel loads the partially-accumulated tile from `out`, adds the
@@ -24,8 +31,9 @@
 //! contract `a*b + c` into an FMA or reassociate float adds without explicit
 //! fast-math, so the blocked kernel is **bit-identical** to the scalar
 //! textbook loop (`acc = 0; for p { acc += a[i][p] * b[p][j] }`) retained in
-//! the `reference` module below. The differential proptests in
-//! `tests/properties.rs` pin this.
+//! the `reference` module below, in either compile. The differential
+//! proptests in `tests/properties.rs` pin this for the compile the host
+//! runs; `dispatch_compiles_match_reference_bitwise` runs both.
 //!
 //! **Parallelism.** Large products split the output into `MC`-row blocks
 //! dispatched on the rayon pool; each block owns a disjoint slice of `out`,
@@ -37,6 +45,7 @@
 //! its own, so no buffer is held while a pool worker could start another
 //! product.
 
+use crate::simd::Width;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -48,7 +57,8 @@ pub const KC: usize = 256;
 pub const NC: usize = 128;
 /// Microkernel register-tile rows.
 pub const MR: usize = 4;
-/// Microkernel register-tile columns (two SSE lanes of f32).
+/// Microkernel register-tile columns: one AVX2 register of `f32`, or two
+/// SSE registers in the baseline compile.
 pub const NR: usize = 8;
 
 /// Minimum `m·n·k` multiply-adds before row blocks go to the thread pool.
@@ -134,7 +144,11 @@ fn pack_a(a: &MatRef<'_>, ic: usize, pc: usize, mc: usize, kc: usize, apack: &mu
 /// `MR × NR` register tile: `c[r][j] += Σ_p ap[p][r] · bp[p][j]`, ascending
 /// `p`. The `NR`-wide inner loop is the autovectorizer target; each output
 /// lane keeps its own serial accumulation chain, so no reassociation occurs.
-#[inline]
+/// The body of both compiles ([`microkernel_plain`], [`microkernel_avx2`]),
+/// which stay out of line: inlined into the tile loop of
+/// [`process_row_block`], LLVM leaves the AVX2 compile scalar and small
+/// products run about 2× slower.
+#[inline(always)]
 fn microkernel(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32; MR * NR]) {
     debug_assert!(ap.len() >= kc * MR);
     debug_assert!(bp.len() >= kc * NR);
@@ -151,11 +165,30 @@ fn microkernel(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32; MR * NR]) {
     }
 }
 
+/// [`microkernel`] for the target's baseline features.
+#[inline(never)]
+fn microkernel_plain(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32; MR * NR]) {
+    microkernel(kc, ap, bp, c)
+}
+
+/// [`microkernel`] compiled for AVX2.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2")]
+unsafe fn microkernel_avx2(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32; MR * NR]) {
+    microkernel(kc, ap, bp, c)
+}
+
 /// Process one `mc`-row block of the output against the packed B slab:
-/// pack the block's A panels, then run the microkernel over every tile,
-/// loading and storing partially-accumulated output values.
+/// pack the block's A panels, then run the microkernel of `width`'s
+/// compile over every tile, loading and storing partially-accumulated
+/// output values.
 #[allow(clippy::too_many_arguments)]
 fn process_row_block(
+    simd: Width,
     a: &MatRef<'_>,
     out_rows: &mut [f32],
     n: usize,
@@ -187,7 +220,12 @@ fn process_row_block(
                 let src = &out_rows[(i0 + r) * n + jc + j0..(i0 + r) * n + jc + j0 + width];
                 tile[r * NR..r * NR + width].copy_from_slice(src);
             }
-            microkernel(kc, ap, bp, &mut tile);
+            match simd.avx2() {
+                // SAFETY: a `Width` says AVX2 only on a host that has it.
+                #[cfg(target_arch = "x86_64")]
+                true => unsafe { microkernel_avx2(kc, ap, bp, &mut tile) },
+                _ => microkernel_plain(kc, ap, bp, &mut tile),
+            }
             for r in 0..height {
                 let dst = &mut out_rows[(i0 + r) * n + jc + j0..(i0 + r) * n + jc + j0 + width];
                 dst.copy_from_slice(&tile[r * NR..r * NR + width]);
@@ -222,6 +260,22 @@ pub fn gemm(
 /// the classic `acc = bias; acc += …` loop bit-for-bit.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_accum(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    ta: bool,
+    b: &[f32],
+    tb: bool,
+    out: &mut [f32],
+) {
+    gemm_accum_with(Width::host(), m, n, k, a, ta, b, tb, out);
+}
+
+/// [`gemm_accum`] on the microkernel of `simd`'s compile.
+#[allow(clippy::too_many_arguments)]
+fn gemm_accum_with(
+    simd: Width,
     m: usize,
     n: usize,
     k: usize,
@@ -268,14 +322,14 @@ pub fn gemm_accum(
                             let mc = rows.len() / n;
                             let mut apack = Vec::new();
                             process_row_block(
-                                a_ref, rows, n, ic, mc, pc, kc, jc, nc, bp, &mut apack,
+                                simd, a_ref, rows, n, ic, mc, pc, kc, jc, nc, bp, &mut apack,
                             );
                         });
                 } else {
                     for (blk, rows) in out.chunks_mut(MC * n).enumerate() {
                         let ic = blk * MC;
                         let mc = rows.len() / n;
-                        process_row_block(&a, rows, n, ic, mc, pc, kc, jc, nc, bpack, apack);
+                        process_row_block(simd, &a, rows, n, ic, mc, pc, kc, jc, nc, bpack, apack);
                     }
                 }
             }
@@ -394,19 +448,25 @@ mod tests {
         }
     }
 
+    /// `(m, n, k)` shapes: whole, ragged and multi-block tiles and slabs.
+    const SHAPES: [(usize, usize, usize); 8] = [
+        (1, 1, 1),
+        (3, 5, 7),
+        (MR, NR, KC),
+        (MR + 1, NR + 3, KC + 5),
+        (MC + 7, NC + 9, KC + 11),
+        (130, 2, 300),
+        (2, 130, 300),
+        (65, 129, 257),
+    ];
+
+    /// The three transpose cases: plain, A-transposed, B-transposed.
+    const TRANSPOSES: [(bool, bool); 3] = [(false, false), (true, false), (false, true)];
+
     #[test]
     fn blocked_matches_naive_bitwise_across_shapes() {
-        for &(m, n, k) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (MR, NR, KC),
-            (MR + 1, NR + 3, KC + 5),
-            (MC + 7, NC + 9, KC + 11),
-            (130, 2, 300),
-            (2, 130, 300),
-            (65, 129, 257),
-        ] {
-            for &(ta, tb) in &[(false, false), (true, false), (false, true)] {
+        for &(m, n, k) in &SHAPES {
+            for &(ta, tb) in &TRANSPOSES {
                 check(m, n, k, ta, tb);
             }
         }
@@ -437,27 +497,29 @@ mod tests {
         }
     }
 
+    /// Parallel-branch, tiny, transposed, ragged and multi-slab shapes, in
+    /// the order one thread alternates them.
+    const REUSE_SHAPES: [(usize, usize, usize); 9] = [
+        (3 * MC + 1, 96, 100),
+        (1, 1, 1),
+        (7, 16, 8),
+        (MC + 7, NC + 9, KC + 11),
+        (2, 3, 1),
+        (3 * MC + 1, 96, 100),
+        (5, NR + 1, 3),
+        (1, 2 * NC + 1, 2 * KC + 1),
+        (7, 4, 16),
+    ];
+
     /// One thread alternates parallel-branch, tiny, transposed, ragged and
     /// multi-slab products, plain and accumulating: a pack buffer that
     /// kept a longer previous product's values, or came back short, would
     /// show up as a bit difference against the reference.
     #[test]
     fn gemm_pack_reuse_alternating_shapes_match_reference_bitwise() {
-        let shapes = [
-            (3 * MC + 1, 96, 100),
-            (1, 1, 1),
-            (7, 16, 8),
-            (MC + 7, NC + 9, KC + 11),
-            (2, 3, 1),
-            (3 * MC + 1, 96, 100),
-            (5, NR + 1, 3),
-            (1, 2 * NC + 1, 2 * KC + 1),
-            (7, 4, 16),
-        ];
         for round in 0..3u64 {
-            for (i, &(m, n, k)) in shapes.iter().enumerate() {
-                let (ta, tb) =
-                    [(false, false), (true, false), (false, true)][(i + round as usize) % 3];
+            for (i, &(m, n, k)) in REUSE_SHAPES.iter().enumerate() {
+                let (ta, tb) = TRANSPOSES[(i + round as usize) % 3];
                 let seed = round * 100 + i as u64;
                 let a = fill(seed, m * k);
                 let b = fill(seed + 50, k * n);
@@ -478,6 +540,35 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Both compiles of the microkernel, run directly, against the
+    /// reference on every shape and transpose case of the two tests above,
+    /// plain and accumulating, bit for bit.
+    #[test]
+    fn dispatch_compiles_match_reference_bitwise() {
+        let compiles = crate::simd::compiles_on_host("gemm dispatch differential");
+        for (i, &(m, n, k)) in SHAPES.iter().chain(&REUSE_SHAPES).enumerate() {
+            for &(ta, tb) in &TRANSPOSES {
+                let seed = 1000 + i as u64;
+                let a = fill(seed, m * k);
+                let b = fill(seed + 50, k * n);
+                let init = fill(seed + 77, m * n);
+                let mut want = vec![f32::NAN; m * n];
+                reference::matmul(m, n, k, &a, ta, &b, tb, &mut want);
+                let mut want_accum = init.clone();
+                reference::matmul_accum(m, n, k, &a, ta, &b, tb, &mut want_accum);
+                for &simd in &compiles {
+                    let what = format!("{simd:?} {m}x{n}x{k} ta={ta} tb={tb}");
+                    let mut got = vec![0.0; m * n];
+                    gemm_accum_with(simd, m, n, k, &a, ta, &b, tb, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "gemm {what}");
+                    let mut got = init.clone();
+                    gemm_accum_with(simd, m, n, k, &a, ta, &b, tb, &mut got);
+                    assert_eq!(bits(&got), bits(&want_accum), "gemm_accum {what}");
+                }
+            }
+        }
     }
 
     #[test]

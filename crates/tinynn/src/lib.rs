@@ -55,6 +55,7 @@ pub mod params;
 pub mod pool;
 pub mod reshape;
 pub mod rng;
+mod simd;
 pub mod tensor;
 #[cfg(test)]
 mod testing;
@@ -73,4 +74,5 @@ pub use optim::Sgd;
 pub use params::ParamVec;
 pub use pool::MaxPool2d;
 pub use reshape::Flatten;
+pub use simd::kernel_width;
 pub use tensor::Tensor;
