@@ -4,31 +4,36 @@ use feddata::{ClientData, FederatedDataset};
 use rand::RngExt;
 use tinynn::{ParamVec, Sequential, Sgd, Tensor};
 
-/// Gather rows of `x` (leading axis) by index.
-pub fn gather_rows(x: &Tensor, idx: &[usize]) -> Tensor {
+/// Gather rows of `x` (leading axis) by index into `out`, whose buffer is
+/// reused.
+pub fn gather_rows(x: &Tensor, idx: &[usize], out: &mut Tensor) {
     let stride: usize = x.shape()[1..].iter().product();
-    let mut out = Vec::with_capacity(idx.len() * stride);
-    for &i in idx {
-        out.extend_from_slice(&x.as_slice()[i * stride..(i + 1) * stride]);
+    let shape = [idx.len()]
+        .into_iter()
+        .chain(x.shape()[1..].iter().copied());
+    let rows = out.resize(shape).chunks_exact_mut(stride.max(1));
+    for (&i, row) in idx.iter().zip(rows) {
+        row.copy_from_slice(&x.as_slice()[i * stride..(i + 1) * stride]);
     }
-    let mut shape = x.shape().to_vec();
-    shape[0] = idx.len();
-    Tensor::from_vec(shape, out)
 }
 
-/// Gather the target rows corresponding to sample indices, accounting for
-/// sequence tasks where each sample carries several target rows.
-fn gather_targets(y: &[u32], idx: &[usize], rows_per_sample: usize) -> Vec<u32> {
-    let mut out = Vec::with_capacity(idx.len() * rows_per_sample);
+/// Gather the target rows corresponding to sample indices into `out`,
+/// accounting for sequence tasks where each sample carries several target
+/// rows.
+fn gather_targets(y: &[u32], idx: &[usize], rows_per_sample: usize, out: &mut Vec<u32>) {
+    out.clear();
     for &i in idx {
         out.extend_from_slice(&y[i * rows_per_sample..(i + 1) * rows_per_sample]);
     }
-    out
 }
 
 /// Run `epochs` epochs of mini-batch SGD on a client's training data,
 /// starting from the parameters already loaded in `model`. Mutates `model`
 /// in place and returns the final average training loss of the last epoch.
+///
+/// Each mini-batch is gathered into the same two buffers and trained by
+/// [`Sgd::train_step`], which applies the gradient where it lies in the
+/// thread's `tinynn` workspace.
 ///
 /// This is the `Train(w, epochs, lr)` step of the paper's Algorithm 2.
 pub fn local_train(
@@ -47,6 +52,7 @@ pub fn local_train(
     let mut sgd = Sgd::new(lr);
     let mut idx: Vec<usize> = (0..n).collect();
     let mut last_epoch_loss = 0.0;
+    let (mut xb, mut yb) = (Tensor::default(), Vec::new());
     for _ in 0..epochs.max(1) {
         // Fisher-Yates shuffle per epoch.
         for i in (1..n).rev() {
@@ -56,11 +62,9 @@ pub fn local_train(
         let mut loss_sum = 0.0f32;
         let mut batches = 0;
         for batch in idx.chunks(batch_size.max(1)) {
-            let xb = gather_rows(&client.train_x, batch);
-            let yb = gather_targets(&client.train_y, batch, rows_per_sample);
-            let (loss, grads) = model.loss_and_grads(&xb, &yb);
-            sgd.step(model, &grads);
-            loss_sum += loss;
+            gather_rows(&client.train_x, batch, &mut xb);
+            gather_targets(&client.train_y, batch, rows_per_sample, &mut yb);
+            loss_sum += sgd.train_step(model, &xb, &yb);
             batches += 1;
         }
         last_epoch_loss = loss_sum / batches.max(1) as f32;
@@ -124,9 +128,12 @@ mod tests {
     #[test]
     fn gather_rows_picks_and_orders() {
         let x = Tensor::from_fn(&[4, 2], |i| i as f32);
-        let g = gather_rows(&x, &[2, 0]);
+        let mut g = Tensor::default();
+        gather_rows(&x, &[2, 0], &mut g);
         assert_eq!(g.shape(), &[2, 2]);
         assert_eq!(g.as_slice(), &[4., 5., 0., 1.]);
+        gather_rows(&x, &[3], &mut g);
+        assert_eq!((g.shape(), g.as_slice()), (&[1, 2][..], &[6., 7.][..]));
     }
 
     #[test]

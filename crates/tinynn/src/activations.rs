@@ -1,9 +1,30 @@
 //! Elementwise activation layers: ReLU, Sigmoid, Tanh.
+//!
+//! **ReLU runs in place** ([`Layer::in_place`]): its forward pass rewrites
+//! the preceding layer's output, in inference and in training alike, and
+//! its backward pass masks the output gradient where it lies. The mask is
+//! read from the output `y = if x < 0 { 0 } else { x }`, which no longer
+//! holds `x`, and it equals the mask on the input lane for lane:
+//!
+//! | `x` | `y` | `x <= 0` | `y <= 0` |
+//! |---|---|---|---|
+//! | `< 0`, `-∞` | `+0.0` | yes | yes |
+//! | `±0.0` | `x` | yes | yes |
+//! | `> 0`, `+∞` | `x` | no | no |
+//! | NaN | NaN | no | no |
+//!
+//! The layers that may follow a ReLU in place keep that mask: Flatten
+//! only reshapes, and ReLU is idempotent.
+//!
+//! **Sigmoid and Tanh** write a separate output and keep a copy of it in
+//! [`Cache`] float buffer 0 for their backward pass, because an in-place
+//! layer after them may rewrite the output itself.
 
 use crate::layer::{Cache, Layer};
 use crate::tensor::Tensor;
+use crate::workspace::fit;
 
-/// Rectified linear unit: `max(0, x)`.
+/// Rectified linear unit: `max(0, x)`, in place.
 #[derive(Default, Clone, Copy)]
 pub struct Relu;
 
@@ -19,32 +40,34 @@ impl Layer for Relu {
         "Relu"
     }
 
+    fn in_place(&self) -> bool {
+        true
+    }
+
     /// A select, not a branch: the sign of an activation is data the
     /// branch predictor cannot learn, and the select vectorizes. `-0.0` and
     /// NaN pass through unchanged.
-    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
-        let y = x.as_slice().iter().map(|&v| if v < 0.0 { 0.0 } else { v });
-        let y = Tensor::from_vec(x.shape().to_vec(), y.collect());
-        (y, Cache::none())
+    fn forward_into(&self, _: &[f32], _: Option<&Tensor>, y: &mut Tensor, _: &mut Cache, _: bool) {
+        for v in y.as_mut_slice() {
+            *v = if *v < 0.0 { 0.0 } else { *v };
+        }
     }
 
-    /// Masks the owned gradient in place: zero where `x <= 0.0`.
-    fn backward(
+    /// Masks the gradient in place: zero where `y <= 0.0`, which is where
+    /// `x <= 0.0` (see the module docs).
+    fn backward_into(
         &self,
         _: &[f32],
-        x: &Tensor,
-        _: &Cache,
-        mut dy: Tensor,
+        _: &Tensor,
+        y: &Tensor,
+        _: &mut Cache,
+        dy: &mut Tensor,
+        _: Option<&mut Tensor>,
         _: &mut [f32],
-        input_grad: bool,
-    ) -> Option<Tensor> {
-        if !input_grad {
-            return None;
+    ) {
+        for (gv, &yv) in dy.as_mut_slice().iter_mut().zip(y.as_slice()) {
+            *gv = if yv <= 0.0 { 0.0 } else { *gv };
         }
-        for (gv, &xv) in dy.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *gv = if xv <= 0.0 { 0.0 } else { *gv };
-        }
-        Some(dy)
     }
 }
 
@@ -65,36 +88,53 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// `y = f(x)` into `y`, and a copy of `y` into `cache` float buffer 0.
+fn map_into(f: impl Fn(f32) -> f32, x: Option<&Tensor>, y: &mut Tensor, cache: &mut Cache) {
+    let x = x.expect("an out-of-place layer reads its input");
+    for (o, &v) in y.resize(x.shape()).iter_mut().zip(x.as_slice()) {
+        *o = f(v);
+    }
+    let [kept] = cache.floats.first();
+    fit(kept, y.len()).copy_from_slice(y.as_slice());
+}
+
+/// `dx = dy · f'(y)`, with `f'` computed from the copy of `y` in `cache`.
+fn scale_into(df: impl Fn(f32) -> f32, cache: &mut Cache, dy: &Tensor, dx: Option<&mut Tensor>) {
+    let Some(dx) = dx else { return };
+    let [kept] = cache.floats.first();
+    let out = dx.resize(dy.shape());
+    for ((o, &g), &yv) in out.iter_mut().zip(dy.as_slice()).zip(kept.iter()) {
+        *o = g * df(yv);
+    }
+}
+
 impl Layer for Sigmoid {
     fn name(&self) -> &'static str {
         "Sigmoid"
     }
 
-    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            *v = sigmoid(*v);
-        }
-        (y.clone(), Cache::new(y))
+    fn forward_into(
+        &self,
+        _: &[f32],
+        x: Option<&Tensor>,
+        y: &mut Tensor,
+        cache: &mut Cache,
+        _: bool,
+    ) {
+        map_into(sigmoid, x, y, cache);
     }
 
-    fn backward(
+    fn backward_into(
         &self,
         _: &[f32],
         _: &Tensor,
-        cache: &Cache,
-        mut dy: Tensor,
+        _: &Tensor,
+        cache: &mut Cache,
+        dy: &mut Tensor,
+        dx: Option<&mut Tensor>,
         _: &mut [f32],
-        input_grad: bool,
-    ) -> Option<Tensor> {
-        if !input_grad {
-            return None;
-        }
-        let y = cache.get::<Tensor>();
-        for (gv, &yv) in dy.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *gv *= yv * (1.0 - yv);
-        }
-        Some(dy)
+    ) {
+        scale_into(|y| y * (1.0 - y), cache, dy, dx);
     }
 }
 
@@ -114,37 +154,35 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn forward(&self, _p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            *v = v.tanh();
-        }
-        (y.clone(), Cache::new(y))
+    fn forward_into(
+        &self,
+        _: &[f32],
+        x: Option<&Tensor>,
+        y: &mut Tensor,
+        cache: &mut Cache,
+        _: bool,
+    ) {
+        map_into(f32::tanh, x, y, cache);
     }
 
-    fn backward(
+    fn backward_into(
         &self,
         _: &[f32],
         _: &Tensor,
-        cache: &Cache,
-        mut dy: Tensor,
+        _: &Tensor,
+        cache: &mut Cache,
+        dy: &mut Tensor,
+        dx: Option<&mut Tensor>,
         _: &mut [f32],
-        input_grad: bool,
-    ) -> Option<Tensor> {
-        if !input_grad {
-            return None;
-        }
-        let y = cache.get::<Tensor>();
-        for (gv, &yv) in dy.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *gv *= 1.0 - yv * yv;
-        }
-        Some(dy)
+    ) {
+        scale_into(|y| 1.0 - y * y, cache, dy, dx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Allocating;
 
     #[test]
     fn relu_forward_backward() {
@@ -153,7 +191,7 @@ mod tests {
         let (y, c) = r.forward(&[], &x, true);
         assert_eq!(y.as_slice(), &[0., 0., 0.5, 2.]);
         let g = Tensor::filled(&[4], 1.0);
-        let gx = r.backward(&[], &x, &c, g, &mut [], true).unwrap();
+        let gx = r.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
         assert_eq!(gx.as_slice(), &[0., 0., 1., 1.]);
     }
 
@@ -176,7 +214,8 @@ mod tests {
     }
 
     /// Forward (both modes) and backward equal the branchy oracle bit for
-    /// bit on inputs and gradients full of ±0.0, NaN and ±∞.
+    /// bit on inputs and gradients full of ±0.0, NaN and ±∞: the in-place
+    /// backward's mask on the output is the oracle's mask on the input.
     #[test]
     fn relu_matches_branchy_oracle_bitwise() {
         use crate::testing::{bits, special_values};
@@ -193,12 +232,11 @@ mod tests {
                 assert_eq!(y.shape(), x.shape());
                 assert_eq!(bits(y.as_slice()), bits(&want_y), "forward, {shape:?}");
             }
-            let g = Relu.backward(&[], &x, &Cache::none(), dy.clone(), &mut [], true);
+            let (y, c) = Relu.forward(&[], &x, true);
+            let g = Relu.backward(&[], &x, &y, &c, dy.clone(), &mut [], true);
             let g = g.expect("input gradient asked for");
             assert_eq!(bits(g.as_slice()), bits(&want_g), "backward, {shape:?}");
-            assert!(Relu
-                .backward(&[], &x, &Cache::none(), dy, &mut [], false)
-                .is_none());
+            assert!(Relu.backward(&[], &x, &y, &c, dy, &mut [], false).is_none());
         }
     }
 
@@ -209,7 +247,7 @@ mod tests {
         let (y, c) = s.forward(&[], &x, true);
         assert!((y.as_slice()[0] - 0.5).abs() < 1e-6);
         let g = Tensor::filled(&[1], 1.0);
-        let gx = s.backward(&[], &x, &c, g, &mut [], true).unwrap();
+        let gx = s.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
         assert!((gx.as_slice()[0] - 0.25).abs() < 1e-6);
     }
 
@@ -225,9 +263,9 @@ mod tests {
     fn tanh_gradient_at_zero_is_one() {
         let x = Tensor::from_vec(vec![1], vec![0.0]);
         let t = Tanh::new();
-        let (_, c) = t.forward(&[], &x, true);
+        let (y, c) = t.forward(&[], &x, true);
         let g = Tensor::filled(&[1], 1.0);
-        let gx = t.backward(&[], &x, &c, g, &mut [], true).unwrap();
+        let gx = t.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
         assert!((gx.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 }

@@ -29,15 +29,24 @@
 //!   with col2im, only when the caller asks for it (a model's first layer
 //!   is not asked: its input is the data batch).
 //!
-//! The training forward pass caches the padded planes, not the `K·K`-fold
-//! replicated patch matrices. Batch items are processed serially in
-//! ascending order, keeping gradient accumulation deterministic; the
-//! parallelism of a training round is one node per worker, above the layer.
+//! **Buffers.** The output and the input gradient are the caller's (see
+//! [`crate::layer`]); everything else is in the [`Cache`], kept from call
+//! to call: float buffer 0 holds the padded planes, which every forward
+//! pass writes and the backward pass reads (never the `K·K`-fold
+//! replicated patch matrices), 1 and 2 the packed weights and biases, and
+//! 3–5 the backward pass's per-image `col`, `gcol` and `gpad`; `dims`
+//! holds the tap offsets. The planes are zeroed before the image is copied
+//! in, so their border reads as stored zeros, and `gpad` before each
+//! image's col2im; every other buffer is written in full before it is
+//! read. Batch items are processed serially in ascending order, keeping
+//! gradient accumulation deterministic; the parallelism of a training
+//! round is one node per worker, above the layer.
 
 use crate::init;
 use crate::layer::{Cache, Layer, LayerInit};
 use crate::simd::Width;
 use crate::tensor::Tensor;
+use crate::workspace::{fit, zeroed};
 use rand::Rng;
 
 /// Output channels per register tile of the direct forward kernel.
@@ -122,11 +131,11 @@ impl Conv2d {
         (b, g)
     }
 
-    /// Copy every `[H, W]` plane of `x` into a zeroed `[PH, PW]` plane, pixel
-    /// `(y, x)` landing at `(y + pad, x + pad)`.
-    fn padded(&self, x: &Tensor, g: &Geom) -> Vec<f32> {
+    /// Copy every `[H, W]` plane of `x` into a zeroed `[PH, PW]` plane of
+    /// `planes`, pixel `(y, x)` landing at `(y + pad, x + pad)`.
+    fn pad_into(&self, x: &Tensor, g: &Geom, planes: &mut Vec<f32>) {
         let xs = x.as_slice();
-        let mut planes = vec![0.0f32; xs.len() / (g.h * g.w) * g.ph * g.pw];
+        let planes = zeroed(planes, xs.len() / (g.h * g.w) * g.ph * g.pw);
         for (src, dst) in xs
             .chunks_exact(g.h * g.w)
             .zip(planes.chunks_exact_mut(g.ph * g.pw))
@@ -136,28 +145,28 @@ impl Conv2d {
                 dst[at..at + g.w].copy_from_slice(row);
             }
         }
-        planes
     }
 
     /// Offset of tap `(c, ky, kx)` inside one image's padded planes, in
-    /// ascending tap order: output `(oy, ox)` reads it at
+    /// ascending tap order, into `taps`: output `(oy, ox)` reads it at
     /// `offset + oy·PW + ox`.
-    fn tap_offsets(&self, g: &Geom) -> Vec<usize> {
+    fn tap_offsets(&self, g: &Geom, taps: &mut Vec<usize>) {
         let k = self.k;
-        (0..self.in_ch * k * k)
-            .map(|t| ((t / (k * k)) * g.ph + t / k % k) * g.pw + t % k)
-            .collect()
+        for (t, off) in fit(taps, self.in_ch * k * k).iter_mut().enumerate() {
+            *off = ((t / (k * k)) * g.ph + t / k % k) * g.pw + t % k;
+        }
     }
 
-    /// The weights and bias of `p` regrouped for the register tile: block
-    /// `i` holds channels `i·MR ..` as `[IC·K·K][MR]` weights and `[MR]`
-    /// biases, zero-filled past the last channel.
-    fn packed_params(&self, p: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    /// The weights and bias of `p` regrouped for the register tile into
+    /// `wpack` and `bpack`: block `i` holds channels `i·MR ..` as
+    /// `[IC·K·K][MR]` weights and `[MR]` biases, zero-filled past the last
+    /// channel.
+    fn pack_params(&self, p: &[f32], wpack: &mut Vec<f32>, bpack: &mut Vec<f32>) {
         let ickk = self.in_ch * self.k * self.k;
         let blocks = self.out_ch.div_ceil(MR);
         let (ws, bs) = p.split_at(self.out_ch * ickk);
-        let mut wpack = vec![0.0f32; blocks * ickk * MR];
-        let mut bpack = vec![0.0f32; blocks * MR];
+        let wpack = zeroed(wpack, blocks * ickk * MR);
+        let bpack = zeroed(bpack, blocks * MR);
         for o in 0..self.out_ch {
             let (blk, r) = (o / MR, o % MR);
             for t in 0..ickk {
@@ -165,7 +174,6 @@ impl Conv2d {
             }
             bpack[blk * MR + r] = bs[o];
         }
-        (wpack, bpack)
     }
 
     /// Direct convolution of one image: `out[o, oy, ox] = bias[o] +
@@ -210,28 +218,31 @@ impl Conv2d {
         }
     }
 
-    /// [`Layer::forward`] on the register tile of `simd`'s compile.
-    fn forward_with(&self, simd: Width, p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache) {
+    /// [`Layer::forward_into`] on the register tile of `simd`'s compile.
+    /// Every output value is written by exactly one tile.
+    fn forward_with(&self, simd: Width, p: &[f32], x: &Tensor, y: &mut Tensor, cache: &mut Cache) {
         let (b, g) = self.geom(x);
         let ohow = g.oh * g.ow;
         let oc = self.out_ch;
         let plane = self.in_ch * g.ph * g.pw;
-        let planes = self.padded(x, &g);
-        let taps = self.tap_offsets(&g);
-        let (wpack, bpack) = self.packed_params(p);
-        let mut out = vec![0.0f32; b * oc * ohow];
+        let [planes, wpack, bpack] = cache.floats.first();
+        self.pad_into(x, &g, planes);
+        self.tap_offsets(&g, &mut cache.dims);
+        self.pack_params(p, wpack, bpack);
+        let out = y.resize([b, oc, g.oh, g.ow]);
         for (xp, ob) in planes
             .chunks_exact(plane)
             .zip(out.chunks_exact_mut(oc * ohow))
         {
-            self.forward_image(simd, &taps, (&wpack, &bpack), xp, &g, ob);
+            self.forward_image(
+                simd,
+                &cache.dims,
+                (wpack.as_slice(), bpack.as_slice()),
+                xp,
+                &g,
+                ob,
+            );
         }
-        let cache = if train {
-            Cache::new(planes)
-        } else {
-            Cache::none()
-        };
-        (Tensor::from_vec(vec![b, oc, g.oh, g.ow], out), cache)
     }
 
     /// Cut one image's `[IC·K·K, OH·OW]` patch matrix out of its padded
@@ -326,43 +337,52 @@ impl Layer for Conv2d {
         self.out_ch * self.in_ch * self.k * self.k + self.out_ch
     }
 
-    fn forward(&self, p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache) {
-        self.forward_with(Width::host(), p, x, train)
+    fn forward_into(
+        &self,
+        p: &[f32],
+        x: Option<&Tensor>,
+        y: &mut Tensor,
+        cache: &mut Cache,
+        _: bool,
+    ) {
+        let x = x.expect("Conv2d reads its input");
+        self.forward_with(Width::host(), p, x, y, cache);
     }
 
-    fn backward(
+    fn backward_into(
         &self,
         p: &[f32],
         x: &Tensor,
-        cache: &Cache,
-        grad_out: Tensor,
+        _: &Tensor,
+        cache: &mut Cache,
+        dy: &mut Tensor,
+        dx: Option<&mut Tensor>,
         grad_p: &mut [f32],
-        input_grad: bool,
-    ) -> Option<Tensor> {
+    ) {
         let (b, g) = self.geom(x);
         let (ic, oc, k) = (self.in_ch, self.out_ch, self.k);
         let (ickk, ohow) = (ic * k * k, g.oh * g.ow);
         let plane = ic * g.ph * g.pw;
         let ws = &p[..oc * ickk];
-        let gs = grad_out.as_slice();
-        // An inference-mode forward cached nothing: pad the input afresh.
-        let fresh;
-        let planes: &[f32] = match cache.try_get::<Vec<f32>>() {
-            Some(planes) => planes,
-            None => {
-                fresh = self.padded(x, &g);
-                &fresh
-            }
-        };
-        let taps = self.tap_offsets(&g);
-        let mut col = vec![0.0f32; ickk * ohow];
+        let gs = dy.as_slice();
+        let [planes, _, _, col, gcol, gpad] = cache.floats.first();
+        assert_eq!(
+            planes.len(),
+            b * plane,
+            "Conv2d: backward needs its forward pass"
+        );
+        let taps = &cache.dims;
+        let col = fit(col, ickk * ohow);
         let (grad_w, grad_b) = grad_p.split_at_mut(oc * ickk);
         // The input gradient's buffers, empty when it is not wanted.
-        let len = |n: usize| if input_grad { n } else { 0 };
         let xlen = ic * g.h * g.w;
-        let mut grad_x = vec![0.0f32; len(b * xlen)];
-        let mut gcol = vec![0.0f32; len(ickk * ohow)];
-        let mut gpad = vec![0.0f32; len(plane)];
+        let mut dx = dx.map(|dx| {
+            (
+                dx.resize(x.shape()),
+                fit(gcol, ickk * ohow),
+                fit(gpad, plane),
+            )
+        });
         // Items accumulate in ascending batch order: fixed association,
         // independent of any parallelism in the callers above.
         for bi in 0..b {
@@ -372,31 +392,33 @@ impl Layer for Conv2d {
                     grad_b[o] += gv;
                 }
             }
-            self.patches(&taps, &planes[bi * plane..(bi + 1) * plane], &g, &mut col);
+            self.patches(taps, &planes[bi * plane..(bi + 1) * plane], &g, col);
             // gW[OC, IC·K·K] += g_b · col_bᵀ
-            crate::gemm::gemm_accum(oc, ickk, ohow, gb, false, &col, true, grad_w);
-            if !input_grad {
+            crate::gemm::gemm_accum(oc, ickk, ohow, gb, false, col, true, grad_w);
+            let Some((grad_x, gcol, gpad)) = dx.as_mut() else {
                 continue;
-            }
+            };
             // gcol[IC·K·K, OH·OW] = Wᵀ · g_b, scattered back onto the input
-            crate::gemm::gemm(ickk, ohow, oc, ws, true, gb, false, &mut gcol);
+            crate::gemm::gemm(ickk, ohow, oc, ws, true, gb, false, gcol);
             // One image's padded gradient planes, reused while they sit in L1.
             gpad.fill(0.0);
-            self.col2im(&taps, &gcol, &g, &mut gpad);
-            self.unpad(&gpad, &g, &mut grad_x[bi * xlen..(bi + 1) * xlen]);
+            self.col2im(taps, gcol, &g, gpad);
+            self.unpad(gpad, &g, &mut grad_x[bi * xlen..(bi + 1) * xlen]);
         }
-        input_grad.then(|| Tensor::from_vec(x.shape().to_vec(), grad_x))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::reference;
+    use crate::layer::Allocating;
     use crate::testing::{bits, values};
 
     /// Run `conv.backward` into a zeroed gradient: `(gx, gW ++ gb)`. Also
     /// checks that a pass without the input gradient returns none and the
-    /// same parameter gradient, bit for bit.
+    /// same parameter gradient, bit for bit. (Conv2d does not read its
+    /// output in the backward pass.)
     fn backward(
         conv: &Conv2d,
         p: &[f32],
@@ -404,11 +426,12 @@ mod tests {
         cache: &Cache,
         g: &Tensor,
     ) -> (Tensor, Vec<f32>) {
+        let y = Tensor::default();
         let mut gp = vec![0.0; conv.param_count()];
-        let gx = conv.backward(p, x, cache, g.clone(), &mut gp, true);
+        let gx = conv.backward(p, x, &y, cache, g.clone(), &mut gp, true);
         let mut gp_only = vec![0.0; conv.param_count()];
         assert!(conv
-            .backward(p, x, cache, g.clone(), &mut gp_only, false)
+            .backward(p, x, &y, cache, g.clone(), &mut gp_only, false)
             .is_none());
         assert_eq!(bits(&gp_only), bits(&gp), "parameter gradient without gx");
         (gx.expect("input gradient asked for"), gp)
@@ -470,20 +493,21 @@ mod tests {
         assert_eq!(gp[3 * 2 * 3 * 3], (2 * 5 * 5) as f32);
     }
 
-    /// backward must work (by padding the input afresh) even when forward
-    /// ran in inference mode and cached no padded planes.
+    /// Every forward pass keeps the padded planes, so a backward pass after
+    /// an inference-mode forward equals one after a training forward.
     #[test]
-    fn backward_without_cached_columns() {
+    fn backward_after_inference_forward_matches_training() {
         let mut rng = crate::rng::seeded(2);
         let p = Conv2d::he(1, 2, 3, 1, &mut rng).params;
         let conv = Conv2d::new(1, 2, 3, 1);
         let x = Tensor::from_fn(&[1, 1, 4, 4], |i| (i % 5) as f32 * 0.2);
         let (y, cache_train) = conv.forward(&p, &x, true);
+        let (_, cache_infer) = conv.forward(&p, &x, false);
         let g = Tensor::filled(y.shape(), 0.5);
-        let (gx_cached, gp_cached) = backward(&conv, &p, &x, &cache_train, &g);
-        let (gx_fresh, gp_fresh) = backward(&conv, &p, &x, &Cache::none(), &g);
-        assert_eq!(gx_cached.as_slice(), gx_fresh.as_slice());
-        assert_eq!(gp_cached, gp_fresh);
+        let (gx_train, gp_train) = backward(&conv, &p, &x, &cache_train, &g);
+        let (gx_infer, gp_infer) = backward(&conv, &p, &x, &cache_infer, &g);
+        assert_eq!(gx_train.as_slice(), gx_infer.as_slice());
+        assert_eq!(gp_train, gp_infer);
     }
 
     /// The im2col + GEMM convolution the direct kernel replaced, kept as
@@ -546,7 +570,9 @@ mod tests {
         }
     }
 
-    /// Oracle forward: per item, `fill(bias)` then `gemm_accum(W, col)`.
+    /// Oracle forward: per item, `fill(bias)` then the textbook
+    /// `reference::matmul_accum(W, col)`, so the oracle shares no compile
+    /// with the GEMM under test.
     fn oracle_forward(conv: &Conv2d, p: &[f32], x: &Tensor) -> Vec<f32> {
         let (b, g) = conv.geom(x);
         let (ic, oc, k) = (conv.in_ch, conv.out_ch, conv.k);
@@ -565,12 +591,13 @@ mod tests {
             for (o, row) in ob.chunks_mut(ohow).enumerate() {
                 row.fill(bs[o]);
             }
-            crate::gemm::gemm_accum(oc, ohow, ickk, ws, false, &col, false, ob);
+            reference::matmul_accum(oc, ohow, ickk, ws, false, &col, false, ob);
         }
         out
     }
 
-    /// Oracle backward over im2col patch matrices: `(gx, gW, gb)`.
+    /// Oracle backward over im2col patch matrices, on the textbook
+    /// `reference` products: `(gx, gW, gb)`.
     fn oracle_backward(conv: &Conv2d, p: &[f32], x: &Tensor, grad: &Tensor) -> [Vec<f32>; 3] {
         let (b, g) = conv.geom(x);
         let (ic, oc, k) = (conv.in_ch, conv.out_ch, conv.k);
@@ -594,9 +621,9 @@ mod tests {
                 &g,
                 &mut col,
             );
-            crate::gemm::gemm_accum(oc, ickk, ohow, gi, false, &col, true, &mut gw);
+            reference::matmul_accum(oc, ickk, ohow, gi, false, &col, true, &mut gw);
             let ws = &p[..oc * ickk];
-            crate::gemm::gemm(ickk, ohow, oc, ws, true, gi, false, &mut gcol);
+            reference::matmul(ickk, ohow, oc, ws, true, gi, false, &mut gcol);
             col2im(conv, &gcol, &g, &mut gx[bi * xlen..(bi + 1) * xlen]);
         }
         [gx, gw, gb]
@@ -613,9 +640,9 @@ mod tests {
         }
     }
 
-    /// Direct forward (both modes) and all three gradients (with and
-    /// without cached planes) equal the im2col + GEMM oracle bit for bit,
-    /// on shapes that leave ragged channel and column tiles.
+    /// Direct forward (both modes) and all three gradients (after either
+    /// forward) equal the im2col + GEMM oracle bit for bit, on shapes that
+    /// leave ragged channel and column tiles.
     #[test]
     fn conv_direct_matches_im2col_gemm_oracle_bitwise() {
         let mut case = 0u64;
@@ -637,7 +664,7 @@ mod tests {
                             Tensor::from_vec(vec![b, ic, h, w], values(case + 7, b * ic * h * w));
                         let shape = format!("oc={oc} ic={ic} k={k} pad={pad} b={b} h={h} w={w}");
                         let want = oracle_forward(&conv, &p, &x);
-                        let (y_inf, _) = conv.forward(&p, &x, false);
+                        let (y_inf, cache_inf) = conv.forward(&p, &x, false);
                         let (y_train, cache) = conv.forward(&p, &x, true);
                         assert_eq!(y_inf.shape()[3], ow);
                         assert_bits("forward(infer)", &shape, y_inf.as_slice(), &want);
@@ -648,7 +675,7 @@ mod tests {
                             values(case + 13, y_train.len()),
                         );
                         let [gx, gw, gb] = oracle_backward(&conv, &p, &x, &grad);
-                        for (mode, c) in [("cached", &cache), ("fresh", &Cache::none())] {
+                        for (mode, c) in [("train", &cache), ("infer", &cache_inf)] {
                             let (dx, dp) = backward(&conv, &p, &x, c, &grad);
                             let (dw, db) = dp.split_at(gw.len());
                             assert_bits(&format!("gx({mode})"), &shape, dx.as_slice(), &gx);
@@ -679,10 +706,9 @@ mod tests {
                     let want = oracle_forward(&conv, &p, &x);
                     for &simd in &compiles {
                         let shape = format!("{simd:?} ic={ic} oc={oc} side={side} rows={rows}");
-                        for train in [false, true] {
-                            let (y, _) = conv.forward_with(simd, &p, &x, train);
-                            assert_bits("forward", &shape, y.as_slice(), &want);
-                        }
+                        let (mut y, mut cache) = (Tensor::default(), Cache::default());
+                        conv.forward_with(simd, &p, &x, &mut y, &mut cache);
+                        assert_bits("forward", &shape, y.as_slice(), &want);
                     }
                 }
             }

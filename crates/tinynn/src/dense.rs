@@ -11,7 +11,8 @@ use rand::Rng;
 ///
 /// When the input has rank 3 (`[B, T, in]`, e.g. per-timestep logits of a
 /// language model) it is treated as `[B·T, in]`. Every product runs on the
-/// storage of the input and the gradient as they are.
+/// storage of the input and the gradient as they are, into the caller's
+/// output and input-gradient buffers; the layer keeps no [`Cache`].
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
@@ -81,36 +82,36 @@ impl Layer for Dense {
         self.in_dim * self.out_dim + self.out_dim
     }
 
-    fn forward(&self, p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward_into(&self, p: &[f32], x: Option<&Tensor>, y: &mut Tensor, _: &mut Cache, _: bool) {
+        let x = x.expect("Dense reads its input");
         let (rows, n) = (self.rows(x), self.out_dim);
         let (w, b) = p.split_at(self.in_dim * n);
+        // Preserve a leading batch structure: [..., in] -> [..., out]
+        let lead = &x.shape()[..x.rank() - 1];
+        let y = y.resize_zeroed(lead.iter().copied().chain([n]));
         // Each output chain starts at 0.0, adds its products in ascending
         // `k`, and adds the bias last (seeding the chain with the bias
         // would be a different sum).
-        let mut y = vec![0.0f32; rows * n];
-        gemm_accum(rows, n, self.in_dim, x.as_slice(), false, w, false, &mut y);
+        gemm_accum(rows, n, self.in_dim, x.as_slice(), false, w, false, y);
         for row in y.chunks_exact_mut(n) {
             for (o, &bv) in row.iter_mut().zip(b) {
                 *o += bv;
             }
         }
-        // Preserve a leading batch structure: [..., in] -> [..., out]
-        let mut out_shape = x.shape().to_vec();
-        *out_shape.last_mut().expect("non-scalar input") = n;
-        (Tensor::from_vec(out_shape, y), Cache::none())
     }
 
-    fn backward(
+    fn backward_into(
         &self,
         p: &[f32],
         x: &Tensor,
-        _cache: &Cache,
-        grad_out: Tensor,
+        _: &Tensor,
+        _: &mut Cache,
+        dy: &mut Tensor,
+        dx: Option<&mut Tensor>,
         grad_p: &mut [f32],
-        input_grad: bool,
-    ) -> Option<Tensor> {
+    ) {
         let (rows, k, n) = (self.rows(x), self.in_dim, self.out_dim);
-        let g = grad_out.as_slice();
+        let g = dy.as_slice();
         assert_eq!(g.len(), rows * n, "Dense: gradient shape mismatch");
         let (gw, gb) = grad_p.split_at_mut(k * n);
         // dL/dW = xᵀ g, dL/db = Σ_rows g, dL/dx = g Wᵀ
@@ -120,18 +121,25 @@ impl Layer for Dense {
                 *o += v;
             }
         }
-        if !input_grad {
-            return None;
+        if let Some(dx) = dx {
+            gemm(
+                rows,
+                k,
+                n,
+                g,
+                false,
+                &p[..k * n],
+                true,
+                dx.resize(x.shape()),
+            );
         }
-        let mut gx = vec![0.0f32; rows * k];
-        gemm(rows, k, n, g, false, &p[..k * n], true, &mut gx);
-        Some(Tensor::from_vec(x.shape().to_vec(), gx))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Allocating;
     use crate::rng::seeded;
     use crate::testing::{bits, values};
 
@@ -167,7 +175,7 @@ mod tests {
         let mut gp = vec![0.0; init.layer.param_count()];
         let gx = init
             .layer
-            .backward(&init.params, &x, &cache, g, &mut gp, true)
+            .backward(&init.params, &x, &y, &cache, g, &mut gp, true)
             .unwrap();
         assert_eq!(gx.shape(), x.shape());
         assert_eq!(gp.len(), 4 * 3 + 3);
@@ -195,10 +203,10 @@ mod tests {
         let layer = Dense::new(2, 2);
         let p = [0.0; 6];
         let x = Tensor::from_vec(vec![3, 2], vec![0.0; 6]);
-        let (_, cache) = layer.forward(&p, &x, true);
+        let (y, cache) = layer.forward(&p, &x, true);
         let g = Tensor::from_vec(vec![3, 2], vec![1., 2., 3., 4., 5., 6.]);
         let mut gp = [0.0; 6];
-        layer.backward(&p, &x, &cache, g, &mut gp, false);
+        layer.backward(&p, &x, &y, &cache, g, &mut gp, false);
         assert_eq!(&gp[4..], &[9., 12.]);
     }
 
@@ -266,15 +274,16 @@ mod tests {
                     assert_eq!(out.shape(), &gs[..], "{what}");
                     assert_eq!(bits(out.as_slice()), bits(&y), "forward, {what}");
                 }
+                let (out, c) = layer.forward(&p, &x, true);
                 let mut gp = vec![0.0; layer.param_count()];
-                let dx = layer.backward(&p, &x, &Cache::none(), g.clone(), &mut gp, true);
+                let dx = layer.backward(&p, &x, &out, &c, g.clone(), &mut gp, true);
                 let dx = dx.expect("input gradient asked for");
                 assert_eq!(dx.shape(), x.shape(), "{what}");
                 assert_eq!(bits(dx.as_slice()), bits(&gx), "gx, {what}");
                 assert_eq!(bits(&gp[..k * n]), bits(&gw), "gW, {what}");
                 assert_eq!(bits(&gp[k * n..]), bits(&gb), "gb, {what}");
                 let mut gp_only = vec![0.0; layer.param_count()];
-                let none = layer.backward(&p, &x, &Cache::none(), g, &mut gp_only, false);
+                let none = layer.backward(&p, &x, &out, &c, g, &mut gp_only, false);
                 assert!(none.is_none(), "{what}");
                 assert_eq!(bits(&gp_only), bits(&gp), "params only, {what}");
             }

@@ -62,42 +62,44 @@ impl Layer for Embedding {
         self.vocab * self.dim
     }
 
-    fn forward(&self, p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
-        let n = x.len();
-        let mut out = Vec::with_capacity(n * self.dim);
-        for &v in x.as_slice() {
+    fn forward_into(&self, p: &[f32], x: Option<&Tensor>, y: &mut Tensor, _: &mut Cache, _: bool) {
+        let x = x.expect("Embedding reads its input");
+        let d = self.dim;
+        let out = y.resize(x.shape().iter().copied().chain([d]));
+        for (&v, row) in x.as_slice().iter().zip(out.chunks_exact_mut(d)) {
             let id = self.token(v);
-            out.extend_from_slice(&p[id * self.dim..(id + 1) * self.dim]);
+            row.copy_from_slice(&p[id * d..(id + 1) * d]);
         }
-        let mut shape = x.shape().to_vec();
-        shape.push(self.dim);
-        (Tensor::from_vec(shape, out), Cache::none())
     }
 
-    fn backward(
+    fn backward_into(
         &self,
-        _p: &[f32],
+        _: &[f32],
         x: &Tensor,
-        _cache: &Cache,
-        grad_out: Tensor,
+        _: &Tensor,
+        _: &mut Cache,
+        dy: &mut Tensor,
+        dx: Option<&mut Tensor>,
         grad_p: &mut [f32],
-        input_grad: bool,
-    ) -> Option<Tensor> {
+    ) {
         for (i, &v) in x.as_slice().iter().enumerate() {
             let id = self.token(v);
-            let g = &grad_out.as_slice()[i * self.dim..(i + 1) * self.dim];
+            let g = &dy.as_slice()[i * self.dim..(i + 1) * self.dim];
             for (a, &b) in grad_p[id * self.dim..(id + 1) * self.dim].iter_mut().zip(g) {
                 *a += b;
             }
         }
         // Token ids are not differentiable: their gradient is zero.
-        input_grad.then(|| Tensor::zeros(x.shape()))
+        if let Some(dx) = dx {
+            dx.resize_zeroed(x.shape());
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Allocating;
 
     #[test]
     fn lookup_rows() {
@@ -114,10 +116,10 @@ mod tests {
         let table = [0.0; 6];
         let e = Embedding::new(3, 2);
         let x = Tensor::from_vec(vec![1, 3], vec![1., 1., 2.]);
-        let (_, c) = e.forward(&table, &x, true);
+        let (y, c) = e.forward(&table, &x, true);
         let g = Tensor::from_vec(vec![1, 3, 2], vec![1., 2., 3., 4., 5., 6.]);
         let mut gp = [0.0; 6];
-        let gx = e.backward(&table, &x, &c, g, &mut gp, true).unwrap();
+        let gx = e.backward(&table, &x, &y, &c, g, &mut gp, true).unwrap();
         assert!(gx.as_slice().iter().all(|&v| v == 0.0));
         // token 1 hit twice: [1+3, 2+4]; token 2 once: [5, 6]
         assert_eq!(gp, [0., 0., 4., 6., 5., 6.]);

@@ -34,7 +34,7 @@ pub fn check_gradients(
     sample: usize,
     seed: u64,
 ) -> GradCheckReport {
-    let (_, analytic, gx) = model.train_pass(x, targets, true);
+    let (_, analytic, gx) = model.train_pass_owned(x, targets, true);
     let gx = gx.expect("every layer returns the input gradient it is asked for");
     assert_eq!(gx.shape(), x.shape(), "input gradient shape");
     let base = model.params();

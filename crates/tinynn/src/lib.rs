@@ -8,16 +8,21 @@
 //! ## Design
 //!
 //! * [`Tensor`] is a dense row-major `f32` array with an explicit shape.
-//! * A [`Layer`] is an architecture: it holds its dimensions only and reads
-//!   its parameters from a borrowed `&[f32]`. All per-call state lives in a
-//!   [`Cache`] value returned by `forward`.
+//! * A [`Layer`] is an architecture: it holds its dimensions only, reads
+//!   its parameters from a borrowed `&[f32]` and writes into borrowed
+//!   buffers: `forward_into` into an output and a [`Cache`],
+//!   `backward_into` into an input gradient. ReLU and Flatten rewrite
+//!   their input in place.
+//! * Every pass borrows its thread's workspace of such buffers, kept from
+//!   one call to the next, so a warm evaluation or training step
+//!   allocates nothing (see [`Sequential`]).
 //! * [`Sequential`] composes layers (shared behind an `Arc`) with one flat
 //!   parameter vector in [`ParamVec`] order — the unit of exchange on the
 //!   tangle ledger. [`Sequential::evaluate_params`] scores any such vector
 //!   in place. [`loss`] provides softmax cross-entropy.
 //! * Training is one [`Sequential::loss_and_grads`] per mini-batch, giving a
-//!   flat gradient, followed by [`Sgd::step`] (`p -= lr·g`); there is no
-//!   other optimizer.
+//!   flat gradient, followed by [`Sgd::step`] (`p -= lr·g`), or both at
+//!   once in [`Sgd::train_step`]; there is no other optimizer.
 //!
 //! ## Quickstart
 //!
@@ -60,13 +65,14 @@ pub mod tensor;
 #[cfg(test)]
 mod testing;
 pub mod wire;
+mod workspace;
 pub mod zoo;
 
 pub use activations::{Relu, Sigmoid, Tanh};
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use embedding::Embedding;
-pub use layer::{Cache, Layer, LayerInit};
+pub use layer::{Buffers, Cache, Layer, LayerInit};
 pub use lstm::Lstm;
 pub use metrics::ConfusionMatrix;
 pub use model::Sequential;

@@ -32,13 +32,21 @@ fn rows_classes(logits: &Tensor) -> (usize, usize) {
 /// `targets[i]` is the class index of row `i`; its length must equal the
 /// number of rows.
 pub fn softmax_cross_entropy(logits: &Tensor, targets: &[u32]) -> (f32, Tensor) {
+    let mut grad = Tensor::default();
+    let loss = softmax_cross_entropy_into(logits, targets, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with the gradient written into `grad`, whose
+/// buffer is reused.
+pub fn softmax_cross_entropy_into(logits: &Tensor, targets: &[u32], grad: &mut Tensor) -> f32 {
     let (rows, classes) = rows_classes(logits);
     assert_eq!(rows, targets.len(), "targets length must match logit rows");
-    let mut probs = logits.clone().reshape(vec![rows, classes]);
+    grad.copy_from(logits);
     let mut loss = 0.0f64;
     let inv_rows = 1.0 / rows as f32;
-    for (i, &target) in targets.iter().enumerate() {
-        let row = probs.row_mut(i);
+    let probs = grad.as_mut_slice().chunks_exact_mut(classes);
+    for (row, &target) in probs.zip(targets) {
         softmax_row(row);
         let t = target as usize;
         assert!(t < classes, "target {t} out of range for {classes} classes");
@@ -48,10 +56,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &[u32]) -> (f32, Tensor) 
             *v *= inv_rows;
         }
     }
-    (
-        (loss / rows as f64) as f32,
-        probs.reshape(logits.shape().to_vec()),
-    )
+    (loss / rows as f64) as f32
 }
 
 /// Mean cross-entropy without the gradient (for validation).

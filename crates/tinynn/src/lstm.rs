@@ -3,12 +3,22 @@
 //! The paper's Shakespeare model is a *stacked* LSTM; stacking here is simply
 //! several [`Lstm`] layers in a [`crate::Sequential`], each consuming the
 //! `[B, T, H]` sequence produced by the previous one.
+//!
+//! **Buffers.** The output and the input gradient are the caller's (see
+//! [`crate::layer`]). The forward pass records every step's activations
+//! in [`Cache`] float buffers 0–2 (gates, cells, hidden states, each
+//! `[T, B, ·]`), and both passes run their products in scratch buffers
+//! there, all kept from call to call. Every product is still computed
+//! into a buffer of its own and then added, so each chain keeps its
+//! association; the zero initial state and the zero carries are zeroed
+//! buffers where fresh zero tensors stood.
 
 use crate::activations::sigmoid;
 use crate::gemm::gemm;
 use crate::init;
 use crate::layer::{Cache, Layer, LayerInit};
 use crate::tensor::Tensor;
+use crate::workspace::{fit, zeroed};
 use rand::Rng;
 
 /// A single LSTM layer mapping `[B, T, in]` to the full hidden sequence
@@ -20,16 +30,6 @@ use rand::Rng;
 pub struct Lstm {
     in_dim: usize,
     hidden: usize,
-}
-
-/// Per-timestep activations recorded by the forward pass.
-struct LstmCache {
-    /// Post-activation gates `[B, 4H]`, packed `i f g o`, one per step.
-    gates: Vec<Tensor>,
-    /// Cell states `c_t` `[B, H]`, one per step.
-    cells: Vec<Tensor>,
-    /// Hidden states `h_t` `[B, H]`, one per step.
-    hiddens: Vec<Tensor>,
 }
 
 impl Lstm {
@@ -73,29 +73,35 @@ impl Lstm {
         assert_eq!(x.shape()[2], self.in_dim, "Lstm input width mismatch");
         (x.shape()[0], x.shape()[1])
     }
+}
 
-    /// Slice timestep `t` out of `[B, T, D]` as a `[B, D]` tensor.
-    fn step_slice(x: &Tensor, t: usize, d: usize) -> Tensor {
-        let (b, tt) = (x.shape()[0], x.shape()[1]);
-        let mut out = Vec::with_capacity(b * d);
-        for bi in 0..b {
-            let base = (bi * tt + t) * d;
-            out.extend_from_slice(&x.as_slice()[base..base + d]);
-        }
-        Tensor::from_vec(vec![b, d], out)
+/// Copy timestep `t` of `[B, T, D]` data `x` into `[B, D]` rows of `out`.
+fn step_slice(x: &[f32], (b, tt): (usize, usize), t: usize, d: usize, out: &mut Vec<f32>) {
+    let out = fit(out, b * d);
+    for (bi, row) in out.chunks_exact_mut(d).enumerate() {
+        let base = (bi * tt + t) * d;
+        row.copy_from_slice(&x[base..base + d]);
     }
 }
 
-/// `op(A)·op(B)` (see [`gemm`]) into a fresh `[m, n]` tensor.
-fn product(m: usize, n: usize, k: usize, a: &[f32], ta: bool, b: &[f32], tb: bool) -> Tensor {
-    let mut out = vec![0.0f32; m * n];
-    gemm(m, n, k, a, ta, b, tb, &mut out);
-    Tensor::from_vec(vec![m, n], out)
+/// `op(A)·op(B)` (see [`gemm`]) into `out`, resized to `[m, n]`.
+#[allow(clippy::too_many_arguments)]
+fn product(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    ta: bool,
+    b: &[f32],
+    tb: bool,
+    out: &mut Vec<f32>,
+) {
+    gemm(m, n, k, a, ta, b, tb, fit(out, m * n));
 }
 
 /// `acc += v`, elementwise.
-fn add_into(acc: &mut [f32], v: &Tensor) {
-    for (a, &x) in acc.iter_mut().zip(v.as_slice()) {
+fn add_into(acc: &mut [f32], v: &[f32]) {
+    for (a, &x) in acc.iter_mut().zip(v) {
         *a += x;
     }
 }
@@ -109,32 +115,46 @@ impl Layer for Lstm {
         (self.in_dim + self.hidden + 1) * 4 * self.hidden
     }
 
-    fn forward(&self, p: &[f32], x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward_into(
+        &self,
+        p: &[f32],
+        x: Option<&Tensor>,
+        y: &mut Tensor,
+        cache: &mut Cache,
+        _: bool,
+    ) {
+        let x = x.expect("Lstm reads its input");
         let (b, t) = self.dims(x);
-        let h = self.hidden;
+        let (h, d) = (self.hidden, self.in_dim);
         let (w_ih, w_hh, bias) = self.split(p);
-        let mut cache = LstmCache {
-            gates: Vec::with_capacity(t),
-            cells: Vec::with_capacity(t),
-            hiddens: Vec::with_capacity(t),
-        };
-        let mut h_prev = Tensor::zeros(&[b, h]);
-        let mut c_prev = Tensor::zeros(&[b, h]);
-        let mut out = vec![0.0f32; b * t * h];
+        let [gates, cells, hiddens, x_t, zh, zero] = cache.floats.first();
+        let gates = fit(gates, t * b * 4 * h);
+        let cells = fit(cells, t * b * h);
+        let hiddens = fit(hiddens, t * b * h);
+        // The zero initial state: the first step's h_prev.
+        let zero: &[f32] = zeroed(zero, b * h);
+        let out = y.resize([b, t, h]);
         for step in 0..t {
-            let x_t = Self::step_slice(x, step, self.in_dim);
-            let mut z = product(b, 4 * h, self.in_dim, x_t.as_slice(), false, w_ih, false);
-            z.add_assign(&product(b, 4 * h, h, h_prev.as_slice(), false, w_hh, false));
-            for row in z.as_mut_slice().chunks_exact_mut(4 * h) {
+            step_slice(x.as_slice(), (b, t), step, d, x_t);
+            let (h_done, h_rest) = hiddens.split_at_mut(step * b * h);
+            let h_prev: &[f32] = if step == 0 {
+                zero
+            } else {
+                &h_done[(step - 1) * b * h..]
+            };
+            let z = &mut gates[step * b * 4 * h..(step + 1) * b * 4 * h];
+            gemm(b, 4 * h, d, x_t, false, w_ih, false, z);
+            product(b, 4 * h, h, h_prev, false, w_hh, false, zh);
+            add_into(z, zh);
+            for row in z.chunks_exact_mut(4 * h) {
                 for (o, &bv) in row.iter_mut().zip(bias) {
                     *o += bv;
                 }
             }
-            let mut gates = z;
-            let mut c_t = Tensor::zeros(&[b, h]);
-            let mut h_t = Tensor::zeros(&[b, h]);
+            let (c_done, c_rest) = cells.split_at_mut(step * b * h);
+            let (h_t, c_t) = (&mut h_rest[..b * h], &mut c_rest[..b * h]);
             for bi in 0..b {
-                let grow = gates.row_mut(bi);
+                let grow = &mut z[bi * 4 * h..(bi + 1) * 4 * h];
                 for j in 0..h {
                     let i_g = sigmoid(grow[j]);
                     let f_g = sigmoid(grow[h + j]);
@@ -144,114 +164,117 @@ impl Layer for Lstm {
                     grow[h + j] = f_g;
                     grow[2 * h + j] = g_g;
                     grow[3 * h + j] = o_g;
-                    let c = f_g * c_prev.at2(bi, j) + i_g * g_g;
-                    c_t.row_mut(bi)[j] = c;
-                    h_t.row_mut(bi)[j] = o_g * c.tanh();
-                }
-            }
-            for bi in 0..b {
-                let base = (bi * t + step) * h;
-                out[base..base + h].copy_from_slice(h_t.row(bi));
-            }
-            cache.gates.push(gates);
-            cache.cells.push(c_t.clone());
-            cache.hiddens.push(h_t.clone());
-            h_prev = h_t;
-            c_prev = c_t;
-        }
-        (Tensor::from_vec(vec![b, t, h], out), Cache::new(cache))
-    }
-
-    fn backward(
-        &self,
-        p: &[f32],
-        x: &Tensor,
-        cache: &Cache,
-        grad_out: Tensor,
-        grad_p: &mut [f32],
-        input_grad: bool,
-    ) -> Option<Tensor> {
-        let (b, t) = self.dims(x);
-        let (h, d) = (self.hidden, self.in_dim);
-        let (w_ih, w_hh, _) = self.split(p);
-        let cache = cache.get::<LstmCache>();
-        let (grad_w_ih, rest) = grad_p.split_at_mut(d * 4 * h);
-        let (grad_w_hh, grad_bias) = rest.split_at_mut(h * 4 * h);
-        let mut grad_x = vec![0.0f32; b * t * self.in_dim];
-        let mut dh_next = Tensor::zeros(&[b, h]);
-        let mut dc_next = Tensor::zeros(&[b, h]);
-        for step in (0..t).rev() {
-            let gates = &cache.gates[step];
-            let c_t = &cache.cells[step];
-            // dL/dh_t = upstream grad at this step + recurrent carry
-            let mut dh = Self::step_slice(&grad_out, step, h);
-            dh.add_assign(&dh_next);
-            // Raw-gate gradients dz [B, 4H]
-            let mut dz = Tensor::zeros(&[b, 4 * h]);
-            let mut dc_prev = Tensor::zeros(&[b, h]);
-            for bi in 0..b {
-                let g = gates.row(bi);
-                for j in 0..h {
-                    let (i_g, f_g, g_g, o_g) = (g[j], g[h + j], g[2 * h + j], g[3 * h + j]);
-                    let c = c_t.at2(bi, j);
-                    let tc = c.tanh();
-                    let dh_v = dh.at2(bi, j);
-                    let mut dc = dc_next.at2(bi, j) + dh_v * o_g * (1.0 - tc * tc);
                     let c_prev = if step == 0 {
                         0.0
                     } else {
-                        cache.cells[step - 1].at2(bi, j)
+                        c_done[(step - 1) * b * h + bi * h + j]
+                    };
+                    let c = f_g * c_prev + i_g * g_g;
+                    c_t[bi * h + j] = c;
+                    h_t[bi * h + j] = o_g * c.tanh();
+                }
+            }
+            for (bi, row) in h_t.chunks_exact(h).enumerate() {
+                let base = (bi * t + step) * h;
+                out[base..base + h].copy_from_slice(row);
+            }
+        }
+    }
+
+    fn backward_into(
+        &self,
+        p: &[f32],
+        x: &Tensor,
+        _: &Tensor,
+        cache: &mut Cache,
+        dy: &mut Tensor,
+        dx: Option<&mut Tensor>,
+        grad_p: &mut [f32],
+    ) {
+        let (b, t) = self.dims(x);
+        let (h, d) = (self.hidden, self.in_dim);
+        let (w_ih, w_hh, _) = self.split(p);
+        let [gates, cells, hiddens, x_t, _, _, dh, dh_next, dc_next, dc_prev, dz, prod, dx_t] =
+            cache.floats.first();
+        assert_eq!(
+            gates.len(),
+            t * b * 4 * h,
+            "Lstm: backward needs its forward pass"
+        );
+        let (grad_w_ih, rest) = grad_p.split_at_mut(d * 4 * h);
+        let (grad_w_hh, grad_bias) = rest.split_at_mut(h * 4 * h);
+        let mut grad_x = dx.map(|dx| dx.resize_zeroed(x.shape()));
+        // The zero carries into the last step.
+        zeroed(dh_next, b * h);
+        zeroed(dc_next, b * h);
+        fit(dc_prev, b * h);
+        let dz = fit(dz, b * 4 * h);
+        for step in (0..t).rev() {
+            let gates = &gates[step * b * 4 * h..(step + 1) * b * 4 * h];
+            let c_t = &cells[step * b * h..(step + 1) * b * h];
+            // dL/dh_t = upstream grad at this step + recurrent carry
+            step_slice(dy.as_slice(), (b, t), step, h, dh);
+            add_into(dh, dh_next);
+            // Raw-gate gradients dz [B, 4H]
+            for bi in 0..b {
+                let g = &gates[bi * 4 * h..(bi + 1) * 4 * h];
+                for j in 0..h {
+                    let (i_g, f_g, g_g, o_g) = (g[j], g[h + j], g[2 * h + j], g[3 * h + j]);
+                    let c = c_t[bi * h + j];
+                    let tc = c.tanh();
+                    let dh_v = dh[bi * h + j];
+                    let mut dc = dc_next[bi * h + j] + dh_v * o_g * (1.0 - tc * tc);
+                    let c_prev = if step == 0 {
+                        0.0
+                    } else {
+                        cells[(step - 1) * b * h + bi * h + j]
                     };
                     let d_o = dh_v * tc;
                     let d_i = dc * g_g;
                     let d_g = dc * i_g;
                     let d_f = dc * c_prev;
                     dc *= f_g;
-                    let row = dz.row_mut(bi);
+                    let row = &mut dz[bi * 4 * h..(bi + 1) * 4 * h];
                     row[j] = d_i * i_g * (1.0 - i_g);
                     row[h + j] = d_f * f_g * (1.0 - f_g);
                     row[2 * h + j] = d_g * (1.0 - g_g * g_g);
                     row[3 * h + j] = d_o * o_g * (1.0 - o_g);
-                    dc_prev.row_mut(bi)[j] = dc;
+                    dc_prev[bi * h + j] = dc;
                 }
             }
-            dc_next = dc_prev;
+            std::mem::swap(dc_next, dc_prev);
             // Parameter gradients
-            let x_t = Self::step_slice(x, step, d);
-            add_into(
-                grad_w_ih,
-                &product(d, 4 * h, b, x_t.as_slice(), true, dz.as_slice(), false),
-            );
+            step_slice(x.as_slice(), (b, t), step, d, x_t);
+            product(d, 4 * h, b, x_t, true, dz, false, prod);
+            add_into(grad_w_ih, prod);
             if step > 0 {
-                let h_prev = cache.hiddens[step - 1].as_slice();
-                add_into(
-                    grad_w_hh,
-                    &product(h, 4 * h, b, h_prev, true, dz.as_slice(), false),
-                );
+                let h_prev = &hiddens[(step - 1) * b * h..step * b * h];
+                product(h, 4 * h, b, h_prev, true, dz, false, prod);
+                add_into(grad_w_hh, prod);
             }
-            add_into(grad_bias, &dz.sum_rows());
+            // Σ_rows dz from 0.0, then added into the bias gradient.
+            let sum = zeroed(prod, 4 * h);
+            for row in dz.chunks_exact(4 * h) {
+                add_into(sum, row);
+            }
+            add_into(grad_bias, sum);
             // Input and recurrent gradients
-            if input_grad {
-                let dx_t = product(b, d, 4 * h, dz.as_slice(), false, w_ih, true);
-                for bi in 0..b {
-                    let base = (bi * t + step) * self.in_dim;
-                    for (gx, &v) in grad_x[base..base + self.in_dim]
-                        .iter_mut()
-                        .zip(dx_t.row(bi))
-                    {
-                        *gx += v;
-                    }
+            if let Some(grad_x) = grad_x.as_deref_mut() {
+                product(b, d, 4 * h, dz, false, w_ih, true, dx_t);
+                for (bi, row) in dx_t.chunks_exact(d).enumerate() {
+                    let base = (bi * t + step) * d;
+                    add_into(&mut grad_x[base..base + d], row);
                 }
             }
-            dh_next = product(b, h, 4 * h, dz.as_slice(), false, w_hh, true);
+            product(b, h, 4 * h, dz, false, w_hh, true, dh_next);
         }
-        input_grad.then(|| Tensor::from_vec(x.shape().to_vec(), grad_x))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Allocating;
     use crate::rng::seeded;
 
     #[test]
@@ -293,7 +316,7 @@ mod tests {
         let mut gp = vec![0.0; lstm.params.len()];
         let gx = lstm
             .layer
-            .backward(&lstm.params, &x, &c, g, &mut gp, true)
+            .backward(&lstm.params, &x, &y, &c, g, &mut gp, true)
             .unwrap();
         assert_eq!(gx.shape(), &[2, 5, 3]);
         assert_eq!(gp.len(), 3 * 16 + 4 * 16 + 16);

@@ -3,6 +3,8 @@
 //! learning rates).
 
 use crate::model::Sequential;
+use crate::tensor::Tensor;
+use crate::workspace::with_workspace;
 
 /// SGD optimizer: `p ← p − lr·g`.
 pub struct Sgd {
@@ -26,6 +28,17 @@ impl Sgd {
             *p -= self.lr * g;
         }
     }
+
+    /// One mini-batch step: [`Sequential::loss_and_grads`] then
+    /// [`Self::step`], with the gradient applied where it lies in this
+    /// thread's workspace instead of copied out. Returns the batch loss.
+    pub fn train_step(&mut self, model: &mut Sequential, x: &Tensor, targets: &[u32]) -> f32 {
+        with_workspace(|ws| {
+            let (loss, _) = model.train_pass(ws, x, targets, false);
+            self.step(model, &ws.grad_p);
+            loss
+        })
+    }
 }
 
 #[cfg(test)]
@@ -33,7 +46,25 @@ mod tests {
     use super::*;
     use crate::dense::Dense;
     use crate::layer::LayerInit;
-    use crate::tensor::Tensor;
+
+    /// A train step moves the parameters exactly as `loss_and_grads`
+    /// followed by `step` does, bit for bit.
+    #[test]
+    fn train_step_equals_loss_and_grads_then_step() {
+        use crate::testing::bits;
+        let mut rng = crate::rng::seeded(4);
+        let mut a = crate::zoo::mlp(4, &[8], 3, &mut rng);
+        let mut b = a.clone();
+        let x = Tensor::from_fn(&[5, 4], |i| (i as f32 * 0.3).sin());
+        let t = [0u32, 2, 1, 1, 0];
+        let mut sgd = Sgd::new(0.3);
+        for _ in 0..3 {
+            let (loss, g) = a.loss_and_grads(&x, &t);
+            sgd.step(&mut a, &g);
+            assert_eq!(sgd.train_step(&mut b, &x, &t).to_bits(), loss.to_bits());
+        }
+        assert_eq!(bits(a.params()), bits(b.params()));
+    }
 
     #[test]
     fn plain_sgd_step() {

@@ -3,8 +3,13 @@
 //! Each window's max is a chain of selects, not branches: the winner of a
 //! window is data the branch predictor cannot learn. A training forward
 //! pass also keeps the argmax of every window (the first index holding the
-//! max wins a tie) for `backward` to route the gradient through; an
-//! inference pass keeps nothing and returns [`Cache::none`].
+//! max wins a tie) in [`Cache::indices`] for the backward pass to route the
+//! gradient through; an inference pass skips it and empties that buffer,
+//! so a backward pass can never read an argmax of another batch.
+//!
+//! The output and the input gradient are the caller's buffers (see
+//! [`crate::layer`]); the input gradient is zeroed before the routed
+//! gradients are added into it.
 //!
 //! Planes are pooled serially: a layer runs inside a round's per-node
 //! worker, where a nested pool region would only fall back to serial after
@@ -12,6 +17,7 @@
 
 use crate::layer::{Cache, Layer};
 use crate::tensor::Tensor;
+use crate::workspace::fit;
 
 /// Non-overlapping `k × k` max pooling (stride = k) over `[B, C, H, W]`.
 ///
@@ -27,36 +33,29 @@ impl MaxPool2d {
         assert!(k >= 1, "pool window must be >= 1");
         Self { k }
     }
-
-    /// Pool `x`, also returning each window's argmax (a plane index) when
-    /// `train` is set. The 2 × 2 window every model in this workspace uses
-    /// runs the kernel with the window side as a constant, fully unrolled:
-    /// ≈ 3× faster than the same code reading `k` at run time.
-    fn pool(&self, x: &Tensor, train: bool) -> (Tensor, Vec<u32>) {
-        assert_eq!(x.rank(), 4, "MaxPool2d expects [B, C, H, W]");
-        assert!(
-            x.shape()[2] >= self.k && x.shape()[3] >= self.k,
-            "MaxPool2d input smaller than its window"
-        );
-        match self.k {
-            2 => pool_planes::<2>(x, 2, train),
-            k => pool_planes::<0>(x, k, train),
-        }
-    }
 }
 
-/// The pooling kernel over every `[H, W]` plane of `x`, for a window side
-/// of `K`, or of `k` when `K` is 0.
-fn pool_planes<const K: usize>(x: &Tensor, k: usize, train: bool) -> (Tensor, Vec<u32>) {
+/// The pooling kernel over every `[H, W]` plane of `x` into `y`, with
+/// each window's argmax (a plane index) into `argmax` when it is given,
+/// for a window side of `K`, or of `k` when `K` is 0. The 2 × 2 window
+/// every model in this workspace uses runs with the side as a constant,
+/// fully unrolled: ≈ 3× faster than the same code reading `k` at run time.
+fn pool_planes<const K: usize>(
+    x: &Tensor,
+    k: usize,
+    y: &mut Tensor,
+    argmax: Option<&mut Vec<u32>>,
+) {
     let k = if K == 0 { k } else { K };
     let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
     let (oh, ow) = (h / k, w / k);
-    let n = b * c * oh * ow;
-    let mut out = vec![0.0f32; n];
-    let mut argmax = vec![0u32; if train { n } else { 0 }];
+    let out = y.resize([b, c, oh, ow]);
+    let mut argmax = argmax.map(|a| fit(a, out.len()));
     for (pc, xp) in x.as_slice().chunks_exact(h * w).enumerate() {
         let ob = &mut out[pc * oh * ow..(pc + 1) * oh * ow];
-        let mut ab = train.then(|| &mut argmax[pc * oh * ow..(pc + 1) * oh * ow]);
+        let mut ab = argmax
+            .as_deref_mut()
+            .map(|a| &mut a[pc * oh * ow..(pc + 1) * oh * ow]);
         for oy in 0..oh {
             for ox in 0..ow {
                 let (best, at) = window::<K>(xp, oy * k * w + ox * k, w, k);
@@ -67,7 +66,6 @@ fn pool_planes<const K: usize>(x: &Tensor, k: usize, train: bool) -> (Tensor, Ve
             }
         }
     }
-    (Tensor::from_vec(vec![b, c, oh, ow], out), argmax)
 }
 
 /// Max and argmax of the `k × k` window (`K × K` unless `K` is 0) of plane
@@ -96,40 +94,50 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward(&self, _p: &[f32], x: &Tensor, train: bool) -> (Tensor, Cache) {
-        let (y, argmax) = self.pool(x, train);
-        let cache = if train {
-            Cache::new(argmax)
-        } else {
-            Cache::none()
-        };
-        (y, cache)
+    fn forward_into(
+        &self,
+        _: &[f32],
+        x: Option<&Tensor>,
+        y: &mut Tensor,
+        cache: &mut Cache,
+        train: bool,
+    ) {
+        let x = x.expect("MaxPool2d reads its input");
+        assert_eq!(x.rank(), 4, "MaxPool2d expects [B, C, H, W]");
+        assert!(
+            x.shape()[2] >= self.k && x.shape()[3] >= self.k,
+            "MaxPool2d input smaller than its window"
+        );
+        if !train {
+            cache.indices.clear();
+        }
+        let argmax = train.then_some(&mut cache.indices);
+        match self.k {
+            2 => pool_planes::<2>(x, 2, y, argmax),
+            k => pool_planes::<0>(x, k, y, argmax),
+        }
     }
 
-    fn backward(
+    fn backward_into(
         &self,
         _: &[f32],
         x: &Tensor,
-        cache: &Cache,
-        dy: Tensor,
+        _: &Tensor,
+        cache: &mut Cache,
+        dy: &mut Tensor,
+        dx: Option<&mut Tensor>,
         _: &mut [f32],
-        input_grad: bool,
-    ) -> Option<Tensor> {
-        if !input_grad {
-            return None;
-        }
-        // An inference-mode forward kept no argmax: find it afresh.
-        let fresh;
-        let argmax = match cache.try_get::<Vec<u32>>() {
-            Some(argmax) => argmax,
-            None => {
-                fresh = self.pool(x, true).1;
-                &fresh
-            }
-        };
+    ) {
+        let Some(dx) = dx else { return };
+        let argmax = &cache.indices;
+        assert_eq!(
+            argmax.len(),
+            dy.len(),
+            "MaxPool2d: backward needs the argmax of a training forward pass"
+        );
         let (h, w) = (x.shape()[2], x.shape()[3]);
         let oplane = (h / self.k) * (w / self.k);
-        let mut gx = vec![0.0f32; x.len()];
+        let gx = dx.resize_zeroed(x.shape());
         let routes = dy
             .as_slice()
             .chunks_exact(oplane)
@@ -139,13 +147,13 @@ impl Layer for MaxPool2d {
                 gp[ai as usize] += g;
             }
         }
-        Some(Tensor::from_vec(x.shape().to_vec(), gx))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Allocating;
 
     #[test]
     fn pool_2x2_takes_max() {
@@ -160,9 +168,9 @@ mod tests {
     fn backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 5., 2., 0.]);
         let p = MaxPool2d::new(2);
-        let (_, c) = p.forward(&[], &x, true);
+        let (y, c) = p.forward(&[], &x, true);
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![3.0]);
-        let gx = p.backward(&[], &x, &c, g, &mut [], true).unwrap();
+        let gx = p.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
         assert_eq!(gx.as_slice(), &[0., 3., 0., 0.]);
     }
 
@@ -179,9 +187,9 @@ mod tests {
         let p = MaxPool2d::new(2);
         let (y, c) = p.forward(&[], &x, true);
         assert_eq!(y.as_slice(), &[5., ninf, ninf]);
-        assert_eq!(c.get::<Vec<u32>>(), &[1, 2, 4]);
+        assert_eq!(c.indices, [1, 2, 4]);
         let g = Tensor::from_vec(vec![1, 1, 1, 3], vec![1., 2., 3.]);
-        let gx = p.backward(&[], &x, &c, g, &mut [], true).unwrap();
+        let gx = p.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
         assert_eq!(
             gx.as_slice(),
             &[0., 1., 2., 0., 3., 0., 0., 0., 0., 0., 0., 0.]
@@ -216,9 +224,9 @@ mod tests {
         (out, argmax)
     }
 
-    /// Forward (both modes), argmax and backward (from the cached argmax
-    /// and afresh) equal the branchy oracle bit for bit, on odd and even
-    /// sides, k ∈ {1, 2, 3}, and planes full of ±0.0, NaN, ±∞ and ties.
+    /// Forward (both modes), argmax and backward equal the branchy oracle
+    /// bit for bit, on odd and even sides, k ∈ {1, 2, 3}, and planes full
+    /// of ±0.0, NaN, ±∞ and ties; an inference pass keeps no argmax.
     #[test]
     fn maxpool_matches_branchy_oracle_bitwise() {
         use crate::testing::{bits, special_values};
@@ -242,8 +250,8 @@ mod tests {
                         "forward(infer), {what}"
                     );
                     assert_eq!(bits(y.as_slice()), bits(&want), "forward(train), {what}");
-                    assert!(c_inf.try_get::<Vec<u32>>().is_none(), "{what}");
-                    assert_eq!(cache.get::<Vec<u32>>(), &want_arg, "argmax, {what}");
+                    assert!(c_inf.indices.is_empty(), "{what}");
+                    assert_eq!(cache.indices, want_arg, "argmax, {what}");
 
                     let dy =
                         Tensor::from_vec(y.shape().to_vec(), special_values(case + 99, y.len()));
@@ -252,16 +260,13 @@ mod tests {
                     for (i, (&g, &ai)) in routes.enumerate() {
                         want_g[i / ((h / k) * (w / k)) * h * w + ai as usize] += g;
                     }
-                    for (mode, c) in [("cached", &cache), ("fresh", &c_inf)] {
-                        let gx = p.backward(&[], &x, c, dy.clone(), &mut [], true).unwrap();
-                        assert_eq!(gx.shape(), x.shape(), "{what}");
-                        assert_eq!(
-                            bits(gx.as_slice()),
-                            bits(&want_g),
-                            "backward({mode}), {what}"
-                        );
-                    }
-                    assert!(p.backward(&[], &x, &cache, dy, &mut [], false).is_none());
+                    let gx = p.backward(&[], &x, &y, &cache, dy.clone(), &mut [], true);
+                    let gx = gx.expect("input gradient asked for");
+                    assert_eq!(gx.shape(), x.shape(), "{what}");
+                    assert_eq!(bits(gx.as_slice()), bits(&want_g), "backward, {what}");
+                    assert!(p
+                        .backward(&[], &x, &y, &cache, dy, &mut [], false)
+                        .is_none());
 
                     // Count the windows that tie or hold no value above -∞.
                     let (oh, ow) = (h / k, w / k);
@@ -284,6 +289,20 @@ mod tests {
             case >= 45 && ties > 0 && empty > 0,
             "{case} cases, {ties} ties, {empty} empty"
         );
+    }
+
+    /// A backward pass after an inference forward finds no argmax and
+    /// stops, instead of routing through another batch's.
+    #[test]
+    #[should_panic(expected = "argmax of a training forward")]
+    fn backward_after_inference_forward_panics() {
+        let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32);
+        let p = MaxPool2d::new(2);
+        let (mut cache, mut y) = (Cache::default(), Tensor::default());
+        p.forward_into(&[], Some(&x), &mut y, &mut cache, true);
+        p.forward_into(&[], Some(&x), &mut y, &mut cache, false);
+        let (mut dy, mut dx) = (Tensor::zeros(y.shape()), Tensor::default());
+        p.backward_into(&[], &x, &y, &mut cache, &mut dy, Some(&mut dx), &mut []);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! needs: elementwise arithmetic, a matrix product, and shape bookkeeping.
 //! Layers run their transposed products on slices through [`crate::gemm`].
 
+use crate::workspace::{fit, note_grow};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Product of a shape's dimensions (the number of elements).
 #[inline]
@@ -18,6 +20,13 @@ pub fn numel(shape: &[usize]) -> usize {
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
+}
+
+/// An empty `[0]` tensor: a buffer waiting for [`Tensor::resize`].
+impl Default for Tensor {
+    fn default() -> Self {
+        Self::zeros(&[0])
+    }
 }
 
 impl Tensor {
@@ -104,6 +113,68 @@ impl Tensor {
     /// Consume the tensor, returning its buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
+    }
+
+    /// Give the tensor the shape `dims` in place, keeping its buffer: the
+    /// capacity grows only when the new shape needs more than it held, and
+    /// the values are unspecified, so the caller writes every one it reads.
+    /// This is how a [`crate::Layer`] writes its output or gradient into a
+    /// buffer that outlives the call.
+    pub fn resize<D: Borrow<usize>>(&mut self, dims: impl IntoIterator<Item = D>) -> &mut [f32] {
+        self.assign_shape(dims);
+        fit(&mut self.data, numel(&self.shape))
+    }
+
+    /// [`Self::resize`], then zero every value: for a buffer that a kernel
+    /// accumulates into.
+    pub fn resize_zeroed<D: Borrow<usize>>(
+        &mut self,
+        dims: impl IntoIterator<Item = D>,
+    ) -> &mut [f32] {
+        let data = self.resize(dims);
+        data.fill(0.0);
+        data
+    }
+
+    /// Take `src`'s shape and values, keeping this tensor's buffer.
+    pub fn copy_from(&mut self, src: &Tensor) {
+        self.resize(src.shape()).copy_from_slice(src.as_slice());
+    }
+
+    /// Reinterpret the values in place under a new shape with the same
+    /// element count (the borrowing form of [`Self::reshape`]).
+    ///
+    /// # Panics
+    /// Panics if the element counts differ.
+    pub fn set_shape<D: Borrow<usize>>(&mut self, dims: impl IntoIterator<Item = D>) {
+        self.assign_shape(dims);
+        assert_eq!(
+            numel(&self.shape),
+            self.data.len(),
+            "cannot give {} elements the shape {:?}",
+            self.data.len(),
+            self.shape
+        );
+    }
+
+    /// Overwrite the shape, keeping its buffer.
+    fn assign_shape<D: Borrow<usize>>(&mut self, dims: impl IntoIterator<Item = D>) {
+        let cap = self.shape.capacity();
+        self.shape.clear();
+        self.shape.extend(dims.into_iter().map(|d| *d.borrow()));
+        if self.shape.capacity() > cap {
+            note_grow();
+        }
+    }
+
+    /// Fill the buffer up to its capacity with NaN (see
+    /// [`crate::workspace::Workspace::poison`]).
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) {
+        self.data.resize(self.data.capacity(), f32::NAN);
+        self.data.fill(f32::NAN);
+        self.shape.clear();
+        self.shape.push(self.data.len());
     }
 
     /// Reinterpret the buffer under a new shape with the same element count.
