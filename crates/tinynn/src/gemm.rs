@@ -1,8 +1,8 @@
 //! Blocked, packed GEMM: the single matmul kernel behind every tinynn
-//! layer's matrix products. The one exception is the convolution forward
-//! pass, a direct register-tiled kernel in [`crate::conv`] that keeps this
-//! kernel's accumulation chain bit for bit; the convolution backward pass
-//! runs here.
+//! layer's matrix products. The one exception is the convolution, whose
+//! forward pass and both backward kernels are direct register tiles in
+//! [`crate::conv`] that keep this kernel's accumulation chains bit for bit;
+//! so only Dense and LSTM use the transposed variants below.
 //!
 //! One code path serves the plain (`A·B`), A-transposed (`Aᵀ·B`) and
 //! B-transposed (`A·Bᵀ`) products: the transpose flags only change how

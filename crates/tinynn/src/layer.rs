@@ -67,7 +67,7 @@ impl Buffers {
 /// [`crate::Sequential`] hands it over zeroed) and, when `dx` is given,
 /// writes the gradient w.r.t. the input there. [`crate::Sequential`] gives
 /// its first layer no `dx`, since that input is the data batch, so e.g.
-/// [`crate::Conv2d`] skips its `Wᵀ·g` GEMM and col2im there.
+/// [`crate::Conv2d`] skips its input-gradient kernel there.
 pub trait Layer: Send + Sync {
     /// Human-readable layer name (used in summaries and error messages).
     fn name(&self) -> &'static str;

@@ -1,6 +1,6 @@
-//! The vector width of the two hot kernels: the convolution forward
-//! register tile ([`crate::conv`]) and the GEMM tile loop with its
-//! microkernel ([`crate::gemm`]).
+//! The vector width of the hot kernels: the convolution's forward,
+//! weight-gradient and input-gradient register tiles ([`crate::conv`]) and
+//! the GEMM microkernel ([`crate::gemm`]).
 //!
 //! One source, two compiles, picked once per process. Each kernel body is
 //! an `#[inline(always)]` function called from two thin wrappers: a plain

@@ -10,8 +10,8 @@
 //!
 //! - per layer index: the training output (the tape) and the layer's
 //!   [`Cache`] — what its backward pass reads (Conv2d's padded planes,
-//!   MaxPool2d's argmax, ...) and the scratch it reuses (Conv2d's `col`,
-//!   `gcol`, `gpad`);
+//!   MaxPool2d's argmax, ...) and the scratch it reuses (Conv2d's
+//!   transposed gradient, gradient rows and regrouped weights);
 //! - two ping-pong activations for inference and two for the gradient
 //!   flowing down a backward pass, whose buffers hold every layer's input
 //!   gradient in turn (one slot per layer instead faulted less but ran
