@@ -19,7 +19,16 @@
 //! the way `Sequential` does, on one set of buffers the harness owns
 //! across all calls (as `Sequential` keeps them in its thread's
 //! workspace), so after the warm-up pass the faults column shows the
-//! steady state.
+//! steady state; each backward pass ends in the SGD update, so the models
+//! train as the whole calls' do. The whole calls run afterwards, on a
+//! thread of their own, after the harness's buffers are dropped: they see
+//! only the workspace that `Sequential` keeps, as in production.
+//!
+//! Every Conv2d pass runs serially on its thread: the forward tile and
+//! both backward kernels are direct loops, not GEMMs, so no product of
+//! theirs reaches the rayon branch of [`tinynn::gemm`] (before the direct
+//! backward, the paper CNN's conv2 input-gradient GEMM, 288 × 64 × 64,
+//! crossed `PAR_GEMM_THRESHOLD` and ran on the pool).
 
 use rand::{Rng, RngExt};
 use std::time::Instant;
@@ -92,17 +101,16 @@ struct Buffers {
     grad_p: Vec<f32>,
 }
 
-/// Each layer's `[inference, training forward, backward]` over every call,
-/// and the whole calls `[evaluate, training step]`.
-fn split(
+/// Each layer's `[inference, training forward, backward]` over every call
+/// of the timed passes, and the number of those calls.
+fn layer_split(
     models: &mut [Sequential],
     batches: &[(Tensor, Vec<u32>)],
-) -> (Vec<[Cell; 3]>, [Cell; 2], usize) {
+) -> (Vec<[Cell; 3]>, usize) {
     let arch = models[0].clone();
     let layers = arch.layers();
     let n = layers.len();
     let mut cells = vec![[Cell::default(); 3]; n];
-    let mut whole = [Cell::default(); 2];
     let mut calls = 0;
     let mut offsets = vec![0];
     for layer in layers {
@@ -118,7 +126,6 @@ fn split(
     for pass in 0..PASSES {
         if pass == 1 {
             cells = vec![[Cell::default(); 3]; n];
-            whole = [Cell::default(); 2];
             calls = 0;
         }
         for model in models.iter_mut() {
@@ -199,12 +206,30 @@ fn split(
                         c = 1 - c;
                     }
                 }
+                sgd.step(model, grad_p);
+            }
+        }
+    }
+    (cells, calls)
+}
+
+/// The whole calls `[evaluate, training step]` over every call of the
+/// timed passes, on the same batches in the same order as [`layer_split`].
+fn whole_calls(models: &mut [Sequential], batches: &[(Tensor, Vec<u32>)]) -> [Cell; 2] {
+    let mut whole = [Cell::default(); 2];
+    let mut sgd = Sgd::new(0.05);
+    for pass in 0..PASSES {
+        if pass == 1 {
+            whole = [Cell::default(); 2];
+        }
+        for model in models.iter_mut() {
+            for (x, y) in batches {
                 timed(&mut whole[0], || model.evaluate(x, y));
                 timed(&mut whole[1], || sgd.train_step(model, x, y));
             }
         }
     }
-    (cells, whole, calls)
+    whole
 }
 
 #[test]
@@ -227,7 +252,13 @@ fn cnn_layer_split() {
                 .collect();
             let mut rng = seeded(rows as u64);
             let batches: Vec<_> = (0..BATCHES).map(|_| batch(rows, &mut rng)).collect();
-            let (cells, whole, calls) = split(&mut models, &batches);
+            let mut fresh = models.clone();
+            let (cells, calls) = layer_split(&mut models, &batches);
+            let whole = std::thread::scope(|s| {
+                s.spawn(|| whole_calls(&mut fresh, &batches))
+                    .join()
+                    .expect("whole calls")
+            });
             println!("\n{name} CNN, {rows} rows: µs per call (minor faults per call)\n");
             println!("| layer | inference | train forward | backward |");
             println!("|---|---|---|---|");
