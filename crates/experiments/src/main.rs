@@ -32,6 +32,9 @@
 //!            executors; shrinks failures to JSON repro artifacts and
 //!            replays them (--schedules / --replay / --mutate)
 //!   all      everything above, in order
+//!   benchcmp FILE  summarise a BENCH_*.json pairs record (per workload and
+//!            end-to-end metric: medians and IQRs of both sides, pairs
+//!            won, exact sign-test p-value, failed checks and runs)
 //! ```
 //!
 //! The default (scaled-down) configuration finishes on a single CPU core;
@@ -39,6 +42,7 @@
 
 mod ablate;
 mod attacks;
+mod benchcmp;
 mod churn;
 mod common;
 mod conformance;
@@ -56,8 +60,19 @@ use common::Opts;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|c| c == "benchcmp") {
+        let [_, file] = args.as_slice() else {
+            eprintln!("usage: lt-experiments benchcmp FILE");
+            std::process::exit(2);
+        };
+        if let Err(e) = benchcmp::summarise(std::path::Path::new(file)) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+        return;
+    }
     let Some(cmd) = args.first() else {
-        eprintln!("usage: lt-experiments <table1|fig2|fig3|fig3a|fig3b|fig3c|fig4|table2|fig5|fig6|backdoor|gossipnet|net|churn|linkability|ablate|conformance|all> [--nodes=N] [--soak-secs=N] [--chaos-seed=N] [--paper] [--seed=N] [--rounds=N] [--out=DIR] [--telemetry <path.jsonl>] [--telemetry-timings] [--churn=N] [--fault-seed=N] [--checkpoint-every=N] [--schedules=N] [--replay=PATH] [--mutate=stale-cache]");
+        eprintln!("usage: lt-experiments <table1|fig2|fig3|fig3a|fig3b|fig3c|fig4|table2|fig5|fig6|backdoor|gossipnet|net|churn|linkability|ablate|conformance|all|benchcmp FILE> [--nodes=N] [--soak-secs=N] [--chaos-seed=N] [--paper] [--seed=N] [--rounds=N] [--out=DIR] [--telemetry <path.jsonl>] [--telemetry-timings] [--churn=N] [--fault-seed=N] [--checkpoint-every=N] [--schedules=N] [--replay=PATH] [--mutate=stale-cache]");
         std::process::exit(2);
     };
     let opts = match Opts::parse(&args[1..]) {

@@ -20,6 +20,9 @@
 #   {"side": "parent"|"change", "commit", "pair", "seed", "workload",
 #    "exit": run.sh's exit status, "result": the file, or null if the run
 #    wrote none}
+#
+# `lt-experiments benchcmp OUT` summarises the record: medians, IQRs,
+# pairs won and a sign-test p-value per workload and end-to-end metric.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
