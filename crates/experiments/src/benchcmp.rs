@@ -9,9 +9,11 @@
 //! beside `FILE` (or in the working directory) it prints each side's
 //! median and interquartile range, the pairs the change won (ties count
 //! for neither side), and the exact two-sided sign-test p-value; then
-//! every failed check and every run that was not correct, verbatim.
+//! the `exact` keys that moved (`key parent → change`) or `exact lines
+//! equal`; then every failed check and incorrect run, verbatim.
 
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// `key`'s value in map `v`, if `v` is a map holding it.
@@ -250,6 +252,9 @@ pub fn summarise(file: &Path) -> Result<(), String> {
                 sign_test(won, won + lost)
             );
         }
+        for line in exact_diff(&g.pairs) {
+            println!("  {line}");
+        }
         let runs = g.pairs.iter().flat_map(|(p, c)| [p, c]);
         print_failures(runs);
     }
@@ -261,6 +266,32 @@ pub fn summarise(file: &Path) -> Result<(), String> {
         print_failures(unpaired.iter());
     }
     Ok(())
+}
+
+/// The `exact` keys whose values differ between the sides (a side's values
+/// joined by `/` as they first appear, `-` if absent), or `exact lines equal`.
+fn exact_diff(pairs: &[(Run, Run)]) -> Vec<String> {
+    let mut keys: BTreeMap<&str, [Vec<String>; 2]> = BTreeMap::new();
+    for (side, run) in pairs.iter().flat_map(|(p, c)| [(0, p), (1, c)]) {
+        let exact = run.result().and_then(|r| field(r, "exact"));
+        for (k, v) in exact.and_then(Value::as_map).unwrap_or(&[]) {
+            let (v, values) = (to_json(v), &mut keys.entry(k).or_default()[side]);
+            if !values.contains(&v) {
+                values.push(v);
+            }
+        }
+    }
+    let show = |vs: &[String]| match vs {
+        [] => "-".to_string(),
+        _ => vs.join("/"),
+    };
+    let mut moved: Vec<String> = (keys.iter().filter(|(_, [p, c])| p != c))
+        .map(|(k, [p, c])| format!("exact {k}: {} → {}", show(p), show(c)))
+        .collect();
+    if moved.is_empty() {
+        moved.push("exact lines equal".into());
+    }
+    moved
 }
 
 /// Print every failed check and every run that was not correct, verbatim.
@@ -335,6 +366,32 @@ mod tests {
         assert_eq!(median_iqr(vec![4.0, 1.0, 3.0, 2.0]), Some((2.5, 1.5)));
         assert_eq!(median_iqr(vec![7.0]), Some((7.0, 0.0)));
         assert_eq!(median_iqr(Vec::new()), None);
+    }
+
+    #[test]
+    fn exact_lines_that_moved_are_listed_per_side() {
+        let run = |side: &str, pair: u64, exact: &str| -> Value {
+            let commit = if side == "parent" { "a" } else { "b" };
+            serde_json::from_str(&format!(
+                r#"{{"side":"{side}","commit":"{commit}","pair":{pair},"seed":11,"workload":"w","result":{{"exact":{exact}}}}}"#
+            ))
+            .unwrap()
+        };
+        let raw = [
+            run("parent", 1, r#"{"ticks":1230,"published":902}"#),
+            run("change", 1, r#"{"ticks":1258,"published":902}"#),
+            run("change", 2, r#"{"ticks":1258,"published":902,"new":1}"#),
+            run("parent", 2, r#"{"ticks":1231,"published":902}"#),
+        ];
+        let (groups, _) = group(raw.iter().map(Run::new).collect());
+        assert_eq!(
+            exact_diff(&groups[0].pairs),
+            ["exact new: - → 1", "exact ticks: 1230/1231 → 1258"]
+        );
+        let exact = r#"{"ticks":1230,"published":902}"#;
+        let same = [run("parent", 1, exact), run("change", 1, exact)];
+        let (groups, _) = group(same.iter().map(Run::new).collect());
+        assert_eq!(exact_diff(&groups[0].pairs), ["exact lines equal"]);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! Recovery is protocol-driven, not harness-driven: [`RepairConfig`]
 //! parameterizes the retries of the pull protocol (see
 //! [`crate::protocol::NodeProtocol`]) through which peers re-solidify
-//! after losses and restarts — bounded re-requests, plus head
-//! advertisement rounds.
+//! after losses and restarts — bounded re-requests, plus settled and
+//! link-up head advertisements.
 
 use crate::transport::ProtocolMsg;
 use rand::RngExt;
@@ -180,7 +180,7 @@ pub struct RepairConfig {
     /// backoff (attempt `a` waits `backoff_base << a` ticks).
     pub backoff_base: u64,
     /// Re-requests per wanted transaction before giving up (a fresh
-    /// announcement or a head advertisement round re-arms it).
+    /// announcement or a head advertisement re-arms it).
     pub max_retries: u32,
 }
 

@@ -80,12 +80,13 @@ impl Default for NetworkConfig {
 }
 
 /// What the network's queue holds: link deliveries and the simulator's
-/// own lifecycle and repair events, all in one `(at, seq)` order.
+/// own lifecycle, repair and link-up events, all in one `(at, seq)` order.
 enum Event {
     Deliver(Delivery),
     Crash { peer: usize },
     Restart { peer: usize, recovery: Recovery },
     RepairTick { peer: usize },
+    LinkUp { peer: usize, to: usize },
 }
 
 impl From<Delivery> for Event {
@@ -173,12 +174,10 @@ struct FaultState {
 /// delivery; events come off the queue in `(at, seq)` order, so the
 /// order of latency draws is replayable from the seed alone.
 ///
-/// [`Links::new`] builds a stand-alone link layer whose events are
-/// [`Delivery`]s, for tests that feed a handful of [`NodeProtocol`]s by
-/// hand (`lt_net::MockTransport` is this type). [`Network`] runs one
-/// whose queue also carries its crash, restart and repair wake-up
-/// events. A peer past the end of the partition groups and up/down
-/// flags counts as group 0 and up.
+/// [`Links::new`] builds a stand-alone one whose events are [`Delivery`]s
+/// (`lt_net::MockTransport`), for tests that feed engines by hand;
+/// [`Network`] runs one whose queue also carries its own events. A peer
+/// past the end of the groups and up/down flags counts as group 0 and up.
 pub struct Links<E = Delivery> {
     queue: BinaryHeap<Reverse<Scheduled<E>>>,
     now: u64,
@@ -338,13 +337,9 @@ impl<E: From<Delivery>> Transport for Links<E> {
 /// A gossip network of peers, each holding its own tangle replica.
 ///
 /// Every peer is a [`NodeProtocol`] — the same engine the `lt-node`
-/// daemon runs — and the network is the transport under them: a
-/// publisher pushes its message to its neighbours, every peer announces
-/// a first-seen valid message by content id to all neighbours except
-/// the link it arrived on, and who lacks it pulls the body from an
-/// announcer. Delivery order is randomized by per-hop latency, so
-/// replicas see different insertion orders (and rely on orphan
-/// buffering), yet converge to the same transaction set.
+/// daemon runs — and the network is the transport under them. Per-hop
+/// latency randomizes delivery order, so replicas see different insertion
+/// orders (and rely on orphan buffering), yet converge to the same set.
 ///
 /// # Faults and repair
 ///
@@ -353,12 +348,9 @@ impl<E: From<Delivery>> Transport for Links<E> {
 /// rejoining empty or from a [`Network::set_checkpointing`] checkpoint),
 /// and links additionally drop, duplicate, corrupt, or reorder traffic,
 /// all driven by a dedicated fault RNG so runs reproduce per fault seed.
-/// Losses are healed by protocol, not by fiat: the engines re-request
-/// announced and missing transactions from neighbours with bounded
-/// retries, and advertise their heads so neighbours push back the delta
-/// and pull the heads they lack (see [`Network::repair_to_quiescence`]).
-/// The omniscient [`Network::anti_entropy`] survives only as a test
-/// ground truth.
+/// Losses are healed by the engines alone (bounded re-requests, and head
+/// advertisements once settled and over every link that opens); the
+/// omniscient [`Network::anti_entropy`] is only a test ground truth.
 pub struct Network {
     /// One engine per peer; each owns its replica and its adjacency.
     protos: Vec<NodeProtocol>,
@@ -412,17 +404,13 @@ impl Network {
         }
     }
 
-    /// Attach an observability handle. The network then mirrors its
-    /// [`NetStats`] bookkeeping into the `gossip.delivered`,
-    /// `gossip.dropped`, `gossip.duplicates`, `gossip.orphaned`,
-    /// `gossip.rejected`, `gossip.rerequests`, `gossip.announced`,
-    /// `gossip.requested` and `gossip.orphan_evictions` counters
-    /// (incremented at exactly the same points), records fault-engine
-    /// activity under `fault.crash`, `fault.restart`, `fault.recovered`,
-    /// `fault.discarded`, and `fault.checkpoint`, emits a structured `Fault` event per
-    /// transition, and fills the `fault.recovery_ticks` histogram with
-    /// restart-to-resolidified latencies. The engines' own `net.*`
-    /// counters stay off: they are the daemon's names for the same points.
+    /// Attach an observability handle: [`NetStats`] is mirrored into
+    /// `gossip.*` counters at the same points (evictions as
+    /// `gossip.orphan_evictions`), faults count as `fault.crash`,
+    /// `fault.restart`, `fault.recovered`, `fault.discarded` and
+    /// `fault.checkpoint` with one `Fault` event per transition, and
+    /// `fault.recovery_ticks` records restart-to-resolidified latencies.
+    /// The engines' own `net.*` counters (the daemon's names) stay off.
     pub fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
         self.telemetry = telemetry;
     }
@@ -553,6 +541,11 @@ impl Network {
             Event::Crash { peer } => self.crash(peer),
             Event::Restart { peer, recovery } => self.restart(peer, recovery),
             Event::RepairTick { peer } => self.wake(peer),
+            Event::LinkUp { peer, to } => {
+                if self.links.up[peer] && self.links.up[to] {
+                    self.drive(peer, |e, links| e.on_link_up(to, links));
+                }
+            }
         }
         true
     }
@@ -702,9 +695,12 @@ impl Network {
         self.recovering_since[p] = Some(self.links.now);
         self.telemetry.count("fault.restart", 1);
         self.emit_fault(p, "restart");
-        // Pull-based re-solidification: advertise our (possibly stale)
-        // heads so each neighbour pushes back the delta we are missing.
-        self.drive(p, |e, links| e.advertise_heads(links));
+        // Re-solidify by pull: our (stale) heads go over every link that opens.
+        let mut up = self.protos[p].neighbours().to_vec();
+        up.retain(|&nb| self.links.up[nb]);
+        self.drive(p, |e, links| {
+            up.iter().for_each(|&nb| e.on_link_up(nb, links))
+        });
     }
 
     /// Latest checkpoint for `p`, from memory or the checkpoint
@@ -749,45 +745,16 @@ impl Network {
         steps
     }
 
-    /// Drive the repair protocol to quiescence: repeated rounds in which
-    /// every live peer advertises its heads to its neighbours (through
-    /// the same lossy, fault-injected links as all other traffic),
-    /// followed by a full drain. Terminates once two consecutive rounds
-    /// change nothing and leave no orphans and nothing waited for
-    /// ([`NodeProtocol::waiting_for`]: no missing parent, no announced id
-    /// still to be pulled) — i.e. the protocol has nothing left it could
-    /// do — or after `max_rounds`. Returns whether quiescence was reached.
-    ///
-    /// This replaces [`Network::anti_entropy`] as the sanctioned way to
-    /// reconcile after loss, churn, or a healed partition: every byte
-    /// still travels peer-to-peer over the simulated links.
-    pub fn repair_to_quiescence(&mut self, max_rounds: usize) -> bool {
+    /// Run the network until nothing is due (the engines schedule their
+    /// own retries and advertisements; `_max_rounds` is unused) and report
+    /// whether every up peer is clean: no orphans and nothing waited for
+    /// ([`NodeProtocol::waiting_for`]).
+    pub fn repair_to_quiescence(&mut self, _max_rounds: usize) -> bool {
         self.run_to_quiescence();
-        let mut stable = 0;
-        for _ in 0..max_rounds {
-            let before: Vec<usize> = self.peers().map(Peer::len).collect();
-            for p in 0..self.len() {
-                if self.links.up[p] {
-                    self.drive(p, |e, links| e.advertise_heads(links));
-                }
-            }
-            self.run_to_quiescence();
-            let unchanged = self.peers().zip(&before).all(|(p, &b)| p.len() == b);
-            let clean = self
-                .protos
-                .iter()
-                .zip(&self.links.up)
-                .all(|(e, &up)| !up || (e.peer().orphan_count() == 0 && e.waiting_for() == 0));
-            if unchanged && clean {
-                stable += 1;
-                if stable >= 2 {
-                    return true;
-                }
-            } else {
-                stable = 0;
-            }
-        }
-        false
+        self.protos
+            .iter()
+            .zip(&self.links.up)
+            .all(|(e, &up)| !up || (e.peer().orphan_count() == 0 && e.waiting_for() == 0))
     }
 
     /// Split the network: peers keep talking only within their group.
@@ -797,10 +764,18 @@ impl Network {
         self.links.groups = group_of;
     }
 
-    /// Remove the partition. Does *not* synchronize by itself — run
-    /// [`Self::repair_to_quiescence`] to reconcile via the repair
-    /// protocol (or [`Self::anti_entropy`] in tests).
+    /// Remove the partition, queueing a `LinkUp` event now for each
+    /// direction of every link it reopens ([`NodeProtocol::on_link_up`]
+    /// if both ends are up); [`Self::repair_to_quiescence`] reconciles.
     pub fn heal(&mut self) {
+        let now = self.links.now;
+        for peer in 0..self.len() {
+            for &to in self.protos[peer].neighbours() {
+                if self.links.group(peer) != self.links.group(to) {
+                    self.links.push(now, Event::LinkUp { peer, to });
+                }
+            }
+        }
         self.links.groups = vec![0; self.len()];
     }
 
@@ -808,10 +783,8 @@ impl Network {
     /// transactions the neighbour has not seen. Runs until no new
     /// transaction moves (handles multi-hop repair on sparse topologies).
     ///
-    /// This is an *omniscient oracle* — it teleports state without using
-    /// the simulated links or the protocol engines — kept only as a
-    /// ground truth for tests. Protocol-faithful reconciliation is
-    /// [`Self::repair_to_quiescence`].
+    /// An *omniscient oracle* that teleports state past the links and the
+    /// engines, kept as a ground truth for tests.
     pub fn anti_entropy(&mut self) {
         loop {
             let mut moved = false;
@@ -1300,8 +1273,9 @@ mod tests {
     /// The one scenario where pushing and announcing (whole adjacency),
     /// advertising (up neighbours) and re-requesting (up *and* reachable
     /// holders) pick three different neighbour sets: a peer restarting
-    /// inside a partition. The counters are exact: one changed RNG draw,
-    /// send or event order in the engine or the link layer moves them.
+    /// inside a partition, whose heal then reopens links one by one. The
+    /// counters are exact: one changed RNG draw, send or event order in
+    /// the engine or the link layer moves them.
     #[test]
     fn restart_inside_a_partition_repairs_over_reachable_neighbours_only() {
         let g = genesis();
@@ -1348,52 +1322,59 @@ mod tests {
         net.run_to_quiescence();
         assert_eq!(net.peer(1).orphan_count(), 1);
         assert!(net.peer(1).missing().contains(&mid.content_id()));
-        // 30 drops = 3 cut-crossing copies × (b pushed by 0 and announced
-        // by 2 and 1, the advertisement, mid pushed by 3 and announced by
-        // 4 and 5, the child pushed by 0 and announced by 1 and 2);
+        // 57 drops = 3 cut-crossing copies × (b pushed by 0 and announced
+        // by 2 and 1, the restart's advertisement, mid pushed by 3 and
+        // announced by 4 and 5, the child pushed by 0 and announced by 1
+        // and 2, and 9 settled advertisements: 3, 4 and 5 once `a` has
+        // settled (t=37) and once `mid` has (t=76–78), 1 and 2 when their
+        // retries for `mid` run out (t=97), 0 when its own do (t=547));
         // 12 bodies = a ×5, b to 2 and (pushed back by 0 and 2, hence the
-        // duplicate) twice to 1, mid ×2, the child ×2; peers 1 and 2 each
-        // ask 0, who sent them the child, for `mid` at once and 6 more
-        // times, none of them dropped; the last retry is at t=98.
-        assert_eq!(net.now(), 98);
+        // duplicate) twice to 1, mid ×2, the child ×2; 18 re-requests,
+        // none dropped: peers 1 and 2 each ask 0, who sent them the
+        // child, for `mid` at once and 6 more times, and 0, whose own
+        // publication is the orphan, asks 1 and 2 in turn 6 times with
+        // exponential backoff; its advertisement lands last, at t=550.
+        assert_eq!(net.now(), 550);
         assert_eq!(
             net.stats,
             NetStats {
                 delivered: 12,
-                dropped: 30,
+                dropped: 57,
                 duplicates: 1,
                 orphaned: 2,
                 rejected: 0,
                 discarded: 2,
-                rerequests: 12,
+                rerequests: 18,
                 evicted: 0,
                 announced: 25,
                 requested: 2,
             }
         );
-        // Healed, the near side advertises heads that do not cover `mid`,
-        // so the far side pushes it back and the orphaned child resolves;
-        // each side also asks the advertisers for the heads it has never
-        // seen (9 ids). Every neighbour that can tell a peer lacks a body
-        // pushes it back, which is where the duplicates come from.
+        // Healed, each of the 9 reopened links carries one advertisement
+        // each way: the near side's heads do not cover `mid`, so the far
+        // side pushes it back and the orphaned child resolves; each side
+        // also asks the advertisers for the heads it has never seen (7
+        // ids). Every neighbour that can tell a peer lacks a body pushes
+        // it back, which is where the duplicates come from. Settled
+        // advertisements follow as the replicas settle (t=588–629).
         net.heal();
         assert!(net.repair_to_quiescence(32));
         assert!(net.replicas_consistent());
         assert_eq!(net.peer(1).len(), 5);
-        assert_eq!(net.now(), 127);
+        assert_eq!(net.now(), 631);
         assert_eq!(
             net.stats,
             NetStats {
-                delivered: 75,
-                dropped: 30,
-                duplicates: 55,
+                delivered: 68,
+                dropped: 57,
+                duplicates: 48,
                 orphaned: 2,
                 rejected: 0,
                 discarded: 2,
-                rerequests: 12,
+                rerequests: 18,
                 evicted: 0,
                 announced: 61,
-                requested: 11,
+                requested: 9,
             }
         );
     }

@@ -334,8 +334,8 @@ impl Peer {
     /// can buffer them again. Nothing here remembers them — neither
     /// [`Peer::missing`] nor a want-set — so an evicted transaction that no
     /// later one references (a final tip) comes back only through the
-    /// resync that the protocol engine arms on every eviction
-    /// ([`crate::protocol::NodeProtocol::tick`]).
+    /// settled head advertisement that the protocol engine arms on every
+    /// admission ([`crate::protocol::NodeProtocol::tick`]).
     fn enforce_orphan_cap(&mut self) {
         let mut evicted = false;
         while self.orphans.len() > self.orphan_cap {

@@ -14,30 +14,28 @@
 //!   the sender of an orphan (for the orphan's unseen parents) are all
 //!   holders, and the first of them is asked at once — unless the issuer
 //!   is a neighbour, whose push is already on its way;
-//! * **repair** — a wanted id that has not arrived once `backoff_base`
-//!   has passed is re-requested, at that interval, from its holders in
-//!   rotation
+//! * **repair** — a wanted id still missing after `backoff_base` is
+//!   re-requested at that interval from its holders in rotation
 //!   (`holders[(attempt + cid) % len]`), a missing parent nobody claims
-//!   to hold with exponential backoff (`backoff_base << attempt`, shift
-//!   capped at 16) from all neighbours in rotation, both at most
-//!   `max_retries` times over one `attempts: cid → (attempt, next_at)`
-//!   map. Fresh evidence re-arms what gave up: an announcement, a head
-//!   advertisement, or — for the parents a stalled replica is missing —
-//!   the next orphan, whose sender is evidently ahead;
-//! * **resync** — an orphan evicted by the buffer cap is forgotten, and
-//!   only a later reference or announcement would make it wanted again,
-//!   which a final tip never gets. So an admission that evicts arms one
-//!   head advertisement, sent from [`NodeProtocol::tick`] once the orphan
-//!   buffer is empty; the neighbours' replies (`Delta` of whatever our
-//!   heads do not cover) refill the gap — anti-entropy in the sense of
-//!   Demers et al. (PODC 1987).
+//!   with exponential backoff (`backoff_base << attempt`, shift capped at
+//!   16) from all neighbours in rotation, each at most `max_retries`
+//!   times. Fresh evidence re-arms what gave up: an announcement, a head
+//!   advertisement, or the next orphan (its sender is evidently ahead);
+//! * **settled advertisement** — nothing names a lost or evicted final
+//!   tip again, so every admission that changes the replica arms one
+//!   head advertisement, sent by [`NodeProtocol::tick`] after
+//!   [`SETTLE_PATIENCES`] quiet re-request intervals once no orphan's
+//!   parent is still being re-requested, and a link that opens gets one
+//!   at once ([`NodeProtocol::on_link_up`]); the replies (`Delta` of what
+//!   our heads do not cover, `Request` of heads never seen) refill the
+//!   gap — anti-entropy in the sense of Demers et al. (PODC 1987).
 //!
 //! The simulated [`Network`](crate::network::Network) owns one engine per
 //! peer and drives them from its event queue; the `lt-node` daemon owns
 //! one and drives it from its socket threads; protocol tests drive a
 //! handful by hand over a stand-alone [`Links`](crate::network::Links)
-//! (`lt_net::MockTransport`). A verdict reached in one of them is a
-//! verdict about the same code in the others.
+//! (`lt_net::MockTransport`). None advertises on the engine's behalf, so
+//! a verdict reached in one of them is a verdict about the others.
 //!
 //! Time is an explicit `u64` the embedder advances: the daemon feeds
 //! milliseconds since start, the simulator and the mock feed ticks. The
@@ -49,6 +47,12 @@ use crate::message::{ContentId, TxMessage};
 use crate::peer::{Peer, ReceiveOutcome};
 use crate::transport::{LinkState, ProtocolMsg, Transport};
 use std::collections::{BTreeMap, VecDeque};
+
+/// Re-request intervals (`backoff_base + 1`: 36 ticks in the simulator,
+/// 104 ms in the daemon) without an admission before the settled head
+/// advertisement. At 1, `gossip_flood` seed 19 advertised 56 times mid-run
+/// (duplicates 6 → 1 343, wire bytes +3.4 %); at 4 only `ticks` moves.
+pub const SETTLE_PATIENCES: u64 = 4;
 
 /// Per-node gossip + repair protocol state machine.
 pub struct NodeProtocol {
@@ -69,9 +73,8 @@ pub struct NodeProtocol {
     attempts: BTreeMap<ContentId, (u32, u64)>,
     /// Earliest pending repair wake-up, if any.
     next_tick: Option<u64>,
-    /// An orphan eviction forgot an id since the last resync: advertise
-    /// heads once the orphan buffer is empty.
-    resync: bool,
+    /// When the armed settled head advertisement is due.
+    advertise_at: Option<u64>,
     now: u64,
     telemetry: lt_telemetry::Telemetry,
 }
@@ -82,11 +85,9 @@ impl NodeProtocol {
         Self::from_peer(Peer::new(id, genesis, pow_difficulty).with_orphan_cap(orphan_cap))
     }
 
-    /// A protocol engine wrapped around an already-built replica —
-    /// the restore path: the daemon and the simulator rebuild a [`Peer`]
-    /// from an LTCP checkpoint and resume gossiping from that prefix.
-    /// Repair state starts empty; head advertisement rounds re-arm it as
-    /// live neighbours reveal what the checkpoint missed.
+    /// A protocol engine around an already-built replica: the restore path
+    /// from an LTCP checkpoint. Repair state starts empty; advertisements
+    /// over the links that open re-arm it.
     pub fn from_peer(peer: Peer) -> Self {
         Self {
             id: peer.id,
@@ -97,7 +98,7 @@ impl NodeProtocol {
             wanted_order: VecDeque::new(),
             attempts: BTreeMap::new(),
             next_tick: None,
-            resync: false,
+            advertise_at: None,
             now: 0,
             telemetry: lt_telemetry::Telemetry::disabled(),
         }
@@ -108,15 +109,11 @@ impl NodeProtocol {
         self.repair_cfg = cfg;
     }
 
-    /// Attach an observability handle: deliveries are then mirrored into
-    /// `net.delivered` / `net.duplicates` / `net.orphaned` /
-    /// `net.rejected_rx` / `net.rerequests`, orphans evicted by the
-    /// buffer cap into `net.evicted`, announced ids into
-    /// `net.announced` and ids asked for in first requests into
-    /// `net.requested`. The simulator leaves its engines' handles
-    /// disabled and counts the same points as `gossip.*` from what it
-    /// sees pass and the values [`NodeProtocol::on_message`] and
-    /// [`NodeProtocol::tick`] return.
+    /// Attach an observability handle counting `net.delivered`,
+    /// `net.duplicates`, `net.orphaned`, `net.rejected_rx`,
+    /// `net.rerequests`, `net.evicted`, `net.announced` and `net.requested`
+    /// (ids in first requests). The simulator leaves it disabled and counts
+    /// the same points as `gossip.*` from what the engine returns.
     pub fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
         self.telemetry = telemetry;
     }
@@ -202,23 +199,18 @@ impl NodeProtocol {
         outcome
     }
 
-    /// Advertise this node's heads to every neighbour the transport does
-    /// not know to be down (the push half of anti-entropy; the replies
-    /// carry whatever the neighbours hold that we provably lack, and they
-    /// pull the heads they have never seen).
-    pub fn advertise_heads(&mut self, t: &mut impl Transport) {
+    /// The link to `peer` has (re)opened: advertise our heads to it alone.
+    pub fn on_link_up(&mut self, peer: usize, t: &mut impl Transport) {
         let heads = self.peer.heads();
-        for &nb in &self.neighbours {
-            if t.link_state(self.id, nb) == LinkState::Down {
-                continue;
+        t.send(self.id, peer, ProtocolMsg::Advertise { heads });
+    }
+
+    /// Advertise this node's heads to every neighbour not known to be down.
+    fn advertise_heads(&mut self, t: &mut impl Transport) {
+        for nb in self.neighbours.clone() {
+            if t.link_state(self.id, nb) != LinkState::Down {
+                self.on_link_up(nb, t);
             }
-            t.send(
-                self.id,
-                nb,
-                ProtocolMsg::Advertise {
-                    heads: heads.clone(),
-                },
-            );
         }
     }
 
@@ -295,24 +287,16 @@ impl NodeProtocol {
         }
     }
 
-    /// One round of the pull protocol: advertise heads if an eviction
-    /// armed a resync and the orphan buffer is empty; re-request every
-    /// due wanted or missing transaction from a neighbour with an open
-    /// link — a wanted one from its holders in rotation at a fixed
-    /// interval, a missing parent nobody claims to hold from all
-    /// neighbours in rotation with exponential backoff — and remember the
-    /// earliest future retry in [`NodeProtocol::next_wake`]. A retry with
-    /// no open link to try still counts against `max_retries`, so a
-    /// cut-off peer gives up rather than waking forever. Returns the
-    /// number of re-requests issued.
+    /// One round of repair: re-request every due wanted or missing id over
+    /// an open link (see the module doc), remember the earliest future
+    /// retry in [`NodeProtocol::next_wake`], then send the settled head
+    /// advertisement if it may go out, or wake for it. A retry with no open
+    /// link still counts against `max_retries`, so a cut-off peer gives up
+    /// rather than waking forever. Returns the number of re-requests.
     pub fn tick(&mut self, now: u64, t: &mut impl Transport) -> u64 {
         self.set_now(now);
         if self.next_tick.is_some_and(|due| due <= self.now) {
             self.next_tick = None;
-        }
-        if self.resync && self.peer.orphan_count() == 0 {
-            self.resync = false;
-            self.advertise_heads(t);
         }
         let now = self.now;
         let cfg = self.repair_cfg;
@@ -325,9 +309,6 @@ impl NodeProtocol {
             .retain(|cid, _| missing.contains(cid) || wanted.contains_key(cid));
         for cid in missing {
             self.attempts.entry(*cid).or_insert((0, now));
-        }
-        if self.attempts.is_empty() {
-            return 0;
         }
         let open: Vec<usize> = self
             .neighbours
@@ -380,6 +361,13 @@ impl NodeProtocol {
         if let Some(due) = next_due {
             self.schedule_tick(due);
         }
+        match self.advertise_at {
+            Some(at) if at <= now && self.settled() => {
+                self.advertise_at = None;
+                self.advertise_heads(t);
+            }
+            _ => self.schedule_settle(),
+        }
         total
     }
 
@@ -396,21 +384,38 @@ impl NodeProtocol {
         self.repair_cfg.backoff_base + 1
     }
 
-    /// Admit `msg` into the replica. An admission that evicts orphans arms
-    /// a resync, and once the orphan buffer is empty (now, or after a
-    /// later admission drains it) a tick is due to send it.
+    /// Admit `msg` into the replica; one that changes it (an eviction
+    /// follows a buffered orphan) arms the settled advertisement anew, and
+    /// a wake comes due for it if nothing is being re-requested.
     fn admit(&mut self, cid: ContentId, msg: &TxMessage) -> ReceiveOutcome {
         let before = self.peer.evictions();
         let outcome = self.peer.admit(cid, msg);
         let evicted = self.peer.evictions() - before;
         if evicted > 0 {
             self.telemetry.count("net.evicted", evicted);
-            self.resync = true;
         }
-        if self.resync && self.peer.orphan_count() == 0 {
-            self.schedule_tick(self.now);
+        if [ReceiveOutcome::Accepted, ReceiveOutcome::OrphanBuffered].contains(&outcome) {
+            self.advertise_at = Some(self.now + SETTLE_PATIENCES * self.patience());
         }
+        self.schedule_settle();
         outcome
+    }
+
+    /// No orphan's parent is still being re-requested: it may yet come,
+    /// while one whose retries ran out will not (an advertisement may).
+    fn settled(&self) -> bool {
+        let max = self.repair_cfg.max_retries;
+        self.peer
+            .missing()
+            .iter()
+            .all(|c| self.attempts_for(*c) >= max)
+    }
+
+    /// Wake for the armed settled advertisement, once settled.
+    fn schedule_settle(&mut self) {
+        if let Some(at) = self.advertise_at.filter(|_| self.settled()) {
+            self.schedule_tick(at);
+        }
     }
 
     fn schedule_tick(&mut self, at: u64) {
@@ -746,10 +751,11 @@ mod tests {
             retries += 1;
         }
         assert_eq!(retries, RepairConfig::default().max_retries);
-        assert_eq!(
-            wire.take(),
-            vec![(1, "request", vec![parent]); retries as usize]
-        );
+        let mut sent = vec![(1, "request", vec![parent]); retries as usize];
+        // retries spent, the stalled replica advertises, skipping 3 again
+        let heads = e.peer().heads();
+        sent.extend([1, 2].map(|to| (to, "advertise", heads.clone())));
+        assert_eq!(wire.take(), sent);
         assert_eq!(e.tick(e.now() + 1, &mut wire), 0, "retries exhausted");
     }
 
@@ -764,7 +770,12 @@ mod tests {
             retries += 1;
         }
         assert_eq!(retries, RepairConfig::default().max_retries);
-        assert!(wire.take().is_empty());
+        let sent: Vec<_> = wire.take().into_iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(
+            sent,
+            [(1, "advertise"), (2, "advertise")],
+            "only the stall's"
+        );
         assert_eq!(e.attempts_for(parent), retries);
     }
 
@@ -840,11 +851,11 @@ mod tests {
         for (k, w) in at.windows(2).enumerate() {
             assert_eq!(w[1] - w[0], cfg.backoff_base << (k + 1));
         }
-        // 3 is down: every retry of the rotation lands on 2
-        assert_eq!(
-            wire.take(),
-            vec![(2, "request", vec![parent]); cfg.max_retries as usize]
-        );
+        // 3 is down: every retry of the rotation lands on 2, and so does
+        // the stalled replica's advertisement
+        let mut sent = vec![(2, "request", vec![parent]); cfg.max_retries as usize];
+        sent.push((2, "advertise", e.peer().heads()));
+        assert_eq!(wire.take(), sent);
     }
 
     #[test]
@@ -883,6 +894,43 @@ mod tests {
         );
         // One advertisement per eviction episode.
         assert_eq!(e.next_wake(), None);
+    }
+
+    #[test]
+    fn admissions_arm_one_head_advertisement_sent_after_a_quiet_spell() {
+        let (mut e, genesis) = engine(2);
+        let mut wire = Wire::open(3);
+        let settle = SETTLE_PATIENCES * e.patience();
+        let a = tx(vec![genesis], 1.0);
+        let b = tx(vec![a.content_id()], 2.0);
+        e.on_message(1, ProtocolMsg::Publish(a.clone()), &mut wire);
+        assert_eq!(e.next_wake(), Some(settle));
+        // a later admission pushes it back; a duplicate does not
+        e.set_now(20);
+        e.on_message(2, ProtocolMsg::Publish(b), &mut wire);
+        e.set_now(30);
+        e.on_message(2, ProtocolMsg::Publish(a), &mut wire);
+        wire.take();
+        assert_eq!(e.tick(settle, &mut wire), 0);
+        assert!(wire.take().is_empty(), "not yet quiet");
+        assert_eq!(e.next_wake(), Some(20 + settle));
+        e.tick(20 + settle, &mut wire);
+        let heads = e.peer().heads();
+        assert_eq!(
+            wire.take(),
+            [1, 2].map(|to| (to, "advertise", heads.clone())).to_vec()
+        );
+        assert_eq!(e.next_wake(), None, "one advertisement per quiet spell");
+    }
+
+    #[test]
+    fn a_link_that_comes_up_gets_our_heads_alone() {
+        let (mut e, genesis) = engine(3);
+        let mut wire = Wire::open(4);
+        e.publish(tx(vec![genesis], 1.0), &mut wire);
+        wire.take();
+        e.on_link_up(2, &mut wire);
+        assert_eq!(wire.take(), [(2, "advertise", e.peer().heads())]);
     }
 
     #[test]

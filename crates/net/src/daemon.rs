@@ -3,9 +3,10 @@
 //! Process layout:
 //!
 //! * the **protocol thread** (this module's main loop) owns the
-//!   [`NodeProtocol`], the training state, and the [`Router`]; it is the
-//!   only thread that mutates the replica, so no locking is needed on
-//!   the hot path;
+//!   [`NodeProtocol`], the training state, and the [`Router`]; it takes
+//!   no protocol decision (connections go to [`NodeProtocol::on_link_up`],
+//!   frames to `on_message`, due wake-ups to `tick`) and is the only
+//!   thread that mutates the replica, so no locking is needed;
 //! * one **reader thread** per connection parses frames and forwards
 //!   them to the protocol thread over a channel (counting
 //!   `net.frames_recv` / `net.bytes_recv` at the socket);
@@ -191,12 +192,8 @@ pub fn load_checkpoint(
 /// One connection's send side: encoded frames for its writer thread, which
 /// owns the `Receiver` and ends once the last `Outbox` drops.
 ///
-/// Unbounded, so a send to a live connection never fails. The protocol
-/// engine bounds the backlog: per connection it sends at most one `Publish`
-/// per own transaction, one `Announce` per first-seen id, `max_retries`
-/// `Request`s per wanted id, and `Delta`s only in answer to a received
-/// `Request` or `Advertise` — a small multiple of the ledger the daemon
-/// already holds in memory.
+/// Unbounded, so a send to a live connection never fails: the protocol
+/// engine bounds the backlog to a small multiple of the ledger.
 pub type Outbox = Sender<Vec<u8>>;
 
 /// Routes outbound frames to per-connection [`Outbox`]es. The daemon's
@@ -670,9 +667,7 @@ pub fn run_daemon(cfg: DaemonConfig) -> std::io::Result<()> {
             }) => {
                 router.attach(peer, token, outbox);
                 proto.set_neighbours(router.peer_ids());
-                // pull whatever the newly reachable peer has that we lack
-                let heads = proto.peer().heads();
-                router.send_wire(peer, &WireMsg::Advertise { heads });
+                proto.on_link_up(peer, &mut router);
                 if cfg.ping_interval_ms > 0 && next_ping == u64::MAX {
                     next_ping = now + cfg.ping_interval_ms;
                 }
