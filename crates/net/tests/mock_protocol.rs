@@ -604,12 +604,6 @@ proptest::proptest! {
         if loss_pct == 0 {
             proptest::prop_assert_eq!(w.unasked, 0, "a body nobody pushed or asked for");
         }
-        if !w.settled() {
-            eprintln!("DEBUG n={n} shape={shape} seed={seed} loss={loss_pct} dup={duplicate_pct} jitter={reorder_jitter} script={}", script.len());
-            for nd in &w.nodes {
-                eprintln!("DEBUG node {} len {} orphans {} missing {:?} pending {} nbrs {:?} wake {:?} now {}", nd.id(), nd.peer().len(), nd.peer().orphan_count(), nd.peer().missing(), nd.pending(), nd.neighbours(), nd.next_wake(), nd.now());
-            }
-        }
         proptest::prop_assert!(w.settled(), "the engines did not converge on their own");
         let len = w.nodes[0].peer().len();
         proptest::prop_assert_eq!(len, script.len() + 1);
