@@ -180,7 +180,8 @@ pub struct RepairConfig {
     /// backoff (attempt `a` waits `backoff_base << a` ticks).
     pub backoff_base: u64,
     /// Re-requests per wanted transaction before giving up (a fresh
-    /// announcement or a head advertisement re-arms it).
+    /// announcement or a head advertisement re-arms it), and re-sends of
+    /// a settled head advertisement.
     pub max_retries: u32,
 }
 

@@ -174,10 +174,12 @@ struct FaultState {
 /// delivery; events come off the queue in `(at, seq)` order, so the
 /// order of latency draws is replayable from the seed alone.
 ///
-/// [`Links::new`] builds a stand-alone one whose events are [`Delivery`]s
-/// (`lt_net::MockTransport`), for tests that feed engines by hand;
-/// [`Network`] runs one whose queue also carries its own events. A peer
-/// past the end of the groups and up/down flags counts as group 0 and up.
+/// [`Links::new`] builds a stand-alone link layer whose events are
+/// [`Delivery`]s, for tests that feed a handful of [`NodeProtocol`]s by
+/// hand (`lt_net::MockTransport` is this type). [`Network`] runs one
+/// whose queue also carries its crash, restart, repair wake-up and
+/// link-up events. A peer past the end of the partition groups and
+/// up/down flags counts as group 0 and up.
 pub struct Links<E = Delivery> {
     queue: BinaryHeap<Reverse<Scheduled<E>>>,
     now: u64,
@@ -337,9 +339,13 @@ impl<E: From<Delivery>> Transport for Links<E> {
 /// A gossip network of peers, each holding its own tangle replica.
 ///
 /// Every peer is a [`NodeProtocol`] — the same engine the `lt-node`
-/// daemon runs — and the network is the transport under them. Per-hop
-/// latency randomizes delivery order, so replicas see different insertion
-/// orders (and rely on orphan buffering), yet converge to the same set.
+/// daemon runs — and the network is the transport under them: a
+/// publisher pushes its message to its neighbours, every peer announces
+/// a first-seen valid message by content id to all neighbours except
+/// the link it arrived on, and who lacks it pulls the body from an
+/// announcer. Delivery order is randomized by per-hop latency, so
+/// replicas see different insertion orders (and rely on orphan
+/// buffering), yet converge to the same transaction set.
 ///
 /// # Faults and repair
 ///
@@ -348,9 +354,13 @@ impl<E: From<Delivery>> Transport for Links<E> {
 /// rejoining empty or from a [`Network::set_checkpointing`] checkpoint),
 /// and links additionally drop, duplicate, corrupt, or reorder traffic,
 /// all driven by a dedicated fault RNG so runs reproduce per fault seed.
-/// Losses are healed by the engines alone (bounded re-requests, and head
-/// advertisements once settled and over every link that opens); the
-/// omniscient [`Network::anti_entropy`] is only a test ground truth.
+/// Losses are healed by protocol, not by fiat: the engines re-request
+/// announced and missing transactions from neighbours with bounded
+/// retries, and advertise their heads once settled and over every link
+/// that opens, so neighbours push back the delta and pull the heads they
+/// lack. Nothing outside the engines advertises or re-requests (see
+/// [`Network::repair_to_quiescence`]). The omniscient
+/// [`Network::anti_entropy`] survives only as a test ground truth.
 pub struct Network {
     /// One engine per peer; each owns its replica and its adjacency.
     protos: Vec<NodeProtocol>,
@@ -404,13 +414,17 @@ impl Network {
         }
     }
 
-    /// Attach an observability handle: [`NetStats`] is mirrored into
-    /// `gossip.*` counters at the same points (evictions as
-    /// `gossip.orphan_evictions`), faults count as `fault.crash`,
-    /// `fault.restart`, `fault.recovered`, `fault.discarded` and
-    /// `fault.checkpoint` with one `Fault` event per transition, and
-    /// `fault.recovery_ticks` records restart-to-resolidified latencies.
-    /// The engines' own `net.*` counters (the daemon's names) stay off.
+    /// Attach an observability handle. The network then mirrors its
+    /// [`NetStats`] bookkeeping into the `gossip.delivered`,
+    /// `gossip.dropped`, `gossip.duplicates`, `gossip.orphaned`,
+    /// `gossip.rejected`, `gossip.rerequests`, `gossip.announced`,
+    /// `gossip.requested` and `gossip.orphan_evictions` counters
+    /// (incremented at exactly the same points), records fault-engine
+    /// activity under `fault.crash`, `fault.restart`, `fault.recovered`,
+    /// `fault.discarded`, and `fault.checkpoint`, emits a structured `Fault` event per
+    /// transition, and fills the `fault.recovery_ticks` histogram with
+    /// restart-to-resolidified latencies. The engines' own `net.*`
+    /// counters stay off: they are the daemon's names for the same points.
     pub fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
         self.telemetry = telemetry;
     }
@@ -749,6 +763,10 @@ impl Network {
     /// own retries and advertisements; `_max_rounds` is unused) and report
     /// whether every up peer is clean: no orphans and nothing waited for
     /// ([`NodeProtocol::waiting_for`]).
+    ///
+    /// This replaces [`Network::anti_entropy`] as the sanctioned way to
+    /// reconcile after loss, churn, or a healed partition: every byte
+    /// still travels peer-to-peer over the simulated links.
     pub fn repair_to_quiescence(&mut self, _max_rounds: usize) -> bool {
         self.run_to_quiescence();
         self.protos
@@ -783,8 +801,10 @@ impl Network {
     /// transactions the neighbour has not seen. Runs until no new
     /// transaction moves (handles multi-hop repair on sparse topologies).
     ///
-    /// An *omniscient oracle* that teleports state past the links and the
-    /// engines, kept as a ground truth for tests.
+    /// This is an *omniscient oracle* — it teleports state without using
+    /// the simulated links or the protocol engines — kept only as a
+    /// ground truth for tests. Protocol-faithful reconciliation is
+    /// [`Self::repair_to_quiescence`].
     pub fn anti_entropy(&mut self) {
         loop {
             let mut moved = false;
@@ -1322,24 +1342,26 @@ mod tests {
         net.run_to_quiescence();
         assert_eq!(net.peer(1).orphan_count(), 1);
         assert!(net.peer(1).missing().contains(&mid.content_id()));
-        // 57 drops = 3 cut-crossing copies × (b pushed by 0 and announced
+        // 165 drops = 3 cut-crossing copies × (b pushed by 0 and announced
         // by 2 and 1, the restart's advertisement, mid pushed by 3 and
         // announced by 4 and 5, the child pushed by 0 and announced by 1
-        // and 2, and 9 settled advertisements: 3, 4 and 5 once `a` has
-        // settled (t=37) and once `mid` has (t=76–78), 1 and 2 when their
-        // retries for `mid` run out (t=97), 0 when its own do (t=547));
+        // and 2, and 45 settled advertisements: 3, 4 and 5 once `a` has
+        // settled (t=37) and, once `mid` has, at t=76–78 and 6 re-sends 36
+        // ticks apart; 1 and 2 when their retries for `mid` run out (t=97)
+        // and 6 times more; 0 when its own do (t=547) and 6 times more);
         // 12 bodies = a ×5, b to 2 and (pushed back by 0 and 2, hence the
         // duplicate) twice to 1, mid ×2, the child ×2; 18 re-requests,
         // none dropped: peers 1 and 2 each ask 0, who sent them the
         // child, for `mid` at once and 6 more times, and 0, whose own
         // publication is the orphan, asks 1 and 2 in turn 6 times with
-        // exponential backoff; its advertisement lands last, at t=550.
-        assert_eq!(net.now(), 550);
+        // exponential backoff; its last re-sent advertisement lands at
+        // t=764.
+        assert_eq!(net.now(), 764);
         assert_eq!(
             net.stats,
             NetStats {
                 delivered: 12,
-                dropped: 57,
+                dropped: 165,
                 duplicates: 1,
                 orphaned: 2,
                 rejected: 0,
@@ -1353,28 +1375,30 @@ mod tests {
         // Healed, each of the 9 reopened links carries one advertisement
         // each way: the near side's heads do not cover `mid`, so the far
         // side pushes it back and the orphaned child resolves; each side
-        // also asks the advertisers for the heads it has never seen (7
-        // ids). Every neighbour that can tell a peer lacks a body pushes
-        // it back, which is where the duplicates come from. Settled
-        // advertisements follow as the replicas settle (t=588–629).
+        // also asks the advertisers for the heads it has never seen (9
+        // ids, with the settled round below). Every neighbour that can tell a peer lacks a body pushes
+        // it back, which is where the duplicates come from. The link-ups
+        // arm every peer's settled advertisement too: its first round
+        // (t=802–805) reaches 3, 4 and 5 while they are still taking in
+        // the near side's bodies, and the re-sends run to t=1059.
         net.heal();
         assert!(net.repair_to_quiescence(32));
         assert!(net.replicas_consistent());
         assert_eq!(net.peer(1).len(), 5);
-        assert_eq!(net.now(), 631);
+        assert_eq!(net.now(), 1062);
         assert_eq!(
             net.stats,
             NetStats {
-                delivered: 68,
-                dropped: 57,
-                duplicates: 48,
+                delivered: 76,
+                dropped: 165,
+                duplicates: 56,
                 orphaned: 2,
                 rejected: 0,
                 discarded: 2,
                 rerequests: 18,
                 evicted: 0,
                 announced: 61,
-                requested: 9,
+                requested: 11,
             }
         );
     }

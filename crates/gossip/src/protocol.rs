@@ -25,10 +25,13 @@
 //!   tip again, so every admission that changes the replica arms one
 //!   head advertisement, sent by [`NodeProtocol::tick`] after
 //!   [`SETTLE_PATIENCES`] quiet re-request intervals once no orphan's
-//!   parent is still being re-requested, and a link that opens gets one
-//!   at once ([`NodeProtocol::on_link_up`]); the replies (`Delta` of what
-//!   our heads do not cover, `Request` of heads never seen) refill the
-//!   gap — anti-entropy in the sense of Demers et al. (PODC 1987).
+//!   parent is still being re-requested, and re-sent at that interval up
+//!   to `max_retries` times: a neighbour that admitted nothing never
+//!   advertises back, so one lost copy would leave it behind for good. A
+//!   link that opens gets one at once ([`NodeProtocol::on_link_up`]).
+//!   The replies (`Delta` of what our heads do not cover, `Request` of
+//!   heads never seen) refill the gap — anti-entropy in the sense of
+//!   Demers et al. (PODC 1987).
 //!
 //! The simulated [`Network`](crate::network::Network) owns one engine per
 //! peer and drives them from its event queue; the `lt-node` daemon owns
@@ -50,8 +53,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Re-request intervals (`backoff_base + 1`: 36 ticks in the simulator,
 /// 104 ms in the daemon) without an admission before the settled head
-/// advertisement. At 1, `gossip_flood` seed 19 advertised 56 times mid-run
-/// (duplicates 6 → 1 343, wire bytes +3.4 %); at 4 only `ticks` moves.
+/// advertisement, and between its re-sends. At 1, `gossip_flood` seed 19
+/// advertised 56 times mid-run (duplicates 6 → 1 343, wire bytes +3.4 %);
+/// at 4 only `ticks` moves.
 pub const SETTLE_PATIENCES: u64 = 4;
 
 /// Per-node gossip + repair protocol state machine.
@@ -73,8 +77,9 @@ pub struct NodeProtocol {
     attempts: BTreeMap<ContentId, (u32, u64)>,
     /// Earliest pending repair wake-up, if any.
     next_tick: Option<u64>,
-    /// When the armed settled head advertisement is due.
-    advertise_at: Option<u64>,
+    /// When the armed settled head advertisement is due, and how often it
+    /// has gone out since the replica last changed.
+    advertise_at: Option<(u64, u32)>,
     now: u64,
     telemetry: lt_telemetry::Telemetry,
 }
@@ -85,9 +90,11 @@ impl NodeProtocol {
         Self::from_peer(Peer::new(id, genesis, pow_difficulty).with_orphan_cap(orphan_cap))
     }
 
-    /// A protocol engine around an already-built replica: the restore path
-    /// from an LTCP checkpoint. Repair state starts empty; advertisements
-    /// over the links that open re-arm it.
+    /// A protocol engine wrapped around an already-built replica —
+    /// the restore path: the daemon and the simulator rebuild a [`Peer`]
+    /// from an LTCP checkpoint and resume gossiping from that prefix.
+    /// Repair state starts empty; head advertisements over the links that
+    /// open re-arm it as live neighbours reveal what the checkpoint missed.
     pub fn from_peer(peer: Peer) -> Self {
         Self {
             id: peer.id,
@@ -109,11 +116,15 @@ impl NodeProtocol {
         self.repair_cfg = cfg;
     }
 
-    /// Attach an observability handle counting `net.delivered`,
-    /// `net.duplicates`, `net.orphaned`, `net.rejected_rx`,
-    /// `net.rerequests`, `net.evicted`, `net.announced` and `net.requested`
-    /// (ids in first requests). The simulator leaves it disabled and counts
-    /// the same points as `gossip.*` from what the engine returns.
+    /// Attach an observability handle: deliveries are then mirrored into
+    /// `net.delivered` / `net.duplicates` / `net.orphaned` /
+    /// `net.rejected_rx` / `net.rerequests`, orphans evicted by the
+    /// buffer cap into `net.evicted`, announced ids into
+    /// `net.announced` and ids asked for in first requests into
+    /// `net.requested`. The simulator leaves its engines' handles
+    /// disabled and counts the same points as `gossip.*` from what it
+    /// sees pass and the values [`NodeProtocol::on_message`] and
+    /// [`NodeProtocol::tick`] return.
     pub fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
         self.telemetry = telemetry;
     }
@@ -199,17 +210,22 @@ impl NodeProtocol {
         outcome
     }
 
-    /// The link to `peer` has (re)opened: advertise our heads to it alone.
+    /// The link to `peer` has (re)opened: advertise our heads to it at
+    /// once, and arm the settled advertisement as an admission does, in
+    /// case that one copy is lost.
     pub fn on_link_up(&mut self, peer: usize, t: &mut impl Transport) {
         let heads = self.peer.heads();
         t.send(self.id, peer, ProtocolMsg::Advertise { heads });
+        self.arm_settle();
     }
 
     /// Advertise this node's heads to every neighbour not known to be down.
     fn advertise_heads(&mut self, t: &mut impl Transport) {
-        for nb in self.neighbours.clone() {
+        let heads = self.peer.heads();
+        for &nb in &self.neighbours {
             if t.link_state(self.id, nb) != LinkState::Down {
-                self.on_link_up(nb, t);
+                let heads = heads.clone();
+                t.send(self.id, nb, ProtocolMsg::Advertise { heads });
             }
         }
     }
@@ -361,13 +377,14 @@ impl NodeProtocol {
         if let Some(due) = next_due {
             self.schedule_tick(due);
         }
-        match self.advertise_at {
-            Some(at) if at <= now && self.settled() => {
-                self.advertise_at = None;
+        if let Some((_, sent)) = self.advertise_at.filter(|&(at, _)| at <= now) {
+            if self.settled() {
                 self.advertise_heads(t);
+                let again = now + SETTLE_PATIENCES * patience;
+                self.advertise_at = (sent < cfg.max_retries).then_some((again, sent + 1));
             }
-            _ => self.schedule_settle(),
         }
+        self.schedule_settle();
         total
     }
 
@@ -395,10 +412,15 @@ impl NodeProtocol {
             self.telemetry.count("net.evicted", evicted);
         }
         if [ReceiveOutcome::Accepted, ReceiveOutcome::OrphanBuffered].contains(&outcome) {
-            self.advertise_at = Some(self.now + SETTLE_PATIENCES * self.patience());
+            self.arm_settle();
         }
-        self.schedule_settle();
         outcome
+    }
+
+    /// (Re)arm the settled advertisement a full quiet spell from now.
+    fn arm_settle(&mut self) {
+        self.advertise_at = Some((self.now + SETTLE_PATIENCES * self.patience(), 0));
+        self.schedule_settle();
     }
 
     /// No orphan's parent is still being re-requested: it may yet come,
@@ -413,7 +435,7 @@ impl NodeProtocol {
 
     /// Wake for the armed settled advertisement, once settled.
     fn schedule_settle(&mut self) {
-        if let Some(at) = self.advertise_at.filter(|_| self.settled()) {
+        if let Some((at, _)) = self.advertise_at.filter(|_| self.settled()) {
             self.schedule_tick(at);
         }
     }
@@ -745,12 +767,11 @@ mod tests {
         e.on_message(2, announce(9, &[parent]), &mut wire);
         e.on_message(3, announce(9, &[parent]), &mut wire);
         assert_eq!(e.wanted[&parent], [1, 2, 3]);
-        let mut retries = 0;
-        while let Some(due) = e.next_wake() {
+        let retries = RepairConfig::default().max_retries;
+        for _ in 0..retries {
+            let due = e.next_wake().expect("retry pending");
             assert_eq!(e.tick(due, &mut wire), 1);
-            retries += 1;
         }
-        assert_eq!(retries, RepairConfig::default().max_retries);
         let mut sent = vec![(1, "request", vec![parent]); retries as usize];
         // retries spent, the stalled replica advertises, skipping 3 again
         let heads = e.peer().heads();
@@ -764,12 +785,11 @@ mod tests {
         let (mut e, mut wire, parent) = orphaned();
         wire.take();
         wire.states[1] = LinkState::Cut;
-        let mut retries = 0;
-        while let Some(due) = e.next_wake() {
+        let retries = RepairConfig::default().max_retries;
+        for _ in 0..retries {
+            let due = e.next_wake().expect("retry pending");
             assert_eq!(e.tick(due, &mut wire), 0);
-            retries += 1;
         }
-        assert_eq!(retries, RepairConfig::default().max_retries);
         let sent: Vec<_> = wire.take().into_iter().map(|s| (s.0, s.1)).collect();
         assert_eq!(
             sent,
@@ -843,11 +863,11 @@ mod tests {
         assert_eq!(e.pending(), 0);
         assert!(e.peer().missing().contains(&parent));
         let mut at = Vec::new();
-        while let Some(due) = e.next_wake() {
+        for _ in 0..cfg.max_retries {
+            let due = e.next_wake().expect("retry pending");
             assert_eq!(e.tick(due, &mut wire), 1);
             at.push(due);
         }
-        assert_eq!(at.len(), cfg.max_retries as usize);
         for (k, w) in at.windows(2).enumerate() {
             assert_eq!(w[1] - w[0], cfg.backoff_base << (k + 1));
         }
@@ -888,12 +908,18 @@ mod tests {
         sent.extend(wire.take());
         let heads = e.peer().heads();
         let advertised: Vec<_> = sent.into_iter().filter(|s| s.1 == "advertise").collect();
+        // One advertisement per eviction episode, re-sent `max_retries` times.
+        let round = [(1, "advertise", heads.clone()), (2, "advertise", heads)];
+        let rounds = 1 + RepairConfig::default().max_retries as usize;
         assert_eq!(
             advertised,
-            [(1, "advertise", heads.clone()), (2, "advertise", heads)]
+            round
+                .iter()
+                .cycle()
+                .take(2 * rounds)
+                .cloned()
+                .collect::<Vec<_>>()
         );
-        // One advertisement per eviction episode.
-        assert_eq!(e.next_wake(), None);
     }
 
     #[test]
@@ -914,23 +940,28 @@ mod tests {
         assert_eq!(e.tick(settle, &mut wire), 0);
         assert!(wire.take().is_empty(), "not yet quiet");
         assert_eq!(e.next_wake(), Some(20 + settle));
-        e.tick(20 + settle, &mut wire);
         let heads = e.peer().heads();
-        assert_eq!(
-            wire.take(),
-            [1, 2].map(|to| (to, "advertise", heads.clone())).to_vec()
-        );
+        let round = [1, 2].map(|to| (to, "advertise", heads.clone())).to_vec();
+        // sent once the spell is quiet, then re-sent at that interval, in
+        // case a copy is lost, `max_retries` times
+        let mut due = 20 + settle;
+        for _ in 0..=RepairConfig::default().max_retries {
+            assert_eq!(e.next_wake(), Some(due));
+            e.tick(due, &mut wire);
+            assert_eq!(wire.take(), round);
+            due += settle;
+        }
         assert_eq!(e.next_wake(), None, "one advertisement per quiet spell");
     }
 
     #[test]
-    fn a_link_that_comes_up_gets_our_heads_alone() {
-        let (mut e, genesis) = engine(3);
+    fn a_link_that_comes_up_gets_our_heads_at_once_and_arms_the_settled_advertisement() {
+        let (mut e, _) = engine(3);
         let mut wire = Wire::open(4);
-        e.publish(tx(vec![genesis], 1.0), &mut wire);
-        wire.take();
+        e.set_now(50);
         e.on_link_up(2, &mut wire);
         assert_eq!(wire.take(), [(2, "advertise", e.peer().heads())]);
+        assert_eq!(e.next_wake(), Some(50 + SETTLE_PATIENCES * e.patience()));
     }
 
     #[test]

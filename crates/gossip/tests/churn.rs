@@ -176,7 +176,7 @@ type Golden = (NetStats, usize, u64, u64);
 const GOLDEN_SEED_7: Golden = (
     NetStats {
         delivered: 513,
-        dropped: 153,
+        dropped: 165,
         duplicates: 155,
         orphaned: 174,
         rejected: 25,
@@ -187,14 +187,14 @@ const GOLDEN_SEED_7: Golden = (
         requested: 147,
     },
     59,
-    152,
+    369,
     0x5a4f_ff3f_7fbc_d717,
 );
 
 const GOLDEN_SEED_8: Golden = (
     NetStats {
-        delivered: 558,
-        dropped: 162,
+        delivered: 557,
+        dropped: 169,
         duplicates: 179,
         orphaned: 164,
         rejected: 28,
@@ -205,7 +205,7 @@ const GOLDEN_SEED_8: Golden = (
         requested: 143,
     },
     62,
-    153,
+    367,
     0xe723_98dc_c281_7dbd,
 );
 

@@ -192,8 +192,14 @@ pub fn load_checkpoint(
 /// One connection's send side: encoded frames for its writer thread, which
 /// owns the `Receiver` and ends once the last `Outbox` drops.
 ///
-/// Unbounded, so a send to a live connection never fails: the protocol
-/// engine bounds the backlog to a small multiple of the ledger.
+/// Unbounded, so a send to a live connection never fails. The protocol
+/// engine bounds the backlog: per connection it sends at most one `Publish`
+/// per own transaction, one announcement per first-seen id, `max_retries`
+/// `Request`s per wanted id, `1 + max_retries` head advertisements per
+/// admission or opened link (the settled one and its re-sends, the
+/// link-up one), and `Delta`s only in answer to a received `Request` or
+/// head advertisement — a small multiple of the ledger the daemon already
+/// holds in memory.
 pub type Outbox = Sender<Vec<u8>>;
 
 /// Routes outbound frames to per-connection [`Outbox`]es. The daemon's

@@ -7,7 +7,7 @@
 
 use lt_net::{MockTransport, NodeProtocol};
 use tangle_gossip::{
-    ContentId, Delivery, FaultPlan, ProtocolMsg, ReceiveOutcome, RepairConfig, TxMessage,
+    ContentId, Delivery, FaultPlan, Peer, ProtocolMsg, ReceiveOutcome, RepairConfig, TxMessage,
 };
 use tinynn::wire::{fnv1a, fnv1a_update};
 use tinynn::ParamVec;
@@ -227,6 +227,47 @@ fn an_evicted_final_tip_comes_back_through_the_resync() {
     assert_eq!(receiver.peer().len(), 5);
 }
 
+/// A peer restored from an old checkpoint advertises its heads as its
+/// links come up, and those copies can be lost. Its neighbours finished
+/// their own settled advertisements long ago, so nothing else tells them
+/// it is behind: the link-ups arm its settled advertisement, whose reply
+/// closes the gap.
+#[test]
+fn a_restored_peer_whose_link_up_advertisements_are_lost_catches_up() {
+    let g = genesis();
+    let mut nodes = mesh(3);
+    let mut t = MockTransport::new(3, (1, 4));
+    let mut chain = Vec::new();
+    let mut heads = nodes[0].peer().heads();
+    for slot in 1..=3u64 {
+        let m = tx(heads, 0, slot, slot as f32);
+        heads = vec![m.content_id()];
+        chain.push(m.clone());
+        nodes[0].publish(m, &mut t);
+        drain(&mut nodes, &mut t);
+    }
+    // peer 2 comes back from a checkpoint holding only the first
+    let mut old = Peer::new(2, &g, POW).with_orphan_cap(ORPHAN_CAP);
+    assert_eq!(old.receive(&chain[0]), ReceiveOutcome::Accepted);
+    let mut restored = NodeProtocol::from_peer(old);
+    restored.set_neighbours(vec![0, 1]);
+    restored.set_now(t.now());
+    for nb in [0, 1] {
+        restored.on_link_up(nb, &mut t);
+    }
+    nodes[2] = restored;
+    let last_link_up = t.now() + 4;
+    let mut lost = 0;
+    drain_filtered(&mut nodes, &mut t, |d| {
+        let link_up = d.from == 2 && d.at <= last_link_up;
+        lost += usize::from(link_up);
+        !link_up
+    });
+    assert_eq!(lost, 2, "both link-up advertisements");
+    assert_eq!(archive_ids(&nodes[2]), archive_ids(&nodes[0]));
+    assert_eq!(nodes[2].peer().len(), 4);
+}
+
 /// A final tip whose push and every announcement to one peer are lost
 /// (the shape a `gossip_churn` run once ended in: the issuer is the
 /// victim's neighbour, so the victim waits for nothing): no later
@@ -311,7 +352,11 @@ fn rerequests_back_off_and_cap() {
         assert_eq!(requests(&mut t, 0), 1);
     }
     assert_eq!(nodes[1].attempts_for(missing), cfg.max_retries);
-    assert_eq!(nodes[1].next_wake(), None, "gave up after max_retries");
+    // what is left to wake for is the stalled replica's advertisement
+    while let Some(due) = nodes[1].next_wake() {
+        assert_eq!(nodes[1].tick(due, &mut t), 0, "gave up after max_retries");
+        assert_eq!(requests(&mut t, 0), 0);
+    }
     assert_eq!(nodes[1].pending(), 1, "but still knows what it lacks");
 
     // Fresh evidence (an Advertise naming the missing cid) resets the
@@ -330,12 +375,12 @@ fn rerequests_back_off_and_cap() {
     assert_eq!(nodes[2].pending(), 0);
     requests(&mut t, 0);
     let mut at = Vec::new();
-    while let Some(due) = nodes[2].next_wake() {
+    for _ in 0..cfg.max_retries {
+        let due = nodes[2].next_wake().expect("retry pending");
         assert_eq!(nodes[2].tick(due, &mut t), 1);
         assert_eq!(requests(&mut t, 1), 1);
         at.push(due);
     }
-    assert_eq!(at.len(), cfg.max_retries as usize);
     for (k, w) in at.windows(2).enumerate() {
         assert_eq!(w[1] - w[0], cfg.backoff_base << (k + 1));
     }
@@ -443,7 +488,7 @@ fn faulty_run_is_deterministic_and_recovers() {
     // when the engines took over head advertisement from the harness
     assert_eq!(
         (sent1, dropped1, schedule1),
-        (60, 8, 0xddf0_98ab_a03b_2815),
+        (276, 59, 0x74a3_3d4e_6304_bda1),
         "golden schedule"
     );
     assert!(dropped1 > 0, "fault plan actually dropped something");
@@ -460,12 +505,11 @@ struct World {
     t: MockTransport,
     /// `(asker, asked, cid)` of every `Request` delivered so far.
     asked: std::collections::HashSet<(usize, usize, u64)>,
-    /// `(advertiser, advertised to)` of every `Advertise` delivered so far:
-    /// an advertisement asks for everything outside its heads' closure.
-    advertised: std::collections::HashSet<(usize, usize)>,
     /// Bodies that arrived neither from their issuer as a push nor as the
-    /// answer to a request or an advertisement of the receiver's.
+    /// answer to a request of the receiver's.
     unasked: usize,
+    /// Lose every head advertisement: announce and pull alone must do.
+    refuse_advertisements: bool,
 }
 
 impl World {
@@ -503,27 +547,23 @@ impl World {
             nodes,
             t,
             asked: Default::default(),
-            advertised: Default::default(),
             unasked: 0,
+            refuse_advertisements: false,
         }
     }
 
     /// One event, with the bookkeeping of who asked whom for what.
     fn step(&mut self) -> bool {
-        let (asked, advertised) = (&mut self.asked, &mut self.advertised);
-        let unasked = &mut self.unasked;
+        let (asked, unasked) = (&mut self.asked, &mut self.unasked);
+        let refuse = self.refuse_advertisements;
         step(&mut self.nodes, &mut self.t, |d| {
             match &d.msg {
+                ProtocolMsg::Advertise { .. } => return !refuse,
                 ProtocolMsg::Request { wants } => {
                     asked.extend(wants.iter().map(|w| (d.from, d.to, w.0)));
                 }
-                ProtocolMsg::Advertise { .. } => {
-                    advertised.insert((d.from, d.to));
-                }
                 ProtocolMsg::Publish(m) if m.issuer == d.from as u64 => {}
-                ProtocolMsg::Delta(m)
-                    if asked.contains(&(d.to, d.from, m.content_id().0))
-                        || advertised.contains(&(d.to, d.from)) => {}
+                ProtocolMsg::Delta(m) if asked.contains(&(d.to, d.from, m.content_id().0)) => {}
                 ProtocolMsg::Publish(_) | ProtocolMsg::Delta(_) => *unasked += 1,
                 _ => {}
             }
@@ -558,15 +598,58 @@ impl World {
     }
 }
 
+/// Run one case of [`announce_pull_converges_on_any_topology_under_faults`]:
+/// `n` engines of `shape`, each `(issuer, steps)` of `script` publishing
+/// and then running the network `3 * steps` events.
+fn converges_by_drain_alone(
+    (n, shape, seed): (usize, u8, u64),
+    loss_raw: u32,
+    duplicate_pct: u32,
+    reorder_jitter: u64,
+    script: &[(usize, u32)],
+) -> Result<(), proptest::TestCaseError> {
+    let loss_pct = loss_raw.saturating_sub(15);
+    let plan = FaultPlan {
+        seed: seed ^ 0xFA17,
+        drop: f64::from(loss_pct) / 100.0,
+        duplicate: f64::from(duplicate_pct) / 100.0,
+        reorder_jitter,
+        ..FaultPlan::default()
+    };
+    let mut w = World::new(n, shape, seed, plan);
+    w.refuse_advertisements = loss_pct == 0;
+    for (slot, &(issuer, steps)) in script.iter().enumerate() {
+        let issuer = issuer % n;
+        // extend what the issuer sees now, stale or not
+        let mut parents = w.nodes[issuer].peer().heads();
+        parents.truncate(2);
+        let m = tx(parents, issuer as u64, slot as u64 + 1, slot as f32);
+        let outcome = w.nodes[issuer].publish(m, &mut w.t);
+        proptest::prop_assert_eq!(outcome, ReceiveOutcome::Accepted);
+        // let the network run a little, rarely to the end
+        for _ in 0..steps * 3 {
+            w.step();
+        }
+    }
+    w.drain();
+    if loss_pct == 0 {
+        proptest::prop_assert_eq!(w.unasked, 0, "a body nobody pushed or asked for");
+    }
+    proptest::prop_assert!(w.settled(), "the engines did not converge on their own");
+    let len = w.nodes[0].peer().len();
+    proptest::prop_assert_eq!(len, script.len() + 1);
+    Ok(())
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
     /// Whatever the topology, the faults and the publication schedule:
     /// once the engines have run dry — the harness only delivers and
     /// ticks — every replica holds every transaction and no engine wants
-    /// anything; and while nothing is lost, no body travels that was not
-    /// pushed by its issuer or asked for by its receiver (with a request,
-    /// or with an advertisement of heads that do not cover it).
+    /// anything. While nothing else is lost, announce and pull alone get
+    /// there with every head advertisement lost, and no body travels that
+    /// was not pushed by its issuer or asked for by its receiver.
     #[test]
     fn announce_pull_converges_on_any_topology_under_faults(
         n in 3usize..=8,
@@ -578,34 +661,27 @@ proptest::proptest! {
         reorder_jitter in 0u64..=6,
         script in proptest::collection::vec((0usize..8, 0u32..12), 1..=30),
     ) {
-        let loss_pct = loss_raw.saturating_sub(15);
-        let plan = FaultPlan {
-            seed: seed ^ 0xFA17,
-            drop: f64::from(loss_pct) / 100.0,
-            duplicate: f64::from(duplicate_pct) / 100.0,
-            reorder_jitter,
-            ..FaultPlan::default()
-        };
-        let mut w = World::new(n, shape, seed, plan);
-        for (slot, &(issuer, steps)) in script.iter().enumerate() {
-            let issuer = issuer % n;
-            // extend what the issuer sees now, stale or not
-            let mut parents = w.nodes[issuer].peer().heads();
-            parents.truncate(2);
-            let m = tx(parents, issuer as u64, slot as u64 + 1, slot as f32);
-            let outcome = w.nodes[issuer].publish(m, &mut w.t);
-            proptest::prop_assert_eq!(outcome, ReceiveOutcome::Accepted);
-            // let the network run a little, rarely to the end
-            for _ in 0..steps * 3 {
-                w.step();
-            }
+        converges_by_drain_alone((n, shape, seed), loss_raw, duplicate_pct, reorder_jitter, &script)?;
+    }
+}
+
+/// Cases of the property above (loss 12–30 %), 5 of the 13 in 3 000 that
+/// leave a peer behind when the settled head advertisement goes out only
+/// once. On the 8-peer ring at 25 % loss, the copies towards peers 1–4
+/// were lost, and those peers, having admitted nothing, never advertise
+/// themselves: only a re-send reaches them.
+#[test]
+fn a_settled_advertisement_lost_once_is_re_sent() {
+    let cases = [
+        ((8, 0, 618229), 40, 6, 5, &[(7, 8), (0, 6)][..]),
+        ((8, 0, 793399), 27, 9, 4, &[(6, 9), (7, 11), (0, 1), (6, 4)]),
+        ((7, 0, 512703), 37, 5, 1, &[(3, 4), (6, 3)]),
+        ((4, 2, 92221), 36, 2, 4, &[(4, 3)]),
+        ((3, 1, 411586), 45, 7, 3, &[(6, 4), (4, 2)]),
+    ];
+    for (topology, loss_raw, dup, jitter, script) in cases {
+        if let Err(e) = converges_by_drain_alone(topology, loss_raw, dup, jitter, script) {
+            panic!("(peers, shape, seed) {topology:?}, loss {loss_raw}: {e:?}");
         }
-        w.drain();
-        if loss_pct == 0 {
-            proptest::prop_assert_eq!(w.unasked, 0, "a body nobody pushed or asked for");
-        }
-        proptest::prop_assert!(w.settled(), "the engines did not converge on their own");
-        let len = w.nodes[0].peer().len();
-        proptest::prop_assert_eq!(len, script.len() + 1);
     }
 }
