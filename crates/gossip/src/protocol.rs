@@ -284,8 +284,12 @@ impl NodeProtocol {
                 None
             }
             ProtocolMsg::Advertise { heads } => {
-                for m in self.peer.delta_for(&heads) {
-                    t.send(self.id, from, ProtocolMsg::Delta(m));
+                // Our replica is the closure of our heads: an advertiser
+                // holding them all lacks nothing of ours.
+                if !self.peer.heads().iter().all(|h| heads.contains(h)) {
+                    for m in self.peer.delta_for(&heads) {
+                        t.send(self.id, from, ProtocolMsg::Delta(m));
+                    }
                 }
                 self.learn_holder(from, false, &heads, t);
                 None
