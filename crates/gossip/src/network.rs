@@ -1348,15 +1348,15 @@ mod tests {
         // and 2, and 45 settled advertisements: 3, 4 and 5 once `a` has
         // settled (t=37) and, once `mid` has, at t=76–78 and 6 re-sends 36
         // ticks apart; 1 and 2 when their retries for `mid` run out (t=97)
-        // and 6 times more; 0 when its own do (t=547) and 6 times more);
+        // and 6 times more; 0 when its own do (t=536) and 6 times more);
         // 12 bodies = a ×5, b to 2 and (pushed back by 0 and 2, hence the
         // duplicate) twice to 1, mid ×2, the child ×2; 18 re-requests,
         // none dropped: peers 1 and 2 each ask 0, who sent them the
         // child, for `mid` at once and 6 more times, and 0, whose own
         // publication is the orphan, asks 1 and 2 in turn 6 times with
-        // exponential backoff; its last re-sent advertisement lands at
-        // t=764.
-        assert_eq!(net.now(), 764);
+        // exponential backoff, the first at the publication's own wake
+        // (t=40); its last re-sent advertisement lands at t=753.
+        assert_eq!(net.now(), 753);
         assert_eq!(
             net.stats,
             NetStats {
@@ -1379,13 +1379,13 @@ mod tests {
         // ids, with the settled round below). Every neighbour that can tell a peer lacks a body pushes
         // it back, which is where the duplicates come from. The link-ups
         // arm every peer's settled advertisement too: its first round
-        // (t=802–805) reaches 3, 4 and 5 while they are still taking in
-        // the near side's bodies, and the re-sends run to t=1059.
+        // (t=791–794) reaches 3, 4 and 5 while they are still taking in
+        // the near side's bodies, and the re-sends run to t=1048.
         net.heal();
         assert!(net.repair_to_quiescence(32));
         assert!(net.replicas_consistent());
         assert_eq!(net.peer(1).len(), 5);
-        assert_eq!(net.now(), 1062);
+        assert_eq!(net.now(), 1051);
         assert_eq!(
             net.stats,
             NetStats {

@@ -197,10 +197,15 @@ impl NodeProtocol {
     /// Publish a locally created transaction: insert it into the replica
     /// and push it to every neighbour — the only place a body is sent
     /// unasked. Returns the receive outcome (a self-publish is normally
-    /// [`ReceiveOutcome::Accepted`]).
+    /// [`ReceiveOutcome::Accepted`]). One buffered as an orphan, its
+    /// issuer lacking a parent, makes a wake due now, so that the next
+    /// [`NodeProtocol::tick`] asks for the parent.
     pub fn publish(&mut self, msg: TxMessage, t: &mut impl Transport) -> ReceiveOutcome {
         let cid = msg.content_id();
         let outcome = self.admit(cid, &msg);
+        if outcome == ReceiveOutcome::OrphanBuffered {
+            self.schedule_tick(self.now);
+        }
         if outcome == ReceiveOutcome::Accepted || outcome == ReceiveOutcome::OrphanBuffered {
             self.forget(cid);
             for &nb in &self.neighbours {
@@ -656,6 +661,22 @@ mod tests {
         let outcome = e.on_message(1, ProtocolMsg::Publish(b), &mut wire);
         assert_eq!(outcome, Some(ReceiveOutcome::Duplicate));
         assert!(wire.take().is_empty());
+    }
+
+    #[test]
+    fn an_issuer_that_publishes_an_orphan_requests_its_parent_at_the_next_tick() {
+        let (mut e, genesis) = engine(1);
+        let mut wire = Wire::open(2);
+        e.set_now(7);
+        let parent = tx(vec![genesis], 1.0);
+        let child = tx(vec![parent.content_id()], 2.0);
+        let idc = child.content_id();
+        assert_eq!(e.publish(child, &mut wire), ReceiveOutcome::OrphanBuffered);
+        assert_eq!(wire.take(), [(1, "publish", vec![idc])]);
+        // no other event arrives: the wake for the parent is due at once
+        assert_eq!(e.next_wake(), Some(7));
+        assert_eq!(e.tick(7, &mut wire), 1);
+        assert_eq!(wire.take(), [(1, "request", vec![parent.content_id()])]);
     }
 
     #[test]

@@ -493,23 +493,28 @@ impl GradRows {
 /// One `MR × NR` register tile: `acc[r][j] += w[t][r] · x[taps[t] + j]`
 /// for every tap `t` in ascending order, `x` starting at the tile's first
 /// output column. Each lane keeps its own serial chain; the `NR`-wide
-/// inner loop is the autovectorizer target. The body of both compiles
-/// ([`tile_plain`], [`tile_avx2`]), which stay out of line: inlined into
-/// the loop nest of [`Conv2d::forward_image`], LLVM leaves the tile scalar
-/// and the forward pass runs 2–4× slower.
+/// inner loop is the autovectorizer target. The tile accumulates in a
+/// local copy of `acc`, stored back once: on `acc` itself LLVM stores the
+/// tile back after every tap, since a failed bounds check could observe
+/// it. The body of both compiles ([`tile_plain`], [`tile_avx2`]), which
+/// stay out of line: inlined into the loop nest of
+/// [`Conv2d::forward_image`], LLVM leaves the tile scalar and the forward
+/// pass runs 2–4× slower.
 #[inline(always)]
 fn tile(taps: &[usize], w: &[f32], x: &[f32], acc: &mut [f32; MR * NR]) {
+    let mut a = *acc;
     for (&off, wt) in taps.iter().zip(w.chunks_exact(MR)) {
         let xr: &[f32; NR] = x[off..off + NR].try_into().expect("NR-wide row");
         let wt: &[f32; MR] = wt.try_into().expect("MR weights");
         for r in 0..MR {
             let wr = wt[r];
-            let row = &mut acc[r * NR..r * NR + NR];
+            let row = &mut a[r * NR..r * NR + NR];
             for (av, &xv) in row.iter_mut().zip(xr) {
                 *av += wr * xv;
             }
         }
     }
+    *acc = a;
 }
 
 /// [`tile`] for the target's baseline features.
