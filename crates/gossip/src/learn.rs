@@ -41,7 +41,6 @@ pub fn train_step(
         replica,
         cache,
         cfg,
-        slot,
         telemetry.clone(),
         &mut PhaseRecorder::inert(),
     );
@@ -49,6 +48,8 @@ pub fn train_step(
     node_step(
         node,
         &ctx,
+        replica,
+        slot,
         model,
         cfg,
         &mut node_rng,
@@ -57,8 +58,8 @@ pub fn train_step(
 }
 
 /// Evaluate the consensus model held in `replica` exactly as
-/// [`learning_tangle::Simulation::evaluate`] does after `slot` rounds:
-/// Algorithm 1 at round `slot + 1`, evaluated in place under `model`'s
+/// [`learning_tangle::Simulation::evaluate`] does over the same ledger:
+/// Algorithm 1 over the whole replica, evaluated in place under `model`'s
 /// architecture on the pooled clean held-out data of the shared
 /// [`eval_pool_indices`] sample. Returns `(loss, accuracy)` —
 /// bit-identical across executors whose replicas are bit-identical.
@@ -70,14 +71,12 @@ pub fn consensus_eval(
     nodes: &[Node],
     model: &Sequential,
     cfg: &SimConfig,
-    slot: u64,
     eval_seed: u64,
 ) -> (f32, f32) {
     let ctx = RoundContext::build_with_cache(
         replica,
         &mut cache.clone(),
         cfg,
-        slot + 1,
         lt_telemetry::Telemetry::disabled(),
         &mut PhaseRecorder::inert(),
     );
@@ -270,8 +269,8 @@ impl<'a> GossipLearning<'a> {
     }
 
     /// Evaluate the consensus model *as seen by* `peer` exactly as the
-    /// round simulator's `evaluate` would after the same number of
-    /// rounds (`eval_seed` picks the evaluation pool). When this
+    /// round simulator's `evaluate` would over the same ledger
+    /// (`eval_seed` picks the evaluation pool). When this
     /// learner's replica is bit-identical with a round simulation's
     /// ledger — one activation per round, fully drained — so is the
     /// result. Returns `(loss, accuracy)`.
@@ -282,7 +281,6 @@ impl<'a> GossipLearning<'a> {
             &self.nodes,
             &self.model,
             &self.cfg,
-            self.slot,
             eval_seed,
         )
     }
@@ -295,7 +293,6 @@ impl<'a> GossipLearning<'a> {
             replica,
             &mut self.caches[peer].clone(),
             &self.cfg,
-            self.slot + 1,
             lt_telemetry::Telemetry::disabled(),
             &mut PhaseRecorder::inert(),
         );
@@ -497,8 +494,7 @@ mod tests {
         let foreign = AnalysisCache::new(&other);
         assert!(foreign.validate(replica).is_err(), "not a foreign history");
         let eval = |cache: &AnalysisCache| {
-            let (loss, acc) =
-                consensus_eval(replica, cache, &gl.nodes, &gl.model, &gl.cfg, gl.slot, 1);
+            let (loss, acc) = consensus_eval(replica, cache, &gl.nodes, &gl.model, &gl.cfg, 1);
             (loss.to_bits(), acc.to_bits())
         };
         let want = eval(&AnalysisCache::new(replica));

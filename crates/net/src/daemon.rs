@@ -841,14 +841,13 @@ fn handle_control(
         WireMsg::ArchiveReq => {
             respond(&WireMsg::Archive(proto.peer().export_messages()));
         }
-        WireMsg::EvalReq { slot, eval_seed } => {
+        WireMsg::EvalReq { eval_seed, .. } => {
             let (loss, acc) = consensus_eval(
                 proto.peer().replica(),
                 &learner.cache,
                 &learner.nodes,
                 &learner.model,
                 &learner.cfg,
-                *slot,
                 *eval_seed,
             );
             respond(&WireMsg::Eval {

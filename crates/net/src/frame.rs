@@ -170,10 +170,10 @@ pub enum WireMsg {
     ArchiveReq,
     /// Control reply: verbatim archived transactions in insertion order.
     Archive(Vec<TxMessage>),
-    /// Control: evaluate the consensus model as of `slot`.
+    /// Control: evaluate the consensus model of the daemon's replica.
     EvalReq {
-        /// Total rounds driven so far (the evaluation is built at
-        /// `slot + 1`, exactly like the round simulator's).
+        /// Total rounds driven so far. The daemon does not read it: the
+        /// consensus is a function of the replica alone.
         slot: u64,
         /// Picks the shared evaluation pool.
         eval_seed: u64,
