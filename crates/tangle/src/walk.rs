@@ -153,8 +153,6 @@ pub struct WalkTable {
     cdf: Vec<f64>,
     /// The genesis-started pass-through mass of every transaction.
     confidence: Vec<f32>,
-    /// Whether the table was built by [`RandomWalk::windowed_table`].
-    windowed: bool,
 }
 
 impl WalkTable {
@@ -214,13 +212,7 @@ impl WalkTable {
             tips,
             cdf,
             confidence: confidence.iter().map(|&h| h as f32).collect(),
-            windowed: entries.is_some(),
         }
-    }
-
-    /// Whether the table was built by [`RandomWalk::windowed_table`].
-    pub fn is_windowed(&self) -> bool {
-        self.windowed
     }
 
     /// The confidence of every transaction (paper §III-A): the exact chance
@@ -623,7 +615,7 @@ mod tests {
                     for x in &path {
                         hits[x.index()] += 1;
                     }
-                    let tip = if table.is_windowed() {
+                    let tip = if *what == "windowed" {
                         let entry = entries[r.random_range(0..entries.len())];
                         *reference_walk(tangle, entry, alpha, eff, &mut r)
                             .last()
@@ -697,7 +689,6 @@ mod tests {
             (table.tips.as_slice(), table.cdf.as_slice()),
             (&[prev][..], &[1.0][..])
         );
-        assert!(!table.is_windowed());
         let mut r = rng(5);
         assert_eq!(
             RandomWalk::default().select_tip_with_weights(&t, &w, &mut r),
@@ -804,7 +795,7 @@ mod tests {
         let (w, d) = (cumulative_weights(&t), depths(&t));
         let walk = RandomWalk::default();
         let table = walk.windowed_table(&t, &w, &d, u32::MAX);
-        assert!(table.is_windowed() && window_entries(&d, u32::MAX).is_empty());
+        assert!(window_entries(&d, u32::MAX).is_empty());
         let plain = walk.table(&t, &w);
         assert_eq!((&table.tips, &table.cdf), (&plain.tips, &plain.cdf));
         let tip = table.draw_tip(&mut rng(4));
