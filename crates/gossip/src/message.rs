@@ -1,8 +1,26 @@
 //! Content-addressed wire transactions.
+//!
+//! A [`TxMessage`] carries a private memo of what its content determines:
+//! the nonce-independent proof-of-work digest behind
+//! [`TxMessage::content_id`] and [`TxMessage::verify_pow`], and the decoded
+//! payload [`TxMessage::shared_params`]. The memo is built on first use
+//! (a message decoded from bytes allocates nothing until it is hashed),
+//! [`TxMessage::create`] seeds it with the digest its proof-of-work was
+//! solved over, and every clone made after it is built shares it, so the
+//! replicas of one process hash and decode each transaction once and hold
+//! one payload between them.
+//!
+//! The memo never serves a stale value. It holds a clone of the payload
+//! `Arc`, which keeps those bytes alive and unchanged, and checks it with
+//! `Arc::ptr_eq`; `parents`, `issuer` and `slot` it compares by value. A
+//! write to a `pub` field (a corrupted payload swapped in, a forged nonce)
+//! therefore only makes the next call recompute, and the nonce is outside
+//! the memo altogether.
 
-use std::sync::Arc;
+use learning_tangle::node::ModelParams;
+use std::sync::{Arc, OnceLock};
 use tangle_ledger::pow;
-use tinynn::wire::{self, Reader, Truncated};
+use tinynn::wire::{self, Reader, Truncated, WireError};
 use tinynn::ParamVec;
 
 /// Globally unique, content-derived transaction identifier. Unlike the
@@ -19,7 +37,7 @@ impl std::fmt::Display for ContentId {
 }
 
 /// A transaction as it travels the network.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct TxMessage {
     /// Parents referenced by content id (empty only for the genesis).
     pub parents: Vec<ContentId>,
@@ -32,11 +50,79 @@ pub struct TxMessage {
     pub payload: Arc<[u8]>,
     /// Hashcash nonce over the message digest.
     pub nonce: u64,
+    /// What the fields above (bar the nonce) determine, once built.
+    memo: OnceLock<Arc<Memo>>,
+}
+
+/// The memo of one message's content: the fields it was built from, and
+/// what they determine.
+struct Memo {
+    /// A clone of the payload `Arc` it was built from, compared by pointer.
+    payload: Arc<[u8]>,
+    parents: Box<[ContentId]>,
+    issuer: u64,
+    slot: u64,
+    /// The digest the proof-of-work covers.
+    pow_digest: u64,
+    /// The payload decoded and checksummed, on first demand.
+    params: OnceLock<Result<ModelParams, WireError>>,
+}
+
+impl Memo {
+    fn new(m: &TxMessage, pow_digest: u64) -> Self {
+        Self {
+            payload: m.payload.clone(),
+            parents: m.parents.as_slice().into(),
+            issuer: m.issuer,
+            slot: m.slot,
+            pow_digest,
+            params: OnceLock::new(),
+        }
+    }
+
+    /// Was this memo built from `m`'s current content?
+    fn describes(&self, m: &TxMessage) -> bool {
+        Arc::ptr_eq(&self.payload, &m.payload)
+            && *self.parents == *m.parents
+            && self.issuer == m.issuer
+            && self.slot == m.slot
+    }
+}
+
+impl std::fmt::Debug for TxMessage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TxMessage")
+            .field("parents", &self.parents)
+            .field("issuer", &self.issuer)
+            .field("slot", &self.slot)
+            .field("payload", &self.payload)
+            .field("nonce", &self.nonce)
+            .finish()
+    }
 }
 
 impl TxMessage {
+    /// A message from its fields, as they would be read off the wire.
+    pub fn new(
+        parents: Vec<ContentId>,
+        issuer: u64,
+        slot: u64,
+        payload: Arc<[u8]>,
+        nonce: u64,
+    ) -> Self {
+        Self {
+            parents,
+            issuer,
+            slot,
+            payload,
+            nonce,
+            memo: OnceLock::new(),
+        }
+    }
+
     /// Build a message from parameters, solving proof-of-work at
-    /// `difficulty` leading zero bits (0 = disabled).
+    /// `difficulty` leading zero bits (0 = disabled). The memo starts with
+    /// the digest the work was solved over.
     pub fn create(
         params: &ParamVec,
         parents: Vec<ContentId>,
@@ -44,19 +130,25 @@ impl TxMessage {
         slot: u64,
         difficulty: u32,
     ) -> Self {
-        let base = Self {
-            parents,
-            issuer,
-            slot,
-            payload: wire::encode(params).into(),
-            nonce: 0,
-        };
-        let nonce = pow::solve(base.pow_digest(), difficulty);
-        Self { nonce, ..base }
+        let mut m = Self::new(parents, issuer, slot, wire::encode(params).into(), 0);
+        let pow_digest = m.hash_pow_digest();
+        m.nonce = pow::solve(pow_digest, difficulty);
+        m.memo = Arc::new(Memo::new(&m, pow_digest)).into();
+        m
     }
 
-    /// The digest the proof-of-work covers: everything except the nonce.
-    fn pow_digest(&self) -> u64 {
+    /// The memo of this message's current content, built on first use;
+    /// `None` if a field it covers was written since it was built.
+    fn memo(&self) -> Option<&Memo> {
+        let memo = self
+            .memo
+            .get_or_init(|| Arc::new(Memo::new(self, self.hash_pow_digest())));
+        memo.describes(self).then_some(&**memo)
+    }
+
+    /// Hash the digest the proof-of-work covers: everything except the
+    /// nonce.
+    fn hash_pow_digest(&self) -> u64 {
         let mut buf = Vec::with_capacity(8 * (self.parents.len() + 2) + self.payload.len());
         for p in &self.parents {
             buf.extend_from_slice(&p.0.to_le_bytes());
@@ -65,6 +157,12 @@ impl TxMessage {
         buf.extend_from_slice(&self.slot.to_le_bytes());
         buf.extend_from_slice(&self.payload);
         pow::digest(&buf)
+    }
+
+    /// The digest the proof-of-work covers, from the memo when it is current.
+    fn pow_digest(&self) -> u64 {
+        self.memo()
+            .map_or_else(|| self.hash_pow_digest(), |memo| memo.pow_digest)
     }
 
     /// Content id: digest over the full message including the nonce, so
@@ -82,8 +180,20 @@ impl TxMessage {
     }
 
     /// Decode the carried parameters, validating the payload checksum.
-    pub fn decode_params(&self) -> Result<ParamVec, wire::WireError> {
+    pub fn decode_params(&self) -> Result<ParamVec, WireError> {
         wire::decode(&self.payload)
+    }
+
+    /// The carried parameters, decoded and checksummed once per memo:
+    /// every clone that shares the memo gets the same allocation.
+    pub fn shared_params(&self) -> Result<ModelParams, WireError> {
+        match self.memo() {
+            Some(memo) => memo
+                .params
+                .get_or_init(|| self.decode_params().map(Arc::new))
+                .clone(),
+            None => self.decode_params().map(Arc::new),
+        }
     }
 
     /// Exact byte length of the encoded message.
@@ -136,13 +246,14 @@ impl TxMessage {
             .map(|_| r.u64().map(ContentId))
             .collect::<Result<_, _>>()?;
         // fields are read in the order written here, which is wire order
-        Ok(Self {
+        let (issuer, slot, nonce) = (r.u64()?, r.u64()?, r.u64()?);
+        Ok(Self::new(
             parents,
-            issuer: r.u64()?,
-            slot: r.u64()?,
-            nonce: r.u64()?,
-            payload: r.len_prefixed()?.into(),
-        })
+            issuer,
+            slot,
+            r.len_prefixed()?.into(),
+            nonce,
+        ))
     }
 }
 
@@ -170,10 +281,8 @@ mod tests {
         let m = TxMessage::create(&params(), vec![], 1, 0, 10);
         assert!(m.verify_pow(10));
         assert!(m.verify_pow(0));
-        let forged = TxMessage {
-            nonce: m.nonce + 1,
-            ..m.clone()
-        };
+        let mut forged = m.clone();
+        forged.nonce += 1;
         // overwhelmingly likely to fail at difficulty 10
         assert!(!forged.verify_pow(10) || forged.nonce == m.nonce);
     }
@@ -198,6 +307,60 @@ mod tests {
         assert!(TxMessage::decode(&enc[..3]).is_none());
         assert!(TxMessage::decode(&enc[..enc.len() - 1]).is_none());
         assert!(TxMessage::decode(&[]).is_none());
+    }
+
+    #[test]
+    fn tx_message_memo_never_serves_a_stale_value() {
+        use crate::peer::{Peer, ReceiveOutcome};
+        let g = TxMessage::create(&ParamVec(vec![0.0]), vec![], u64::MAX, 0, 0);
+        let made = TxMessage::create(&params(), vec![g.content_id()], 3, 11, 8);
+        // what a message fresh off the wire computes for `m`'s fields
+        let agrees = |m: &TxMessage| {
+            let fresh = TxMessage::decode(&m.encode()).expect("valid frame");
+            assert_eq!(m.content_id(), fresh.content_id());
+            assert_eq!(m.verify_pow(8), fresh.verify_pow(8));
+            assert_eq!(m.shared_params(), fresh.shared_params());
+        };
+
+        let m = TxMessage::decode(&made.encode()).unwrap();
+        let before = m.clone();
+        assert_eq!(m.content_id(), made.content_id());
+        assert!(m.verify_pow(8));
+        let shared = m.shared_params().unwrap();
+        let after = m.clone();
+        assert!(Arc::ptr_eq(&after.shared_params().unwrap(), &shared));
+        let own = before.shared_params().unwrap();
+        assert!(!Arc::ptr_eq(&own, &shared), "a clone taken before the fill");
+        assert_eq!((own, before.content_id()), (shared, m.content_id()));
+        agrees(&after);
+
+        // a one-bit flip swapped in, as `FaultPlan::perturb_hop` does
+        let mut corrupt = after.clone();
+        let mut bytes = corrupt.payload.to_vec();
+        let n = bytes.len();
+        bytes[n - 10] ^= 0x20;
+        corrupt.payload = bytes.into();
+        agrees(&corrupt);
+        assert!(corrupt.shared_params().is_err());
+        let mut peer = Peer::new(0, &g, 0);
+        assert_eq!(peer.receive(&corrupt), ReceiveOutcome::Corrupt);
+        assert_eq!(peer.receive(&after), ReceiveOutcome::Accepted);
+
+        let mut parent = after.clone();
+        parent.parents[0] = ContentId(10);
+        let mut issuer = after.clone();
+        issuer.issuer += 1;
+        let mut slot = after.clone();
+        slot.slot += 1;
+        let mut nonce = after.clone();
+        nonce.nonce += 1;
+        for changed in [&parent, &issuer, &slot, &nonce] {
+            agrees(changed);
+            assert_ne!(changed.content_id(), m.content_id());
+        }
+        // the clones that share the memo still read the original
+        assert_eq!(m.content_id(), made.content_id());
+        agrees(&m);
     }
 
     #[test]

@@ -901,6 +901,7 @@ mod tests {
     use super::*;
     use crate::fault::CrashEvent;
     use crate::message::ContentId;
+    use std::sync::Arc;
     use tinynn::ParamVec;
 
     fn genesis() -> TxMessage {
@@ -1163,6 +1164,32 @@ mod tests {
         assert!(net.repair_to_quiescence(32));
         assert!(net.replicas_consistent());
         assert!(net.peer(3).lookup(b.content_id()).is_some());
+    }
+
+    #[test]
+    fn replicas_share_one_decoded_payload() {
+        let g = genesis();
+        let mut net = Network::new(4, &g, NetworkConfig::default());
+        publish_chain(&mut net, 3);
+        assert!(net.replicas_consistent());
+        let payload_of =
+            |p: &Peer, cid: ContentId| p.replica().get(p.lookup(cid).unwrap()).payload.clone();
+        let last = net.peer(0).heads()[0];
+        let (a, b) = (payload_of(net.peer(1), last), payload_of(net.peer(3), last));
+        assert!(Arc::ptr_eq(&a, &b), "two replicas hold one decode");
+        let gid = g.content_id();
+        assert!(Arc::ptr_eq(
+            &payload_of(net.peer(0), gid),
+            &payload_of(net.peer(2), gid)
+        ));
+        // a restored peer decodes the checkpoint's fresh messages itself
+        let restored = Peer::from_checkpoint(1, &net.peer(1).checkpoint_bytes(), 0, 16).unwrap();
+        let r = payload_of(&restored, last);
+        assert_eq!(r, a);
+        assert!(
+            !Arc::ptr_eq(&r, &a),
+            "a restored peer holds its own payload"
+        );
     }
 
     #[test]

@@ -10,15 +10,22 @@
 //! exactly as a delivery does. Version-1 images are rejected as
 //! `unsupported checkpoint version`; a checkpoint is scratch for the next
 //! restart, not an archival format.
+//!
+//! A replica holds the payload a message decodes to through the message's
+//! memo ([`TxMessage::shared_params`]), never a decode of its own: the
+//! replicas of one process that admit clones of one message share one
+//! `Arc<ParamVec>`, and the memo is checked against the message's fields
+//! on every read, so a message whose payload was swapped after it was
+//! hashed is decoded afresh (and refused as `Corrupt` if it fails its
+//! checksum). A peer restored from checkpoint bytes decodes fresh messages
+//! and so holds payloads of its own.
 
 use crate::message::{ContentId, TxMessage};
 use learning_tangle::node::ModelParams;
 use learning_tangle::persist::PersistError;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 use tangle_ledger::{Tangle, TxId};
 use tinynn::wire::Reader;
-use tinynn::ParamVec;
 
 /// Default bound on the per-peer orphan buffer (see
 /// [`Peer::with_orphan_cap`]).
@@ -85,9 +92,9 @@ impl Peer {
     /// their content ids agree.
     pub fn new(id: usize, genesis: &TxMessage, pow_difficulty: u32) -> Self {
         let params = genesis
-            .decode_params()
+            .shared_params()
             .expect("genesis payload must be valid");
-        let replica = Tangle::new(Arc::new(params));
+        let replica = Tangle::new(params);
         let gid = genesis.content_id();
         let mut by_content = HashMap::new();
         by_content.insert(gid, replica.genesis());
@@ -149,7 +156,7 @@ impl Peer {
             return Err(PersistError::Malformed("empty checkpoint"));
         }
         let genesis = next_message(&mut r)?;
-        if !genesis.parents.is_empty() || genesis.decode_params().is_err() {
+        if !genesis.parents.is_empty() || genesis.shared_params().is_err() {
             return Err(PersistError::Malformed("invalid genesis message"));
         }
         let mut peer = Peer::new(id, &genesis, pow_difficulty).with_orphan_cap(orphan_cap);
@@ -298,7 +305,7 @@ impl Peer {
         if self.pow_difficulty > 0 && !msg.verify_pow(self.pow_difficulty) {
             return ReceiveOutcome::InvalidPow;
         }
-        let Ok(params) = msg.decode_params() else {
+        let Ok(params) = msg.shared_params() else {
             return ReceiveOutcome::Corrupt;
         };
         self.seen.insert(cid);
@@ -375,12 +382,12 @@ impl Peer {
     }
 
     /// The one place a transaction enters the replica; `params` is the
-    /// payload `receive` (or the orphan flush) already decoded.
-    fn insert(&mut self, cid: ContentId, msg: &TxMessage, params: ParamVec) {
+    /// message's shared payload, which `receive` validated.
+    fn insert(&mut self, cid: ContentId, msg: &TxMessage, params: ModelParams) {
         let parents: Vec<TxId> = msg.parents.iter().map(|p| self.by_content[p]).collect();
         let local = self
             .replica
-            .add_meta(Arc::new(params), parents, msg.issuer, msg.slot)
+            .add_meta(params, parents, msg.issuer, msg.slot)
             .expect("parents resolved");
         self.by_content.insert(cid, local);
         self.content_of.push(cid);
@@ -405,7 +412,7 @@ impl Peer {
                     continue; // still listed under the parent it lacks
                 }
                 let msg = self.orphans.remove(&cid).expect("checked above");
-                let params = msg.decode_params().expect("validated in receive");
+                let params = msg.shared_params().expect("validated in receive");
                 self.insert(cid, &msg, params);
                 admitted.push_back(cid);
             }
@@ -636,10 +643,8 @@ mod tests {
     fn pow_enforced_when_configured() {
         let g = TxMessage::create(&ParamVec(vec![0.0]), vec![], u64::MAX, 0, 8);
         let mut p = Peer::new(0, &g, 8);
-        let weak = TxMessage {
-            nonce: 0,
-            ..TxMessage::create(&ParamVec(vec![1.0]), vec![g.content_id()], 1, 0, 0)
-        };
+        let mut weak = TxMessage::create(&ParamVec(vec![1.0]), vec![g.content_id()], 1, 0, 0);
+        weak.nonce = 0;
         // nonce 0 almost surely fails difficulty 8; if it happens to pass,
         // the message is simply accepted — tolerate both but require that a
         // properly solved message always passes.

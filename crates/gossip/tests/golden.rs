@@ -18,13 +18,8 @@ fn reference_fnv(b: &[u8]) -> u64 {
 }
 
 fn message(parents: Vec<ContentId>, issuer: u64, slot: u64, v: f32, nonce: u64) -> TxMessage {
-    TxMessage {
-        parents,
-        issuer,
-        slot,
-        payload: wire::encode(&ParamVec(vec![v, -v])).into(),
-        nonce,
-    }
+    let payload = wire::encode(&ParamVec(vec![v, -v])).into();
+    TxMessage::new(parents, issuer, slot, payload, nonce)
 }
 
 const TX_MESSAGE: &str = concat!(

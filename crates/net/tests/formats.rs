@@ -233,7 +233,11 @@ const LTCP: Format = Format {
         let a = child(vec![g.content_id()], 1, 1.0);
         let b = child(vec![a.content_id(), g.content_id()], 2, 2.0);
         let weak = (0..)
-            .map(|nonce| TxMessage { nonce, ..a.clone() })
+            .map(|nonce| {
+                let mut m = a.clone();
+                m.nonce = nonce;
+                m
+            })
             .find(|m| !m.verify_pow(POW))
             .expect("half of all nonces fail");
         let weak = image(2, 2, &[&g, &weak]);

@@ -28,13 +28,14 @@ fn reference_fnv(b: &[u8]) -> u64 {
 }
 
 fn tx() -> TxMessage {
-    TxMessage {
-        parents: vec![ContentId(7), ContentId(0x0a0b_0c0d)],
-        issuer: 3,
-        slot: 4,
-        payload: wire::encode(&ParamVec(vec![1.0, -2.0])).into(),
-        nonce: 0x1234,
-    }
+    let payload = wire::encode(&ParamVec(vec![1.0, -2.0])).into();
+    TxMessage::new(
+        vec![ContentId(7), ContentId(0x0a0b_0c0d)],
+        3,
+        4,
+        payload,
+        0x1234,
+    )
 }
 
 /// One message of every kind, in kind-byte order, with its frame bytes.

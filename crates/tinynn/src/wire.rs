@@ -21,7 +21,7 @@ const MAGIC: &[u8; 4] = b"LTPV";
 const VERSION: u8 = 1;
 
 /// Errors produced while decoding a parameter payload.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// Payload too short for the declared structure.
     Truncated,
