@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Artifact format version (bump on schema changes).
-pub const ARTIFACT_VERSION: u32 = 1;
+pub(crate) const ARTIFACT_VERSION: u32 = 1;
 
 /// A serialized conformance failure.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]

@@ -63,16 +63,6 @@ impl<'a> StructModel<'a> {
         Ok(Self { txs, children })
     }
 
-    /// The transactions under the model.
-    pub fn len(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Whether the view is empty (it never is for a valid ledger).
-    pub fn is_empty(&self) -> bool {
-        self.txs.is_empty()
-    }
-
     /// Past cone of `i` (excluding `i`), as a membership mask.
     fn past_mask(&self, i: usize) -> Vec<bool> {
         let mut seen = vec![false; self.txs.len()];
@@ -87,7 +77,7 @@ impl<'a> StructModel<'a> {
     }
 
     /// Cumulative weights by definition: `w(t) = 1 + |{x : t ∈ past(x)}|`.
-    pub fn weights(&self) -> Vec<u32> {
+    pub(crate) fn weights(&self) -> Vec<u32> {
         let mut out = vec![1u32; self.txs.len()];
         for i in 0..self.txs.len() {
             for (a, &inside) in self.past_mask(i).iter().enumerate() {
@@ -100,7 +90,7 @@ impl<'a> StructModel<'a> {
     }
 
     /// Ratings by definition: `r(t) = |past(t)|` (genesis 0).
-    pub fn ratings(&self) -> Vec<u32> {
+    pub(crate) fn ratings(&self) -> Vec<u32> {
         (0..self.txs.len())
             .map(|i| self.past_mask(i).iter().filter(|&&x| x).count() as u32)
             .collect()
@@ -116,7 +106,7 @@ impl<'a> StructModel<'a> {
 
     /// Depths: longest approval path from any tip down to each
     /// transaction (tips are 0).
-    pub fn depths(&self) -> Vec<u32> {
+    pub(crate) fn depths(&self) -> Vec<u32> {
         let mut out = vec![0u32; self.txs.len()];
         for i in (0..self.txs.len()).rev() {
             out[i] = self.children[i]
@@ -163,7 +153,7 @@ impl<'a> StructModel<'a> {
 
     /// Confirmed transactions: non-genesis, non-tip, approved by every
     /// current tip.
-    pub fn confirmed(&self) -> Vec<u32> {
+    pub(crate) fn confirmed(&self) -> Vec<u32> {
         let approval = self.uniform_tip_approval();
         (1..self.txs.len())
             .filter(|&i| !self.children[i].is_empty() && approval[i] == 1.0)
@@ -175,7 +165,7 @@ impl<'a> StructModel<'a> {
     /// walk from the genesis passes each transaction. `h(genesis) = 1` and
     /// `h(x) = Σ h(p) · P(p → x)` over the transactions `p` that `x`
     /// approves, where `P(p → x) ∝ exp(α · w(x))` among `p`'s approvers.
-    pub fn confidence(&self, weights: &[u32], alpha: f64) -> Vec<f64> {
+    pub(crate) fn confidence(&self, weights: &[u32], alpha: f64) -> Vec<f64> {
         let mut h = vec![0.0f64; self.txs.len()];
         if let Some(genesis) = h.first_mut() {
             *genesis = 1.0;
@@ -196,7 +186,12 @@ impl<'a> StructModel<'a> {
     /// the highest `confidence × rating`, ties toward higher (fresher)
     /// ids. A selection loop rather than a sort, so the tie-breaking logic
     /// is independent of the real implementation's comparator.
-    pub fn choose_reference(&self, confidence: &[f32], ratings: &[u32], n: usize) -> Vec<u32> {
+    pub(crate) fn choose_reference(
+        &self,
+        confidence: &[f32],
+        ratings: &[u32],
+        n: usize,
+    ) -> Vec<u32> {
         let mut taken = vec![false; self.txs.len()];
         let mut out = Vec::new();
         for _ in 0..n.min(self.txs.len()) {
@@ -249,12 +244,12 @@ impl ShadowCache {
     }
 
     /// Cached cumulative weights, aligned with the last refreshed view.
-    pub fn weights(&self) -> &[u32] {
+    pub(crate) fn weights(&self) -> &[u32] {
         &self.weights
     }
 
     /// Cached ratings, aligned with the last refreshed view.
-    pub fn ratings(&self) -> &[u32] {
+    pub(crate) fn ratings(&self) -> &[u32] {
         &self.ratings
     }
 
@@ -269,7 +264,7 @@ impl ShadowCache {
     /// the stored prefix is compared by content and any divergence forces
     /// a rebuild; without it only lengths are compared (the injected
     /// stale-cache bug).
-    pub fn refresh(&mut self, view: &[TxView], validate_history: bool) {
+    pub(crate) fn refresh(&mut self, view: &[TxView], validate_history: bool) {
         let shared_ok = if validate_history {
             view.len() >= self.prefix.len() && view[..self.prefix.len()] == self.prefix[..]
         } else {

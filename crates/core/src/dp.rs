@@ -23,7 +23,7 @@ pub struct DpConfig {
 
 /// Apply the mechanism: clip `params − base` to `clip_norm`, add noise,
 /// and return `base + noised_delta`.
-pub fn privatize(
+pub(crate) fn privatize(
     params: &ParamVec,
     base: &ParamVec,
     cfg: &DpConfig,

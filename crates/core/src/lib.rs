@@ -17,11 +17,11 @@
 //!    validation data — thereby approving its parents.
 //!
 //! Modules:
-//! * [`config`] — hyperparameters ([`TangleHyperParams`], [`SimConfig`]).
+//! * `config` — hyperparameters ([`TangleHyperParams`], [`SimConfig`]).
 //! * [`node`] — the per-node algorithm and its building blocks.
 //! * [`attack`] — the paper's adversaries: random-noise poisoning and
 //!   targeted label flipping (§III-E / §V-B).
-//! * [`sim`] — the round-based simulator used for all paper experiments.
+//! * `sim` — the round-based simulator used for all paper experiments.
 //! * [`metrics`] — accuracy / misclassification series and Table II
 //!   helpers.
 //! * [`dp`] — optional differential-privacy noise on published updates
@@ -29,18 +29,18 @@
 
 pub mod attack;
 pub mod cluster;
-pub mod config;
+mod config;
 pub mod dp;
-pub mod eval_cache;
+mod eval_cache;
 pub mod metrics;
 pub mod node;
 pub mod persist;
 pub mod privacy;
-pub mod sim;
+mod sim;
 
 pub use attack::{assign_malicious, AttackKind};
 pub use config::{NetworkModel, SimConfig, TangleHyperParams};
 pub use eval_cache::EvalCache;
 pub use metrics::{rounds_to_reach, MetricsLog};
-pub use node::{Node, NodeKind, RoundContext};
-pub use sim::{eval_pool_indices, RoundStats, Simulation};
+pub use node::{Node, RoundContext};
+pub use sim::{eval_pool_indices, Simulation};

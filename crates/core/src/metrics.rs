@@ -45,15 +45,6 @@ impl MetricsLog {
     pub fn final_accuracy(&self) -> Option<f32> {
         self.points.last().map(|p| p.accuracy)
     }
-
-    /// Minimum accuracy in a round window (used to quantify attack damage).
-    pub fn min_accuracy_in(&self, rounds: std::ops::RangeInclusive<u64>) -> Option<f32> {
-        self.points
-            .iter()
-            .filter(|p| rounds.contains(&p.round))
-            .map(|p| p.accuracy)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite accuracy"))
-    }
 }
 
 /// Table II metric: the first round at which the accuracy reached
@@ -95,8 +86,6 @@ mod tests {
     fn accessors() {
         let l = log();
         assert_eq!(l.final_accuracy(), Some(0.70));
-        assert_eq!(l.min_accuracy_in(40..=80), Some(0.55));
-        assert_eq!(l.min_accuracy_in(90..=100), None);
         assert_eq!(MetricsLog::new("x").final_accuracy(), None);
     }
 

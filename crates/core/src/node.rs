@@ -57,7 +57,7 @@ pub enum NodeKind {
 
 /// Behaviour a node exhibits in a particular round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Behaviour {
+pub(crate) enum Behaviour {
     /// Algorithm 2 on clean local data.
     Honest,
     /// Publish random noise.
@@ -90,7 +90,7 @@ impl Node {
     }
 
     /// Which behaviour the node exhibits in `round`.
-    pub fn behaviour(&self, round: u64) -> Behaviour {
+    pub(crate) fn behaviour(&self, round: u64) -> Behaviour {
         match self.kind {
             NodeKind::Honest => Behaviour::Honest,
             NodeKind::RandomPoisoner { from_round } => {
@@ -111,7 +111,7 @@ impl Node {
     }
 
     /// Is the node behaving maliciously in `round`?
-    pub fn is_malicious(&self, round: u64) -> bool {
+    pub(crate) fn is_malicious(&self, round: u64) -> bool {
         self.behaviour(round) != Behaviour::Honest
     }
 }
@@ -128,7 +128,7 @@ impl Node {
 /// context per round, built by [`Self::build_with_cache`] from the analysis
 /// cache that follows the ledger. Under a [`crate::config::NetworkModel`]
 /// a node may act on the end of an earlier round, whose context
-/// [`Self::from_dps`] built over that prefix. The context holds no ledger:
+/// `Self::from_dps` built over that prefix. The context holds no ledger:
 /// a node step reads payloads by id from the ledger it is given, whose
 /// first [`Self::len`] transactions are the prefix.
 pub struct RoundContext {
@@ -159,7 +159,7 @@ impl RoundContext {
     /// against `tangle` first (incremental catch-up, or a counted rebuild
     /// when it follows another history — see
     /// [`AnalysisCache::refresh_observed`]); they equal the batch DPs of
-    /// [`Self::from_dps`] bit for bit. A caller that must leave its cache
+    /// `Self::from_dps` bit for bit. A caller that must leave its cache
     /// where it is (an evaluation between rounds) passes a clone. `phases`
     /// times the three parts: `refresh`, `walk_table` and `reference`
     /// (choosing and averaging the reference set).
@@ -184,7 +184,7 @@ impl RoundContext {
     /// never from an [`AnalysisCache`], which follows the ledger head and
     /// cannot serve an older prefix. `phases` times the three parts:
     /// `full` (the DPs), `walk_table` and `reference`.
-    pub fn from_dps<T: TangleRead<Payload = ModelParams> + Sync>(
+    pub(crate) fn from_dps<T: TangleRead<Payload = ModelParams> + Sync>(
         tangle: &T,
         cfg: &SimConfig,
         telemetry: lt_telemetry::Telemetry,
@@ -245,7 +245,12 @@ impl RoundContext {
     /// draws: the context's [`Self::walk`] — the walk from the genesis, or
     /// from a depth-window particle when windowed selection is configured
     /// (§IV) — or a node step's accuracy-biased table.
-    pub fn sample_tips(&self, table: &WalkTable, k: usize, rng: &mut dyn rand::Rng) -> Vec<TxId> {
+    pub(crate) fn sample_tips(
+        &self,
+        table: &WalkTable,
+        k: usize,
+        rng: &mut dyn rand::Rng,
+    ) -> Vec<TxId> {
         self.telemetry.count("tangle.walks", k as u64);
         (0..k)
             .map(|_| {

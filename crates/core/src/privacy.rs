@@ -19,7 +19,7 @@ use tangle_ledger::Tangle;
 use tinynn::ParamVec;
 
 /// Cosine similarity between two parameter vectors.
-pub fn cosine(a: &ParamVec, b: &ParamVec) -> f32 {
+pub(crate) fn cosine(a: &ParamVec, b: &ParamVec) -> f32 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     let mut dot = 0.0f64;
     let mut na = 0.0f64;

@@ -242,11 +242,6 @@ impl<'a> Simulation<'a> {
         &self.tangle
     }
 
-    /// The simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// Run one round.
     pub fn round(&mut self) -> RoundStats {
         self.round += 1;
@@ -803,7 +798,7 @@ mod tests {
             sim.round();
         }
         assert!(
-            sim.tangle().tip_count() <= 3 * sim.config().nodes_per_round,
+            sim.tangle().tip_count() <= 3 * sim.cfg.nodes_per_round,
             "tips exploded: {}",
             sim.tangle().tip_count()
         );
@@ -1048,7 +1043,7 @@ mod tests {
                 // Sampled in rounds 1, 2, 3 and 6: clean, then poisoned.
                 let node = &mut nodes[3];
                 node.poisoned_data = crate::attack::default_flip_source(0, 1)(node);
-                node.kind = crate::NodeKind::LabelFlipper {
+                node.kind = crate::node::NodeKind::LabelFlipper {
                     from_round: 3,
                     src: 0,
                     dst: 1,

@@ -13,8 +13,8 @@ use learning_tangle::metrics::{MetricPoint, MetricsLog};
 use learning_tangle::{assign_malicious, AttackKind, Simulation, TangleHyperParams};
 
 /// Paper instance of the targeted attack: misclassify 3 as 8.
-pub const FLIP_SRC: u32 = 3;
-pub const FLIP_DST: u32 = 8;
+const FLIP_SRC: u32 = 3;
+const FLIP_DST: u32 = 8;
 
 /// Run one attacked tangle: benign pre-training followed by an attack
 /// window, with dense evaluation inside the window.

@@ -146,7 +146,7 @@ fn median_iqr(mut v: Vec<f64>) -> Option<(f64, f64)> {
 /// The exact two-sided sign-test p-value of `wins` out of `n` untied
 /// pairs: twice the probability, under a fair coin, of a split at least
 /// as lopsided as the one seen, capped at 1.
-pub fn sign_test(wins: u64, n: u64) -> f64 {
+fn sign_test(wins: u64, n: u64) -> f64 {
     if n == 0 {
         return 1.0;
     }

@@ -15,7 +15,7 @@ pub fn femnist_cfg(scale: Scale) -> FemnistConfig {
 }
 
 /// CNN widths for the chosen scale.
-pub fn cnn_cfg(scale: Scale) -> CnnConfig {
+fn cnn_cfg(scale: Scale) -> CnnConfig {
     match scale {
         Scale::Scaled => CnnConfig::scaled(),
         Scale::Paper => CnnConfig::paper(),

@@ -11,9 +11,9 @@
 //! the same `feddata` clients; only the coordination differs.
 
 pub mod aggregate;
-pub mod server;
-pub mod train;
+mod server;
+mod train;
 
 pub use aggregate::Aggregator;
-pub use server::{FedAvg, FedAvgConfig, RoundStats};
-pub use train::{evaluate_params, gather_rows, local_train, sample_eval_clients};
+pub use server::{FedAvg, FedAvgConfig};
+pub use train::{evaluate_params, local_train};

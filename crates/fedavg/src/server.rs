@@ -16,7 +16,7 @@ mod rand_distr_shim {
     use rand::RngExt;
     use tinynn::ParamVec;
 
-    pub fn sample_noise(dim: usize, rng: &mut impl RngExt) -> ParamVec {
+    pub(crate) fn sample_noise(dim: usize, rng: &mut impl RngExt) -> ParamVec {
         // Box–Muller, to avoid a rand_distr dependency in this crate.
         let mut out = Vec::with_capacity(dim);
         while out.len() < dim {
@@ -108,29 +108,10 @@ impl<'a> FedAvg<'a> {
         }
     }
 
-    /// Declare the given client indices malicious: whenever sampled, they
-    /// submit standard-normal noise instead of a trained update (the same
-    /// indiscriminate attack the tangle faces in Fig. 5). Used to compare
-    /// the server-side BFT aggregators against the tangle's defense.
-    pub fn with_random_poisoners(mut self, indices: impl IntoIterator<Item = usize>) -> Self {
-        self.set_random_poisoners(indices);
-        self
-    }
-
     /// Set (or replace) the malicious client set mid-run — e.g. to attack
     /// only after a benign pre-training phase, as the paper's §V-B does.
     pub fn set_random_poisoners(&mut self, indices: impl IntoIterator<Item = usize>) {
         self.poisoners = indices.into_iter().collect();
-    }
-
-    /// Current global parameters.
-    pub fn global(&self) -> &ParamVec {
-        &self.global
-    }
-
-    /// Rounds completed so far.
-    pub fn rounds_done(&self) -> u64 {
-        self.round
     }
 
     /// Run one synchronous round: sample clients, local-train each from the
@@ -250,7 +231,6 @@ mod tests {
         assert_eq!(s.round, 1);
         assert_eq!(s.participants, 5);
         assert!(s.mean_train_loss > 0.0);
-        assert_eq!(fa.rounds_done(), 1);
     }
 
     #[test]
@@ -270,7 +250,7 @@ mod tests {
             for _ in 0..3 {
                 fa.round();
             }
-            fa.global().clone()
+            fa.global.clone()
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5).as_slice(), run(6).as_slice());
@@ -290,8 +270,8 @@ mod tests {
                     ..FedAvgConfig::default()
                 },
                 || tinynn::zoo::mlp(8, &[16], 4, &mut tinynn::rng::seeded(7)),
-            )
-            .with_random_poisoners([0usize, 1]); // 2 of 12 clients malicious
+            );
+            fa.set_random_poisoners([0usize, 1]); // 2 of 12 clients malicious
             for _ in 0..20 {
                 fa.round();
             }

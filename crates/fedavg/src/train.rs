@@ -6,7 +6,7 @@ use tinynn::{ParamVec, Sequential, Sgd, Tensor};
 
 /// Gather rows of `x` (leading axis) by index into `out`, whose buffer is
 /// reused.
-pub fn gather_rows(x: &Tensor, idx: &[usize], out: &mut Tensor) {
+pub(crate) fn gather_rows(x: &Tensor, idx: &[usize], out: &mut Tensor) {
     let stride: usize = x.shape()[1..].iter().product();
     let shape = [idx.len()]
         .into_iter()
@@ -103,7 +103,7 @@ pub fn evaluate_params(
 
 /// Pick a random `frac` of all clients for evaluation (at least one), the
 /// paper's "test datasets of a random selection of 10% of all nodes".
-pub fn sample_eval_clients<'a>(
+pub(crate) fn sample_eval_clients<'a>(
     data: &'a FederatedDataset,
     frac: f32,
     rng: &mut impl RngExt,

@@ -113,7 +113,7 @@ impl FederatedDataset {
 /// Split `n` sample indices into train/test by `train_split`, deterministic
 /// per `rng`. Every client keeps at least one sample on each side whenever
 /// `n >= 2`.
-pub fn train_test_split(
+pub(crate) fn train_test_split(
     n: usize,
     train_split: f32,
     rng: &mut impl rand::RngExt,

@@ -167,41 +167,6 @@ fn render(
     px
 }
 
-/// Generate `n` rendered samples of a fixed `class` as seen by `user`.
-///
-/// This is also the attacker's sample source for the label-flipping attack:
-/// a malicious writer produces genuine images of the *source* class and
-/// labels them as the *target* class.
-pub fn class_samples(
-    cfg: &FemnistConfig,
-    dataset_seed: u64,
-    user: usize,
-    class: usize,
-    n: usize,
-    sample_seed: u64,
-) -> Tensor {
-    assert!(class < cfg.classes, "class out of range");
-    let glyph = glyph_for_class(dataset_seed, class, cfg.strokes);
-    let style = style_for_writer(dataset_seed, user);
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(derive(dataset_seed, sample_seed));
-    let mut data = Vec::with_capacity(n * cfg.img * cfg.img);
-    for _ in 0..n {
-        let jitter = (
-            rng.random_range(-0.03..0.03f32),
-            rng.random_range(-0.03..0.03f32),
-        );
-        data.extend(render(
-            &glyph,
-            &style,
-            cfg.img,
-            jitter,
-            cfg.noise_std,
-            &mut rng,
-        ));
-    }
-    Tensor::from_vec(vec![n, 1, cfg.img, cfg.img], data)
-}
-
 /// Generate the full federated dataset. Deterministic per `(cfg, seed)`.
 pub fn generate(cfg: &FemnistConfig, seed: u64) -> FederatedDataset {
     assert!(cfg.classes >= 2, "need at least two classes");
@@ -289,6 +254,37 @@ pub fn generate(cfg: &FemnistConfig, seed: u64) -> FederatedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `n` rendered samples of a fixed `class` as seen by `user`.
+    fn class_samples(
+        cfg: &FemnistConfig,
+        dataset_seed: u64,
+        user: usize,
+        class: usize,
+        n: usize,
+        sample_seed: u64,
+    ) -> Tensor {
+        assert!(class < cfg.classes, "class out of range");
+        let glyph = glyph_for_class(dataset_seed, class, cfg.strokes);
+        let style = style_for_writer(dataset_seed, user);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(derive(dataset_seed, sample_seed));
+        let mut data = Vec::with_capacity(n * cfg.img * cfg.img);
+        for _ in 0..n {
+            let jitter = (
+                rng.random_range(-0.03..0.03f32),
+                rng.random_range(-0.03..0.03f32),
+            );
+            data.extend(render(
+                &glyph,
+                &style,
+                cfg.img,
+                jitter,
+                cfg.noise_std,
+                &mut rng,
+            ));
+        }
+        Tensor::from_vec(vec![n, 1, cfg.img, cfg.img], data)
+    }
 
     fn tiny() -> FemnistConfig {
         FemnistConfig {

@@ -20,15 +20,15 @@
 //!   examples.
 //! * [`sensors`] — synthetic edge-sensor activity windows with per-device
 //!   calibration skew (the paper's IoT motivation).
-//! * [`partition`] — generic Dirichlet / shard non-IID partitioners.
+//! * [`partition`] — the Dirichlet non-IID label partitioner.
 //! * [`poison`] — dataset-level poisoning transforms (label flipping).
 
 pub mod blobs;
-pub mod dataset;
+mod dataset;
 pub mod femnist;
 pub mod partition;
 pub mod poison;
 pub mod sensors;
 pub mod shakespeare;
 
-pub use dataset::{ClientData, DatasetMeta, FederatedDataset, TaskKind};
+pub use dataset::{ClientData, FederatedDataset, TaskKind};

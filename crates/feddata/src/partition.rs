@@ -1,16 +1,15 @@
 //! Non-IID partitioning utilities.
 //!
 //! Federated datasets are characterized by label-skewed client
-//! distributions. The standard construction is a per-class Dirichlet
-//! allocation (smaller α → more skew); the classic FedAvg paper instead
-//! uses label-sorted *shards*. Both are provided.
+//! distributions. The standard construction, used here, is a per-class
+//! Dirichlet allocation (smaller α → more skew).
 
 use rand::RngExt;
 use rand_distr::{Distribution, Gamma};
 
 /// Sample a probability vector from `Dirichlet(alpha, ..., alpha)` of
 /// dimension `k`, via normalized Gamma draws.
-pub fn dirichlet_proportions(alpha: f64, k: usize, rng: &mut impl RngExt) -> Vec<f64> {
+pub(crate) fn dirichlet_proportions(alpha: f64, k: usize, rng: &mut impl RngExt) -> Vec<f64> {
     assert!(alpha > 0.0 && k > 0, "invalid Dirichlet parameters");
     let gamma = Gamma::new(alpha, 1.0).expect("valid gamma parameters");
     let mut draws: Vec<f64> = (0..k).map(|_| gamma.sample(rng).max(1e-300)).collect();
@@ -70,45 +69,11 @@ pub fn dirichlet_partition(
     out
 }
 
-/// Classic shard partition: sort indices by label, cut into
-/// `users · shards_per_user` contiguous shards, deal each user
-/// `shards_per_user` random shards. Each user ends up with only a few
-/// classes — extreme label skew.
-pub fn shard_partition(
-    labels: &[u32],
-    users: usize,
-    shards_per_user: usize,
-    rng: &mut impl RngExt,
-) -> Vec<Vec<usize>> {
-    assert!(users > 0 && shards_per_user > 0);
-    let mut idx: Vec<usize> = (0..labels.len()).collect();
-    idx.sort_by_key(|&i| labels[i]);
-    let num_shards = users * shards_per_user;
-    let shard_len = labels.len() / num_shards;
-    assert!(shard_len > 0, "not enough samples for the requested shards");
-    let mut shard_ids: Vec<usize> = (0..num_shards).collect();
-    for i in (1..num_shards).rev() {
-        let j = rng.random_range(0..=i);
-        shard_ids.swap(i, j);
-    }
-    let mut out = vec![Vec::new(); users];
-    for (k, &s) in shard_ids.iter().enumerate() {
-        let user = k / shards_per_user;
-        let lo = s * shard_len;
-        let hi = if s == num_shards - 1 {
-            labels.len()
-        } else {
-            (s + 1) * shard_len
-        };
-        out[user].extend_from_slice(&idx[lo..hi]);
-    }
-    out
-}
-
 /// Herfindahl-style label-concentration score of one user's labels:
 /// 1/classes (uniform) .. 1.0 (single class). Used in tests to verify that
 /// small α produces more skew.
-pub fn label_concentration(labels: &[u32], classes: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn label_concentration(labels: &[u32], classes: usize) -> f64 {
     if labels.is_empty() {
         return 0.0;
     }
@@ -177,31 +142,6 @@ mod tests {
             mean_conc(&skewed),
             mean_conc(&uniform)
         );
-    }
-
-    #[test]
-    fn shard_partition_covers_everything() {
-        let mut r = rng(4);
-        let ls = labels(400, 10);
-        let parts = shard_partition(&ls, 8, 2, &mut r);
-        assert_eq!(parts.len(), 8);
-        let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..400).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shard_partition_is_label_skewed() {
-        let mut r = rng(5);
-        let ls = labels(1000, 10);
-        let parts = shard_partition(&ls, 10, 2, &mut r);
-        // with 2 shards of 50 label-sorted samples, each user sees <= 4 classes
-        for p in &parts {
-            let mut classes: Vec<u32> = p.iter().map(|&i| ls[i]).collect();
-            classes.sort_unstable();
-            classes.dedup();
-            assert!(classes.len() <= 4, "user saw {} classes", classes.len());
-        }
     }
 
     #[test]

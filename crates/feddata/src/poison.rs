@@ -7,19 +7,6 @@
 use crate::dataset::ClientData;
 use tinynn::Tensor;
 
-/// Replace every occurrence of `src` in `labels` with `dst`; returns the
-/// number of flipped labels.
-pub fn flip_labels(labels: &mut [u32], src: u32, dst: u32) -> usize {
-    let mut flipped = 0;
-    for l in labels.iter_mut() {
-        if *l == src {
-            *l = dst;
-            flipped += 1;
-        }
-    }
-    flipped
-}
-
 /// Extract the rows of `x` whose label equals `keep`.
 fn filter_rows(x: &Tensor, y: &[u32], keep: u32) -> (Tensor, usize) {
     let n = x.shape()[0];
@@ -43,9 +30,7 @@ fn filter_rows(x: &Tensor, y: &[u32], keep: u32) -> (Tensor, usize) {
 /// both the train and held-out sides (the attacker *wants* the
 /// misclassification, so its publish gate must reward it too).
 ///
-/// Returns `None` if the client owns no samples of class `src` at all —
-/// callers then source attack samples elsewhere (e.g.
-/// [`crate::femnist::class_samples`]).
+/// Returns `None` if the client owns no samples of class `src` at all.
 pub fn label_flip_client(client: &ClientData, src: u32, dst: u32) -> Option<ClientData> {
     let (train_x, ntr) = filter_rows(&client.train_x, &client.train_y, src);
     let (test_x, nte) = filter_rows(&client.test_x, &client.test_y, src);
@@ -137,14 +122,6 @@ mod tests {
             test_x: Tensor::from_fn(&[2, 2], |i| 100.0 + i as f32),
             test_y: vec![3, 0],
         }
-    }
-
-    #[test]
-    fn flip_labels_counts() {
-        let mut y = vec![3, 1, 3, 2];
-        assert_eq!(flip_labels(&mut y, 3, 8), 2);
-        assert_eq!(y, vec![8, 1, 8, 2]);
-        assert_eq!(flip_labels(&mut y, 9, 0), 0);
     }
 
     #[test]

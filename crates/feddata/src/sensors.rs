@@ -105,24 +105,6 @@ fn window(
         .collect()
 }
 
-/// Generate one device's rendering of one activity (for tests/analysis).
-pub fn activity_window(
-    cfg: &SensorsConfig,
-    dataset_seed: u64,
-    user: usize,
-    class: usize,
-    sample_seed: u64,
-) -> Vec<f32> {
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(derive(dataset_seed, sample_seed));
-    window(
-        &activity(dataset_seed, class),
-        &device(dataset_seed, user),
-        cfg.window,
-        cfg.noise_std,
-        &mut rng,
-    )
-}
-
 /// Generate the full federated dataset. Deterministic per `(cfg, seed)`.
 /// Inputs have shape `[N, window]`.
 pub fn generate(cfg: &SensorsConfig, seed: u64) -> FederatedDataset {
@@ -197,6 +179,24 @@ pub fn generate(cfg: &SensorsConfig, seed: u64) -> FederatedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One device's rendering of one activity.
+    fn activity_window(
+        cfg: &SensorsConfig,
+        dataset_seed: u64,
+        user: usize,
+        class: usize,
+        sample_seed: u64,
+    ) -> Vec<f32> {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(derive(dataset_seed, sample_seed));
+        window(
+            &activity(dataset_seed, class),
+            &device(dataset_seed, user),
+            cfg.window,
+            cfg.noise_std,
+            &mut rng,
+        )
+    }
 
     fn tiny() -> SensorsConfig {
         SensorsConfig {

@@ -86,17 +86,6 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// Does this plan perturb anything at all? A benign plan is
-    /// guaranteed not to consume fault randomness, so installing it
-    /// leaves the simulation bit-identical to running without one.
-    pub fn is_benign(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.corrupt == 0.0
-            && self.reorder_jitter == 0
-            && self.crashes.is_empty()
-    }
-
     /// Perturb one hop — the only implementation of the link faults,
     /// called by [`Links`](crate::network::Links), the one in-memory
     /// transport (the simulator's link layer; stand-alone in protocol
@@ -111,7 +100,7 @@ impl FaultPlan {
     /// The order of draws is frozen (tests pin whole runs to it): drop,
     /// duplicate, corrupt (+ byte and bit), jitter, then for a copy one
     /// unused jitter draw, its latency and its jitter.
-    pub fn perturb_hop(
+    pub(crate) fn perturb_hop(
         &self,
         rng: &mut Rng,
         pkt: &mut ProtocolMsg,
@@ -197,44 +186,6 @@ impl Default for RepairConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_plan_is_benign() {
-        assert!(FaultPlan::default().is_benign());
-    }
-
-    #[test]
-    fn any_perturbation_breaks_benignity() {
-        for plan in [
-            FaultPlan {
-                drop: 0.1,
-                ..FaultPlan::default()
-            },
-            FaultPlan {
-                duplicate: 0.1,
-                ..FaultPlan::default()
-            },
-            FaultPlan {
-                corrupt: 0.1,
-                ..FaultPlan::default()
-            },
-            FaultPlan {
-                reorder_jitter: 3,
-                ..FaultPlan::default()
-            },
-            FaultPlan {
-                crashes: vec![CrashEvent {
-                    peer: 1,
-                    at: 5,
-                    restart_at: None,
-                    recovery: Recovery::Empty,
-                }],
-                ..FaultPlan::default()
-            },
-        ] {
-            assert!(!plan.is_benign());
-        }
-    }
 
     #[test]
     fn churn_schedule_is_deterministic_and_spread() {

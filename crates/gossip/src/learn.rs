@@ -155,7 +155,7 @@ impl<'a> GossipLearning<'a> {
     }
 
     /// Attach an observability handle to the learner *and* its network
-    /// (see [`Network::set_telemetry`]). Activations then record the
+    /// (see `Network::set_telemetry`). Activations then record the
     /// `gossip.published` / `gossip.discarded` counters and a
     /// `wire.encode_us` span around message creation.
     pub fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
@@ -171,11 +171,6 @@ impl<'a> GossipLearning<'a> {
     /// Mutable network access (e.g. to partition/heal mid-run).
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.network
-    }
-
-    /// Node population (e.g. for attack assignment).
-    pub fn nodes_mut(&mut self) -> &mut [Node] {
-        &mut self.nodes
     }
 
     /// Publications accepted so far.

@@ -14,7 +14,7 @@
 //!   replica, translating content ids to local ids, buffering *orphans*
 //!   (transactions whose parents haven't arrived yet) and rejecting
 //!   duplicates, malformed payloads, and invalid proofs-of-work.
-//! * [`transport`] — the protocol vocabulary ([`ProtocolMsg`]:
+//! * `transport` — the protocol vocabulary ([`ProtocolMsg`]:
 //!   publish / announce / advertise / request / delta) and the
 //!   [`Transport`] abstraction over how those messages move between peers.
 //! * [`protocol`] — [`NodeProtocol`], the one protocol engine: the issuer
@@ -45,11 +45,11 @@ pub mod message;
 pub mod network;
 pub mod peer;
 pub mod protocol;
-pub mod transport;
+mod transport;
 
 pub use fault::{CrashEvent, FaultPlan, Recovery, RepairConfig};
 pub use message::{ContentId, TxMessage};
 pub use network::{Delivery, Latency, Links, NetStats, Network, NetworkConfig, Topology};
 pub use peer::{Peer, ReceiveOutcome};
 pub use protocol::NodeProtocol;
-pub use transport::{LinkState, ProtocolMsg, Transport};
+pub use transport::{ProtocolMsg, Transport};

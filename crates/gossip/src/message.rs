@@ -3,7 +3,7 @@
 //! A [`TxMessage`] carries a private memo of what its content determines:
 //! the nonce-independent proof-of-work digest behind
 //! [`TxMessage::content_id`] and [`TxMessage::verify_pow`], and the decoded
-//! payload [`TxMessage::shared_params`]. The memo is built on first use
+//! payload `TxMessage::shared_params`. The memo is built on first use
 //! (a message decoded from bytes allocates nothing until it is hashed),
 //! [`TxMessage::create`] seeds it with the digest its proof-of-work was
 //! solved over, and every clone made after it is built shares it, so the
@@ -186,7 +186,7 @@ impl TxMessage {
 
     /// The carried parameters, decoded and checksummed once per memo:
     /// every clone that shares the memo gets the same allocation.
-    pub fn shared_params(&self) -> Result<ModelParams, WireError> {
+    pub(crate) fn shared_params(&self) -> Result<ModelParams, WireError> {
         match self.memo() {
             Some(memo) => memo
                 .params

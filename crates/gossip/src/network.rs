@@ -170,7 +170,7 @@ struct FaultState {
 
 /// The in-memory [`Transport`]: a simulated clock, one event queue, the
 /// base and fault RNGs, partition groups and up/down flags. A send draws
-/// its latency and then [`FaultPlan::perturb_hop`], and queues the
+/// its latency and then `FaultPlan::perturb_hop`, and queues the
 /// delivery; events come off the queue in `(at, seq)` order, so the
 /// order of latency draws is replayable from the seed alone.
 ///
@@ -425,7 +425,7 @@ impl Network {
     /// transition, and fills the `fault.recovery_ticks` histogram with
     /// restart-to-resolidified latencies. The engines' own `net.*`
     /// counters stay off: they are the daemon's names for the same points.
-    pub fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: lt_telemetry::Telemetry) {
         self.telemetry = telemetry;
     }
 
@@ -446,8 +446,10 @@ impl Network {
         self.links.install_faults(plan);
     }
 
-    /// Override the repair-protocol parameters (on by default).
-    pub fn set_repair(&mut self, cfg: RepairConfig) {
+    /// Override the repair-protocol parameters (tests only: production
+    /// runs the defaults).
+    #[cfg(test)]
+    fn set_repair(&mut self, cfg: RepairConfig) {
         self.repair_cfg = cfg;
         for e in &mut self.protos {
             e.set_repair(cfg);
@@ -499,7 +501,7 @@ impl Network {
     }
 
     /// Neighbours of peer `i`.
-    pub fn neighbours(&self, i: usize) -> &[usize] {
+    pub(crate) fn neighbours(&self, i: usize) -> &[usize] {
         self.protos[i].neighbours()
     }
 
@@ -543,7 +545,7 @@ impl Network {
     }
 
     /// Deliver the next scheduled event. Returns `false` when idle.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some(at) = self.links.next_at() else {
             return false;
         };

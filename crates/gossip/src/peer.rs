@@ -12,7 +12,7 @@
 //! restart, not an archival format.
 //!
 //! A replica holds the payload a message decodes to through the message's
-//! memo ([`TxMessage::shared_params`]), never a decode of its own: the
+//! memo (`TxMessage::shared_params`), never a decode of its own: the
 //! replicas of one process that admit clones of one message share one
 //! `Arc<ParamVec>`, and the memo is checked against the message's fields
 //! on every read, so a message whose payload was swapped after it was
@@ -210,7 +210,7 @@ impl Peer {
     }
 
     /// The bound on buffered orphans (see [`Peer::with_orphan_cap`]).
-    pub fn orphan_cap(&self) -> usize {
+    pub(crate) fn orphan_cap(&self) -> usize {
         self.orphan_cap
     }
 
@@ -252,7 +252,7 @@ impl Peer {
 
     /// The verbatim wire message for `cid`, if this peer holds it in its
     /// replica archive or orphan buffer (served to repair requests).
-    pub fn message_for(&self, cid: ContentId) -> Option<&TxMessage> {
+    pub(crate) fn message_for(&self, cid: ContentId) -> Option<&TxMessage> {
         if let Some(id) = self.by_content.get(&cid) {
             return self.archive.get(id.index());
         }
@@ -271,7 +271,7 @@ impl Peer {
     /// is provably missing. Returned in insertion (topological) order.
     /// Heads unknown locally are ignored (the advertiser is ahead there;
     /// the pull side of the protocol handles that direction).
-    pub fn delta_for(&self, heads: &[ContentId]) -> Vec<TxMessage> {
+    pub(crate) fn delta_for(&self, heads: &[ContentId]) -> Vec<TxMessage> {
         let mut in_closure = vec![false; self.replica.len()];
         let mut stack: Vec<TxId> = heads
             .iter()

@@ -24,7 +24,7 @@
 //! * **settled advertisement** — nothing names a lost or evicted final
 //!   tip again, so every admission that changes the replica arms one
 //!   head advertisement, sent by [`NodeProtocol::tick`] after
-//!   [`SETTLE_PATIENCES`] quiet re-request intervals once no orphan's
+//!   `SETTLE_PATIENCES` quiet re-request intervals once no orphan's
 //!   parent is still being re-requested, and re-sent at that interval up
 //!   to `max_retries` times: a neighbour that admitted nothing never
 //!   advertises back, so one lost copy would leave it behind for good. A
@@ -56,7 +56,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// advertisement, and between its re-sends. At 1, `gossip_flood` seed 19
 /// advertised 56 times mid-run (duplicates 6 → 1 343, wire bytes +3.4 %);
 /// at 4 only `ticks` moves.
-pub const SETTLE_PATIENCES: u64 = 4;
+pub(crate) const SETTLE_PATIENCES: u64 = 4;
 
 /// Per-node gossip + repair protocol state machine.
 pub struct NodeProtocol {
@@ -142,7 +142,7 @@ impl NodeProtocol {
     }
 
     /// The current neighbour set.
-    pub fn neighbours(&self) -> &[usize] {
+    pub(crate) fn neighbours(&self) -> &[usize] {
         &self.neighbours
     }
 

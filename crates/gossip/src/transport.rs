@@ -54,16 +54,6 @@ pub enum ProtocolMsg {
     Delta(TxMessage),
 }
 
-impl ProtocolMsg {
-    /// The carried transaction, when the message carries one.
-    pub fn transaction(&self) -> Option<&TxMessage> {
-        match self {
-            ProtocolMsg::Publish(m) | ProtocolMsg::Delta(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
 /// What a transport knows about one link at send time (see
 /// [`Transport::link_state`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,8 +82,8 @@ pub trait Transport {
     /// What this transport knows about the `from → to` link. The engine
     /// pushes and announces to every neighbour regardless (the transport
     /// accounts for what it loses), advertises heads to every neighbour
-    /// not [`LinkState::Down`], and spends re-request retries only on
-    /// [`LinkState::Open`] ones. A transport that cannot tell — a socket
+    /// not `LinkState::Down`, and spends re-request retries only on
+    /// `LinkState::Open` ones. A transport that cannot tell — a socket
     /// whose neighbour list already is "whoever is connected" — keeps the
     /// default.
     fn link_state(&self, _from: usize, _to: usize) -> LinkState {

@@ -12,7 +12,7 @@
 //! `--restore` rebuilds the replica from that file at startup (falling
 //! back to genesis when the file is missing or corrupt).
 
-use lt_net::{run_daemon, DaemonConfig};
+use lt_net::daemon::{run_daemon, DaemonConfig};
 
 fn usage() -> ! {
     eprintln!(

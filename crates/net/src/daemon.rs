@@ -11,7 +11,7 @@
 //!   them to the protocol thread over a channel (counting
 //!   `net.frames_recv` / `net.bytes_recv` at the socket);
 //! * one **writer thread** per connection drains that connection's
-//!   [`Outbox`] channel (counting `net.frames_sent` / `net.bytes_sent`
+//!   `Outbox` channel (counting `net.frames_sent` / `net.bytes_sent`
 //!   after each successful write);
 //! * one **dialer thread** per higher-id peer keeps the outgoing
 //!   connection alive, reconnecting with exponential backoff (counted
@@ -35,7 +35,7 @@
 
 use crate::frame::{read_frame, StatusReport, WireMsg, CONTROL_PEER};
 use crate::preset::{Preset, ORPHAN_CAP};
-use crate::protocol::NodeProtocol;
+use crate::NodeProtocol;
 use learning_tangle::node::Node;
 use learning_tangle::persist::PersistError;
 use learning_tangle::SimConfig;
@@ -97,9 +97,9 @@ impl DaemonConfig {
 /// the gossip-layer `LTCP` image with daemon-level state (the last
 /// activated slot) and a whole-file checksum so a kill mid-write is
 /// detected as corruption, never read as a shorter valid history.
-pub const DAEMON_CKPT_MAGIC: &[u8; 4] = b"LTND";
+pub(crate) const DAEMON_CKPT_MAGIC: &[u8; 4] = b"LTND";
 /// Envelope version.
-pub const DAEMON_CKPT_VERSION: u8 = 1;
+pub(crate) const DAEMON_CKPT_VERSION: u8 = 1;
 
 /// Serialize a daemon checkpoint:
 ///
@@ -200,9 +200,9 @@ pub fn load_checkpoint(
 /// link-up one), and `Delta`s only in answer to a received `Request` or
 /// head advertisement — a small multiple of the ledger the daemon already
 /// holds in memory.
-pub type Outbox = Sender<Vec<u8>>;
+pub(crate) type Outbox = Sender<Vec<u8>>;
 
-/// Routes outbound frames to per-connection [`Outbox`]es. The daemon's
+/// Routes outbound frames to per-connection `Outbox`es. The daemon's
 /// [`Transport`]: a gossip send becomes an encoded frame on the target
 /// connection's channel. Dropping an entry (on `detach`, or when a
 /// reconnect replaces it) lets that connection's writer drain and exit.
@@ -227,26 +227,26 @@ impl Router {
 
     /// Drop the connection to `peer`, but only if `token` still names the
     /// current one (a reconnect may already have replaced it).
-    pub fn detach(&mut self, peer: usize, token: u64) {
+    pub(crate) fn detach(&mut self, peer: usize, token: u64) {
         if self.outboxes.get(&peer).is_some_and(|(t, _)| *t == token) {
             self.outboxes.remove(&peer);
         }
     }
 
     /// Currently connected peer ids, ascending.
-    pub fn peer_ids(&self) -> Vec<usize> {
+    pub(crate) fn peer_ids(&self) -> Vec<usize> {
         let mut ids: Vec<usize> = self.outboxes.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
     /// Live connection count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.outboxes.len()
     }
 
     /// No live connections?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.outboxes.is_empty()
     }
 
@@ -465,9 +465,9 @@ struct Dial {
 }
 
 /// Reconnect backoff floor, in milliseconds.
-pub const BACKOFF_BASE_MS: u64 = 25;
+pub(crate) const BACKOFF_BASE_MS: u64 = 25;
 /// Reconnect backoff ceiling, in milliseconds.
-pub const BACKOFF_CAP_MS: u64 = 1600;
+pub(crate) const BACKOFF_CAP_MS: u64 = 1600;
 
 /// Decorrelated-jitter reconnect backoff: the next sleep is drawn
 /// uniformly from `[base, min(cap, prev * 3)]`. Expected growth stays
@@ -476,7 +476,7 @@ pub const BACKOFF_CAP_MS: u64 = 1600;
 /// scheme) synchronizes every dialer in the cluster onto the same
 /// schedule and slams a healed peer with a thundering herd of
 /// simultaneous redials.
-pub fn decorrelated_backoff(prev_ms: u64, rng: &mut Rng) -> u64 {
+pub(crate) fn decorrelated_backoff(prev_ms: u64, rng: &mut Rng) -> u64 {
     let hi = prev_ms
         .saturating_mul(3)
         .clamp(BACKOFF_BASE_MS, BACKOFF_CAP_MS);

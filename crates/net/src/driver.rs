@@ -14,10 +14,10 @@
 //!   wall-clock throughput plus the daemons' socket-level frame/byte
 //!   counters and RTT histograms.
 //!
-//! With [`ClusterOptions::chaos`] set, the driver interposes one
-//! [`ChaosProxies`] TCP proxy per daemon pair (data-plane links cross
+//! With `ClusterOptions::chaos` set, the driver interposes one
+//! `ChaosProxies` TCP proxy per daemon pair (data-plane links cross
 //! the fault injector; control connections stay direct) and a
-//! [`Supervisor`] executes the plan's kill schedule: SIGKILL on
+//! `Supervisor` executes the plan's kill schedule: SIGKILL on
 //! schedule, respawn on the *same* listen address (surviving dialers
 //! keep redialing it, so the mesh heals without re-plumbing), restoring
 //! from checkpoint when the plan says so.
@@ -69,15 +69,6 @@ impl ControlConn {
                 io::ErrorKind::UnexpectedEof,
                 "daemon closed the control connection",
             )),
-        }
-    }
-
-    /// Round-trip a ping; returns the measured RTT.
-    pub fn ping(&mut self, nonce: u64) -> io::Result<Duration> {
-        let t0 = Instant::now();
-        match self.request(&WireMsg::Ping { nonce, sent_us: 0 })? {
-            WireMsg::Pong { nonce: n, .. } if n == nonce => Ok(t0.elapsed()),
-            other => Err(bad_reply("Pong", &other)),
         }
     }
 }
@@ -164,7 +155,7 @@ impl ThroughputReport {
 
 /// Everything [`Cluster::spawn_with`] needs beyond the binary path.
 #[derive(Clone, Debug)]
-pub struct ClusterOptions {
+pub(crate) struct ClusterOptions {
     /// Daemon count (= preset population).
     pub nodes: usize,
     /// Shared experiment seed.
@@ -183,7 +174,7 @@ pub struct ClusterOptions {
 
 impl ClusterOptions {
     /// A healthy-network cluster of `nodes` daemons at `seed`.
-    pub fn new(nodes: usize, seed: u64) -> Self {
+    pub(crate) fn new(nodes: usize, seed: u64) -> Self {
         Self {
             nodes,
             seed,
@@ -206,7 +197,6 @@ pub struct Cluster {
     controls: Vec<Option<ControlConn>>,
     /// Real (post-bind) listen address per daemon; a respawn reuses it.
     addrs: Vec<String>,
-    preset: Preset,
     /// The chaos clock's zero point.
     epoch: Instant,
     proxies: Option<ChaosProxies>,
@@ -224,7 +214,7 @@ impl Cluster {
 
     /// [`Cluster::spawn`] with full options: checkpoints, ping interval,
     /// and an armed chaos plan.
-    pub fn spawn_with(bin: &Path, opts: ClusterOptions) -> io::Result<Self> {
+    pub(crate) fn spawn_with(bin: &Path, opts: ClusterOptions) -> io::Result<Self> {
         if let Some(plan) = &opts.chaos {
             plan.validate(opts.nodes)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -240,7 +230,6 @@ impl Cluster {
             procs: Vec::with_capacity(opts.nodes),
             controls: Vec::with_capacity(opts.nodes),
             addrs: Vec::with_capacity(opts.nodes),
-            preset,
             epoch: Instant::now(),
             proxies: None,
             opts,
@@ -325,23 +314,13 @@ impl Cluster {
     }
 
     /// Milliseconds since the chaos epoch (daemons all listening).
-    pub fn elapsed_ms(&self) -> u64 {
+    pub(crate) fn elapsed_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// The preset the cluster runs.
-    pub fn preset(&self) -> Preset {
-        self.preset
-    }
-
     /// Daemon count (including currently killed ones).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.controls.len()
-    }
-
-    /// Clusters are never empty.
-    pub fn is_empty(&self) -> bool {
-        self.controls.is_empty()
     }
 
     /// The control connection to daemon `i`, or an error if it is
@@ -355,7 +334,7 @@ impl Cluster {
     /// Liveness per daemon: the process exists and has not exited.
     /// (A health check on the OS process, not the protocol — a wedged
     /// daemon still pings via [`ControlConn::ping`].)
-    pub fn health(&mut self) -> Vec<bool> {
+    pub(crate) fn health(&mut self) -> Vec<bool> {
         self.procs
             .iter_mut()
             .map(|p| match p {
@@ -366,13 +345,13 @@ impl Cluster {
     }
 
     /// Is daemon `i` currently up (not killed, process alive)?
-    pub fn alive(&mut self, i: usize) -> bool {
+    pub(crate) fn alive(&mut self, i: usize) -> bool {
         self.health()[i]
     }
 
     /// SIGKILL daemon `i` — no graceful shutdown, no final checkpoint;
     /// whatever the daemon last persisted is what a restore gets.
-    pub fn kill(&mut self, i: usize) -> io::Result<()> {
+    pub(crate) fn kill(&mut self, i: usize) -> io::Result<()> {
         let Some(mut child) = self.procs[i].take() else {
             return Ok(()); // already down
         };
@@ -387,7 +366,7 @@ impl Cluster {
     /// dialers are already redialing that address, so the mesh heals on
     /// its own; only the respawned daemon needs a fresh `Connect` book
     /// for the peers *it* dials.
-    pub fn respawn(&mut self, i: usize, restore: bool) -> io::Result<()> {
+    pub(crate) fn respawn(&mut self, i: usize, restore: bool) -> io::Result<()> {
         if self.procs[i].is_some() {
             return Ok(()); // already up
         }
@@ -431,7 +410,7 @@ impl Cluster {
     }
 
     /// Poll each daemon's status once (errors if any daemon is down).
-    pub fn status(&mut self) -> io::Result<Vec<StatusReport>> {
+    pub(crate) fn status(&mut self) -> io::Result<Vec<StatusReport>> {
         (0..self.controls.len())
             .map(|i| match self.control(i)?.request(&WireMsg::StatusReq)? {
                 WireMsg::Status(s) => Ok(s),
@@ -442,7 +421,7 @@ impl Cluster {
 
     /// Wait until every replica reports length `len` with no orphans and
     /// nothing missing.
-    pub fn wait_converged(&mut self, len: usize, timeout: Duration) -> io::Result<()> {
+    pub(crate) fn wait_converged(&mut self, len: usize, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
         loop {
             let st = self.status()?;
@@ -464,7 +443,7 @@ impl Cluster {
 
     /// Activate daemon `target` at `slot`; `true` if it published.
     /// (The soak loop drives single activations without lockstep.)
-    pub fn activate(&mut self, target: usize, slot: u64) -> io::Result<bool> {
+    pub(crate) fn activate(&mut self, target: usize, slot: u64) -> io::Result<bool> {
         match self.control(target)?.request(&WireMsg::Activate { slot })? {
             WireMsg::Activated { published, .. } => Ok(published),
             other => Err(bad_reply("Activated", &other)),
@@ -666,7 +645,7 @@ impl Drop for Cluster {
 /// clock. Call [`Supervisor::poll`] from the driving loop; call
 /// [`Supervisor::heal`] once driving ends to bring every remaining
 /// corpse back up so the final audit sees a full cluster.
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     /// Kills not yet executed, ascending `at_ms`.
     pending_kills: Vec<KillEvent>,
     /// Kills executed but not yet restored.
@@ -679,7 +658,7 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor for `plan`'s kill schedule.
-    pub fn new(plan: &ChaosPlan) -> Self {
+    pub(crate) fn new(plan: &ChaosPlan) -> Self {
         let mut pending_kills = plan.kills.clone();
         pending_kills.sort_by_key(|k| k.at_ms);
         Self {
@@ -693,7 +672,7 @@ impl Supervisor {
     /// Execute every kill and restore that is due at the cluster's
     /// current clock. Health-checks before killing: a daemon that
     /// already died on its own is only respawned.
-    pub fn poll(&mut self, cluster: &mut Cluster) -> io::Result<()> {
+    pub(crate) fn poll(&mut self, cluster: &mut Cluster) -> io::Result<()> {
         let now = cluster.elapsed_ms();
         while self.pending_kills.first().is_some_and(|k| k.at_ms <= now) {
             let ev = self.pending_kills.remove(0);
@@ -723,14 +702,9 @@ impl Supervisor {
         Ok(())
     }
 
-    /// All events executed?
-    pub fn done(&self) -> bool {
-        self.pending_kills.is_empty() && self.pending_restores.is_empty()
-    }
-
     /// Respawn everything still scheduled or still down, regardless of
     /// time — the end-of-run heal before the convergence audit.
-    pub fn heal(&mut self, cluster: &mut Cluster) -> io::Result<()> {
+    pub(crate) fn heal(&mut self, cluster: &mut Cluster) -> io::Result<()> {
         self.pending_kills.clear(); // never executed: nothing to restore
         for ev in self.pending_restores.drain(..).collect::<Vec<_>>() {
             cluster.respawn(ev.daemon, ev.recovery == Recovery::FromCheckpoint)?;

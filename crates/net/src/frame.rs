@@ -32,19 +32,19 @@ use tangle_gossip::{ContentId, ProtocolMsg, TxMessage};
 use tinynn::wire::{fnv1a, fnv1a_update, Reader, Truncated};
 
 /// Frame magic bytes.
-pub const MAGIC: &[u8; 4] = b"LTNT";
+pub(crate) const MAGIC: &[u8; 4] = b"LTNT";
 /// Current protocol version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Header length: magic + version + kind + payload length.
-pub const HEADER_LEN: usize = 4 + 1 + 1 + 4;
+pub(crate) const HEADER_LEN: usize = 4 + 1 + 1 + 4;
 /// Checksum trailer length.
-pub const TRAILER_LEN: usize = 8;
+pub(crate) const TRAILER_LEN: usize = 8;
 /// Hard bound on a frame payload — anything larger is rejected before
 /// allocation (a hostile peer cannot make us reserve gigabytes).
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
 /// Peer id that marks a control connection in [`WireMsg::Hello`].
-pub const CONTROL_PEER: u64 = u64::MAX;
+pub(crate) const CONTROL_PEER: u64 = u64::MAX;
 
 /// Errors produced while decoding a frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub struct StatusReport {
 #[derive(Clone, Debug)]
 pub enum WireMsg {
     /// Connection preamble: protocol version check plus the sender's
-    /// peer id ([`CONTROL_PEER`] for a control connection) and genesis
+    /// peer id (`CONTROL_PEER` for a control connection) and genesis
     /// content id (refuse to gossip across different ledgers).
     Hello {
         /// Sender peer id.
@@ -476,7 +476,7 @@ impl WireMsg {
 
     /// The gossip [`ProtocolMsg`] this frame carries, if it is one of
     /// the five data-plane messages.
-    pub fn into_protocol(self) -> Option<ProtocolMsg> {
+    pub(crate) fn into_protocol(self) -> Option<ProtocolMsg> {
         match self {
             WireMsg::Publish(m) => Some(ProtocolMsg::Publish(m)),
             WireMsg::Announce { issuer, ids } => Some(ProtocolMsg::Announce { issuer, ids }),
@@ -512,7 +512,7 @@ pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
 
 /// Validate a frame header. Returns `(kind, payload_len)`, rejecting an
 /// oversized length prefix before the caller allocates anything.
-pub fn decode_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), FrameError> {
+pub(crate) fn decode_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), FrameError> {
     let mut r = Reader::new(h);
     if r.take(4)? != MAGIC {
         return Err(FrameError::BadMagic);
@@ -528,7 +528,7 @@ pub fn decode_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), FrameError> {
 }
 
 /// Decode the payload + trailer that followed a validated header.
-pub fn decode_body(kind: u8, body: &[u8]) -> Result<WireMsg, FrameError> {
+pub(crate) fn decode_body(kind: u8, body: &[u8]) -> Result<WireMsg, FrameError> {
     let mut r = Reader::new(body);
     let payload = r.take(body.len().saturating_sub(TRAILER_LEN))?;
     let check = r.u64()?;
@@ -560,7 +560,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(WireMsg, usize), FrameError> {
 ///
 /// `Ok(None)` means the stream closed cleanly *between* frames; an EOF
 /// mid-frame is an error. Frame-level decode failures are surfaced as
-/// `io::ErrorKind::InvalidData` carrying the [`FrameError`].
+/// `io::ErrorKind::InvalidData` carrying the `FrameError`.
 pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<(WireMsg, usize)>> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;

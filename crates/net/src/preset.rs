@@ -81,7 +81,7 @@ impl Preset {
     /// milliseconds, so that value would re-request a transaction while
     /// its body is still on the socket. This is the same shape on an
     /// ms-scale: a re-request every 25ms, the protocol's shared retry cap.
-    pub fn repair_cfg() -> RepairConfig {
+    pub(crate) fn repair_cfg() -> RepairConfig {
         RepairConfig {
             backoff_base: 25,
             max_retries: 6,
@@ -89,7 +89,7 @@ impl Preset {
     }
 
     /// The honest node population over [`Preset::dataset`].
-    pub fn population(&self) -> Vec<Node> {
+    pub(crate) fn population(&self) -> Vec<Node> {
         self.dataset()
             .clients
             .into_iter()

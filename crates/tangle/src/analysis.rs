@@ -535,16 +535,6 @@ impl ConsensusView {
             .collect();
         Self { classes }
     }
-
-    /// Ids of the confirmed (consensus) transactions.
-    pub fn confirmed(&self) -> Vec<TxId> {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c == TxClass::Confirmed)
-            .map(|(i, _)| TxId(i as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -911,6 +901,5 @@ mod tests {
         // a and c are only reached from d -> pending
         assert_eq!(view.classes[a.index()], TxClass::Pending);
         assert_eq!(view.classes[c.index()], TxClass::Pending);
-        assert_eq!(view.confirmed(), vec![b]);
     }
 }

@@ -20,11 +20,6 @@ impl BitSet {
         }
     }
 
-    /// Maximum index + 1 this set can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Insert `i`. Returns whether the bit was newly set.
     pub fn insert(&mut self, i: usize) -> bool {
         assert!(
@@ -44,19 +39,11 @@ impl BitSet {
         self.words[i / 64] &= !(1 << (i % 64));
     }
 
-    /// Test membership of `i`.
-    pub fn contains(&self, i: usize) -> bool {
-        if i >= self.capacity {
-            return false;
-        }
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
     /// `self ∪= other`.
     ///
     /// # Panics
     /// Panics if capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) {
+    pub(crate) fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
@@ -66,20 +53,6 @@ impl BitSet {
     /// Number of elements in the set.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `true` if no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// `true` if every element of `self` is in `other`.
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// Iterate over the set indices in ascending order.
@@ -104,32 +77,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove() {
+    fn insert_remove() {
         let mut s = BitSet::new(130);
         assert!(s.insert(0));
         assert!(s.insert(64));
         assert!(s.insert(129));
         assert!(!s.insert(64), "double insert reports false");
-        assert!(s.contains(0) && s.contains(64) && s.contains(129));
-        assert!(!s.contains(1));
-        assert!(!s.contains(1000), "out of range contains is false");
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 64, 129]);
         s.remove(64);
-        assert!(!s.contains(64));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
         assert_eq!(s.count(), 2);
     }
 
     #[test]
-    fn union_and_subset() {
+    fn union_adds_the_other_set() {
         let mut a = BitSet::new(100);
         let mut b = BitSet::new(100);
         a.insert(3);
         b.insert(70);
         b.insert(3);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
         a.union_with(&b);
         assert_eq!(a.count(), 2);
-        assert!(b.is_subset(&a));
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -143,10 +112,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_capacity() {
+    fn a_new_set_is_empty() {
         let s = BitSet::new(10);
-        assert!(s.is_empty());
-        assert_eq!(s.capacity(), 10);
         assert_eq!(s.count(), 0);
         assert_eq!(s.iter().count(), 0);
     }

@@ -170,7 +170,7 @@ impl<P> Tangle<P> {
     }
 
     /// Does `id` exist in this tangle?
-    pub fn contains(&self, id: TxId) -> bool {
+    pub(crate) fn contains(&self, id: TxId) -> bool {
         id.index() < self.txs.len()
     }
 
@@ -336,7 +336,7 @@ impl<P> Tangle<P> {
     ///
     /// # Panics
     /// Panics if `len` is zero or exceeds the current length.
-    pub fn history_sig(&self, len: usize) -> u64 {
+    pub(crate) fn history_sig(&self, len: usize) -> u64 {
         assert!(
             len >= 1 && len <= self.txs.len(),
             "history length {len} out of range 1..={}",

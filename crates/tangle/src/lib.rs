@@ -47,14 +47,14 @@
 //! ```
 
 pub mod analysis;
-pub mod bitset;
+mod bitset;
 pub mod dot;
-pub mod graph;
+mod graph;
 pub mod pow;
-pub mod view;
+mod view;
 pub mod walk;
 
 pub use analysis::{AnalysisCache, CacheError, ConsensusView, RefreshOutcome, TangleAnalysis};
 pub use bitset::BitSet;
-pub use graph::{Tangle, Transaction, TxError, TxId, TxView};
+pub use graph::{Tangle, TxError, TxId, TxView};
 pub use view::{TangleRead, TangleView};

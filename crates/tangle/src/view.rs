@@ -61,7 +61,7 @@ pub trait TangleRead {
     fn is_tip(&self, id: TxId) -> bool;
 
     /// Chained signature of the first `len` transactions (see
-    /// [`Tangle::history_sig`]). A prefix view shares its base ledger's
+    /// `Tangle::history_sig`). A prefix view shares its base ledger's
     /// signature chain, so signatures taken through a view remain valid
     /// against the full ledger.
     ///
@@ -159,16 +159,6 @@ impl<'a, P> TangleView<'a, P> {
             Tangle::len(base)
         );
         Self { base, len }
-    }
-
-    /// View the entire base tangle.
-    pub fn full(base: &'a Tangle<P>) -> Self {
-        Self::new(base, Tangle::len(base))
-    }
-
-    /// The underlying full ledger.
-    pub fn base(&self) -> &'a Tangle<P> {
-        self.base
     }
 }
 
@@ -297,7 +287,7 @@ mod tests {
     #[test]
     fn full_view_equals_the_tangle() {
         let t = random_tangle(25, 7);
-        let view = TangleView::full(&t);
+        let view = TangleView::new(&t, t.len());
         assert_eq!(TangleRead::len(&view), t.len());
         assert_eq!(TangleRead::tips(&view), t.tips());
         assert_eq!(TangleRead::transactions(&view).len(), t.len());

@@ -96,17 +96,6 @@ pub enum Event {
     Fault(FaultEvent),
 }
 
-impl Event {
-    /// The round the event belongs to, when it has one.
-    pub fn round(&self) -> Option<u64> {
-        match self {
-            Event::Step(e) => Some(e.round),
-            Event::Round(e) => Some(e.round),
-            Event::Fault(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +150,6 @@ mod tests {
         assert!(line.starts_with("{\"Fault\":{"));
         let back: Event = serde_json::from_str(&line).unwrap();
         assert_eq!(back, ev);
-        assert_eq!(ev.round(), None);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! Observability for the learning-tangle simulators, in three layers:
 //!
-//! 1. **Metrics** ([`Counter`], [`Histogram`], [`Metrics`]): monotonic
+//! 1. **Metrics** (`Counter`, [`Histogram`], [`Metrics`]): monotonic
 //!    counters and fixed-bucket histograms with atomic recording and
-//!    plain-data, mergeable [`MetricsSnapshot`]s.
+//!    plain-data, mergeable `MetricsSnapshot`s.
 //! 2. **Span timers** ([`Telemetry::span`], [`PhaseRecorder`]): RAII
 //!    wall-clock timers for hot paths (tip draws, the walk-table build
 //!    that yields confidence, local training, wire encode/decode),
 //!    recorded into histograms in microseconds.
-//! 3. **Structured events** ([`Event`], [`TelemetrySink`]): per-round
+//! 3. **Structured events** ([`Event`], `TelemetrySink`): per-round
 //!    and per-step JSONL records of ledger health — tip counts, approved
 //!    tips, reference confidence × rating, publish accept/reject, lost
 //!    publications, tip-draw counts, and per-phase wall time.
@@ -22,14 +22,16 @@
 //! non-deterministic output — with timings off, a fixed seed produces
 //! byte-identical JSONL across runs.
 
-pub mod events;
-pub mod metrics;
-pub mod sink;
+mod events;
+mod metrics;
+mod sink;
 
 pub use events::{Event, FaultEvent, ReferenceEntry, RoundEvent, StepEvent};
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
-pub use sink::{JsonlSink, MemorySink, NoopSink, TelemetrySink};
+pub use metrics::{Histogram, HistogramSnapshot, Metrics};
+pub use sink::{JsonlSink, MemorySink, NoopSink};
 
+use metrics::MetricsSnapshot;
+use sink::TelemetrySink;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -89,7 +91,7 @@ impl Telemetry {
     }
 
     /// Are wall-clock span timings being recorded?
-    pub fn timings(&self) -> bool {
+    pub(crate) fn timings(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.timings)
     }
 

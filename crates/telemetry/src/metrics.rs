@@ -16,11 +16,6 @@ use std::sync::{Arc, PoisonError, RwLock};
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Add one.
     pub fn inc(&self) {
         self.add(1);
@@ -32,7 +27,7 @@ impl Counter {
     }
 
     /// The current count.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -53,7 +48,7 @@ pub struct Histogram {
 impl Histogram {
     /// A histogram with explicit upper bounds (must be strictly
     /// increasing and non-empty).
-    pub fn new(bounds: Vec<u64>) -> Self {
+    pub(crate) fn new(bounds: Vec<u64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -143,15 +138,6 @@ impl HistogramSnapshot {
         self.count += other.count;
         self.sum += other.sum;
     }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// A named registry of counters and histograms.
@@ -196,7 +182,7 @@ impl Metrics {
 
     /// The histogram registered under `name`, created with the default
     /// exponential bounds if absent.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         if let Some(h) = self
             .histograms
             .read()
@@ -267,7 +253,7 @@ mod tests {
 
     #[test]
     fn counter_accumulates() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);

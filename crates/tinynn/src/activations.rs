@@ -1,4 +1,4 @@
-//! Elementwise activation layers: ReLU, Sigmoid, Tanh.
+//! The ReLU activation layer, and the scalar sigmoid of the LSTM gates.
 //!
 //! **ReLU runs in place** ([`Layer::in_place`]): its forward pass rewrites
 //! the preceding layer's output, in inference and in training alike, and
@@ -15,25 +15,13 @@
 //!
 //! The layers that may follow a ReLU in place keep that mask: Flatten
 //! only reshapes, and ReLU is idempotent.
-//!
-//! **Sigmoid and Tanh** write a separate output and keep a copy of it in
-//! [`Cache`] float buffer 0 for their backward pass, because an in-place
-//! layer after them may rewrite the output itself.
 
 use crate::layer::{Cache, Layer};
 use crate::tensor::Tensor;
-use crate::workspace::fit;
 
 /// Rectified linear unit: `max(0, x)`, in place.
 #[derive(Default, Clone, Copy)]
-pub struct Relu;
-
-impl Relu {
-    /// Construct a ReLU layer.
-    pub fn new() -> Self {
-        Relu
-    }
-}
+pub(crate) struct Relu;
 
 impl Layer for Relu {
     fn name(&self) -> &'static str {
@@ -71,112 +59,10 @@ impl Layer for Relu {
     }
 }
 
-/// Logistic sigmoid: `1 / (1 + e^{-x})`.
-#[derive(Default, Clone, Copy)]
-pub struct Sigmoid;
-
-impl Sigmoid {
-    /// Construct a sigmoid layer.
-    pub fn new() -> Self {
-        Sigmoid
-    }
-}
-
 /// Scalar sigmoid, shared with the LSTM gates.
 #[inline]
-pub fn sigmoid(x: f32) -> f32 {
+pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
-}
-
-/// `y = f(x)` into `y`, and a copy of `y` into `cache` float buffer 0.
-fn map_into(f: impl Fn(f32) -> f32, x: Option<&Tensor>, y: &mut Tensor, cache: &mut Cache) {
-    let x = x.expect("an out-of-place layer reads its input");
-    for (o, &v) in y.resize(x.shape()).iter_mut().zip(x.as_slice()) {
-        *o = f(v);
-    }
-    let [kept] = cache.floats.first();
-    fit(kept, y.len()).copy_from_slice(y.as_slice());
-}
-
-/// `dx = dy · f'(y)`, with `f'` computed from the copy of `y` in `cache`.
-fn scale_into(df: impl Fn(f32) -> f32, cache: &mut Cache, dy: &Tensor, dx: Option<&mut Tensor>) {
-    let Some(dx) = dx else { return };
-    let [kept] = cache.floats.first();
-    let out = dx.resize(dy.shape());
-    for ((o, &g), &yv) in out.iter_mut().zip(dy.as_slice()).zip(kept.iter()) {
-        *o = g * df(yv);
-    }
-}
-
-impl Layer for Sigmoid {
-    fn name(&self) -> &'static str {
-        "Sigmoid"
-    }
-
-    fn forward_into(
-        &self,
-        _: &[f32],
-        x: Option<&Tensor>,
-        y: &mut Tensor,
-        cache: &mut Cache,
-        _: bool,
-    ) {
-        map_into(sigmoid, x, y, cache);
-    }
-
-    fn backward_into(
-        &self,
-        _: &[f32],
-        _: &Tensor,
-        _: &Tensor,
-        cache: &mut Cache,
-        dy: &mut Tensor,
-        dx: Option<&mut Tensor>,
-        _: &mut [f32],
-    ) {
-        scale_into(|y| y * (1.0 - y), cache, dy, dx);
-    }
-}
-
-/// Hyperbolic tangent activation.
-#[derive(Default, Clone, Copy)]
-pub struct Tanh;
-
-impl Tanh {
-    /// Construct a tanh layer.
-    pub fn new() -> Self {
-        Tanh
-    }
-}
-
-impl Layer for Tanh {
-    fn name(&self) -> &'static str {
-        "Tanh"
-    }
-
-    fn forward_into(
-        &self,
-        _: &[f32],
-        x: Option<&Tensor>,
-        y: &mut Tensor,
-        cache: &mut Cache,
-        _: bool,
-    ) {
-        map_into(f32::tanh, x, y, cache);
-    }
-
-    fn backward_into(
-        &self,
-        _: &[f32],
-        _: &Tensor,
-        _: &Tensor,
-        cache: &mut Cache,
-        dy: &mut Tensor,
-        dx: Option<&mut Tensor>,
-        _: &mut [f32],
-    ) {
-        scale_into(|y| 1.0 - y * y, cache, dy, dx);
-    }
 }
 
 #[cfg(test)]
@@ -187,10 +73,10 @@ mod tests {
     #[test]
     fn relu_forward_backward() {
         let x = Tensor::from_vec(vec![4], vec![-1., 0., 0.5, 2.]);
-        let r = Relu::new();
+        let r = Relu;
         let (y, c) = r.forward(&[], &x, true);
         assert_eq!(y.as_slice(), &[0., 0., 0.5, 2.]);
-        let g = Tensor::filled(&[4], 1.0);
+        let g = Tensor::from_fn(&[4], |_| 1.0);
         let gx = r.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
         assert_eq!(gx.as_slice(), &[0., 0., 1., 1.]);
     }
@@ -238,34 +124,5 @@ mod tests {
             assert_eq!(bits(g.as_slice()), bits(&want_g), "backward, {shape:?}");
             assert!(Relu.backward(&[], &x, &y, &c, dy, &mut [], false).is_none());
         }
-    }
-
-    #[test]
-    fn sigmoid_midpoint() {
-        let x = Tensor::from_vec(vec![1], vec![0.0]);
-        let s = Sigmoid::new();
-        let (y, c) = s.forward(&[], &x, true);
-        assert!((y.as_slice()[0] - 0.5).abs() < 1e-6);
-        let g = Tensor::filled(&[1], 1.0);
-        let gx = s.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
-        assert!((gx.as_slice()[0] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tanh_odd_symmetry() {
-        let x = Tensor::from_vec(vec![2], vec![1.3, -1.3]);
-        let t = Tanh::new();
-        let (y, _) = t.forward(&[], &x, false);
-        assert!((y.as_slice()[0] + y.as_slice()[1]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tanh_gradient_at_zero_is_one() {
-        let x = Tensor::from_vec(vec![1], vec![0.0]);
-        let t = Tanh::new();
-        let (y, c) = t.forward(&[], &x, true);
-        let g = Tensor::filled(&[1], 1.0);
-        let gx = t.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
-        assert!((gx.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 }

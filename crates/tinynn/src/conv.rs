@@ -86,7 +86,7 @@ const NR: usize = 8;
 /// `[out_ch]` bias. Stride is fixed at 1 and the input is zero-padded by
 /// `pad` pixels on every side, so the output spatial size is
 /// `H + 2·pad − k + 1`.
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     in_ch: usize,
     out_ch: usize,
     k: usize,
@@ -108,7 +108,7 @@ struct Geom {
 impl Conv2d {
     /// An `in_ch → out_ch` convolution with square `k × k` kernels and
     /// `pad` pixels of zero padding (architecture only).
-    pub fn new(in_ch: usize, out_ch: usize, k: usize, pad: usize) -> Self {
+    pub(crate) fn new(in_ch: usize, out_ch: usize, k: usize, pad: usize) -> Self {
         Self {
             in_ch,
             out_ch,
@@ -118,7 +118,13 @@ impl Conv2d {
     }
 
     /// He-initialized convolution (the default in front of ReLU).
-    pub fn he(in_ch: usize, out_ch: usize, k: usize, pad: usize, rng: &mut impl Rng) -> LayerInit {
+    pub(crate) fn he(
+        in_ch: usize,
+        out_ch: usize,
+        k: usize,
+        pad: usize,
+        rng: &mut impl Rng,
+    ) -> LayerInit {
         let fan_in = in_ch * k * k;
         LayerInit::new(
             Self::new(in_ch, out_ch, k, pad),
@@ -130,7 +136,7 @@ impl Conv2d {
     }
 
     /// Output spatial size for an input spatial size.
-    pub fn out_size(&self, h: usize) -> usize {
+    pub(crate) fn out_size(&self, h: usize) -> usize {
         h + 2 * self.pad + 1 - self.k
     }
 
@@ -754,7 +760,7 @@ mod tests {
         let mut p = vec![1.0; 10];
         p[9] = 0.0; // bias
         let conv = Conv2d::new(1, 1, 3, 1);
-        let x = Tensor::filled(&[1, 1, 3, 3], 1.0);
+        let x = Tensor::from_fn(&[1, 1, 3, 3], |_| 1.0);
         let (y, _) = conv.forward(&p, &x, false);
         assert_eq!(y.shape(), &[1, 1, 3, 3]);
         // center pixel sees all 9 ones; corners see 4.
@@ -786,7 +792,7 @@ mod tests {
         let conv = Conv2d::new(2, 3, 3, 1);
         let x = Tensor::from_fn(&[2, 2, 5, 5], |i| (i % 11) as f32 * 0.1);
         let (y, c) = conv.forward(&p, &x, true);
-        let g = Tensor::filled(y.shape(), 1.0);
+        let g = Tensor::from_fn(y.shape(), |_| 1.0);
         let (gx, gp) = backward(&conv, &p, &x, &c, &g);
         assert_eq!(gx.shape(), x.shape());
         assert_eq!(gp.len(), 3 * 2 * 3 * 3 + 3);
@@ -804,7 +810,7 @@ mod tests {
         let x = Tensor::from_fn(&[1, 1, 4, 4], |i| (i % 5) as f32 * 0.2);
         let (y, cache_train) = conv.forward(&p, &x, true);
         let (_, cache_infer) = conv.forward(&p, &x, false);
-        let g = Tensor::filled(y.shape(), 0.5);
+        let g = Tensor::from_fn(y.shape(), |_| 0.5);
         let (gx_train, gp_train) = backward(&conv, &p, &x, &cache_train, &g);
         let (gx_infer, gp_infer) = backward(&conv, &p, &x, &cache_infer, &g);
         assert_eq!(gx_train.as_slice(), gx_infer.as_slice());

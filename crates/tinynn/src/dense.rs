@@ -25,7 +25,7 @@ impl Dense {
     }
 
     /// Xavier-uniform initialized layer (good default for output layers).
-    pub fn xavier(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> LayerInit {
+    pub(crate) fn xavier(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> LayerInit {
         LayerInit::new(
             Self::new(in_dim, out_dim),
             &[
@@ -36,7 +36,7 @@ impl Dense {
     }
 
     /// He-normal initialized layer (good default before ReLU).
-    pub fn he(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> LayerInit {
+    pub(crate) fn he(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> LayerInit {
         LayerInit::new(
             Self::new(in_dim, out_dim),
             &[
@@ -44,16 +44,6 @@ impl Dense {
                 Tensor::zeros(&[out_dim]),
             ],
         )
-    }
-
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 
     /// Rows of `x` viewed as `[rows, in_dim]`.
@@ -171,7 +161,7 @@ mod tests {
         let init = Dense::xavier(4, 3, &mut seeded(1));
         let x = Tensor::from_fn(&[2, 4], |i| i as f32 * 0.1);
         let (y, cache) = init.layer.forward(&init.params, &x, true);
-        let g = Tensor::filled(y.shape(), 1.0);
+        let g = Tensor::from_fn(y.shape(), |_| 1.0);
         let mut gp = vec![0.0; init.layer.param_count()];
         let gx = init
             .layer
@@ -223,20 +213,25 @@ mod tests {
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
         let (k, n) = (w.shape()[0], w.shape()[1]);
         let rows = x.len() / k;
-        let x2 = x.clone().reshape(vec![rows, k]);
+        let x2 = Tensor::from_vec(vec![rows, k], x.as_slice().to_vec());
         let mut y = x2.matmul(w);
         for row in y.as_mut_slice().chunks_mut(n) {
             for (o, &bv) in row.iter_mut().zip(b.as_slice()) {
                 *o += bv;
             }
         }
-        let g2 = g.clone().reshape(vec![rows, n]);
-        let (xs, gs, ws) = (x2.as_slice(), g2.as_slice(), w.as_slice());
+        let (xs, gs, ws) = (x2.as_slice(), g.as_slice(), w.as_slice());
         let mut gx = vec![0.0f32; rows * k];
         gemm(rows, k, n, gs, false, ws, true, &mut gx);
         let mut gw = vec![0.0f32; k * n];
         gemm(k, n, rows, xs, true, gs, false, &mut gw);
-        (y.into_vec(), gx, gw, g2.sum_rows().into_vec())
+        let mut gb = vec![0.0f32; n];
+        for row in gs.chunks(n) {
+            for (o, &v) in gb.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        (y.as_slice().to_vec(), gx, gw, gb)
     }
 
     /// Forward and all three gradients equal the tensor-owning oracle bit

@@ -11,34 +11,24 @@ use rand::Rng;
 /// The one parameter is the `[vocab, dim]` table. The gradient w.r.t. the
 /// input is defined as zero (ids are not differentiable); the gradient
 /// w.r.t. the table is a scatter-add.
-pub struct Embedding {
+pub(crate) struct Embedding {
     vocab: usize,
     dim: usize,
 }
 
 impl Embedding {
     /// A `vocab × dim` lookup (architecture only).
-    pub fn new(vocab: usize, dim: usize) -> Self {
+    pub(crate) fn new(vocab: usize, dim: usize) -> Self {
         Self { vocab, dim }
     }
 
     /// Normal-initialized table with std `0.1` (small enough to keep the
     /// first LSTM steps in the linear regime).
-    pub fn init(vocab: usize, dim: usize, rng: &mut impl Rng) -> LayerInit {
+    pub(crate) fn init(vocab: usize, dim: usize, rng: &mut impl Rng) -> LayerInit {
         LayerInit::new(
             Self::new(vocab, dim),
             &[init::normal(&[vocab, dim], 0.1, rng)],
         )
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     #[inline]
@@ -131,7 +121,5 @@ mod tests {
         assert_eq!(Embedding::init(50, 8, &mut rng).params.len(), 400);
         let e = Embedding::new(50, 8);
         assert_eq!(e.param_count(), 400);
-        assert_eq!(e.vocab(), 50);
-        assert_eq!(e.dim(), 8);
     }
 }

@@ -1,7 +1,7 @@
 //! Blocked, packed GEMM: the single matmul kernel behind every tinynn
 //! layer's matrix products. The one exception is the convolution, whose
 //! forward pass and both backward kernels are direct register tiles in
-//! [`crate::conv`] that keep this kernel's accumulation chains bit for bit;
+//! `crate::conv` that keep this kernel's accumulation chains bit for bit;
 //! so only Dense and LSTM use the transposed variants below.
 //!
 //! One code path serves the plain (`A·B`), A-transposed (`Aᵀ·B`) and
@@ -57,16 +57,16 @@ use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Row-block height packed per A panel set (also the parallel grain).
-pub const MC: usize = 64;
+pub(crate) const MC: usize = 64;
 /// Depth of one packed slice of the shared dimension.
-pub const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Column-slab width of one slab of B.
 pub const NC: usize = 128;
 /// Microkernel register-tile rows.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Microkernel register-tile columns: one AVX2 register of `f32`, or two
 /// SSE registers in the baseline compile.
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// Minimum `m·n·k` multiply-adds before row blocks go to the thread pool.
 ///

@@ -1,22 +1,70 @@
-//! Numerical gradient checking.
+//! Numerical gradient checking (tests only).
 //!
 //! Every layer's analytic backward pass is validated against central finite
 //! differences. This is the correctness anchor for the whole ML substrate:
 //! if these checks pass, the convergence results downstream are trustworthy.
 
+use crate::layer::{Cache, Layer};
 use crate::model::Sequential;
+use crate::tensor::Tensor;
+use crate::workspace::fit;
 use rand::RngExt as _;
+
+/// Hyperbolic tangent, the smooth activation of the checked models. It
+/// writes a separate output and keeps a copy of it in [`Cache`] float
+/// buffer 0 for its backward pass, because an in-place layer after it may
+/// rewrite the output itself.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct Tanh;
+
+impl Layer for Tanh {
+    fn name(&self) -> &'static str {
+        "Tanh"
+    }
+
+    fn forward_into(
+        &self,
+        _: &[f32],
+        x: Option<&Tensor>,
+        y: &mut Tensor,
+        cache: &mut Cache,
+        _: bool,
+    ) {
+        let x = x.expect("an out-of-place layer reads its input");
+        for (o, &v) in y.resize(x.shape()).iter_mut().zip(x.as_slice()) {
+            *o = v.tanh();
+        }
+        let [kept] = cache.floats.first();
+        fit(kept, y.len()).copy_from_slice(y.as_slice());
+    }
+
+    fn backward_into(
+        &self,
+        _: &[f32],
+        _: &Tensor,
+        _: &Tensor,
+        cache: &mut Cache,
+        dy: &mut Tensor,
+        dx: Option<&mut Tensor>,
+        _: &mut [f32],
+    ) {
+        let Some(dx) = dx else { return };
+        let [kept] = cache.floats.first();
+        let out = dx.resize(dy.shape());
+        for ((o, &g), &yv) in out.iter_mut().zip(dy.as_slice()).zip(kept.iter()) {
+            *o = g * (1.0 - yv * yv);
+        }
+    }
+}
 
 /// Result of a gradient check: the worst relative error observed and the
 /// flat parameter index where it occurred.
 #[derive(Debug, Clone, Copy)]
-pub struct GradCheckReport {
+pub(crate) struct GradCheckReport {
     /// max |analytic − numeric| / max(1, |analytic| + |numeric|)
-    pub max_rel_err: f32,
+    pub(crate) max_rel_err: f32,
     /// Flat parameter index of the worst error.
-    pub worst_index: usize,
-    /// Number of parameter coordinates checked.
-    pub checked: usize,
+    pub(crate) worst_index: usize,
 }
 
 /// Compare analytic gradients to central finite differences on a random
@@ -26,9 +74,9 @@ pub struct GradCheckReport {
 /// forward pass to be deterministic. The analytic pass asks every layer,
 /// the first included, for its input gradient, so each layer's input-gradient
 /// code runs here even where [`Sequential::loss_and_grads`] skips it.
-pub fn check_gradients(
+pub(crate) fn check_gradients(
     model: &Sequential,
-    x: &crate::tensor::Tensor,
+    x: &Tensor,
     targets: &[u32],
     eps: f32,
     sample: usize,
@@ -48,7 +96,6 @@ pub fn check_gradients(
     let mut report = GradCheckReport {
         max_rel_err: 0.0,
         worst_index: 0,
-        checked: indices.len(),
     };
     for &i in &indices {
         let mut plus = base.to_vec();
@@ -71,15 +118,15 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activations::{Relu, Tanh};
+    use crate::activations::Relu;
     use crate::conv::Conv2d;
     use crate::dense::Dense;
     use crate::embedding::Embedding;
+    use crate::layer::Allocating;
     use crate::lstm::Lstm;
     use crate::pool::MaxPool2d;
     use crate::reshape::Flatten;
     use crate::rng::seeded;
-    use crate::tensor::Tensor;
 
     const TOL: f32 = 2e-2; // f32 finite differences are noisy; structure errors are orders of magnitude larger
 
@@ -167,5 +214,21 @@ mod tests {
         let t: Vec<u32> = vec![3, 5, 0, 2, 4, 1];
         let r = check_gradients(&m, &x, &t, 1e-2, 60, 6);
         assert!(r.max_rel_err < TOL, "embedding grad check failed: {r:?}");
+    }
+
+    #[test]
+    fn tanh_odd_symmetry() {
+        let x = Tensor::from_vec(vec![2], vec![1.3, -1.3]);
+        let (y, _) = Tanh.forward(&[], &x, false);
+        assert!((y.as_slice()[0] + y.as_slice()[1]).abs() < 1e-6);
+    }
+
+    #[test]
+    fn tanh_gradient_at_zero_is_one() {
+        let x = Tensor::from_vec(vec![1], vec![0.0]);
+        let (y, c) = Tanh.forward(&[], &x, true);
+        let g = Tensor::from_fn(&[1], |_| 1.0);
+        let gx = Tanh.backward(&[], &x, &y, &c, g, &mut [], true).unwrap();
+        assert!((gx.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 }

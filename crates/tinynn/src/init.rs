@@ -7,7 +7,7 @@ use rand_distr::{Distribution, Normal, Uniform};
 /// Xavier/Glorot uniform initialization: `U(-a, a)` with
 /// `a = sqrt(6 / (fan_in + fan_out))`. The default for tanh/sigmoid and
 /// linear output layers.
-pub fn xavier_uniform(
+pub(crate) fn xavier_uniform(
     shape: &[usize],
     fan_in: usize,
     fan_out: usize,
@@ -20,14 +20,14 @@ pub fn xavier_uniform(
 
 /// He/Kaiming normal initialization: `N(0, sqrt(2 / fan_in))`. The default
 /// for ReLU networks.
-pub fn he_normal(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Tensor {
+pub(crate) fn he_normal(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Tensor {
     let std = (2.0 / fan_in as f32).sqrt();
     let dist = Normal::new(0.0f32, std).expect("valid normal params");
     Tensor::from_fn(shape, |_| dist.sample(rng))
 }
 
 /// Normal initialization with explicit standard deviation.
-pub fn normal(shape: &[usize], std: f32, rng: &mut impl Rng) -> Tensor {
+pub(crate) fn normal(shape: &[usize], std: f32, rng: &mut impl Rng) -> Tensor {
     let dist = Normal::new(0.0f32, std).expect("valid normal params");
     Tensor::from_fn(shape, |_| dist.sample(rng))
 }
@@ -53,7 +53,7 @@ mod tests {
         let fan_in = 128;
         let t = he_normal(&[fan_in, 256], fan_in, &mut rng);
         let n = t.len() as f32;
-        let mean = t.sum() / n;
+        let mean = t.as_slice().iter().sum::<f32>() / n;
         let var = t.as_slice().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
         let expect = 2.0 / fan_in as f32;
         assert!((var - expect).abs() < expect * 0.2, "var {var} vs {expect}");

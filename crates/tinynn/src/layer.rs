@@ -33,9 +33,9 @@ use crate::tensor::Tensor;
 pub struct Cache {
     /// `f32` buffers.
     pub floats: Buffers,
-    /// An index buffer (e.g. [`crate::MaxPool2d`]'s argmax).
+    /// An index buffer (e.g. `crate::MaxPool2d`'s argmax).
     pub indices: Vec<u32>,
-    /// Sizes or offsets (e.g. [`crate::Flatten`]'s input shape).
+    /// Sizes or offsets (e.g. `crate::Flatten`'s input shape).
     pub dims: Vec<usize>,
 }
 
@@ -46,7 +46,7 @@ pub struct Buffers(pub(crate) Vec<Vec<f32>>);
 impl Buffers {
     /// Buffers `0..N`, each borrowed on its own; a buffer never used before
     /// is empty.
-    pub fn first<const N: usize>(&mut self) -> [&mut Vec<f32>; N] {
+    pub(crate) fn first<const N: usize>(&mut self) -> [&mut Vec<f32>; N] {
         if self.0.len() < N {
             crate::workspace::note_grow();
             self.0.resize_with(N, Vec::new);
@@ -125,7 +125,7 @@ pub trait Layer: Send + Sync {
 pub struct LayerInit {
     /// The layer.
     pub layer: Box<dyn Layer>,
-    /// Its [`Layer::param_count`] initial parameters, in the layer's order.
+    /// Its `Layer::param_count` initial parameters, in the layer's order.
     pub params: Vec<f32>,
 }
 

@@ -8,18 +8,18 @@
 //! ## Design
 //!
 //! * [`Tensor`] is a dense row-major `f32` array with an explicit shape.
-//! * A [`Layer`] is an architecture: it holds its dimensions only, reads
-//!   its parameters from a borrowed `&[f32]` and writes into borrowed
-//!   buffers: `forward_into` into an output and a [`Cache`],
-//!   `backward_into` into an input gradient. ReLU and Flatten rewrite
-//!   their input in place.
+//! * A layer is an architecture: it holds its dimensions only, reads its
+//!   parameters from a borrowed `&[f32]` and writes into borrowed buffers:
+//!   `forward_into` into an output and a [`Cache`], `backward_into` into
+//!   an input gradient. ReLU and Flatten rewrite their input in place.
 //! * Every pass borrows its thread's workspace of such buffers, kept from
 //!   one call to the next, so a warm evaluation or training step
 //!   allocates nothing (see [`Sequential`]).
 //! * [`Sequential`] composes layers (shared behind an `Arc`) with one flat
 //!   parameter vector in [`ParamVec`] order — the unit of exchange on the
-//!   tangle ledger. [`Sequential::evaluate_params`] scores any such vector
-//!   in place. [`loss`] provides softmax cross-entropy.
+//!   tangle ledger; [`zoo`] builds the paper's models. [`Sequential::evaluate_params`]
+//!   scores any such vector in place. [`loss`] provides softmax
+//!   cross-entropy.
 //! * Training is one [`Sequential::loss_and_grads`] per mini-batch, giving a
 //!   flat gradient, followed by [`Sgd::step`] (`p -= lr·g`), or both at
 //!   once in [`Sgd::train_step`]; there is no other optimizer.
@@ -27,14 +27,10 @@
 //! ## Quickstart
 //!
 //! ```
-//! use tinynn::{Sequential, Dense, Relu, Sgd, loss, rng::seeded};
+//! use tinynn::{rng::seeded, zoo, Sgd};
 //!
 //! let mut rng = seeded(42);
-//! let mut model = Sequential::new(vec![
-//!     Dense::xavier(4, 16, &mut rng),
-//!     Relu.into(),
-//!     Dense::xavier(16, 3, &mut rng),
-//! ]);
+//! let mut model = zoo::mlp(4, &[16], 3, &mut rng);
 //! let x = tinynn::Tensor::from_vec(vec![2, 4], vec![0.1; 8]);
 //! let targets = [0u32, 2];
 //! let mut sgd = Sgd::new(0.1);
@@ -43,42 +39,37 @@
 //! assert!(loss_value > 0.0);
 //! ```
 
-pub mod activations;
-pub mod conv;
-pub mod dense;
-pub mod embedding;
+mod activations;
+mod conv;
+mod dense;
+mod embedding;
 pub mod gemm;
-pub mod gradcheck;
-pub mod init;
-pub mod layer;
+#[cfg(test)]
+mod gradcheck;
+mod init;
+mod layer;
 pub mod loss;
-pub mod lstm;
-pub mod metrics;
-pub mod model;
-pub mod optim;
-pub mod params;
-pub mod pool;
-pub mod reshape;
+mod lstm;
+mod metrics;
+mod model;
+mod optim;
+mod params;
+mod pool;
+mod reshape;
 pub mod rng;
 mod simd;
-pub mod tensor;
+mod tensor;
 #[cfg(test)]
 mod testing;
 pub mod wire;
 mod workspace;
 pub mod zoo;
 
-pub use activations::{Relu, Sigmoid, Tanh};
-pub use conv::Conv2d;
 pub use dense::Dense;
-pub use embedding::Embedding;
-pub use layer::{Buffers, Cache, Layer, LayerInit};
-pub use lstm::Lstm;
+pub use layer::{Cache, LayerInit};
 pub use metrics::ConfusionMatrix;
 pub use model::Sequential;
 pub use optim::Sgd;
 pub use params::ParamVec;
-pub use pool::MaxPool2d;
-pub use reshape::Flatten;
 pub use simd::kernel_width;
 pub use tensor::Tensor;

@@ -60,7 +60,7 @@ pub fn softmax_cross_entropy_into(logits: &Tensor, targets: &[u32], grad: &mut T
 }
 
 /// Mean cross-entropy without the gradient (for validation).
-pub fn cross_entropy(logits: &Tensor, targets: &[u32]) -> f32 {
+pub(crate) fn cross_entropy(logits: &Tensor, targets: &[u32]) -> f32 {
     let (rows, classes) = rows_classes(logits);
     assert_eq!(rows, targets.len(), "targets length must match logit rows");
     let mut loss = 0.0f64;
@@ -95,7 +95,7 @@ pub fn predictions(logits: &Tensor) -> Vec<u32> {
 }
 
 /// Fraction of rows whose arg-max matches the target.
-pub fn accuracy(logits: &Tensor, targets: &[u32]) -> f32 {
+pub(crate) fn accuracy(logits: &Tensor, targets: &[u32]) -> f32 {
     let (rows, classes) = rows_classes(logits);
     assert_eq!(rows, targets.len());
     if targets.is_empty() {

@@ -27,20 +27,20 @@ use rand::Rng;
 /// Parameters: `w_ih [in, 4H]`, `w_hh [H, 4H]`, `bias [4H]`. Gate packing
 /// order inside the `4·hidden` axis is `i, f, g, o` (input, forget,
 /// candidate, output).
-pub struct Lstm {
+pub(crate) struct Lstm {
     in_dim: usize,
     hidden: usize,
 }
 
 impl Lstm {
     /// An `in_dim → hidden` LSTM (architecture only).
-    pub fn new(in_dim: usize, hidden: usize) -> Self {
+    pub(crate) fn new(in_dim: usize, hidden: usize) -> Self {
         Self { in_dim, hidden }
     }
 
     /// Xavier-initialized LSTM with the forget-gate bias set to 1 (the
     /// standard trick to ease gradient flow early in training).
-    pub fn init(in_dim: usize, hidden: usize, rng: &mut impl Rng) -> LayerInit {
+    pub(crate) fn init(in_dim: usize, hidden: usize, rng: &mut impl Rng) -> LayerInit {
         let w_ih = init::xavier_uniform(&[in_dim, 4 * hidden], in_dim, hidden, rng);
         let w_hh = init::xavier_uniform(&[hidden, 4 * hidden], hidden, hidden, rng);
         let mut bias = Tensor::zeros(&[4 * hidden]);
@@ -56,16 +56,6 @@ impl Lstm {
         let (w_ih, rest) = p.split_at(self.in_dim * four_h);
         let (w_hh, bias) = rest.split_at(self.hidden * four_h);
         (w_ih, w_hh, bias)
-    }
-
-    /// Hidden state width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input feature width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
     }
 
     fn dims(&self, x: &Tensor) -> (usize, usize) {
@@ -312,7 +302,7 @@ mod tests {
         let lstm = Lstm::init(3, 4, &mut rng);
         let x = Tensor::from_fn(&[2, 5, 3], |i| (i as f32 * 0.01).sin());
         let (y, c) = lstm.layer.forward(&lstm.params, &x, true);
-        let g = Tensor::filled(y.shape(), 0.1);
+        let g = Tensor::from_fn(y.shape(), |_| 0.1);
         let mut gp = vec![0.0; lstm.params.len()];
         let gx = lstm
             .layer
@@ -328,7 +318,7 @@ mod tests {
         // over time, so late hidden values differ from early ones.
         let mut rng = seeded(3);
         let lstm = Lstm::init(1, 2, &mut rng);
-        let x = Tensor::filled(&[1, 10, 1], 1.0);
+        let x = Tensor::from_fn(&[1, 10, 1], |_| 1.0);
         let (y, _) = lstm.layer.forward(&lstm.params, &x, false);
         let first = &y.as_slice()[0..2];
         let last = &y.as_slice()[18..20];

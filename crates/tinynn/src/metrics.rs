@@ -31,7 +31,7 @@ impl ConfusionMatrix {
     }
 
     /// Record one observation.
-    pub fn record(&mut self, truth: u32, pred: u32) {
+    pub(crate) fn record(&mut self, truth: u32, pred: u32) {
         assert!(
             (truth as usize) < self.classes && (pred as usize) < self.classes,
             "class out of range"
@@ -48,17 +48,13 @@ impl ConfusionMatrix {
     }
 
     /// Count at `(truth, pred)`.
-    pub fn get(&self, truth: u32, pred: u32) -> u32 {
+    #[cfg(test)]
+    fn get(&self, truth: u32, pred: u32) -> u32 {
         self.counts[truth as usize * self.classes + pred as usize]
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Total observations.
-    pub fn total(&self) -> u32 {
+    pub(crate) fn total(&self) -> u32 {
         self.counts.iter().sum()
     }
 
@@ -75,7 +71,7 @@ impl ConfusionMatrix {
     }
 
     /// Precision of one class: `tp / (tp + fp)` (0 when undefined).
-    pub fn precision(&self, class: u32) -> f32 {
+    pub(crate) fn precision(&self, class: u32) -> f32 {
         let c = class as usize;
         let tp = self.counts[c * self.classes + c] as f32;
         let predicted: u32 = (0..self.classes)
@@ -89,7 +85,7 @@ impl ConfusionMatrix {
     }
 
     /// Recall of one class: `tp / (tp + fn)` (0 when undefined).
-    pub fn recall(&self, class: u32) -> f32 {
+    pub(crate) fn recall(&self, class: u32) -> f32 {
         let c = class as usize;
         let tp = self.counts[c * self.classes + c] as f32;
         let actual: u32 = self.counts[c * self.classes..(c + 1) * self.classes]
@@ -116,20 +112,6 @@ impl ConfusionMatrix {
     /// Macro-averaged F1 over all classes.
     pub fn macro_f1(&self) -> f32 {
         (0..self.classes as u32).map(|c| self.f1(c)).sum::<f32>() / self.classes as f32
-    }
-
-    /// Fraction of class-`src` samples predicted as `dst` — the Fig. 6b
-    /// targeted-misclassification metric.
-    pub fn misclassification_rate(&self, src: u32, dst: u32) -> f32 {
-        let actual: u32 = self.counts
-            [src as usize * self.classes..(src as usize + 1) * self.classes]
-            .iter()
-            .sum();
-        if actual == 0 {
-            0.0
-        } else {
-            self.get(src, dst) as f32 / actual as f32
-        }
     }
 }
 
@@ -190,14 +172,6 @@ mod tests {
         let r = 0.75f32;
         assert!((m.f1(0) - 2.0 * p * r / (p + r)).abs() < 1e-6);
         assert!(m.macro_f1() > 0.0);
-    }
-
-    #[test]
-    fn misclassification_rate_matches_fig6b() {
-        let m = sample();
-        assert!((m.misclassification_rate(1, 0) - 0.5).abs() < 1e-6);
-        assert!((m.misclassification_rate(0, 1) - 0.25).abs() < 1e-6);
-        assert_eq!(ConfusionMatrix::new(3).misclassification_rate(0, 1), 0.0);
     }
 
     #[test]

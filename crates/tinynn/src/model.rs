@@ -117,12 +117,6 @@ impl Sequential {
         self.params.len()
     }
 
-    /// One-line human-readable architecture summary.
-    pub fn summary(&self) -> String {
-        let names: Vec<&str> = self.layers().iter().map(|l| l.name()).collect();
-        format!("{} ({} params)", names.join(" -> "), self.param_count())
-    }
-
     /// The inference-mode forward pass under parameters `p`, on `ws`'s two
     /// ping-pong activation buffers: every layer reads its slice of `p` in
     /// place. Returns the logits (`x` itself for a model with no layers).
@@ -323,10 +317,9 @@ mod tests {
     }
 
     #[test]
-    fn summary_and_param_count() {
+    fn param_count_sums_every_layer() {
         let m = tiny_model(0);
         assert_eq!(m.param_count(), 4 * 8 + 8 + 8 * 3 + 3);
-        assert!(m.summary().contains("Dense -> Relu -> Dense"));
     }
 
     #[test]

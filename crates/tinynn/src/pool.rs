@@ -23,13 +23,13 @@ use crate::workspace::fit;
 ///
 /// Trailing rows/columns that do not fill a window are dropped, matching the
 /// common "floor" behaviour.
-pub struct MaxPool2d {
+pub(crate) struct MaxPool2d {
     k: usize,
 }
 
 impl MaxPool2d {
     /// Construct a pool with window (and stride) `k`.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         assert!(k >= 1, "pool window must be >= 1");
         Self { k }
     }

@@ -10,14 +10,7 @@ use crate::tensor::Tensor;
 /// new shape, keeping the old one in [`Cache::dims`], and the backward pass
 /// gives the gradient that shape back. No value is copied.
 #[derive(Default, Clone, Copy)]
-pub struct Flatten;
-
-impl Flatten {
-    /// Construct a flatten layer.
-    pub fn new() -> Self {
-        Flatten
-    }
-}
+pub(crate) struct Flatten;
 
 impl Layer for Flatten {
     fn name(&self) -> &'static str {
@@ -64,7 +57,7 @@ mod tests {
     #[test]
     fn flatten_roundtrip() {
         let x = Tensor::from_fn(&[2, 3, 4], |i| i as f32);
-        let f = Flatten::new();
+        let f = Flatten;
         let (y, c) = f.forward(&[], &x, false);
         assert_eq!(y.shape(), &[2, 12]);
         let gx = f

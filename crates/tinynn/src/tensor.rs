@@ -8,7 +8,7 @@ use std::borrow::Borrow;
 
 /// Product of a shape's dimensions (the number of elements).
 #[inline]
-pub fn numel(shape: &[usize]) -> usize {
+pub(crate) fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
@@ -53,14 +53,6 @@ impl Tensor {
         }
     }
 
-    /// A tensor filled with a constant.
-    pub fn filled(shape: &[usize], value: f32) -> Self {
-        Self {
-            data: vec![value; numel(shape)],
-            shape: shape.to_vec(),
-        }
-    }
-
     /// Build a tensor by calling `f(flat_index)` for every element.
     pub fn from_fn(shape: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
         let n = numel(shape);
@@ -88,7 +80,7 @@ impl Tensor {
 
     /// Total number of elements.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
     }
 
@@ -110,15 +102,10 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Give the tensor the shape `dims` in place, keeping its buffer: the
     /// capacity grows only when the new shape needs more than it held, and
     /// the values are unspecified, so the caller writes every one it reads.
-    /// This is how a [`crate::Layer`] writes its output or gradient into a
+    /// This is how a `crate::Layer` writes its output or gradient into a
     /// buffer that outlives the call.
     pub fn resize<D: Borrow<usize>>(&mut self, dims: impl IntoIterator<Item = D>) -> &mut [f32] {
         self.assign_shape(dims);
@@ -127,7 +114,7 @@ impl Tensor {
 
     /// [`Self::resize`], then zero every value: for a buffer that a kernel
     /// accumulates into.
-    pub fn resize_zeroed<D: Borrow<usize>>(
+    pub(crate) fn resize_zeroed<D: Borrow<usize>>(
         &mut self,
         dims: impl IntoIterator<Item = D>,
     ) -> &mut [f32] {
@@ -137,7 +124,7 @@ impl Tensor {
     }
 
     /// Take `src`'s shape and values, keeping this tensor's buffer.
-    pub fn copy_from(&mut self, src: &Tensor) {
+    pub(crate) fn copy_from(&mut self, src: &Tensor) {
         self.resize(src.shape()).copy_from_slice(src.as_slice());
     }
 
@@ -146,7 +133,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics if the element counts differ.
-    pub fn set_shape<D: Borrow<usize>>(&mut self, dims: impl IntoIterator<Item = D>) {
+    pub(crate) fn set_shape<D: Borrow<usize>>(&mut self, dims: impl IntoIterator<Item = D>) {
         self.assign_shape(dims);
         assert_eq!(
             numel(&self.shape),
@@ -177,62 +164,6 @@ impl Tensor {
         self.shape.push(self.data.len());
     }
 
-    /// Reinterpret the buffer under a new shape with the same element count.
-    ///
-    /// # Panics
-    /// Panics if the element counts differ.
-    pub fn reshape(mut self, shape: Vec<usize>) -> Self {
-        assert_eq!(
-            numel(&shape),
-            self.data.len(),
-            "cannot reshape {:?} ({} elems) to {:?}",
-            self.shape,
-            self.data.len(),
-            shape
-        );
-        self.shape = shape;
-        self
-    }
-
-    /// Row `i` of a rank-2 tensor.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
-        debug_assert_eq!(self.rank(), 2);
-        let cols = self.shape[1];
-        &self.data[i * cols..(i + 1) * cols]
-    }
-
-    /// Mutable row `i` of a rank-2 tensor.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        debug_assert_eq!(self.rank(), 2);
-        let cols = self.shape[1];
-        &mut self.data[i * cols..(i + 1) * cols]
-    }
-
-    /// Element at `(i, j)` of a rank-2 tensor.
-    #[inline]
-    pub fn at2(&self, i: usize, j: usize) -> f32 {
-        debug_assert_eq!(self.rank(), 2);
-        self.data[i * self.shape[1] + j]
-    }
-
-    /// Elementwise `self += other`.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
     /// Matrix product `self [M,K] × other [K,N] -> [M,N]`.
     ///
     /// Runs through the blocked/packed kernel in [`crate::gemm`], which
@@ -260,18 +191,6 @@ impl Tensor {
         shape[0] = end - start;
         Tensor::from_vec(shape, self.data[start * stride..end * stride].to_vec())
     }
-
-    /// Sum over axis 0 of a rank-2 tensor: `[M,N] -> [N]`.
-    pub fn sum_rows(&self) -> Tensor {
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; n];
-        for i in 0..m {
-            for (o, &v) in out.iter_mut().zip(self.row(i)) {
-                *o += v;
-            }
-        }
-        Tensor::from_vec(vec![n], out)
-    }
 }
 
 #[cfg(test)]
@@ -284,8 +203,6 @@ mod tests {
         assert_eq!(t.shape(), &[2, 3]);
         assert_eq!(t.rank(), 2);
         assert_eq!(t.len(), 6);
-        assert_eq!(t.row(1), &[4., 5., 6.]);
-        assert_eq!(t.at2(0, 2), 3.0);
     }
 
     #[test]
@@ -295,22 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_filled() {
+    fn zeros_are_zero() {
         assert_eq!(Tensor::zeros(&[3]).as_slice(), &[0.0; 3]);
-        assert_eq!(Tensor::filled(&[2], 7.5).as_slice(), &[7.5, 7.5]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]).reshape(vec![4]);
-        assert_eq!(t.shape(), &[4]);
-        assert_eq!(t.as_slice(), &[1., 2., 3., 4.]);
-    }
-
-    #[test]
-    #[should_panic(expected = "reshape")]
-    fn reshape_rejects_wrong_count() {
-        Tensor::zeros(&[4]).reshape(vec![3]);
     }
 
     #[test]
@@ -337,22 +240,10 @@ mod tests {
             for kk in 0..k {
                 acc += a.as_slice()[i * k + kk] * b.as_slice()[kk * n + j];
             }
-            assert!((c.at2(i, j) - acc).abs() < 1e-3, "mismatch at ({i},{j})");
+            assert!(
+                (c.as_slice()[i * n + j] - acc).abs() < 1e-3,
+                "mismatch at ({i},{j})"
+            );
         }
-    }
-
-    #[test]
-    fn add_assign_and_sum() {
-        let mut a = Tensor::from_vec(vec![3], vec![1., 2., 3.]);
-        let b = Tensor::from_vec(vec![3], vec![10., 20., 30.]);
-        a.add_assign(&b);
-        assert_eq!(a.as_slice(), &[11., 22., 33.]);
-        assert_eq!(a.sum(), 66.0);
-    }
-
-    #[test]
-    fn sum_rows_adds_columns() {
-        let t = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 3., 4., 5.]);
-        assert_eq!(t.sum_rows().as_slice(), &[4., 6., 8.]);
     }
 }

@@ -6,10 +6,14 @@
 #        scripts/nontest_lines.sh HEAD~1   (a commit, exported with git archive)
 #
 # A non-test line is a non-blank line of a `.rs` file under `crates/*/src`
-# or `src` that comes before the file's first `#[cfg(test)]` at column 0;
-# a file without one counts whole. Comments and doc comments count.
+# or `src` that lies outside every column-0 `#[cfg(test)]` item. Such an
+# item is the attribute, any further attribute lines, and then either one
+# line (`mod x;`, `use ...;`, `impl ... {}`) or a braced item up to its
+# closing `}` at column 0. A file that its parent declares with
+# `#[cfg(test)] mod x;` is test code whole. Comments and doc comments count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/rust_sources.sh
 
 root=.
 if [ $# -gt 1 ]; then
@@ -23,13 +27,12 @@ elif [ $# -eq 1 ]; then
 fi
 
 cd "$root"
-find crates/*/src src -name '*.rs' | LC_ALL=C sort | while read -r f; do
+nontest_sources | while read -r f; do
     case "$f" in
         crates/*) unit="${f#crates/}" unit="${unit%%/*}" ;;
         *) unit=src ;;
     esac
-    n="$(awk '/^#\[cfg\(test\)\]/ { exit } NF { n++ } END { print n + 0 }' "$f")"
-    echo "$unit $n"
+    echo "$unit $(strip_test_items "$f" | awk 'NF { n++ } END { print n + 0 }')"
 done | awk '
     { lines[$1] += $2; total += $2 }
     END {

@@ -9,12 +9,12 @@
 //! This facade crate re-exports the library crates a user builds on. The
 //! TCP daemon (`lt-net`), the conformance harness (`lt-conformance`) and
 //! the experiment CLI (`lt-experiments`) are separate workspace members,
-//! not re-exported here:
+//! not re-exported here. Each crate exports only what its dependants name:
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`ledger`] | `tangle-ledger` | DAG ledger, tip selection (walks and exit-mass draws), confidence/rating analysis, PoW, DOT export |
-//! | [`nn`] | `tinynn` | tensors, CNN/LSTM layers, manual backprop, SGD, parameter vectors |
+//! | [`nn`] | `tinynn` | tensors, the paper's CNN/LSTM models ([`nn::zoo`]), manual backprop, SGD, parameter vectors, the `LTPV` wire codec |
 //! | [`data`] | `feddata` | synthetic FEMNIST / Shakespeare / blob federated datasets |
 //! | [`baseline`] | `fedavg` | the centralized federated-averaging baseline |
 //! | [`learning`] | `learning-tangle` | the paper's node algorithms, attacks, and simulators |
