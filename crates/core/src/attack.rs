@@ -37,8 +37,7 @@ pub enum AttackKind {
 ///
 /// For [`AttackKind::LabelFlip`], each attacker's dataset is replaced using
 /// `flip_source`; pass [`default_flip_source`] to carve the mislabeled set
-/// out of the node's own data, or a custom closure (e.g. fabricating
-/// source-class samples with `feddata::femnist::class_samples`).
+/// out of the node's own data, or a custom closure.
 ///
 /// Returns the chosen node indices.
 pub fn assign_malicious(
